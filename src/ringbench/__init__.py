@@ -3,10 +3,12 @@ gradings, and skew category algebras.
 
 Everything runs in exact arithmetic over Z/m.  The core objects are
 structure-constant rings (finring), complete sets of idempotents with their
-component tables (idempotents), finite categories with validated composition
-tables (smallcat), ring gradings by categories (graded), skew category
-algebras (skewalg), instance generators and targeted mutants (corpus), and
-suite-level verification drivers (verify).
+component tables (idempotents), the one evaluator of the three equivalent
+strength conditions shared by component tables, hom-sets and hom-components
+(strength), finite categories with validated composition tables (smallcat),
+ring gradings by categories (graded), skew category algebras (skewalg),
+instance generators and targeted mutants (corpus), and suite-level
+verification drivers (verify).
 """
 
 __version__ = "0.1.0"

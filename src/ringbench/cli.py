@@ -44,10 +44,15 @@ System file::
     <rank x rank residues, row-major>
     ...
 
+A ring's modulus m must keep rank^2 * (m-1)^3 below 2^63, so that every
+product stays exact in int64; a larger modulus is rejected as bad input
+(ModulusTooLarge).
+
 Every invocation prints one JSON report to standard output (suppress the
 timings block with --no-timings for byte-identical reruns).  Exit codes:
-0 all verdicts positive, 1 a checked property is false, 2 malformed input or
-a validation error.
+0 all verdicts positive, 1 a checked property is false, 2 malformed input,
+an unreadable file or a validation error, 3 an internal invariant failed
+(InvariantViolation, a defect in the workbench, reported as an error report).
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from . import idempotents as idem
 from . import skewalg as sk
 from . import smallcat as cat
 from . import verify
-from .errors import ParseError, WorkbenchError
+from .errors import InvariantViolation, ParseError, WorkbenchError
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +327,7 @@ class Reporter:
         return 0 if ok else 1
 
 
-def _emit_error(command: str, exc: Exception, quiet: bool) -> int:
+def _emit_error(command: str, exc: Exception, quiet: bool, code: int = 2) -> int:
     payload = {
         "command": command,
         "tool": {"name": "ringbench", "version": __version__},
@@ -335,7 +340,7 @@ def _emit_error(command: str, exc: Exception, quiet: bool) -> int:
         print(f"error {type(exc).__name__}", file=sys.stdout)
     else:
         print(json.dumps(payload, indent=2))
-    return 2
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +503,20 @@ def _cmd_build_skew(args) -> int:
     return rep.emit()
 
 
+def _env_seed() -> int | None:
+    """The suite seed from WORKBENCH_SEED, or None when it is unset."""
+    text = os.environ.get("WORKBENCH_SEED")
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"WORKBENCH_SEED must be an integer, found {text!r}") from None
+
+
 def _cmd_verify_prop(args) -> int:
     rep = Reporter("verify-prop", args)
-    seed = None
-    env_seed = os.environ.get("WORKBENCH_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    result = verify.run_check(args.name, seed)
+    result = verify.run_check(args.name, _env_seed())
     rep.verdict(result.name, result.ok)
     rep.info("checked", result.checked)
     for failure in result.failures:
@@ -514,11 +526,7 @@ def _cmd_verify_prop(args) -> int:
 
 def _cmd_gen_suite(args) -> int:
     rep = Reporter("gen-suite", args)
-    seed = None
-    env_seed = os.environ.get("WORKBENCH_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    instances = corpus.generate_suite(args.name, seed)
+    instances = corpus.generate_suite(args.name, _env_seed())
     rep.verdict("generated", True)
     rep.info("suite", args.name)
     rep.info("count", len(instances))
@@ -599,12 +607,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _emit_error(args.command, exc, args.quiet)
     except WorkbenchError as exc:
         return _emit_error(args.command, exc, args.quiet)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _emit_error(args.command, ParseError(str(exc)), args.quiet)
+    except InvariantViolation as exc:
+        return _emit_error(args.command, exc, args.quiet, code=3)
 
 
 if __name__ == "__main__":

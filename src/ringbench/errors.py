@@ -12,6 +12,12 @@ class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 
 
+class InvariantViolation(Exception):
+    """A result the workbench re-verifies failed its check: a defect in the
+    workbench itself, never a property of the input.  Deliberately not a
+    WorkbenchError, so it cannot be mistaken for bad input."""
+
+
 # ---------------------------------------------------------------------------
 # ring construction and arithmetic
 
@@ -22,6 +28,10 @@ class ShapeMismatch(WorkbenchError):
 
 class ModulusTooSmall(WorkbenchError):
     """Coefficient modulus must be at least 2."""
+
+
+class ModulusTooLarge(WorkbenchError):
+    """Coefficient modulus too large for exact int64 arithmetic at this rank."""
 
 
 class ModulusMismatch(WorkbenchError):

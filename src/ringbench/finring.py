@@ -24,8 +24,10 @@ import numpy as np
 from . import howell, posets
 from .errors import (
     CornerNotFree,
+    InvariantViolation,
     LatticeTooLarge,
     ModulusMismatch,
+    ModulusTooLarge,
     ModulusTooSmall,
     NotAssociative,
     NotIdempotent,
@@ -294,6 +296,12 @@ def _build_ring(
         raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
     if rank < 0:
         raise ShapeMismatch(f"rank must be >= 0, got {rank}")
+    # products are reduced only after each einsum; the largest unreduced
+    # intermediate, rank^2 * (m-1)^3 in mul_vec and product_subgroup, must fit
+    if rank * rank * (modulus - 1) ** 3 >= 2**63:
+        raise ModulusTooLarge(
+            f"modulus {modulus} at rank {rank}: rank^2 * (modulus-1)^3 must stay below 2^63"
+        )
     sc = np.asarray(structure_constants, dtype=np.int64)
     if sc.shape != (rank, rank, rank):
         raise ShapeMismatch(
@@ -386,7 +394,6 @@ class OneSidedIdeal:
 
     subgroup: AdditiveSubgroup
     side: str
-    closure_witnessed: bool
 
     @property
     def ring(self) -> FiniteRing:
@@ -445,8 +452,9 @@ def one_sided_ideal_closure(
             raise RingMismatch("generator bound to a different ring")
         rows.extend(_principal_rows(ring, g.vec, side))
     subgroup = ring.span(rows)
-    assert closed_under(ring, subgroup, side)
-    return OneSidedIdeal(subgroup, side, True)
+    if not closed_under(ring, subgroup, side):
+        raise InvariantViolation(f"generated {side} ideal is not closed under multiplication")
+    return OneSidedIdeal(subgroup, side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,14 +473,37 @@ class IdealLattice:
     height: int
     size: int
 
-    def index_of(self, subgroup: AdditiveSubgroup) -> int:
-        for i, ideal in enumerate(self.ideals):
-            if ideal.subgroup == subgroup:
-                return i
-        raise KeyError("subgroup is not an ideal in this lattice")
 
-    def includes(self, i: int, j: int) -> bool:
-        return self.ideals[i].subgroup <= self.ideals[j].subgroup
+def join_closure(
+    principals: Iterable[AdditiveSubgroup], cap: int
+) -> list[AdditiveSubgroup]:
+    """Close a family of subgroups under pairwise joins until a fixpoint.
+
+    Returns the distinct subgroups sorted by (order, basis).  Raises
+    LatticeTooLarge as soon as more than ``cap`` distinct subgroups are
+    found, while collecting the principals or while joining; a truncated
+    family is never returned.
+    """
+    found: dict[tuple, AdditiveSubgroup] = {}
+    batch = principals
+    while True:
+        fresh: list[AdditiveSubgroup] = []
+        for sub in batch:
+            if sub.key not in found:
+                found[sub.key] = sub
+                fresh.append(sub)
+                if len(found) > cap:
+                    raise LatticeTooLarge(cap)
+        if not fresh:
+            return sorted(found.values(), key=lambda s: (s.order, s.key))
+        # every subgroup found so far against each one new since last round
+        existing = sorted(found.values(), key=lambda s: s.key)
+        batch = (a.join(b) for a, b in itertools.product(existing, fresh))
+
+
+def inclusion_order(subs: Sequence[AdditiveSubgroup]) -> np.ndarray:
+    """Strict inclusion matrix of subgroups listed by nondecreasing order."""
+    return posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
 
 
 def enumerate_one_sided_ideals(
@@ -486,34 +517,10 @@ def enumerate_one_sided_ideals(
     the cap; a truncated lattice is never returned.
     """
     _check_side(side)
-    m = ring.modulus
-    found: dict[tuple, AdditiveSubgroup] = {}
-    for x in ring.element_vectors():
-        sub = ring.span(_principal_rows(ring, x, side))
-        if sub.key not in found:
-            found[sub.key] = sub
-            if len(found) > cap:
-                raise LatticeTooLarge(cap)
-
-    frontier = sorted(found.values(), key=lambda s: s.key)
-    while frontier:
-        fresh: list[AdditiveSubgroup] = []
-        existing = sorted(found.values(), key=lambda s: s.key)
-        for a in existing:
-            for b in frontier:
-                j = a.join(b)
-                if j.key not in found:
-                    found[j.key] = j
-                    fresh.append(j)
-                    if len(found) > cap:
-                        raise LatticeTooLarge(cap)
-        frontier = fresh
-
-    subs = sorted(found.values(), key=lambda s: (s.order, s.key))
-    ideals = tuple(OneSidedIdeal(s, side, True) for s in subs)
-    lt = posets.strict_order_matrix(
-        len(subs), lambda i, j: subs[i].order < subs[j].order and subs[i] <= subs[j]
-    )
+    principals = (ring.span(_principal_rows(ring, x, side)) for x in ring.element_vectors())
+    subs = join_closure(principals, cap)
+    ideals = tuple(OneSidedIdeal(s, side) for s in subs)
+    lt = inclusion_order(subs)
     cover = posets.cover_matrix(lt)
     height = posets.longest_chain_length(lt)
     return IdealLattice(
@@ -634,7 +641,8 @@ def corner_ring(ring: FiniteRing, e: RingElement) -> CornerRing:
     for coeffs in itertools.product(range(exponent), repeat=k):
         v = (np.asarray(coeffs, dtype=np.int64) @ basis_rows) % ring.modulus
         coord_index[tuple(int(c) for c in v)] = coeffs
-    assert len(coord_index) == subgroup.order
+    if len(coord_index) != subgroup.order:
+        raise InvariantViolation("free basis does not reach every corner element")
 
     sc = np.zeros((k, k, k), dtype=np.int64)
     for i in range(k):
@@ -688,7 +696,8 @@ def find_identity(ring: FiniteRing) -> RingElement | None:
         return None
     e = ring.element(x)
     for b in ring.basis():
-        assert e * b == b and b * e == b
+        if e * b != b or b * e != b:
+            raise InvariantViolation("solved identity fails the unit law")
     return e
 
 
@@ -715,7 +724,3 @@ def subring_identity(ring: FiniteRing, subgroup: AdditiveSubgroup) -> RingElemen
             return ring.element(u)
     return None
 
-
-def same_structure(a: FiniteRing, b: FiniteRing) -> bool:
-    """Structural identity: same modulus, rank and constants (labels ignored)."""
-    return a.modulus == b.modulus and a.rank == b.rank and np.array_equal(a.sc, b.sc)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import strength
 from .errors import (
     CategoryNotHomSetStrong,
     GradingViolation,
@@ -176,27 +177,33 @@ def strongly_graded_check(grading: Grading) -> bool:
 
 
 @dataclass(frozen=True)
-class GradedStrongReport:
+class GradedStrongReport(strength.StrongnessReport):
     """Hom-set-level strength conditions for an object unital grading over a
     hom-set strong category, plus the corner-identity law
     1_{S_a} S 1_{S_b} = S_{G(a,b)} checked by direct subgroup computation."""
 
-    condition1: bool
-    condition2: bool
-    condition3: bool
-    witness1: tuple | None
-    witness2: tuple | None
-    witness3: tuple | None
     corner_identity: bool
     corner_identity_witness: tuple | None
 
-    @property
-    def agree(self) -> bool:
-        return self.condition1 == self.condition2 == self.condition3
 
-    @property
-    def strong(self) -> bool:
-        return self.condition1 and self.condition2 and self.condition3
+def _hom_components(grading: Grading) -> list[list[AdditiveSubgroup]]:
+    p = grading.category.object_count
+    return [[grading.hom_component(a, b) for b in range(p)] for a in range(p)]
+
+
+def _sandwich_law(
+    ring: FiniteRing, units: Sequence[RingElement], hom: Sequence[Sequence[AdditiveSubgroup]]
+) -> tuple[bool, tuple | None]:
+    """Check 1_{S_a} S 1_{S_b} = S_{G(a,b)} on every object pair; a failure
+    carries the pair and both subgroup orders."""
+    for a in range(len(units)):
+        for b in range(len(units)):
+            left = ring.left_mul_matrix(units[a].vec)
+            right = ring.right_mul_matrix(units[b].vec)
+            sandwich = ring.span((left @ right) % ring.modulus)
+            if sandwich != hom[a][b]:
+                return False, ((a, b), sandwich.order, hom[a][b].order)
+    return True, None
 
 
 def homset_strongly_graded_report(grading: Grading) -> GradedStrongReport:
@@ -208,79 +215,24 @@ def homset_strongly_graded_report(grading: Grading) -> GradedStrongReport:
         raise CategoryNotHomSetStrong(
             f"category fails hom-set strength: {cat_report.witness3}"
         )
-
-    ring = grading.ring
-    cat = grading.category
-    p = cat.object_count
-    hom = [[grading.hom_component(a, b) for b in range(p)] for a in range(p)]
+    hom = _hom_components(grading)
     units = ou.units
-
-    c1, w1 = True, None
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                sab, sbc, sac = hom[a][b], hom[b][c], hom[a][c]
-                nz = [not sab.is_zero(), not sbc.is_zero(), not sac.is_zero()]
-                if sum(nz) < 2:
-                    continue
-                if sum(nz) == 2:
-                    c1, w1 = False, ((a, b, c), "third hom-component is zero")
-                    break
-                if product_subgroup(sab, sbc) != sac:
-                    c1, w1 = False, ((a, b, c), "product misses the hom-component")
-                    break
-            if not c1:
-                break
-        if not c1:
-            break
-
-    c2, w2 = True, None
-    for x in range(p):
-        for y in range(p):
-            sxy, syx = hom[x][y], hom[y][x]
-            if sxy.is_zero() and syx.is_zero():
-                continue
-            if sxy.is_zero() or syx.is_zero():
-                c2, w2 = False, ((x, y), "opposed hom-component is zero")
-                break
-            if product_subgroup(sxy, syx) != hom[x][x]:
-                c2, w2 = False, ((x, y), "endo component not recovered")
-                break
-        if not c2:
-            break
-
-    c3, w3 = True, None
-    for x in range(p):
-        for y in range(p):
-            sxy, syx = hom[x][y], hom[y][x]
-            if sxy.is_zero() and syx.is_zero():
-                continue
-            if sxy.is_zero() or syx.is_zero():
-                c3, w3 = False, ((x, y), "opposed hom-component is zero")
-                break
-            if not product_subgroup(sxy, syx).contains(units[x]):
-                c3, w3 = False, ((x, y), "local unit not reached")
-                break
-        if not c3:
-            break
-
-    corner_ok, corner_witness = True, None
-    for a in range(p):
-        for b in range(p):
-            left = ring.left_mul_matrix(units[a].vec)
-            right = ring.right_mul_matrix(units[b].vec)
-            sandwich = ring.span((left @ right) % ring.modulus)
-            if sandwich != hom[a][b]:
-                corner_ok, corner_witness = False, (
-                    (a, b),
-                    sandwich.order,
-                    hom[a][b].order,
-                )
-                break
-        if not corner_ok:
-            break
-
-    return GradedStrongReport(c1, c2, c3, w1, w2, w3, corner_ok, corner_witness)
+    table = strength.ComponentTable(
+        hom,
+        is_zero=AdditiveSubgroup.is_zero,
+        product=product_subgroup,
+        holds_unit=lambda prod, x: prod.contains(units[x]),
+        third_zero="third hom-component is zero",
+        product_misses="product misses the hom-component",
+        opposed_zero="opposed hom-component is zero",
+        diagonal_missed="endo component not recovered",
+        unit_missed="local unit not reached",
+    )
+    conditions = strength.report(table)
+    corner_ok, corner_witness = _sandwich_law(grading.ring, units, hom)
+    return GradedStrongReport(
+        **vars(conditions), corner_identity=corner_ok, corner_identity_witness=corner_witness
+    )
 
 
 def corner_identity_check(grading: Grading) -> tuple[bool, tuple | None]:
@@ -289,16 +241,7 @@ def corner_identity_check(grading: Grading) -> tuple[bool, tuple | None]:
     ou = object_unital_check(grading)
     if not ou.object_unital:
         raise NotObjectUnital(f"grading is not object unital: {ou.witness}")
-    ring = grading.ring
-    p = grading.category.object_count
-    for a in range(p):
-        for b in range(p):
-            left = ring.left_mul_matrix(ou.units[a].vec)
-            right = ring.right_mul_matrix(ou.units[b].vec)
-            sandwich = ring.span((left @ right) % ring.modulus)
-            if sandwich != grading.hom_component(a, b):
-                return False, ((a, b), sandwich.order, grading.hom_component(a, b).order)
-    return True, None
+    return _sandwich_law(grading.ring, ou.units, _hom_components(grading))
 
 
 def induced_idempotents(grading: Grading) -> IdempotentSet:

@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, s, t) with s*a + t*b == g."""
@@ -111,7 +113,8 @@ def howell_complete(mat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         r += 1
 
     for i in range(r, len(rows)):
-        assert not rows[i].any(), "nonzero row escaped Howell reduction"
+        if rows[i].any():
+            raise InvariantViolation("nonzero row escaped Howell reduction")
     if r == 0:
         return np.zeros((0, n), dtype=np.int64), np.zeros((0, k), dtype=np.int64)
     H = np.array(rows[:r], dtype=np.int64)
@@ -121,10 +124,6 @@ def howell_complete(mat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def howell_form(mat: np.ndarray, m: int) -> np.ndarray:
     return howell_complete(mat, m)[0]
-
-
-def pivot_columns(H: np.ndarray) -> list[int]:
-    return [int(np.flatnonzero(row)[0]) for row in H]
 
 
 def span_order(H: np.ndarray, m: int) -> int:
@@ -178,5 +177,6 @@ def solve_row(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray | None:
     if residual.any():
         return None
     x = (coeffs @ U) % m if len(H) else np.zeros(A.shape[0], dtype=np.int64)
-    assert not ((x @ A - b) % m).any()
+    if ((x @ A - b) % m).any():
+        raise InvariantViolation("solution does not satisfy the system")
     return x

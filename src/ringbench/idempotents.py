@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import posets
+from . import posets, strength
 from .errors import (
+    InvariantViolation,
     NotComplete,
     NotIdempotent,
     NotOrthogonal,
@@ -34,26 +35,17 @@ from .finring import (
     RingElement,
     corner_ring,
     enumerate_one_sided_ideals,
+    inclusion_order,
+    join_closure,
     product_subgroup,
 )
-
-
-@dataclass(frozen=True)
-class ValidationRecord:
-    """Audit trail of the axioms a validated set passed."""
-
-    nonzero: bool
-    idempotent: bool
-    orthogonal: bool
-    complete_left: bool
-    complete_right: bool
+from .strength import StrongnessReport
 
 
 @dataclass(frozen=True, eq=False)
 class IdempotentSet:
     ring: FiniteRing
     elements: tuple[RingElement, ...]
-    validation: ValidationRecord
 
     @property
     def size(self) -> int:
@@ -101,8 +93,7 @@ def validate_complete_set(
             prod *= p.order
         if prod != ring.order or total != ring.full_subgroup():
             raise NotComplete(side, defect=total)
-    record = ValidationRecord(True, True, True, True, True)
-    return IdempotentSet(ring, elems, record)
+    return IdempotentSet(ring, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +148,8 @@ def peirce_table(iset: IdempotentSet) -> PeirceTable:
         for sub in row:
             total = total.join(sub)
             prod *= sub.order
-    assert prod == ring.order and total == ring.full_subgroup(), (
-        "component table does not decompose the ring"
-    )
+    if prod != ring.order or total != ring.full_subgroup():
+        raise InvariantViolation("component table does not decompose the ring")
     corners = tuple(corner_ring(ring, e) for e in iset.elements)
     return PeirceTable(
         ring,
@@ -173,74 +163,18 @@ def peirce_table(iset: IdempotentSet) -> PeirceTable:
 # strength conditions
 
 
-@dataclass(frozen=True)
-class StrongnessReport:
-    """Independent verdicts for the three equivalent strength conditions.
-
-    A false verdict carries the smallest lexicographic witness: the failing
-    index tuple plus a short reason.  ``agree`` records whether the three
-    verdicts coincide; their equivalence is re-checked on every instance
-    rather than assumed.
-    """
-
-    condition1: bool
-    condition2: bool
-    condition3: bool
-    witness1: tuple | None
-    witness2: tuple | None
-    witness3: tuple | None
-
-    @property
-    def agree(self) -> bool:
-        return self.condition1 == self.condition2 == self.condition3
-
-    @property
-    def strong(self) -> bool:
-        return self.condition1 and self.condition2 and self.condition3
-
-
-def _condition1(table: Sequence[Sequence[AdditiveSubgroup]]) -> tuple[bool, tuple | None]:
-    k = len(table)
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                sij, sjl, sil = table[i][j], table[j][l], table[i][l]
-                nonzero = [not sij.is_zero(), not sjl.is_zero(), not sil.is_zero()]
-                if sum(nonzero) < 2:
-                    continue
-                if sum(nonzero) == 2:
-                    return False, ((i, j, l), "third component is zero")
-                if product_subgroup(sij, sjl) != sil:
-                    return False, ((i, j, l), "product does not recover the component")
-    return True, None
-
-
-def _condition2(table) -> tuple[bool, tuple | None]:
-    k = len(table)
-    for p in range(k):
-        for q in range(k):
-            spq, sqp = table[p][q], table[q][p]
-            if spq.is_zero() and sqp.is_zero():
-                continue
-            if spq.is_zero() or sqp.is_zero():
-                return False, ((p, q), "opposed component is zero")
-            if product_subgroup(spq, sqp) != table[p][p]:
-                return False, ((p, q), "product does not recover the diagonal")
-    return True, None
-
-
-def _condition3(table, elems) -> tuple[bool, tuple | None]:
-    k = len(table)
-    for p in range(k):
-        for q in range(k):
-            spq, sqp = table[p][q], table[q][p]
-            if spq.is_zero() and sqp.is_zero():
-                continue
-            if spq.is_zero() or sqp.is_zero():
-                return False, ((p, q), "opposed component is zero")
-            if not product_subgroup(spq, sqp).contains(elems[p]):
-                return False, ((p, q), "idempotent not reached by the product")
-    return True, None
+def _strength_table(components, elems) -> strength.ComponentTable:
+    return strength.ComponentTable(
+        components,
+        is_zero=AdditiveSubgroup.is_zero,
+        product=product_subgroup,
+        holds_unit=lambda prod, p: prod.contains(elems[p]),
+        third_zero="third component is zero",
+        product_misses="product does not recover the component",
+        opposed_zero="opposed component is zero",
+        diagonal_missed="product does not recover the diagonal",
+        unit_missed="idempotent not reached by the product",
+    )
 
 
 def strong_condition_report(table: PeirceTable) -> StrongnessReport:
@@ -249,18 +183,12 @@ def strong_condition_report(table: PeirceTable) -> StrongnessReport:
     Condition 1 quantifies over all ordered index triples including repeats;
     the degenerate triple (i, i, i) amounts to S_i S_i = S_i.
     """
-    comps = table.components
-    elems = table.iset.elements
-    c1, w1 = _condition1(comps)
-    c2, w2 = _condition2(comps)
-    c3, w3 = _condition3(comps, elems)
-    return StrongnessReport(c1, c2, c3, w1, w2, w3)
+    return strength.report(_strength_table(table.components, table.iset.elements))
 
 
 def is_strong(iset: IdempotentSet) -> bool:
     """Condition-3 verdict (the cheapest of the equivalent formulations)."""
-    table = _components(iset)
-    verdict, _ = _condition3(table, iset.elements)
+    verdict, _ = strength.condition3(_strength_table(_components(iset), iset.elements))
     return verdict
 
 
@@ -316,37 +244,25 @@ def _submodules(
 ) -> list[AdditiveSubgroup]:
     """All subgroups M of ``ambient`` with acting*M (or M*acting) inside M,
     via principal submodules closed under joins."""
-    found: dict[tuple, AdditiveSubgroup] = {}
-    for x in ambient.element_vectors():
+
+    def principal(x):
         if side == "left":
             rows = [x] + [ring.mul_vec(w, x) for w in acting.basis]
         else:
             rows = [x] + [ring.mul_vec(x, w) for w in acting.basis]
-        sub = ring.span(rows)
-        found.setdefault(sub.key, sub)
-    frontier = sorted(found.values(), key=lambda s: s.key)
-    while frontier:
-        fresh = []
-        existing = sorted(found.values(), key=lambda s: s.key)
-        for a in existing:
-            for b in frontier:
-                jn = a.join(b)
-                if jn.key not in found:
-                    found[jn.key] = jn
-                    fresh.append(jn)
-                    if len(found) > cap:
-                        from .errors import LatticeTooLarge
+        return ring.span(rows)
 
-                        raise LatticeTooLarge(cap)
-        frontier = fresh
-    return sorted(found.values(), key=lambda s: (s.order, s.key))
+    return join_closure((principal(x) for x in ambient.element_vectors()), cap)
 
 
-def _poset_height(subs: list[AdditiveSubgroup]) -> int:
-    lt = posets.strict_order_matrix(
-        len(subs), lambda a, b: subs[a].order < subs[b].order and subs[a] <= subs[b]
-    )
-    return posets.longest_chain_length(lt)
+def _monotone(subs: list[AdditiveSubgroup], images: list[AdditiveSubgroup]) -> bool:
+    """Whether subs[a] <= subs[b] implies images[a] <= images[b] on every pair."""
+    ok = True
+    for a in range(len(subs)):
+        for b in range(len(subs)):
+            if a != b and subs[a] <= subs[b] and not images[a] <= images[b]:
+                ok = False
+    return ok
 
 
 def corner_lattice_correspondence(
@@ -360,7 +276,7 @@ def corner_lattice_correspondence(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    verdict, _ = _condition3(table.components, table.iset.elements)
+    verdict, _ = strength.condition3(_strength_table(table.components, table.iset.elements))
     if not verdict:
         raise NotStrong("the idempotent set is not strong")
     if table.components[i][j].is_zero():
@@ -378,37 +294,19 @@ def corner_lattice_correspondence(
 
     ideals = [corner_to_parent(ideal.subgroup) for ideal in lattice.ideals]
 
-    e_i = table.iset.elements[i]
-    e_j = table.iset.elements[j]
-    if side == "left":
-        ambient = table.components[j][i]  # e_j S e_i
-        acting = table.components[j][j]
-        ej_s = ring.left_mul_matrix(e_j.vec)  # rows e_j * b_l
-        ei_s = ring.left_mul_matrix(e_i.vec)
+    def multiplier(e: RingElement):
+        """The subgroup map M -> e S M (left) or M -> M S e (right)."""
+        if side == "left":
+            mat = ring.left_mul_matrix(e.vec)  # rows e * b_l
+            return lambda sub: ring.span([ring.mul_vec(r, v) for r in mat for v in sub.basis])
+        mat = ring.right_mul_matrix(e.vec)  # rows b_l * e
+        return lambda sub: ring.span([ring.mul_vec(v, r) for v in sub.basis for r in mat])
 
-        def forward(sub: AdditiveSubgroup) -> AdditiveSubgroup:
-            rows = [ring.mul_vec(r, v) for r in ej_s for v in sub.basis]
-            return ring.span(rows)
-
-        def back(sub: AdditiveSubgroup) -> AdditiveSubgroup:
-            rows = [ring.mul_vec(r, v) for r in ei_s for v in sub.basis]
-            return ring.span(rows)
-
-    else:
-        ambient = table.components[i][j]  # e_i S e_j
-        acting = table.components[j][j]
-        s_ej = ring.right_mul_matrix(e_j.vec)  # rows b_l * e_j
-        s_ei = ring.right_mul_matrix(e_i.vec)
-
-        def forward(sub: AdditiveSubgroup) -> AdditiveSubgroup:
-            rows = [ring.mul_vec(v, r) for v in sub.basis for r in s_ej]
-            return ring.span(rows)
-
-        def back(sub: AdditiveSubgroup) -> AdditiveSubgroup:
-            rows = [ring.mul_vec(v, r) for v in sub.basis for r in s_ei]
-            return ring.span(rows)
-
-    submodules = _submodules(ring, acting, ambient, side, cap)
+    forward = multiplier(table.iset.elements[j])
+    back = multiplier(table.iset.elements[i])
+    # e_j S e_i on the left, e_i S e_j on the right; S_j acts on both
+    ambient = table.components[j][i] if side == "left" else table.components[i][j]
+    submodules = _submodules(ring, table.components[j][j], ambient, side, cap)
     sub_index = {s.key: idx for idx, s in enumerate(submodules)}
 
     pairs = []
@@ -436,20 +334,8 @@ def corner_lattice_correspondence(
     fwd_monotone = True
     back_monotone = True
     if failure is None:
-        images = [forward(s) for s in ideals]
-        for a in range(len(ideals)):
-            for b in range(len(ideals)):
-                if a != b and ideals[a] <= ideals[b] and not images[a] <= images[b]:
-                    fwd_monotone = False
-        back_images = [back(s) for s in submodules]
-        for a in range(len(submodules)):
-            for b in range(len(submodules)):
-                if (
-                    a != b
-                    and submodules[a] <= submodules[b]
-                    and not back_images[a] <= back_images[b]
-                ):
-                    back_monotone = False
+        fwd_monotone = _monotone(ideals, [forward(s) for s in ideals])
+        back_monotone = _monotone(submodules, [back(s) for s in submodules])
 
     return CornerLatticeCertificate(
         side=side,
@@ -458,7 +344,7 @@ def corner_lattice_correspondence(
         ideal_count=len(ideals),
         submodule_count=len(submodules),
         ideal_height=lattice.height,
-        submodule_height=_poset_height(submodules),
+        submodule_height=posets.longest_chain_length(inclusion_order(submodules)),
         forward_then_back_identity=fwd_back,
         back_then_forward_identity=back_fwd,
         forward_monotone=fwd_monotone,
@@ -487,7 +373,7 @@ class ChainProfile:
 
     On finite instances every chain condition holds, so the informative
     content is the lattice sizes and heights plus the strength verdict and
-    the component-decomposition consistency flag.
+    the component-decomposition flag.
     """
 
     index_size: int
@@ -498,7 +384,6 @@ class ChainProfile:
     ring_right_size: int
     ring_right_height: int
     decomposition_ok: bool
-    consistent: bool
 
 
 def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = 100_000) -> ChainProfile:
@@ -517,7 +402,6 @@ def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = 100_000) -> 
     for row in table.components:
         for sub in row:
             prod *= sub.order
-    decomposition_ok = prod == ring.order
     return ChainProfile(
         index_size=iset.size,
         strong=report.strong,
@@ -526,6 +410,5 @@ def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = 100_000) -> 
         ring_left_height=ring_left.height,
         ring_right_size=ring_right.size,
         ring_right_height=ring_right.height,
-        decomposition_ok=decomposition_ok,
-        consistent=decomposition_ok,
+        decomposition_ok=prod == ring.order,
     )

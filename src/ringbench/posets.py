@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 
 def strict_order_matrix(count: int, lt) -> np.ndarray:
     """Boolean matrix M with M[i, j] true iff item i < item j."""
@@ -32,7 +34,8 @@ def longest_chain_length(lt: np.ndarray) -> int:
     n = lt.shape[0]
     if n == 0:
         return 0
-    assert not lt[np.tril_indices(n)].any(), "items are not topologically sorted"
+    if lt[np.tril_indices(n)].any():
+        raise InvariantViolation("items are not topologically sorted")
     height = np.zeros(n, dtype=np.int64)
     for j in range(n):
         preds = np.flatnonzero(lt[:, j])

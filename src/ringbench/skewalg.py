@@ -24,6 +24,7 @@ import numpy as np
 from . import howell
 from .errors import (
     IdentityNotIdentity,
+    InvariantViolation,
     ModulusMismatch,
     NotFunctorial,
     NotRingIso,
@@ -217,7 +218,7 @@ def build_skew_algebra(system: SkewCategorySystem) -> SkewAlgebra:
     strongly = strongly_graded_check(grading)
     ou = object_unital_check(grading)
     if not strongly or not ou.object_unital:
-        raise AssertionError(
+        raise InvariantViolation(
             "canonical grading of a validated system failed its strength checks"
         )
     return SkewAlgebra(
@@ -296,7 +297,6 @@ class ArtinianCriteriaReport:
     ring_right_height: int
     corners: tuple[ObjectCornerReport, ...]
     corner_extraction_ok: bool
-    all_finite: bool
 
 
 def artinian_criteria_report(algebra: SkewAlgebra, cap: int = 100_000) -> ArtinianCriteriaReport:
@@ -326,5 +326,4 @@ def artinian_criteria_report(algebra: SkewAlgebra, cap: int = 100_000) -> Artini
         ring_right_height=right.height,
         corners=tuple(corners),
         corner_extraction_ok=extraction_ok,
-        all_finite=True,
     )

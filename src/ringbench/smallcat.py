@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import strength
 from .errors import (
     CompositionDomainMismatch,
     IdentityLawViolation,
@@ -189,27 +190,6 @@ def is_groupoid(cat: SmallCategory) -> GroupoidCheck:
     return GroupoidCheck(True, tuple(inv), None)
 
 
-@dataclass(frozen=True)
-class HomSetStrongReport:
-    """Independent verdicts for the three equivalent hom-set strength
-    conditions, with smallest lexicographic object witnesses on failure."""
-
-    condition1: bool
-    condition2: bool
-    condition3: bool
-    witness1: tuple | None
-    witness2: tuple | None
-    witness3: tuple | None
-
-    @property
-    def agree(self) -> bool:
-        return self.condition1 == self.condition2 == self.condition3
-
-    @property
-    def strong(self) -> bool:
-        return self.condition1 and self.condition2 and self.condition3
-
-
 def _hom_table(cat: SmallCategory) -> list[list[frozenset[int]]]:
     p = cat.object_count
     table = [[set() for _ in range(p)] for _ in range(p)]
@@ -222,60 +202,21 @@ def _set_product(cat: SmallCategory, A: frozenset[int], B: frozenset[int]) -> fr
     return frozenset(int(cat.compose[g, h]) for g in A for h in B)
 
 
-def homset_strong_report(cat: SmallCategory) -> HomSetStrongReport:
-    hs = _hom_table(cat)
-    p = cat.object_count
-
-    c1, w1 = True, None
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                sab, sbc, sac = hs[a][b], hs[b][c], hs[a][c]
-                filled = [bool(sab), bool(sbc), bool(sac)]
-                if sum(filled) < 2:
-                    continue
-                if sum(filled) == 2:
-                    c1, w1 = False, ((a, b, c), "third hom-set is empty")
-                    break
-                if _set_product(cat, sab, sbc) != sac:
-                    c1, w1 = False, ((a, b, c), "composite set misses morphisms")
-                    break
-            if not c1:
-                break
-        if not c1:
-            break
-
-    c2, w2 = True, None
-    for x in range(p):
-        for y in range(p):
-            sxy, syx = hs[x][y], hs[y][x]
-            if not sxy and not syx:
-                continue
-            if not sxy or not syx:
-                c2, w2 = False, ((x, y), "opposed hom-set is empty")
-                break
-            if _set_product(cat, sxy, syx) != hs[x][x]:
-                c2, w2 = False, ((x, y), "endo set not recovered")
-                break
-        if not c2:
-            break
-
-    c3, w3 = True, None
-    for x in range(p):
-        for y in range(p):
-            sxy, syx = hs[x][y], hs[y][x]
-            if not sxy and not syx:
-                continue
-            if not sxy or not syx:
-                c3, w3 = False, ((x, y), "opposed hom-set is empty")
-                break
-            if cat.identity[x] not in _set_product(cat, sxy, syx):
-                c3, w3 = False, ((x, y), "identity not reached")
-                break
-        if not c3:
-            break
-
-    return HomSetStrongReport(c1, c2, c3, w1, w2, w3)
+def homset_strong_report(cat: SmallCategory) -> strength.StrongnessReport:
+    """The three hom-set strength conditions, with smallest lexicographic
+    object witnesses on failure."""
+    table = strength.ComponentTable(
+        _hom_table(cat),
+        is_zero=lambda hs: not hs,
+        product=lambda A, B: _set_product(cat, A, B),
+        holds_unit=lambda composites, x: cat.identity[x] in composites,
+        third_zero="third hom-set is empty",
+        product_misses="composite set misses morphisms",
+        opposed_zero="opposed hom-set is empty",
+        diagonal_missed="endo set not recovered",
+        unit_missed="identity not reached",
+    )
+    return strength.report(table)
 
 
 # ---------------------------------------------------------------------------

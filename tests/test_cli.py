@@ -7,6 +7,7 @@ import pytest
 
 from ringbench import cli
 from ringbench import corpus
+from ringbench import finring as fr
 from ringbench import smallcat as sc
 from ringbench.errors import ParseError
 
@@ -136,6 +137,32 @@ class TestExitCodes:
     def test_missing_file_exits_two(self, workdir, capsys):
         code, _ = run(capsys, "check-ring", workdir / "absent.ring")
         assert code == 2
+
+    def test_directory_exits_two(self, workdir, capsys):
+        code, out = run(capsys, "check-ring", workdir)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_malformed_seed_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("WORKBENCH_SEED", "abc")
+        code, out = run(capsys, "verify-prop", "mx-family")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_oversized_modulus_exits_two(self, workdir, capsys):
+        (workdir / "huge.ring").write_text(f"modulus {10**30}\nrank 1\nconstants\n1\n")
+        code, out = run(capsys, "check-ring", workdir / "huge.ring")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ModulusTooLarge"
+
+    def test_invariant_violation_exits_three(self, workdir, capsys, monkeypatch):
+        # a broken multiplication makes find_identity's unit-law recheck fail
+        monkeypatch.setattr(
+            fr.FiniteRing, "mul_vec", lambda self, x, y: np.zeros(self.rank, dtype=np.int64)
+        )
+        code, out = run(capsys, "check-ring", workdir / "m2.ring")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "InvariantViolation"
 
 
 class TestReports:

@@ -12,8 +12,10 @@ from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import verify
 from ringbench.errors import (
+    InvariantViolation,
     LatticeTooLarge,
     ModulusMismatch,
+    ModulusTooLarge,
     ModulusTooSmall,
     NotAssociative,
     NotIdempotent,
@@ -50,6 +52,15 @@ class TestMakeRing:
     def test_modulus_too_small(self):
         with pytest.raises(ModulusTooSmall):
             fr.make_ring(1, 1, [[[0]]])
+
+    def test_largest_exact_modulus_at_rank_one(self):
+        # rank^2 * (m-1)^3 < 2^63 holds for m = 2^21 and fails for m = 2^21 + 1
+        m = 2**21
+        ring = fr.make_ring(m, 1, [[[m - 1]]])  # b0 * b0 = -b0
+        minus_b0 = -ring.basis_element(0)
+        assert (minus_b0 * minus_b0).coords == (m - 1,)
+        with pytest.raises(ModulusTooLarge):
+            fr.make_ring(m + 1, 1, [[[m]]])
 
 
 class TestEvaluate:
@@ -143,7 +154,7 @@ class TestSpanSubgroup:
 class TestIdealClosure:
     def test_left_ideal_of_e11(self, m2f2):
         ideal = fr.one_sided_ideal_closure(m2f2, [m2f2.basis_element(0)], "left")
-        assert ideal.order == 4 and ideal.closure_witnessed
+        assert ideal.order == 4
         expected = brute_force_span(m2f2, [(1, 0, 0, 0), (0, 0, 1, 0)])
         assert {tuple(int(c) for c in v) for v in ideal.subgroup.element_vectors()} == expected
 
@@ -158,6 +169,11 @@ class TestIdealClosure:
         x = zero_ring_2.basis_element(0)
         ideal = fr.one_sided_ideal_closure(zero_ring_2, [x], "left")
         assert ideal.subgroup.contains(x)
+
+    def test_failed_closure_check_raises(self, m2f2, monkeypatch):
+        monkeypatch.setattr(fr, "closed_under", lambda ring, subgroup, side: False)
+        with pytest.raises(InvariantViolation):
+            fr.one_sided_ideal_closure(m2f2, [m2f2.basis_element(0)], "left")
 
 
 class TestIdealLattice:

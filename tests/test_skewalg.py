@@ -171,7 +171,7 @@ class TestArtinianCriteria:
         report = sk.artinian_criteria_report(algebra)
         assert report.ring_left_size == 5
         assert all(c.corner_order == 2 and c.left_size == 2 for c in report.corners)
-        assert report.corner_extraction_ok and report.all_finite
+        assert report.corner_extraction_ok
 
     def test_group_algebra_c2(self, z2, c2_category):
         algebra = sk.build_category_algebra(z2, c2_category)

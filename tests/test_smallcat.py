@@ -139,7 +139,9 @@ class TestHomSetStrongReport:
     def test_arrow_fails_with_object_witness(self, arrow_category):
         report = sc.homset_strong_report(arrow_category)
         assert not report.strong and report.agree
-        assert report.witness3[0] == (0, 1)
+        assert report.witness1 == ((0, 1, 0), "third hom-set is empty")
+        assert report.witness2 == ((0, 1), "opposed hom-set is empty")
+        assert report.witness3 == ((0, 1), "opposed hom-set is empty")
 
     def test_mx_bool2_is_strong_but_not_groupoid(self):
         mx = sc.build_MX(corpus.MONOID_TABLES["bool2"], 2)
