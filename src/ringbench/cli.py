@@ -44,15 +44,18 @@ System file::
     <rank x rank residues, row-major>
     ...
 
-A ring's modulus m must keep rank^2 * (m-1)^3 below 2^63, so that every
+Integers of any size are read as residues modulo the ring's modulus.  A
+ring's modulus m must keep rank^2 * (m-1)^3 below 2^63, so that every
 product stays exact in int64; a larger modulus is rejected as bad input
-(ModulusTooLarge).
+(ModulusTooLarge), and so is a rank above finring.MAX_RANK (RankTooLarge),
+before the constants are read.
 
 Every invocation prints one JSON report to standard output (suppress the
 timings block with --no-timings for byte-identical reruns).  Exit codes:
 0 all verdicts positive, 1 a checked property is false, 2 malformed input,
-an unreadable file or a validation error, 3 an internal invariant failed
-(InvariantViolation, a defect in the workbench, reported as an error report).
+an unreadable file, a validation error or a bad command line (UsageError),
+3 an internal invariant failed (InvariantViolation, a defect in the
+workbench, reported as an error report).
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -76,7 +80,7 @@ from . import idempotents as idem
 from . import skewalg as sk
 from . import smallcat as cat
 from . import verify
-from .errors import InvariantViolation, ParseError, WorkbenchError
+from .errors import InvariantViolation, ParseError, RankTooLarge, UsageError, WorkbenchError
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +154,9 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
     ts.expect("modulus")
     modulus = ts.integer("modulus")
     ts.expect("rank")
-    rank = ts.integer("rank")
+    rank = ts.integer_in("rank", 1, math.inf)
+    if rank > fr.MAX_RANK:
+        raise RankTooLarge(rank, fr.MAX_RANK)
     labels = None
     tok = ts.peek()
     if tok and tok.text == "labels":
@@ -161,7 +167,8 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
     if not ts.done():
         tok = ts.peek()
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    sc = np.asarray(flat, dtype=np.int64).reshape(rank, rank, rank)
+    # Python ints of any size: make_ring reduces them exactly
+    sc = np.array(flat, dtype=object).reshape(rank, rank, rank)
     return fr.make_ring(modulus, rank, sc, labels)
 
 
@@ -214,11 +221,11 @@ def parse_grading_file(path: str | Path) -> gr.Grading:
     while not ts.done():
         ts.expect("component")
         g = ts.integer_in("morphism index", 0, category.morphism_count)
-        count = ts.integer("generator count")
+        count = ts.integer_in("generator count", 0, math.inf)
         rows = []
         for r in range(count):
-            rows.append([ts.integer(f"coordinate {i}") for i in range(ring.rank)])
-        components[g] = ring.span(np.asarray(rows, dtype=np.int64).reshape(count, ring.rank))
+            rows.append([ts.integer(f"coordinate {i}") % ring.modulus for i in range(ring.rank)])
+        components[g] = ring.span(rows)
     for g in range(category.morphism_count):
         components.setdefault(g, ring.zero_subgroup())
     return gr.attach_grading(ring, category, components)
@@ -247,7 +254,8 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
         g = ts.integer_in("morphism index", 0, category.morphism_count)
         nd = rings[category.dom[g]].rank
         nc = rings[category.cod[g]].rank
-        flat = [ts.integer(f"entry {i}") for i in range(nd * nc)]
+        m = rings[category.cod[g]].modulus
+        flat = [ts.integer(f"entry {i}") % m for i in range(nd * nc)]
         maps[g] = np.asarray(flat, dtype=np.int64).reshape(nd, nc)
     return sk.validate_system(category, rings, maps)
 
@@ -538,8 +546,16 @@ def _cmd_gen_suite(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that main reports them as JSON with exit 2;
+    subcommand parsers are made from this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringbench",
         description="Finite-scale checks for rings with enough idempotents, "
         "category gradings, and skew category algebras.",
@@ -604,8 +620,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # filled as parsing goes, so a usage error still sees --quiet and the
+    # subcommand when they came before it
+    args = argparse.Namespace()
     try:
+        parser.parse_args(argv, namespace=args)
         return args.func(args)
     except WorkbenchError as exc:
         return _emit_error(args.command, exc, args.quiet)

@@ -34,6 +34,15 @@ class ModulusTooLarge(WorkbenchError):
     """Coefficient modulus too large for exact int64 arithmetic at this rank."""
 
 
+class RankTooLarge(WorkbenchError):
+    """Ring rank above the cap that bounds the associativity check's memory."""
+
+    def __init__(self, rank: int, cap: int):
+        self.rank = rank
+        self.cap = cap
+        super().__init__(f"rank {rank} exceeds the cap of {cap}")
+
+
 class ModulusMismatch(WorkbenchError):
     """Operands live over different coefficient moduli."""
 
@@ -210,6 +219,11 @@ class UnknownSuite(WorkbenchError):
 
 class CannotTarget(WorkbenchError):
     """The requested mutation target is vacuous for the given instance."""
+
+
+class UsageError(WorkbenchError):
+    """Bad command line: an unknown flag, a missing subcommand or argument,
+    or an argument value of the wrong form."""
 
 
 class ParseError(WorkbenchError):

@@ -31,11 +31,15 @@ from .errors import (
     ModulusTooSmall,
     NotAssociative,
     NotIdempotent,
+    RankTooLarge,
     RingMismatch,
     ShapeMismatch,
 )
 
 DEFAULT_LATTICE_CAP = 100_000
+# Associativity is checked on two rank^4 int64 tensors; at rank 48 each
+# stays under 43 MB.
+MAX_RANK = 48
 
 
 class FiniteRing:
@@ -111,14 +115,16 @@ class FiniteRing:
 
     # -- subgroups -----------------------------------------------------------
 
-    def span(self, vectors: Iterable[np.ndarray]) -> "AdditiveSubgroup":
-        rows = [np.asarray(v, dtype=np.int64) for v in vectors]
-        mat = (
-            np.array(rows, dtype=np.int64).reshape(len(rows), self.rank)
-            if rows
-            else np.zeros((0, self.rank), dtype=np.int64)
-        )
-        H = howell.howell_form(mat, self.modulus)
+    def span(self, vectors: Iterable[Sequence[int]]) -> "AdditiveSubgroup":
+        """Subgroup generated by coordinate vectors: a 2-D array, or rows that
+        are arrays or sequences of ints."""
+        if isinstance(vectors, np.ndarray):
+            rows = vectors.tolist()
+        else:
+            rows = [v.tolist() if isinstance(v, np.ndarray) else v for v in vectors]
+        H = howell.howell_form(rows or np.zeros((0, self.rank), dtype=np.int64), self.modulus)
+        if H.shape[1] != self.rank:
+            raise ShapeMismatch(f"expected vectors of length {self.rank}, got {H.shape[1]}")
         return AdditiveSubgroup(self, H)
 
     def zero_subgroup(self) -> "AdditiveSubgroup":
@@ -199,14 +205,17 @@ class AdditiveSubgroup:
     and complete.
     """
 
-    __slots__ = ("ring", "basis", "order", "_key")
+    __slots__ = ("ring", "basis", "order", "_rows", "_leads", "_key")
 
     def __init__(self, ring: FiniteRing, basis: np.ndarray):
         self.ring = ring
         self.basis = basis
         self.basis.setflags(write=False)
-        self.order = howell.span_order(basis, ring.modulus)
-        self._key = (basis.shape[0],) + tuple(int(x) for x in basis.ravel())
+        rows = basis.tolist()
+        self._rows = rows
+        self._leads = howell.leading_entries(rows)
+        self.order = math.prod(ring.modulus // p for _, p in self._leads)
+        self._key = (len(rows),) + tuple(itertools.chain.from_iterable(rows))
 
     @property
     def key(self) -> tuple:
@@ -217,10 +226,11 @@ class AdditiveSubgroup:
         return self.order == 1
 
     def contains(self, x) -> bool:
-        v = x.vec if isinstance(x, RingElement) else np.asarray(x, dtype=np.int64)
-        if isinstance(x, RingElement) and x.ring is not self.ring:
-            raise RingMismatch("element bound to a different ring")
-        return howell.contains_vector(self.basis, v, self.ring.modulus)
+        if isinstance(x, RingElement):
+            if x.ring is not self.ring:
+                raise RingMismatch("element bound to a different ring")
+            x = x.coords
+        return howell.contains_vector(self._rows, x, self.ring.modulus, self._leads)
 
     def element_vectors(self) -> Iterator[np.ndarray]:
         return howell.span_elements(self.basis, self.ring.modulus)
@@ -245,14 +255,14 @@ class AdditiveSubgroup:
 
     def __le__(self, other: "AdditiveSubgroup") -> bool:
         self._check(other)
-        return all(other.contains(row) for row in self.basis)
+        return all(other.contains(row) for row in self._rows)
 
     def __lt__(self, other: "AdditiveSubgroup") -> bool:
         return self.order < other.order and self <= other
 
     def join(self, other: "AdditiveSubgroup") -> "AdditiveSubgroup":
         self._check(other)
-        return self.ring.span(list(self.basis) + list(other.basis))
+        return self.ring.span(self._rows + other._rows)
 
     def meet(self, other: "AdditiveSubgroup") -> "AdditiveSubgroup":
         """Intersection, by filtering the smaller subgroup's elements."""
@@ -296,18 +306,23 @@ def _build_ring(
         raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
     if rank < 0:
         raise ShapeMismatch(f"rank must be >= 0, got {rank}")
+    if rank > MAX_RANK:
+        raise RankTooLarge(rank, MAX_RANK)
     # products are reduced only after each einsum; the largest unreduced
     # intermediate, rank^2 * (m-1)^3 in mul_vec and product_subgroup, must fit
     if rank * rank * (modulus - 1) ** 3 >= 2**63:
         raise ModulusTooLarge(
             f"modulus {modulus} at rank {rank}: rank^2 * (modulus-1)^3 must stay below 2^63"
         )
-    sc = np.asarray(structure_constants, dtype=np.int64)
+    sc = np.asarray(structure_constants)
+    if sc.dtype.kind not in "iu":
+        # numpy keeps ints beyond int64 as objects or floats: reduce exactly
+        sc = np.array(structure_constants, dtype=object)
     if sc.shape != (rank, rank, rank):
         raise ShapeMismatch(
             f"structure constants must have shape {(rank, rank, rank)}, got {sc.shape}"
         )
-    sc = sc % modulus
+    sc = (sc % modulus).astype(np.int64, copy=False)
     if basis_labels is None:
         basis_labels = tuple(f"b{i}" for i in range(rank))
     else:
@@ -425,7 +440,7 @@ def closed_under(ring: FiniteRing, subgroup: AdditiveSubgroup, side: str) -> boo
         prods = np.einsum("rj,ljk->lrk", V, ring.sc) % ring.modulus
     else:
         prods = np.einsum("rj,jlk->lrk", V, ring.sc) % ring.modulus
-    return all(subgroup.contains(row) for row in prods.reshape(-1, ring.rank))
+    return all(subgroup.contains(row) for row in prods.reshape(-1, ring.rank).tolist())
 
 
 def _principal_rows(ring: FiniteRing, x: np.ndarray, side: str) -> np.ndarray:

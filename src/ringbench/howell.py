@@ -15,6 +15,12 @@ possible.  Shape of the form:
 The subgroup spanned by a Howell matrix with pivot entries p_1, ..., p_k has
 exactly prod_i (m // p_i) elements, reached uniquely by coefficient tuples
 (c_1, ..., c_k) with 0 <= c_i < m // p_i.
+
+The matrices met here are small (mostly under 8 x 8), so the reduction runs
+on rows of plain Python ints, where numpy's per-call overhead would dominate.
+The transform U is built only when asked for, which only solve_row does.
+H is returned as an int64 array; the functions that read a Howell matrix
+take it either as that array or as its rows of ints.
 """
 
 from __future__ import annotations
@@ -62,101 +68,128 @@ def stabilizing_unit(a: int, m: int) -> int:
     return pow(t % m, -1, m)
 
 
-def howell_complete(mat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _ints(a):
+    """An ndarray as (nested) lists of ints; any other sequence as it is."""
+    return a.tolist() if isinstance(a, np.ndarray) else a
+
+
+def howell_complete(
+    mat, m: int, transform: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Howell form H of the row span of ``mat`` over Z/m, plus a transform U
-    with (U @ mat) % m == H.  ``mat`` may have zero rows."""
-    A = np.asarray(mat, dtype=np.int64)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-D generator matrix")
-    k, n = A.shape
-    rows = [A[i] % m for i in range(k)]
-    urows = [np.eye(k, dtype=np.int64)[i] for i in range(k)]
+    with (U @ mat) % m == H, or None for U when ``transform`` is false.
+
+    ``mat`` is a 2-D array or a list of equal-length rows of ints; it may
+    have zero rows (an empty list then means zero columns) and is never
+    modified.
+    """
+    if isinstance(mat, np.ndarray):
+        if mat.ndim != 2:
+            raise ValueError("expected a 2-D generator matrix")
+        n = mat.shape[1]
+        mat = mat.astype(np.int64, copy=False).tolist()
+    else:
+        n = len(mat[0]) if len(mat) else 0
+    rows = [[x % m for x in row] for row in mat]
+    if not set(map(len, rows)) <= {n}:
+        raise ValueError("generator rows differ in length")
+    k = len(rows)
+    urows = [[int(i == j) for j in range(k)] for i in range(k)] if transform else None
 
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % m:
-                piv = i
+        for piv in range(r, len(rows)):
+            if rows[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            urows[r], urows[piv] = urows[piv], urows[r]
-        u = stabilizing_unit(int(rows[r][c]), m)
-        if u != 1:
-            rows[r] = (rows[r] * u) % m
-            urows[r] = (urows[r] * u) % m
+            if transform:
+                urows[r], urows[piv] = urows[piv], urows[r]
+        if m % rows[r][c]:  # a pivot dividing m is already normalized
+            u = stabilizing_unit(rows[r][c], m)
+            rows[r] = [x * u % m for x in rows[r]]
+            if transform:
+                urows[r] = [x * u % m for x in urows[r]]
         for i in range(r + 1, len(rows)):
-            b = int(rows[i][c])
+            b = rows[i][c]
             if b:
-                a = int(rows[r][c])
+                a = rows[r][c]
                 g, s, t = egcd(a, b)
                 uu, vv = -(b // g), a // g
-                new_r = (s * rows[r] + t * rows[i]) % m
-                new_i = (uu * rows[r] + vv * rows[i]) % m
-                rows[r], rows[i] = new_r, new_i
-                new_ur = (s * urows[r] + t * urows[i]) % m
-                new_ui = (uu * urows[r] + vv * urows[i]) % m
-                urows[r], urows[i] = new_ur, new_ui
-        b = int(rows[r][c])
+                top, low = rows[r], rows[i]
+                rows[r] = [(s * x + t * y) % m for x, y in zip(top, low)]
+                rows[i] = [(uu * x + vv * y) % m for x, y in zip(top, low)]
+                if transform:
+                    top, low = urows[r], urows[i]
+                    urows[r] = [(s * x + t * y) % m for x, y in zip(top, low)]
+                    urows[i] = [(uu * x + vv * y) % m for x, y in zip(top, low)]
+        pivot_row = rows[r]
+        b = pivot_row[c]
         for i in range(r):
-            q = int(rows[i][c]) // b
+            q = rows[i][c] // b
             if q:
-                rows[i] = (rows[i] - q * rows[r]) % m
-                urows[i] = (urows[i] - q * urows[r]) % m
+                rows[i] = [(x - q * y) % m for x, y in zip(rows[i], pivot_row)]
+                if transform:
+                    urows[i] = [(x - q * y) % m for x, y in zip(urows[i], urows[r])]
         a = annihilator(b, m)
         if a:
-            rows.append((a * rows[r]) % m)
-            urows.append((a * urows[r]) % m)
+            rows.append([a * x % m for x in pivot_row])
+            if transform:
+                urows.append([a * x % m for x in urows[r]])
         r += 1
 
     for i in range(r, len(rows)):
-        if rows[i].any():
+        if any(rows[i]):
             raise InvariantViolation("nonzero row escaped Howell reduction")
-    if r == 0:
-        return np.zeros((0, n), dtype=np.int64), np.zeros((0, k), dtype=np.int64)
-    H = np.array(rows[:r], dtype=np.int64)
-    U = np.array(urows[:r], dtype=np.int64)
+    H = np.array(rows[:r], dtype=np.int64).reshape(r, n)
+    U = np.array(urows[:r], dtype=np.int64).reshape(r, k) if transform else None
     return H, U
 
 
-def howell_form(mat: np.ndarray, m: int) -> np.ndarray:
-    return howell_complete(mat, m)[0]
+def howell_form(mat, m: int) -> np.ndarray:
+    return howell_complete(mat, m, transform=False)[0]
 
 
-def span_order(H: np.ndarray, m: int) -> int:
+def leading_entries(H) -> list[tuple[int, int]]:
+    """(column, entry) of the first nonzero entry of each row of a Howell
+    matrix: its pivots."""
+    leads = []
+    for row in _ints(H):
+        p = next(filter(None, row))
+        leads.append((row.index(p), p))  # only zeros come before p
+    return leads
+
+
+def span_order(H, m: int) -> int:
     """Number of elements in the row span of a Howell-form matrix."""
-    order = 1
-    for row in H:
-        p = int(row[np.flatnonzero(row)[0]])
-        order *= m // p
-    return order
+    return math.prod(m // p for _, p in leading_entries(H))
 
 
-def reduce_vector(H: np.ndarray, v: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def reduce_vector(H, v, m: int, leads=None) -> tuple[list[int], list[int]]:
     """Greedy reduction of v against a Howell-form matrix.
 
-    Returns (residual, coeffs); the residual is zero exactly when v lies in
-    the row span, in which case v == (coeffs @ H) % m.
+    Returns (residual, coeffs) as lists of ints; the residual is zero exactly
+    when v lies in the row span, in which case v == (coeffs @ H) % m.
+    ``leads`` is ``leading_entries(H)``, for a caller that keeps it.
     """
-    w = np.asarray(v, dtype=np.int64) % m
-    coeffs = np.zeros(len(H), dtype=np.int64)
-    for i, row in enumerate(H):
-        c = int(np.flatnonzero(row)[0])
-        p = int(row[c])
-        if w[c] % p == 0:
-            q = int(w[c]) // p
-            if q:
-                w = (w - q * row) % m
-                coeffs[i] = q
+    rows = _ints(H)
+    if leads is None:
+        leads = leading_entries(rows)
+    w = [x % m for x in _ints(v)]
+    coeffs = [0] * len(rows)
+    for i, ((c, p), row) in enumerate(zip(leads, rows)):
+        q, rem = divmod(w[c], p)
+        if q and not rem:
+            w = [(x - q * y) % m for x, y in zip(w, row)]
+            coeffs[i] = q
     return w, coeffs
 
 
-def contains_vector(H: np.ndarray, v: np.ndarray, m: int) -> bool:
-    residual, _ = reduce_vector(H, v, m)
-    return not residual.any()
+def contains_vector(H, v, m: int, leads=None) -> bool:
+    residual, _ = reduce_vector(H, v, m, leads)
+    return not any(residual)
 
 
 def span_elements(H: np.ndarray, m: int):
@@ -165,7 +198,7 @@ def span_elements(H: np.ndarray, m: int):
     if len(H) == 0:
         yield np.zeros(n, dtype=np.int64)
         return
-    ranges = [range(m // int(row[np.flatnonzero(row)[0]])) for row in H]
+    ranges = [range(m // p) for _, p in leading_entries(H)]
     for coeffs in itertools.product(*ranges):
         yield (np.asarray(coeffs, dtype=np.int64) @ H) % m
 
@@ -173,10 +206,10 @@ def span_elements(H: np.ndarray, m: int):
 def solve_row(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray | None:
     """A row vector x with (x @ A) % m == b, or None when none exists."""
     H, U = howell_complete(A, m)
-    residual, coeffs = reduce_vector(H, np.asarray(b, dtype=np.int64), m)
-    if residual.any():
+    residual, coeffs = reduce_vector(H, b, m)
+    if any(residual):
         return None
-    x = (coeffs @ U) % m if len(H) else np.zeros(A.shape[0], dtype=np.int64)
+    x = (np.array(coeffs, dtype=np.int64) @ U) % m
     if ((x @ A - b) % m).any():
         raise InvariantViolation("solution does not satisfy the system")
     return x

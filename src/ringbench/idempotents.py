@@ -372,8 +372,7 @@ class ChainProfile:
     """Quantitative lattice data for a ring with a complete set of idempotents.
 
     On finite instances every chain condition holds, so the informative
-    content is the lattice sizes and heights plus the strength verdict and
-    the component-decomposition flag.
+    content is the lattice sizes and heights plus the strength verdict.
     """
 
     index_size: int
@@ -383,7 +382,6 @@ class ChainProfile:
     ring_left_height: int
     ring_right_size: int
     ring_right_height: int
-    decomposition_ok: bool
 
 
 def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = 100_000) -> ChainProfile:
@@ -398,10 +396,6 @@ def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = 100_000) -> 
         )
     ring_left = enumerate_one_sided_ideals(ring, "left", cap)
     ring_right = enumerate_one_sided_ideals(ring, "right", cap)
-    prod = 1
-    for row in table.components:
-        for sub in row:
-            prod *= sub.order
     return ChainProfile(
         index_size=iset.size,
         strong=report.strong,
@@ -410,5 +404,4 @@ def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = 100_000) -> 
         ring_left_height=ring_left.height,
         ring_right_size=ring_right.size,
         ring_right_height=ring_right.height,
-        decomposition_ok=prod == ring.order,
     )

@@ -155,6 +155,66 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ModulusTooLarge"
 
+    def test_oversized_constant_is_a_residue(self, workdir, capsys):
+        big = 10**21  # beyond int64: read as the residue big % 7
+        (workdir / "big.ring").write_text(f"modulus 7\nrank 1\nconstants\n{big}\n")
+        (workdir / "small.ring").write_text(f"modulus 7\nrank 1\nconstants\n{big % 7}\n")
+        ring = cli.parse_ring_file(workdir / "big.ring")
+        assert np.array_equal(ring.sc, cli.parse_ring_file(workdir / "small.ring").sc)
+        code, out = run(capsys, "--no-timings", "check-ring", workdir / "big.ring")
+        assert code == 0
+        assert json.loads(out)["ring"] == {"modulus": 7, "rank": 1, "order": 7}
+
+    def test_oversized_grading_and_map_entries_are_residues(self, workdir, capsys):
+        big = 10**21
+        run(capsys, "--quiet", "build-mx", "c1", "2", "--save", workdir / "pair.cat")
+        (workdir / "grading.txt").write_text(
+            "ring m2.ring\ncategory pair.cat\n"
+            f"component 0 1\n{2 * big + 1} 0 0 0\n"
+            "component 1 1\n0 1 0 0\n"
+            "component 2 1\n0 0 1 0\n"
+            f"component 3 1\n0 0 0 {-2 * big + 1}\n"
+        )
+        code, out = run(capsys, "--no-timings", "check-grading", workdir / "grading.txt")
+        assert code == 0
+        run(capsys, "--quiet", "build-mx", "c2", "1", "--save", workdir / "c2.cat")
+        (workdir / "z33.ring").write_text("modulus 3\nrank 2\nconstants\n1 0 0 0\n0 0 0 1\n")
+        (workdir / "system.txt").write_text(
+            "category c2.cat\nobject 0 ring z33.ring\n"
+            f"map 0\n{3 * big + 1} 0\n0 1\nmap 1\n0 {3 * big + 1}\n1 0\n"
+        )
+        code, out = run(capsys, "--no-timings", "build-skew", workdir / "system.txt")
+        assert code == 0
+
+    def test_rank_above_cap_exits_two_before_reading_constants(self, workdir, capsys):
+        # no constants follow: reading them would be a ParseError instead
+        (workdir / "wide.ring").write_text(f"modulus 2\nrank {fr.MAX_RANK + 1}\nconstants\n")
+        code, out = run(capsys, "check-ring", workdir / "wide.ring")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "RankTooLarge"
+        (workdir / "negative.ring").write_text("modulus 2\nrank -1\nconstants\n")
+        code, out = run(capsys, "check-ring", workdir / "negative.ring")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_usage_error_exits_two_with_json(self, capsys):
+        code, out = run(capsys, "--bogus")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "UsageError"
+        code, out = run(capsys, "--no-timings", "check-ring", "a.ring", "--bogus")
+        assert code == 2
+        report = json.loads(out)
+        assert report["command"] == "check-ring"
+        assert report["error"]["type"] == "UsageError"
+        code, out = run(capsys, "--quiet", "build-mx", "c2", "abc")
+        assert (code, out) == (2, "error UsageError\n")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: ringbench" in capsys.readouterr().out
+
     def test_invariant_violation_exits_three(self, workdir, capsys, monkeypatch):
         # a broken multiplication makes find_identity's unit-law recheck fail
         monkeypatch.setattr(

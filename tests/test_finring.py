@@ -1,6 +1,7 @@
 """Ring construction, arithmetic, subgroups, ideals, corners, products."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ringbench.errors import (
     ModulusTooSmall,
     NotAssociative,
     NotIdempotent,
+    RankTooLarge,
     RingMismatch,
     ShapeMismatch,
 )
@@ -61,6 +63,29 @@ class TestMakeRing:
         assert (minus_b0 * minus_b0).coords == (m - 1,)
         with pytest.raises(ModulusTooLarge):
             fr.make_ring(m + 1, 1, [[[m]]])
+
+
+    def test_oversized_constant_is_a_residue(self):
+        big = 10**21  # beyond int64
+        ring = fr.make_ring(7, 1, [[[big]]])
+        assert np.array_equal(ring.sc, fr.make_ring(7, 1, [[[big % 7]]]).sc)
+        # a mix numpy would hold only as float64 stays exact too
+        m = 2**20
+        ring = fr.make_ring(m, 2, [[[2**63 + 1, 0], [0, 0]], [[0, 0], [0, 1 - m]]])
+        assert ring.sc.tolist() == [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+
+    def test_rank_cap_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            # None as constants: had the cap not come first, this would be a
+            # ShapeMismatch, or an allocation of about 8 * 10^18 bytes
+            with pytest.raises(RankTooLarge):
+                fr.make_ring(2, 10**6, None)
+            with pytest.raises(RankTooLarge):
+                fr.make_ring(2, fr.MAX_RANK + 1, None)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestEvaluate:

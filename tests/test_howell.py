@@ -139,3 +139,60 @@ def test_annihilator_values():
     assert howell.annihilator(1, 8) == 0
     assert howell.annihilator(6, 8) == 4
     assert howell.annihilator(0, 8) == 1
+
+
+# The shapes the suites actually reduce: up to 12 generators of length 6,
+# entries drawn outside [0, m) too.
+suite_matrix = st.tuples(
+    st.sampled_from([4, 6, 8, 9, 12, 30]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=12),
+).flatmap(
+    lambda mnk: st.lists(
+        st.lists(
+            st.integers(min_value=-2 * mnk[0], max_value=3 * mnk[0]),
+            min_size=mnk[1],
+            max_size=mnk[1],
+        ),
+        min_size=mnk[2],
+        max_size=mnk[2],
+    ).map(lambda rows: (mnk[0], mnk[1], rows))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(suite_matrix)
+def test_suite_shapes_reduce_to_howell_form(case):
+    m, n, rows = case
+    mat = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    before = mat.copy()
+    H, U = howell.howell_complete(mat, m)
+    assert np.array_equal(mat, before)
+    assert H.dtype == np.int64 and H.shape[1] == n
+    assert np.array_equal((U @ mat) % m, H)
+    assert np.array_equal(howell.howell_form(mat, m), H)
+    if rows:  # the list-of-int-rows input that FiniteRing.span passes
+        assert np.array_equal(howell.howell_form(rows, m), H)
+    assert ((H >= 0) & (H < m)).all()
+    pivots = [(int(np.flatnonzero(row)[0]), int(row[np.flatnonzero(row)[0]])) for row in H]
+    assert all(a[0] < b[0] for a, b in zip(pivots, pivots[1:]))
+    for i, (c, p) in enumerate(pivots):
+        assert m % p == 0
+        assert all(0 <= H[j, c] < p for j in range(i))
+    if m**n <= 4096:
+        assert howell.span_order(H, m) == len(brute_span(rows, m, n))
+
+
+def test_solve_row_on_the_wide_identity_system():
+    from ringbench import corpus, finring
+
+    # find_identity's system for 3 x 3 matrices: x * b_i = b_i = b_i * x
+    ring = corpus.matrix_units_ring(2, 3)
+    n = ring.rank
+    A = np.hstack([ring.sc.reshape(n, n * n), ring.sc.transpose(1, 0, 2).reshape(n, n * n)])
+    assert A.shape == (9, 162)
+    target = np.hstack([np.eye(n, dtype=np.int64).reshape(-1)] * 2)
+    x = howell.solve_row(A, target, 2)
+    unit = tuple(int(lab in ("E11", "E22", "E33")) for lab in ring.basis_labels)
+    assert tuple(int(v) for v in x) == unit
+    assert finring.find_identity(ring).coords == unit

@@ -198,7 +198,6 @@ class TestChainProfile:
         assert profile.strong
         assert (profile.ring_left_size, profile.ring_left_height) == (5, 2)
         assert all((c.left_size, c.left_height) == (2, 1) for c in profile.corners)
-        assert profile.decomposition_ok
 
     def test_rank_one_profile(self):
         ring = corpus.cyclic_ring(2)
