@@ -48,7 +48,8 @@ Integers of any size are read as residues modulo the ring's modulus.  A
 ring's modulus m must keep rank^2 * (m-1)^3 below 2^63, so that every
 product stays exact in int64; a larger modulus is rejected as bad input
 (ModulusTooLarge), and so is a rank above finring.MAX_RANK (RankTooLarge),
-before the constants are read.
+before the constants are read.  A category file's morphism count is capped
+at smallcat.MAX_MORPHISMS (CategoryTooLarge) before its arrows are read.
 
 Every invocation prints one JSON report to standard output (suppress the
 timings block with --no-timings for byte-identical reruns).  Exit codes:
@@ -80,7 +81,14 @@ from . import idempotents as idem
 from . import skewalg as sk
 from . import smallcat as cat
 from . import verify
-from .errors import InvariantViolation, ParseError, RankTooLarge, UsageError, WorkbenchError
+from .errors import (
+    CategoryTooLarge,
+    InvariantViolation,
+    ParseError,
+    RankTooLarge,
+    UsageError,
+    WorkbenchError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +200,9 @@ def parse_category_file(path: str | Path) -> cat.SmallCategory:
     ts.expect("objects")
     p = ts.integer("object count")
     ts.expect("morphisms")
-    q = ts.integer("morphism count")
+    q = ts.integer_in("morphism count", 0, math.inf)
+    if q > cat.MAX_MORPHISMS:
+        raise CategoryTooLarge(q, cat.MAX_MORPHISMS)
     dom, cod = [], []
     for g in range(q):
         ts.expect("arrow")
@@ -498,8 +508,9 @@ def _cmd_build_skew(args) -> int:
     rep.add_input(args.system)
     algebra = sk.build_skew_algebra(system)
     rep.verdict("system_valid", True)
-    rep.verdict("strongly_graded", algebra.strongly_graded)
-    rep.verdict("object_unital", algebra.object_unital)
+    # build_skew_algebra raises InvariantViolation unless both hold
+    rep.verdict("strongly_graded", True)
+    rep.verdict("object_unital", True)
     record = sk.strong_idempotent_equivalence_check(algebra)
     rep.verdict("strong_equivalence_agree", record.agree)
     rep.info(

@@ -763,7 +763,6 @@ def _mutate_category(c: cat.SmallCategory, mutation: Mutation) -> MutatedInstanc
     target = mutation.target
     table = np.array(c.compose)
     if target == "CompositionDomainMismatch":
-        rng = _rng("mut-cat", mutation.seed)
         undef = np.argwhere(table == cat.UNDEFINED)
         if len(undef):
             g, h = (int(x) for x in undef[0])

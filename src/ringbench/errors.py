@@ -134,6 +134,16 @@ class IdentityLawViolation(WorkbenchError):
         super().__init__(message)
 
 
+class CategoryTooLarge(WorkbenchError):
+    """Morphism count above the cap that bounds the composition tables'
+    memory."""
+
+    def __init__(self, count: int, cap: int):
+        self.count = count
+        self.cap = cap
+        super().__init__(f"{count} morphisms exceed the cap of {cap}")
+
+
 class NotAMonoid(WorkbenchError):
     """The supplied multiplication table is not an associative table with a
     two-sided identity; carries a witness."""

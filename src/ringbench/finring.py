@@ -443,13 +443,25 @@ def closed_under(ring: FiniteRing, subgroup: AdditiveSubgroup, side: str) -> boo
     return all(subgroup.contains(row) for row in prods.reshape(-1, ring.rank).tolist())
 
 
-def _principal_rows(ring: FiniteRing, x: np.ndarray, side: str) -> np.ndarray:
-    """Generators of the one-sided ideal of x: x itself plus basis * x."""
-    if side == "left":
-        prods = np.tensordot(ring.sc, x, axes=([1], [0])) % ring.modulus
-    else:
-        prods = np.tensordot(x, ring.sc, axes=([0], [0])) % ring.modulus
-    return np.vstack([x.reshape(1, -1), prods])
+def _principal_generators(ring: FiniteRing, acting: np.ndarray, side: str):
+    """The map x -> generator rows of Z x + A x (left) or Z x + x A (right),
+    for A spanned by the rows of ``acting``.
+
+    The products of x with every row of A are read off one product matrix,
+    built once here, so each element costs a single vector-matrix product.
+    """
+    _check_side(side)
+    n, m, a = ring.rank, ring.modulus, acting.shape[0]
+    if side == "left":  # (w x)_k = sum_ij w_i x_j c_ijk
+        P = np.einsum("wi,ijk->jwk", acting, ring.sc)
+    else:  # (x w)_k = sum_ij x_i w_j c_ijk
+        P = np.einsum("wj,ijk->iwk", acting, ring.sc)
+    P = P.reshape(n, a * n) % m
+
+    def generators(x: np.ndarray) -> list:
+        return [x.tolist()] + ((x @ P) % m).reshape(a, n).tolist()
+
+    return generators
 
 
 def one_sided_ideal_closure(
@@ -460,12 +472,12 @@ def one_sided_ideal_closure(
     The ring may lack a unit, so the ideal of x is Z x + S x (or x S): the
     additive span of each generator together with its basis multiples.
     """
-    _check_side(side)
-    rows: list[np.ndarray] = []
+    principal = _principal_generators(ring, np.eye(ring.rank, dtype=np.int64), side)
+    rows: list = []
     for g in generators:
         if g.ring is not ring:
             raise RingMismatch("generator bound to a different ring")
-        rows.extend(_principal_rows(ring, g.vec, side))
+        rows.extend(principal(g.vec))
     subgroup = ring.span(rows)
     if not closed_under(ring, subgroup, side):
         raise InvariantViolation(f"generated {side} ideal is not closed under multiplication")
@@ -476,14 +488,15 @@ def one_sided_ideal_closure(
 class IdealLattice:
     """All one-sided ideals of a ring on one side, with their inclusion order.
 
-    Ideals are canonically sorted by (order, basis); cover_relation is the
-    transitive reduction of inclusion and height the edge count of a longest
-    chain.
+    Ideals are canonically sorted by (order, basis); inclusion is the strict
+    inclusion matrix, cover_relation its transitive reduction and height the
+    edge count of a longest chain.
     """
 
     ring: FiniteRing
     side: str
     ideals: tuple[OneSidedIdeal, ...]
+    inclusion: np.ndarray
     cover_relation: tuple[tuple[int, ...], ...]
     height: int
     size: int
@@ -516,35 +529,44 @@ def join_closure(
         batch = (a.join(b) for a, b in itertools.product(existing, fresh))
 
 
-def inclusion_order(subs: Sequence[AdditiveSubgroup]) -> np.ndarray:
-    """Strict inclusion matrix of subgroups listed by nondecreasing order."""
-    return posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
+def submodule_lattice(
+    acting: AdditiveSubgroup, ambient: AdditiveSubgroup, side: str, cap: int
+) -> tuple[list[AdditiveSubgroup], np.ndarray]:
+    """All subgroups M of ``ambient`` with acting*M inside M (left) or
+    M*acting inside M (right), sorted by (order, basis), and their strict
+    inclusion matrix.
+
+    Every such M is a finite join of principal ones, Z x + acting*x (or
+    Z x + x*acting) for x in ``ambient``; the principals are formed one
+    element at a time and closed under pairwise joins.  Raises
+    LatticeTooLarge past ``cap`` subgroups; a truncated family is never
+    returned.
+    """
+    if acting.ring is not ambient.ring:
+        raise RingMismatch("subgroups bound to different rings")
+    ring = ambient.ring
+    principal = _principal_generators(ring, acting.basis, side)
+    subs = join_closure((ring.span(principal(x)) for x in ambient.element_vectors()), cap)
+    return subs, posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
 
 
 def enumerate_one_sided_ideals(
     ring: FiniteRing, side: str, cap: int = DEFAULT_LATTICE_CAP
 ) -> IdealLattice:
-    """Materialize the poset of all one-sided ideals of the given side.
-
-    Every ideal of a finite ring is a finite join of principal ideals, so the
-    principal ideals of all ring elements are closed under pairwise joins
-    until a fixpoint.  Raises LatticeTooLarge when the working set exceeds
-    the cap; a truncated lattice is never returned.
+    """Materialize the poset of all one-sided ideals of the given side: the
+    submodule lattice of S acting on itself.  Raises LatticeTooLarge past
+    ``cap`` ideals.
     """
-    _check_side(side)
-    principals = (ring.span(_principal_rows(ring, x, side)) for x in ring.element_vectors())
-    subs = join_closure(principals, cap)
-    ideals = tuple(OneSidedIdeal(s, side) for s in subs)
-    lt = inclusion_order(subs)
-    cover = posets.cover_matrix(lt)
-    height = posets.longest_chain_length(lt)
+    full = ring.full_subgroup()
+    subs, lt = submodule_lattice(full, full, side, cap)
     return IdealLattice(
         ring,
         side,
-        ideals,
-        posets.adjacency_lists(cover),
-        height,
-        len(ideals),
+        tuple(OneSidedIdeal(s, side) for s in subs),
+        lt,
+        posets.adjacency_lists(posets.cover_matrix(lt)),
+        posets.longest_chain_length(lt),
+        len(subs),
     )
 
 

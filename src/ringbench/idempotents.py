@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import posets, strength
 from .errors import (
     InvariantViolation,
@@ -35,10 +37,11 @@ from .finring import (
     RingElement,
     corner_ring,
     enumerate_one_sided_ideals,
-    inclusion_order,
-    join_closure,
     product_subgroup,
 )
+# the submodule lattice of S_j on a component, under the name the perfbench
+# tracer scopes its join counts by
+from .finring import submodule_lattice as _submodules
 from .strength import StrongnessReport
 
 
@@ -235,36 +238,6 @@ class CornerLatticeCertificate:
         )
 
 
-def _submodules(
-    ring: FiniteRing,
-    acting: AdditiveSubgroup,
-    ambient: AdditiveSubgroup,
-    side: str,
-    cap: int,
-) -> list[AdditiveSubgroup]:
-    """All subgroups M of ``ambient`` with acting*M (or M*acting) inside M,
-    via principal submodules closed under joins."""
-
-    def principal(x):
-        if side == "left":
-            rows = [x] + [ring.mul_vec(w, x) for w in acting.basis]
-        else:
-            rows = [x] + [ring.mul_vec(x, w) for w in acting.basis]
-        return ring.span(rows)
-
-    return join_closure((principal(x) for x in ambient.element_vectors()), cap)
-
-
-def _monotone(subs: list[AdditiveSubgroup], images: list[AdditiveSubgroup]) -> bool:
-    """Whether subs[a] <= subs[b] implies images[a] <= images[b] on every pair."""
-    ok = True
-    for a in range(len(subs)):
-        for b in range(len(subs)):
-            if a != b and subs[a] <= subs[b] and not images[a] <= images[b]:
-                ok = False
-    return ok
-
-
 def corner_lattice_correspondence(
     table: PeirceTable, i: int, j: int, side: str, cap: int = 100_000
 ) -> CornerLatticeCertificate:
@@ -285,57 +258,48 @@ def corner_lattice_correspondence(
     ring = table.ring
     corner = table.corners[i]
     lattice = enumerate_one_sided_ideals(corner.ring, side, cap)
-
-    def corner_to_parent(sub: AdditiveSubgroup) -> AdditiveSubgroup:
-        if corner.ring.rank == 0:
-            return ring.zero_subgroup()
-        rows = (sub.basis @ corner.inclusion) % ring.modulus
-        return ring.span(rows)
-
-    ideals = [corner_to_parent(ideal.subgroup) for ideal in lattice.ideals]
-
-    def multiplier(e: RingElement):
-        """The subgroup map M -> e S M (left) or M -> M S e (right)."""
-        if side == "left":
-            mat = ring.left_mul_matrix(e.vec)  # rows e * b_l
-            return lambda sub: ring.span([ring.mul_vec(r, v) for r in mat for v in sub.basis])
-        mat = ring.right_mul_matrix(e.vec)  # rows b_l * e
-        return lambda sub: ring.span([ring.mul_vec(v, r) for v in sub.basis for r in mat])
-
-    forward = multiplier(table.iset.elements[j])
-    back = multiplier(table.iset.elements[i])
+    ideals = [
+        ring.span((ideal.subgroup.basis @ corner.inclusion) % ring.modulus)
+        for ideal in lattice.ideals
+    ]
     # e_j S e_i on the left, e_i S e_j on the right; S_j acts on both
     ambient = table.components[j][i] if side == "left" else table.components[i][j]
-    submodules = _submodules(ring, table.components[j][j], ambient, side, cap)
-    sub_index = {s.key: idx for idx, s in enumerate(submodules)}
+    submodules, sub_lt = _submodules(table.components[j][j], ambient, side, cap)
 
-    pairs = []
+    # each image once, as an index into the other family: I -> e_j S I and
+    # M -> e_i S M on the left, I -> I S e_j and M -> M S e_i on the right
+    def images(subs, e, family):
+        index = {s.key: idx for idx, s in enumerate(family)}
+        if side == "left":
+            by = _one_sided_multiples(ring, e, "right")  # e S
+            return [index.get(product_subgroup(by, s).key) for s in subs]
+        by = _one_sided_multiples(ring, e, "left")  # S e
+        return [index.get(product_subgroup(s, by).key) for s in subs]
+
+    fwd = images(ideals, table.iset.elements[j], submodules)
+    bwd = images(submodules, table.iset.elements[i], ideals)
+
+    # the first unlisted image is the failure; the round trips are judged
+    # on the images met before it, and monotonicity only without a failure
     failure = None
-    fwd_back = True
-    back_fwd = True
-    for idx, ideal in enumerate(ideals):
-        image = forward(ideal)
-        if image.key not in sub_index:
-            failure = f"image of ideal {idx} is not a listed submodule"
-            break
-        pairs.append((idx, sub_index[image.key]))
-        if back(image) != ideal:
-            fwd_back = False
+    n_fwd, n_bwd = len(fwd), len(bwd)
+    if None in fwd:
+        n_fwd = fwd.index(None)
+        n_bwd = 0
+        failure = f"image of ideal {n_fwd} is not a listed submodule"
+    elif None in bwd:
+        n_bwd = bwd.index(None)
+        failure = f"image of submodule {n_bwd} is not a listed ideal"
+    pairs = tuple((idx, fwd[idx]) for idx in range(n_fwd))
+    fwd_back = all(bwd[s] == idx for idx, s in pairs)
+    back_fwd = all(fwd[bwd[s]] == s for s in range(n_bwd))
+    fwd_monotone = back_monotone = True
     if failure is None:
-        ideal_index = {s.key: idx for idx, s in enumerate(ideals)}
-        for idx, sub in enumerate(submodules):
-            image = back(sub)
-            if image.key not in ideal_index:
-                failure = f"image of submodule {idx} is not a listed ideal"
-                break
-            if forward(image) != sub:
-                back_fwd = False
-
-    fwd_monotone = True
-    back_monotone = True
-    if failure is None:
-        fwd_monotone = _monotone(ideals, [forward(s) for s in ideals])
-        back_monotone = _monotone(submodules, [back(s) for s in submodules])
+        # a < b must give image[a] <= image[b]: strictly below, or equal
+        sub_le = sub_lt | np.eye(len(submodules), dtype=bool)
+        ideal_le = lattice.inclusion | np.eye(len(ideals), dtype=bool)
+        fwd_monotone = not (lattice.inclusion & ~sub_le[np.ix_(fwd, fwd)]).any()
+        back_monotone = not (sub_lt & ~ideal_le[np.ix_(bwd, bwd)]).any()
 
     return CornerLatticeCertificate(
         side=side,
@@ -344,12 +308,12 @@ def corner_lattice_correspondence(
         ideal_count=len(ideals),
         submodule_count=len(submodules),
         ideal_height=lattice.height,
-        submodule_height=posets.longest_chain_length(inclusion_order(submodules)),
+        submodule_height=posets.longest_chain_length(sub_lt),
         forward_then_back_identity=fwd_back,
         back_then_forward_identity=back_fwd,
         forward_monotone=fwd_monotone,
         back_monotone=back_monotone,
-        pairs=tuple(pairs),
+        pairs=pairs,
         failure=failure,
     )
 

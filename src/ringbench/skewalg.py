@@ -29,9 +29,11 @@ from .errors import (
     NotFunctorial,
     NotRingIso,
     NotUnital,
+    RankTooLarge,
     ShapeMismatch,
 )
 from .finring import (
+    MAX_RANK,
     FiniteRing,
     RingElement,
     _build_ring,
@@ -155,8 +157,6 @@ class SkewAlgebra:
     system: SkewCategorySystem
     offsets: tuple[int, ...]
     unit_elements: tuple[RingElement, ...]
-    strongly_graded: bool
-    object_unital: bool
 
     @property
     def category(self) -> SmallCategory:
@@ -182,6 +182,9 @@ def build_skew_algebra(system: SkewCategorySystem) -> SkewAlgebra:
         block = rings[cat.cod[g]]
         labels.extend(f"{lab}|m{g}" for lab in block.basis_labels)
         total += block.rank
+    # the rank cap _build_ring applies, before the total^3 table exists
+    if total > MAX_RANK:
+        raise RankTooLarge(total, MAX_RANK)
 
     sc = np.zeros((total, total, total), dtype=np.int64)
     for g in range(cat.morphism_count):
@@ -215,21 +218,16 @@ def build_skew_algebra(system: SkewCategorySystem) -> SkewAlgebra:
         vec[offsets[e] : offsets[e] + rings[a].rank] = u.vec
         units.append(ring.element(vec))
 
-    strongly = strongly_graded_check(grading)
-    ou = object_unital_check(grading)
-    if not strongly or not ou.object_unital:
+    if not strongly_graded_check(grading) or not object_unital_check(grading).object_unital:
         raise InvariantViolation(
             "canonical grading of a validated system failed its strength checks"
         )
-    return SkewAlgebra(
-        ring, grading, system, tuple(offsets), tuple(units), strongly, ou.object_unital
-    )
+    return SkewAlgebra(ring, grading, system, tuple(offsets), tuple(units))
 
 
 def build_category_algebra(T: FiniteRing, category: SmallCategory) -> SkewAlgebra:
-    """The constant system over one unital ring with identity maps."""
-    if find_identity(T) is None:
-        raise NotUnital(0)
+    """The constant system over one unital ring with identity maps; a ring
+    without a unit fails validation as NotUnital at object 0."""
     eye = np.eye(T.rank, dtype=np.int64)
     system = validate_system(
         category,

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import strength
 from .errors import (
+    CategoryTooLarge,
     CompositionDomainMismatch,
     IdentityLawViolation,
     NotAMonoid,
@@ -29,6 +30,9 @@ from .errors import (
 )
 
 UNDEFINED = -1
+# Associativity is checked on q^3 tables; the cap keeps q^3 within 48^4,
+# the bound finring.MAX_RANK sets for rings.
+MAX_MORPHISMS = 174
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +89,8 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
     cod = tuple(int(x) for x in cod)
     identity = tuple(int(x) for x in identity)
     q = len(dom)
+    if q > MAX_MORPHISMS:
+        raise CategoryTooLarge(q, MAX_MORPHISMS)
     if p < 1:
         raise ShapeMismatch("a category needs at least one object")
     if len(cod) != q:
@@ -256,6 +262,8 @@ def build_MX(monoid_table, set_size: int) -> SmallCategory:
     if s < 1:
         raise ShapeMismatch("set size must be >= 1")
     k = table.shape[0]
+    if k * s * s > MAX_MORPHISMS:
+        raise CategoryTooLarge(k * s * s, MAX_MORPHISMS)
 
     triples = [(m, x, y) for m in range(k) for x in range(s) for y in range(s)]
     index = {t: i for i, t in enumerate(triples)}

@@ -298,7 +298,6 @@ def verify_fixture_counts(seed: int | None = None) -> VerificationResult:
                 f"{name}/{side}: got {(lattice.size, lattice.height)}, frozen {(size, height)}"
             )
     m2 = fixtures["matrix2_z2"]
-    one = fr.find_identity(m2)
     iset = idem.validate_complete_set(
         m2, [m2.basis_element(0), m2.basis_element(3)]
     )

@@ -1,6 +1,7 @@
 """End-to-end command line checks: parsing, exit codes, report determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ringbench import cli
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import smallcat as sc
-from ringbench.errors import ParseError
+from ringbench.errors import CategoryTooLarge, ParseError
 
 M2_RING = """\
 # 2x2 matrices over Z/2 on matrix units
@@ -194,6 +195,29 @@ class TestExitCodes:
         assert json.loads(out)["error"]["type"] == "RankTooLarge"
         (workdir / "negative.ring").write_text("modulus 2\nrank -1\nconstants\n")
         code, out = run(capsys, "check-ring", workdir / "negative.ring")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_category_above_cap_exits_two_before_reading_arrows(self, workdir, capsys):
+        # no arrows follow: reading them would be a ParseError instead
+        for q in (sc.MAX_MORPHISMS + 1, 10**12):
+            (workdir / "wide.cat").write_text(f"objects 1\nmorphisms {q}\n")
+            tracemalloc.start()
+            try:
+                with pytest.raises(CategoryTooLarge):
+                    cli.parse_category_file(workdir / "wide.cat")
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            finally:
+                tracemalloc.stop()
+            code, out = run(capsys, "check-category", workdir / "wide.cat")
+            assert code == 2
+            assert json.loads(out)["error"]["type"] == "CategoryTooLarge"
+        code, out = run(capsys, "build-mx", "c1", "14")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "CategoryTooLarge"
+        # a negative count was a ValueError traceback from the table allocation
+        (workdir / "negative.cat").write_text("objects 1\nmorphisms -1\nidentity 0\n")
+        code, out = run(capsys, "check-category", workdir / "negative.cat")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ParseError"
 

@@ -259,6 +259,18 @@ class TestIdealLattice:
         with pytest.raises(LatticeTooLarge):
             fr.enumerate_one_sided_ideals(m2f2, "left", cap=2)
 
+    def test_principals_stream_before_the_cap(self):
+        # 2^20 elements: listing them, or their 21 generator rows each, up
+        # front would take hundreds of MB before the cap could act
+        ring = fr.make_ring(2, 20, np.zeros((20, 20, 20), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeTooLarge):
+                fr.enumerate_one_sided_ideals(ring, "left", cap=100)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
     def test_contains_zero_and_improper(self, t2f2):
         lat = fr.enumerate_one_sided_ideals(t2f2, "right")
         assert lat.ideals[0].order == 1

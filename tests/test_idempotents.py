@@ -154,9 +154,9 @@ class TestCornerLatticeCorrespondence:
     def test_submodule_cap_holds_for_principals(self, m2_setup):
         # e_1 S e_0 has two principal submodules (zero and itself) and no
         # joins beyond them, so only the principal phase can hit the cap
-        ring, _, table = m2_setup
+        _, _, table = m2_setup
         with pytest.raises(LatticeTooLarge):
-            idem._submodules(ring, table.component(1, 1), table.component(1, 0), "left", 1)
+            fr.submodule_lattice(table.component(1, 1), table.component(1, 0), "left", 1)
 
     def test_matrix_off_diagonal(self, m2_setup):
         _, _, table = m2_setup
@@ -188,6 +188,114 @@ class TestCornerLatticeCorrespondence:
         table = idem.peirce_table(iset)
         with pytest.raises(ZeroComponent):
             idem.corner_lattice_correspondence(table, 0, 1, "left")
+
+
+def brute_force_submodules(ring, idempotents, i, j, side) -> set:
+    """Element sets of every S_j-submodule of the certificate's ambient, by
+    exhaustive subgroup search in plain tuple arithmetic: no Howell form."""
+    m, n = ring.modulus, ring.rank
+    sc = ring.sc.tolist()
+    zero = (0,) * n
+
+    def add(x, y):
+        return tuple((a + b) % m for a, b in zip(x, y))
+
+    def mul(x, y):
+        out = [0] * n
+        for a in range(n):
+            for b in range(n):
+                if x[a] and y[b]:
+                    for k in range(n):
+                        out[k] = (out[k] + x[a] * y[b] * sc[a][b][k]) % m
+        return tuple(out)
+
+    def close(gens):
+        seen = {zero}
+        frontier = [zero]
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                w = add(v, g)
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return frozenset(seen)
+
+    elements = [tuple(int(c) for c in v) for v in ring.element_vectors()]
+    e_i, e_j = (tuple(e.coords) for e in (idempotents[i], idempotents[j]))
+    acting = {mul(mul(e_j, s), e_j) for s in elements}
+    if side == "left":  # e_j S e_i under S_j on the left
+        ambient = {mul(mul(e_j, s), e_i) for s in elements}
+        absorbs = lambda H: all(mul(w, x) in H for w in acting for x in H)
+    else:  # e_i S e_j under S_j on the right
+        ambient = {mul(mul(e_i, s), e_j) for s in elements}
+        absorbs = lambda H: all(mul(x, w) in H for w in acting for x in H)
+    subgroups = {close([])}
+    frontier = [close([])]
+    while frontier:
+        H = frontier.pop()
+        for x in ambient - H:
+            H2 = close(list(H) + [x])
+            if H2 not in subgroups:
+                subgroups.add(H2)
+                frontier.append(H2)
+    return {H for H in subgroups if absorbs(H)}
+
+
+class TestSubmoduleLattice:
+    @pytest.mark.parametrize(
+        "ring, units",
+        [
+            (corpus.matrix_units_ring(2, 2), (0, 3)),
+            (corpus.matrix_units_ring(3, 2), (0, 3)),
+        ],
+        ids=["matrix2_z2", "matrix2_z3"],
+    )
+    def test_matrix_units_match_brute_force(self, ring, units):
+        iset = idem.validate_complete_set(ring, [ring.basis_element(u) for u in units])
+        self.check_every_component(idem.peirce_table(iset))
+
+    def test_unit_set_matches_brute_force(self, m2f2):
+        # the ambient is the whole ring, so absorption keeps 5 of its 67
+        # subgroups on each side
+        iset = idem.validate_complete_set(m2f2, [fr.find_identity(m2f2)])
+        self.check_every_component(idem.peirce_table(iset))
+
+    def test_matrix2_z2_times_z2_matches_brute_force(self):
+        (inst,) = [
+            inst for inst in corpus.generate_suite("prop-2.4", 0)
+            if inst.name == "matrix2_z2_times_z2"
+        ]
+        iset = idem.validate_complete_set(inst.ring, inst.idempotents)
+        self.check_every_component(idem.peirce_table(iset))
+
+    @staticmethod
+    def check_every_component(table):
+        checked = 0
+        for i in range(table.size):
+            for j in range(table.size):
+                if table.component(i, j).is_zero():
+                    continue
+                for side in ("left", "right"):
+                    ambient = table.component(j, i) if side == "left" else table.component(i, j)
+                    subs, lt = fr.submodule_lattice(
+                        table.component(j, j), ambient, side, fr.DEFAULT_LATTICE_CAP
+                    )
+                    got = [
+                        frozenset(tuple(int(c) for c in v) for v in s.element_vectors())
+                        for s in subs
+                    ]
+                    expected = brute_force_submodules(
+                        table.ring, table.iset.elements, i, j, side
+                    )
+                    assert len(got) == len(set(got))
+                    assert set(got) == expected, (i, j, side)
+                    assert [len(g) for g in got] == sorted(len(g) for g in got)
+                    for a, A in enumerate(got):
+                        for b, B in enumerate(got):
+                            assert lt[a, b] == (A < B), (i, j, side, a, b)
+                    checked += 1
+        assert checked > 0
 
 
 class TestChainProfile:

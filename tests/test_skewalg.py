@@ -1,5 +1,7 @@
 """System validation, algebra assembly, equivalence and chain reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ringbench.errors import (
     NotFunctorial,
     NotRingIso,
     NotUnital,
+    RankTooLarge,
 )
 
 
@@ -94,7 +97,26 @@ class TestBuildSkewAlgebra:
         algebra = sk.build_category_algebra(z2, pair)
         target = corpus.matrix_units_ring(2, 2)
         assert np.array_equal(algebra.ring.sc, target.sc)
-        assert algebra.strongly_graded and algebra.object_unital
+        assert gr.strongly_graded_check(algebra.grading)
+        assert gr.object_unital_check(algebra.grading).object_unital
+
+    def test_nonunital_ring_rejected_at_object_zero(self, zero_ring_2, c2_category):
+        with pytest.raises(NotUnital) as exc:
+            sk.build_category_algebra(zero_ring_2, c2_category)
+        assert exc.value.object_index == 0
+
+    def test_rank_cap_checked_before_allocation(self, z2):
+        # 64 morphisms of rank-1 blocks: a 64^3 int64 table (2 MB) if built
+        eye = np.eye(1, dtype=np.int64)
+        system = sk.validate_system(sc.build_MX(corpus.MONOID_TABLES["c1"], 8), [z2] * 8, [eye] * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RankTooLarge) as exc:
+                sk.build_skew_algebra(system)
+            assert exc.value.rank == 64
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_arrow_gives_triangular_ring(self, z2, arrow_category):
         algebra = sk.build_category_algebra(z2, arrow_category)

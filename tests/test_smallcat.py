@@ -1,11 +1,15 @@
 """Category validation, hom-set conventions, the MX construction, predicates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ringbench import corpus
+from ringbench import finring as fr
 from ringbench import smallcat as sc
 from ringbench.errors import (
+    CategoryTooLarge,
     CompositionDomainMismatch,
     IdentityLawViolation,
     NotAGroup,
@@ -183,6 +187,29 @@ class TestBuildMX:
                 report = sc.homset_strong_report(mx)
                 assert report.strong and report.agree, (name, s)
                 assert sc.is_groupoid(mx).is_groupoid == (name in corpus.GROUP_NAMES)
+
+
+class TestMorphismCap:
+    def test_cap_matches_the_ring_bound(self):
+        # q^3 int64 tables stay within the rank^4 tables a rank-48 ring needs
+        assert sc.MAX_MORPHISMS**3 <= fr.MAX_RANK**4 < (sc.MAX_MORPHISMS + 1) ** 3
+
+    def test_cap_checked_before_allocation(self):
+        q = sc.MAX_MORPHISMS + 1
+        tracemalloc.start()
+        try:
+            # None as the table: had the cap not come first, this would be a
+            # ShapeMismatch, or q^3 tables of 43 MB each
+            with pytest.raises(CategoryTooLarge) as exc:
+                sc.make_category(1, [0] * q, [0] * q, [0], None)
+            assert (exc.value.count, exc.value.cap) == (q, sc.MAX_MORPHISMS)
+            # 1 * 14 * 14 = 196 morphisms: a 196 x 196 table if built
+            with pytest.raises(CategoryTooLarge) as exc:
+                sc.build_MX(corpus.MONOID_TABLES["c1"], 14)
+            assert exc.value.count == 196
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestFinitenessReport:
