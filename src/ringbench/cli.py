@@ -389,7 +389,7 @@ def _cmd_peirce(args) -> int:
         "component_orders",
         [[sub.order for sub in row] for row in table.components],
     )
-    rep.info("corner_orders", [c.ring.order for c in table.corners])
+    rep.info("corner_orders", [table.component(i, i).order for i in range(table.size)])
     return rep.emit()
 
 

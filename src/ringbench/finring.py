@@ -113,6 +113,10 @@ class FiniteRing:
             return np.zeros((0, 0), dtype=np.int64)
         return np.tensordot(self.sc, x, axes=([1], [0])) % self.modulus
 
+    def sandwich(self, x: np.ndarray, y: np.ndarray) -> "AdditiveSubgroup":
+        """The subgroup x S y, spanned by x * b_l * y over the basis."""
+        return self.span((self.left_mul_matrix(x) @ self.right_mul_matrix(y)) % self.modulus)
+
     # -- subgroups -----------------------------------------------------------
 
     def span(self, vectors: Iterable[Sequence[int]]) -> "AdditiveSubgroup":
@@ -488,15 +492,14 @@ def one_sided_ideal_closure(
 class IdealLattice:
     """All one-sided ideals of a ring on one side, with their inclusion order.
 
-    Ideals are canonically sorted by (order, basis); inclusion is the strict
-    inclusion matrix, cover_relation its transitive reduction and height the
-    edge count of a longest chain.
+    Ideals are canonically sorted by (order, basis); cover_relation is the
+    transitive reduction of strict inclusion and height the edge count of a
+    longest chain.
     """
 
     ring: FiniteRing
     side: str
     ideals: tuple[OneSidedIdeal, ...]
-    inclusion: np.ndarray
     cover_relation: tuple[tuple[int, ...], ...]
     height: int
     size: int
@@ -563,7 +566,6 @@ def enumerate_one_sided_ideals(
         ring,
         side,
         tuple(OneSidedIdeal(s, side) for s in subs),
-        lt,
         posets.adjacency_lists(posets.cover_matrix(lt)),
         posets.longest_chain_length(lt),
         len(subs),
@@ -663,11 +665,7 @@ def corner_ring(ring: FiniteRing, e: RingElement) -> CornerRing:
         raise RingMismatch("idempotent bound to a different ring")
     if e * e != e:
         raise NotIdempotent(message=f"element {e.coords} is not idempotent")
-    ev = e.vec
-    left = ring.left_mul_matrix(ev)
-    right = ring.right_mul_matrix(ev)
-    rows = (left @ right) % ring.modulus  # row l is e * b_l * e
-    subgroup = ring.span(rows)
+    subgroup = ring.sandwich(e.vec, e.vec)
 
     exponent, k, basis_rows = _free_module_structure(subgroup)
     if k == 0:

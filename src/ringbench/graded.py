@@ -198,25 +198,28 @@ def _sandwich_law(
     carries the pair and both subgroup orders."""
     for a in range(len(units)):
         for b in range(len(units)):
-            left = ring.left_mul_matrix(units[a].vec)
-            right = ring.right_mul_matrix(units[b].vec)
-            sandwich = ring.span((left @ right) % ring.modulus)
+            sandwich = ring.sandwich(units[a].vec, units[b].vec)
             if sandwich != hom[a][b]:
                 return False, ((a, b), sandwich.order, hom[a][b].order)
     return True, None
 
 
-def homset_strongly_graded_report(grading: Grading) -> GradedStrongReport:
+def _local_units(grading: Grading) -> tuple[RingElement, ...]:
+    """The units of an object unital grading; NotObjectUnital otherwise."""
     ou = object_unital_check(grading)
     if not ou.object_unital:
         raise NotObjectUnital(f"grading is not object unital: {ou.witness}")
+    return ou.units
+
+
+def homset_strongly_graded_report(grading: Grading) -> GradedStrongReport:
+    units = _local_units(grading)
     cat_report = homset_strong_report(grading.category)
     if not (cat_report.agree and cat_report.strong):
         raise CategoryNotHomSetStrong(
             f"category fails hom-set strength: {cat_report.witness3}"
         )
     hom = _hom_components(grading)
-    units = ou.units
     table = strength.ComponentTable(
         hom,
         is_zero=AdditiveSubgroup.is_zero,
@@ -238,10 +241,7 @@ def homset_strongly_graded_report(grading: Grading) -> GradedStrongReport:
 def corner_identity_check(grading: Grading) -> tuple[bool, tuple | None]:
     """The law 1_{S_a} S 1_{S_b} = S_{G(a,b)} for every object pair, checked
     for any object unital grading (no hom-set strength hypothesis)."""
-    ou = object_unital_check(grading)
-    if not ou.object_unital:
-        raise NotObjectUnital(f"grading is not object unital: {ou.witness}")
-    return _sandwich_law(grading.ring, ou.units, _hom_components(grading))
+    return _sandwich_law(grading.ring, _local_units(grading), _hom_components(grading))
 
 
 def induced_idempotents(grading: Grading) -> IdempotentSet:
@@ -250,10 +250,7 @@ def induced_idempotents(grading: Grading) -> IdempotentSet:
     For an object unital grading this validation must pass; it is re-proved
     mechanically on every instance rather than assumed.
     """
-    ou = object_unital_check(grading)
-    if not ou.object_unital:
-        raise NotObjectUnital(f"grading is not object unital: {ou.witness}")
-    return validate_complete_set(grading.ring, [u for u in ou.units])
+    return validate_complete_set(grading.ring, _local_units(grading))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A complete set of idempotents for S is a family of nonzero orthogonal
 idempotents e_0, ..., e_{k-1} whose one-sided multiples decompose S on both
 sides: S = (+)_i S e_i = (+)_i e_i S.  The k x k component table has entry
-(i, j) = e_i S e_j; diagonal entries are unital corner rings with unit e_i.
+(i, j) = e_i S e_j; diagonal entries are the corners e_i S e_i, subrings with
+unit e_i.
 
 A complete set is *strong* when the mixed components interlock: whenever one
 of e_i S e_j, e_j S e_i is nonzero, so is the other, and their product
@@ -32,15 +33,13 @@ from .errors import (
 )
 from .finring import (
     AdditiveSubgroup,
-    CornerRing,
     FiniteRing,
     RingElement,
-    corner_ring,
     enumerate_one_sided_ideals,
     product_subgroup,
 )
-# the submodule lattice of S_j on a component, under the name the perfbench
-# tracer scopes its join counts by
+# the submodule lattice of S_j on a component and of a corner on itself, under
+# the name the perfbench tracer scopes its join counts by
 from .finring import submodule_lattice as _submodules
 from .strength import StrongnessReport
 
@@ -105,29 +104,18 @@ def validate_complete_set(
 
 def _components(iset: IdempotentSet) -> list[list[AdditiveSubgroup]]:
     ring = iset.ring
-    k = iset.size
-    lefts = [ring.left_mul_matrix(e.vec) for e in iset.elements]
-    rights = [ring.right_mul_matrix(e.vec) for e in iset.elements]
-    table = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            # row l of lefts[i] is e_i * b_l; right-multiplying by e_j is a
-            # matrix product against rights[j]
-            mat = (lefts[i] @ rights[j]) % ring.modulus
-            row.append(ring.span(mat))
-        table.append(row)
-    return table
+    return [[ring.sandwich(ei.vec, ej.vec) for ej in iset.elements] for ei in iset.elements]
 
 
 @dataclass(frozen=True, eq=False)
 class PeirceTable:
-    """All k^2 components e_i S e_j plus the diagonal corner rings."""
+    """All k^2 components e_i S e_j as subgroups of S.  The diagonal
+    component (i, i) is the corner e_i S e_i, a subring with unit e_i; it is
+    never repackaged as a standalone ring."""
 
     ring: FiniteRing
     iset: IdempotentSet
     components: tuple[tuple[AdditiveSubgroup, ...], ...]
-    corners: tuple[CornerRing, ...]
 
     @property
     def size(self) -> int:
@@ -138,7 +126,7 @@ class PeirceTable:
 
 
 def peirce_table(iset: IdempotentSet) -> PeirceTable:
-    """Compute every component e_i S e_j and package the diagonal corners.
+    """Compute every component e_i S e_j.
 
     The component orders must multiply to |S| (the two-sided decomposition
     refines both one-sided ones); this is re-verified on every call.
@@ -153,13 +141,7 @@ def peirce_table(iset: IdempotentSet) -> PeirceTable:
             prod *= sub.order
     if prod != ring.order or total != ring.full_subgroup():
         raise InvariantViolation("component table does not decompose the ring")
-    corners = tuple(corner_ring(ring, e) for e in iset.elements)
-    return PeirceTable(
-        ring,
-        iset,
-        tuple(tuple(row) for row in table),
-        corners,
-    )
+    return PeirceTable(ring, iset, tuple(tuple(row) for row in table))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +187,12 @@ class CornerLatticeCertificate:
     component submodules.
 
     For side=left and indices (i, j): the poset of left ideals of the corner
-    ring at e_i against the poset of left S_j-submodules of e_j S e_i, with
-    the maps  ideal I -> e_j S I  and  submodule M -> e_i S M.  For
-    side=right the mirror image is used: right ideals of the corner at e_i
-    against right S_j-submodules of e_i S e_j, with I -> I S e_j and
-    M -> M S e_i.
+    S_i = e_i S e_i against the poset of left S_j-submodules of e_j S e_i,
+    with the maps  ideal I -> e_j S I  and  submodule M -> e_i S M.  For
+    side=right the mirror image is used: right ideals of S_i against right
+    S_j-submodules of e_i S e_j, with I -> I S e_j and M -> M S e_i.  Both
+    posets are subgroups of S from one engine: the ideals of S_i are its
+    submodule lattice acting on itself.
     """
 
     side: str
@@ -256,12 +239,8 @@ def corner_lattice_correspondence(
         raise ZeroComponent(f"component ({i}, {j}) is zero")
 
     ring = table.ring
-    corner = table.corners[i]
-    lattice = enumerate_one_sided_ideals(corner.ring, side, cap)
-    ideals = [
-        ring.span((ideal.subgroup.basis @ corner.inclusion) % ring.modulus)
-        for ideal in lattice.ideals
-    ]
+    corner = table.components[i][i]
+    ideals, ideal_lt = _submodules(corner, corner, side, cap)
     # e_j S e_i on the left, e_i S e_j on the right; S_j acts on both
     ambient = table.components[j][i] if side == "left" else table.components[i][j]
     submodules, sub_lt = _submodules(table.components[j][j], ambient, side, cap)
@@ -297,8 +276,8 @@ def corner_lattice_correspondence(
     if failure is None:
         # a < b must give image[a] <= image[b]: strictly below, or equal
         sub_le = sub_lt | np.eye(len(submodules), dtype=bool)
-        ideal_le = lattice.inclusion | np.eye(len(ideals), dtype=bool)
-        fwd_monotone = not (lattice.inclusion & ~sub_le[np.ix_(fwd, fwd)]).any()
+        ideal_le = ideal_lt | np.eye(len(ideals), dtype=bool)
+        fwd_monotone = not (ideal_lt & ~sub_le[np.ix_(fwd, fwd)]).any()
         back_monotone = not (sub_lt & ~ideal_le[np.ix_(bwd, bwd)]).any()
 
     return CornerLatticeCertificate(
@@ -307,7 +286,7 @@ def corner_lattice_correspondence(
         j=j,
         ideal_count=len(ideals),
         submodule_count=len(submodules),
-        ideal_height=lattice.height,
+        ideal_height=posets.longest_chain_length(ideal_lt),
         submodule_height=posets.longest_chain_length(sub_lt),
         forward_then_back_identity=fwd_back,
         back_then_forward_identity=back_fwd,
@@ -348,22 +327,28 @@ class ChainProfile:
     ring_right_height: int
 
 
+def ideal_lattice_shape(subring: AdditiveSubgroup, side: str, cap: int) -> tuple[int, int]:
+    """(size, height) of the one-sided ideal lattice of a subring such as a
+    corner: its submodule lattice acting on itself."""
+    ideals, lt = _submodules(subring, subring, side, cap)
+    return len(ideals), posets.longest_chain_length(lt)
+
+
 def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = 100_000) -> ChainProfile:
     table = peirce_table(iset)
     report = strong_condition_report(table)
-    corners = []
-    for c in table.corners:
-        left = enumerate_one_sided_ideals(c.ring, "left", cap)
-        right = enumerate_one_sided_ideals(c.ring, "right", cap)
-        corners.append(
-            CornerProfile(c.ring.order, left.size, left.height, right.size, right.height)
+    corners = tuple(
+        CornerProfile(
+            c.order, *ideal_lattice_shape(c, "left", cap), *ideal_lattice_shape(c, "right", cap)
         )
+        for c in (table.component(i, i) for i in range(iset.size))
+    )
     ring_left = enumerate_one_sided_ideals(ring, "left", cap)
     ring_right = enumerate_one_sided_ideals(ring, "right", cap)
     return ChainProfile(
         index_size=iset.size,
         strong=report.strong,
-        corners=tuple(corners),
+        corners=corners,
         ring_left_size=ring_left.size,
         ring_left_height=ring_left.height,
         ring_right_size=ring_right.size,

@@ -37,7 +37,6 @@ from .finring import (
     FiniteRing,
     RingElement,
     _build_ring,
-    corner_ring,
     enumerate_one_sided_ideals,
     find_identity,
 )
@@ -49,7 +48,7 @@ from .graded import (
     object_unital_check,
     strongly_graded_check,
 )
-from .idempotents import is_strong
+from .idempotents import ideal_lattice_shape, is_strong
 from .smallcat import SmallCategory, homset_strong_report
 
 
@@ -210,19 +209,13 @@ def build_skew_algebra(system: SkewCategorySystem) -> SkewAlgebra:
         components.append(ring.span(rows))
     grading = attach_grading(ring, cat, components)
 
-    units = []
-    for a in range(cat.object_count):
-        e = cat.identity[a]
-        u = find_identity(rings[a])
-        vec = np.zeros(total, dtype=np.int64)
-        vec[offsets[e] : offsets[e] + rings[a].rank] = u.vec
-        units.append(ring.element(vec))
-
-    if not strongly_graded_check(grading) or not object_unital_check(grading).object_unital:
+    # its local units are 1_{R_a} in the identity block of each object a
+    ou = object_unital_check(grading)
+    if not strongly_graded_check(grading) or not ou.object_unital:
         raise InvariantViolation(
             "canonical grading of a validated system failed its strength checks"
         )
-    return SkewAlgebra(ring, grading, system, tuple(offsets), tuple(units))
+    return SkewAlgebra(ring, grading, system, tuple(offsets), ou.units)
 
 
 def build_category_algebra(T: FiniteRing, category: SmallCategory) -> SkewAlgebra:
@@ -305,14 +298,17 @@ def artinian_criteria_report(algebra: SkewAlgebra, cap: int = 100_000) -> Artini
     corners = []
     extraction_ok = True
     for a in range(cat.object_count):
-        corner = corner_ring(ring, algebra.unit_elements[a])
-        matches = corner.subgroup == algebra.grading.endo_component(a)
+        u = algebra.unit_elements[a].vec
+        corner = ring.sandwich(u, u)
+        matches = corner == algebra.grading.endo_component(a)
         extraction_ok = extraction_ok and matches
-        cl = enumerate_one_sided_ideals(corner.ring, "left", cap)
-        cr = enumerate_one_sided_ideals(corner.ring, "right", cap)
         corners.append(
             ObjectCornerReport(
-                a, corner.ring.order, matches, cl.size, cl.height, cr.size, cr.height
+                a,
+                corner.order,
+                matches,
+                *ideal_lattice_shape(corner, "left", cap),
+                *ideal_lattice_shape(corner, "right", cap),
             )
         )
     return ArtinianCriteriaReport(

@@ -34,6 +34,14 @@ constants
 0 0 0  0 0 0  0 0 1
 """
 
+Z6Z6_RING = """\
+modulus 6
+rank 2
+constants
+1 0  0 0
+0 0  0 1
+"""
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -44,6 +52,11 @@ def workdir(tmp_path):
     )
     (tmp_path / "t2_idems.txt").write_text(
         "ring t2.ring\nidempotent 1 0 0\nidempotent 0 0 1\n"
+    )
+    (tmp_path / "z6z6.ring").write_text(Z6Z6_RING)
+    # the corner at (3, 1) is Z/2 + Z/6, not free over one modulus
+    (tmp_path / "z6z6_idems.txt").write_text(
+        "ring z6z6.ring\nidempotent 3 1\nidempotent 4 0\n"
     )
     return tmp_path
 
@@ -103,6 +116,17 @@ class TestExitCodes:
 
     def test_check_strong_positive(self, workdir, capsys):
         code, out = run(capsys, "--no-timings", "check-strong", workdir / "m2_idems.txt")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdicts"] == {
+            "condition1": True,
+            "condition2": True,
+            "condition3": True,
+            "agree": True,
+        }
+
+    def test_check_strong_with_non_free_corner(self, workdir, capsys):
+        code, out = run(capsys, "--no-timings", "check-strong", workdir / "z6z6_idems.txt")
         assert code == 0
         report = json.loads(out)
         assert report["verdicts"] == {
@@ -285,6 +309,11 @@ class TestSubcommands:
         report = json.loads(out)
         assert report["component_orders"] == [[2, 2], [2, 2]]
         assert report["corner_orders"] == [2, 2]
+
+    def test_peirce_with_non_free_corner(self, workdir, capsys):
+        code, out = run(capsys, "--no-timings", "peirce", workdir / "z6z6_idems.txt")
+        assert code == 0
+        assert json.loads(out)["corner_orders"] == [12, 3]
 
     def test_ideal_lattice(self, workdir, capsys):
         code, out = run(capsys, "--no-timings", "ideal-lattice", workdir / "m2.ring")

@@ -6,6 +6,7 @@ from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import idempotents as idem
 from ringbench.errors import (
+    CornerNotFree,
     LatticeTooLarge,
     NotComplete,
     NotIdempotent,
@@ -27,6 +28,14 @@ def m2_setup():
 def t2_setup():
     ring = corpus.upper_triangular_ring(2, 2)
     iset = idem.validate_complete_set(ring, [ring.basis_element(0), ring.basis_element(2)])
+    return ring, iset, idem.peirce_table(iset)
+
+
+@pytest.fixture(scope="module")
+def z6z6_setup():
+    # e_0 S e_0 = 3Z/6 x Z/6 = Z/2 + Z/6 is not free over one modulus
+    ring = fr.direct_product([corpus.cyclic_ring(6)] * 2)
+    iset = idem.validate_complete_set(ring, [ring.element([3, 1]), ring.element([4, 0])])
     return ring, iset, idem.peirce_table(iset)
 
 
@@ -117,9 +126,9 @@ class TestPeirceTable:
                     assert (sandwiched == x).all()
 
     def test_corner_rings_carry_units(self, m2_setup):
-        _, _, table = m2_setup
-        for corner in table.corners:
-            assert fr.find_identity(corner.ring) is not None
+        ring, iset, _ = m2_setup
+        for e in iset.elements:
+            assert fr.find_identity(fr.corner_ring(ring, e).ring) is not None
 
 
 class TestStrongConditions:
@@ -269,6 +278,9 @@ class TestSubmoduleLattice:
         iset = idem.validate_complete_set(inst.ring, inst.idempotents)
         self.check_every_component(idem.peirce_table(iset))
 
+    def test_non_free_corners_match_brute_force(self, z6z6_setup):
+        self.check_every_component(z6z6_setup[2])
+
     @staticmethod
     def check_every_component(table):
         checked = 0
@@ -322,3 +334,37 @@ class TestChainProfile:
         # the acceptance suite
         assert profile.ring_left_size == 7
         assert profile.ring_right_size == 7
+
+
+class TestNonFreeCorner:
+    """A corner that is no free module over one modulus is still a subgroup
+    of S, and every corner check works on it."""
+
+    def test_peirce_table(self, z6z6_setup):
+        _, _, table = z6z6_setup
+        assert [table.component(i, i).order for i in range(2)] == [12, 3]
+
+    def test_strong(self, z6z6_setup):
+        _, _, table = z6z6_setup
+        assert idem.strong_condition_report(table).strong
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_corner_certificates(self, z6z6_setup, side):
+        _, _, table = z6z6_setup
+        for i, count in ((0, 8), (1, 2)):
+            cert = idem.corner_lattice_correspondence(table, i, i, side)
+            assert cert.ok
+            assert cert.ideal_count == count
+
+    def test_chain_profile(self, z6z6_setup):
+        ring, iset, _ = z6z6_setup
+        profile = idem.chain_profile(ring, iset)
+        assert [(c.corner_order, c.left_size, c.right_size) for c in profile.corners] == [
+            (12, 8, 8),
+            (3, 2, 2),
+        ]
+
+    def test_corner_ring_is_not_free(self, z6z6_setup):
+        ring, _, _ = z6z6_setup
+        with pytest.raises(CornerNotFree):
+            fr.corner_ring(ring, ring.element([3, 1]))
