@@ -44,7 +44,6 @@ from .smallcat import (  # noqa: F401
     SmallCategory,
     build_MX,
     finiteness_report,
-    group_predicates,
     hom_set,
     homset_strong_report,
     is_groupoid,
@@ -69,8 +68,6 @@ from .skewalg import (  # noqa: F401
 )
 from .corpus import (  # noqa: F401
     Mutation,
-    Recipe,
-    generate,
     generate_suite,
     mutate,
 )

@@ -44,19 +44,21 @@ System file::
     <rank x rank residues, row-major>
     ...
 
-Integers of any size are read as residues modulo the ring's modulus.  A
-ring's modulus m must keep rank^2 * (m-1)^3 below 2^63, so that every
-product stays exact in int64; a larger modulus is rejected as bad input
-(ModulusTooLarge), and so is a rank above finring.MAX_RANK (RankTooLarge),
-before the constants are read.  A category file's morphism count is capped
-at smallcat.MAX_MORPHISMS (CategoryTooLarge) before its arrows are read.
+Integers of any size are read as exact residues modulo the ring's modulus,
+and every modulus >= 2 is accepted: all arithmetic is on Python ints.  A
+rank above finring.MAX_RANK is rejected as bad input (RankTooLarge) before
+the constants are read, and a ring whose associativity check would take more
+than finring.MAX_ASSOCIATIVITY_WORK steps (WorkTooLarge) before the check
+runs.  A category file's morphism count is capped at smallcat.MAX_MORPHISMS
+(CategoryTooLarge) before its arrows are read.
 
 Every invocation prints one JSON report to standard output (suppress the
 timings block with --no-timings for byte-identical reruns).  Exit codes:
 0 all verdicts positive, 1 a checked property is false, 2 malformed input,
-an unreadable file, a validation error or a bad command line (UsageError),
-3 an internal invariant failed (InvariantViolation, a defect in the
-workbench, reported as an error report).
+a validation error or a bad command line (UsageError), or an unreadable
+file (reported under its OSError class, such as FileNotFoundError), 3 an
+internal invariant failed (InvariantViolation, a defect in the workbench,
+reported as an error report).
 """
 
 from __future__ import annotations
@@ -70,8 +72,6 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import corpus
@@ -176,7 +176,8 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
         tok = ts.peek()
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
     # Python ints of any size: make_ring reduces them exactly
-    sc = np.array(flat, dtype=object).reshape(rank, rank, rank)
+    cells = [flat[k : k + rank] for k in range(0, len(flat), rank)]
+    sc = [cells[i * rank : (i + 1) * rank] for i in range(rank)]
     return fr.make_ring(modulus, rank, sc, labels)
 
 
@@ -210,13 +211,13 @@ def parse_category_file(path: str | Path) -> cat.SmallCategory:
         cod.append(ts.integer_in(f"cod of morphism {g}", 0, p))
     ts.expect("identity")
     identity = [ts.integer_in(f"identity of object {a}", 0, q) for a in range(p)]
-    table = np.full((q, q), cat.UNDEFINED, dtype=np.int64)
+    table = [[cat.UNDEFINED] * q for _ in range(q)]
     while not ts.done():
         ts.expect("compose")
         g = ts.integer_in("composition row", 0, q)
         h = ts.integer_in("composition column", 0, q)
         gh = ts.integer_in("composite", 0, q)
-        table[g, h] = gh
+        table[g][h] = gh
     return cat.make_category(p, dom, cod, identity, table)
 
 
@@ -234,7 +235,7 @@ def parse_grading_file(path: str | Path) -> gr.Grading:
         count = ts.integer_in("generator count", 0, math.inf)
         rows = []
         for r in range(count):
-            rows.append([ts.integer(f"coordinate {i}") % ring.modulus for i in range(ring.rank)])
+            rows.append([ts.integer(f"coordinate {i}") for i in range(ring.rank)])
         components[g] = ring.span(rows)
     for g in range(category.morphism_count):
         components.setdefault(g, ring.zero_subgroup())
@@ -258,38 +259,15 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
     missing = [a for a in range(category.object_count) if a not in rings]
     if missing:
         raise ParseError(f"object rings missing for objects {missing}", 1, 1)
-    maps: dict[int, np.ndarray] = {}
+    maps: dict[int, list[list[int]]] = {}
     while not ts.done():
         ts.expect("map")
         g = ts.integer_in("morphism index", 0, category.morphism_count)
         nd = rings[category.dom[g]].rank
         nc = rings[category.cod[g]].rank
-        m = rings[category.cod[g]].modulus
-        flat = [ts.integer(f"entry {i}") % m for i in range(nd * nc)]
-        maps[g] = np.asarray(flat, dtype=np.int64).reshape(nd, nc)
+        flat = [ts.integer(f"entry {i}") for i in range(nd * nc)]
+        maps[g] = [flat[r * nc : (r + 1) * nc] for r in range(nd)]
     return sk.validate_system(category, rings, maps)
-
-
-def parse_instance(path: str | Path):
-    """Sniff the leading keyword and dispatch to the right parser."""
-    text = Path(path).read_text()
-    ts = TokenStream(text, str(path))
-    tok = ts.peek()
-    if tok is None:
-        raise ParseError("empty input file", 1, 1)
-    head = tok.text
-    if head == "modulus":
-        return parse_ring_file(path)
-    if head == "objects":
-        return parse_category_file(path)
-    if head == "ring":
-        second = ts.tokens[2].text if len(ts.tokens) > 2 else ""
-        if second == "category":
-            return parse_grading_file(path)
-        return parse_idempotent_file(path)
-    if head == "category":
-        return parse_system_file(path)
-    raise ParseError(f"unrecognized leading keyword {tok.text!r}", tok.line, tok.column)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +453,7 @@ def _cmd_build_mx(args) -> int:
         lines.append("identity " + " ".join(str(e) for e in category.identity))
         for g in range(category.morphism_count):
             for h in range(category.morphism_count):
-                gh = int(category.compose[g, h])
+                gh = category.compose[g, h]
                 if gh != cat.UNDEFINED:
                     lines.append(f"compose {g} {h} {gh}")
         Path(args.save).write_text("\n".join(lines) + "\n")
@@ -637,10 +615,8 @@ def main(argv=None) -> int:
     try:
         parser.parse_args(argv, namespace=args)
         return args.func(args)
-    except WorkbenchError as exc:
+    except (WorkbenchError, OSError) as exc:
         return _emit_error(args.command, exc, args.quiet)
-    except OSError as exc:
-        return _emit_error(args.command, ParseError(str(exc)), args.quiet)
     except InvariantViolation as exc:
         return _emit_error(args.command, exc, args.quiet, code=3)
 

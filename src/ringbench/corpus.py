@@ -3,11 +3,11 @@
 Random rings are never rejection-sampled from raw structure constants
 (associativity is vanishingly rare); every ring instance comes from a
 constructive recipe: matrix-unit rings, monoid and category algebras, skew
-algebras, direct products, and corners.  Random categories come from thin
+algebras and direct products.  Random categories come from thin
 preorder categories, the monoid-times-square construction, one-object
 monoids, and disjoint unions.
 
-Everything is a pure function of (recipe, seed): seeds are mixed through
+Everything is a pure function of the seed: seeds are mixed through
 SHA-256, so suites reproduce bit for bit across platforms and runs.
 """
 
@@ -17,8 +17,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from . import finring as fr
 from . import graded as gr
@@ -106,11 +104,11 @@ def matrix_units_ring(m: int, size: int) -> fr.FiniteRing:
     n = len(pairs)
     if m**n > MAX_RING_ORDER:
         raise ParameterOutOfRange(f"matrix ring order {m}^{n} exceeds {MAX_RING_ORDER}")
-    sc = np.zeros((n, n, n), dtype=np.int64)
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
             if b == c:
-                sc[i, j, pairs.index((a, d))] = 1
+                sc[i][j][pairs.index((a, d))] = 1
     labels = [f"E{a + 1}{b + 1}" for a, b in pairs]
     return fr.make_ring(m, n, sc, labels)
 
@@ -121,18 +119,18 @@ def cyclic_ring(m: int) -> fr.FiniteRing:
 
 
 def zero_multiplication_ring(m: int, rank: int = 1) -> fr.FiniteRing:
-    return fr.make_ring(m, rank, np.zeros((rank, rank, rank), dtype=np.int64))
+    return fr.make_ring(m, rank, [[[0] * rank] * rank] * rank)
 
 
 def upper_triangular_ring(m: int, size: int = 2) -> fr.FiniteRing:
     """Upper triangular size x size matrices over Z/m on matrix units."""
     pairs = [(a, b) for a in range(size) for b in range(size) if a <= b]
     n = len(pairs)
-    sc = np.zeros((n, n, n), dtype=np.int64)
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
             if b == c and (a, d) in pairs:
-                sc[i, j, pairs.index((a, d))] = 1
+                sc[i][j][pairs.index((a, d))] = 1
     labels = [f"E{a + 1}{b + 1}" for a, b in pairs]
     return fr.make_ring(m, n, sc, labels)
 
@@ -170,12 +168,10 @@ def thin_category_from_relation(
     dom = [a for (a, b) in arrows]
     cod = [b for (a, b) in arrows]
     identity = [index[(a, a)] for a in range(object_count)]
-    q = len(arrows)
-    table = np.full((q, q), cat.UNDEFINED, dtype=np.int64)
-    for gi, (gd, gc) in enumerate(arrows):
-        for hi, (hd, hc) in enumerate(arrows):
-            if gd == hc:
-                table[gi, hi] = index[(hd, gc)]
+    table = [
+        [index[(hd, gc)] if gd == hc else cat.UNDEFINED for (hd, hc) in arrows]
+        for (gd, gc) in arrows
+    ]
     return cat.make_category(object_count, dom, cod, identity, table)
 
 
@@ -186,16 +182,16 @@ def disjoint_union(categories: list[cat.SmallCategory]) -> cat.SmallCategory:
     codl: list[int] = []
     identity: list[int] = []
     total_m = sum(c.morphism_count for c in categories)
-    table = np.full((total_m, total_m), cat.UNDEFINED, dtype=np.int64)
+    table = [[cat.UNDEFINED] * total_m for _ in range(total_m)]
     for c in categories:
         dom.extend(d + obj_offset for d in c.dom)
         codl.extend(d + obj_offset for d in c.cod)
         identity.extend(e + mor_offset for e in c.identity)
-        q = c.morphism_count
-        block = np.where(c.compose == cat.UNDEFINED, cat.UNDEFINED, c.compose + mor_offset)
-        table[mor_offset : mor_offset + q, mor_offset : mor_offset + q] = block
+        for (g, h), gh in c.compose.items():
+            if gh != cat.UNDEFINED:
+                table[mor_offset + g][mor_offset + h] = mor_offset + gh
         obj_offset += c.object_count
-        mor_offset += q
+        mor_offset += c.morphism_count
     return cat.make_category(obj_offset, dom, codl, identity, table)
 
 
@@ -243,98 +239,43 @@ def random_category(seed: int) -> cat.SmallCategory:
 
 
 # ---------------------------------------------------------------------------
-# recipes
+# named skew algebras
 
 
-@dataclass(frozen=True)
-class Recipe:
-    """A named constructive instance family; identical (recipe, seed) pairs
-    produce bit-identical instances."""
-
-    kind: str
-    params: tuple[tuple[str, Any], ...] = ()
-
-    @staticmethod
-    def of(kind: str, **params) -> "Recipe":
-        return Recipe(kind, tuple(sorted(params.items())))
-
-    def get(self, key: str, default=None):
-        return dict(self.params).get(key, default)
+def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def generate(recipe: Recipe, seed: int = 0):
-    """Build the instance a recipe describes.
-
-    Return type depends on the kind: rings for ring recipes, categories for
-    category recipes, skew algebras for algebra recipes.
-    """
-    kind = recipe.kind
-    if kind == "matrix_ring":
-        return matrix_units_ring(recipe.get("m", 2), recipe.get("size", 2))
-    if kind == "monoid_algebra":
-        table = MONOID_TABLES[recipe.get("monoid", "c1")]
-        T = cyclic_ring(recipe.get("m", 2))
-        return sk.build_category_algebra(T, cat.build_MX(table, 1))
-    if kind == "skew_algebra":
-        return _named_skew_algebra(recipe.get("system", "pair_groupoid_z2"))
-    if kind == "direct_product":
-        factors = [generate(f, _mix(seed, i)) for i, f in enumerate(recipe.get("factors", ()))]
-        rings = [f.ring if isinstance(f, sk.SkewAlgebra) else f for f in factors]
-        return fr.direct_product(rings)
-    if kind == "corner":
-        base = generate(recipe.get("base"), seed)
-        ring = base.ring if isinstance(base, sk.SkewAlgebra) else base
-        e = ring.element(recipe.get("idempotent"))
-        return fr.corner_ring(ring, e)
-    if kind == "mx_category":
-        table = recipe.get("table")
-        if table is None:
-            table = MONOID_TABLES[recipe.get("monoid", "c1")]
-        return cat.build_MX(table, recipe.get("size", 1))
-    if kind == "random_groupoid":
-        return random_groupoid(_mix(seed, recipe.get("salt", 0)))
-    if kind == "random_category":
-        return random_category(_mix(seed, recipe.get("salt", 0)))
-    raise ParameterOutOfRange(f"unknown recipe kind {kind!r}")
+# maps of rank-2 object rings, as row-vector actions
+EYE2 = _identity_matrix(2)
+SWAP = ((0, 1), (1, 0))
+FROBENIUS = ((1, 0), (1, 1))  # on F4 = {1, x}: 1 -> 1, x -> x^2 = 1 + x
 
 
 def _named_skew_algebra(name: str) -> sk.SkewAlgebra:
-    z2 = cyclic_ring(2)
     z3 = cyclic_ring(3)
-    if name == "pair_groupoid_z2":
-        return sk.build_category_algebra(z2, cat.build_MX(MONOID_TABLES["c1"], 2))
-    if name == "pair_groupoid_z3":
-        return sk.build_category_algebra(z3, cat.build_MX(MONOID_TABLES["c1"], 2))
     if name == "c2_swap_z3z3":
         ring = fr.direct_product([z3, z3])
         c2 = cat.build_MX(MONOID_TABLES["c2"], 1)
-        swap = np.array([[0, 1], [1, 0]])
-        eye = np.eye(2, dtype=np.int64)
-        return sk.build_skew_algebra(sk.validate_system(c2, [ring], [eye, swap]))
+        return sk.build_skew_algebra(sk.validate_system(c2, [ring], [EYE2, SWAP]))
     if name == "c2_frobenius_f4":
         f4 = field4()
         c2 = cat.build_MX(MONOID_TABLES["c2"], 1)
-        frob = np.array([[1, 0], [1, 1]])  # 1 -> 1, x -> x^2 = 1 + x
-        eye = np.eye(2, dtype=np.int64)
-        return sk.build_skew_algebra(sk.validate_system(c2, [f4], [eye, frob]))
+        return sk.build_skew_algebra(sk.validate_system(c2, [f4], [EYE2, FROBENIUS]))
     if name == "pair_groupoid_frobenius_f4":
         f4 = field4()
         pair = cat.build_MX(MONOID_TABLES["c1"], 2)
-        frob = np.array([[1, 0], [1, 1]])
-        eye = np.eye(2, dtype=np.int64)
         # cross arrows carry the Frobenius, endo arrows the identity
         maps = []
         for g in range(pair.morphism_count):
-            maps.append(eye if pair.dom[g] == pair.cod[g] else frob)
+            maps.append(EYE2 if pair.dom[g] == pair.cod[g] else FROBENIUS)
         return sk.build_skew_algebra(
             sk.validate_system(pair, [f4, f4], maps)
         )
     if name == "c4_swap_z3z3":
         ring = fr.direct_product([z3, z3])
         c4 = cat.build_MX(MONOID_TABLES["c4"], 1)
-        swap = np.array([[0, 1], [1, 0]])
-        eye = np.eye(2, dtype=np.int64)
-        maps = [eye, swap, eye, swap]
+        maps = [EYE2, SWAP, EYE2, SWAP]
         return sk.build_skew_algebra(sk.validate_system(c4, [ring], maps))
     raise ParameterOutOfRange(f"unknown named system {name!r}")
 
@@ -391,7 +332,7 @@ def _find_invertible_pair(
     for idx in order:
         p = vectors[idx]
         L = ring.left_mul_matrix(p)
-        q = solve_row(L, one.vec, ring.modulus)
+        q = solve_row(L, one.coords, ring.modulus)
         if q is None:
             continue
         pe = ring.element(p)
@@ -590,7 +531,7 @@ def _matrix_grading_m2(m: int) -> gr.Grading:
     pair = cat.build_MX(MONOID_TABLES["c1"], 2)
     # morphism (x, y) reads as the arrow y -> x and carries span{E_{(x+1)(y+1)}};
     # the lexicographic morphism order matches the matrix-unit label order
-    comps = [ring.span([np.eye(4, dtype=np.int64)[g]]) for g in range(4)]
+    comps = [ring.span([ring.basis_element(g).coords]) for g in range(4)]
     return gr.attach_grading(ring, pair, comps)
 
 
@@ -612,10 +553,10 @@ def _suite_gradings(seed: int) -> list[GradingInstance]:
     z22 = fr.direct_product([cyclic_ring(2), cyclic_ring(2)])
     pair = cat.build_MX(MONOID_TABLES["c1"], 2)
     comps = [
-        z22.span([np.array([1, 0])]),
+        z22.span([(1, 0)]),
         z22.zero_subgroup(),
         z22.zero_subgroup(),
-        z22.span([np.array([0, 1])]),
+        z22.span([(0, 1)]),
     ]
     out.append(GradingInstance("diagonal_pair_z2z2", gr.attach_grading(z22, pair, comps)))
     # triangular ring graded by the pair groupoid with one cross component
@@ -623,10 +564,10 @@ def _suite_gradings(seed: int) -> list[GradingInstance]:
     # hom-set-strongly graded (one opposed hom-component vanishes)
     t2 = upper_triangular_ring(2, 2)
     comps_t = [
-        t2.span([np.array([1, 0, 0])]),  # endo at 0: E11
-        t2.span([np.array([0, 1, 0])]),  # arrow 1 -> 0: E12
-        t2.zero_subgroup(),              # arrow 0 -> 1: zero
-        t2.span([np.array([0, 0, 1])]),  # endo at 1: E22
+        t2.span([(1, 0, 0)]),  # endo at 0: E11
+        t2.span([(0, 1, 0)]),  # arrow 1 -> 0: E12
+        t2.zero_subgroup(),    # arrow 0 -> 1: zero
+        t2.span([(0, 0, 1)]),  # endo at 1: E22
     ]
     out.append(GradingInstance("lopsided_pair_t2", gr.attach_grading(t2, pair, comps_t)))
     for inst in _suite_prop53(seed):
@@ -687,8 +628,8 @@ def _mutate_ring(ring: fr.FiniteRing, mutation: Mutation) -> MutatedInstance:
         rng.shuffle(order)
         for (i, j, k) in order:
             for delta in range(1, ring.modulus):
-                sc = np.array(ring.sc)
-                sc[i, j, k] = (sc[i, j, k] + delta) % ring.modulus
+                sc = [[list(cell) for cell in row] for row in ring.constants]
+                sc[i][j][k] = (sc[i][j][k] + delta) % ring.modulus
                 try:
                     fr.make_ring(ring.modulus, n, sc, ring.basis_labels)
                 except NotAssociative:
@@ -704,7 +645,7 @@ def _mutate_ring(ring: fr.FiniteRing, mutation: Mutation) -> MutatedInstance:
                     continue
         raise CannotTarget("no single-entry perturbation breaks associativity")
     if mutation.target == "ShapeMismatch":
-        bad = np.array(ring.sc).reshape(-1)[:-1]
+        bad = [c for row in ring.constants for cell in row for c in cell][:-1]
 
         def revalidate(data=bad):
             return fr.make_ring(ring.modulus, ring.rank, data, ring.basis_labels)
@@ -712,7 +653,7 @@ def _mutate_ring(ring: fr.FiniteRing, mutation: Mutation) -> MutatedInstance:
         return MutatedInstance(mutation.description, ShapeMismatch, bad, revalidate)
     if mutation.target == "ModulusTooSmall":
         def revalidate():
-            return fr.make_ring(1, ring.rank, np.array(ring.sc) % 1, ring.basis_labels)
+            return fr.make_ring(1, ring.rank, ring.constants, ring.basis_labels)
 
         return MutatedInstance(mutation.description, ModulusTooSmall, 1, revalidate)
     raise CannotTarget(f"ring mutation cannot target {mutation.target}")
@@ -761,18 +702,20 @@ def _mutate_category(c: cat.SmallCategory, mutation: Mutation) -> MutatedInstanc
     from .errors import CompositionDomainMismatch, IdentityLawViolation, NotAssociative
 
     target = mutation.target
-    table = np.array(c.compose)
+    q = c.morphism_count
+    table = [[c.compose[g, h] for h in range(q)] for g in range(q)]
+    pairs = [(g, h) for g in range(q) for h in range(q)]
+    undef = [(g, h) for g, h in pairs if table[g][h] == cat.UNDEFINED]
+    defined = [(g, h) for g, h in pairs if table[g][h] != cat.UNDEFINED]
     if target == "CompositionDomainMismatch":
-        undef = np.argwhere(table == cat.UNDEFINED)
-        if len(undef):
-            g, h = (int(x) for x in undef[0])
-            table[g, h] = 0
+        if undef:
+            g, h = undef[0]
+            table[g][h] = 0
         else:
-            defined = np.argwhere(table != cat.UNDEFINED)
-            if not len(defined):
+            if not defined:
                 raise CannotTarget("no table entries to perturb")
-            g, h = (int(x) for x in defined[0])
-            table[g, h] = cat.UNDEFINED
+            g, h = defined[0]
+            table[g][h] = cat.UNDEFINED
         expected = CompositionDomainMismatch
     elif target == "IdentityLawViolation":
         # misdirect one identity composite to a parallel morphism so the
@@ -794,21 +737,20 @@ def _mutate_category(c: cat.SmallCategory, mutation: Mutation) -> MutatedInstanc
         if choice is None:
             raise CannotTarget("all hom-sets are singletons; endpoints would break first")
         e, h, w = choice
-        table[e, h] = w
+        table[e][h] = w
         expected = IdentityLawViolation
     elif target == "NotAssociative":
         rng = _rng("mut-cat-assoc", mutation.seed)
-        defined = [tuple(int(v) for v in x) for x in np.argwhere(table != cat.UNDEFINED)]
         rng.shuffle(defined)
         for (g, h) in defined:
-            current = int(table[g, h])
+            current = table[g][h]
             for repl in range(c.morphism_count):
                 if repl == current:
                     continue
                 if c.dom[repl] != c.dom[h] or c.cod[repl] != c.cod[g]:
                     continue
-                cand = np.array(table)
-                cand[g, h] = repl
+                cand = [list(row) for row in table]
+                cand[g][h] = repl
                 try:
                     cat.make_category(c.object_count, c.dom, c.cod, c.identity, cand)
                 except NotAssociative:
@@ -832,22 +774,21 @@ def _mutate_system(system: sk.SkewCategorySystem, mutation: Mutation) -> Mutated
     from .errors import IdentityNotIdentity, NotFunctorial, NotRingIso
 
     c = system.category
-    maps = [np.array(M) for M in system.maps]
+    maps = list(system.maps)
     target = mutation.target
     if target == "IdentityNotIdentity":
         a = 0
         e = c.identity[a]
         n = system.object_rings[a].rank
-        perm = np.eye(n, dtype=np.int64)
         if n >= 2:
-            perm[[0, 1]] = perm[[1, 0]]
-            maps[e] = perm
+            eye = maps[e]  # the identity map of a validated system
+            maps[e] = (eye[1], eye[0]) + eye[2:]
             expected = IdentityNotIdentity
         else:
             raise CannotTarget("rank-1 object ring admits only the identity map")
     elif target == "NotRingIso":
         g = next((g for g in range(c.morphism_count)), None)
-        maps[g] = np.zeros_like(maps[g])
+        maps[g] = tuple((0,) * len(row) for row in maps[g])
         expected = NotRingIso
     elif target == "NotFunctorial":
         # replace one non-identity map by the identity; accept the first
@@ -855,10 +796,10 @@ def _mutate_system(system: sk.SkewCategorySystem, mutation: Mutation) -> Mutated
         for g in range(c.morphism_count):
             if g in c.identity:
                 continue
-            eye = np.eye(maps[g].shape[0], dtype=np.int64)
-            if np.array_equal(maps[g], eye):
+            eye = _identity_matrix(len(maps[g]))
+            if maps[g] == eye:
                 continue
-            cand = [np.array(M) for M in maps]
+            cand = list(maps)
             cand[g] = eye
             try:
                 sk.validate_system(c, system.object_rings, cand)
@@ -933,10 +874,8 @@ def mutation_matrix() -> list[tuple[str, MutatedInstance]]:
     c2 = cat.build_MX(MONOID_TABLES["c2"], 1)
     c4 = cat.build_MX(MONOID_TABLES["c4"], 1)
     z33 = fr.direct_product([cyclic_ring(3), cyclic_ring(3)])
-    swap = np.array([[0, 1], [1, 0]])
-    eye = np.eye(2, dtype=np.int64)
-    system2 = sk.validate_system(c2, [z33], [eye, swap])
-    system4 = sk.validate_system(c4, [z33], [eye, swap, eye, swap])
+    system2 = sk.validate_system(c2, [z33], [EYE2, SWAP])
+    system4 = sk.validate_system(c4, [z33], [EYE2, SWAP, EYE2, SWAP])
     grading = _matrix_grading_m2(2)
 
     cases = [

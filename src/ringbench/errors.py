@@ -30,17 +30,24 @@ class ModulusTooSmall(WorkbenchError):
     """Coefficient modulus must be at least 2."""
 
 
-class ModulusTooLarge(WorkbenchError):
-    """Coefficient modulus too large for exact int64 arithmetic at this rank."""
-
-
 class RankTooLarge(WorkbenchError):
-    """Ring rank above the cap that bounds the associativity check's memory."""
+    """Ring rank above the cap that bounds what is allocated before a ring
+    is validated."""
 
     def __init__(self, rank: int, cap: int):
         self.rank = rank
         self.cap = cap
         super().__init__(f"rank {rank} exceeds the cap of {cap}")
+
+
+class WorkTooLarge(WorkbenchError):
+    """The associativity check would take more steps than its cap; counted
+    from the nonzero structure constants before the check runs."""
+
+    def __init__(self, work: int, cap: int):
+        self.work = work
+        self.cap = cap
+        super().__init__(f"associativity check needs {work} steps, above the cap of {cap}")
 
 
 class ModulusMismatch(WorkbenchError):
@@ -147,11 +154,6 @@ class CategoryTooLarge(WorkbenchError):
 class NotAMonoid(WorkbenchError):
     """The supplied multiplication table is not an associative table with a
     two-sided identity; carries a witness."""
-
-
-class NotAGroup(WorkbenchError):
-    """A group-only predicate was requested for a non-group endomorphism
-    monoid."""
 
 
 # ---------------------------------------------------------------------------

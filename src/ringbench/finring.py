@@ -5,6 +5,12 @@ bilinear extension of an n x n x n tensor of residues: basis products are
 b_i * b_j = sum_k c[i][j][k] b_k.  Associativity is verified on every basis
 triple before a ring is accepted, and rings need not be unital.
 
+All arithmetic runs on Python ints, so it is exact at every modulus.
+Elements and subgroup bases are tuples of residues, and every product inside
+the package goes through one kernel, FiniteRing._mul, which reads a sparse
+table of the nonzero structure constants.  Inputs from callers (structure
+constants, coordinates, generators) are read with int() and reduced mod m.
+
 Additive subgroups are kept in Howell normal form, which is a true canonical
 form over Z/m, so subgroup equality is decided by comparing bases.  One-sided
 ideals are generated nonunitally (the ideal of x is Z x + S x, never just
@@ -19,41 +25,61 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from . import howell, posets
 from .errors import (
     CornerNotFree,
     InvariantViolation,
     LatticeTooLarge,
     ModulusMismatch,
-    ModulusTooLarge,
     ModulusTooSmall,
     NotAssociative,
     NotIdempotent,
     RankTooLarge,
     RingMismatch,
     ShapeMismatch,
+    WorkTooLarge,
 )
 
 DEFAULT_LATTICE_CAP = 100_000
-# Associativity is checked on two rank^4 int64 tensors; at rank 48 each
-# stays under 43 MB.
+# Bounds what is allocated before a ring is validated: the parser reads
+# rank^3 constants, and a skew algebra fills a rank^3 table.
 MAX_RANK = 48
+# Steps the associativity check may take (associativity_work), checked before
+# it runs: about a second of work.  A ring whose constants are all nonzero
+# reaches it at rank 22; sparse rings stay far below it up to MAX_RANK.
+MAX_ASSOCIATIVITY_WORK = 10_000_000
 
 
 class FiniteRing:
     """A structure-constant algebra over Z/m.  Construct via make_ring."""
 
-    __slots__ = ("modulus", "rank", "basis_labels", "sc", "_sc_flat")
+    __slots__ = ("modulus", "rank", "basis_labels", "constants", "_table", "_basis_rows")
 
-    def __init__(self, modulus: int, rank: int, sc: np.ndarray, basis_labels: tuple[str, ...]):
-        self.modulus = int(modulus)
-        self.rank = int(rank)
-        self.sc = sc
-        self.sc.setflags(write=False)
+    def __init__(self, modulus: int, rank: int, constants, basis_labels: tuple[str, ...]):
+        """``constants`` holds the residues c[i][j][k] as nested tuples."""
+        self.modulus = modulus
+        self.rank = rank
+        self.constants = constants
         self.basis_labels = basis_labels
-        self._sc_flat = sc.reshape(rank, rank * rank) if rank else sc.reshape(0, 0)
+        # the nonzero (k, c[i][j][k]) of each basis product b_i * b_j
+        self._table = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
+            for row in constants
+        )
+        self._basis_rows = tuple(
+            tuple(int(i == j) for j in range(rank)) for i in range(rank)
+        )
+
+    @property
+    def sc(self):
+        """The structure constants as a read-only int64 array of shape
+        (rank, rank, rank), built on each read for callers outside the
+        package; ``constants`` holds them exactly."""
+        import numpy as np
+
+        array = np.array(self.constants, dtype=np.int64).reshape((self.rank,) * 3)
+        array.setflags(write=False)
+        return array
 
     # -- basic data ---------------------------------------------------------
 
@@ -66,12 +92,16 @@ class FiniteRing:
 
     # -- elements ------------------------------------------------------------
 
+    def _residues(self, coords) -> tuple[int, ...]:
+        m = self.modulus
+        return tuple([int(c) % m for c in coords])
+
     def element(self, coords: Sequence[int]) -> "RingElement":
         if len(coords) != self.rank:
             raise ShapeMismatch(
                 f"expected {self.rank} coordinates, got {len(coords)}"
             )
-        return RingElement(self, tuple(int(c) % self.modulus for c in coords))
+        return RingElement(self, self._residues(coords))
 
     def zero(self) -> "RingElement":
         return RingElement(self, (0,) * self.rank)
@@ -79,63 +109,69 @@ class FiniteRing:
     def basis_element(self, i: int) -> "RingElement":
         if not 0 <= i < self.rank:
             raise ShapeMismatch(f"basis index {i} out of range")
-        return RingElement(self, tuple(1 if j == i else 0 for j in range(self.rank)))
+        return RingElement(self, self._basis_rows[i])
 
     def basis(self) -> list["RingElement"]:
-        return [self.basis_element(i) for i in range(self.rank)]
+        return [RingElement(self, b) for b in self._basis_rows]
 
-    def element_vectors(self) -> Iterator[np.ndarray]:
+    def element_vectors(self) -> Iterator[tuple[int, ...]]:
         """All coordinate vectors, in lexicographic order."""
-        for coords in itertools.product(range(self.modulus), repeat=self.rank):
-            yield np.asarray(coords, dtype=np.int64)
+        return itertools.product(range(self.modulus), repeat=self.rank)
 
     def elements(self) -> Iterator["RingElement"]:
         for v in self.element_vectors():
-            yield RingElement(self, tuple(int(c) for c in v))
+            yield RingElement(self, v)
 
     # -- arithmetic on raw vectors -------------------------------------------
 
-    def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros(0, dtype=np.int64)
-        t = (np.asarray(x) @ self._sc_flat).reshape(self.rank, self.rank)
-        return (np.asarray(y) @ t) % self.modulus
+    def _mul(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        """x * y for vectors of residues: the one product kernel."""
+        table = self._table
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        out = [0] * self.rank
+        for i, a in enumerate(x):
+            if a:
+                row = table[i]
+                for j, b in ys:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] += ab * c
+        m = self.modulus
+        return tuple([v % m for v in out])
 
-    def left_mul_matrix(self, x: np.ndarray) -> np.ndarray:
+    def mul_vec(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        return self._mul(self._residues(x), self._residues(y))
+
+    def left_mul_matrix(self, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Matrix of y -> x * y acting on row vectors: row j is x * b_j."""
-        if self.rank == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        return (x @ self._sc_flat).reshape(self.rank, self.rank) % self.modulus
+        x = self._residues(x)
+        return tuple(self._mul(x, b) for b in self._basis_rows)
 
-    def right_mul_matrix(self, x: np.ndarray) -> np.ndarray:
+    def right_mul_matrix(self, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Matrix of y -> y * x acting on row vectors: row i is b_i * x."""
-        if self.rank == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.tensordot(self.sc, x, axes=([1], [0])) % self.modulus
+        x = self._residues(x)
+        return tuple(self._mul(b, x) for b in self._basis_rows)
 
-    def sandwich(self, x: np.ndarray, y: np.ndarray) -> "AdditiveSubgroup":
+    def sandwich(self, x: Sequence[int], y: Sequence[int]) -> "AdditiveSubgroup":
         """The subgroup x S y, spanned by x * b_l * y over the basis."""
-        return self.span((self.left_mul_matrix(x) @ self.right_mul_matrix(y)) % self.modulus)
+        x, y, mul = self._residues(x), self._residues(y), self._mul
+        return self.span([mul(mul(x, b), y) for b in self._basis_rows])
 
     # -- subgroups -----------------------------------------------------------
 
     def span(self, vectors: Iterable[Sequence[int]]) -> "AdditiveSubgroup":
-        """Subgroup generated by coordinate vectors: a 2-D array, or rows that
-        are arrays or sequences of ints."""
-        if isinstance(vectors, np.ndarray):
-            rows = vectors.tolist()
-        else:
-            rows = [v.tolist() if isinstance(v, np.ndarray) else v for v in vectors]
-        H = howell.howell_form(rows or np.zeros((0, self.rank), dtype=np.int64), self.modulus)
-        if H.shape[1] != self.rank:
-            raise ShapeMismatch(f"expected vectors of length {self.rank}, got {H.shape[1]}")
-        return AdditiveSubgroup(self, H)
+        """Subgroup generated by coordinate vectors (sequences of integers)."""
+        rows = list(vectors)
+        for v in rows:
+            if len(v) != self.rank:
+                raise ShapeMismatch(f"expected vectors of length {self.rank}, got {len(v)}")
+        return AdditiveSubgroup(self, howell.howell_form(rows, self.modulus))
 
     def zero_subgroup(self) -> "AdditiveSubgroup":
         return self.span([])
 
     def full_subgroup(self) -> "AdditiveSubgroup":
-        return self.span(np.eye(self.rank, dtype=np.int64))
+        return self.span(self._basis_rows)
 
 
 @dataclass(frozen=True)
@@ -148,10 +184,6 @@ class RingElement:
 
     ring: FiniteRing
     coords: tuple[int, ...]
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=np.int64)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -181,8 +213,7 @@ class RingElement:
             m = self.ring.modulus
             return RingElement(self.ring, tuple((a * other) % m for a in self.coords))
         self._check(other)
-        prod = self.ring.mul_vec(self.vec, other.vec)
-        return RingElement(self.ring, tuple(int(c) for c in prod))
+        return RingElement(self.ring, self.ring.mul_vec(self.coords, other.coords))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -206,20 +237,27 @@ class AdditiveSubgroup:
 
     Two subgroups of the same ring are equal iff their canonical bases are
     identical; membership testing by reduction against the basis is sound
-    and complete.
+    and complete.  ``rows`` is the canonical basis, as tuples of residues.
     """
 
-    __slots__ = ("ring", "basis", "order", "_rows", "_leads", "_key")
+    __slots__ = ("ring", "rows", "order", "_leads", "_key")
 
-    def __init__(self, ring: FiniteRing, basis: np.ndarray):
+    def __init__(self, ring: FiniteRing, rows: tuple[tuple[int, ...], ...]):
         self.ring = ring
-        self.basis = basis
-        self.basis.setflags(write=False)
-        rows = basis.tolist()
-        self._rows = rows
+        self.rows = rows
         self._leads = howell.leading_entries(rows)
         self.order = math.prod(ring.modulus // p for _, p in self._leads)
         self._key = (len(rows),) + tuple(itertools.chain.from_iterable(rows))
+
+    @property
+    def basis(self):
+        """The canonical basis as a read-only int64 array with ``rank``
+        columns, built on each read for callers outside the package."""
+        import numpy as np
+
+        array = np.array(self.rows, dtype=np.int64).reshape(len(self.rows), self.ring.rank)
+        array.setflags(write=False)
+        return array
 
     @property
     def key(self) -> tuple:
@@ -234,14 +272,14 @@ class AdditiveSubgroup:
             if x.ring is not self.ring:
                 raise RingMismatch("element bound to a different ring")
             x = x.coords
-        return howell.contains_vector(self._rows, x, self.ring.modulus, self._leads)
+        return howell.contains_vector(self.rows, x, self.ring.modulus, self._leads)
 
-    def element_vectors(self) -> Iterator[np.ndarray]:
-        return howell.span_elements(self.basis, self.ring.modulus)
+    def element_vectors(self) -> Iterator[tuple[int, ...]]:
+        return howell.span_elements(self.rows, self.ring.modulus, self.ring.rank)
 
     def elements(self) -> Iterator[RingElement]:
         for v in self.element_vectors():
-            yield RingElement(self.ring, tuple(int(c) for c in v))
+            yield RingElement(self.ring, v)
 
     def _check(self, other: "AdditiveSubgroup") -> None:
         if other.ring is not self.ring:
@@ -259,21 +297,14 @@ class AdditiveSubgroup:
 
     def __le__(self, other: "AdditiveSubgroup") -> bool:
         self._check(other)
-        return all(other.contains(row) for row in self._rows)
+        return all(other.contains(row) for row in self.rows)
 
     def __lt__(self, other: "AdditiveSubgroup") -> bool:
         return self.order < other.order and self <= other
 
     def join(self, other: "AdditiveSubgroup") -> "AdditiveSubgroup":
         self._check(other)
-        return self.ring.span(self._rows + other._rows)
-
-    def meet(self, other: "AdditiveSubgroup") -> "AdditiveSubgroup":
-        """Intersection, by filtering the smaller subgroup's elements."""
-        self._check(other)
-        small, big = (self, other) if self.order <= other.order else (other, self)
-        rows = [v for v in small.element_vectors() if big.contains(v)]
-        return self.ring.span(rows)
+        return self.ring.span(self.rows + other.rows)
 
     def __repr__(self) -> str:
         return f"AdditiveSubgroup(order {self.order} of {self.ring!r})"
@@ -287,17 +318,66 @@ def product_subgroup(a: AdditiveSubgroup, b: AdditiveSubgroup) -> AdditiveSubgro
     """
     if a.ring is not b.ring:
         raise RingMismatch("subgroups bound to different rings")
-    ring = a.ring
-    if a.basis.shape[0] == 0 or b.basis.shape[0] == 0:
-        return ring.zero_subgroup()
-    # rows[r, s] = a.basis[r] * b.basis[s]
-    t = np.einsum("ri,ijk->rjk", a.basis, ring.sc)
-    prods = np.einsum("rjk,sj->rsk", t, b.basis) % ring.modulus
-    return ring.span(prods.reshape(-1, ring.rank))
+    mul = a.ring._mul
+    return a.ring.span([mul(x, y) for x in a.rows for y in b.rows])
 
 
 # ---------------------------------------------------------------------------
 # ring construction
+
+
+def _residue_table(data, rank: int, m: int):
+    """Structure constants of shape (rank, rank, rank) as nested tuples of
+    residues; ShapeMismatch for any other shape."""
+    try:
+        if len(data) == rank and all(
+            len(row) == rank and all(len(cell) == rank for cell in row) for row in data
+        ):
+            return tuple(
+                tuple(tuple([int(c) % m for c in cell]) for cell in row) for row in data
+            )
+    except TypeError:  # a row or cell that is no sequence, or a constant that is
+        pass
+    raise ShapeMismatch(f"structure constants must have shape {(rank, rank, rank)}")
+
+
+def associativity_work(ring: FiniteRing) -> int:
+    """Steps the associativity check takes, counted from the nonzero pattern
+    in time linear in its size: one per basis triple (i, j, k), plus one per
+    product of two nonzero constants.  The left sides multiply every nonzero
+    c[i][j][l] by each nonzero c[l][k][t]; the right sides multiply every
+    nonzero c[j][k][l] by each nonzero c[i][l][t]."""
+    n, table = ring.rank, ring._table
+    first = [0] * n  # nonzero constants c[l][k][t], by l
+    second = [0] * n  # nonzero constants c[i][l][t], by l
+    for i, row in enumerate(table):
+        for j, cell in enumerate(row):
+            first[i] += len(cell)
+            second[j] += len(cell)
+    return n**3 + sum(
+        first[l] + second[l] for row in table for cell in row for l, _ in cell
+    )
+
+
+def _first_nonassociative_triple(ring: FiniteRing) -> tuple[int, int, int] | None:
+    """The first basis triple (i, j, k) in lexicographic order with
+    (b_i b_j) b_k != b_i (b_j b_k), or None."""
+    n, m, table = ring.rank, ring.modulus, ring._table
+    for i in range(n):
+        row_i = table[i]
+        for j in range(n):
+            ij, row_j = row_i[j], table[j]
+            for k in range(n):
+                diff: dict[int, int] = {}
+                for l, c in ij:  # (b_i b_j) b_k
+                    for t, d in table[l][k]:
+                        diff[t] = diff.get(t, 0) + c * d
+                for l, c in row_j[k]:  # minus b_i (b_j b_k)
+                    for t, d in row_i[l]:
+                        diff[t] = diff.get(t, 0) - c * d
+                if any(v % m for v in diff.values()):
+                    return i, j, k
+    return None
 
 
 def _build_ring(
@@ -306,27 +386,14 @@ def _build_ring(
     structure_constants,
     basis_labels: Sequence[str] | None,
 ) -> FiniteRing:
+    modulus, rank = int(modulus), int(rank)
     if modulus < 2:
         raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
     if rank < 0:
         raise ShapeMismatch(f"rank must be >= 0, got {rank}")
     if rank > MAX_RANK:
         raise RankTooLarge(rank, MAX_RANK)
-    # products are reduced only after each einsum; the largest unreduced
-    # intermediate, rank^2 * (m-1)^3 in mul_vec and product_subgroup, must fit
-    if rank * rank * (modulus - 1) ** 3 >= 2**63:
-        raise ModulusTooLarge(
-            f"modulus {modulus} at rank {rank}: rank^2 * (modulus-1)^3 must stay below 2^63"
-        )
-    sc = np.asarray(structure_constants)
-    if sc.dtype.kind not in "iu":
-        # numpy keeps ints beyond int64 as objects or floats: reduce exactly
-        sc = np.array(structure_constants, dtype=object)
-    if sc.shape != (rank, rank, rank):
-        raise ShapeMismatch(
-            f"structure constants must have shape {(rank, rank, rank)}, got {sc.shape}"
-        )
-    sc = (sc % modulus).astype(np.int64, copy=False)
+    constants = _residue_table(structure_constants, rank, modulus)
     if basis_labels is None:
         basis_labels = tuple(f"b{i}" for i in range(rank))
     else:
@@ -335,14 +402,14 @@ def _build_ring(
             raise ShapeMismatch(
                 f"expected {rank} basis labels, got {len(basis_labels)}"
             )
-    if rank:
-        left = np.einsum("ijl,lkm->ijkm", sc, sc) % modulus
-        right = np.einsum("jkl,ilm->ijkm", sc, sc) % modulus
-        bad = np.argwhere((left != right).any(axis=3))
-        if bad.size:
-            i, j, k = (int(x) for x in bad[0])
-            raise NotAssociative((i, j, k))
-    return FiniteRing(modulus, rank, sc, basis_labels)
+    ring = FiniteRing(modulus, rank, constants, basis_labels)
+    work = associativity_work(ring)
+    if work > MAX_ASSOCIATIVITY_WORK:
+        raise WorkTooLarge(work, MAX_ASSOCIATIVITY_WORK)
+    bad = _first_nonassociative_triple(ring)
+    if bad is not None:
+        raise NotAssociative(bad)
+    return ring
 
 
 def make_ring(
@@ -404,7 +471,7 @@ def span_subgroup(ring: FiniteRing, generators: Sequence[RingElement]) -> Additi
     for g in generators:
         if g.ring is not ring:
             raise RingMismatch("generator bound to a different ring")
-    return ring.span([g.vec for g in generators])
+    return ring.span([g.coords for g in generators])
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,35 +504,22 @@ def closed_under(ring: FiniteRing, subgroup: AdditiveSubgroup, side: str) -> boo
     _check_side(side)
     if subgroup.ring is not ring:
         raise RingMismatch("subgroup bound to a different ring")
-    V = subgroup.basis
-    if V.shape[0] == 0:
-        return True
+    mul, rows = ring._mul, subgroup.rows
     if side == "left":
-        prods = np.einsum("rj,ljk->lrk", V, ring.sc) % ring.modulus
+        prods = (mul(b, r) for b in ring._basis_rows for r in rows)
     else:
-        prods = np.einsum("rj,jlk->lrk", V, ring.sc) % ring.modulus
-    return all(subgroup.contains(row) for row in prods.reshape(-1, ring.rank).tolist())
+        prods = (mul(r, b) for b in ring._basis_rows for r in rows)
+    return all(subgroup.contains(p) for p in prods)
 
 
-def _principal_generators(ring: FiniteRing, acting: np.ndarray, side: str):
+def _principal_generators(ring: FiniteRing, acting, side: str):
     """The map x -> generator rows of Z x + A x (left) or Z x + x A (right),
-    for A spanned by the rows of ``acting``.
-
-    The products of x with every row of A are read off one product matrix,
-    built once here, so each element costs a single vector-matrix product.
-    """
+    for A spanned by the rows ``acting``."""
     _check_side(side)
-    n, m, a = ring.rank, ring.modulus, acting.shape[0]
-    if side == "left":  # (w x)_k = sum_ij w_i x_j c_ijk
-        P = np.einsum("wi,ijk->jwk", acting, ring.sc)
-    else:  # (x w)_k = sum_ij x_i w_j c_ijk
-        P = np.einsum("wj,ijk->iwk", acting, ring.sc)
-    P = P.reshape(n, a * n) % m
-
-    def generators(x: np.ndarray) -> list:
-        return [x.tolist()] + ((x @ P) % m).reshape(a, n).tolist()
-
-    return generators
+    mul = ring._mul
+    if side == "left":
+        return lambda x: [x] + [mul(w, x) for w in acting]
+    return lambda x: [x] + [mul(x, w) for w in acting]
 
 
 def one_sided_ideal_closure(
@@ -476,12 +530,12 @@ def one_sided_ideal_closure(
     The ring may lack a unit, so the ideal of x is Z x + S x (or x S): the
     additive span of each generator together with its basis multiples.
     """
-    principal = _principal_generators(ring, np.eye(ring.rank, dtype=np.int64), side)
+    principal = _principal_generators(ring, ring._basis_rows, side)
     rows: list = []
     for g in generators:
         if g.ring is not ring:
             raise RingMismatch("generator bound to a different ring")
-        rows.extend(principal(g.vec))
+        rows.extend(principal(g.coords))
     subgroup = ring.span(rows)
     if not closed_under(ring, subgroup, side):
         raise InvariantViolation(f"generated {side} ideal is not closed under multiplication")
@@ -534,10 +588,10 @@ def join_closure(
 
 def submodule_lattice(
     acting: AdditiveSubgroup, ambient: AdditiveSubgroup, side: str, cap: int
-) -> tuple[list[AdditiveSubgroup], np.ndarray]:
+) -> tuple[list[AdditiveSubgroup], list[int]]:
     """All subgroups M of ``ambient`` with acting*M inside M (left) or
     M*acting inside M (right), sorted by (order, basis), and their strict
-    inclusion matrix.
+    inclusion relation as row bitsets (posets.strict_order_matrix).
 
     Every such M is a finite join of principal ones, Z x + acting*x (or
     Z x + x*acting) for x in ``ambient``; the principals are formed one
@@ -548,7 +602,7 @@ def submodule_lattice(
     if acting.ring is not ambient.ring:
         raise RingMismatch("subgroups bound to different rings")
     ring = ambient.ring
-    principal = _principal_generators(ring, acting.basis, side)
+    principal = _principal_generators(ring, acting.rows, side)
     subs = join_closure((ring.span(principal(x)) for x in ambient.element_vectors()), cap)
     return subs, posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
 
@@ -576,11 +630,8 @@ def enumerate_one_sided_ideals(
 # corners, products, identities
 
 
-def _additive_order(v: np.ndarray, m: int) -> int:
-    g = m
-    for x in v:
-        g = math.gcd(g, int(x))
-    return m // g
+def _additive_order(v: Sequence[int], m: int) -> int:
+    return m // math.gcd(m, *v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -596,39 +647,36 @@ class CornerRing:
     parent: FiniteRing
     idempotent: RingElement
     subgroup: AdditiveSubgroup
-    inclusion: np.ndarray
+    inclusion: tuple[tuple[int, ...], ...]
     _coord_index: dict
 
     def include(self, x: RingElement) -> RingElement:
         if x.ring is not self.ring:
             raise RingMismatch("element is not a corner element")
-        v = (x.vec @ self.inclusion) % self.parent.modulus if self.ring.rank else np.zeros(
-            self.parent.rank, dtype=np.int64
+        parent = self.parent
+        return parent.element(
+            howell.combine(x.coords, self.inclusion, parent.modulus, parent.rank)
         )
-        return self.parent.element(v)
 
     def project(self, x: RingElement) -> RingElement:
         """Corner coordinates of e*x*e."""
         if x.ring is not self.parent:
             raise RingMismatch("element is not a parent-ring element")
-        e = self.idempotent.vec
-        v = self.parent.mul_vec(self.parent.mul_vec(e, x.vec), e)
-        return self.ring.element(self._coord_index[tuple(int(c) for c in v)])
+        e = self.idempotent.coords
+        v = self.parent.mul_vec(self.parent.mul_vec(e, x.coords), e)
+        return self.ring.element(self._coord_index[v])
 
 
 def _free_module_structure(
     subgroup: AdditiveSubgroup,
-) -> tuple[int, int, np.ndarray]:
+) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     """Exponent, rank and a free basis of a subgroup that is free over
     Z/exponent; raises CornerNotFree otherwise."""
     ring = subgroup.ring
     m = ring.modulus
     if subgroup.order == 1:
-        return 1, 0, np.zeros((0, ring.rank), dtype=np.int64)
-    exponent = 1
-    for row in subgroup.basis:
-        o = _additive_order(row, m)
-        exponent = exponent * o // math.gcd(exponent, o)
+        return 1, 0, ()
+    exponent = math.lcm(*(_additive_order(row, m) for row in subgroup.rows))
     k = 0
     total = subgroup.order
     while total > 1:
@@ -638,7 +686,7 @@ def _free_module_structure(
             )
         total //= exponent
         k += 1
-    basis_rows: list[np.ndarray] = []
+    basis_rows = []
     span = ring.zero_subgroup()
     for v in subgroup.element_vectors():
         if span.order == subgroup.order:
@@ -653,7 +701,7 @@ def _free_module_structure(
         raise CornerNotFree(
             f"subgroup of order {subgroup.order} has no free basis over Z/{exponent}"
         )
-    return exponent, k, np.array(basis_rows, dtype=np.int64)
+    return exponent, k, tuple(basis_rows)
 
 
 def corner_ring(ring: FiniteRing, e: RingElement) -> CornerRing:
@@ -665,25 +713,20 @@ def corner_ring(ring: FiniteRing, e: RingElement) -> CornerRing:
         raise RingMismatch("idempotent bound to a different ring")
     if e * e != e:
         raise NotIdempotent(message=f"element {e.coords} is not idempotent")
-    subgroup = ring.sandwich(e.vec, e.vec)
+    subgroup = ring.sandwich(e.coords, e.coords)
 
     exponent, k, basis_rows = _free_module_structure(subgroup)
     if k == 0:
-        corner = FiniteRing(ring.modulus, 0, np.zeros((0, 0, 0), dtype=np.int64), ())
+        corner = FiniteRing(ring.modulus, 0, (), ())
         return CornerRing(corner, ring, e, subgroup, basis_rows, {(0,) * ring.rank: ()})
 
     coord_index: dict[tuple, tuple] = {}
     for coeffs in itertools.product(range(exponent), repeat=k):
-        v = (np.asarray(coeffs, dtype=np.int64) @ basis_rows) % ring.modulus
-        coord_index[tuple(int(c) for c in v)] = coeffs
+        coord_index[howell.combine(coeffs, basis_rows, ring.modulus, ring.rank)] = coeffs
     if len(coord_index) != subgroup.order:
         raise InvariantViolation("free basis does not reach every corner element")
 
-    sc = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            prod = ring.mul_vec(basis_rows[i], basis_rows[j])
-            sc[i, j] = coord_index[tuple(int(c) for c in prod)]
+    sc = [[coord_index[ring.mul_vec(x, y)] for y in basis_rows] for x in basis_rows]
     labels = tuple(f"c{i}" for i in range(k))
     corner = _build_ring(exponent, k, sc, labels)
     return CornerRing(corner, ring, e, subgroup, basis_rows, coord_index)
@@ -702,14 +745,15 @@ def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
                 f"moduli differ: {m} vs {r.modulus}"
             )
     total = sum(r.rank for r in rings)
-    sc = np.zeros((total, total, total), dtype=np.int64)
+    sc = [[[0] * total for _ in range(total)] for _ in range(total)]
     labels = []
     offset = 0
     for idx, r in enumerate(rings):
-        n = r.rank
-        sc[offset : offset + n, offset : offset + n, offset : offset + n] = r.sc
+        for i, row in enumerate(r.constants):
+            for j, cell in enumerate(row):
+                sc[offset + i][offset + j][offset : offset + r.rank] = cell
         labels.extend(f"p{idx}:{lab}" for lab in r.basis_labels)
-        offset += n
+        offset += r.rank
     return make_ring(m, total, sc, labels)
 
 
@@ -722,18 +766,20 @@ def find_identity(ring: FiniteRing) -> RingElement | None:
     n = ring.rank
     if n == 0 or ring.order == 1:
         return None
-    left_block = ring.sc.reshape(n, n * n)
-    right_block = ring.sc.transpose(1, 0, 2).reshape(n, n * n)
-    A = np.hstack([left_block, right_block])
-    target = np.hstack([np.eye(n, dtype=np.int64).reshape(-1)] * 2)
+    # row l: the coordinates of b_l * b_i, then of b_i * b_l, over every i
+    c = ring.constants
+    A = [
+        tuple(itertools.chain(*c[l], *(c[i][l] for i in range(n)))) for l in range(n)
+    ]
+    target = tuple(itertools.chain(*ring._basis_rows)) * 2
     x = howell.solve_row(A, target, ring.modulus)
     if x is None:
         return None
-    e = ring.element(x)
-    for b in ring.basis():
-        if e * b != b or b * e != b:
+    mul = ring._mul
+    for b in ring._basis_rows:
+        if mul(x, b) != b or mul(b, x) != b:
             raise InvariantViolation("solved identity fails the unit law")
-    return e
+    return RingElement(ring, x)
 
 
 def subring_identity(ring: FiniteRing, subgroup: AdditiveSubgroup) -> RingElement | None:
@@ -746,16 +792,8 @@ def subring_identity(ring: FiniteRing, subgroup: AdditiveSubgroup) -> RingElemen
         raise RingMismatch("subgroup bound to a different ring")
     if subgroup.order == 1:
         return None
-    rows = subgroup.basis
+    rows = subgroup.rows
     for u in subgroup.element_vectors():
-        ok = True
-        for v in rows:
-            if (ring.mul_vec(u, v) != v % ring.modulus).any() or (
-                ring.mul_vec(v, u) != v % ring.modulus
-            ).any():
-                ok = False
-                break
-        if ok:
-            return ring.element(u)
+        if all(ring.mul_vec(u, v) == v and ring.mul_vec(v, u) == v for v in rows):
+            return RingElement(ring, u)
     return None
-

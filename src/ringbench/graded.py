@@ -105,7 +105,7 @@ def attach_grading(
             if product.is_zero():
                 continue
             if category.is_composable(g, h):
-                target = comps[int(category.compose[g, h])]
+                target = comps[category.compose[g, h]]
                 if not product <= target:
                     witness = _product_witness(ring, comps[g], comps[h], target)
                     raise GradingViolation(g, h, witness)
@@ -118,11 +118,11 @@ def attach_grading(
 
 
 def _product_witness(ring, a, b, target):
-    for x in a.basis:
-        for y in b.basis:
+    for x in a.rows:
+        for y in b.rows:
             p = ring.mul_vec(x, y)
-            if p.any() and (target is None or not target.contains(p)):
-                return (tuple(int(v) for v in x), tuple(int(v) for v in y), tuple(int(v) for v in p))
+            if any(p) and (target is None or not target.contains(p)):
+                return x, y, p
     return None
 
 
@@ -152,13 +152,9 @@ def object_unital_check(grading: Grading) -> ObjectUnitalResult:
     for g in range(cat.morphism_count):
         uc = units[cat.cod[g]]
         ud = units[cat.dom[g]]
-        for x in grading.components[g].basis:
-            if (ring.mul_vec(uc.vec, x) != x % ring.modulus).any() or (
-                ring.mul_vec(x, ud.vec) != x % ring.modulus
-            ).any():
-                return ObjectUnitalResult(
-                    False, tuple(units), (g, tuple(int(v) for v in x), "unit law fails")
-                )
+        for x in grading.components[g].rows:
+            if ring.mul_vec(uc.coords, x) != x or ring.mul_vec(x, ud.coords) != x:
+                return ObjectUnitalResult(False, tuple(units), (g, x, "unit law fails"))
     return ObjectUnitalResult(True, tuple(units), None)
 
 
@@ -170,7 +166,7 @@ def strongly_graded_check(grading: Grading) -> bool:
         for h in range(cat.morphism_count):
             if not cat.is_composable(g, h):
                 continue
-            target = grading.components[int(cat.compose[g, h])]
+            target = grading.components[cat.compose[g, h]]
             if product_subgroup(grading.components[g], grading.components[h]) != target:
                 return False
     return True
@@ -198,7 +194,7 @@ def _sandwich_law(
     carries the pair and both subgroup orders."""
     for a in range(len(units)):
         for b in range(len(units)):
-            sandwich = ring.sandwich(units[a].vec, units[b].vec)
+            sandwich = ring.sandwich(units[a].coords, units[b].coords)
             if sandwich != hom[a][b]:
                 return False, ((a, b), sandwich.order, hom[a][b].order)
     return True, None

@@ -16,19 +16,18 @@ The subgroup spanned by a Howell matrix with pivot entries p_1, ..., p_k has
 exactly prod_i (m // p_i) elements, reached uniquely by coefficient tuples
 (c_1, ..., c_k) with 0 <= c_i < m // p_i.
 
-The matrices met here are small (mostly under 8 x 8), so the reduction runs
-on rows of plain Python ints, where numpy's per-call overhead would dominate.
-The transform U is built only when asked for, which only solve_row does.
-H is returned as an int64 array; the functions that read a Howell matrix
-take it either as that array or as its rows of ints.
+Every matrix here is a sequence of rows of Python ints, which are exact at
+any modulus; the matrices met are small (mostly under 8 x 8), where numpy's
+per-call overhead would dominate.  Inputs may be any sequences of integers
+(numpy arrays included): each entry is read with int() and reduced mod m.
+Results are tuples of int rows.  The transform U is built only when asked
+for, which only solve_row does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-
-import numpy as np
 
 from .errors import InvariantViolation
 
@@ -68,29 +67,27 @@ def stabilizing_unit(a: int, m: int) -> int:
     return pow(t % m, -1, m)
 
 
-def _ints(a):
-    """An ndarray as (nested) lists of ints; any other sequence as it is."""
-    return a.tolist() if isinstance(a, np.ndarray) else a
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def howell_complete(
-    mat, m: int, transform: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def combine(coeffs, rows, m: int, n: int) -> tuple[int, ...]:
+    """The combination sum_i coeffs[i] * rows[i] mod m of rows of length n."""
+    out = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    return tuple([a % m for a in out])
+
+
+def howell_complete(mat, m: int, transform: bool = True) -> tuple[Matrix, Matrix | None]:
     """Howell form H of the row span of ``mat`` over Z/m, plus a transform U
-    with (U @ mat) % m == H, or None for U when ``transform`` is false.
+    with U @ mat == H mod m, or None for U when ``transform`` is false.
 
-    ``mat`` is a 2-D array or a list of equal-length rows of ints; it may
-    have zero rows (an empty list then means zero columns) and is never
-    modified.
+    ``mat`` is a sequence of equal-length rows of integers; it may have zero
+    rows (zero columns then) and is never modified.
     """
-    if isinstance(mat, np.ndarray):
-        if mat.ndim != 2:
-            raise ValueError("expected a 2-D generator matrix")
-        n = mat.shape[1]
-        mat = mat.astype(np.int64, copy=False).tolist()
-    else:
-        n = len(mat[0]) if len(mat) else 0
-    rows = [[x % m for x in row] for row in mat]
+    rows = [[int(x) % m for x in row] for row in mat]
+    n = len(rows[0]) if rows else 0
     if not set(map(len, rows)) <= {n}:
         raise ValueError("generator rows differ in length")
     k = len(rows)
@@ -143,12 +140,12 @@ def howell_complete(
     for i in range(r, len(rows)):
         if any(rows[i]):
             raise InvariantViolation("nonzero row escaped Howell reduction")
-    H = np.array(rows[:r], dtype=np.int64).reshape(r, n)
-    U = np.array(urows[:r], dtype=np.int64).reshape(r, k) if transform else None
+    H = tuple(map(tuple, rows[:r]))
+    U = tuple(map(tuple, urows[:r])) if transform else None
     return H, U
 
 
-def howell_form(mat, m: int) -> np.ndarray:
+def howell_form(mat, m: int) -> Matrix:
     return howell_complete(mat, m, transform=False)[0]
 
 
@@ -156,7 +153,7 @@ def leading_entries(H) -> list[tuple[int, int]]:
     """(column, entry) of the first nonzero entry of each row of a Howell
     matrix: its pivots."""
     leads = []
-    for row in _ints(H):
+    for row in H:
         p = next(filter(None, row))
         leads.append((row.index(p), p))  # only zeros come before p
     return leads
@@ -171,15 +168,14 @@ def reduce_vector(H, v, m: int, leads=None) -> tuple[list[int], list[int]]:
     """Greedy reduction of v against a Howell-form matrix.
 
     Returns (residual, coeffs) as lists of ints; the residual is zero exactly
-    when v lies in the row span, in which case v == (coeffs @ H) % m.
+    when v lies in the row span, in which case v == coeffs @ H mod m.
     ``leads`` is ``leading_entries(H)``, for a caller that keeps it.
     """
-    rows = _ints(H)
     if leads is None:
-        leads = leading_entries(rows)
-    w = [x % m for x in _ints(v)]
-    coeffs = [0] * len(rows)
-    for i, ((c, p), row) in enumerate(zip(leads, rows)):
+        leads = leading_entries(H)
+    w = [int(x) % m for x in v]
+    coeffs = [0] * len(H)
+    for i, ((c, p), row) in enumerate(zip(leads, H)):
         q, rem = divmod(w[c], p)
         if q and not rem:
             w = [(x - q * y) % m for x, y in zip(w, row)]
@@ -192,24 +188,25 @@ def contains_vector(H, v, m: int, leads=None) -> bool:
     return not any(residual)
 
 
-def span_elements(H: np.ndarray, m: int):
-    """All elements of the row span, in lexicographic coefficient order."""
-    n = H.shape[1]
-    if len(H) == 0:
-        yield np.zeros(n, dtype=np.int64)
-        return
-    ranges = [range(m // p) for _, p in leading_entries(H)]
-    for coeffs in itertools.product(*ranges):
-        yield (np.asarray(coeffs, dtype=np.int64) @ H) % m
+def span_elements(H, m: int, n: int):
+    """All elements of the row span of a Howell matrix with n columns, as
+    tuples, in lexicographic coefficient order."""
+    multiples = [
+        [tuple([c * x % m for x in row]) for c in range(m // p)]
+        for row, (_, p) in zip(H, leading_entries(H))
+    ]
+    zero = (0,) * n
+    for combo in itertools.product(*multiples):
+        yield tuple([sum(col) % m for col in zip(zero, *combo)])
 
 
-def solve_row(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray | None:
-    """A row vector x with (x @ A) % m == b, or None when none exists."""
+def solve_row(A, b, m: int) -> tuple[int, ...] | None:
+    """A row vector x with x @ A == b mod m, or None when none exists."""
     H, U = howell_complete(A, m)
     residual, coeffs = reduce_vector(H, b, m)
     if any(residual):
         return None
-    x = (np.array(coeffs, dtype=np.int64) @ U) % m
-    if ((x @ A - b) % m).any():
+    x = combine(coeffs, U, m, len(A))
+    if combine(x, A, m, len(residual)) != tuple(int(v) % m for v in b):
         raise InvariantViolation("solution does not satisfy the system")
     return x

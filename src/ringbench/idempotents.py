@@ -16,9 +16,8 @@ checkable fact on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 from . import posets, strength
 from .errors import (
@@ -59,8 +58,8 @@ class IdempotentSet:
 
 def _one_sided_multiples(ring: FiniteRing, e: RingElement, side: str) -> AdditiveSubgroup:
     if side == "left":  # S e
-        return ring.span(ring.right_mul_matrix(e.vec))
-    return ring.span(ring.left_mul_matrix(e.vec))  # e S
+        return ring.span(ring.right_mul_matrix(e.coords))
+    return ring.span(ring.left_mul_matrix(e.coords))  # e S
 
 
 def validate_complete_set(
@@ -104,7 +103,7 @@ def validate_complete_set(
 
 def _components(iset: IdempotentSet) -> list[list[AdditiveSubgroup]]:
     ring = iset.ring
-    return [[ring.sandwich(ei.vec, ej.vec) for ej in iset.elements] for ei in iset.elements]
+    return [[ring.sandwich(ei.coords, ej.coords) for ej in iset.elements] for ei in iset.elements]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +122,12 @@ class PeirceTable:
 
     def component(self, i: int, j: int) -> AdditiveSubgroup:
         return self.components[i][j]
+
+    @cached_property
+    def strong(self) -> bool:
+        """The condition-3 verdict, evaluated once per table on first use."""
+        verdict, _ = strength.condition3(_strength_table(self.components, self.iset.elements))
+        return verdict
 
 
 def peirce_table(iset: IdempotentSet) -> PeirceTable:
@@ -232,8 +237,7 @@ def corner_lattice_correspondence(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    verdict, _ = strength.condition3(_strength_table(table.components, table.iset.elements))
-    if not verdict:
+    if not table.strong:
         raise NotStrong("the idempotent set is not strong")
     if table.components[i][j].is_zero():
         raise ZeroComponent(f"component ({i}, {j}) is zero")
@@ -274,11 +278,8 @@ def corner_lattice_correspondence(
     back_fwd = all(fwd[bwd[s]] == s for s in range(n_bwd))
     fwd_monotone = back_monotone = True
     if failure is None:
-        # a < b must give image[a] <= image[b]: strictly below, or equal
-        sub_le = sub_lt | np.eye(len(submodules), dtype=bool)
-        ideal_le = ideal_lt | np.eye(len(ideals), dtype=bool)
-        fwd_monotone = not (ideal_lt & ~sub_le[np.ix_(fwd, fwd)]).any()
-        back_monotone = not (sub_lt & ~ideal_le[np.ix_(bwd, bwd)]).any()
+        fwd_monotone = posets.is_monotone(ideal_lt, fwd, sub_lt)
+        back_monotone = posets.is_monotone(sub_lt, bwd, ideal_lt)
 
     return CornerLatticeCertificate(
         side=side,

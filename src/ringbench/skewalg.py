@@ -16,10 +16,9 @@ object unital rather than assumed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from . import howell
 from .errors import (
@@ -56,14 +55,11 @@ from .smallcat import SmallCategory, homset_strong_report
 class SkewCategorySystem:
     category: SmallCategory
     object_rings: tuple[FiniteRing, ...]
-    maps: tuple[np.ndarray, ...]  # per morphism; row-vector action x -> x @ M
+    maps: tuple[howell.Matrix, ...]  # per morphism, residue rows; row-vector action x -> x @ M
 
     @property
     def modulus(self) -> int:
         return self.object_rings[0].modulus
-
-    def apply(self, g: int, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x) @ self.maps[g]) % self.modulus
 
 
 def _as_tuple_by_index(data, count: int, what: str):
@@ -81,7 +77,7 @@ def _as_tuple_by_index(data, count: int, what: str):
 def validate_system(
     category: SmallCategory,
     object_rings: Mapping[int, FiniteRing] | Sequence[FiniteRing],
-    morphism_maps: Mapping[int, np.ndarray] | Sequence[np.ndarray],
+    morphism_maps: Mapping[int, Sequence] | Sequence[Sequence],
 ) -> SkewCategorySystem:
     """Verify every system axiom exhaustively.
 
@@ -95,48 +91,48 @@ def validate_system(
     for r in rings[1:]:
         if r.modulus != m:
             raise ModulusMismatch("object rings must share one modulus")
+    # one unit solve per distinct ring; the first object without one fails
+    solved: dict[int, RingElement | None] = {}
     units: list[RingElement] = []
     for a, r in enumerate(rings):
-        u = find_identity(r)
-        if u is None:
+        if id(r) not in solved:
+            solved[id(r)] = find_identity(r)
+        if solved[id(r)] is None:
             raise NotUnital(a)
-        units.append(u)
+        units.append(solved[id(r)])
 
     raw_maps = _as_tuple_by_index(morphism_maps, category.morphism_count, "morphism maps")
-    maps: list[np.ndarray] = []
+    maps: list[howell.Matrix] = []
     for g, raw in enumerate(raw_maps):
         src = rings[category.dom[g]]
         dst = rings[category.cod[g]]
-        M = np.asarray(raw, dtype=np.int64) % m
-        if M.shape != (src.rank, dst.rank):
-            raise ShapeMismatch(
-                f"map for morphism {g} must be {src.rank} x {dst.rank}, got {M.shape}"
-            )
-        if src.rank != dst.rank or not np.array_equal(
-            howell.howell_form(M, m), np.eye(src.rank, dtype=np.int64)
-        ):
+        try:
+            M = tuple(tuple([int(x) % m for x in row]) for row in raw)
+        except TypeError:  # rows that are not sequences of integers
+            M = None
+        if M is None or len(M) != src.rank or any(len(row) != dst.rank for row in M):
+            raise ShapeMismatch(f"map for morphism {g} must be {src.rank} x {dst.rank}")
+        if src.rank != dst.rank or howell.howell_form(M, m) != src._basis_rows:
             raise NotRingIso(g, "matrix is not invertible over the modulus")
         # multiplicative: image of a basis product equals the product of images
-        lhs = np.einsum("stl,lk->stk", src.sc, M) % m
-        rhs = np.einsum("si,tj,ijk->stk", M, M, dst.sc) % m
-        if (lhs != rhs).any():
-            s, t = (int(x) for x in np.argwhere((lhs != rhs).any(axis=2))[0])
-            raise NotRingIso(g, "map is not multiplicative", witness=(s, t))
-        if ((units[category.dom[g]].vec @ M) % m != units[category.cod[g]].vec).any():
+        n = dst.rank
+        for (i, x), (j, y) in itertools.product(enumerate(src._basis_rows), repeat=2):
+            if howell.combine(src._mul(x, y), M, m, n) != dst._mul(M[i], M[j]):
+                raise NotRingIso(g, "map is not multiplicative", witness=(i, j))
+        if howell.combine(units[category.dom[g]].coords, M, m, n) != units[category.cod[g]].coords:
             raise NotRingIso(g, "map does not preserve the unit")
-        M.setflags(write=False)
         maps.append(M)
 
     for a in range(category.object_count):
-        e = category.identity[a]
-        if not np.array_equal(maps[e], np.eye(rings[a].rank, dtype=np.int64) % m):
+        if maps[category.identity[a]] != rings[a]._basis_rows:
             raise IdentityNotIdentity(a)
 
     for g in range(category.morphism_count):
         for h in range(category.morphism_count):
             if category.is_composable(g, h):
-                gh = int(category.compose[g, h])
-                if not np.array_equal(maps[gh], (maps[h] @ maps[g]) % m):
+                gh = category.compose[g, h]
+                n = rings[category.cod[gh]].rank
+                if maps[gh] != tuple(howell.combine(row, maps[g], m, n) for row in maps[h]):
                     raise NotFunctorial(g, h)
 
     return SkewCategorySystem(category, rings, tuple(maps))
@@ -185,28 +181,26 @@ def build_skew_algebra(system: SkewCategorySystem) -> SkewAlgebra:
     if total > MAX_RANK:
         raise RankTooLarge(total, MAX_RANK)
 
-    sc = np.zeros((total, total, total), dtype=np.int64)
+    sc = [[[0] * total for _ in range(total)] for _ in range(total)]
     for g in range(cat.morphism_count):
         rg = rings[cat.cod[g]]
         og = offsets[g]
         for h in range(cat.morphism_count):
             if not cat.is_composable(g, h):
                 continue
-            rh = rings[cat.cod[h]]
             oh = offsets[h]
-            gh = int(cat.compose[g, h])
+            ogh = offsets[cat.compose[g, h]]
             # (b_t g)(b_u h) = b_t * map_g(b_u) * (gh); cod(gh) == cod(g), so
-            # the product block shares rg's basis
-            block = np.einsum("ul,tlw->tuw", system.maps[g], rg.sc) % m
-            sc[og : og + rg.rank, oh : oh + rh.rank, offsets[gh] : offsets[gh] + rg.rank] = block
+            # the product shares rg's basis
+            for t, b in enumerate(rg._basis_rows):
+                for u, image in enumerate(system.maps[g]):
+                    sc[og + t][oh + u][ogh : ogh + rg.rank] = rg._mul(b, image)
     ring = _build_ring(m, total, sc, labels)
 
     components = []
     for g in range(cat.morphism_count):
-        rows = np.zeros((rings[cat.cod[g]].rank, total), dtype=np.int64)
-        for t in range(rings[cat.cod[g]].rank):
-            rows[t, offsets[g] + t] = 1
-        components.append(ring.span(rows))
+        block = range(offsets[g], offsets[g] + rings[cat.cod[g]].rank)
+        components.append(ring.span([ring._basis_rows[i] for i in block]))
     grading = attach_grading(ring, cat, components)
 
     # its local units are 1_{R_a} in the identity block of each object a
@@ -221,11 +215,10 @@ def build_skew_algebra(system: SkewCategorySystem) -> SkewAlgebra:
 def build_category_algebra(T: FiniteRing, category: SmallCategory) -> SkewAlgebra:
     """The constant system over one unital ring with identity maps; a ring
     without a unit fails validation as NotUnital at object 0."""
-    eye = np.eye(T.rank, dtype=np.int64)
     system = validate_system(
         category,
         [T] * category.object_count,
-        [eye] * category.morphism_count,
+        [T._basis_rows] * category.morphism_count,
     )
     return build_skew_algebra(system)
 
@@ -298,7 +291,7 @@ def artinian_criteria_report(algebra: SkewAlgebra, cap: int = 100_000) -> Artini
     corners = []
     extraction_ok = True
     for a in range(cat.object_count):
-        u = algebra.unit_elements[a].vec
+        u = algebra.unit_elements[a].coords
         corner = ring.sandwich(u, u)
         matches = corner == algebra.grading.endo_component(a)
         extraction_ok = extraction_ok and matches

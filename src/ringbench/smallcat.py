@@ -1,7 +1,8 @@
 """Finite small categories with validated composition tables.
 
-Morphisms are indices 0..q-1 with domain/codomain arrays into the object
-range 0..p-1; composition is a q x q partial table with -1 for undefined.
+Morphisms are indices 0..q-1 with domain/codomain tuples into the object
+range 0..p-1; composition is a read-only mapping from every pair (g, h) of
+morphisms to its composite, or to UNDEFINED (-1).
 A pair (g, h) is composable exactly when dom(g) == cod(h), in which case the
 composite is written g then-after h, i.e. the table entry at [g, h].
 
@@ -14,9 +15,10 @@ dedicated regression test pins this orientation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from types import MappingProxyType
+from typing import Mapping
 
 from . import strength
 from .errors import (
@@ -24,7 +26,6 @@ from .errors import (
     CompositionDomainMismatch,
     IdentityLawViolation,
     NotAMonoid,
-    NotAGroup,
     NotAssociative,
     ShapeMismatch,
 )
@@ -41,7 +42,7 @@ class SmallCategory:
     dom: tuple[int, ...]
     cod: tuple[int, ...]
     identity: tuple[int, ...]
-    compose: np.ndarray  # q x q, entry UNDEFINED when not composable
+    compose: Mapping[tuple[int, int], int]  # all q^2 pairs; UNDEFINED when not composable
 
     @property
     def morphism_count(self) -> int:
@@ -51,7 +52,7 @@ class SmallCategory:
         return self.dom[g] == self.cod[h]
 
     def comp(self, g: int, h: int) -> int:
-        r = int(self.compose[g, h])
+        r = self.compose[g, h]
         if r == UNDEFINED:
             raise ShapeMismatch(f"pair ({g}, {h}) is not composable")
         return r
@@ -101,10 +102,10 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
         raise ShapeMismatch("dom/cod entry out of object range")
     if any(not 0 <= x < q for x in identity):
         raise ShapeMismatch("identity entry out of morphism range")
-    table = np.asarray(compose, dtype=np.int64)
-    if table.shape != (q, q):
-        raise ShapeMismatch(f"composition table must be {q} x {q}, got {table.shape}")
-    if ((table < UNDEFINED) | (table >= q)).any():
+    table = [[int(x) for x in row] for row in compose]
+    if len(table) != q or any(len(row) != q for row in table):
+        raise ShapeMismatch(f"composition table must be {q} x {q}")
+    if any(not UNDEFINED <= x < q for row in table for x in row):
         raise ShapeMismatch("composition entry out of morphism range")
 
     for a in range(p):
@@ -114,52 +115,45 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
                 f"identity morphism of object {a} is not an endomorphism of {a}"
             )
 
-    dom_a = np.asarray(dom)
-    cod_a = np.asarray(cod)
-    composable = dom_a[:, None] == cod_a[None, :]
-    defined = table != UNDEFINED
-    over = defined & ~composable
-    if over.any():
-        g, h = (int(x) for x in np.argwhere(over)[0])
-        raise CompositionDomainMismatch(g, h, "overdefined")
-    under = composable & ~defined
-    if under.any():
-        g, h = (int(x) for x in np.argwhere(under)[0])
-        raise CompositionDomainMismatch(g, h, "underdefined")
-
-    gs, hs = np.nonzero(composable)
-    comps = table[gs, hs]
-    bad = (dom_a[comps] != dom_a[hs]) | (cod_a[comps] != cod_a[gs])
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
-        raise CompositionDomainMismatch(int(gs[idx]), int(hs[idx]), "endpoints")
+    # every overdefined pair is reported before any underdefined one
+    for kind, defined in (("overdefined", True), ("underdefined", False)):
+        for g, row in enumerate(table):
+            for h, gh in enumerate(row):
+                if (gh != UNDEFINED) is defined and (dom[g] == cod[h]) is not defined:
+                    raise CompositionDomainMismatch(g, h, kind)
+    # the composable pairs (g, h), with their composites, by g
+    after = [[(h, gh) for h, gh in enumerate(row) if gh != UNDEFINED] for row in table]
+    for g, pairs in enumerate(after):
+        for h, gh in pairs:
+            if dom[gh] != dom[h] or cod[gh] != cod[g]:
+                raise CompositionDomainMismatch(g, h, "endpoints")
 
     for a in range(p):
         e = identity[a]
         for h in range(q):
-            if cod[h] == a and int(table[e, h]) != h:
+            if cod[h] == a and table[e][h] != h:
                 raise IdentityLawViolation(
                     f"identity of object {a} fails the left law on morphism {h}"
                 )
-            if dom[h] == a and int(table[h, e]) != h:
+            if dom[h] == a and table[h][e] != h:
                 raise IdentityLawViolation(
                     f"identity of object {a} fails the right law on morphism {h}"
                 )
 
-    if q:
-        # left[g, h, k] = (g h) k and right[g, h, k] = g (h k), masked to
-        # triples where both inner pairs are composable; the outer pairs are
-        # then composable automatically
-        mask = composable[:, :, None] & composable[None, :, :]
-        safe = np.where(table == UNDEFINED, 0, table)
-        left = safe[safe]
-        right = safe[:, safe]
-        bad = mask & (left != right)
-        if bad.any():
-            g, h, k = (int(x) for x in np.argwhere(bad)[0])
-            raise NotAssociative((g, h, k))
+    # (g h) k against g (h k) where both inner pairs are composable; the
+    # outer pairs are then composable automatically
+    for g, pairs in enumerate(after):
+        row_g = table[g]
+        for h, gh in pairs:
+            row_gh = table[gh]
+            for k, hk in after[h]:
+                if row_gh[k] != row_g[hk]:
+                    raise NotAssociative((g, h, k))
 
-    return SmallCategory(p, dom, cod, identity, table)
+    compose = MappingProxyType(
+        {(g, h): gh for g, row in enumerate(table) for h, gh in enumerate(row)}
+    )
+    return SmallCategory(p, dom, cod, identity, compose)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +179,8 @@ def is_groupoid(cat: SmallCategory) -> GroupoidCheck:
             if (
                 cat.dom[h] == cat.cod[g]
                 and cat.cod[h] == cat.dom[g]
-                and int(cat.compose[g, h]) == target_l
-                and int(cat.compose[h, g]) == target_r
+                and cat.compose[g, h] == target_l
+                and cat.compose[h, g] == target_r
             ):
                 found = h
                 break
@@ -205,7 +199,7 @@ def _hom_table(cat: SmallCategory) -> list[list[frozenset[int]]]:
 
 
 def _set_product(cat: SmallCategory, A: frozenset[int], B: frozenset[int]) -> frozenset[int]:
-    return frozenset(int(cat.compose[g, h]) for g in A for h in B)
+    return frozenset(cat.compose[g, h] for g in A for h in B)
 
 
 def homset_strong_report(cat: SmallCategory) -> strength.StrongnessReport:
@@ -229,20 +223,17 @@ def homset_strong_report(cat: SmallCategory) -> strength.StrongnessReport:
 # the monoid-times-square construction
 
 
-def _check_monoid(table: np.ndarray) -> int:
+def _check_monoid(table) -> int:
     """Validate an associative table with two-sided identity; returns the
     identity index."""
-    k = table.shape[0]
-    if table.shape != (k, k) or ((table < 0) | (table >= k)).any():
+    k = len(table)
+    if any(len(row) != k or not all(0 <= x < k for x in row) for row in table):
         raise NotAMonoid("table is not a square table over its own index range")
-    left = table[table]
-    right = table[:, table]
-    bad = left != right
-    if bad.any():
-        i, j, l = (int(x) for x in np.argwhere(bad)[0])
-        raise NotAMonoid(f"table is not associative at triple ({i}, {j}, {l})")
+    for i, j, l in itertools.product(range(k), repeat=3):
+        if table[table[i][j]][l] != table[i][table[j][l]]:
+            raise NotAMonoid(f"table is not associative at triple ({i}, {j}, {l})")
     for e in range(k):
-        if all(int(table[e, x]) == x == int(table[x, e]) for x in range(k)):
+        if all(table[e][x] == x == table[x][e] for x in range(k)):
             return e
     raise NotAMonoid("table has no two-sided identity")
 
@@ -254,14 +245,15 @@ def build_MX(monoid_table, set_size: int) -> SmallCategory:
     Hom-set strong for every monoid input; a groupoid exactly when the
     monoid table is a group table.
     """
-    table = np.asarray(monoid_table, dtype=np.int64)
-    if table.ndim != 2:
-        raise NotAMonoid("table must be two-dimensional")
+    try:
+        table = [[int(x) for x in row] for row in monoid_table]
+    except TypeError:
+        raise NotAMonoid("table must be two-dimensional") from None
     e = _check_monoid(table)
     s = int(set_size)
     if s < 1:
         raise ShapeMismatch("set size must be >= 1")
-    k = table.shape[0]
+    k = len(table)
     if k * s * s > MAX_MORPHISMS:
         raise CategoryTooLarge(k * s * s, MAX_MORPHISMS)
 
@@ -270,17 +262,15 @@ def build_MX(monoid_table, set_size: int) -> SmallCategory:
     dom = [y for (_, _, y) in triples]
     cod = [x for (_, x, _) in triples]
     identity = [index[(e, x, x)] for x in range(s)]
-    q = len(triples)
-    compose = np.full((q, q), UNDEFINED, dtype=np.int64)
-    for gi, (m, x, y) in enumerate(triples):
-        for hi, (n, y2, z) in enumerate(triples):
-            if y == y2:
-                compose[gi, hi] = index[(int(table[m, n]), x, z)]
+    compose = [
+        [index[(table[m][n], x, z)] if y == y2 else UNDEFINED for (n, y2, z) in triples]
+        for (m, x, y) in triples
+    ]
     return make_category(s, dom, cod, identity, compose)
 
 
 # ---------------------------------------------------------------------------
-# finiteness bookkeeping and group predicates
+# finiteness bookkeeping
 
 
 @dataclass(frozen=True)
@@ -312,45 +302,3 @@ def finiteness_report(cat: SmallCategory) -> FinitenessReport:
     return FinitenessReport(
         cat.morphism_count, cat.object_count, endo_sizes, strong, bound
     )
-
-
-@dataclass(frozen=True)
-class GroupPredicates:
-    """Group-only predicates in their finite collapse: a finite group is
-    torsion-free exactly when trivial, and every finite group trivially has a
-    finite subnormal series, so polycyclic-by-finite always holds."""
-
-    object_index: int
-    is_group: bool
-    endo_size: int
-
-    def _require_group(self) -> None:
-        if not self.is_group:
-            raise NotAGroup(
-                f"endomorphism monoid of object {self.object_index} is not a group"
-            )
-
-    @property
-    def torsion_free(self) -> bool:
-        self._require_group()
-        return self.endo_size == 1
-
-    @property
-    def polycyclic_by_finite(self) -> bool:
-        self._require_group()
-        return True
-
-
-def group_predicates(cat: SmallCategory, a: int) -> GroupPredicates:
-    if not 0 <= a < cat.object_count:
-        raise ShapeMismatch(f"object index {a} out of range")
-    endo = cat.endo(a)
-    e = cat.identity[a]
-    group = True
-    for g in endo:
-        if not any(
-            int(cat.compose[g, h]) == e and int(cat.compose[h, g]) == e for h in endo
-        ):
-            group = False
-            break
-    return GroupPredicates(a, group, len(endo))

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import corpus
 from . import finring as fr
 from . import graded as gr
@@ -64,9 +62,9 @@ def brute_force_one_sided_ideal_count(ring: fr.FiniteRing, side: str) -> tuple[i
             for j in range(n):
                 if not y[j]:
                     continue
-                row = ring.sc[i, j]
+                row = ring.constants[i][j]
                 for k in range(n):
-                    out[k] = (out[k] + x[i] * y[j] * int(row[k])) % m
+                    out[k] = (out[k] + x[i] * y[j] * row[k]) % m
         return tuple(out)
 
     def close(gens):
@@ -81,7 +79,7 @@ def brute_force_one_sided_ideal_count(ring: fr.FiniteRing, side: str) -> tuple[i
                     frontier.append(w)
         return frozenset(seen)
 
-    elements = [tuple(int(c) for c in v) for v in ring.element_vectors()]
+    elements = list(ring.element_vectors())
     subgroups = {close([])}
     frontier = [close([])]
     while frontier:
@@ -319,7 +317,7 @@ def verify_matrix_units_iso(seed: int | None = None) -> VerificationResult:
         # morphism (x, y), the arrow y -> x, carries basis label E_{(x+1)(y+1)};
         # lexicographic morphism order lines up with the matrix-unit order,
         # so the relabeling is the identity permutation on indices
-        if not np.array_equal(algebra.ring.sc, target.sc):
+        if algebra.ring.constants != target.constants:
             failures.append(f"modulus {m}: structure constants differ")
     return VerificationResult("matrix-units-iso", not failures, 2, failures)
 

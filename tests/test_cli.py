@@ -1,7 +1,11 @@
 """End-to-end command line checks: parsing, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,12 +102,7 @@ class TestParsers:
         assert code == 0
         cat = cli.parse_category_file(workdir / "mx.cat")
         ref = sc.build_MX(corpus.MONOID_TABLES["bool2"], 2)
-        assert np.array_equal(cat.compose, ref.compose)
-
-    def test_parse_instance_sniffing(self, workdir):
-        assert cli.parse_instance(workdir / "m2.ring").order == 16
-        ring, elems = cli.parse_instance(workdir / "m2_idems.txt")
-        assert len(elems) == 2
+        assert cat.compose == ref.compose
 
 
 class TestExitCodes:
@@ -160,13 +159,16 @@ class TestExitCodes:
         assert json.loads(out)["error"]["type"] == "NotOrthogonal"
 
     def test_missing_file_exits_two(self, workdir, capsys):
-        code, _ = run(capsys, "check-ring", workdir / "absent.ring")
+        code, out = run(capsys, "check-ring", workdir / "absent.ring")
         assert code == 2
+        assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
     def test_directory_exits_two(self, workdir, capsys):
         code, out = run(capsys, "check-ring", workdir)
         assert code == 2
-        assert json.loads(out)["error"]["type"] == "ParseError"
+        error = json.loads(out)["error"]
+        assert error["type"] == "IsADirectoryError"
+        assert "line" not in error and "column" not in error
 
     def test_malformed_seed_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("WORKBENCH_SEED", "abc")
@@ -174,11 +176,14 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ParseError"
 
-    def test_oversized_modulus_exits_two(self, workdir, capsys):
-        (workdir / "huge.ring").write_text(f"modulus {10**30}\nrank 1\nconstants\n1\n")
-        code, out = run(capsys, "check-ring", workdir / "huge.ring")
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "ModulusTooLarge"
+    def test_huge_modulus_exits_zero(self, workdir, capsys):
+        m = 10**30  # b0 * b0 = -b0, so -b0 is the unit
+        (workdir / "huge.ring").write_text(f"modulus {m}\nrank 1\nconstants\n{m - 1}\n")
+        code, out = run(capsys, "--no-timings", "check-ring", workdir / "huge.ring")
+        assert code == 0
+        report = json.loads(out)
+        assert report["ring"] == {"modulus": m, "rank": 1, "order": m}
+        assert report["identity"] == [m - 1]
 
     def test_oversized_constant_is_a_residue(self, workdir, capsys):
         big = 10**21  # beyond int64: read as the residue big % 7
@@ -264,10 +269,8 @@ class TestExitCodes:
         assert "usage: ringbench" in capsys.readouterr().out
 
     def test_invariant_violation_exits_three(self, workdir, capsys, monkeypatch):
-        # a broken multiplication makes find_identity's unit-law recheck fail
-        monkeypatch.setattr(
-            fr.FiniteRing, "mul_vec", lambda self, x, y: np.zeros(self.rank, dtype=np.int64)
-        )
+        # a broken product kernel makes find_identity's unit-law recheck fail
+        monkeypatch.setattr(fr.FiniteRing, "_mul", lambda self, x, y: (0,) * self.rank)
         code, out = run(capsys, "check-ring", workdir / "m2.ring")
         assert code == 3
         assert json.loads(out)["error"]["type"] == "InvariantViolation"
@@ -300,6 +303,76 @@ class TestReports:
         report = json.loads(out)
         assert len(report["inputs"]) == 1
         assert len(report["inputs"][0]["sha256"]) == 64
+
+
+# Runs cli.main on every argv list given as JSON, with numpy importable or
+# blocked, and prints each exit code and output plus whether numpy was loaded.
+CLI_SCRIPT = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from ringbench import cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--no-timings", *argv])
+    results.append([argv, code, out.getvalue()])
+print(json.dumps({"results": results, "numpy": sys.modules.get("numpy") is not None}))
+"""
+
+
+def run_cli_script(cwd: Path, mode: str, commands: list) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, mode, json.dumps(commands)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestWithoutNumpy:
+    def test_import_leaves_numpy_out(self, tmp_path):
+        assert run_cli_script(tmp_path, "plain", []) == {"results": [], "numpy": False}
+
+    def test_every_subcommand_runs_with_numpy_blocked(self, workdir, capsys):
+        run(capsys, "--quiet", "build-mx", "c1", "2", "--save", workdir / "pair.cat")
+        run(capsys, "--quiet", "build-mx", "c2", "1", "--save", workdir / "c2.cat")
+        (workdir / "grading.txt").write_text(
+            "ring m2.ring\ncategory pair.cat\n"
+            + "".join(f"component {g} 1\n{' '.join('01'[g == i] for i in range(4))}\n" for g in range(4))
+        )
+        (workdir / "z33.ring").write_text("modulus 3\nrank 2\nconstants\n1 0 0 0\n0 0 0 1\n")
+        (workdir / "system.txt").write_text(
+            "category c2.cat\nobject 0 ring z33.ring\nmap 0\n1 0\n0 1\nmap 1\n0 1\n1 0\n"
+        )
+        (workdir / "huge.ring").write_text(f"modulus {10**30}\nrank 1\nconstants\n{10**30 - 1}\n")
+        commands = [
+            ["check-ring", "m2.ring"],
+            ["check-ring", "huge.ring"],
+            ["check-ring", "absent.ring"],
+            ["peirce", "z6z6_idems.txt"],
+            ["check-strong", "m2_idems.txt"],
+            ["check-strong", "t2_idems.txt"],
+            ["ideal-lattice", "t2.ring", "--side", "right"],
+            ["check-category", "pair.cat"],
+            ["build-mx", "bool2", "2"],
+            ["check-grading", "grading.txt"],
+            ["build-skew", "system.txt"],
+            ["gen-suite", "gradings"],
+        ] + [
+            ["verify-prop", name]
+            for name in (
+                "prop-2.4", "fixture-counts", "prop-3.2", "groupoid-homset", "mx-family",
+                "prop-5.3", "strong-equivalence", "corner-identity", "matrix-units-iso",
+                "mutation-matrix",
+            )
+        ]
+        blocked = run_cli_script(workdir, "blocked", commands)
+        plain = run_cli_script(workdir, "plain", commands)
+        assert blocked == plain
+        assert [code for _, code, _ in plain["results"]] == [0, 0, 2] + [0, 0, 1] + [0] * 16
+        assert not plain["numpy"]
 
 
 class TestSubcommands:

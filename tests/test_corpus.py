@@ -1,60 +1,54 @@
 """Generator determinism, suite contracts, mutation targetedness."""
 
-import numpy as np
 import pytest
 
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import idempotents as idem
+from ringbench import skewalg as sk
 from ringbench import smallcat as sc
 from ringbench.errors import CannotTarget, UnknownSuite
 
 
 class TestRecipes:
+    """The constructive builders every instance comes from."""
+
     def test_matrix_ring_recipe(self):
-        ring = corpus.generate(corpus.Recipe.of("matrix_ring", m=2, size=2))
-        assert np.array_equal(ring.sc, corpus.matrix_units_ring(2, 2).sc)
+        ring = corpus.matrix_units_ring(2, 2)
+        assert ring.order == 16 and ring.basis_labels == ("E11", "E12", "E21", "E22")
+        e = {lab: ring.basis_element(i) for i, lab in enumerate(ring.basis_labels)}
+        assert e["E12"] * e["E21"] == e["E11"] and (e["E21"] * e["E21"]).is_zero()
 
     def test_mx_category_recipe(self):
-        g = corpus.generate(corpus.Recipe.of("mx_category", monoid="c2", size=2))
+        g = sc.build_MX(corpus.MONOID_TABLES["c2"], 2)
         assert g.morphism_count == 8
         assert sc.is_groupoid(g).is_groupoid
 
     def test_monoid_algebra_recipe(self):
-        algebra = corpus.generate(corpus.Recipe.of("monoid_algebra", m=3, monoid="bool2"))
+        algebra = sk.build_category_algebra(
+            corpus.cyclic_ring(3), corpus.one_object_monoid_category("bool2")
+        )
         assert algebra.ring.modulus == 3 and algebra.ring.rank == 2
 
     def test_direct_product_recipe(self):
-        recipe = corpus.Recipe.of(
-            "direct_product",
-            factors=(
-                corpus.Recipe.of("matrix_ring", m=2, size=2),
-                corpus.Recipe.of("monoid_algebra", m=2, monoid="c1"),
-            ),
+        algebra = sk.build_category_algebra(
+            corpus.cyclic_ring(2), corpus.one_object_monoid_category("c1")
         )
-        ring = corpus.generate(recipe)
+        ring = fr.direct_product([corpus.matrix_units_ring(2, 2), algebra.ring])
         assert ring.rank == 5
 
     def test_corner_recipe(self):
-        recipe = corpus.Recipe.of(
-            "corner",
-            base=corpus.Recipe.of("matrix_ring", m=2, size=2),
-            idempotent=(1, 0, 0, 0),
-        )
-        corner = corpus.generate(recipe)
+        ring = corpus.matrix_units_ring(2, 2)
+        corner = fr.corner_ring(ring, ring.element((1, 0, 0, 0)))
         assert corner.ring.order == 2
 
     def test_random_recipes_are_deterministic(self):
-        a = corpus.generate(corpus.Recipe.of("random_groupoid"), seed=5)
-        b = corpus.generate(corpus.Recipe.of("random_groupoid"), seed=5)
-        assert np.array_equal(a.compose, b.compose)
-        c = corpus.generate(corpus.Recipe.of("random_category"), seed=5)
-        d = corpus.generate(corpus.Recipe.of("random_category"), seed=5)
-        assert np.array_equal(c.compose, d.compose)
+        assert corpus.random_groupoid(5).compose == corpus.random_groupoid(5).compose
+        assert corpus.random_category(5).compose == corpus.random_category(5).compose
 
     def test_parameter_out_of_range(self):
         with pytest.raises(corpus.ParameterOutOfRange):
-            corpus.generate(corpus.Recipe.of("matrix_ring", m=5, size=3))
+            corpus.matrix_units_ring(5, 3)
 
 
 class TestSuites:
@@ -105,15 +99,12 @@ class TestSuites:
         )
         c = corpus.generate_suite("prop-3.2")
         d = corpus.generate_suite("prop-3.2")
-        assert all(np.array_equal(x.category.compose, y.category.compose) for x, y in zip(c, d))
+        assert all(x.category.compose == y.category.compose for x, y in zip(c, d))
 
     def test_seed_override_changes_random_instances(self):
         a = corpus.generate_suite("prop-3.2", seed=1)
         b = corpus.generate_suite("prop-3.2", seed=2)
-        assert any(
-            not np.array_equal(x.category.compose, y.category.compose)
-            for x, y in zip(a, b)
-        )
+        assert any(x.category.compose != y.category.compose for x, y in zip(a, b))
 
 
 class TestMutations:
@@ -145,7 +136,7 @@ class TestMutations:
         ring = corpus.matrix_units_ring(2, 2)
         a = corpus.mutate(ring, corpus.Mutation("NotAssociative", "perturb", seed=3))
         b = corpus.mutate(ring, corpus.Mutation("NotAssociative", "perturb", seed=3))
-        assert np.array_equal(a.payload, b.payload)
+        assert a.payload == b.payload
 
 
 class TestThinCategories:

@@ -16,13 +16,13 @@ from ringbench.errors import (
     InvariantViolation,
     LatticeTooLarge,
     ModulusMismatch,
-    ModulusTooLarge,
     ModulusTooSmall,
     NotAssociative,
     NotIdempotent,
     RankTooLarge,
     RingMismatch,
     ShapeMismatch,
+    WorkTooLarge,
 )
 
 
@@ -55,15 +55,14 @@ class TestMakeRing:
         with pytest.raises(ModulusTooSmall):
             fr.make_ring(1, 1, [[[0]]])
 
-    def test_largest_exact_modulus_at_rank_one(self):
-        # rank^2 * (m-1)^3 < 2^63 holds for m = 2^21 and fails for m = 2^21 + 1
-        m = 2**21
+    def test_exact_at_modulus_ten_to_the_thirty(self):
+        # far beyond int64: every product is still an exact residue
+        m = 10**30
         ring = fr.make_ring(m, 1, [[[m - 1]]])  # b0 * b0 = -b0
-        minus_b0 = -ring.basis_element(0)
-        assert (minus_b0 * minus_b0).coords == (m - 1,)
-        with pytest.raises(ModulusTooLarge):
-            fr.make_ring(m + 1, 1, [[[m]]])
-
+        b0 = ring.basis_element(0)
+        assert (-b0) * (-b0) == b0 * b0
+        assert (b0 * b0).coords == (m - 1,)
+        assert fr.find_identity(ring).coords == (m - 1,)  # (-b0) b0 = b0
 
     def test_oversized_constant_is_a_residue(self):
         big = 10**21  # beyond int64
@@ -86,6 +85,49 @@ class TestMakeRing:
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
         finally:
             tracemalloc.stop()
+
+
+class TestAssociativityWorkCap:
+    @staticmethod
+    def all_ones(n):
+        # b_i b_j = b_0 + ... + b_{n-1}: associative, every constant nonzero
+        return [[[1] * n for _ in range(n)] for _ in range(n)]
+
+    def test_work_of_a_dense_ring(self):
+        ring = fr.make_ring(2, 3, self.all_ones(3))
+        # 27 triples; each of the 27 constants meets 9 + 9 nonzero constants
+        assert fr.associativity_work(ring) == 27 + 27 * 18
+
+    def test_cap_boundary(self, monkeypatch):
+        work = fr.associativity_work(fr.make_ring(3, 5, self.all_ones(5)))
+        monkeypatch.setattr(fr, "MAX_ASSOCIATIVITY_WORK", work)
+        assert fr.make_ring(3, 5, self.all_ones(5)).order == 3**5
+        monkeypatch.setattr(fr, "MAX_ASSOCIATIVITY_WORK", work - 1)
+        with pytest.raises(WorkTooLarge) as exc:
+            fr.make_ring(3, 5, self.all_ones(5))
+        assert (exc.value.work, exc.value.cap) == (work, work - 1)
+
+    def test_cap_checked_before_the_check_runs(self, monkeypatch):
+        def never(ring):
+            raise AssertionError("the associativity check ran")
+
+        monkeypatch.setattr(fr, "_first_nonassociative_triple", never)
+        for n in (22, fr.MAX_RANK):
+            with pytest.raises(WorkTooLarge):
+                fr.make_ring(2, n, self.all_ones(n))
+        # a non-associative ring over the cap is refused for its cost alone
+        sc = self.all_ones(fr.MAX_RANK)
+        sc[0][0][0] = 0
+        with pytest.raises(WorkTooLarge):
+            fr.make_ring(2, fr.MAX_RANK, sc)
+
+    def test_sparse_rank_48_group_algebra_accepted(self):
+        n = fr.MAX_RANK  # Z/2[C48]: b_i b_j = b_{i+j mod 48}
+        sc = [[[int(k == (i + j) % n) for k in range(n)] for j in range(n)] for i in range(n)]
+        ring = fr.make_ring(2, n, sc)
+        assert fr.associativity_work(ring) <= fr.MAX_ASSOCIATIVITY_WORK
+        assert fr.find_identity(ring) == ring.basis_element(0)
+        assert ring.basis_element(5) * ring.basis_element(45) == ring.basis_element(2)
 
 
 class TestEvaluate:
@@ -132,10 +174,14 @@ class TestRingAxioms:
                 for _ in range(2000)
             )
         mul, m = ring.mul_vec, ring.modulus
+
+        def add(a, b):
+            return tuple((p + q) % m for p, q in zip(a, b))
+
         for x, y, z in triples:
-            assert np.array_equal(mul(mul(x, y), z), mul(x, mul(y, z)))
-            assert np.array_equal(mul(x, (y + z) % m), (mul(x, y) + mul(x, z)) % m)
-            assert np.array_equal(mul((x + y) % m, z), (mul(x, z) + mul(y, z)) % m)
+            assert mul(mul(x, y), z) == mul(x, mul(y, z))
+            assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+            assert mul(add(x, y), z) == add(mul(x, z), mul(y, z))
 
 
 class TestSpanSubgroup:
@@ -172,7 +218,7 @@ class TestSpanSubgroup:
     def test_meet_and_join(self, m2f2):
         a = fr.span_subgroup(m2f2, [m2f2.basis_element(0), m2f2.basis_element(1)])
         b = fr.span_subgroup(m2f2, [m2f2.basis_element(1), m2f2.basis_element(2)])
-        assert a.meet(b).order == 2
+        assert len(set(a.elements()) & set(b.elements())) == 2
         assert a.join(b).order == 8
 
 
@@ -234,7 +280,8 @@ class TestIdealLattice:
         for a in lat.ideals:
             for b in lat.ideals:
                 assert a.subgroup.join(b.subgroup).key in keys
-                assert a.subgroup.meet(b.subgroup).key in keys
+                common = set(a.subgroup.element_vectors()) & set(b.subgroup.element_vectors())
+                assert t2f2.span(common).key in keys
 
     def test_left_ideals_absorb_left_multiplication(self, t2f2):
         lat = fr.enumerate_one_sided_ideals(t2f2, "left")

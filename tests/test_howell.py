@@ -84,7 +84,7 @@ def test_span_elements_enumerates_exactly_once(case):
     m, n, rows = case
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     H = howell.howell_form(mat, m)
-    elems = [tuple(int(x) for x in v) for v in howell.span_elements(H, m)]
+    elems = list(howell.span_elements(H, m, n))
     assert len(elems) == len(set(elems)) == howell.span_order(H, m)
     assert set(elems) == brute_span(rows, m, n)
 
@@ -168,17 +168,18 @@ def test_suite_shapes_reduce_to_howell_form(case):
     before = mat.copy()
     H, U = howell.howell_complete(mat, m)
     assert np.array_equal(mat, before)
-    assert H.dtype == np.int64 and H.shape[1] == n
-    assert np.array_equal((U @ mat) % m, H)
-    assert np.array_equal(howell.howell_form(mat, m), H)
-    if rows:  # the list-of-int-rows input that FiniteRing.span passes
-        assert np.array_equal(howell.howell_form(rows, m), H)
-    assert ((H >= 0) & (H < m)).all()
-    pivots = [(int(np.flatnonzero(row)[0]), int(row[np.flatnonzero(row)[0]])) for row in H]
+    assert all(type(x) is int for row in H + U for x in row)
+    assert howell.howell_form(mat, m) == H
+    assert howell.howell_form(rows, m) == H  # the int rows FiniteRing.span passes
+    Ha = np.array(H, dtype=np.int64).reshape(len(H), n)
+    Ua = np.array(U, dtype=np.int64).reshape(len(U), len(rows))
+    assert np.array_equal((Ua @ mat) % m, Ha)
+    assert ((Ha >= 0) & (Ha < m)).all()
+    pivots = [(int(np.flatnonzero(row)[0]), int(row[np.flatnonzero(row)[0]])) for row in Ha]
     assert all(a[0] < b[0] for a, b in zip(pivots, pivots[1:]))
     for i, (c, p) in enumerate(pivots):
         assert m % p == 0
-        assert all(0 <= H[j, c] < p for j in range(i))
+        assert all(0 <= Ha[j, c] < p for j in range(i))
     if m**n <= 4096:
         assert howell.span_order(H, m) == len(brute_span(rows, m, n))
 

@@ -104,7 +104,7 @@ class TestPeirceTable:
         comps = [s for row in table.components for s in row]
         for i, a in enumerate(comps):
             for b in comps[i + 1 :]:
-                assert a.meet(b).order == 1
+                assert len(set(a.element_vectors()) & set(b.element_vectors())) == 1
 
     def test_multiplication_lands_in_target_component(self, m2_setup):
         ring, iset, table = m2_setup
@@ -120,10 +120,9 @@ class TestPeirceTable:
         ring, iset, table = m2_setup
         for i in range(2):
             for j in range(2):
-                ei, ej = iset.elements[i].vec, iset.elements[j].vec
+                ei, ej = iset.elements[i].coords, iset.elements[j].coords
                 for x in table.components[i][j].element_vectors():
-                    sandwiched = ring.mul_vec(ring.mul_vec(ei, x), ej)
-                    assert (sandwiched == x).all()
+                    assert ring.mul_vec(ring.mul_vec(ei, x), ej) == x
 
     def test_corner_rings_carry_units(self, m2_setup):
         ring, iset, _ = m2_setup
@@ -305,7 +304,7 @@ class TestSubmoduleLattice:
                     assert [len(g) for g in got] == sorted(len(g) for g in got)
                     for a, A in enumerate(got):
                         for b, B in enumerate(got):
-                            assert lt[a, b] == (A < B), (i, j, side, a, b)
+                            assert bool(lt[a] >> b & 1) == (A < B), (i, j, side, a, b)
                     checked += 1
         assert checked > 0
 

@@ -77,12 +77,29 @@ class TestValidateSystem:
         f4 = corpus.field4()
         frob = np.array([[1, 0], [1, 1]])
         system = sk.validate_system(c2_category, [f4], [EYE2, frob])
-        assert np.array_equal((system.maps[1] @ system.maps[1]) % 2, EYE2)
+        assert np.array_equal((np.array(system.maps[1]) @ system.maps[1]) % 2, EYE2)
 
     def test_nonunital_object_ring_rejected(self, c2_category, zero_ring_2):
         eye1 = np.eye(1, dtype=np.int64)
         with pytest.raises(NotUnital):
             sk.validate_system(c2_category, [zero_ring_2], [eye1, eye1])
+
+    def test_one_unit_solve_per_distinct_ring(self, z2, zero_ring_2, monkeypatch):
+        solved = []
+
+        def counting(ring):
+            solved.append(ring)
+            return fr.find_identity(ring)
+
+        monkeypatch.setattr(sk, "find_identity", counting)
+        pair = sc.build_MX(corpus.MONOID_TABLES["c1"], 2)
+        eye1 = np.eye(1, dtype=np.int64)
+        sk.build_category_algebra(z2, pair)
+        assert solved == [z2]
+        # the first object whose ring has no unit is named
+        with pytest.raises(NotUnital) as exc:
+            sk.validate_system(pair, [z2, zero_ring_2], [eye1] * 4)
+        assert exc.value.object_index == 1
 
     def test_mixed_moduli_rejected(self, z2, z3):
         pair = sc.build_MX(corpus.MONOID_TABLES["c1"], 2)

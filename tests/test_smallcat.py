@@ -12,7 +12,6 @@ from ringbench.errors import (
     CategoryTooLarge,
     CompositionDomainMismatch,
     IdentityLawViolation,
-    NotAGroup,
     NotAMonoid,
     NotAssociative,
     ShapeMismatch,
@@ -38,6 +37,14 @@ class TestMakeCategory:
     def test_arrow_category(self):
         cat = sc.make_category(*arrow_tables())
         assert cat.morphism_count == 3
+
+    def test_compose_is_a_read_only_mapping_over_all_pairs(self):
+        c = sc.make_category(*arrow_tables())
+        assert len(c.compose) == 9
+        assert (c.compose[2, 0], c.compose[0, 2]) == (2, U)
+        assert c.comp(1, 2) == 2
+        with pytest.raises(TypeError):
+            c.compose[0, 2] = 0
 
     def test_overdefined_pair_rejected(self):
         p, dom, cod, ident, comp = arrow_tables()
@@ -236,28 +243,6 @@ class TestFinitenessReport:
             mx = sc.build_MX(corpus.MONOID_TABLES[name], 2)
             rep = sc.finiteness_report(mx)
             assert rep.morphism_count <= rep.object_count**2 * max(rep.endo_sizes)
-
-
-class TestGroupPredicates:
-    def test_trivial_group_is_torsion_free(self, trivial_category):
-        pred = sc.group_predicates(trivial_category, 0)
-        assert pred.is_group and pred.torsion_free and pred.polycyclic_by_finite
-
-    def test_c2_has_torsion(self):
-        mx = sc.build_MX(corpus.MONOID_TABLES["c2"], 1)
-        pred = sc.group_predicates(mx, 0)
-        assert pred.is_group
-        assert not pred.torsion_free
-        assert pred.polycyclic_by_finite
-
-    def test_non_group_monoid_raises_on_access(self):
-        mx = sc.build_MX(corpus.MONOID_TABLES["bool2"], 1)
-        pred = sc.group_predicates(mx, 0)
-        assert not pred.is_group
-        with pytest.raises(NotAGroup):
-            pred.torsion_free
-        with pytest.raises(NotAGroup):
-            pred.polycyclic_by_finite
 
 
 class TestGeneratedInvariants:
