@@ -535,6 +535,18 @@ def _cmd_gen_suite(args) -> int:
 # entry point
 
 
+def _lattice_cap(text: str) -> int:
+    """--max-lattice: an int of at least 1, refused while parsing, before
+    any file is read."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors, so that main reports them as JSON with exit 2;
     subcommand parsers are made from this class too."""
@@ -555,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-lattice",
-        type=int,
+        type=_lattice_cap,
         default=fr.DEFAULT_LATTICE_CAP,
         help="working-set cap for ideal enumeration",
     )

@@ -319,33 +319,49 @@ class GradingInstance:
     grading: gr.Grading
 
 
+class _Units:
+    """The unit of one ring, its element vectors, and the inverse found for
+    each element tried so far (None for a non-unit): one table shared by
+    every conjugate variant of the ring, so each element is solved once."""
+
+    def __init__(self, ring: fr.FiniteRing):
+        self.ring = ring
+        self.one = fr.find_identity(ring)
+        self.vectors = list(ring.element_vectors())
+        self._inverses: dict[int, tuple[int, ...] | None] = {}
+
+    def inverse(self, idx: int) -> tuple[int, ...] | None:
+        """The two-sided inverse of element ``idx``, or None."""
+        if idx not in self._inverses:
+            ring, one, p = self.ring, self.one.coords, self.vectors[idx]
+            # solve_row has checked p * q = one; the unit needs q * p = one too
+            q = solve_row(ring.left_mul_matrix(p), one, ring.modulus)
+            if q is not None and ring.mul_vec(q, p) != one:
+                q = None
+            self._inverses[idx] = q
+        return self._inverses[idx]
+
+
 def _find_invertible_pair(
-    ring: fr.FiniteRing, rng: random.Random
+    units: _Units, rng: random.Random
 ) -> tuple[fr.RingElement, fr.RingElement] | None:
-    """A random unit p with its inverse, or None when the ring has no unit."""
-    one = fr.find_identity(ring)
-    if one is None:
+    """A random unit p with its inverse, or None when the ring has no unit:
+    the first unit in a shuffled order of the elements."""
+    if units.one is None:
         return None
-    vectors = list(ring.element_vectors())
-    order = list(range(len(vectors)))
+    order = list(range(len(units.vectors)))
     rng.shuffle(order)
     for idx in order:
-        p = vectors[idx]
-        L = ring.left_mul_matrix(p)
-        q = solve_row(L, one.coords, ring.modulus)
-        if q is None:
-            continue
-        pe = ring.element(p)
-        qe = ring.element(q)
-        if pe * qe == one and qe * pe == one:
-            return pe, qe
+        q = units.inverse(idx)
+        if q is not None:
+            return units.ring.element(units.vectors[idx]), units.ring.element(q)
     return None
 
 
 def _conjugate_set(
-    ring: fr.FiniteRing, elems: tuple[fr.RingElement, ...], seed: int
+    units: _Units, elems: tuple[fr.RingElement, ...], seed: int
 ) -> tuple[fr.RingElement, ...] | None:
-    pair = _find_invertible_pair(ring, _rng("conjugate", seed))
+    pair = _find_invertible_pair(units, _rng("conjugate", seed))
     if pair is None:
         return None
     p, q = pair
@@ -431,11 +447,16 @@ def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
     base = _base_prop24_instances()
     out = list(base)
     variants_per_base = 9
+    units: dict[fr.FiniteRing, _Units] = {}  # by ring object; rings hash by identity
     for inst in base:
         if inst.ring.order > 256:
             continue
+        if inst.ring not in units:
+            units[inst.ring] = _Units(inst.ring)
         for v in range(variants_per_base):
-            conj = _conjugate_set(inst.ring, inst.idempotents, _mix(seed, inst.name, v))
+            conj = _conjugate_set(
+                units[inst.ring], inst.idempotents, _mix(seed, inst.name, v)
+            )
             if conj is None:
                 continue
             out.append(

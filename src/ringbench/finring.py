@@ -15,7 +15,8 @@ Additive subgroups are kept in Howell normal form, which is a true canonical
 form over Z/m, so subgroup equality is decided by comparing bases.  One-sided
 ideals are generated nonunitally (the ideal of x is Z x + S x, never just
 S x) and whole lattices of one-sided ideals are enumerated by closing the
-principal ideals under pairwise joins.
+principal ideals under pairwise joins, once per ring: each ring memoizes its
+submodule lattices.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ MAX_ASSOCIATIVITY_WORK = 10_000_000
 class FiniteRing:
     """A structure-constant algebra over Z/m.  Construct via make_ring."""
 
-    __slots__ = ("modulus", "rank", "basis_labels", "constants", "_table", "_basis_rows")
+    __slots__ = (
+        "modulus", "rank", "basis_labels", "constants", "_table", "_basis_rows", "_lattices"
+    )
 
     def __init__(self, modulus: int, rank: int, constants, basis_labels: tuple[str, ...]):
         """``constants`` holds the residues c[i][j][k] as nested tuples."""
@@ -69,6 +72,8 @@ class FiniteRing:
         self._basis_rows = tuple(
             tuple(int(i == j) for j in range(rank)) for i in range(rank)
         )
+        # submodule_lattice's results, by (acting key, ambient key, side)
+        self._lattices: dict[tuple, tuple] = {}
 
     @property
     def sc(self):
@@ -588,7 +593,7 @@ def join_closure(
 
 def submodule_lattice(
     acting: AdditiveSubgroup, ambient: AdditiveSubgroup, side: str, cap: int
-) -> tuple[list[AdditiveSubgroup], list[int]]:
+) -> tuple[tuple[AdditiveSubgroup, ...], tuple[int, ...]]:
     """All subgroups M of ``ambient`` with acting*M inside M (left) or
     M*acting inside M (right), sorted by (order, basis), and their strict
     inclusion relation as row bitsets (posets.strict_order_matrix).
@@ -598,13 +603,27 @@ def submodule_lattice(
     element at a time and closed under pairwise joins.  Raises
     LatticeTooLarge past ``cap`` subgroups; a truncated family is never
     returned.
+
+    Each lattice is enumerated once per ring: the ring memoizes the result,
+    keyed by (acting, ambient, side).  A hit longer than ``cap`` raises
+    LatticeTooLarge, as the enumeration would, since join_closure's family
+    only grows; a raised LatticeTooLarge is never memoized.
     """
     if acting.ring is not ambient.ring:
         raise RingMismatch("subgroups bound to different rings")
     ring = ambient.ring
-    principal = _principal_generators(ring, acting.rows, side)
-    subs = join_closure((ring.span(principal(x)) for x in ambient.element_vectors()), cap)
-    return subs, posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
+    key = (acting.key, ambient.key, side)
+    lattice = ring._lattices.get(key)
+    if lattice is None:
+        principal = _principal_generators(ring, acting.rows, side)
+        subs = tuple(
+            join_closure((ring.span(principal(x)) for x in ambient.element_vectors()), cap)
+        )
+        lt = posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
+        lattice = ring._lattices[key] = subs, tuple(lt)
+    elif len(lattice[0]) > cap:
+        raise LatticeTooLarge(cap)
+    return lattice
 
 
 def enumerate_one_sided_ideals(

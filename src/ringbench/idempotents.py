@@ -124,10 +124,14 @@ class PeirceTable:
         return self.components[i][j]
 
     @cached_property
+    def condition3(self) -> tuple[bool, tuple | None]:
+        """The condition-3 verdict and witness, evaluated once per table on
+        first use; ``strong`` and strong_condition_report both read it."""
+        return strength.condition3(_strength_table(self.components, self.iset.elements))
+
+    @property
     def strong(self) -> bool:
-        """The condition-3 verdict, evaluated once per table on first use."""
-        verdict, _ = strength.condition3(_strength_table(self.components, self.iset.elements))
-        return verdict
+        return self.condition3[0]
 
 
 def peirce_table(iset: IdempotentSet) -> PeirceTable:
@@ -171,9 +175,14 @@ def strong_condition_report(table: PeirceTable) -> StrongnessReport:
     """Evaluate the three strength conditions independently and literally.
 
     Condition 1 quantifies over all ordered index triples including repeats;
-    the degenerate triple (i, i, i) amounts to S_i S_i = S_i.
+    the degenerate triple (i, i, i) amounts to S_i S_i = S_i.  Condition 3
+    is the table's own verdict, evaluated once per table.
     """
-    return strength.report(_strength_table(table.components, table.iset.elements))
+    t = _strength_table(table.components, table.iset.elements)
+    c1, w1 = strength.condition1(t)
+    c2, w2 = strength.condition2(t)
+    c3, w3 = table.condition3
+    return StrongnessReport(c1, c2, c3, w1, w2, w3)
 
 
 def is_strong(iset: IdempotentSet) -> bool:

@@ -8,7 +8,7 @@ single forward pass.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import InvariantViolation
 
@@ -28,7 +28,7 @@ def strict_order_matrix(count: int, lt) -> list[int]:
     ]
 
 
-def cover_matrix(lt: list[int]) -> list[int]:
+def cover_matrix(lt: Sequence[int]) -> list[int]:
     """Covering relation (transitive reduction) of a strict order."""
     cover = []
     for row in lt:
@@ -39,7 +39,7 @@ def cover_matrix(lt: list[int]) -> list[int]:
     return cover
 
 
-def longest_chain_length(lt: list[int]) -> int:
+def longest_chain_length(lt: Sequence[int]) -> int:
     """Edge count of a longest chain; requires i < j whenever item i < item j."""
     height = [0] * len(lt)
     for i, row in enumerate(lt):
@@ -50,7 +50,7 @@ def longest_chain_length(lt: list[int]) -> int:
     return max(height, default=0)
 
 
-def is_monotone(lt: list[int], image: list[int], target_lt: list[int]) -> bool:
+def is_monotone(lt: Sequence[int], image: list[int], target_lt: Sequence[int]) -> bool:
     """Whether a < b always gives image[a] <= image[b] in the target order."""
     return all(
         image[a] == image[b] or target_lt[image[a]] >> image[b] & 1

@@ -262,6 +262,16 @@ class TestExitCodes:
         code, out = run(capsys, "--quiet", "build-mx", "c2", "abc")
         assert (code, out) == (2, "error UsageError\n")
 
+    def test_nonpositive_lattice_cap_is_a_usage_error(self, capsys):
+        # refused while parsing: the missing ring file is never opened
+        for cap in ("0", "-5"):
+            code, out = run(capsys, "--max-lattice", cap, "ideal-lattice", "missing.ring")
+            assert code == 2
+            assert json.loads(out)["error"] == {
+                "type": "UsageError",
+                "message": f"argument --max-lattice: must be at least 1, got {cap}",
+            }
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])

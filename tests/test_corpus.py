@@ -1,5 +1,8 @@
 """Generator determinism, suite contracts, mutation targetedness."""
 
+import hashlib
+import json
+
 import pytest
 
 from ringbench import corpus
@@ -105,6 +108,24 @@ class TestSuites:
         a = corpus.generate_suite("prop-3.2", seed=1)
         b = corpus.generate_suite("prop-3.2", seed=2)
         assert any(x.category.compose != y.category.compose for x, y in zip(a, b))
+
+
+# every prop-2.4 instance's name, idempotent coordinates and expected verdict;
+# a change to how a conjugate variant picks its unit changes these
+PROP24_SUITE_DIGESTS = {
+    1729: "df28d3364e34c7c2d45f0bce01e79fd01fffa0db92c59f956ad9ad8872cb34fc",
+    3: "db255e235c2c0c2f2488b5c962dfbcd636da1ec221f8157d977b553962849e8b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PROP24_SUITE_DIGESTS))
+def test_prop24_suite_matches_recorded_digest(seed):
+    h = hashlib.sha256()
+    instances = corpus.generate_suite("prop-2.4", seed)
+    for inst in instances:
+        record = [inst.name, [list(e.coords) for e in inst.idempotents], inst.expect_strong]
+        h.update(json.dumps(record).encode() + b"\n")
+    assert (len(instances), h.hexdigest()) == (250, PROP24_SUITE_DIGESTS[seed])
 
 
 class TestMutations:

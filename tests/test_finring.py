@@ -331,6 +331,56 @@ class TestIdealLattice:
         assert lat.cover_relation[4] == ()
 
 
+class TestLatticeMemo:
+    """submodule_lattice enumerates each (acting, ambient, side) once per ring."""
+
+    @staticmethod
+    def count_closures(monkeypatch) -> list[int]:
+        """The cap of every join_closure run from now on."""
+        caps: list[int] = []
+        closure = fr.join_closure
+
+        def counted(principals, cap):
+            caps.append(cap)
+            return closure(principals, cap)
+
+        monkeypatch.setattr(fr, "join_closure", counted)
+        return caps
+
+    def test_second_call_returns_the_same_immutable_result(self, monkeypatch):
+        ring = corpus.matrix_units_ring(2, 2)
+        caps = self.count_closures(monkeypatch)
+        full = ring.full_subgroup()
+        subs, lt = fr.submodule_lattice(full, full, "left", fr.DEFAULT_LATTICE_CAP)
+        # an equal subgroup built anew hits the same entry
+        again = fr.submodule_lattice(ring.full_subgroup(), full, "left", fr.DEFAULT_LATTICE_CAP)
+        assert again == (subs, lt) and again[0] is subs
+        assert type(subs) is tuple and type(lt) is tuple
+        assert len(subs) == 5 and caps == [fr.DEFAULT_LATTICE_CAP]
+        right = fr.submodule_lattice(full, full, "right", fr.DEFAULT_LATTICE_CAP)
+        assert right[0] is not subs and len(caps) == 2
+
+    def test_hit_with_a_smaller_cap_raises(self, monkeypatch):
+        ring = corpus.matrix_units_ring(2, 2)
+        caps = self.count_closures(monkeypatch)
+        assert fr.enumerate_one_sided_ideals(ring, "left").size == 5
+        with pytest.raises(LatticeTooLarge) as exc:
+            fr.enumerate_one_sided_ideals(ring, "left", cap=4)
+        assert exc.value.cap == 4
+        assert fr.enumerate_one_sided_ideals(ring, "left", cap=5).size == 5
+        assert caps == [fr.DEFAULT_LATTICE_CAP]
+
+    def test_a_failure_is_not_memoized(self, monkeypatch):
+        ring = corpus.matrix_units_ring(2, 2)
+        caps = self.count_closures(monkeypatch)
+        with pytest.raises(LatticeTooLarge):
+            fr.enumerate_one_sided_ideals(ring, "left", cap=4)
+        assert fr.enumerate_one_sided_ideals(ring, "left", cap=5).size == 5
+        with pytest.raises(LatticeTooLarge):
+            fr.enumerate_one_sided_ideals(ring, "left", cap=4)
+        assert caps == [4, 5]
+
+
 class TestCorners:
     def test_corner_at_e11(self, m2f2):
         corner = fr.corner_ring(m2f2, m2f2.basis_element(0))

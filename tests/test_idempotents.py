@@ -5,6 +5,7 @@ import pytest
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import idempotents as idem
+from ringbench import strength
 from ringbench.errors import (
     CornerNotFree,
     LatticeTooLarge,
@@ -151,6 +152,18 @@ class TestStrongConditions:
         iset = idem.validate_complete_set(ring, [fr.find_identity(ring)])
         assert idem.is_strong(iset)
 
+    def test_condition3_evaluated_once_per_table(self, monkeypatch):
+        ring = corpus.matrix_units_ring(2, 2)
+        iset = idem.validate_complete_set(ring, [ring.basis_element(0), ring.basis_element(3)])
+        table = idem.peirce_table(iset)
+        calls = []
+        condition3 = strength.condition3
+        monkeypatch.setattr(strength, "condition3", lambda t: calls.append(t) or condition3(t))
+        report = idem.strong_condition_report(table)
+        assert report.strong and table.strong
+        assert idem.strong_condition_report(table) == report
+        assert len(calls) == 1
+
     def test_is_strong_matches_condition3(self, m2_setup, t2_setup):
         _, m2_iset, m2_table = m2_setup
         _, t2_iset, t2_table = t2_setup
@@ -279,6 +292,35 @@ class TestSubmoduleLattice:
 
     def test_non_free_corners_match_brute_force(self, z6z6_setup):
         self.check_every_component(z6z6_setup[2])
+
+    def test_each_lattice_enumerated_once_per_table(self, monkeypatch):
+        ring = fr.direct_product([corpus.matrix_units_ring(2, 2), corpus.cyclic_ring(2)])
+        iset = idem.validate_complete_set(
+            ring, [ring.element(v) for v in ([1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1])]
+        )
+        table = idem.peirce_table(iset)
+        closures = []
+        closure = fr.join_closure
+        monkeypatch.setattr(
+            fr, "join_closure", lambda principals, cap: closures.append(cap) or closure(principals, cap)
+        )
+        keys = set()
+        certificates = 0
+        for _ in range(2):
+            for i in range(table.size):
+                for j in range(table.size):
+                    if table.component(i, j).is_zero():
+                        continue
+                    for side in ("left", "right"):
+                        assert idem.corner_lattice_correspondence(table, i, j, side).ok
+                        certificates += 1
+                        corner, acting = table.component(i, i), table.component(j, j)
+                        ambient = table.component(j, i) if side == "left" else table.component(i, j)
+                        keys.add((corner.key, corner.key, side))
+                        keys.add((acting.key, ambient.key, side))
+        # two lattices per certificate, ten certificates per pass
+        assert certificates == 20 and len(keys) == 10
+        assert len(closures) == len(keys)
 
     @staticmethod
     def check_every_component(table):
