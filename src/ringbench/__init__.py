@@ -66,8 +66,4 @@ from .skewalg import (  # noqa: F401
     strong_idempotent_equivalence_check,
     validate_system,
 )
-from .corpus import (  # noqa: F401
-    Mutation,
-    generate_suite,
-    mutate,
-)
+from .corpus import generate_suite  # noqa: F401

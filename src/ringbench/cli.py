@@ -1,7 +1,8 @@
 """Command line interface: file ingestion, subcommand dispatch, JSON reports.
 
-Input formats are whitespace-insensitive token streams with ``#`` line
-comments; all integers are decimal.  The schemas:
+Input files are UTF-8 text (any other byte is a ParseError at its line and
+column).  Input formats are whitespace-insensitive token streams with ``#``
+line comments; all integers are decimal.  The schemas:
 
 Ring file::
 
@@ -103,8 +104,16 @@ class Token:
 
 
 class TokenStream:
-    def __init__(self, text: str, path: str = "<input>"):
-        self.path = path
+    """The tokens of one input file, read as UTF-8 text."""
+
+    def __init__(self, path: Path):
+        data = path.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the sentinel stands for the bad byte: the last line is its line
+            lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+            raise ParseError(f"{path} is not UTF-8 text", len(lines), len(lines[-1])) from None
         self.tokens: list[Token] = []
         for ln, raw in enumerate(text.splitlines(), start=1):
             body = raw.split("#", 1)[0]
@@ -158,7 +167,7 @@ class TokenStream:
 
 def parse_ring_file(path: str | Path) -> fr.FiniteRing:
     path = Path(path)
-    ts = TokenStream(path.read_text(), str(path))
+    ts = TokenStream(path)
     ts.expect("modulus")
     modulus = ts.integer("modulus")
     ts.expect("rank")
@@ -183,7 +192,7 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
 
 def parse_idempotent_file(path: str | Path) -> tuple[fr.FiniteRing, list[fr.RingElement]]:
     path = Path(path)
-    ts = TokenStream(path.read_text(), str(path))
+    ts = TokenStream(path)
     ts.expect("ring")
     ring_path = ts.next("ring path").text
     ring = parse_ring_file(path.parent / ring_path)
@@ -197,7 +206,7 @@ def parse_idempotent_file(path: str | Path) -> tuple[fr.FiniteRing, list[fr.Ring
 
 def parse_category_file(path: str | Path) -> cat.SmallCategory:
     path = Path(path)
-    ts = TokenStream(path.read_text(), str(path))
+    ts = TokenStream(path)
     ts.expect("objects")
     p = ts.integer("object count")
     ts.expect("morphisms")
@@ -223,7 +232,7 @@ def parse_category_file(path: str | Path) -> cat.SmallCategory:
 
 def parse_grading_file(path: str | Path) -> gr.Grading:
     path = Path(path)
-    ts = TokenStream(path.read_text(), str(path))
+    ts = TokenStream(path)
     ts.expect("ring")
     ring = parse_ring_file(path.parent / ts.next("ring path").text)
     ts.expect("category")
@@ -244,7 +253,7 @@ def parse_grading_file(path: str | Path) -> gr.Grading:
 
 def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
     path = Path(path)
-    ts = TokenStream(path.read_text(), str(path))
+    ts = TokenStream(path)
     ts.expect("category")
     category = parse_category_file(path.parent / ts.next("category path").text)
     rings: dict[int, fr.FiniteRing] = {}

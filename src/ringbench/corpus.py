@@ -9,10 +9,15 @@ monoids, and disjoint unions.
 
 Everything is a pure function of the seed: seeds are mixed through
 SHA-256, so suites reproduce bit for bit across platforms and runs.
+
+The invalid mutants are a fixed table, mutation_matrix: one case per
+validator error, each perturbation written out as data on a valid base
+instance, so no validator chooses the mutants it is then tested on.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -23,11 +28,25 @@ from . import graded as gr
 from . import skewalg as sk
 from . import smallcat as cat
 from .errors import (
-    CannotTarget,
+    CompositionDomainMismatch,
+    GradingViolation,
+    IdentityLawViolation,
+    IdentityNotIdentity,
+    ModulusTooSmall,
+    NotAssociative,
+    NotComplete,
+    NotDirectSum,
+    NotFunctorial,
+    NotIdempotent,
+    NotOrthogonal,
+    NotRingIso,
     ParameterOutOfRange,
+    ShapeMismatch,
     UnknownSuite,
+    ZeroIdempotent,
 )
 from .howell import solve_row
+from .idempotents import validate_complete_set
 
 DEFAULT_SUITE_SEED = 1729
 MAX_RING_ORDER = 4096
@@ -618,302 +637,93 @@ def generate_suite(name: str, seed: int | None = None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# mutations
-
-
-@dataclass(frozen=True)
-class Mutation:
-    """A targeted perturbation: applying it to a valid instance must produce
-    raw data that the validator rejects with exactly the targeted error."""
-
-    target: str
-    description: str
-    seed: int = 0
+# mutants
 
 
 @dataclass(frozen=True)
 class MutatedInstance:
-    description: str
+    """Raw data that its validator must reject with exactly expected_error."""
+
     expected_error: type
     payload: Any
     revalidate: Callable[[], Any]
 
 
-def _mutate_ring(ring: fr.FiniteRing, mutation: Mutation) -> MutatedInstance:
-    from .errors import ModulusTooSmall, NotAssociative, ShapeMismatch
-
-    if mutation.target == "NotAssociative":
-        rng = _rng("mut-ring", mutation.seed)
-        n = ring.rank
-        order = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-        rng.shuffle(order)
-        for (i, j, k) in order:
-            for delta in range(1, ring.modulus):
-                sc = [[list(cell) for cell in row] for row in ring.constants]
-                sc[i][j][k] = (sc[i][j][k] + delta) % ring.modulus
-                try:
-                    fr.make_ring(ring.modulus, n, sc, ring.basis_labels)
-                except NotAssociative:
-                    bad = sc
-
-                    def revalidate(sc=bad):
-                        return fr.make_ring(ring.modulus, ring.rank, sc, ring.basis_labels)
-
-                    return MutatedInstance(
-                        mutation.description, NotAssociative, bad, revalidate
-                    )
-                except Exception:
-                    continue
-        raise CannotTarget("no single-entry perturbation breaks associativity")
-    if mutation.target == "ShapeMismatch":
-        bad = [c for row in ring.constants for cell in row for c in cell][:-1]
-
-        def revalidate(data=bad):
-            return fr.make_ring(ring.modulus, ring.rank, data, ring.basis_labels)
-
-        return MutatedInstance(mutation.description, ShapeMismatch, bad, revalidate)
-    if mutation.target == "ModulusTooSmall":
-        def revalidate():
-            return fr.make_ring(1, ring.rank, ring.constants, ring.basis_labels)
-
-        return MutatedInstance(mutation.description, ModulusTooSmall, 1, revalidate)
-    raise CannotTarget(f"ring mutation cannot target {mutation.target}")
-
-
-def _mutate_idempotent_set(
-    inst: RingWithIdempotents, mutation: Mutation
-) -> MutatedInstance:
-    from .errors import NotComplete, NotIdempotent, NotOrthogonal, ZeroIdempotent
-    from .idempotents import validate_complete_set
-
-    ring = inst.ring
-    elems = list(inst.idempotents)
-    target = mutation.target
-    if target == "NotOrthogonal":
-        if len(elems) < 2:
-            raise CannotTarget("orthogonality is vacuous for singleton sets")
-        bad = [elems[0], elems[0]] + elems[2:]
-        expected = NotOrthogonal
-    elif target == "ZeroIdempotent":
-        bad = [ring.zero()] + elems[1:]
-        expected = ZeroIdempotent
-    elif target == "NotIdempotent":
-        cand = next(
-            (x for x in ring.elements() if not x.is_zero() and x * x != x), None
-        )
-        if cand is None:
-            raise CannotTarget("every element of this ring is idempotent")
-        bad = [cand] + elems[1:]
-        expected = NotIdempotent
-    elif target == "NotComplete":
-        if len(elems) < 2:
-            raise CannotTarget("a singleton complete set cannot be thinned")
-        bad = elems[:-1]
-        expected = NotComplete
-    else:
-        raise CannotTarget(f"idempotent-set mutation cannot target {target}")
-
-    def revalidate(bad=tuple(bad)):
-        return validate_complete_set(ring, bad)
-
-    return MutatedInstance(mutation.description, expected, tuple(bad), revalidate)
-
-
-def _mutate_category(c: cat.SmallCategory, mutation: Mutation) -> MutatedInstance:
-    from .errors import CompositionDomainMismatch, IdentityLawViolation, NotAssociative
-
-    target = mutation.target
-    q = c.morphism_count
-    table = [[c.compose[g, h] for h in range(q)] for g in range(q)]
-    pairs = [(g, h) for g in range(q) for h in range(q)]
-    undef = [(g, h) for g, h in pairs if table[g][h] == cat.UNDEFINED]
-    defined = [(g, h) for g, h in pairs if table[g][h] != cat.UNDEFINED]
-    if target == "CompositionDomainMismatch":
-        if undef:
-            g, h = undef[0]
-            table[g][h] = 0
-        else:
-            if not defined:
-                raise CannotTarget("no table entries to perturb")
-            g, h = defined[0]
-            table[g][h] = cat.UNDEFINED
-        expected = CompositionDomainMismatch
-    elif target == "IdentityLawViolation":
-        # misdirect one identity composite to a parallel morphism so the
-        # endpoint checks still pass
-        choice = None
-        for a in range(c.object_count):
-            e = c.identity[a]
-            for h in range(c.morphism_count):
-                if c.cod[h] != a:
-                    continue
-                for w in range(c.morphism_count):
-                    if w != h and c.dom[w] == c.dom[h] and c.cod[w] == c.cod[h]:
-                        choice = (e, h, w)
-                        break
-                if choice:
-                    break
-            if choice:
-                break
-        if choice is None:
-            raise CannotTarget("all hom-sets are singletons; endpoints would break first")
-        e, h, w = choice
-        table[e][h] = w
-        expected = IdentityLawViolation
-    elif target == "NotAssociative":
-        rng = _rng("mut-cat-assoc", mutation.seed)
-        rng.shuffle(defined)
-        for (g, h) in defined:
-            current = table[g][h]
-            for repl in range(c.morphism_count):
-                if repl == current:
-                    continue
-                if c.dom[repl] != c.dom[h] or c.cod[repl] != c.cod[g]:
-                    continue
-                cand = [list(row) for row in table]
-                cand[g][h] = repl
-                try:
-                    cat.make_category(c.object_count, c.dom, c.cod, c.identity, cand)
-                except NotAssociative:
-                    def revalidate(t=cand):
-                        return cat.make_category(c.object_count, c.dom, c.cod, c.identity, t)
-
-                    return MutatedInstance(mutation.description, NotAssociative, cand, revalidate)
-                except Exception:
-                    continue
-        raise CannotTarget("no endpoint-legal rewiring breaks associativity alone")
-    else:
-        raise CannotTarget(f"category mutation cannot target {target}")
-
-    def revalidate(t=table):
-        return cat.make_category(c.object_count, c.dom, c.cod, c.identity, t)
-
-    return MutatedInstance(mutation.description, expected, table, revalidate)
-
-
-def _mutate_system(system: sk.SkewCategorySystem, mutation: Mutation) -> MutatedInstance:
-    from .errors import IdentityNotIdentity, NotFunctorial, NotRingIso
-
-    c = system.category
-    maps = list(system.maps)
-    target = mutation.target
-    if target == "IdentityNotIdentity":
-        a = 0
-        e = c.identity[a]
-        n = system.object_rings[a].rank
-        if n >= 2:
-            eye = maps[e]  # the identity map of a validated system
-            maps[e] = (eye[1], eye[0]) + eye[2:]
-            expected = IdentityNotIdentity
-        else:
-            raise CannotTarget("rank-1 object ring admits only the identity map")
-    elif target == "NotRingIso":
-        g = next((g for g in range(c.morphism_count)), None)
-        maps[g] = tuple((0,) * len(row) for row in maps[g])
-        expected = NotRingIso
-    elif target == "NotFunctorial":
-        # replace one non-identity map by the identity; accept the first
-        # replacement whose only defect is functoriality
-        for g in range(c.morphism_count):
-            if g in c.identity:
-                continue
-            eye = _identity_matrix(len(maps[g]))
-            if maps[g] == eye:
-                continue
-            cand = list(maps)
-            cand[g] = eye
-            try:
-                sk.validate_system(c, system.object_rings, cand)
-            except NotFunctorial:
-                def revalidate(ms=tuple(cand)):
-                    return sk.validate_system(c, system.object_rings, list(ms))
-
-                return MutatedInstance(
-                    mutation.description, NotFunctorial, tuple(cand), revalidate
-                )
-            except Exception:
-                continue
-        raise CannotTarget("no single-map replacement breaks functoriality alone")
-    else:
-        raise CannotTarget(f"system mutation cannot target {target}")
-
-    def revalidate(ms=tuple(maps)):
-        return sk.validate_system(c, system.object_rings, list(ms))
-
-    return MutatedInstance(mutation.description, expected, tuple(maps), revalidate)
-
-
-def _mutate_grading(grading: gr.Grading, mutation: Mutation) -> MutatedInstance:
-    from .errors import GradingViolation, NotDirectSum
-
-    comps = list(grading.components)
-    target = mutation.target
-    if target == "GradingViolation":
-        idx = [g for g in range(len(comps)) if not comps[g].is_zero()]
-        if len(idx) < 2:
-            raise CannotTarget("fewer than two nonzero components")
-        g0, g1 = idx[0], idx[1]
-        comps[g0], comps[g1] = comps[g1], comps[g0]
-        expected = GradingViolation
-    elif target == "NotDirectSum":
-        idx = next((g for g in range(len(comps)) if not comps[g].is_zero()), None)
-        if idx is None:
-            raise CannotTarget("all components already zero")
-        comps[idx] = grading.ring.zero_subgroup()
-        expected = NotDirectSum
-    else:
-        raise CannotTarget(f"grading mutation cannot target {target}")
-
-    def revalidate(cs=tuple(comps)):
-        return gr.attach_grading(grading.ring, grading.category, cs)
-
-    return MutatedInstance(mutation.description, expected, tuple(comps), revalidate)
-
-
-def mutate(instance, mutation: Mutation) -> MutatedInstance:
-    """Perturb a valid instance so its validator rejects it with exactly the
-    targeted error class; raises CannotTarget when the axiom is vacuous."""
-    if isinstance(instance, fr.FiniteRing):
-        return _mutate_ring(instance, mutation)
-    if isinstance(instance, RingWithIdempotents):
-        return _mutate_idempotent_set(instance, mutation)
-    if isinstance(instance, cat.SmallCategory):
-        return _mutate_category(instance, mutation)
-    if isinstance(instance, sk.SkewCategorySystem):
-        return _mutate_system(instance, mutation)
-    if isinstance(instance, gr.Grading):
-        return _mutate_grading(instance, mutation)
-    raise CannotTarget(f"no mutations defined for {type(instance).__name__}")
-
-
 def mutation_matrix() -> list[tuple[str, MutatedInstance]]:
-    """The standard corpus of targeted mutants, one per validator error."""
-    m2 = matrix_units_ring(2, 2)
-    e11, e22 = m2.basis_element(0), m2.basis_element(3)
-    inst24 = RingWithIdempotents("m2", m2, (e11, e22), True)
-    arrow = thin_category_from_relation(2, [(0, 1)])
-    c2 = cat.build_MX(MONOID_TABLES["c2"], 1)
-    c4 = cat.build_MX(MONOID_TABLES["c4"], 1)
-    z33 = fr.direct_product([cyclic_ring(3), cyclic_ring(3)])
-    system2 = sk.validate_system(c2, [z33], [EYE2, SWAP])
-    system4 = sk.validate_system(c4, [z33], [EYE2, SWAP, EYE2, SWAP])
-    grading = _matrix_grading_m2(2)
+    """The fixed table of targeted mutants, one per validator error.
 
-    cases = [
-        ("ring-not-associative", mutate(m2, Mutation("NotAssociative", "perturb one structure constant"))),
-        ("ring-shape", mutate(m2, Mutation("ShapeMismatch", "truncate the constants list"))),
-        ("ring-modulus", mutate(m2, Mutation("ModulusTooSmall", "set modulus to 1"))),
-        ("idem-zero", mutate(inst24, Mutation("ZeroIdempotent", "replace an idempotent with zero"))),
-        ("idem-not-idempotent", mutate(inst24, Mutation("NotIdempotent", "replace with a non-idempotent element"))),
-        ("idem-not-orthogonal", mutate(inst24, Mutation("NotOrthogonal", "duplicate an idempotent"))),
-        ("idem-not-complete", mutate(inst24, Mutation("NotComplete", "drop one idempotent"))),
-        ("cat-domain", mutate(arrow, Mutation("CompositionDomainMismatch", "define a non-composable entry"))),
-        ("cat-identity", mutate(c2, Mutation("IdentityLawViolation", "misdirect an identity composite"))),
-        ("cat-associative", mutate(cat.build_MX(MONOID_TABLES["transf2"], 1), Mutation("NotAssociative", "rewire one composite"))),
-        ("sys-identity", mutate(system2, Mutation("IdentityNotIdentity", "swap coordinates on an identity map"))),
-        ("sys-not-iso", mutate(system2, Mutation("NotRingIso", "zero out one map"))),
-        ("sys-not-functorial", mutate(system4, Mutation("NotFunctorial", "replace one map by the identity"))),
-        ("grading-violation", mutate(grading, Mutation("GradingViolation", "swap two components"))),
-        ("grading-not-direct-sum", mutate(grading, Mutation("NotDirectSum", "zero out one component"))),
+    Each row writes its perturbation out as data on a valid base instance;
+    no validator runs until a case's revalidate.
+    """
+    m2 = matrix_units_ring(2, 2)
+    e11, e12, e21, e22 = m2.basis()
+    c2 = one_object_monoid_category("c2")
+    c4 = one_object_monoid_category("c4")
+    z33 = fr.direct_product([cyclic_ring(3), cyclic_ring(3)])
+    pair = cat.build_MX(MONOID_TABLES["c1"], 2)
+    units = [m2.span([e.coords]) for e in (e11, e12, e21, e22)]
+    U = cat.UNDEFINED
+
+    def ring(constants):
+        return fr.make_ring(2, 4, constants, m2.basis_labels)
+
+    def ring_modulo(modulus):
+        return fr.make_ring(modulus, 4, m2.constants, m2.basis_labels)
+
+    def idempotents(elements):
+        return validate_complete_set(m2, elements)
+
+    def category(objects, dom, cod, identity):
+        return lambda table: cat.make_category(objects, dom, cod, identity, table)
+
+    def system(c):
+        return lambda maps: sk.validate_system(c, [z33], list(maps))
+
+    def grading(components):
+        return gr.attach_grading(m2, pair, components)
+
+    nonassociative = [[list(cell) for cell in row] for row in m2.constants]
+    nonassociative[0][3][2] = 1  # E11 * E22 = E21 instead of 0
+    truncated = [c for row in m2.constants for cell in row for c in cell][:-1]
+    table = [
+        ("ring-not-associative", NotAssociative, nonassociative, ring),
+        ("ring-shape", ShapeMismatch, truncated, ring),
+        ("ring-modulus", ModulusTooSmall, 1, ring_modulo),
+        ("idem-zero", ZeroIdempotent, (m2.zero(), e22), idempotents),
+        # E21 is the first non-idempotent element in lexicographic order
+        ("idem-not-idempotent", NotIdempotent, (e21, e22), idempotents),
+        ("idem-not-orthogonal", NotOrthogonal, (e11, e11), idempotents),
+        ("idem-not-complete", NotComplete, (e11,), idempotents),
+        # the arrow category 0 -> 1 with a composite for the non-composable (0, 1)
+        (
+            "cat-domain",
+            CompositionDomainMismatch,
+            [[0, 0, U], [1, U, U], [U, 1, 2]],
+            category(2, (0, 0, 1), (0, 1, 1), (0, 2)),
+        ),
+        # the group c2 with identity * identity = generator
+        (
+            "cat-identity",
+            IdentityLawViolation,
+            [[1, 1], [1, 0]],
+            category(1, (0, 0), (0, 0), (0,)),
+        ),
+        # the maps {0,1} -> {0,1} (id, swap, const0, const1), const1 * swap = id
+        (
+            "cat-associative",
+            NotAssociative,
+            [[0, 1, 2, 3], [1, 0, 3, 2], [2, 2, 2, 2], [3, 0, 3, 3]],
+            category(1, (0, 0, 0, 0), (0, 0, 0, 0), (0,)),
+        ),
+        # c2 and c4 act on Z/3 x Z/3; the valid maps are (EYE2, SWAP, ...)
+        ("sys-identity", IdentityNotIdentity, (SWAP, SWAP), system(c2)),
+        ("sys-not-iso", NotRingIso, (((0, 0), (0, 0)), SWAP), system(c2)),
+        ("sys-not-functorial", NotFunctorial, (EYE2, EYE2, EYE2, SWAP), system(c4)),
+        # the pair groupoid grading M2(Z/2) by matrix units
+        ("grading-violation", GradingViolation, (units[1], units[0], units[2], units[3]), grading),
+        ("grading-not-direct-sum", NotDirectSum, (m2.zero_subgroup(), *units[1:]), grading),
     ]
-    return cases
+    return [
+        (name, MutatedInstance(error, payload, functools.partial(check, payload)))
+        for name, error, payload, check in table
+    ]

@@ -229,10 +229,6 @@ class UnknownSuite(WorkbenchError):
         super().__init__(f"unknown suite {name!r}; known suites: {', '.join(sorted(known))}")
 
 
-class CannotTarget(WorkbenchError):
-    """The requested mutation target is vacuous for the given instance."""
-
-
 class UsageError(WorkbenchError):
     """Bad command line: an unknown flag, a missing subcommand or argument,
     or an argument value of the wrong form."""

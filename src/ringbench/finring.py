@@ -327,6 +327,21 @@ def product_subgroup(a: AdditiveSubgroup, b: AdditiveSubgroup) -> AdditiveSubgro
     return a.ring.span([mul(x, y) for x in a.rows for y in b.rows])
 
 
+def direct_sum_defect(
+    ring: FiniteRing, parts: Sequence[AdditiveSubgroup]
+) -> AdditiveSubgroup | None:
+    """None when the parts decompose the ring as a direct sum, else their sum.
+
+    The parts are spanned together in one reduction.  Their sum lies in S,
+    so it is S exactly when its order is |S|, and it is direct exactly when
+    the parts' orders also multiply to |S|.
+    """
+    total = ring.span([row for part in parts for row in part.rows])
+    if total.order == ring.order == math.prod(part.order for part in parts):
+        return None
+    return total
+
+
 # ---------------------------------------------------------------------------
 # ring construction
 

@@ -15,6 +15,7 @@ mechanically on every instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,6 +32,7 @@ from .finring import (
     AdditiveSubgroup,
     FiniteRing,
     RingElement,
+    direct_sum_defect,
     product_subgroup,
     subring_identity,
 )
@@ -89,15 +91,9 @@ def attach_grading(
         if sub.ring is not ring:
             raise RingMismatch("component bound to a different ring")
 
-    total = ring.zero_subgroup()
-    prod = 1
-    for sub in comps:
-        total = total.join(sub)
-        prod *= sub.order
-    if prod != ring.order or total != ring.full_subgroup():
-        raise NotDirectSum(
-            f"component orders multiply to {prod}, ring order is {ring.order}"
-        )
+    if direct_sum_defect(ring, comps) is not None:
+        prod = math.prod(sub.order for sub in comps)
+        raise NotDirectSum(f"component orders multiply to {prod}, ring order is {ring.order}")
 
     for g in range(q):
         for h in range(q):

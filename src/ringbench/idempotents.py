@@ -34,6 +34,7 @@ from .finring import (
     AdditiveSubgroup,
     FiniteRing,
     RingElement,
+    direct_sum_defect,
     enumerate_one_sided_ideals,
     product_subgroup,
 )
@@ -86,14 +87,9 @@ def validate_complete_set(
             if i != j and not (elems[i] * elems[j]).is_zero():
                 raise NotOrthogonal(i, j)
     for side in ("left", "right"):
-        parts = [_one_sided_multiples(ring, e, side) for e in elems]
-        total = ring.zero_subgroup()
-        prod = 1
-        for p in parts:
-            total = total.join(p)
-            prod *= p.order
-        if prod != ring.order or total != ring.full_subgroup():
-            raise NotComplete(side, defect=total)
+        defect = direct_sum_defect(ring, [_one_sided_multiples(ring, e, side) for e in elems])
+        if defect is not None:
+            raise NotComplete(side, defect=defect)
     return IdempotentSet(ring, elems)
 
 
@@ -142,13 +138,7 @@ def peirce_table(iset: IdempotentSet) -> PeirceTable:
     """
     ring = iset.ring
     table = _components(iset)
-    total = ring.zero_subgroup()
-    prod = 1
-    for row in table:
-        for sub in row:
-            total = total.join(sub)
-            prod *= sub.order
-    if prod != ring.order or total != ring.full_subgroup():
+    if direct_sum_defect(ring, [sub for row in table for sub in row]) is not None:
         raise InvariantViolation("component table does not decompose the ring")
     return PeirceTable(ring, iset, tuple(tuple(row) for row in table))
 
@@ -251,25 +241,24 @@ def corner_lattice_correspondence(
     if table.components[i][j].is_zero():
         raise ZeroComponent(f"component ({i}, {j}) is zero")
 
-    ring = table.ring
-    corner = table.components[i][i]
+    comps = table.components
+    corner = comps[i][i]
     ideals, ideal_lt = _submodules(corner, corner, side, cap)
     # e_j S e_i on the left, e_i S e_j on the right; S_j acts on both
-    ambient = table.components[j][i] if side == "left" else table.components[i][j]
-    submodules, sub_lt = _submodules(table.components[j][j], ambient, side, cap)
+    ambient, opposed = (comps[j][i], comps[i][j]) if side == "left" else (comps[i][j], comps[j][i])
+    submodules, sub_lt = _submodules(comps[j][j], ambient, side, cap)
 
-    # each image once, as an index into the other family: I -> e_j S I and
-    # M -> e_i S M on the left, I -> I S e_j and M -> M S e_i on the right
-    def images(subs, e, family):
+    # each image once, as an index into the other family.  On the left
+    # I = e_i I and M = e_j M, so e_j S I = S_ji I and e_i S M = S_ij M; on
+    # the right I S e_j = I S_ij and M S e_i = M S_ji.
+    def images(subs, by, family):
         index = {s.key: idx for idx, s in enumerate(family)}
         if side == "left":
-            by = _one_sided_multiples(ring, e, "right")  # e S
             return [index.get(product_subgroup(by, s).key) for s in subs]
-        by = _one_sided_multiples(ring, e, "left")  # S e
         return [index.get(product_subgroup(s, by).key) for s in subs]
 
-    fwd = images(ideals, table.iset.elements[j], submodules)
-    bwd = images(submodules, table.iset.elements[i], ideals)
+    fwd = images(ideals, ambient, submodules)
+    bwd = images(submodules, opposed, ideals)
 
     # the first unlisted image is the failure; the round trips are judged
     # on the images met before it, and monotonicity only without a failure

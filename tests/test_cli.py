@@ -170,6 +170,19 @@ class TestExitCodes:
         assert error["type"] == "IsADirectoryError"
         assert "line" not in error and "column" not in error
 
+    def test_non_utf8_file_exits_two_at_the_bad_byte(self, workdir, capsys):
+        (workdir / "latin1.ring").write_bytes(M2_RING.replace("E22", "E2\xb2").encode("latin-1"))
+        (workdir / "latin1_idems.txt").write_text("ring latin1.ring\nidempotent 1 0 0 0\n")
+        for command, path in (
+            ("check-ring", "latin1.ring"),
+            ("check-strong", "latin1_idems.txt"),
+        ):
+            code, out = run(capsys, command, workdir / path)
+            assert code == 2, command
+            error = json.loads(out)["error"]
+            assert error["type"] == "ParseError", command
+            assert (error["line"], error["column"]) == (4, 22), command
+
     def test_malformed_seed_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("WORKBENCH_SEED", "abc")
         code, out = run(capsys, "verify-prop", "mx-family")
