@@ -2,7 +2,9 @@
 
 Input files are UTF-8 text (any other byte is a ParseError at its line and
 column).  Input formats are whitespace-insensitive token streams with ``#``
-line comments; all integers are decimal.  The schemas:
+line comments; all integers are decimal.  Each declaration is given at most
+once: a second ``compose g h``, ``component g``, ``object a`` or ``map g``
+for the same index is a ParseError at the repeated keyword.  The schemas:
 
 Ring file::
 
@@ -17,8 +19,8 @@ Idempotent-set file::
     ring <path relative to this file>
     idempotent <rank residues>   # one line per candidate
 
-Category file (composition entries may appear in any order; omitted pairs
-mean undefined)::
+Category file (composition entries may appear in any order, each pair at
+most once; omitted pairs mean undefined)::
 
     objects 2
     morphisms 3
@@ -222,11 +224,12 @@ def parse_category_file(path: str | Path) -> cat.SmallCategory:
     identity = [ts.integer_in(f"identity of object {a}", 0, q) for a in range(p)]
     table = [[cat.UNDEFINED] * q for _ in range(q)]
     while not ts.done():
-        ts.expect("compose")
+        tok = ts.expect("compose")
         g = ts.integer_in("composition row", 0, q)
         h = ts.integer_in("composition column", 0, q)
-        gh = ts.integer_in("composite", 0, q)
-        table[g][h] = gh
+        if table[g][h] != cat.UNDEFINED:
+            raise ParseError(f"composite of ({g}, {h}) given twice", tok.line, tok.column)
+        table[g][h] = ts.integer_in("composite", 0, q)
     return cat.make_category(p, dom, cod, identity, table)
 
 
@@ -239,8 +242,10 @@ def parse_grading_file(path: str | Path) -> gr.Grading:
     category = parse_category_file(path.parent / ts.next("category path").text)
     components: dict[int, fr.AdditiveSubgroup] = {}
     while not ts.done():
-        ts.expect("component")
+        tok = ts.expect("component")
         g = ts.integer_in("morphism index", 0, category.morphism_count)
+        if g in components:
+            raise ParseError(f"component {g} given twice", tok.line, tok.column)
         count = ts.integer_in("generator count", 0, math.inf)
         rows = []
         for r in range(count):
@@ -263,6 +268,8 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
             break
         ts.expect("object")
         a = ts.integer_in("object index", 0, category.object_count)
+        if a in rings:
+            raise ParseError(f"object {a} given twice", tok.line, tok.column)
         ts.expect("ring")
         rings[a] = parse_ring_file(path.parent / ts.next("ring path").text)
     missing = [a for a in range(category.object_count) if a not in rings]
@@ -270,8 +277,10 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
         raise ParseError(f"object rings missing for objects {missing}", 1, 1)
     maps: dict[int, list[list[int]]] = {}
     while not ts.done():
-        ts.expect("map")
+        tok = ts.expect("map")
         g = ts.integer_in("morphism index", 0, category.morphism_count)
+        if g in maps:
+            raise ParseError(f"map {g} given twice", tok.line, tok.column)
         nd = rings[category.dom[g]].rank
         nc = rings[category.cod[g]].rank
         flat = [ts.integer(f"entry {i}") for i in range(nd * nc)]

@@ -120,10 +120,16 @@ class PeirceTable:
         return self.components[i][j]
 
     @cached_property
+    def strength_table(self) -> strength.ComponentTable:
+        """The components with the strength operations and one product memo,
+        shared by ``condition3`` and strong_condition_report."""
+        return _strength_table(self.components, self.iset.elements)
+
+    @cached_property
     def condition3(self) -> tuple[bool, tuple | None]:
         """The condition-3 verdict and witness, evaluated once per table on
         first use; ``strong`` and strong_condition_report both read it."""
-        return strength.condition3(_strength_table(self.components, self.iset.elements))
+        return strength.condition3(self.strength_table)
 
     @property
     def strong(self) -> bool:
@@ -166,9 +172,10 @@ def strong_condition_report(table: PeirceTable) -> StrongnessReport:
 
     Condition 1 quantifies over all ordered index triples including repeats;
     the degenerate triple (i, i, i) amounts to S_i S_i = S_i.  Condition 3
-    is the table's own verdict, evaluated once per table.
+    is the table's own verdict, evaluated once per table, and all three
+    conditions read one memo of the table's products.
     """
-    t = _strength_table(table.components, table.iset.elements)
+    t = table.strength_table
     c1, w1 = strength.condition1(t)
     c2, w2 = strength.condition2(t)
     c3, w3 = table.condition3

@@ -6,12 +6,14 @@ supplies its k x k table together with the operations the conditions need
 (a zero test, a product, and whether a product holds the local unit at an
 index); components are compared with ``==``.  Each condition keeps its own
 literal loop, so the agreement of the three verdicts stays a checked fact
-on every instance rather than an assumption.
+on every instance rather than an assumption.  The loops share the table's
+products: S_ij S_jl is formed once per table, as condition 1 meets it at
+(p, q, p) and conditions 2 and 3 ask for S_pq S_qp again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 
@@ -55,6 +57,16 @@ class ComponentTable:
     opposed_zero: str  # conditions 2 and 3: exactly one of S_pq, S_qp is zero
     diagonal_missed: str  # condition 2: S_pq S_qp differs from S_pp
     unit_missed: str  # condition 3: S_pq S_qp misses the local unit at p
+    # S_ij S_jl by (i, j, l), filled by product_at
+    products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def product_at(self, i: int, j: int, l: int) -> Any:
+        """S_ij S_jl, formed on first use and then read from ``products``."""
+        key = (i, j, l)
+        if key not in self.products:
+            s = self.entries
+            self.products[key] = self.product(s[i][j], s[j][l])
+        return self.products[key]
 
 
 def condition1(t: ComponentTable) -> tuple[bool, tuple | None]:
@@ -70,7 +82,7 @@ def condition1(t: ComponentTable) -> tuple[bool, tuple | None]:
                     continue
                 if nonzero == 2:
                     return False, ((i, j, l), t.third_zero)
-                if t.product(s[i][j], s[j][l]) != s[i][l]:
+                if t.product_at(i, j, l) != s[i][l]:
                     return False, ((i, j, l), t.product_misses)
     return True, None
 
@@ -87,7 +99,7 @@ def condition2(t: ComponentTable) -> tuple[bool, tuple | None]:
                 continue
             if zero_pq or zero_qp:
                 return False, ((p, q), t.opposed_zero)
-            if t.product(s[p][q], s[q][p]) != s[p][p]:
+            if t.product_at(p, q, p) != s[p][p]:
                 return False, ((p, q), t.diagonal_missed)
     return True, None
 
@@ -104,7 +116,7 @@ def condition3(t: ComponentTable) -> tuple[bool, tuple | None]:
                 continue
             if zero_pq or zero_qp:
                 return False, ((p, q), t.opposed_zero)
-            if not t.holds_unit(t.product(s[p][q], s[q][p]), p):
+            if not t.holds_unit(t.product_at(p, q, p), p):
                 return False, ((p, q), t.unit_missed)
     return True, None
 

@@ -183,6 +183,50 @@ class TestExitCodes:
             assert error["type"] == "ParseError", command
             assert (error["line"], error["column"]) == (4, 22), command
 
+    def _assert_parse_error_at(self, capsys, command, path, line, column):
+        code, out = run(capsys, command, path)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert (error["line"], error["column"]) == (line, column)
+
+    def test_repeated_compose_exits_two(self, workdir, capsys):
+        (workdir / "twice.cat").write_text(
+            "objects 1\nmorphisms 1\narrow 0 0\nidentity 0\ncompose 0 0 0\n  compose 0 0 0\n"
+        )
+        self._assert_parse_error_at(capsys, "check-category", workdir / "twice.cat", 6, 3)
+
+    def test_repeated_component_exits_two(self, workdir, capsys):
+        run(capsys, "build-mx", "c1", "2", "--save", workdir / "pair.cat")
+        # the zero component first, then the matrix unit E11: either order
+        # was once accepted or rejected by which entry came last
+        (workdir / "twice.grading").write_text(
+            "ring m2.ring\ncategory pair.cat\ncomponent 0 0\ncomponent 0 1\n1 0 0 0\n"
+            "component 1 1\n0 1 0 0\ncomponent 2 1\n0 0 1 0\ncomponent 3 1\n0 0 0 1\n"
+        )
+        self._assert_parse_error_at(capsys, "check-grading", workdir / "twice.grading", 4, 1)
+
+    def test_repeated_object_exits_two(self, workdir, capsys):
+        (workdir / "z3.ring").write_text("modulus 3\nrank 1\nconstants\n1\n")
+        (workdir / "one.cat").write_text(
+            "objects 1\nmorphisms 1\narrow 0 0\nidentity 0\ncompose 0 0 0\n"
+        )
+        (workdir / "twice.system").write_text(
+            "category one.cat\nobject 0 ring z3.ring\nobject 0 ring z3.ring\nmap 0\n1\n"
+        )
+        self._assert_parse_error_at(capsys, "build-skew", workdir / "twice.system", 3, 1)
+
+    def test_repeated_map_exits_two(self, workdir, capsys):
+        (workdir / "z3.ring").write_text("modulus 3\nrank 1\nconstants\n1\n")
+        (workdir / "one.cat").write_text(
+            "objects 1\nmorphisms 1\narrow 0 0\nidentity 0\ncompose 0 0 0\n"
+        )
+        # 2 is not a ring map of Z/3; the later valid map must not hide it
+        (workdir / "twice.system").write_text(
+            "category one.cat\nobject 0 ring z3.ring\nmap 0\n2\nmap 0 1\n"
+        )
+        self._assert_parse_error_at(capsys, "build-skew", workdir / "twice.system", 5, 1)
+
     def test_malformed_seed_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("WORKBENCH_SEED", "abc")
         code, out = run(capsys, "verify-prop", "mx-family")

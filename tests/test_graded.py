@@ -56,6 +56,18 @@ class TestAttachGrading:
             gr.attach_grading(matrix_grading.ring, matrix_grading.category, comps)
         assert exc.value.witness is not None
 
+    def test_no_product_subgroup_is_spanned(self, matrix_grading, monkeypatch):
+        calls = []
+        product = fr.product_subgroup
+        monkeypatch.setattr(gr, "product_subgroup", lambda a, b: calls.append(1) or product(a, b))
+        ring, category = matrix_grading.ring, matrix_grading.category
+        gr.attach_grading(ring, category, matrix_grading.components)
+        comps = list(matrix_grading.components)
+        comps[1], comps[2] = comps[2], comps[1]
+        with pytest.raises(GradingViolation):
+            gr.attach_grading(ring, category, comps)
+        assert calls == []
+
     def test_incomplete_components_rejected(self, matrix_grading):
         comps = list(matrix_grading.components)
         comps[1] = matrix_grading.ring.zero_subgroup()
@@ -140,6 +152,26 @@ class TestHomSetStronglyGraded:
         g = gr.attach_grading(zero_ring_2, trivial_category, [zero_ring_2.full_subgroup()])
         with pytest.raises(NotObjectUnital):
             gr.homset_strongly_graded_report(g)
+
+    def test_each_product_formed_once_per_report(self, monkeypatch):
+        calls = []
+        product = fr.product_subgroup
+
+        def counting(a, b):
+            calls.append((id(a), id(b)))
+            return product(a, b)
+
+        monkeypatch.setattr(gr, "product_subgroup", counting)
+        reports = 0
+        for inst in corpus.generate_suite("gradings"):
+            flags = gr.compute_flags(inst.grading)
+            if flags.homset_report is None:
+                continue
+            calls.clear()
+            gr.homset_strongly_graded_report(inst.grading)
+            assert calls and len(calls) == len(set(calls)), inst.name
+            reports += 1
+        assert reports > 0
 
     def test_corner_identity_without_strength_hypothesis(self, arrow_grading):
         ok, witness = gr.corner_identity_check(arrow_grading)

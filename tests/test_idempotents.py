@@ -164,6 +164,24 @@ class TestStrongConditions:
         assert idem.strong_condition_report(table) == report
         assert len(calls) == 1
 
+    def test_each_product_formed_once_per_report(self, monkeypatch):
+        """Condition 1's products at (p, q, p) are the ones conditions 2 and
+        3 ask for again; one report forms each of them once."""
+        calls = []
+        product = fr.product_subgroup
+
+        def counting(a, b):
+            calls.append((id(a), id(b)))
+            return product(a, b)
+
+        monkeypatch.setattr(idem, "product_subgroup", counting)
+        for inst in corpus.generate_suite("prop-2.4"):
+            table = idem.peirce_table(idem.validate_complete_set(inst.ring, inst.idempotents))
+            calls.clear()
+            idem.strong_condition_report(table)
+            assert len(calls) == len(set(calls)), inst.name
+            assert len(calls) == len(table.strength_table.products), inst.name
+
     def test_is_strong_matches_condition3(self, m2_setup, t2_setup):
         _, m2_iset, m2_table = m2_setup
         _, t2_iset, t2_table = t2_setup
