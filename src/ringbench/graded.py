@@ -104,10 +104,8 @@ def attach_grading(
                     if not any(p):
                         continue
                     if target is None:
-                        raise GradingViolation(
-                            g, h, (x, y, p),
-                            message=f"non-composable pair ({g}, {h}) has nonzero product",
-                        )
+                        message = f"non-composable pair ({g}, {h}) has nonzero product"
+                        raise GradingViolation(g, h, (x, y, p), message=message)
                     if not target.contains(p):
                         raise GradingViolation(g, h, (x, y, p))
     return Grading(ring, category, comps)

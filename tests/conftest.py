@@ -65,3 +65,14 @@ def brute_force_span(ring: fr.FiniteRing, generators) -> frozenset:
                 seen.add(w)
                 frontier.append(w)
     return frozenset(seen)
+
+
+def plain(x):
+    """JSON-ready data: elements as coordinates, subgroups as Howell rows."""
+    if isinstance(x, fr.RingElement):
+        return list(x.coords)
+    if isinstance(x, fr.AdditiveSubgroup):
+        return [list(row) for row in x.rows]
+    if isinstance(x, (list, tuple)):
+        return [plain(y) for y in x]
+    return x

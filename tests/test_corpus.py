@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import plain
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import idempotents as idem
@@ -133,16 +134,6 @@ def test_prop24_suite_matches_recorded_digest(seed):
 MUTATION_MATRIX_DIGEST = "d4032657728f1e4b9783bceafd31ee02eb8044ec85e3017db2656ece236d68f2"
 
 
-def _plain(x):
-    if isinstance(x, fr.RingElement):
-        return list(x.coords)
-    if isinstance(x, fr.AdditiveSubgroup):
-        return [list(row) for row in x.rows]
-    if isinstance(x, (list, tuple)):
-        return [_plain(y) for y in x]
-    return x
-
-
 class TestMutations:
     def test_matrix_covers_all_targets(self):
         cases = corpus.mutation_matrix()
@@ -158,7 +149,7 @@ class TestMutations:
     def test_payloads_match_recorded_digest(self):
         h = hashlib.sha256()
         for name, case in corpus.mutation_matrix():
-            record = [name, case.expected_error.__name__, _plain(case.payload)]
+            record = [name, case.expected_error.__name__, plain(case.payload)]
             h.update(json.dumps(record).encode() + b"\n")
         assert h.hexdigest() == MUTATION_MATRIX_DIGEST
 

@@ -17,6 +17,7 @@ from dataclasses import fields
 
 import pytest
 
+from conftest import plain
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import graded as gr
@@ -41,23 +42,13 @@ PERTURBATION_DIGESTS = {
 }
 
 
-def _plain(x):
-    if isinstance(x, fr.RingElement):
-        return list(x.coords)
-    if isinstance(x, fr.AdditiveSubgroup):
-        return [list(row) for row in x.rows]
-    if isinstance(x, (list, tuple)):
-        return [_plain(y) for y in x]
-    return x
-
-
 class _Digest:
     def __init__(self):
         self.h = hashlib.sha256()
         self.count = 0
 
     def add(self, *record):
-        self.h.update(json.dumps(_plain(record)).encode() + b"\n")
+        self.h.update(json.dumps(plain(record)).encode() + b"\n")
         self.count += 1
 
     def result(self) -> tuple[int, str]:
