@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import strength
@@ -57,6 +58,38 @@ class Grading:
 
     def endo_component(self, a: int) -> AdditiveSubgroup:
         return self.hom_component(a, a)
+
+    @cached_property
+    def object_unital_result(self) -> ObjectUnitalResult:
+        """The units of the identity components and the unit-law verdict,
+        evaluated on first use; object_unital_check returns it."""
+        ring, cat = self.ring, self.category
+        units = tuple(
+            subring_identity(ring, self.components[cat.identity[a]])
+            for a in range(cat.object_count)
+        )
+        for a, u in enumerate(units):
+            if u is None:
+                return ObjectUnitalResult(False, units, (a, "identity component not unital"))
+        for g in range(cat.morphism_count):
+            uc = units[cat.cod[g]]
+            ud = units[cat.dom[g]]
+            for x in self.components[g].rows:
+                if ring.mul_vec(uc.coords, x) != x or ring.mul_vec(x, ud.coords) != x:
+                    return ObjectUnitalResult(False, units, (g, x, "unit law fails"))
+        return ObjectUnitalResult(True, units, None)
+
+    @cached_property
+    def strongly_graded(self) -> bool:
+        """Whether S_g S_h = S_gh on every composable pair, evaluated on
+        first use; strongly_graded_check returns it."""
+        cat, comps = self.category, self.components
+        return all(
+            product_subgroup(comps[g], comps[h]) == comps[cat.compose[g, h]]
+            for g in range(cat.morphism_count)
+            for h in range(cat.morphism_count)
+            if cat.is_composable(g, h)
+        )
 
     def __repr__(self) -> str:
         return f"Grading(of {self.ring!r} by {self.category!r})"
@@ -124,37 +157,15 @@ class ObjectUnitalResult:
 
 def object_unital_check(grading: Grading) -> ObjectUnitalResult:
     """Find the unit of every identity component and verify the one-sided
-    unit laws against every homogeneous basis element."""
-    ring = grading.ring
-    cat = grading.category
-    units: list[RingElement | None] = []
-    for a in range(cat.object_count):
-        comp = grading.components[cat.identity[a]]
-        units.append(subring_identity(ring, comp))
-    for a, u in enumerate(units):
-        if u is None:
-            return ObjectUnitalResult(False, tuple(units), (a, "identity component not unital"))
-    for g in range(cat.morphism_count):
-        uc = units[cat.cod[g]]
-        ud = units[cat.dom[g]]
-        for x in grading.components[g].rows:
-            if ring.mul_vec(uc.coords, x) != x or ring.mul_vec(x, ud.coords) != x:
-                return ObjectUnitalResult(False, tuple(units), (g, x, "unit law fails"))
-    return ObjectUnitalResult(True, tuple(units), None)
+    unit laws against every homogeneous basis element; evaluated once per
+    grading."""
+    return grading.object_unital_result
 
 
 def strongly_graded_check(grading: Grading) -> bool:
     """Equality, not just inclusion, of S_g S_h with S_{gh} on every
-    composable pair."""
-    cat = grading.category
-    for g in range(cat.morphism_count):
-        for h in range(cat.morphism_count):
-            if not cat.is_composable(g, h):
-                continue
-            target = grading.components[cat.compose[g, h]]
-            if product_subgroup(grading.components[g], grading.components[h]) != target:
-                return False
-    return True
+    composable pair; evaluated once per grading."""
+    return grading.strongly_graded
 
 
 @dataclass(frozen=True)

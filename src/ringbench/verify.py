@@ -112,15 +112,30 @@ def brute_force_one_sided_ideal_count(ring: fr.FiniteRing, side: str) -> tuple[i
 # drivers
 
 
+def _judge_once(instances, judge):
+    """Yield (instance, verdict) for every instance in suite order, calling
+    ``judge`` once per distinct (ring object, idempotent tuple): a conjugate
+    variant that repeats its base exactly shares the base's verdict, and the
+    driver still reports it under its own name."""
+    verdicts = {}
+    for inst in instances:
+        key = (inst.ring, inst.idempotents)
+        if key not in verdicts:
+            verdicts[key] = judge(inst)
+        yield inst, verdicts[key]
+
+
+def _strength_report(inst) -> idem.StrongnessReport:
+    iset = idem.validate_complete_set(inst.ring, inst.idempotents)
+    return idem.strong_condition_report(idem.peirce_table(iset))
+
+
 def verify_prop_24(seed: int | None = None) -> VerificationResult:
     """Tri-equivalence of the three strength conditions on every instance."""
     instances = corpus.generate_suite("prop-2.4", seed)
     failures = []
     strong_seen = nonstrong_seen = 0
-    for inst in instances:
-        iset = idem.validate_complete_set(inst.ring, inst.idempotents)
-        table = idem.peirce_table(iset)
-        report = idem.strong_condition_report(table)
+    for inst, report in _judge_once(instances, _strength_report):
         if not report.agree:
             failures.append(f"{inst.name}: verdicts disagree "
                             f"({report.condition1}, {report.condition2}, {report.condition3})")
@@ -138,30 +153,38 @@ def verify_prop_24(seed: int | None = None) -> VerificationResult:
     )
 
 
+def _lattice_certificates(inst) -> list[tuple[int, int, str, bool, str | None]]:
+    """(i, j, side, ok, failure) of every certificate on a strong set, none
+    on a set that is not strong."""
+    iset = idem.validate_complete_set(inst.ring, inst.idempotents)
+    table = idem.peirce_table(iset)
+    if not idem.strong_condition_report(table).strong:
+        return []
+    k = iset.size
+    out = []
+    for i in range(k):
+        for j in range(k):
+            if table.components[i][j].is_zero():
+                continue
+            for side in ("left", "right"):
+                cert = idem.corner_lattice_correspondence(table, i, j, side)
+                out.append((i, j, side, cert.ok, cert.failure))
+    return out
+
+
 def verify_prop_lattice(seed: int | None = None) -> VerificationResult:
     """Corner-ideal/submodule poset isomorphism on every strong instance and
     every nonzero component, both sides."""
     instances = corpus.generate_suite("prop-2.4", seed)
     failures = []
     checked = 0
-    for inst in instances:
-        iset = idem.validate_complete_set(inst.ring, inst.idempotents)
-        table = idem.peirce_table(iset)
-        if not idem.strong_condition_report(table).strong:
-            continue
-        k = iset.size
-        for i in range(k):
-            for j in range(k):
-                if table.components[i][j].is_zero():
-                    continue
-                for side in ("left", "right"):
-                    cert = idem.corner_lattice_correspondence(table, i, j, side)
-                    checked += 1
-                    if not cert.ok:
-                        failures.append(
-                            f"{inst.name}: ({i},{j},{side}) failed "
-                            f"({cert.failure or 'map or order mismatch'})"
-                        )
+    for inst, certificates in _judge_once(instances, _lattice_certificates):
+        for i, j, side, ok, failure in certificates:
+            checked += 1
+            if not ok:
+                failures.append(
+                    f"{inst.name}: ({i},{j},{side}) failed ({failure or 'map or order mismatch'})"
+                )
     return VerificationResult("prop-lattice", not failures, checked, failures)
 
 

@@ -8,6 +8,7 @@ from ringbench import finring as fr
 from ringbench import graded as gr
 from ringbench import idempotents as idem
 from ringbench import smallcat as sc
+from ringbench import verify
 from ringbench.errors import (
     CategoryNotHomSetStrong,
     GradingViolation,
@@ -258,3 +259,44 @@ class TestFlagsAndLinkage:
                     prod *= comp.order
             assert prod == g.ring.order, inst.name
             assert total == g.ring.full_subgroup(), inst.name
+
+
+class TestVerdictsOncePerGrading:
+    def test_object_unitality_evaluated_once_per_grading(self, monkeypatch):
+        calls = []
+        identity = fr.subring_identity
+
+        def counting(ring, sub):
+            calls.append(sub)
+            return identity(ring, sub)
+
+        monkeypatch.setattr(gr, "subring_identity", counting)
+        suite = corpus.generate_suite("gradings")
+        calls.clear()
+        for inst in suite:
+            before = len(calls)
+            if gr.compute_flags(inst.grading).object_unital:
+                gr.corner_identity_check(inst.grading)
+            # one unit search per identity component, unless the suite build
+            # (a skew algebra's) made them already
+            assert len(calls) - before in (0, inst.grading.category.object_count), inst.name
+        assert calls
+        calls.clear()
+        for inst in suite:
+            gr.object_unital_check(inst.grading)
+        assert not calls
+
+    def test_prop_53_driver_forms_only_the_builds_products(self, monkeypatch):
+        calls = []
+        product = fr.product_subgroup
+
+        def counting(a, b):
+            calls.append((a, b))
+            return product(a, b)
+
+        monkeypatch.setattr(gr, "product_subgroup", counting)
+        corpus.generate_suite("prop-5.3", 1729)
+        built = len(calls)
+        calls.clear()
+        assert verify.verify_prop_53(1729).ok
+        assert built > 0 and len(calls) == built

@@ -1,0 +1,136 @@
+"""The prop-2.4 and prop-lattice drivers, pinned by SHA-256 digests of their
+whole VerificationResult.
+
+The suite's conjugate variants often repeat their base instance exactly (a
+central set conjugates to itself), and both drivers judge each distinct
+(ring object, idempotent tuple) once.  Every instance must still be reported
+under its own name, in suite order: the digests cover ``ok``, ``checked``,
+every failure line and ``details``, and the injected faults make every
+instance on one ring fail, repeats included.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from ringbench import corpus
+from ringbench import idempotents as idem
+from ringbench import verify
+
+RESULT_DIGESTS = {
+    ("prop-2.4", 1729): "527993c96d67f5a66e884b0829a2b543c145e00a2c80ad98f6c05d12f664adfd",
+    ("prop-2.4", 3): "527993c96d67f5a66e884b0829a2b543c145e00a2c80ad98f6c05d12f664adfd",
+    ("prop-lattice", 1729): "5b6899ad0a1ffc27a0b850b42e1946a87742702f5b2fa6f04d3c4d7fb5906203",
+    ("prop-lattice", 3): "5b6899ad0a1ffc27a0b850b42e1946a87742702f5b2fa6f04d3c4d7fb5906203",
+}
+# (failure count, digest of the failure lines) with every instance on the
+# matrix2_z2 ring made to fail, at suite seed 1729
+INJECTED_REPORT_FAILURES = (
+    40, "a6299e1d9ddf15708022c45960209c79427dbcdbd6ce049b975d6542cbf558ad"
+)
+INJECTED_CERTIFICATE_FAILURES = (
+    100, "ce7db005eed0747971761ea91049c5594209376b21d8d2e35e167005c15cffe7"
+)
+
+FAULTY_BASE = "matrix2_z2"
+
+
+def result_digest(result: verify.VerificationResult) -> str:
+    record = [result.name, result.ok, result.checked, result.failures, result.details]
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def failures_digest(failures: list[str]) -> tuple[int, str]:
+    return len(failures), hashlib.sha256("\n".join(failures).encode()).hexdigest()
+
+
+def _record_suite(monkeypatch) -> list:
+    """The instances of the next suite a driver builds, filled on its build:
+    each build makes new ring objects, so the faulty ring is found there."""
+    built = []
+    original = corpus.generate_suite
+
+    def recording(name, seed=None):
+        suite = original(name, seed)
+        built.extend(suite)
+        return suite
+
+    monkeypatch.setattr(corpus, "generate_suite", recording)
+    return built
+
+
+def _faulty_ring(built):
+    return next(inst.ring for inst in built if inst.name == FAULTY_BASE)
+
+
+def _names_on_ring(built) -> list[str]:
+    ring = _faulty_ring(built)
+    return [inst.name for inst in built if inst.ring is ring]
+
+
+def _failing_names(failures: list[str]) -> list[str]:
+    """The instance named by each failure line, consecutive repeats merged."""
+    names = []
+    for line in failures:
+        name = line.split(":", 1)[0]
+        if not names or names[-1] != name:
+            names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("name,seed", sorted(RESULT_DIGESTS))
+def test_driver_results_match_recorded_digest(name, seed):
+    assert result_digest(verify.run_check(name, seed)) == RESULT_DIGESTS[name, seed]
+
+
+def test_injected_report_fault_names_every_instance(monkeypatch):
+    built = _record_suite(monkeypatch)
+    original = idem.strong_condition_report
+
+    def faulty(table):
+        report = original(table)
+        if table.ring is _faulty_ring(built):
+            return dataclasses.replace(report, condition1=not report.condition1)
+        return report
+
+    monkeypatch.setattr(idem, "strong_condition_report", faulty)
+    result = verify.verify_prop_24(1729)
+    assert result.checked == 250
+    assert _failing_names(result.failures) == _names_on_ring(built)
+    assert failures_digest(result.failures) == INJECTED_REPORT_FAILURES
+
+
+def test_injected_certificate_fault_names_every_instance(monkeypatch):
+    built = _record_suite(monkeypatch)
+    original = idem.corner_lattice_correspondence
+
+    def faulty(table, i, j, side):
+        cert = original(table, i, j, side)
+        if table.ring is _faulty_ring(built):
+            return dataclasses.replace(cert, failure="injected")
+        return cert
+
+    monkeypatch.setattr(idem, "corner_lattice_correspondence", faulty)
+    result = verify.verify_prop_lattice(1729)
+    assert result.checked == 700
+    # every instance on the ring holds a strong set, so each is certified
+    assert _failing_names(result.failures) == _names_on_ring(built)
+    assert failures_digest(result.failures) == INJECTED_CERTIFICATE_FAILURES
+
+
+def test_each_distinct_instance_is_validated_once(monkeypatch):
+    instances = corpus.generate_suite("prop-2.4", 1729)
+    distinct = {(id(inst.ring), inst.idempotents) for inst in instances}
+    assert (len(instances), len(distinct)) == (250, 87)
+    calls = []
+    original = idem.validate_complete_set
+
+    def counting(ring, candidates):
+        calls.append(ring)
+        return original(ring, candidates)
+
+    monkeypatch.setattr(idem, "validate_complete_set", counting)
+    result = verify.verify_prop_24(1729)
+    assert (len(calls), result.checked) == (87, 250)
