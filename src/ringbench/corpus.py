@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from . import finring as fr
@@ -161,17 +161,35 @@ def field4() -> fr.FiniteRing:
 
 # ---------------------------------------------------------------------------
 # category builders
+#
+# Each builder takes an optional ``memo``: a dict that one suite build passes
+# to all of its calls, keyed on each category's recipe.  A repeated recipe
+# then returns the category already built and validated, so no composition
+# table is built twice; without a memo every call builds afresh.
 
 
-def one_object_monoid_category(name: str) -> cat.SmallCategory:
-    return cat.build_MX(MONOID_TABLES[name], 1)
+def _built(memo: dict | None, key, build: Callable[[], cat.SmallCategory]) -> cat.SmallCategory:
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _mx_category(name: str, s: int, memo: dict | None = None) -> cat.SmallCategory:
+    """build_MX on the named monoid table, keyed on (name, s)."""
+    return _built(memo, ("mx", name, s), lambda: cat.build_MX(MONOID_TABLES[name], s))
+
+
+def one_object_monoid_category(name: str, memo: dict | None = None) -> cat.SmallCategory:
+    return _mx_category(name, 1, memo)
 
 
 def thin_category_from_relation(
-    object_count: int, pairs: list[tuple[int, int]]
+    object_count: int, pairs: list[tuple[int, int]], memo: dict | None = None
 ) -> cat.SmallCategory:
     """Thin category of a preorder: one arrow a -> b per related pair after
-    reflexive-transitive closure."""
+    reflexive-transitive closure, keyed on the closed relation."""
     rel = {(a, a) for a in range(object_count)}
     rel.update(pairs)
     changed = True
@@ -183,47 +201,62 @@ def thin_category_from_relation(
                     rel.add((a, d))
                     changed = True
     arrows = sorted(rel)
-    index = {ab: i for i, ab in enumerate(arrows)}
-    dom = [a for (a, b) in arrows]
-    cod = [b for (a, b) in arrows]
-    identity = [index[(a, a)] for a in range(object_count)]
-    table = [
-        [index[(hd, gc)] if gd == hc else cat.UNDEFINED for (hd, hc) in arrows]
-        for (gd, gc) in arrows
-    ]
-    return cat.make_category(object_count, dom, cod, identity, table)
+
+    def build():
+        index = {ab: i for i, ab in enumerate(arrows)}
+        dom = [a for (a, b) in arrows]
+        cod = [b for (a, b) in arrows]
+        identity = [index[(a, a)] for a in range(object_count)]
+        table = [
+            [index[(hd, gc)] if gd == hc else cat.UNDEFINED for (hd, hc) in arrows]
+            for (gd, gc) in arrows
+        ]
+        return cat.make_category(object_count, dom, cod, identity, table)
+
+    return _built(memo, ("thin", object_count, tuple(arrows)), build)
 
 
-def disjoint_union(categories: list[cat.SmallCategory]) -> cat.SmallCategory:
-    obj_offset = 0
-    mor_offset = 0
-    dom: list[int] = []
-    codl: list[int] = []
-    identity: list[int] = []
-    total_m = sum(c.morphism_count for c in categories)
-    table = [[cat.UNDEFINED] * total_m for _ in range(total_m)]
-    for c in categories:
-        dom.extend(d + obj_offset for d in c.dom)
-        codl.extend(d + obj_offset for d in c.cod)
-        identity.extend(e + mor_offset for e in c.identity)
-        for (g, h), gh in c.compose.items():
-            if gh != cat.UNDEFINED:
-                table[mor_offset + g][mor_offset + h] = mor_offset + gh
-        obj_offset += c.object_count
-        mor_offset += c.morphism_count
-    return cat.make_category(obj_offset, dom, codl, identity, table)
+def disjoint_union(
+    categories: list[cat.SmallCategory], memo: dict | None = None
+) -> cat.SmallCategory:
+    """The union of the categories in their order, keyed on the part objects:
+    parts built through the same memo share an object exactly when they
+    share a recipe."""
+
+    def build():
+        obj_offset = 0
+        mor_offset = 0
+        dom: list[int] = []
+        codl: list[int] = []
+        identity: list[int] = []
+        total_m = sum(c.morphism_count for c in categories)
+        table = [[cat.UNDEFINED] * total_m for _ in range(total_m)]
+        for c in categories:
+            dom.extend(d + obj_offset for d in c.dom)
+            codl.extend(d + obj_offset for d in c.cod)
+            identity.extend(e + mor_offset for e in c.identity)
+            for (g, h), gh in c.compose.items():
+                if gh != cat.UNDEFINED:
+                    table[mor_offset + g][mor_offset + h] = mor_offset + gh
+            obj_offset += c.object_count
+            mor_offset += c.morphism_count
+        return cat.make_category(obj_offset, dom, codl, identity, table)
+
+    return _built(memo, ("union", tuple(categories)), build)
 
 
-def random_thin_category(seed: int, max_objects: int = 4) -> cat.SmallCategory:
+def random_thin_category(
+    seed: int, max_objects: int = 4, memo: dict | None = None
+) -> cat.SmallCategory:
     rng = _rng("thin", seed)
     p = rng.randint(1, max_objects)
     candidates = [(a, b) for a in range(p) for b in range(p) if a != b]
     k = rng.randint(0, min(len(candidates), p * 2))
     pairs = rng.sample(candidates, k) if k else []
-    return thin_category_from_relation(p, pairs)
+    return thin_category_from_relation(p, pairs, memo)
 
 
-def random_groupoid(seed: int) -> cat.SmallCategory:
+def random_groupoid(seed: int, memo: dict | None = None) -> cat.SmallCategory:
     """A disjoint union of monoid-times-square groupoids over random groups."""
     rng = _rng("groupoid", seed)
     parts = []
@@ -231,30 +264,31 @@ def random_groupoid(seed: int) -> cat.SmallCategory:
     for _ in range(components):
         name = rng.choice(sorted(GROUP_NAMES))
         s = rng.randint(1, 2 if len(MONOID_TABLES[name]) > 3 else 3)
-        parts.append(cat.build_MX(MONOID_TABLES[name], s))
-    return disjoint_union(parts) if len(parts) > 1 else parts[0]
+        parts.append(_mx_category(name, s, memo))
+    return disjoint_union(parts, memo) if len(parts) > 1 else parts[0]
 
 
-def random_category(seed: int) -> cat.SmallCategory:
+def random_category(seed: int, memo: dict | None = None) -> cat.SmallCategory:
     rng = _rng("category", seed)
     style = rng.choice(["thin", "mx", "monoid", "union"])
     if style == "thin":
-        return random_thin_category(_mix("inner", seed))
+        return random_thin_category(_mix("inner", seed), memo=memo)
     if style == "mx":
         name = rng.choice(sorted(MONOID_TABLES))
         k = len(MONOID_TABLES[name])
         s_max = max(1, int((20 // k) ** 0.5))
         s = rng.randint(1, min(3, s_max))
-        return cat.build_MX(MONOID_TABLES[name], s)
+        return _mx_category(name, s, memo)
     if style == "monoid":
-        return one_object_monoid_category(rng.choice(sorted(MONOID_TABLES)))
-    left = random_thin_category(_mix("l", seed), max_objects=2)
+        return one_object_monoid_category(rng.choice(sorted(MONOID_TABLES)), memo)
+    left = random_thin_category(_mix("l", seed), max_objects=2, memo=memo)
     name = rng.choice(["c1", "c2", "bool2"])
-    right = cat.build_MX(MONOID_TABLES[name], rng.randint(1, 2))
-    union = disjoint_union([left, right])
-    if union.object_count > 4 or union.morphism_count > 20:
-        return random_thin_category(_mix("fallback", seed))
-    return union
+    right = _mx_category(name, rng.randint(1, 2), memo)
+    # the union's own counts, known before it is built
+    objects = left.object_count + right.object_count
+    if objects > 4 or left.morphism_count + right.morphism_count > 20:
+        return random_thin_category(_mix("fallback", seed), memo=memo)
+    return disjoint_union([left, right], memo)
 
 
 # ---------------------------------------------------------------------------
@@ -486,32 +520,45 @@ def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
     return [inst for inst in out if inst.ring.order <= 256]
 
 
+def _own_categories(instances: list[CategoryInstance]) -> list[CategoryInstance]:
+    """Each instance with its own SmallCategory object on the fields its
+    recipe's one build validated.  Callers may key on the category object,
+    as perfbench's CLI input writer does, so an instance never shares it."""
+    return [CategoryInstance(inst.name, replace(inst.category)) for inst in instances]
+
+
 def _suite_prop32(seed: int) -> list[CategoryInstance]:
+    memo: dict = {}  # one build per recipe in this suite
     out: list[CategoryInstance] = []
     for i in range(330):
-        out.append(CategoryInstance(f"thin{i}", random_thin_category(_mix(seed, "thin", i))))
+        thin = random_thin_category(_mix(seed, "thin", i), memo=memo)
+        out.append(CategoryInstance(f"thin{i}", thin))
     for name, table in sorted(MONOID_TABLES.items()):
         k = len(table)
         for s in (1, 2, 3):
             if k * s * s <= 20 and s <= 4:
-                out.append(CategoryInstance(f"mx_{name}_s{s}", cat.build_MX(table, s)))
+                out.append(CategoryInstance(f"mx_{name}_s{s}", _mx_category(name, s, memo)))
     for i in range(150):
-        out.append(CategoryInstance(f"mixed{i}", random_category(_mix(seed, "mixed", i))))
-    return [c for c in out if c.category.object_count <= 4 and c.category.morphism_count <= 20]
+        mixed = random_category(_mix(seed, "mixed", i), memo)
+        out.append(CategoryInstance(f"mixed{i}", mixed))
+    return _own_categories(
+        [c for c in out if c.category.object_count <= 4 and c.category.morphism_count <= 20]
+    )
 
 
 def _suite_groupoids(seed: int) -> list[CategoryInstance]:
+    memo: dict = {}  # one build per recipe in this suite
     out: list[CategoryInstance] = []
     for name in sorted(GROUP_NAMES):
         table = MONOID_TABLES[name]
         for s in (1, 2, 3):
             if len(table) * s * s <= 54:
-                out.append(CategoryInstance(f"mx_{name}_s{s}", cat.build_MX(table, s)))
+                out.append(CategoryInstance(f"mx_{name}_s{s}", _mx_category(name, s, memo)))
     i = 0
     while len(out) < 110:
-        out.append(CategoryInstance(f"union{i}", random_groupoid(_mix(seed, "g", i))))
+        out.append(CategoryInstance(f"union{i}", random_groupoid(_mix(seed, "g", i), memo)))
         i += 1
-    return out
+    return _own_categories(out)
 
 
 def _suite_prop53(seed: int) -> list[SkewInstance]:

@@ -13,6 +13,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from . import corpus
@@ -112,14 +113,15 @@ def brute_force_one_sided_ideal_count(ring: fr.FiniteRing, side: str) -> tuple[i
 # drivers
 
 
-def _judge_once(instances, judge):
+def _judge_once(instances, judge, key_of=operator.attrgetter("ring", "idempotents")):
     """Yield (instance, verdict) for every instance in suite order, calling
-    ``judge`` once per distinct (ring object, idempotent tuple): a conjugate
-    variant that repeats its base exactly shares the base's verdict, and the
-    driver still reports it under its own name."""
+    ``judge`` once per distinct ``key_of(instance)``: by default the (ring
+    object, idempotent tuple), so a conjugate variant that repeats its base
+    exactly shares the base's verdict.  The driver still reports every
+    instance under its own name."""
     verdicts = {}
     for inst in instances:
-        key = (inst.ring, inst.idempotents)
+        key = key_of(inst)
         if key not in verdicts:
             verdicts[key] = judge(inst)
         yield inst, verdicts[key]
@@ -188,27 +190,41 @@ def verify_prop_lattice(seed: int | None = None) -> VerificationResult:
     return VerificationResult("prop-lattice", not failures, checked, failures)
 
 
+def _category_content(inst) -> tuple:
+    """Everything a category verdict reads: instances whose recipes built
+    equal categories share one verdict."""
+    c = inst.category
+    return c.object_count, c.dom, c.cod, c.identity, tuple(c.compose.values())
+
+
+def _homset_agree(inst) -> bool:
+    return cat.homset_strong_report(inst.category).agree
+
+
 def verify_prop_32(seed: int | None = None) -> VerificationResult:
     instances = corpus.generate_suite("prop-3.2", seed)
     failures = []
-    for inst in instances:
-        report = cat.homset_strong_report(inst.category)
-        if not report.agree:
+    for inst, ok in _judge_once(instances, _homset_agree, _category_content):
+        if not ok:
             failures.append(f"{inst.name}: verdicts disagree")
     return VerificationResult("prop-3.2", not failures, len(instances), failures)
+
+
+def _groupoid_failure(inst) -> str | None:
+    if not cat.is_groupoid(inst.category).is_groupoid:
+        return "generator emitted a non-groupoid"
+    report = cat.homset_strong_report(inst.category)
+    if not (report.strong and report.agree):
+        return "groupoid fails hom-set strength"
+    return None
 
 
 def verify_groupoid_homset(seed: int | None = None) -> VerificationResult:
     instances = corpus.generate_suite("groupoids", seed)
     failures = []
-    for inst in instances:
-        check = cat.is_groupoid(inst.category)
-        if not check.is_groupoid:
-            failures.append(f"{inst.name}: generator emitted a non-groupoid")
-            continue
-        report = cat.homset_strong_report(inst.category)
-        if not (report.strong and report.agree):
-            failures.append(f"{inst.name}: groupoid fails hom-set strength")
+    for inst, failure in _judge_once(instances, _groupoid_failure, _category_content):
+        if failure:
+            failures.append(f"{inst.name}: {failure}")
     return VerificationResult("groupoid-homset", not failures, len(instances), failures)
 
 

@@ -76,3 +76,11 @@ def plain(x):
     if isinstance(x, (list, tuple)):
         return [plain(y) for y in x]
     return x
+
+
+def category_content(c) -> list:
+    """JSON-ready content of a category: object count, dom, cod, identities
+    and every composition-table entry."""
+    return [
+        c.object_count, list(c.dom), list(c.cod), list(c.identity), sorted(c.compose.items())
+    ]

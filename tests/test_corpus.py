@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conftest import plain
+from conftest import category_content, plain
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import idempotents as idem
@@ -49,6 +49,19 @@ class TestRecipes:
     def test_random_recipes_are_deterministic(self):
         assert corpus.random_groupoid(5).compose == corpus.random_groupoid(5).compose
         assert corpus.random_category(5).compose == corpus.random_category(5).compose
+
+    def test_shared_memo_returns_the_fresh_content(self):
+        # one memo over every seed and builder, as a suite build shares it:
+        # a key that merged two recipes (say, a groupoid's parts sorted)
+        # would hand one of them the other's category
+        memo = {}
+        for seed in range(200):
+            for build in (
+                corpus.random_thin_category, corpus.random_groupoid, corpus.random_category
+            ):
+                shared = build(seed, memo=memo)
+                assert category_content(shared) == category_content(build(seed))
+                assert build(seed, memo=memo) is shared
 
     def test_parameter_out_of_range(self):
         with pytest.raises(corpus.ParameterOutOfRange):
@@ -127,6 +140,26 @@ def test_prop24_suite_matches_recorded_digest(seed):
         record = [inst.name, [list(e.coords) for e in inst.idempotents], inst.expect_strong]
         h.update(json.dumps(record).encode() + b"\n")
     assert (len(instances), h.hexdigest()) == (250, PROP24_SUITE_DIGESTS[seed])
+
+
+# every prop-3.2 and groupoids instance's name and category content; a change
+# to how a suite builds or shares its categories that alters any of them
+# changes these
+CATEGORY_SUITE_DIGESTS = {
+    ("prop-3.2", 1729): (503, "0a50b7f616529afdb1af4448e39bb41fc4b84bf6a4f2af4a9bc7875cb042f335"),
+    ("prop-3.2", 3): (503, "34a8cb7f4627e94c9eae57ca03ef20a9ee04dc3a8a06e18bd3cc8cc16850da2e"),
+    ("groupoids", 1729): (110, "a384e8b065dbc874ebd0a2969f0ca97016ecef9e278268755b43ab2055bc823a"),
+    ("groupoids", 3): (110, "d06747d3ec0ad456db85047b61f2440c9ace2de7aefa292e2f162f81fe4cc8a8"),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(CATEGORY_SUITE_DIGESTS))
+def test_category_suite_matches_recorded_digest(name, seed):
+    h = hashlib.sha256()
+    instances = corpus.generate_suite(name, seed)
+    for inst in instances:
+        h.update(json.dumps([inst.name, category_content(inst.category)]).encode() + b"\n")
+    assert (len(instances), h.hexdigest()) == CATEGORY_SUITE_DIGESTS[name, seed]
 
 
 # every mutant's name, expected error and payload, with elements as coordinates

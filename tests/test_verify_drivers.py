@@ -1,12 +1,15 @@
-"""The prop-2.4 and prop-lattice drivers, pinned by SHA-256 digests of their
-whole VerificationResult.
+"""The prop-2.4, prop-lattice, prop-3.2 and groupoid-homset drivers, pinned
+by SHA-256 digests of their whole VerificationResult.
 
 The suite's conjugate variants often repeat their base instance exactly (a
 central set conjugates to itself), and both drivers judge each distinct
-(ring object, idempotent tuple) once.  Every instance must still be reported
-under its own name, in suite order: the digests cover ``ok``, ``checked``,
-every failure line and ``details``, and the injected faults make every
-instance on one ring fail, repeats included.
+(ring object, idempotent tuple) once.  The category suites repeat recipes
+too: each is built once, and both category drivers judge each distinct
+category content once.
+Every instance must still be reported under its own name, in suite order:
+the digests cover ``ok``, ``checked``, every failure line and ``details``,
+and the injected faults make every instance on one ring, or with one
+category content, fail, repeats included.
 """
 
 import dataclasses
@@ -15,8 +18,10 @@ import json
 
 import pytest
 
+from conftest import category_content
 from ringbench import corpus
 from ringbench import idempotents as idem
+from ringbench import smallcat as cat
 from ringbench import verify
 
 RESULT_DIGESTS = {
@@ -24,6 +29,10 @@ RESULT_DIGESTS = {
     ("prop-2.4", 3): "527993c96d67f5a66e884b0829a2b543c145e00a2c80ad98f6c05d12f664adfd",
     ("prop-lattice", 1729): "5b6899ad0a1ffc27a0b850b42e1946a87742702f5b2fa6f04d3c4d7fb5906203",
     ("prop-lattice", 3): "5b6899ad0a1ffc27a0b850b42e1946a87742702f5b2fa6f04d3c4d7fb5906203",
+    ("prop-3.2", 1729): "774dc804a8619caf13cf11e2bcfc8c3bc65732514e63dee2be174721718d2fe4",
+    ("prop-3.2", 3): "774dc804a8619caf13cf11e2bcfc8c3bc65732514e63dee2be174721718d2fe4",
+    ("groupoid-homset", 1729): "919f8612beb3ddf6ab7246468c782c23492445e8d54a90bfcd478a05c2901656",
+    ("groupoid-homset", 3): "919f8612beb3ddf6ab7246468c782c23492445e8d54a90bfcd478a05c2901656",
 }
 # (failure count, digest of the failure lines) with every instance on the
 # matrix2_z2 ring made to fail, at suite seed 1729
@@ -33,8 +42,17 @@ INJECTED_REPORT_FAILURES = (
 INJECTED_CERTIFICATE_FAILURES = (
     100, "ce7db005eed0747971761ea91049c5594209376b21d8d2e35e167005c15cffe7"
 )
+# the same with every category whose content is the one-object c2 category's
+# made to fail, at suite seed 1729
+INJECTED_CATEGORY_REPORT_FAILURES = (
+    5, "57f13c9851412bff2b5ce2432797de2fa7e3f9e0a36307882531626ff835a24a"
+)
+INJECTED_GROUPOID_FAILURES = (
+    5, "131b3da68e3535608263210c42ef258c8c712475a571f9e6902422815f8430f0"
+)
 
 FAULTY_BASE = "matrix2_z2"
+FAULTY_CONTENT = category_content(corpus.one_object_monoid_category("c2"))
 
 
 def result_digest(result: verify.VerificationResult) -> str:
@@ -68,6 +86,10 @@ def _faulty_ring(built):
 def _names_on_ring(built) -> list[str]:
     ring = _faulty_ring(built)
     return [inst.name for inst in built if inst.ring is ring]
+
+
+def _names_with_faulty_content(built) -> list[str]:
+    return [inst.name for inst in built if category_content(inst.category) == FAULTY_CONTENT]
 
 
 def _failing_names(failures: list[str]) -> list[str]:
@@ -134,3 +156,74 @@ def test_each_distinct_instance_is_validated_once(monkeypatch):
     monkeypatch.setattr(idem, "validate_complete_set", counting)
     result = verify.verify_prop_24(1729)
     assert (len(calls), result.checked) == (87, 250)
+
+
+def test_injected_category_report_fault_names_every_instance(monkeypatch):
+    built = _record_suite(monkeypatch)
+    original = cat.homset_strong_report
+
+    def faulty(category):
+        report = original(category)
+        if category_content(category) == FAULTY_CONTENT:
+            return dataclasses.replace(report, condition1=not report.condition1)
+        return report
+
+    monkeypatch.setattr(cat, "homset_strong_report", faulty)
+    result = verify.verify_prop_32(1729)
+    assert result.checked == 503
+    assert _failing_names(result.failures) == _names_with_faulty_content(built)
+    assert failures_digest(result.failures) == INJECTED_CATEGORY_REPORT_FAILURES
+
+
+def test_injected_groupoid_fault_names_every_instance(monkeypatch):
+    built = _record_suite(monkeypatch)
+    original = cat.is_groupoid
+
+    def faulty(category):
+        check = original(category)
+        if category_content(category) == FAULTY_CONTENT:
+            return dataclasses.replace(check, is_groupoid=not check.is_groupoid)
+        return check
+
+    monkeypatch.setattr(cat, "is_groupoid", faulty)
+    result = verify.verify_groupoid_homset(1729)
+    assert result.checked == 110
+    assert _failing_names(result.failures) == _names_with_faulty_content(built)
+    assert failures_digest(result.failures) == INJECTED_GROUPOID_FAILURES
+
+
+@pytest.mark.parametrize("suite,size,recipes", [("prop-3.2", 503, 120), ("groupoids", 110, 59)])
+def test_each_distinct_recipe_is_built_once(monkeypatch, suite, size, recipes):
+    built = []
+    original = cat.make_category
+
+    def counting(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cat, "make_category", counting)
+    instances = corpus.generate_suite(suite, 1729)
+    # every instance holds its own object, on the tables of one build, and
+    # every build serves some instance
+    assert len({id(inst.category) for inst in instances}) == len(instances) == size
+    tables = {id(c.compose) for c in built}
+    assert {id(inst.category.compose) for inst in instances} == tables
+    assert len(built) == len(tables) == recipes
+
+
+@pytest.mark.parametrize(
+    "check,size,distinct", [("prop-3.2", 503, 116), ("groupoid-homset", 110, 59)]
+)
+def test_each_distinct_category_is_judged_once(monkeypatch, check, size, distinct):
+    built = _record_suite(monkeypatch)
+    judged = {"homset_strong_report": [], "is_groupoid": []}
+    for name, calls in judged.items():
+        original = getattr(cat, name)
+        monkeypatch.setattr(
+            cat, name, lambda c, calls=calls, original=original: calls.append(c) or original(c)
+        )
+    result = verify.run_check(check, 1729)
+    contents = [json.dumps(category_content(c)) for c in judged["homset_strong_report"]]
+    assert set(contents) == {json.dumps(category_content(inst.category)) for inst in built}
+    assert (result.checked, len(contents), len(set(contents))) == (size, distinct, distinct)
+    assert len(judged["is_groupoid"]) == (distinct if check == "groupoid-homset" else 0)
