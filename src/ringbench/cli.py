@@ -53,7 +53,8 @@ rank above finring.MAX_RANK is rejected as bad input (RankTooLarge) before
 the constants are read, and a ring whose associativity check would take more
 than finring.MAX_ASSOCIATIVITY_WORK steps (WorkTooLarge) before the check
 runs.  A category file's morphism count is capped at smallcat.MAX_MORPHISMS
-(CategoryTooLarge) before its arrows are read.
+(CategoryTooLarge) before its arrows are read.  A lattice enumeration stops
+past finring.MAX_LATTICE_SCAN_WORK scanned steps (LatticeScanTooLarge).
 
 Every invocation prints one JSON report to standard output (suppress the
 timings block with --no-timings for byte-identical reruns).  Exit codes:
@@ -469,9 +470,8 @@ def _cmd_build_mx(args) -> int:
         for g in range(category.morphism_count):
             lines.append(f"arrow {category.dom[g]} {category.cod[g]}")
         lines.append("identity " + " ".join(str(e) for e in category.identity))
-        for g in range(category.morphism_count):
-            for h in range(category.morphism_count):
-                gh = category.compose[g, h]
+        for g, row in enumerate(category.compose.rows):
+            for h, gh in enumerate(row):
                 if gh != cat.UNDEFINED:
                     lines.append(f"compose {g} {h} {gh}")
         Path(args.save).write_text("\n".join(lines) + "\n")

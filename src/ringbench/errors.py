@@ -74,6 +74,17 @@ class LatticeTooLarge(WorkbenchError):
         super().__init__(message or f"ideal enumeration exceeded cap of {cap}")
 
 
+class LatticeScanTooLarge(WorkbenchError):
+    """A lattice enumeration scanned more work (elements x rank^2, one Howell
+    reduction per element) than its cap; counted during the scan, so of this
+    and LatticeTooLarge whichever cap is reached first raises."""
+
+    def __init__(self, work: int, cap: int):
+        self.work = work
+        self.cap = cap
+        super().__init__(f"lattice scan reached {work} steps, above the cap of {cap}")
+
+
 class CornerNotFree(WorkbenchError):
     """A corner subgroup is not a free module over any single modulus,
     so it cannot be repackaged as a standalone structure-constant ring."""

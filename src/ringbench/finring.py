@@ -30,6 +30,7 @@ from . import howell, posets
 from .errors import (
     CornerNotFree,
     InvariantViolation,
+    LatticeScanTooLarge,
     LatticeTooLarge,
     ModulusMismatch,
     ModulusTooSmall,
@@ -49,6 +50,10 @@ MAX_RANK = 48
 # it runs: about a second of work.  A ring whose constants are all nonzero
 # reaches it at rank 22; sparse rings stay far below it up to MAX_RANK.
 MAX_ASSOCIATIVITY_WORK = 10_000_000
+# Steps a lattice enumeration may scan (elements x rank^2, one Howell
+# reduction per element), counted during the scan: about a second of work.
+# The largest suite ring, of order 256 and rank 8, scans 16,384.
+MAX_LATTICE_SCAN_WORK = 1_000_000
 
 
 class FiniteRing:
@@ -613,6 +618,18 @@ def join_closure(
         batch = (a.join(b) for a, b in itertools.product(existing, fresh))
 
 
+def _scanned(ambient: AdditiveSubgroup) -> Iterator[tuple[int, ...]]:
+    """The elements of ``ambient``, raising LatticeScanTooLarge as soon as
+    they add up to more than MAX_LATTICE_SCAN_WORK steps of rank^2 each."""
+    step = ambient.ring.rank ** 2
+    work = 0
+    for x in ambient.element_vectors():
+        work += step
+        if work > MAX_LATTICE_SCAN_WORK:
+            raise LatticeScanTooLarge(work, MAX_LATTICE_SCAN_WORK)
+        yield x
+
+
 def submodule_lattice(
     acting: AdditiveSubgroup, ambient: AdditiveSubgroup, side: str, cap: int
 ) -> tuple[tuple[AdditiveSubgroup, ...], tuple[int, ...]]:
@@ -623,13 +640,14 @@ def submodule_lattice(
     Every such M is a finite join of principal ones, Z x + acting*x (or
     Z x + x*acting) for x in ``ambient``; the principals are formed one
     element at a time and closed under pairwise joins.  Raises
-    LatticeTooLarge past ``cap`` subgroups; a truncated family is never
-    returned.
+    LatticeTooLarge past ``cap`` subgroups, and LatticeScanTooLarge past
+    MAX_LATTICE_SCAN_WORK scanned steps, whichever comes first; a truncated
+    family is never returned.
 
     Each lattice is enumerated once per ring: the ring memoizes the result,
     keyed by (acting, ambient, side).  A hit longer than ``cap`` raises
     LatticeTooLarge, as the enumeration would, since join_closure's family
-    only grows; a raised LatticeTooLarge is never memoized.
+    only grows; a raised error is never memoized.
     """
     if acting.ring is not ambient.ring:
         raise RingMismatch("subgroups bound to different rings")
@@ -639,7 +657,7 @@ def submodule_lattice(
     if lattice is None:
         principal = _principal_generators(ring, acting.rows, side)
         subs = tuple(
-            join_closure((ring.span(principal(x)) for x in ambient.element_vectors()), cap)
+            join_closure((ring.span(principal(x)) for x in _scanned(ambient)), cap)
         )
         lt = posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
         lattice = ring._lattices[key] = subs, tuple(lt)

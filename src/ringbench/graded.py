@@ -38,7 +38,7 @@ from .finring import (
     subring_identity,
 )
 from .idempotents import IdempotentSet, validate_complete_set
-from .smallcat import SmallCategory, homset_strong_report
+from .smallcat import UNDEFINED, SmallCategory, homset_strong_report
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +83,12 @@ class Grading:
     def strongly_graded(self) -> bool:
         """Whether S_g S_h = S_gh on every composable pair, evaluated on
         first use; strongly_graded_check returns it."""
-        cat, comps = self.category, self.components
+        comps = self.components
         return all(
-            product_subgroup(comps[g], comps[h]) == comps[cat.compose[g, h]]
-            for g in range(cat.morphism_count)
-            for h in range(cat.morphism_count)
-            if cat.is_composable(g, h)
+            product_subgroup(comps[g], comps[h]) == comps[gh]
+            for g, row in enumerate(self.category.compose.rows)
+            for h, gh in enumerate(row)
+            if gh != UNDEFINED
         )
 
     def __repr__(self) -> str:
@@ -128,9 +128,9 @@ def attach_grading(
         raise NotDirectSum(f"component orders multiply to {prod}, ring order is {ring.order}")
 
     mul = ring._mul
-    for g in range(q):
-        for h in range(q):
-            target = comps[category.compose[g, h]] if category.is_composable(g, h) else None
+    for g, row in enumerate(category.compose.rows):
+        for h, gh in enumerate(row):
+            target = comps[gh] if gh != UNDEFINED else None
             for x in comps[g].rows:
                 for y in comps[h].rows:
                     p = mul(x, y)

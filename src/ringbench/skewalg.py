@@ -48,7 +48,7 @@ from .graded import (
     strongly_graded_check,
 )
 from .idempotents import ideal_lattice_shape, is_strong
-from .smallcat import SmallCategory, homset_strong_report
+from .smallcat import UNDEFINED, SmallCategory, homset_strong_report
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +127,9 @@ def validate_system(
         if maps[category.identity[a]] != rings[a]._basis_rows:
             raise IdentityNotIdentity(a)
 
-    for g in range(category.morphism_count):
-        for h in range(category.morphism_count):
-            if category.is_composable(g, h):
-                gh = category.compose[g, h]
+    for g, composites in enumerate(category.compose.rows):
+        for h, gh in enumerate(composites):
+            if gh != UNDEFINED:
                 n = rings[category.cod[gh]].rank
                 if maps[gh] != tuple(howell.combine(row, maps[g], m, n) for row in maps[h]):
                     raise NotFunctorial(g, h)
@@ -182,14 +181,14 @@ def build_skew_algebra(system: SkewCategorySystem) -> SkewAlgebra:
         raise RankTooLarge(total, MAX_RANK)
 
     sc = [[[0] * total for _ in range(total)] for _ in range(total)]
-    for g in range(cat.morphism_count):
+    for g, row in enumerate(cat.compose.rows):
         rg = rings[cat.cod[g]]
         og = offsets[g]
-        for h in range(cat.morphism_count):
-            if not cat.is_composable(g, h):
+        for h, gh in enumerate(row):
+            if gh == UNDEFINED:
                 continue
             oh = offsets[h]
-            ogh = offsets[cat.compose[g, h]]
+            ogh = offsets[gh]
             # (b_t g)(b_u h) = b_t * map_g(b_u) * (gh); cod(gh) == cod(g), so
             # the product shares rg's basis
             for t, b in enumerate(rg._basis_rows):

@@ -2,7 +2,10 @@
 
 Morphisms are indices 0..q-1 with domain/codomain tuples into the object
 range 0..p-1; composition is a read-only mapping from every pair (g, h) of
-morphisms to its composite, or to UNDEFINED (-1).
+morphisms to its composite, or to UNDEFINED (-1).  It holds the validated
+table as one row tuple per morphism, ``compose.rows[g][h]``, which readers
+inside the package index directly; the mapping view over the q^2 pairs is
+built from the rows on demand, never stored.
 A pair (g, h) is composable exactly when dom(g) == cod(h), in which case the
 composite is written g then-after h, i.e. the table entry at [g, h].
 
@@ -16,9 +19,8 @@ dedicated regression test pins this orientation.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from . import strength
 from .errors import (
@@ -36,20 +38,44 @@ UNDEFINED = -1
 MAX_MORPHISMS = 174
 
 
+class CompositionTable(Mapping):
+    """Read-only mapping from every pair (g, h) of morphisms, in g-major
+    order, to its composite or UNDEFINED; ``rows[g][h]`` is the same entry.
+    A pair outside 0..q-1, negative entries included, is a KeyError."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.rows = rows
+
+    def __getitem__(self, pair) -> int:
+        try:
+            g, h = pair
+            if g >= 0 and h >= 0:
+                return self.rows[g][h]
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(pair)
+
+    def __len__(self) -> int:
+        return len(self.rows) ** 2
+
+    def __iter__(self):
+        q = len(self.rows)
+        return ((g, h) for g in range(q) for h in range(q))
+
+
 @dataclass(frozen=True, eq=False)
 class SmallCategory:
     object_count: int
     dom: tuple[int, ...]
     cod: tuple[int, ...]
     identity: tuple[int, ...]
-    compose: Mapping[tuple[int, int], int]  # all q^2 pairs; UNDEFINED when not composable
+    compose: CompositionTable  # all q^2 pairs; UNDEFINED when not composable
 
     @property
     def morphism_count(self) -> int:
         return len(self.dom)
-
-    def is_composable(self, g: int, h: int) -> bool:
-        return self.dom[g] == self.cod[h]
 
     def comp(self, g: int, h: int) -> int:
         r = self.compose[g, h]
@@ -102,7 +128,7 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
         raise ShapeMismatch("dom/cod entry out of object range")
     if any(not 0 <= x < q for x in identity):
         raise ShapeMismatch("identity entry out of morphism range")
-    table = [[int(x) for x in row] for row in compose]
+    table = tuple(tuple(int(x) for x in row) for row in compose)
     if len(table) != q or any(len(row) != q for row in table):
         raise ShapeMismatch(f"composition table must be {q} x {q}")
     if any(not UNDEFINED <= x < q for row in table for x in row):
@@ -150,10 +176,7 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
                 if row_gh[k] != row_g[hk]:
                     raise NotAssociative((g, h, k))
 
-    compose = MappingProxyType(
-        {(g, h): gh for g, row in enumerate(table) for h, gh in enumerate(row)}
-    )
-    return SmallCategory(p, dom, cod, identity, compose)
+    return SmallCategory(p, dom, cod, identity, CompositionTable(table))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +193,7 @@ class GroupoidCheck:
 def is_groupoid(cat: SmallCategory) -> GroupoidCheck:
     """Every morphism must have a two-sided inverse against the identities
     at its endpoints; returns the inverse table when they all do."""
+    rows = cat.compose.rows
     inv = []
     for g in range(cat.morphism_count):
         target_l = cat.identity[cat.cod[g]]
@@ -179,8 +203,8 @@ def is_groupoid(cat: SmallCategory) -> GroupoidCheck:
             if (
                 cat.dom[h] == cat.cod[g]
                 and cat.cod[h] == cat.dom[g]
-                and cat.compose[g, h] == target_l
-                and cat.compose[h, g] == target_r
+                and rows[g][h] == target_l
+                and rows[h][g] == target_r
             ):
                 found = h
                 break
@@ -199,7 +223,8 @@ def _hom_table(cat: SmallCategory) -> list[list[frozenset[int]]]:
 
 
 def _set_product(cat: SmallCategory, A: frozenset[int], B: frozenset[int]) -> frozenset[int]:
-    return frozenset(cat.compose[g, h] for g in A for h in B)
+    rows = cat.compose.rows
+    return frozenset(rows[g][h] for g in A for h in B)
 
 
 def homset_strong_report(cat: SmallCategory) -> strength.StrongnessReport:

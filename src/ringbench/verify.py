@@ -194,7 +194,7 @@ def _category_content(inst) -> tuple:
     """Everything a category verdict reads: instances whose recipes built
     equal categories share one verdict."""
     c = inst.category
-    return c.object_count, c.dom, c.cod, c.identity, tuple(c.compose.values())
+    return c.object_count, c.dom, c.cod, c.identity, c.compose.rows
 
 
 def _homset_agree(inst) -> bool:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from ringbench import cli
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import smallcat as sc
-from ringbench.errors import CategoryTooLarge, ParseError
+from ringbench.errors import CategoryTooLarge, LatticeScanTooLarge, ParseError
 
 M2_RING = """\
 # 2x2 matrices over Z/2 on matrix units
@@ -306,6 +307,32 @@ class TestExitCodes:
         code, out = run(capsys, "check-category", workdir / "negative.cat")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_lattice_scan_above_cap_exits_two(self, workdir, capsys):
+        # F_2[x]/(x^16 + x^3 + 1) has only two left ideals, but listing them
+        # scans all 2^16 elements: 37 s before the scan was capped
+        n = 16
+        powers = []
+        for e in range(2 * n - 1):
+            v = [0] * (2 * n)
+            v[e] = 1
+            for d in range(2 * n - 1, n - 1, -1):
+                if v[d]:
+                    v[d] = 0
+                    v[d - n] ^= 1
+                    v[d - n + 3] ^= 1
+            powers.append(" ".join(map(str, v[:n])))
+        rows = ("  ".join(powers[i + j] for j in range(n)) for i in range(n))
+        (workdir / "f2x16.ring").write_text(f"modulus 2\nrank {n}\nconstants\n" + "\n".join(rows))
+        start = time.perf_counter()
+        code, out = run(capsys, "ideal-lattice", workdir / "f2x16.ring", "--side", "left")
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "LatticeScanTooLarge"
+        # refused at the first element whose n^2 steps pass the cap
+        work = (fr.MAX_LATTICE_SCAN_WORK // (n * n) + 1) * n * n
+        assert error["message"] == str(LatticeScanTooLarge(work, fr.MAX_LATTICE_SCAN_WORK))
 
     def test_usage_error_exits_two_with_json(self, capsys):
         code, out = run(capsys, "--bogus")

@@ -88,10 +88,13 @@ class TestSuites:
             assert iset.size == len(inst.idempotents)
 
     def test_prop32_suite_contract(self):
-        suite = corpus.generate_suite("prop-3.2")
-        assert len(suite) >= 500
-        assert all(c.category.object_count <= 4 for c in suite)
-        assert all(c.category.morphism_count <= 20 for c in suite)
+        # the recipes alone keep every instance within 4 objects and 20
+        # morphisms: the suite filters none out
+        for seed in (None, *range(10)):
+            suite = corpus.generate_suite("prop-3.2", seed)
+            assert len(suite) == 503
+            assert all(c.category.object_count <= 4 for c in suite)
+            assert all(c.category.morphism_count <= 20 for c in suite)
 
     def test_groupoid_suite_contract(self):
         suite = corpus.generate_suite("groupoids")

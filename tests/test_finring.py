@@ -14,6 +14,7 @@ from ringbench import finring as fr
 from ringbench import verify
 from ringbench.errors import (
     InvariantViolation,
+    LatticeScanTooLarge,
     LatticeTooLarge,
     ModulusMismatch,
     ModulusTooSmall,
@@ -379,6 +380,41 @@ class TestLatticeMemo:
         with pytest.raises(LatticeTooLarge):
             fr.enumerate_one_sided_ideals(ring, "left", cap=4)
         assert caps == [4, 5]
+
+
+class TestLatticeScanCap:
+    def test_cap_boundary_and_a_refusal_is_not_memoized(self, monkeypatch):
+        ring = corpus.matrix_units_ring(2, 2)
+        # 16 elements of rank 4 scan 16 * 4^2 = 256 steps
+        monkeypatch.setattr(fr, "MAX_LATTICE_SCAN_WORK", 255)
+        with pytest.raises(LatticeScanTooLarge) as exc:
+            fr.enumerate_one_sided_ideals(ring, "left")
+        assert (exc.value.work, exc.value.cap) == (256, 255)
+        assert not ring._lattices
+        monkeypatch.setattr(fr, "MAX_LATTICE_SCAN_WORK", 256)
+        assert fr.enumerate_one_sided_ideals(ring, "left").size == 5
+
+    def test_counted_during_the_scan(self, monkeypatch):
+        # the cap is reached at the 65th of 2^20 elements, before any more
+        # are formed into principals
+        ring = fr.make_ring(2, 20, np.zeros((20, 20, 20), dtype=np.int64))
+        full = ring.full_subgroup()
+        monkeypatch.setattr(fr, "MAX_LATTICE_SCAN_WORK", 64 * 20**2)
+        spans = []
+        original = fr.FiniteRing.span
+        monkeypatch.setattr(
+            fr.FiniteRing, "span", lambda self, rows: spans.append(1) or original(self, rows)
+        )
+        with pytest.raises(LatticeScanTooLarge) as exc:
+            fr.submodule_lattice(full, full, "left", fr.DEFAULT_LATTICE_CAP)
+        assert exc.value.work == 65 * 20**2
+        assert len(spans) == 64
+
+    def test_bound_sits_above_every_suite_ring(self):
+        rings = [inst.ring for inst in corpus.generate_suite("prop-2.4")]
+        assert max(r.order for r in rings) == 256
+        # order 256 at rank 8 scans 16,384 steps, far below the bound
+        assert max(r.order * r.rank**2 for r in rings) * 50 < fr.MAX_LATTICE_SCAN_WORK
 
 
 class TestCorners:

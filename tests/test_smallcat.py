@@ -46,6 +46,33 @@ class TestMakeCategory:
         with pytest.raises(TypeError):
             c.compose[0, 2] = 0
 
+    def test_compose_keeps_the_semantics_of_a_dict_over_all_pairs(self):
+        p, dom, cod, ident, comp = arrow_tables()
+        c = sc.make_category(p, dom, cod, ident, comp)
+        q = len(dom)
+        pairs = {(g, h): int(comp[g, h]) for g in range(q) for h in range(q)}
+        assert len(c.compose) == q * q
+        # g-major order, as the dict built from the table kept it
+        assert list(c.compose.items()) == list(pairs.items())
+        assert list(c.compose) == list(pairs)
+        assert list(c.compose.values()) == list(pairs.values())
+        assert all(c.compose[g, h] == gh for (g, h), gh in pairs.items())
+        # out of range, negative (never wrapping round) and not a pair
+        for key in ((q, 0), (0, q), (-1, 0), (0, -1), 5, (0, 1, 2)):
+            with pytest.raises(KeyError):
+                c.compose[key]
+            assert key not in c.compose
+            assert c.compose.get(key) is None and c.compose.get(key, 7) == 7
+        assert (2, 0) in c.compose and (0, 2) in c.compose
+        assert c.compose.get((2, 0)) == 2 and c.compose.get((0, 2), 7) == U
+        assert c.compose == pairs and pairs == c.compose
+        assert c.compose == sc.make_category(p, dom, cod, ident, comp).compose
+        assert c.compose != {**pairs, (0, 2): 2}
+        with pytest.raises(TypeError):
+            c.compose[2, 0] = 2
+        with pytest.raises(TypeError):
+            del c.compose[2, 0]
+
     def test_overdefined_pair_rejected(self):
         p, dom, cod, ident, comp = arrow_tables()
         comp = comp.copy()
@@ -217,6 +244,20 @@ class TestMorphismCap:
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
         finally:
             tracemalloc.stop()
+
+
+class TestTableMemory:
+    def test_groupoid_suite_tables_stay_small(self):
+        # 110 groupoids of up to 54 morphisms: one dict entry per pair held
+        # 3.9 MB, row tuples about 0.5 MB
+        tracemalloc.start()
+        try:
+            suite = corpus.generate_suite("groupoids", 1729)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(suite) == 110
+        assert retained < 1.5e6
 
 
 class TestFinitenessReport:
