@@ -22,12 +22,9 @@ from .finring import (  # noqa: F401
     corner_ring,
     direct_product,
     enumerate_one_sided_ideals,
-    evaluate,
     find_identity,
     make_ring,
-    one_sided_ideal_closure,
     product_subgroup,
-    span_subgroup,
 )
 from .idempotents import (  # noqa: F401
     IdempotentSet,

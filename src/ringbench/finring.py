@@ -461,49 +461,7 @@ def make_ring(
 
 
 # ---------------------------------------------------------------------------
-# expression evaluation
-
-
-def evaluate(ring: FiniteRing, expr) -> RingElement:
-    """Evaluate a sum/product tree over ring elements.
-
-    Nodes are either RingElement leaves or tuples ("sum", *args),
-    ("prod", *args), ("neg", arg).  The empty sum is zero.
-    """
-    if isinstance(expr, RingElement):
-        if expr.ring is not ring:
-            raise RingMismatch("leaf element bound to a different ring")
-        return expr
-    if not isinstance(expr, (tuple, list)) or not expr:
-        raise ValueError(f"malformed expression node: {expr!r}")
-    tag, *args = expr
-    if tag == "sum":
-        acc = ring.zero()
-        for a in args:
-            acc = acc + evaluate(ring, a)
-        return acc
-    if tag == "prod":
-        if not args:
-            raise ValueError("empty product has no value in a nonunital ring")
-        acc = evaluate(ring, args[0])
-        for a in args[1:]:
-            acc = acc * evaluate(ring, a)
-        return acc
-    if tag == "neg":
-        (a,) = args
-        return -evaluate(ring, a)
-    raise ValueError(f"unknown expression tag: {tag!r}")
-
-
-# ---------------------------------------------------------------------------
 # subgroups and ideals
-
-
-def span_subgroup(ring: FiniteRing, generators: Sequence[RingElement]) -> AdditiveSubgroup:
-    for g in generators:
-        if g.ring is not ring:
-            raise RingMismatch("generator bound to a different ring")
-    return ring.span([g.coords for g in generators])
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,19 +489,6 @@ def _check_side(side: str) -> str:
     return side
 
 
-def closed_under(ring: FiniteRing, subgroup: AdditiveSubgroup, side: str) -> bool:
-    """Whether the subgroup absorbs ring multiplication on the given side."""
-    _check_side(side)
-    if subgroup.ring is not ring:
-        raise RingMismatch("subgroup bound to a different ring")
-    mul, rows = ring._mul, subgroup.rows
-    if side == "left":
-        prods = (mul(b, r) for b in ring._basis_rows for r in rows)
-    else:
-        prods = (mul(r, b) for b in ring._basis_rows for r in rows)
-    return all(subgroup.contains(p) for p in prods)
-
-
 def _principal_generators(ring: FiniteRing, acting, side: str):
     """The map x -> generator rows of Z x + A x (left) or Z x + x A (right),
     for A spanned by the rows ``acting``."""
@@ -552,26 +497,6 @@ def _principal_generators(ring: FiniteRing, acting, side: str):
     if side == "left":
         return lambda x: [x] + [mul(w, x) for w in acting]
     return lambda x: [x] + [mul(x, w) for w in acting]
-
-
-def one_sided_ideal_closure(
-    ring: FiniteRing, generators: Sequence[RingElement], side: str
-) -> OneSidedIdeal:
-    """Smallest one-sided ideal containing the generators.
-
-    The ring may lack a unit, so the ideal of x is Z x + S x (or x S): the
-    additive span of each generator together with its basis multiples.
-    """
-    principal = _principal_generators(ring, ring._basis_rows, side)
-    rows: list = []
-    for g in generators:
-        if g.ring is not ring:
-            raise RingMismatch("generator bound to a different ring")
-        rows.extend(principal(g.coords))
-    subgroup = ring.span(rows)
-    if not closed_under(ring, subgroup, side):
-        raise InvariantViolation(f"generated {side} ideal is not closed under multiplication")
-    return OneSidedIdeal(subgroup, side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -816,43 +741,54 @@ def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     return make_ring(m, total, sc, labels)
 
 
-def find_identity(ring: FiniteRing) -> RingElement | None:
-    """The two-sided multiplicative unit, if the ring has one.
+def _unit_of(ring: FiniteRing, rows: Sequence[tuple[int, ...]]) -> RingElement | None:
+    """The u = sum_i c_i r_i with u * r_j = r_j = r_j * u for every row r_j,
+    or None when there is none.
 
-    Found by solving x * b_i = b_i = b_i * x over Z/m.  Order-1 rings report
-    no unit (unital rings are nonzero by convention).
+    Such a u is unique (u = u * u' = u'), so one solve over Z/m finds it.
+    The system is read from the structure constants: row i holds the
+    coordinates of r_i * r_j, then of r_j * r_i, for each j in turn.  The
+    unit law is rechecked with the product kernel.
     """
-    n = ring.rank
-    if n == 0 or ring.order == 1:
-        return None
-    # row l: the coordinates of b_l * b_i, then of b_i * b_l, over every i
-    c = ring.constants
-    A = [
-        tuple(itertools.chain(*c[l], *(c[i][l] for i in range(n)))) for l in range(n)
+    m, n, c = ring.modulus, ring.rank, ring.constants
+    width = 2 * n  # coordinates of one product, then of the reversed one
+    # row b: b_a * b_b, then b_b * b_a, for each a
+    by_row = [tuple(itertools.chain(*(c[a][b] + c[b][a] for a in range(n)))) for b in range(n)]
+    # block j: b_a * r_j, then r_j * b_a, for each a
+    blocks = [howell.combine(r, by_row, m, width * n) for r in rows]
+    # row a: b_a * r_j, then r_j * b_a, for each j
+    by_basis = [
+        tuple(itertools.chain(*(block[width * a : width * (a + 1)] for block in blocks)))
+        for a in range(n)
     ]
-    target = tuple(itertools.chain(*ring._basis_rows)) * 2
-    x = howell.solve_row(A, target, ring.modulus)
+    system = [howell.combine(r, by_basis, m, width * len(rows)) for r in rows]
+    x = howell.solve_row(system, tuple(itertools.chain(*(r + r for r in rows))), m)
     if x is None:
         return None
-    mul = ring._mul
-    for b in ring._basis_rows:
-        if mul(x, b) != b or mul(b, x) != b:
-            raise InvariantViolation("solved identity fails the unit law")
-    return RingElement(ring, x)
+    u, mul = howell.combine(x, rows, m, n), ring._mul
+    for r in rows:
+        if mul(u, r) != r or mul(r, u) != r:
+            raise InvariantViolation("solved unit fails the unit law")
+    return RingElement(ring, u)
+
+
+def find_identity(ring: FiniteRing) -> RingElement | None:
+    """The two-sided multiplicative unit, if the ring has one: solved on the
+    basis rows.  Order-1 rings report no unit (unital rings are nonzero by
+    convention).
+    """
+    if ring.order == 1:
+        return None
+    return _unit_of(ring, ring._basis_rows)
 
 
 def subring_identity(ring: FiniteRing, subgroup: AdditiveSubgroup) -> RingElement | None:
-    """Unit of a multiplicatively closed subgroup, as a ring element.
-
-    Scans the subgroup's elements for a two-sided unit on its basis rows;
-    order-1 subgroups report none.
+    """The element of the subgroup that is a two-sided unit on it, if there
+    is one: solved on its Howell rows.  The subgroup need not be closed
+    under multiplication; order-1 subgroups report none.
     """
     if subgroup.ring is not ring:
         raise RingMismatch("subgroup bound to a different ring")
     if subgroup.order == 1:
         return None
-    rows = subgroup.rows
-    for u in subgroup.element_vectors():
-        if all(ring.mul_vec(u, v) == v and ring.mul_vec(v, u) == v for v in rows):
-            return RingElement(ring, u)
-    return None
+    return _unit_of(ring, subgroup.rows)

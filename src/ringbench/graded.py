@@ -61,8 +61,9 @@ class Grading:
 
     @cached_property
     def object_unital_result(self) -> ObjectUnitalResult:
-        """The units of the identity components and the unit-law verdict,
-        evaluated on first use; object_unital_check returns it."""
+        """The units of the identity components, each solved from the
+        component's Howell rows, and the unit-law verdict, evaluated on
+        first use; object_unital_check returns it."""
         ring, cat = self.ring, self.category
         units = tuple(
             subring_identity(ring, self.components[cat.identity[a]])

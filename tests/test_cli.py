@@ -363,11 +363,51 @@ class TestExitCodes:
         assert "usage: ringbench" in capsys.readouterr().out
 
     def test_invariant_violation_exits_three(self, workdir, capsys, monkeypatch):
-        # a broken product kernel makes find_identity's unit-law recheck fail
+        run(capsys, "--quiet", "build-mx", "c1", "2", "--save", workdir / "pair.cat")
+        (workdir / "grading.txt").write_text(
+            "ring m2.ring\ncategory pair.cat\n"
+            + "".join(f"component {g} 1\n{' '.join('01'[g == i] for i in range(4))}\n" for g in range(4))
+        )
+        # a broken product kernel makes the unit-law recheck fail, both for
+        # the ring's unit and for the units of the identity components
         monkeypatch.setattr(fr.FiniteRing, "_mul", lambda self, x, y: (0,) * self.rank)
-        code, out = run(capsys, "check-ring", workdir / "m2.ring")
-        assert code == 3
-        assert json.loads(out)["error"]["type"] == "InvariantViolation"
+        for argv in (["check-ring", "m2.ring"], ["check-grading", "grading.txt"]):
+            code, out = run(capsys, argv[0], workdir / argv[1])
+            assert code == 3
+            assert json.loads(out)["error"]["type"] == "InvariantViolation"
+
+    def test_identity_component_unit_is_solved_not_scanned(self, workdir, capsys, monkeypatch):
+        # the rank-48 zero-multiplication ring over Z/2, graded by the
+        # one-morphism category with the whole ring as identity component:
+        # listing its 2^48 elements for a unit would never finish
+        n = fr.MAX_RANK
+        zeros = "  ".join([" ".join(["0"] * n)] * n)
+        (workdir / "zero.ring").write_text(
+            f"modulus 2\nrank {n}\nconstants\n" + "\n".join([zeros] * n) + "\n"
+        )
+        run(capsys, "--quiet", "build-mx", "c1", "1", "--save", workdir / "one.cat")
+        rows = (" ".join("01"[i == j] for j in range(n)) for i in range(n))
+        path = workdir / "zero.grading"
+        path.write_text(
+            f"ring zero.ring\ncategory one.cat\ncomponent 0 {n}\n" + "\n".join(rows) + "\n"
+        )
+
+        def no_scan(self):
+            raise AssertionError("element scan")
+
+        monkeypatch.setattr(fr.AdditiveSubgroup, "element_vectors", no_scan)
+        monkeypatch.setattr(fr.FiniteRing, "element_vectors", no_scan)
+        code, out = run(capsys, "--no-timings", "check-grading", path)
+        assert code == 1
+        assert json.loads(out)["verdicts"]["object_unital"] is False
+        monkeypatch.undo()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringbench.cli", "--quiet", "check-grading", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "object_unital false" in proc.stdout.splitlines()
 
 
 class TestReports:

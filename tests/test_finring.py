@@ -13,7 +13,6 @@ from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import verify
 from ringbench.errors import (
-    InvariantViolation,
     LatticeScanTooLarge,
     LatticeTooLarge,
     ModulusMismatch,
@@ -131,25 +130,6 @@ class TestAssociativityWorkCap:
         assert ring.basis_element(5) * ring.basis_element(45) == ring.basis_element(2)
 
 
-class TestEvaluate:
-    def test_matrix_unit_product(self, m2f2):
-        e11, e12 = m2f2.basis_element(0), m2f2.basis_element(1)
-        assert fr.evaluate(m2f2, ("prod", e11, e12)) == e12
-
-    def test_additive_inverse(self, m2f2):
-        for x in m2f2.elements():
-            assert fr.evaluate(m2f2, ("sum", x, ("neg", x))).is_zero()
-
-    def test_identity_absorbs_all_elements(self, m2f2):
-        one = fr.find_identity(m2f2)
-        for x in m2f2.elements():
-            assert fr.evaluate(m2f2, ("prod", one, x)) == x
-
-    def test_cross_ring_leaf_rejected(self, m2f2, z2):
-        with pytest.raises(RingMismatch):
-            fr.evaluate(m2f2, ("sum", z2.basis_element(0)))
-
-
 class TestRingAxioms:
     @pytest.mark.parametrize(
         "ring_factory",
@@ -187,11 +167,11 @@ class TestRingAxioms:
 
 class TestSpanSubgroup:
     def test_empty_generators_give_zero(self, m2f2):
-        sub = fr.span_subgroup(m2f2, [])
+        sub = m2f2.span([])
         assert sub.order == 1 and sub.is_zero()
 
     def test_two_matrix_units_span_order_four(self, m2f2):
-        sub = fr.span_subgroup(m2f2, [m2f2.basis_element(0), m2f2.basis_element(1)])
+        sub = m2f2.span([(1, 0, 0, 0), (0, 1, 0, 0)])
         assert sub.order == 4
         oracle = brute_force_span(m2f2, [(1, 0, 0, 0), (0, 1, 0, 0)])
         assert sub.order == len(oracle)
@@ -199,7 +179,7 @@ class TestSpanSubgroup:
             assert sub.contains(np.array(v))
 
     def test_whole_basis_spans_everything(self, m2f2):
-        sub = fr.span_subgroup(m2f2, m2f2.basis())
+        sub = m2f2.span(b.coords for b in m2f2.basis())
         assert sub.order == m2f2.order
 
     @settings(max_examples=60, deadline=None)
@@ -217,35 +197,10 @@ class TestSpanSubgroup:
         assert sub == again
 
     def test_meet_and_join(self, m2f2):
-        a = fr.span_subgroup(m2f2, [m2f2.basis_element(0), m2f2.basis_element(1)])
-        b = fr.span_subgroup(m2f2, [m2f2.basis_element(1), m2f2.basis_element(2)])
+        a = m2f2.span([(1, 0, 0, 0), (0, 1, 0, 0)])
+        b = m2f2.span([(0, 1, 0, 0), (0, 0, 1, 0)])
         assert len(set(a.elements()) & set(b.elements())) == 2
         assert a.join(b).order == 8
-
-
-class TestIdealClosure:
-    def test_left_ideal_of_e11(self, m2f2):
-        ideal = fr.one_sided_ideal_closure(m2f2, [m2f2.basis_element(0)], "left")
-        assert ideal.order == 4
-        expected = brute_force_span(m2f2, [(1, 0, 0, 0), (0, 0, 1, 0)])
-        assert {tuple(int(c) for c in v) for v in ideal.subgroup.element_vectors()} == expected
-
-    def test_zero_generator(self, m2f2):
-        assert fr.one_sided_ideal_closure(m2f2, [m2f2.zero()], "left").order == 1
-
-    def test_unit_generates_improper_ideal(self, m2f2):
-        one = fr.find_identity(m2f2)
-        assert fr.one_sided_ideal_closure(m2f2, [one], "left").order == m2f2.order
-
-    def test_nonunital_closure_contains_generator(self, zero_ring_2):
-        x = zero_ring_2.basis_element(0)
-        ideal = fr.one_sided_ideal_closure(zero_ring_2, [x], "left")
-        assert ideal.subgroup.contains(x)
-
-    def test_failed_closure_check_raises(self, m2f2, monkeypatch):
-        monkeypatch.setattr(fr, "closed_under", lambda ring, subgroup, side: False)
-        with pytest.raises(InvariantViolation):
-            fr.one_sided_ideal_closure(m2f2, [m2f2.basis_element(0)], "left")
 
 
 class TestIdealLattice:
@@ -478,6 +433,38 @@ class TestFindIdentity:
     def test_rank_one_z6(self):
         z6 = corpus.cyclic_ring(6)
         assert fr.find_identity(z6).coords == (1,)
+
+
+@pytest.fixture(scope="module")
+def suite_rings():
+    """The distinct rings of the prop-2.4 and gradings suites."""
+    rings = [inst.ring for inst in corpus.generate_suite("prop-2.4")]
+    rings += [inst.grading.ring for inst in corpus.generate_suite("gradings")]
+    return list({id(ring): ring for ring in rings}.values())
+
+
+class TestSubringIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_solve_matches_element_scan(self, suite_rings, data):
+        ring = data.draw(st.sampled_from(suite_rings))
+        vector = st.tuples(*[st.integers(0, ring.modulus - 1)] * ring.rank)
+        sub = ring.span(data.draw(st.lists(vector, max_size=3)))
+        if sub.order > 4096:
+            return
+        # the subgroup need not be closed under multiplication
+        mul = ring.mul_vec
+        units = [
+            u for u in sub.element_vectors()
+            if sub.order > 1 and all(mul(u, v) == v == mul(v, u) for v in sub.rows)
+        ]
+        assert len(units) <= 1
+        expected = fr.RingElement(ring, units[0]) if units else None
+        assert fr.subring_identity(ring, sub) == expected
+
+    def test_other_rings_subgroup_rejected(self, m2f2, z2):
+        with pytest.raises(RingMismatch):
+            fr.subring_identity(m2f2, z2.full_subgroup())
 
 
 class TestElementBinding:
