@@ -90,6 +90,53 @@ class TestParsers:
         with pytest.raises(ParseError):
             cli.parse_ring_file(workdir / "bad.ring")
 
+    @pytest.mark.parametrize(
+        "name,text,parse,message,line,column",
+        [
+            (
+                "word.ring",
+                "modulus 2\nrank 2\nconstants\n1 0 0 0\n0 x 0 1\n",
+                cli.parse_ring_file,
+                "expected integer constant 5, found 'x'",
+                5, 3,
+            ),
+            (
+                "cut.ring",
+                "modulus 2\nrank 2\nconstants\n1 0 0 0\n0 0\n",
+                cli.parse_ring_file,
+                "unexpected end of file, expected constant 6",
+                5, 3,
+            ),
+            (
+                "bad.idem",
+                "ring m2.ring\nidempotent 1 0 0 0\nidempotent 0 0 1.5 1\n",
+                cli.parse_idempotent_file,
+                "expected integer coordinate 2, found '1.5'",
+                3, 16,
+            ),
+            (
+                "bad.system",
+                "category one.cat\nobject 0 ring z3.ring\nmap 0\n  one\n",
+                cli.parse_system_file,
+                "expected integer entry 0, found 'one'",
+                4, 3,
+            ),
+        ],
+    )
+    def test_parse_error_message_and_position(
+        self, workdir, name, text, parse, message, line, column
+    ):
+        (workdir / "z3.ring").write_text("modulus 3\nrank 1\nconstants\n1\n")
+        (workdir / "one.cat").write_text(
+            "objects 1\nmorphisms 1\narrow 0 0\nidentity 0\ncompose 0 0 0\n"
+        )
+        (workdir / name).write_text(text)
+        with pytest.raises(ParseError) as exc:
+            parse(workdir / name)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"{message} (line {line}, column {column})", line, column
+        )
+
     def test_dangling_object_index(self, workdir):
         (workdir / "bad.cat").write_text(
             "objects 2\nmorphisms 1\narrow 0 5\nidentity 0 0\n"
