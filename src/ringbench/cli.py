@@ -74,8 +74,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from . import corpus
@@ -99,8 +99,7 @@ from .errors import (
 # tokenizer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     column: int
@@ -151,6 +150,20 @@ class TokenStream:
         except ValueError:
             raise ParseError(f"expected integer {what}, found {tok.text!r}", tok.line, tok.column)
 
+    def integers(self, what: str, count: int) -> list[int]:
+        """The next ``count`` integers; an error names the i-th ``what i``."""
+        values: list[int] = []
+        for tok in self.tokens[self.pos : self.pos + count]:
+            try:
+                values.append(int(tok.text))
+            except ValueError:
+                raise ParseError(f"expected integer {what} {len(values)}, found {tok.text!r}",
+                                 tok.line, tok.column)
+        self.pos += len(values)
+        if len(values) < count:
+            self.next(f"{what} {len(values)}")  # past the last token: raises
+        return values
+
     def integer_in(self, what: str, low: int, high: int) -> int:
         tok = self.peek()
         value = self.integer(what)
@@ -183,7 +196,7 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
         ts.expect("labels")
         labels = [ts.next(f"label {i}").text for i in range(rank)]
     ts.expect("constants")
-    flat = [ts.integer(f"constant {i}") for i in range(rank * rank * rank)]
+    flat = ts.integers("constant", rank * rank * rank)
     if not ts.done():
         tok = ts.peek()
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
@@ -202,7 +215,7 @@ def parse_idempotent_file(path: str | Path) -> tuple[fr.FiniteRing, list[fr.Ring
     elements = []
     while not ts.done():
         ts.expect("idempotent")
-        coords = [ts.integer(f"coordinate {i}") for i in range(ring.rank)]
+        coords = ts.integers("coordinate", ring.rank)
         elements.append(ring.element(coords))
     return ring, elements
 
@@ -250,7 +263,7 @@ def parse_grading_file(path: str | Path) -> gr.Grading:
         count = ts.integer_in("generator count", 0, math.inf)
         rows = []
         for r in range(count):
-            rows.append([ts.integer(f"coordinate {i}") for i in range(ring.rank)])
+            rows.append(ts.integers("coordinate", ring.rank))
         components[g] = ring.span(rows)
     for g in range(category.morphism_count):
         components.setdefault(g, ring.zero_subgroup())
@@ -284,7 +297,7 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
             raise ParseError(f"map {g} given twice", tok.line, tok.column)
         nd = rings[category.dom[g]].rank
         nc = rings[category.cod[g]].rank
-        flat = [ts.integer(f"entry {i}") for i in range(nd * nc)]
+        flat = ts.integers("entry", nd * nc)
         maps[g] = [flat[r * nc : (r + 1) * nc] for r in range(nd)]
     return sk.validate_system(category, rings, maps)
 

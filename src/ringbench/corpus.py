@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import finring as fr
 from . import graded as gr
@@ -338,39 +337,43 @@ def _named_skew_algebra(name: str) -> sk.SkewAlgebra:
 # suite instances
 
 
-@dataclass(frozen=True, eq=False)
 class RingWithIdempotents:
-    name: str
-    ring: fr.FiniteRing
-    idempotents: tuple[fr.RingElement, ...]
-    expect_strong: bool | None = None
+    __slots__ = ("name", "ring", "idempotents", "expect_strong")
+
+    def __init__(self, name: str, ring: fr.FiniteRing, idempotents: tuple[fr.RingElement, ...],
+                 expect_strong: bool | None = None):
+        self.name, self.ring, self.idempotents = name, ring, idempotents
+        self.expect_strong = expect_strong
 
 
-@dataclass(frozen=True, eq=False)
 class CategoryInstance:
-    name: str
-    category: cat.SmallCategory
+    __slots__ = ("name", "category")
+
+    def __init__(self, name: str, category: cat.SmallCategory):
+        self.name, self.category = name, category
 
 
-@dataclass(frozen=True, eq=False)
 class SkewInstance:
-    name: str
-    algebra: sk.SkewAlgebra
+    __slots__ = ("name", "algebra")
+
+    def __init__(self, name: str, algebra: sk.SkewAlgebra):
+        self.name, self.algebra = name, algebra
 
 
-@dataclass(frozen=True, eq=False)
 class MXInstance:
-    name: str
-    monoid: str
-    set_size: int
-    category: cat.SmallCategory
-    monoid_is_group: bool
+    __slots__ = ("name", "monoid", "set_size", "category", "monoid_is_group")
+
+    def __init__(self, name: str, monoid: str, set_size: int, category: cat.SmallCategory,
+                 monoid_is_group: bool):
+        self.name, self.monoid, self.set_size = name, monoid, set_size
+        self.category, self.monoid_is_group = category, monoid_is_group
 
 
-@dataclass(frozen=True, eq=False)
 class GradingInstance:
-    name: str
-    grading: gr.Grading
+    __slots__ = ("name", "grading")
+
+    def __init__(self, name: str, grading: gr.Grading):
+        self.name, self.grading = name, grading
 
 
 class _Units:
@@ -525,7 +528,12 @@ def _own_categories(instances: list[CategoryInstance]) -> list[CategoryInstance]
     """Each instance with its own SmallCategory object on the fields its
     recipe's one build validated.  Callers may key on the category object,
     as perfbench's CLI input writer does, so an instance never shares it."""
-    return [CategoryInstance(inst.name, replace(inst.category)) for inst in instances]
+    own = []
+    for inst in instances:
+        c = inst.category
+        copy = cat.SmallCategory(c.object_count, c.dom, c.cod, c.identity, c.compose)
+        own.append(CategoryInstance(inst.name, copy))
+    return own
 
 
 def _suite_prop32(seed: int) -> list[CategoryInstance]:
@@ -686,8 +694,7 @@ def generate_suite(name: str, seed: int | None = None) -> list:
 # mutants
 
 
-@dataclass(frozen=True)
-class MutatedInstance:
+class MutatedInstance(NamedTuple):
     """Raw data that its validator must reject with exactly expected_error."""
 
     expected_error: type

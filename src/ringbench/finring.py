@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import howell, posets
@@ -184,16 +183,32 @@ class FiniteRing:
         return self.span(self._basis_rows)
 
 
-@dataclass(frozen=True)
 class RingElement:
     """An element of a specific FiniteRing, as reduced coordinates.
 
     Elements are bound to exactly one ring; combining elements of different
-    rings raises RingMismatch rather than coercing.
+    rings raises RingMismatch rather than coercing.  Elements compare and
+    hash by their read-only (ring, coords).
     """
 
-    ring: FiniteRing
-    coords: tuple[int, ...]
+    __slots__ = ("ring", "coords")
+
+    def __init__(self, ring: FiniteRing, coords: tuple[int, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not RingElement:
+            return NotImplemented
+        return (self.ring, self.coords) == (other.ring, other.coords)
+
+    def __hash__(self):
+        return hash((self.ring, self.coords))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -464,12 +479,13 @@ def make_ring(
 # subgroups and ideals
 
 
-@dataclass(frozen=True, eq=False)
 class OneSidedIdeal:
     """A one-sided ideal, as its canonical additive subgroup plus side tag."""
 
-    subgroup: AdditiveSubgroup
-    side: str
+    __slots__ = ("subgroup", "side")
+
+    def __init__(self, subgroup: AdditiveSubgroup, side: str):
+        self.subgroup, self.side = subgroup, side
 
     @property
     def ring(self) -> FiniteRing:
@@ -499,7 +515,6 @@ def _principal_generators(ring: FiniteRing, acting, side: str):
     return lambda x: [x] + [mul(x, w) for w in acting]
 
 
-@dataclass(frozen=True, eq=False)
 class IdealLattice:
     """All one-sided ideals of a ring on one side, with their inclusion order.
 
@@ -508,12 +523,12 @@ class IdealLattice:
     longest chain.
     """
 
-    ring: FiniteRing
-    side: str
-    ideals: tuple[OneSidedIdeal, ...]
-    cover_relation: tuple[tuple[int, ...], ...]
-    height: int
-    size: int
+    __slots__ = ("ring", "side", "ideals", "cover_relation", "height", "size")
+
+    def __init__(self, ring: FiniteRing, side: str, ideals: tuple[OneSidedIdeal, ...],
+                 cover_relation: tuple[tuple[int, ...], ...], height: int, size: int):
+        self.ring, self.side, self.ideals = ring, side, ideals
+        self.cover_relation, self.height, self.size = cover_relation, height, size
 
 
 def join_closure(
@@ -618,7 +633,6 @@ def _additive_order(v: Sequence[int], m: int) -> int:
     return m // math.gcd(m, *v)
 
 
-@dataclass(frozen=True, eq=False)
 class CornerRing:
     """A corner e*S*e repackaged as a standalone ring, with coordinate maps.
 
@@ -627,12 +641,13 @@ class CornerRing:
     corner subgroup has smaller exponent.
     """
 
-    ring: FiniteRing
-    parent: FiniteRing
-    idempotent: RingElement
-    subgroup: AdditiveSubgroup
-    inclusion: tuple[tuple[int, ...], ...]
-    _coord_index: dict
+    __slots__ = ("ring", "parent", "idempotent", "subgroup", "inclusion", "_coord_index")
+
+    def __init__(self, ring: FiniteRing, parent: FiniteRing, idempotent: RingElement,
+                 subgroup: AdditiveSubgroup, inclusion: tuple[tuple[int, ...], ...],
+                 _coord_index: dict):
+        self.ring, self.parent, self.idempotent = ring, parent, idempotent
+        self.subgroup, self.inclusion, self._coord_index = subgroup, inclusion, _coord_index
 
     def include(self, x: RingElement) -> RingElement:
         if x.ring is not self.ring:

@@ -16,9 +16,8 @@ mechanically on every instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import strength
 from .errors import (
@@ -41,11 +40,11 @@ from .idempotents import IdempotentSet, validate_complete_set
 from .smallcat import UNDEFINED, SmallCategory, homset_strong_report
 
 
-@dataclass(frozen=True, eq=False)
 class Grading:
-    ring: FiniteRing
-    category: SmallCategory
-    components: tuple[AdditiveSubgroup, ...]  # indexed by morphism
+    def __init__(self, ring: FiniteRing, category: SmallCategory,
+                 components: tuple[AdditiveSubgroup, ...]):
+        self.ring, self.category = ring, category
+        self.components = components  # indexed by morphism
 
     def component(self, g: int) -> AdditiveSubgroup:
         return self.components[g]
@@ -149,8 +148,7 @@ def attach_grading(
 # predicates
 
 
-@dataclass(frozen=True)
-class ObjectUnitalResult:
+class ObjectUnitalResult(NamedTuple):
     object_unital: bool
     units: tuple[RingElement | None, ...]  # per object, None when absent
     witness: tuple | None
@@ -169,14 +167,20 @@ def strongly_graded_check(grading: Grading) -> bool:
     return grading.strongly_graded
 
 
-@dataclass(frozen=True)
 class GradedStrongReport(strength.StrongnessReport):
     """Hom-set-level strength conditions for an object unital grading over a
     hom-set strong category, plus the corner-identity law
     1_{S_a} S 1_{S_b} = S_{G(a,b)} checked by direct subgroup computation."""
 
-    corner_identity: bool
-    corner_identity_witness: tuple | None
+    __slots__ = ("corner_identity", "corner_identity_witness")
+    _fields = strength.StrongnessReport._fields + __slots__
+
+    def __init__(self, condition1: bool, condition2: bool, condition3: bool,
+                 witness1: tuple | None, witness2: tuple | None, witness3: tuple | None,
+                 corner_identity: bool, corner_identity_witness: tuple | None):
+        super().__init__(condition1, condition2, condition3, witness1, witness2, witness3)
+        object.__setattr__(self, "corner_identity", corner_identity)
+        object.__setattr__(self, "corner_identity_witness", corner_identity_witness)
 
 
 def _hom_components(grading: Grading) -> list[list[AdditiveSubgroup]]:
@@ -226,9 +230,7 @@ def homset_strongly_graded_report(grading: Grading) -> GradedStrongReport:
     )
     conditions = strength.report(table)
     corner_ok, corner_witness = _sandwich_law(grading.ring, units, hom)
-    return GradedStrongReport(
-        **vars(conditions), corner_identity=corner_ok, corner_identity_witness=corner_witness
-    )
+    return GradedStrongReport(*conditions._values(), corner_ok, corner_witness)
 
 
 def corner_identity_check(grading: Grading) -> tuple[bool, tuple | None]:
@@ -246,8 +248,7 @@ def induced_idempotents(grading: Grading) -> IdempotentSet:
     return validate_complete_set(grading.ring, _local_units(grading))
 
 
-@dataclass(frozen=True)
-class GradedFlags:
+class GradedFlags(NamedTuple):
     """Recomputable summary of a grading's standing."""
 
     object_unital: bool

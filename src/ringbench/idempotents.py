@@ -15,9 +15,8 @@ checkable fact on every instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import posets, strength
 from .errors import (
@@ -44,10 +43,11 @@ from .finring import submodule_lattice as _submodules
 from .strength import StrongnessReport
 
 
-@dataclass(frozen=True, eq=False)
 class IdempotentSet:
-    ring: FiniteRing
-    elements: tuple[RingElement, ...]
+    __slots__ = ("ring", "elements")
+
+    def __init__(self, ring: FiniteRing, elements: tuple[RingElement, ...]):
+        self.ring, self.elements = ring, elements
 
     @property
     def size(self) -> int:
@@ -102,15 +102,14 @@ def _components(iset: IdempotentSet) -> list[list[AdditiveSubgroup]]:
     return [[ring.sandwich(ei.coords, ej.coords) for ej in iset.elements] for ei in iset.elements]
 
 
-@dataclass(frozen=True, eq=False)
 class PeirceTable:
     """All k^2 components e_i S e_j as subgroups of S.  The diagonal
     component (i, i) is the corner e_i S e_i, a subring with unit e_i; it is
     never repackaged as a standalone ring."""
 
-    ring: FiniteRing
-    iset: IdempotentSet
-    components: tuple[tuple[AdditiveSubgroup, ...], ...]
+    def __init__(self, ring: FiniteRing, iset: IdempotentSet,
+                 components: tuple[tuple[AdditiveSubgroup, ...], ...]):
+        self.ring, self.iset, self.components = ring, iset, components
 
     @property
     def size(self) -> int:
@@ -192,7 +191,6 @@ def is_strong(iset: IdempotentSet) -> bool:
 # corner/ideal poset correspondence
 
 
-@dataclass(frozen=True, eq=False)
 class CornerLatticeCertificate:
     """Certificate for the poset isomorphism between corner ideals and
     component submodules.
@@ -206,19 +204,23 @@ class CornerLatticeCertificate:
     submodule lattice acting on itself.
     """
 
-    side: str
-    i: int
-    j: int
-    ideal_count: int
-    submodule_count: int
-    ideal_height: int
-    submodule_height: int
-    forward_then_back_identity: bool
-    back_then_forward_identity: bool
-    forward_monotone: bool
-    back_monotone: bool
-    pairs: tuple[tuple[int, int], ...]
-    failure: str | None
+    __slots__ = _fields = (
+        "side", "i", "j", "ideal_count", "submodule_count", "ideal_height", "submodule_height",
+        "forward_then_back_identity", "back_then_forward_identity", "forward_monotone",
+        "back_monotone", "pairs", "failure",
+    )
+
+    def __init__(self, side: str, i: int, j: int, ideal_count: int, submodule_count: int,
+                 ideal_height: int, submodule_height: int, forward_then_back_identity: bool,
+                 back_then_forward_identity: bool, forward_monotone: bool, back_monotone: bool,
+                 pairs: tuple[tuple[int, int], ...], failure: str | None):
+        self.side, self.i, self.j = side, i, j
+        self.ideal_count, self.submodule_count = ideal_count, submodule_count
+        self.ideal_height, self.submodule_height = ideal_height, submodule_height
+        self.forward_then_back_identity = forward_then_back_identity
+        self.back_then_forward_identity = back_then_forward_identity
+        self.forward_monotone, self.back_monotone = forward_monotone, back_monotone
+        self.pairs, self.failure = pairs, failure
 
     @property
     def ok(self) -> bool:
@@ -307,8 +309,7 @@ def corner_lattice_correspondence(
 # lattice analytics
 
 
-@dataclass(frozen=True)
-class CornerProfile:
+class CornerProfile(NamedTuple):
     corner_order: int
     left_size: int
     left_height: int
@@ -316,7 +317,6 @@ class CornerProfile:
     right_height: int
 
 
-@dataclass(frozen=True, eq=False)
 class ChainProfile:
     """Quantitative lattice data for a ring with a complete set of idempotents.
 
@@ -324,13 +324,17 @@ class ChainProfile:
     content is the lattice sizes and heights plus the strength verdict.
     """
 
-    index_size: int
-    strong: bool
-    corners: tuple[CornerProfile, ...]
-    ring_left_size: int
-    ring_left_height: int
-    ring_right_size: int
-    ring_right_height: int
+    __slots__ = (
+        "index_size", "strong", "corners", "ring_left_size", "ring_left_height",
+        "ring_right_size", "ring_right_height",
+    )
+
+    def __init__(self, index_size: int, strong: bool, corners: tuple[CornerProfile, ...],
+                 ring_left_size: int, ring_left_height: int, ring_right_size: int,
+                 ring_right_height: int):
+        self.index_size, self.strong, self.corners = index_size, strong, corners
+        self.ring_left_size, self.ring_left_height = ring_left_size, ring_left_height
+        self.ring_right_size, self.ring_right_height = ring_right_size, ring_right_height
 
 
 def ideal_lattice_shape(subring: AdditiveSubgroup, side: str, cap: int) -> tuple[int, int]:

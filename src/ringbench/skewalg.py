@@ -17,8 +17,7 @@ object unital rather than assumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import howell
 from .errors import (
@@ -51,11 +50,13 @@ from .idempotents import ideal_lattice_shape, is_strong
 from .smallcat import UNDEFINED, SmallCategory, homset_strong_report
 
 
-@dataclass(frozen=True, eq=False)
 class SkewCategorySystem:
-    category: SmallCategory
-    object_rings: tuple[FiniteRing, ...]
-    maps: tuple[howell.Matrix, ...]  # per morphism, residue rows; row-vector action x -> x @ M
+    __slots__ = ("category", "object_rings", "maps")
+
+    def __init__(self, category: SmallCategory, object_rings: tuple[FiniteRing, ...],
+                 maps: tuple[howell.Matrix, ...]):
+        self.category, self.object_rings = category, object_rings
+        self.maps = maps  # per morphism, residue rows; row-vector action x -> x @ M
 
     @property
     def modulus(self) -> int:
@@ -137,7 +138,6 @@ def validate_system(
     return SkewCategorySystem(category, rings, tuple(maps))
 
 
-@dataclass(frozen=True, eq=False)
 class SkewAlgebra:
     """The algebra of a skew category system with its canonical grading.
 
@@ -146,11 +146,12 @@ class SkewAlgebra:
     identity morphism's block.
     """
 
-    ring: FiniteRing
-    grading: Grading
-    system: SkewCategorySystem
-    offsets: tuple[int, ...]
-    unit_elements: tuple[RingElement, ...]
+    __slots__ = ("ring", "grading", "system", "offsets", "unit_elements")
+
+    def __init__(self, ring: FiniteRing, grading: Grading, system: SkewCategorySystem,
+                 offsets: tuple[int, ...], unit_elements: tuple[RingElement, ...]):
+        self.ring, self.grading, self.system = ring, grading, system
+        self.offsets, self.unit_elements = offsets, unit_elements
 
     @property
     def category(self) -> SmallCategory:
@@ -226,8 +227,7 @@ def build_category_algebra(T: FiniteRing, category: SmallCategory) -> SkewAlgebr
 # equivalence and chain-condition reports
 
 
-@dataclass(frozen=True)
-class StrongEquivalenceRecord:
+class StrongEquivalenceRecord(NamedTuple):
     """Both sides of the strength biconditional, computed independently:
     whether the canonical idempotents form a strong set versus whether the
     category is hom-set strong, plus the graded-level report when both hold."""
@@ -252,8 +252,7 @@ def strong_idempotent_equivalence_check(algebra: SkewAlgebra) -> StrongEquivalen
     return StrongEquivalenceRecord(ring_side, cat_side, graded_ok)
 
 
-@dataclass(frozen=True)
-class ObjectCornerReport:
+class ObjectCornerReport(NamedTuple):
     object_index: int
     corner_order: int
     matches_endo_component: bool
@@ -263,8 +262,7 @@ class ObjectCornerReport:
     right_height: int
 
 
-@dataclass(frozen=True)
-class ArtinianCriteriaReport:
+class ArtinianCriteriaReport(NamedTuple):
     """Finite-scale chain-condition data for a skew algebra.
 
     Every party here is finite, so all chain conditions hold; the report's

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import strength
 from .errors import (
@@ -65,13 +65,14 @@ class CompositionTable(Mapping):
         return ((g, h) for g in range(q) for h in range(q))
 
 
-@dataclass(frozen=True, eq=False)
 class SmallCategory:
-    object_count: int
-    dom: tuple[int, ...]
-    cod: tuple[int, ...]
-    identity: tuple[int, ...]
-    compose: CompositionTable  # all q^2 pairs; UNDEFINED when not composable
+    __slots__ = ("object_count", "dom", "cod", "identity", "compose")
+
+    def __init__(self, object_count: int, dom: tuple[int, ...], cod: tuple[int, ...],
+                 identity: tuple[int, ...], compose: CompositionTable):
+        self.object_count, self.dom, self.cod = object_count, dom, cod
+        self.identity = identity
+        self.compose = compose  # all q^2 pairs; UNDEFINED when not composable
 
     @property
     def morphism_count(self) -> int:
@@ -183,8 +184,7 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
 # groupoid and hom-set checks
 
 
-@dataclass(frozen=True)
-class GroupoidCheck:
+class GroupoidCheck(NamedTuple):
     is_groupoid: bool
     inverses: tuple[int, ...] | None
     witness: int | None  # a morphism with no two-sided inverse
@@ -298,8 +298,7 @@ def build_MX(monoid_table, set_size: int) -> SmallCategory:
 # finiteness bookkeeping
 
 
-@dataclass(frozen=True)
-class FinitenessReport:
+class FinitenessReport(NamedTuple):
     """Both sides of the finiteness criterion, as data: total morphism and
     object counts against the per-object endomorphism monoid sizes.  When the
     category is hom-set strong, every nonempty hom-set injects into the endo

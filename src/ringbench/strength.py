@@ -13,26 +13,31 @@ products: S_ij S_jl is formed once per table, as condition 1 meets it at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 
-@dataclass(frozen=True)
 class StrongnessReport:
     """Independent verdicts for the three equivalent strength conditions.
 
     A false verdict carries the smallest lexicographic witness: the failing
     index tuple plus a short reason.  ``agree`` records whether the three
     verdicts coincide; their equivalence is re-checked on every instance
-    rather than assumed.
+    rather than assumed.  Reports compare and hash by their read-only fields.
     """
 
-    condition1: bool
-    condition2: bool
-    condition3: bool
-    witness1: tuple | None
-    witness2: tuple | None
-    witness3: tuple | None
+    __slots__ = _fields = (
+        "condition1", "condition2", "condition3", "witness1", "witness2", "witness3"
+    )
+
+    def __init__(self, condition1: bool, condition2: bool, condition3: bool,
+                 witness1: tuple | None, witness2: tuple | None, witness3: tuple | None):
+        init = object.__setattr__
+        init(self, "condition1", condition1)
+        init(self, "condition2", condition2)
+        init(self, "condition3", condition3)
+        init(self, "witness1", witness1)
+        init(self, "witness2", witness2)
+        init(self, "witness3", witness3)
 
     @property
     def agree(self) -> bool:
@@ -42,23 +47,58 @@ class StrongnessReport:
     def strong(self) -> bool:
         return self.condition1 and self.condition2 and self.condition3
 
+    def _values(self) -> tuple:
+        """The field values, in ``_fields`` order."""
+        return tuple([getattr(self, name) for name in self._fields])
 
-@dataclass(frozen=True)
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 class ComponentTable:
     """A k x k table of components, the operations on them, and the witness
     reasons, each worded by the caller for its own kind of component."""
 
-    entries: Sequence[Sequence[Any]]
-    is_zero: Callable[[Any], bool]
-    product: Callable[[Any, Any], Any]
-    holds_unit: Callable[[Any, int], bool]  # (product, p) -> local unit at p inside
-    third_zero: str  # condition 1: two of S_ij, S_jl, S_il nonzero, the third zero
-    product_misses: str  # condition 1: S_ij S_jl differs from S_il
-    opposed_zero: str  # conditions 2 and 3: exactly one of S_pq, S_qp is zero
-    diagonal_missed: str  # condition 2: S_pq S_qp differs from S_pp
-    unit_missed: str  # condition 3: S_pq S_qp misses the local unit at p
-    # S_ij S_jl by (i, j, l), filled by product_at
-    products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = (
+        "entries", "is_zero", "product", "holds_unit", "third_zero", "product_misses",
+        "opposed_zero", "diagonal_missed", "unit_missed", "products",
+    )
+
+    def __init__(
+        self,
+        entries: Sequence[Sequence[Any]],
+        is_zero: Callable[[Any], bool],
+        product: Callable[[Any, Any], Any],
+        holds_unit: Callable[[Any, int], bool],  # (product, p) -> local unit at p inside
+        third_zero: str,  # condition 1: two of S_ij, S_jl, S_il nonzero, the third zero
+        product_misses: str,  # condition 1: S_ij S_jl differs from S_il
+        opposed_zero: str,  # conditions 2 and 3: exactly one of S_pq, S_qp is zero
+        diagonal_missed: str,  # condition 2: S_pq S_qp differs from S_pp
+        unit_missed: str,  # condition 3: S_pq S_qp misses the local unit at p
+    ):
+        self.entries, self.is_zero, self.product = entries, is_zero, product
+        self.holds_unit, self.third_zero = holds_unit, third_zero
+        self.product_misses, self.opposed_zero = product_misses, opposed_zero
+        self.diagonal_missed, self.unit_missed = diagonal_missed, unit_missed
+        self.products: dict = {}  # S_ij S_jl by (i, j, l), filled by product_at
 
     def product_at(self, i: int, j: int, l: int) -> Any:
         """S_ij S_jl, formed on first use and then read from ``products``."""

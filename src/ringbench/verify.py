@@ -14,7 +14,6 @@ cross-checks.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from . import corpus
 from . import finring as fr
@@ -24,13 +23,31 @@ from . import skewalg as sk
 from . import smallcat as cat
 
 
-@dataclass
 class VerificationResult:
-    name: str
-    ok: bool
-    checked: int
-    failures: list[str] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    """One driver's verdict, check count, failure lines and details;
+    results compare by value."""
+
+    __slots__ = ("name", "ok", "checked", "failures", "details")
+
+    def __init__(self, name: str, ok: bool, checked: int, failures: list[str] | None = None,
+                 details: dict | None = None):
+        self.name, self.ok, self.checked = name, ok, checked
+        self.failures = [] if failures is None else failures
+        self.details = {} if details is None else details
+
+    def _values(self) -> tuple:
+        return self.name, self.ok, self.checked, self.failures, self.details
+
+    def __eq__(self, other):
+        if other.__class__ is not VerificationResult:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"VerificationResult(name={self.name!r}, ok={self.ok!r}, checked={self.checked!r}, "
+                f"failures={self.failures!r}, details={self.details!r})")
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

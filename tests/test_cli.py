@@ -512,6 +512,21 @@ def run_cli_script(cwd: Path, mode: str, commands: list) -> dict:
     return json.loads(proc.stdout)
 
 
+class TestStartUp:
+    def test_import_loads_no_code_generation(self, tmp_path):
+        """A fresh import of the CLI and the drivers loads neither dataclasses
+        nor the inspect module it pulls in."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        code = "import sys, ringbench.cli, ringbench.verify; print(*sorted(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert "ringbench.verify" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+
 class TestWithoutNumpy:
     def test_import_leaves_numpy_out(self, tmp_path):
         assert run_cli_script(tmp_path, "plain", []) == {"results": [], "numpy": False}

@@ -18,8 +18,9 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
-def numpy_imports(tree):
-    """(enclosing function name or None, line) of every numpy import."""
+def imports_of(tree, top: str):
+    """(enclosing function name or None, line) of every import of the
+    top-level package ``top`` or its submodules."""
     stack = [(node, None) for node in tree.body]
     while stack:
         node, func = stack.pop()
@@ -31,7 +32,7 @@ def numpy_imports(tree):
             names = [node.module or ""]
         else:
             names = []
-        if any(name.split(".")[0] == "numpy" for name in names):
+        if any(name.split(".")[0] == top for name in names):
             yield func, node.lineno
         stack.extend((child, func) for child in ast.iter_child_nodes(node))
 
@@ -40,7 +41,7 @@ def test_no_module_level_numpy_import():
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found.extend(f"{path.name}:{line}" for func, line in numpy_imports(tree) if func is None)
+        found.extend(f"{path.name}:{line}" for func, line in imports_of(tree, "numpy") if func is None)
     assert found == []
 
 
@@ -48,5 +49,14 @@ def test_numpy_is_imported_only_by_the_array_views():
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found.update((path.name, func) for func, _ in numpy_imports(tree))
+        found.update((path.name, func) for func, _ in imports_of(tree, "numpy"))
     assert found == {("finring.py", "sc"), ("finring.py", "basis")}
+
+
+def test_no_dataclasses_import():
+    """Records are written out: no import pays for dataclass code generation."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}:{line}" for _, line in imports_of(tree, "dataclasses"))
+    assert found == []

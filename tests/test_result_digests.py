@@ -13,7 +13,6 @@ raised by one, on the rings of the `gradings` suite (which holds every
 import hashlib
 import json
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -82,7 +81,7 @@ def report_digest(seed: int) -> tuple[int, str]:
     for inst in corpus.generate_suite("prop-2.4", seed):
         table = idem.peirce_table(idem.validate_complete_set(inst.ring, inst.idempotents))
         report = idem.strong_condition_report(table)
-        d.add(inst.name, report.agree, [[f.name, getattr(report, f.name)] for f in fields(report)])
+        d.add(inst.name, report.agree, [[name, getattr(report, name)] for name in report._fields])
     for inst in corpus.generate_suite("gradings", seed):
         flags = gr.compute_flags(inst.grading)
         report = flags.homset_report
@@ -91,7 +90,7 @@ def report_digest(seed: int) -> tuple[int, str]:
             flags.object_unital,
             flags.strongly_graded,
             flags.homset_strongly_graded,
-            None if report is None else [[f.name, getattr(report, f.name)] for f in fields(report)],
+            None if report is None else [[name, getattr(report, name)] for name in report._fields],
             None if flags.induced_set is None else flags.induced_set.elements,
             gr.corner_identity_check(inst.grading) if flags.object_unital else None,
         )

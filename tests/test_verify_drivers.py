@@ -12,7 +12,6 @@ and the injected faults make every instance on one ring, or with one
 category content, fail, repeats included.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -114,7 +113,7 @@ def test_injected_report_fault_names_every_instance(monkeypatch):
     def faulty(table):
         report = original(table)
         if table.ring is _faulty_ring(built):
-            return dataclasses.replace(report, condition1=not report.condition1)
+            return report._replace(condition1=not report.condition1)
         return report
 
     monkeypatch.setattr(idem, "strong_condition_report", faulty)
@@ -131,7 +130,8 @@ def test_injected_certificate_fault_names_every_instance(monkeypatch):
     def faulty(table, i, j, side):
         cert = original(table, i, j, side)
         if table.ring is _faulty_ring(built):
-            return dataclasses.replace(cert, failure="injected")
+            fields = {name: getattr(cert, name) for name in cert._fields}
+            return idem.CornerLatticeCertificate(**{**fields, "failure": "injected"})
         return cert
 
     monkeypatch.setattr(idem, "corner_lattice_correspondence", faulty)
@@ -165,7 +165,7 @@ def test_injected_category_report_fault_names_every_instance(monkeypatch):
     def faulty(category):
         report = original(category)
         if category_content(category) == FAULTY_CONTENT:
-            return dataclasses.replace(report, condition1=not report.condition1)
+            return report._replace(condition1=not report.condition1)
         return report
 
     monkeypatch.setattr(cat, "homset_strong_report", faulty)
@@ -182,7 +182,7 @@ def test_injected_groupoid_fault_names_every_instance(monkeypatch):
     def faulty(category):
         check = original(category)
         if category_content(category) == FAULTY_CONTENT:
-            return dataclasses.replace(check, is_groupoid=not check.is_groupoid)
+            return check._replace(is_groupoid=not check.is_groupoid)
         return check
 
     monkeypatch.setattr(cat, "is_groupoid", faulty)
