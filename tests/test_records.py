@@ -115,14 +115,10 @@ def _parameters(cls) -> list:
     return out
 
 
-def _field_count(cls) -> int:
-    return len(PARAMETERS[cls])
-
-
 def _build(cls, value):
     """An instance whose every field holds ``value`` (records do not check
     their fields; validation happens in the functions that build them)."""
-    return cls(*[value] * _field_count(cls))
+    return cls(*[value] * len(PARAMETERS[cls]))
 
 
 @pytest.mark.parametrize("cls", sorted(PARAMETERS, key=lambda c: c.__qualname__))
