@@ -75,7 +75,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__
 from . import corpus
@@ -99,14 +98,9 @@ from .errors import (
 # tokenizer
 
 
-class Token(NamedTuple):
-    text: str
-    line: int
-    column: int
-
-
 class TokenStream:
-    """The tokens of one input file, read as UTF-8 text."""
+    """The token texts of one input file, read as UTF-8 text.  A token is
+    known by its index; ``error`` works out its line and column."""
 
     def __init__(self, path: Path):
         data = path.read_bytes()
@@ -116,65 +110,77 @@ class TokenStream:
             # the sentinel stands for the bad byte: the last line is its line
             lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
             raise ParseError(f"{path} is not UTF-8 text", len(lines), len(lines[-1])) from None
-        self.tokens: list[Token] = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            col = 1
-            for piece in body.split():
-                col = body.index(piece, col - 1) + 1
-                self.tokens.append(Token(piece, ln, col))
-                col += len(piece)
+        self.parent = path.parent
+        self.bodies = [raw.split("#", 1)[0] for raw in text.splitlines()]
+        self.texts = [piece for body in self.bodies for piece in body.split()]
         self.pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at the line and column of token ``index``: the last
+        token when ``index`` is past the end, (1, 1) in a file without one."""
+        index = min(index, len(self.texts) - 1)
+        for ln, body in enumerate(self.bodies, start=1):
+            pieces = body.split()
+            if 0 <= index < len(pieces):
+                # each piece starts at its first occurrence past the one before
+                end = 0
+                for piece in pieces[: index + 1]:
+                    start = body.index(piece, end)
+                    end = start + len(piece)
+                return ParseError(message, ln, start + 1)
+            index -= len(pieces)
+        return ParseError(message, 1, 1)
 
-    def next(self, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", 1, 1)
-            raise ParseError(f"unexpected end of file, expected {what}", last.line, last.column)
+    def peek(self) -> str | None:
+        return self.texts[self.pos] if self.pos < len(self.texts) else None
+
+    def next(self, what: str) -> str:
+        if self.pos >= len(self.texts):
+            raise self.error(f"unexpected end of file, expected {what}", self.pos)
         self.pos += 1
-        return tok
+        return self.texts[self.pos - 1]
 
-    def expect(self, keyword: str) -> Token:
-        tok = self.next(f"keyword {keyword!r}")
-        if tok.text != keyword:
-            raise ParseError(f"expected {keyword!r}, found {tok.text!r}", tok.line, tok.column)
-        return tok
+    def expect(self, keyword: str) -> int:
+        """Reads ``keyword``; returns its index, for an error at it."""
+        text = self.next(f"keyword {keyword!r}")
+        if text != keyword:
+            raise self.error(f"expected {keyword!r}, found {text!r}", self.pos - 1)
+        return self.pos - 1
 
     def integer(self, what: str) -> int:
-        tok = self.next(what)
+        text = self.next(what)
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:
-            raise ParseError(f"expected integer {what}, found {tok.text!r}", tok.line, tok.column)
+            raise self.error(f"expected integer {what}, found {text!r}", self.pos - 1)
 
     def integers(self, what: str, count: int) -> list[int]:
         """The next ``count`` integers; an error names the i-th ``what i``."""
         values: list[int] = []
-        for tok in self.tokens[self.pos : self.pos + count]:
+        for text in self.texts[self.pos : self.pos + count]:
             try:
-                values.append(int(tok.text))
+                values.append(int(text))
             except ValueError:
-                raise ParseError(f"expected integer {what} {len(values)}, found {tok.text!r}",
-                                 tok.line, tok.column)
+                raise self.error(f"expected integer {what} {len(values)}, found {text!r}",
+                                 self.pos + len(values))
         self.pos += len(values)
         if len(values) < count:
             self.next(f"{what} {len(values)}")  # past the last token: raises
         return values
 
     def integer_in(self, what: str, low: int, high: int) -> int:
-        tok = self.peek()
         value = self.integer(what)
         if not low <= value < high:
-            raise ParseError(
-                f"{what} {value} out of range [{low}, {high})", tok.line, tok.column
-            )
+            raise self.error(f"{what} {value} out of range [{low}, {high})", self.pos - 1)
         return value
 
+    def relative_path(self, keyword: str) -> Path:
+        """Reads ``<keyword> <path>``; the path is relative to this file."""
+        self.expect(keyword)
+        return self.parent / self.next(f"{keyword} path")
+
     def done(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.pos >= len(self.texts)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +188,7 @@ class TokenStream:
 
 
 def parse_ring_file(path: str | Path) -> fr.FiniteRing:
-    path = Path(path)
-    ts = TokenStream(path)
+    ts = TokenStream(Path(path))
     ts.expect("modulus")
     modulus = ts.integer("modulus")
     ts.expect("rank")
@@ -191,15 +196,13 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
     if rank > fr.MAX_RANK:
         raise RankTooLarge(rank, fr.MAX_RANK)
     labels = None
-    tok = ts.peek()
-    if tok and tok.text == "labels":
+    if ts.peek() == "labels":
         ts.expect("labels")
-        labels = [ts.next(f"label {i}").text for i in range(rank)]
+        labels = [ts.next(f"label {i}") for i in range(rank)]
     ts.expect("constants")
     flat = ts.integers("constant", rank * rank * rank)
     if not ts.done():
-        tok = ts.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+        raise ts.error(f"trailing input {ts.peek()!r}", ts.pos)
     # Python ints of any size: make_ring reduces them exactly
     cells = [flat[k : k + rank] for k in range(0, len(flat), rank)]
     sc = [cells[i * rank : (i + 1) * rank] for i in range(rank)]
@@ -207,11 +210,8 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
 
 
 def parse_idempotent_file(path: str | Path) -> tuple[fr.FiniteRing, list[fr.RingElement]]:
-    path = Path(path)
-    ts = TokenStream(path)
-    ts.expect("ring")
-    ring_path = ts.next("ring path").text
-    ring = parse_ring_file(path.parent / ring_path)
+    ts = TokenStream(Path(path))
+    ring = parse_ring_file(ts.relative_path("ring"))
     elements = []
     while not ts.done():
         ts.expect("idempotent")
@@ -221,8 +221,7 @@ def parse_idempotent_file(path: str | Path) -> tuple[fr.FiniteRing, list[fr.Ring
 
 
 def parse_category_file(path: str | Path) -> cat.SmallCategory:
-    path = Path(path)
-    ts = TokenStream(path)
+    ts = TokenStream(Path(path))
     ts.expect("objects")
     p = ts.integer("object count")
     ts.expect("morphisms")
@@ -238,28 +237,25 @@ def parse_category_file(path: str | Path) -> cat.SmallCategory:
     identity = [ts.integer_in(f"identity of object {a}", 0, q) for a in range(p)]
     table = [[cat.UNDEFINED] * q for _ in range(q)]
     while not ts.done():
-        tok = ts.expect("compose")
+        at = ts.expect("compose")
         g = ts.integer_in("composition row", 0, q)
         h = ts.integer_in("composition column", 0, q)
         if table[g][h] != cat.UNDEFINED:
-            raise ParseError(f"composite of ({g}, {h}) given twice", tok.line, tok.column)
+            raise ts.error(f"composite of ({g}, {h}) given twice", at)
         table[g][h] = ts.integer_in("composite", 0, q)
     return cat.make_category(p, dom, cod, identity, table)
 
 
 def parse_grading_file(path: str | Path) -> gr.Grading:
-    path = Path(path)
-    ts = TokenStream(path)
-    ts.expect("ring")
-    ring = parse_ring_file(path.parent / ts.next("ring path").text)
-    ts.expect("category")
-    category = parse_category_file(path.parent / ts.next("category path").text)
+    ts = TokenStream(Path(path))
+    ring = parse_ring_file(ts.relative_path("ring"))
+    category = parse_category_file(ts.relative_path("category"))
     components: dict[int, fr.AdditiveSubgroup] = {}
     while not ts.done():
-        tok = ts.expect("component")
+        at = ts.expect("component")
         g = ts.integer_in("morphism index", 0, category.morphism_count)
         if g in components:
-            raise ParseError(f"component {g} given twice", tok.line, tok.column)
+            raise ts.error(f"component {g} given twice", at)
         count = ts.integer_in("generator count", 0, math.inf)
         rows = []
         for r in range(count):
@@ -271,30 +267,24 @@ def parse_grading_file(path: str | Path) -> gr.Grading:
 
 
 def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
-    path = Path(path)
-    ts = TokenStream(path)
-    ts.expect("category")
-    category = parse_category_file(path.parent / ts.next("category path").text)
+    ts = TokenStream(Path(path))
+    category = parse_category_file(ts.relative_path("category"))
     rings: dict[int, fr.FiniteRing] = {}
-    while True:
-        tok = ts.peek()
-        if tok is None or tok.text != "object":
-            break
-        ts.expect("object")
+    while ts.peek() == "object":
+        at = ts.expect("object")
         a = ts.integer_in("object index", 0, category.object_count)
         if a in rings:
-            raise ParseError(f"object {a} given twice", tok.line, tok.column)
-        ts.expect("ring")
-        rings[a] = parse_ring_file(path.parent / ts.next("ring path").text)
+            raise ts.error(f"object {a} given twice", at)
+        rings[a] = parse_ring_file(ts.relative_path("ring"))
     missing = [a for a in range(category.object_count) if a not in rings]
     if missing:
         raise ParseError(f"object rings missing for objects {missing}", 1, 1)
     maps: dict[int, list[list[int]]] = {}
     while not ts.done():
-        tok = ts.expect("map")
+        at = ts.expect("map")
         g = ts.integer_in("morphism index", 0, category.morphism_count)
         if g in maps:
-            raise ParseError(f"map {g} given twice", tok.line, tok.column)
+            raise ts.error(f"map {g} given twice", at)
         nd = rings[category.dom[g]].rank
         nc = rings[category.cod[g]].rank
         flat = ts.integers("entry", nd * nc)

@@ -57,9 +57,9 @@ class ModulusMismatch(WorkbenchError):
 class NotAssociative(WorkbenchError):
     """Associativity fails; carries the offending triple of indices."""
 
-    def __init__(self, triple: tuple[int, int, int], message: str = ""):
+    def __init__(self, triple: tuple[int, int, int]):
         self.triple = tuple(int(t) for t in triple)
-        super().__init__(message or f"associativity fails at triple {self.triple}")
+        super().__init__(f"associativity fails at triple {self.triple}")
 
 
 class RingMismatch(WorkbenchError):
@@ -69,9 +69,9 @@ class RingMismatch(WorkbenchError):
 class LatticeTooLarge(WorkbenchError):
     """Ideal enumeration exceeded the working-set cap."""
 
-    def __init__(self, cap: int, message: str = ""):
+    def __init__(self, cap: int):
         self.cap = cap
-        super().__init__(message or f"ideal enumeration exceeded cap of {cap}")
+        super().__init__(f"ideal enumeration exceeded cap of {cap}")
 
 
 class LatticeScanTooLarge(WorkbenchError):
@@ -115,10 +115,10 @@ class NotOrthogonal(WorkbenchError):
 class NotComplete(WorkbenchError):
     """Completeness fails on one side; carries the defective sum subgroup."""
 
-    def __init__(self, side: str, defect=None, message: str = ""):
+    def __init__(self, side: str, defect=None):
         self.side = side
         self.defect = defect
-        super().__init__(message or f"idempotent set is not complete on the {side}")
+        super().__init__(f"idempotent set is not complete on the {side}")
 
 
 class NotStrong(WorkbenchError):

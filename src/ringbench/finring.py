@@ -127,10 +127,6 @@ class FiniteRing:
         """All coordinate vectors, in lexicographic order."""
         return itertools.product(range(self.modulus), repeat=self.rank)
 
-    def elements(self) -> Iterator["RingElement"]:
-        for v in self.element_vectors():
-            yield RingElement(self, v)
-
     # -- arithmetic on raw vectors -------------------------------------------
 
     def _mul(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
@@ -301,10 +297,6 @@ class AdditiveSubgroup:
 
     def element_vectors(self) -> Iterator[tuple[int, ...]]:
         return howell.span_elements(self.rows, self.ring.modulus, self.ring.rank)
-
-    def elements(self) -> Iterator[RingElement]:
-        for v in self.element_vectors():
-            yield RingElement(self.ring, v)
 
     def _check(self, other: "AdditiveSubgroup") -> None:
         if other.ring is not self.ring:

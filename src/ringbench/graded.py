@@ -46,9 +46,6 @@ class Grading:
         self.ring, self.category = ring, category
         self.components = components  # indexed by morphism
 
-    def component(self, g: int) -> AdditiveSubgroup:
-        return self.components[g]
-
     def hom_component(self, a: int, b: int) -> AdditiveSubgroup:
         """S over the hom-set of arrows b -> a: the sum of the morphism
         components with codomain a and domain b, spanned in one reduction."""

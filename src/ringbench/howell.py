@@ -159,11 +159,6 @@ def leading_entries(H) -> list[tuple[int, int]]:
     return leads
 
 
-def span_order(H, m: int) -> int:
-    """Number of elements in the row span of a Howell-form matrix."""
-    return math.prod(m // p for _, p in leading_entries(H))
-
-
 def reduce_vector(H, v, m: int, leads=None) -> tuple[list[int], list[int]]:
     """Greedy reduction of v against a Howell-form matrix.
 

@@ -33,6 +33,7 @@ from .finring import (
     AdditiveSubgroup,
     FiniteRing,
     RingElement,
+    _check_side,
     direct_sum_defect,
     enumerate_one_sided_ideals,
     product_subgroup,
@@ -243,8 +244,7 @@ def corner_lattice_correspondence(
     e_i S e_j (ZeroComponent otherwise).  Verdict failures are recorded in
     the certificate, never raised.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     if not table.strong:
         raise NotStrong("the idempotent set is not strong")
     if table.components[i][j].is_zero():

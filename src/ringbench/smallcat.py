@@ -78,12 +78,6 @@ class SmallCategory:
     def morphism_count(self) -> int:
         return len(self.dom)
 
-    def comp(self, g: int, h: int) -> int:
-        r = self.compose[g, h]
-        if r == UNDEFINED:
-            raise ShapeMismatch(f"pair ({g}, {h}) is not composable")
-        return r
-
     def hom_set(self, a: int, b: int) -> tuple[int, ...]:
         """Morphisms b -> a (arrows into a from b); see the module note."""
         return tuple(
@@ -91,9 +85,6 @@ class SmallCategory:
             for g in range(self.morphism_count)
             if self.cod[g] == a and self.dom[g] == b
         )
-
-    def endo(self, a: int) -> tuple[int, ...]:
-        return self.hom_set(a, a)
 
     def __repr__(self) -> str:
         return f"SmallCategory({self.object_count} objects, {self.morphism_count} morphisms)"

@@ -66,6 +66,12 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _write_zero_ring(path: Path, n: int) -> None:
+    """The zero-multiplication ring of rank n over Z/2."""
+    zeros = "  ".join([" ".join(["0"] * n)] * n)
+    path.write_text(f"modulus 2\nrank {n}\nconstants\n" + "\n".join([zeros] * n) + "\n")
+
+
 def run(capsys, *argv) -> tuple[int, str]:
     code = cli.main([str(a) for a in argv])
     out = capsys.readouterr().out
@@ -121,6 +127,43 @@ class TestParsers:
                 "expected integer entry 0, found 'one'",
                 4, 3,
             ),
+            # the same text earlier on the line must not be taken for it
+            (
+                "trailing.ring",
+                "modulus 2\nrank 1\nconstants\n1 1\n",
+                cli.parse_ring_file,
+                "trailing input '1'",
+                4, 3,
+            ),
+            (
+                "comments.ring",
+                "# header\n\nmodulus 2\n   # rank next\n\nrank x\n",
+                cli.parse_ring_file,
+                "expected integer rank, found 'x'",
+                6, 6,
+            ),
+            (
+                "tabs.ring",
+                "modulus\t2\nrank\t2\nconstants\n1\t0\t0\t0\t0\t1\tz\t0\n",
+                cli.parse_ring_file,
+                "expected integer constant 6, found 'z'",
+                4, 13,
+            ),
+            # at the last token, not on the comment line after it
+            (
+                "ends.ring",
+                "modulus 2\nrank 2\nconstants\n1 0  1\n# the rest is missing\n",
+                cli.parse_ring_file,
+                "unexpected end of file, expected constant 3",
+                4, 6,
+            ),
+            (
+                "map.system",
+                "category one.cat\nobject 0 ring z3.ring\nmap 0\n1 map 0\n1\n",
+                cli.parse_system_file,
+                "map 0 given twice",
+                4, 3,
+            ),
         ],
     )
     def test_parse_error_message_and_position(
@@ -136,6 +179,20 @@ class TestParsers:
         assert (str(exc.value), exc.value.line, exc.value.column) == (
             f"{message} (line {line}, column {column})", line, column
         )
+
+    def test_tokens_keep_no_positions(self, tmp_path):
+        # a token's line and column are worked out only for an error, so
+        # the rank-48 ring's 110,597 tokens keep only their texts
+        path = tmp_path / "zero.ring"
+        _write_zero_ring(path, fr.MAX_RANK)
+        tracemalloc.start()
+        try:
+            ts = cli.TokenStream(path)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not ts.done()
+        assert kept < 3 << 20
 
     def test_dangling_object_index(self, workdir):
         (workdir / "bad.cat").write_text(
@@ -428,10 +485,7 @@ class TestExitCodes:
         # one-morphism category with the whole ring as identity component:
         # listing its 2^48 elements for a unit would never finish
         n = fr.MAX_RANK
-        zeros = "  ".join([" ".join(["0"] * n)] * n)
-        (workdir / "zero.ring").write_text(
-            f"modulus 2\nrank {n}\nconstants\n" + "\n".join([zeros] * n) + "\n"
-        )
+        _write_zero_ring(workdir / "zero.ring", n)
         run(capsys, "--quiet", "build-mx", "c1", "1", "--save", workdir / "one.cat")
         rows = (" ".join("01"[i == j] for j in range(n)) for i in range(n))
         path = workdir / "zero.grading"

@@ -13,6 +13,7 @@ from ringbench.errors import (
     NotIdempotent,
     NotOrthogonal,
     NotStrong,
+    ShapeMismatch,
     ZeroComponent,
     ZeroIdempotent,
 )
@@ -213,6 +214,11 @@ class TestCornerLatticeCorrespondence:
         _, _, table = m2_setup
         cert = idem.corner_lattice_correspondence(table, 1, 0, "right")
         assert cert.ok
+
+    def test_bad_side_rejected(self, m2_setup):
+        _, _, table = m2_setup
+        with pytest.raises(ShapeMismatch, match="side must be 'left' or 'right', got 'up'"):
+            idem.corner_lattice_correspondence(table, 0, 1, "up")
 
     def test_not_strong_rejected(self, t2_setup):
         _, _, table = t2_setup

@@ -12,7 +12,7 @@ import inspect
 
 import pytest
 
-from ringbench import cli, corpus, graded, idempotents, skewalg, smallcat, strength, verify
+from ringbench import corpus, graded, idempotents, skewalg, smallcat, strength, verify
 from ringbench import finring as fr
 
 REQUIRED = inspect.Parameter.empty
@@ -20,7 +20,6 @@ REQUIRED = inspect.Parameter.empty
 # every public record, by its constructor parameters in order: a bare name
 # is required, a pair is (name, default)
 PARAMETERS = {
-    cli.Token: ["text", "line", "column"],
     corpus.RingWithIdempotents: ["name", "ring", "idempotents", ("expect_strong", None)],
     corpus.CategoryInstance: ["name", "category"],
     corpus.SkewInstance: ["name", "algebra"],
@@ -86,7 +85,6 @@ PARAMETERS = {
 
 # records that equal another built from equal field values
 VALUE_RECORDS = {
-    cli.Token,
     corpus.MutatedInstance,
     fr.RingElement,
     graded.ObjectUnitalResult,

@@ -42,7 +42,7 @@ class TestMakeCategory:
         c = sc.make_category(*arrow_tables())
         assert len(c.compose) == 9
         assert (c.compose[2, 0], c.compose[0, 2]) == (2, U)
-        assert c.comp(1, 2) == 2
+        assert c.compose[1, 2] == 2
         with pytest.raises(TypeError):
             c.compose[0, 2] = 0
 
@@ -136,7 +136,7 @@ class TestHomSetConvention:
     def test_endo_sets_contain_identity(self, arrow_category, pair_groupoid):
         for cat in (arrow_category, pair_groupoid):
             for a in range(cat.object_count):
-                assert cat.identity[a] in cat.endo(a)
+                assert cat.identity[a] in cat.hom_set(a, a)
 
     def test_pair_groupoid_hom_sets_are_singletons(self, pair_groupoid):
         for a in range(2):
