@@ -41,7 +41,6 @@ from .smallcat import (  # noqa: F401
     SmallCategory,
     build_MX,
     finiteness_report,
-    hom_set,
     homset_strong_report,
     is_groupoid,
     make_category,
@@ -57,7 +56,6 @@ from .graded import (  # noqa: F401
 from .skewalg import (  # noqa: F401
     SkewAlgebra,
     SkewCategorySystem,
-    artinian_criteria_report,
     build_category_algebra,
     build_skew_algebra,
     strong_idempotent_equivalence_check,

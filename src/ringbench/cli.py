@@ -47,12 +47,16 @@ System file::
     <rank x rank residues, row-major>
     ...
 
-Integers of any size are read as exact residues modulo the ring's modulus,
-and every modulus >= 2 is accepted: all arithmetic is on Python ints.  A
-rank above finring.MAX_RANK is rejected as bad input (RankTooLarge) before
-the constants are read, and a ring whose associativity check would take more
+Integers up to Python's digit limit for integer strings (4,300 digits by
+default) are read as exact residues modulo the ring's modulus; a longer one
+is a ParseError of its own at its line and column, and no message quotes
+more than a short prefix of a token.  These are rejected as bad input
+before the work they would bound: a modulus of more than
+finring.MAX_MODULUS_BITS (256) bits (ModulusTooLarge) as soon as it is
+read; a rank above finring.MAX_RANK (RankTooLarge) before the constants
+are read; a ring whose associativity check would take more
 than finring.MAX_ASSOCIATIVITY_WORK steps (WorkTooLarge) before the check
-runs.  A category file's morphism count is capped at smallcat.MAX_MORPHISMS
+runs; a category file's morphism count above smallcat.MAX_MORPHISMS
 (CategoryTooLarge) before its arrows are read.  A lattice enumeration stops
 past finring.MAX_LATTICE_SCAN_WORK scanned steps (LatticeScanTooLarge).
 
@@ -87,10 +91,12 @@ from . import verify
 from .errors import (
     CategoryTooLarge,
     InvariantViolation,
+    ModulusTooLarge,
     ParseError,
     RankTooLarge,
     UsageError,
     WorkbenchError,
+    cut,
 )
 
 
@@ -144,15 +150,25 @@ class TokenStream:
         """Reads ``keyword``; returns its index, for an error at it."""
         text = self.next(f"keyword {keyword!r}")
         if text != keyword:
-            raise self.error(f"expected {keyword!r}, found {text!r}", self.pos - 1)
+            raise self.error(f"expected {keyword!r}, found {cut(text)!r}", self.pos - 1)
         return self.pos - 1
+
+    def not_an_integer(self, what: str, index: int) -> ParseError:
+        """The error for token ``index``, which int() refused: either more
+        digits than Python converts, or not an integer at all."""
+        text = self.texts[index]
+        digits = text[1:] if text[0] in "+-" else text
+        if digits.isdecimal():  # int() reads every such text up to the limit
+            return self.error(f"integer of {len(digits)} digits exceeds the "
+                              f"{sys.get_int_max_str_digits()}-digit limit", index)
+        return self.error(f"expected integer {what}, found {cut(text)!r}", index)
 
     def integer(self, what: str) -> int:
         text = self.next(what)
         try:
             return int(text)
         except ValueError:
-            raise self.error(f"expected integer {what}, found {text!r}", self.pos - 1)
+            raise self.not_an_integer(what, self.pos - 1) from None
 
     def integers(self, what: str, count: int) -> list[int]:
         """The next ``count`` integers; an error names the i-th ``what i``."""
@@ -161,8 +177,7 @@ class TokenStream:
             try:
                 values.append(int(text))
             except ValueError:
-                raise self.error(f"expected integer {what} {len(values)}, found {text!r}",
-                                 self.pos + len(values))
+                raise self.not_an_integer(f"{what} {len(values)}", self.pos + len(values)) from None
         self.pos += len(values)
         if len(values) < count:
             self.next(f"{what} {len(values)}")  # past the last token: raises
@@ -171,7 +186,7 @@ class TokenStream:
     def integer_in(self, what: str, low: int, high: int) -> int:
         value = self.integer(what)
         if not low <= value < high:
-            raise self.error(f"{what} {value} out of range [{low}, {high})", self.pos - 1)
+            raise self.error(f"{what} {cut(str(value))} out of range [{low}, {high})", self.pos - 1)
         return value
 
     def relative_path(self, keyword: str) -> Path:
@@ -191,6 +206,8 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
     ts = TokenStream(Path(path))
     ts.expect("modulus")
     modulus = ts.integer("modulus")
+    if modulus.bit_length() > fr.MAX_MODULUS_BITS:
+        raise ModulusTooLarge(modulus.bit_length(), fr.MAX_MODULUS_BITS)
     ts.expect("rank")
     rank = ts.integer_in("rank", 1, math.inf)
     if rank > fr.MAX_RANK:
@@ -202,7 +219,7 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
     ts.expect("constants")
     flat = ts.integers("constant", rank * rank * rank)
     if not ts.done():
-        raise ts.error(f"trailing input {ts.peek()!r}", ts.pos)
+        raise ts.error(f"trailing input {cut(ts.peek())!r}", ts.pos)
     # Python ints of any size: make_ring reduces them exactly
     cells = [flat[k : k + rank] for k in range(0, len(flat), rank)]
     sc = [cells[i * rank : (i + 1) * rank] for i in range(rank)]
@@ -346,10 +363,14 @@ class Reporter:
 
 
 def _emit_error(command: str, exc: Exception, quiet: bool, code: int = 2) -> int:
+    message = str(exc)
+    if isinstance(exc, OSError) and exc.filename is not None:
+        # the path came from an input file or the command line
+        message = message.replace(repr(exc.filename), cut(repr(exc.filename)))
     payload = {
         "command": command,
         "tool": {"name": "ringbench", "version": __version__},
-        "error": {"type": type(exc).__name__, "message": str(exc)},
+        "error": {"type": type(exc).__name__, "message": message},
     }
     if isinstance(exc, ParseError):
         payload["error"]["line"] = exc.line
@@ -529,7 +550,7 @@ def _env_seed() -> int | None:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"WORKBENCH_SEED must be an integer, found {text!r}") from None
+        raise ParseError(f"WORKBENCH_SEED must be an integer, found {cut(text)!r}") from None
 
 
 def _cmd_verify_prop(args) -> int:

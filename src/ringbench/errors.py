@@ -8,6 +8,18 @@ check is self-diagnosing.
 from __future__ import annotations
 
 
+# the longest token or figure a message quotes whole
+ECHO_CHARS = 32
+
+
+def cut(text: str) -> str:
+    """``text``, or for a longer one its first ECHO_CHARS characters and its
+    length: no message echoes a whole oversized token."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 
@@ -30,6 +42,17 @@ class ModulusTooSmall(WorkbenchError):
     """Coefficient modulus must be at least 2."""
 
 
+class ModulusTooLarge(WorkbenchError):
+    """Modulus of more bits than the cap that keeps each exact step, and
+    each integer a report prints, small; checked before the constants are
+    read."""
+
+    def __init__(self, bits: int, cap: int):
+        self.bits = bits
+        self.cap = cap
+        super().__init__(f"modulus of {bits} bits exceeds the cap of {cap} bits")
+
+
 class RankTooLarge(WorkbenchError):
     """Ring rank above the cap that bounds what is allocated before a ring
     is validated."""
@@ -37,7 +60,7 @@ class RankTooLarge(WorkbenchError):
     def __init__(self, rank: int, cap: int):
         self.rank = rank
         self.cap = cap
-        super().__init__(f"rank {rank} exceeds the cap of {cap}")
+        super().__init__(f"rank {cut(str(rank))} exceeds the cap of {cap}")
 
 
 class WorkTooLarge(WorkbenchError):
@@ -159,7 +182,7 @@ class CategoryTooLarge(WorkbenchError):
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"{count} morphisms exceed the cap of {cap}")
+        super().__init__(f"{cut(str(count))} morphisms exceed the cap of {cap}")
 
 
 class NotAMonoid(WorkbenchError):

@@ -5,7 +5,8 @@ bilinear extension of an n x n x n tensor of residues: basis products are
 b_i * b_j = sum_k c[i][j][k] b_k.  Associativity is verified on every basis
 triple before a ring is accepted, and rings need not be unital.
 
-All arithmetic runs on Python ints, so it is exact at every modulus.
+All arithmetic runs on Python ints, so it is exact at every modulus; a
+modulus is capped at MAX_MODULUS_BITS bits.
 Elements and subgroup bases are tuples of residues, and every product inside
 the package goes through one kernel, FiniteRing._mul, which reads a sparse
 table of the nonzero structure constants.  Inputs from callers (structure
@@ -15,8 +16,9 @@ Additive subgroups are kept in Howell normal form, which is a true canonical
 form over Z/m, so subgroup equality is decided by comparing bases.  One-sided
 ideals are generated nonunitally (the ideal of x is Z x + S x, never just
 S x) and whole lattices of one-sided ideals are enumerated by closing the
-principal ideals under pairwise joins, once per ring: each ring memoizes its
-submodule lattices.
+principal ideals, one per unit class of generators, under pairwise joins of
+subgroups neither of which contains the other, once per ring: each ring
+memoizes its submodule lattices.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     LatticeScanTooLarge,
     LatticeTooLarge,
     ModulusMismatch,
+    ModulusTooLarge,
     ModulusTooSmall,
     NotAssociative,
     NotIdempotent,
@@ -42,6 +45,11 @@ from .errors import (
 )
 
 DEFAULT_LATTICE_CAP = 100_000
+# Bits a modulus may have, checked before the constants are read.  A step on
+# a 256-bit residue costs about what it costs on a small one, and the order
+# m^rank of a ring of rank up to MAX_RANK has at most 3,700 decimal digits,
+# under Python's 4,300-digit limit for converting an int to a string.
+MAX_MODULUS_BITS = 256
 # Bounds what is allocated before a ring is validated: the parser reads
 # rank^3 constants, and a skew algebra fills a rank^3 table.
 MAX_RANK = 48
@@ -425,6 +433,8 @@ def _build_ring(
     basis_labels: Sequence[str] | None,
 ) -> FiniteRing:
     modulus, rank = int(modulus), int(rank)
+    if modulus.bit_length() > MAX_MODULUS_BITS:
+        raise ModulusTooLarge(modulus.bit_length(), MAX_MODULUS_BITS)
     if modulus < 2:
         raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
     if rank < 0:
@@ -532,6 +542,10 @@ def join_closure(
     LatticeTooLarge as soon as more than ``cap`` distinct subgroups are
     found, while collecting the principals or while joining; a truncated
     family is never returned.
+
+    A pair where one subgroup contains the other is not joined: its join is
+    the larger one, already found.  Skipping it leaves the family, the order
+    of insertion and the point where the cap is reached unchanged.
     """
     found: dict[tuple, AdditiveSubgroup] = {}
     batch = principals
@@ -545,9 +559,19 @@ def join_closure(
                     raise LatticeTooLarge(cap)
         if not fresh:
             return sorted(found.values(), key=lambda s: (s.order, s.key))
-        # every subgroup found so far against each one new since last round
+        # every subgroup found so far against each one new since last round;
+        # product() takes both lists now, before ``fresh`` is rebound
         existing = sorted(found.values(), key=lambda s: s.key)
-        batch = (a.join(b) for a, b in itertools.product(existing, fresh))
+        batch = (
+            a.join(b) for a, b in itertools.product(existing, fresh) if not _nested(a, b)
+        )
+
+
+def _nested(a: AdditiveSubgroup, b: AdditiveSubgroup) -> bool:
+    """Whether one of a and b contains the other: the smaller order must
+    divide the larger before the rows are tested."""
+    lo, hi = (a, b) if a.order <= b.order else (b, a)
+    return hi.order % lo.order == 0 and lo <= hi
 
 
 def _scanned(ambient: AdditiveSubgroup) -> Iterator[tuple[int, ...]]:
@@ -560,6 +584,14 @@ def _scanned(ambient: AdditiveSubgroup) -> Iterator[tuple[int, ...]]:
         if work > MAX_LATTICE_SCAN_WORK:
             raise LatticeScanTooLarge(work, MAX_LATTICE_SCAN_WORK)
         yield x
+
+
+def _lead_divides(x: tuple[int, ...], m: int) -> bool:
+    """Whether the first nonzero coordinate of x divides m; true of zero."""
+    for c in x:
+        if c:
+            return m % c == 0
+    return True
 
 
 def submodule_lattice(
@@ -576,6 +608,15 @@ def submodule_lattice(
     MAX_LATTICE_SCAN_WORK scanned steps, whichever comes first; a truncated
     family is never returned.
 
+    The principal of u x is that of x for every unit u of Z/m, so only the
+    x whose first nonzero coordinate divides m are spanned.  The scan runs
+    in lexicographic coefficient order over the Howell rows, where the
+    members of a unit class with that leading coordinate come first: every
+    principal is still met first at the element that first gives it, so the
+    family, its order of discovery and the point where either cap is reached
+    are those of spanning every element.  Every element counts toward the
+    scan cap.
+
     Each lattice is enumerated once per ring: the ring memoizes the result,
     keyed by (acting, ambient, side).  A hit longer than ``cap`` raises
     LatticeTooLarge, as the enumeration would, since join_closure's family
@@ -587,9 +628,12 @@ def submodule_lattice(
     key = (acting.key, ambient.key, side)
     lattice = ring._lattices.get(key)
     if lattice is None:
-        principal = _principal_generators(ring, acting.rows, side)
+        principal, m = _principal_generators(ring, acting.rows, side), ring.modulus
         subs = tuple(
-            join_closure((ring.span(principal(x)) for x in _scanned(ambient)), cap)
+            join_closure(
+                (ring.span(principal(x)) for x in _scanned(ambient) if _lead_divides(x, m)),
+                cap,
+            )
         )
         lt = posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
         lattice = ring._lattices[key] = subs, tuple(lt)

@@ -52,9 +52,6 @@ class Grading:
         comps = self.components
         return self.ring.span([row for g in self.category.hom_set(a, b) for row in comps[g].rows])
 
-    def endo_component(self, a: int) -> AdditiveSubgroup:
-        return self.hom_component(a, a)
-
     @cached_property
     def object_unital_result(self) -> ObjectUnitalResult:
         """The units of the identity components, each solved from the

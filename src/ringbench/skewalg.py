@@ -35,7 +35,6 @@ from .finring import (
     FiniteRing,
     RingElement,
     _build_ring,
-    enumerate_one_sided_ideals,
     find_identity,
 )
 from .graded import (
@@ -46,7 +45,7 @@ from .graded import (
     object_unital_check,
     strongly_graded_check,
 )
-from .idempotents import ideal_lattice_shape, is_strong
+from .idempotents import is_strong
 from .smallcat import UNDEFINED, SmallCategory, homset_strong_report
 
 
@@ -250,64 +249,3 @@ def strong_idempotent_equivalence_check(algebra: SkewAlgebra) -> StrongEquivalen
         report = homset_strongly_graded_report(algebra.grading)
         graded_ok = report.strong and report.agree and report.corner_identity
     return StrongEquivalenceRecord(ring_side, cat_side, graded_ok)
-
-
-class ObjectCornerReport(NamedTuple):
-    object_index: int
-    corner_order: int
-    matches_endo_component: bool
-    left_size: int
-    left_height: int
-    right_size: int
-    right_height: int
-
-
-class ArtinianCriteriaReport(NamedTuple):
-    """Finite-scale chain-condition data for a skew algebra.
-
-    Every party here is finite, so all chain conditions hold; the report's
-    substance is the corner-extraction identity (the corner at each object's
-    unit equals the endomorphism hom-component) and the lattice statistics.
-    """
-
-    object_count: int
-    morphism_count: int
-    ring_left_size: int
-    ring_left_height: int
-    ring_right_size: int
-    ring_right_height: int
-    corners: tuple[ObjectCornerReport, ...]
-    corner_extraction_ok: bool
-
-
-def artinian_criteria_report(algebra: SkewAlgebra, cap: int = 100_000) -> ArtinianCriteriaReport:
-    ring = algebra.ring
-    cat = algebra.category
-    left = enumerate_one_sided_ideals(ring, "left", cap)
-    right = enumerate_one_sided_ideals(ring, "right", cap)
-    corners = []
-    extraction_ok = True
-    for a in range(cat.object_count):
-        u = algebra.unit_elements[a].coords
-        corner = ring.sandwich(u, u)
-        matches = corner == algebra.grading.endo_component(a)
-        extraction_ok = extraction_ok and matches
-        corners.append(
-            ObjectCornerReport(
-                a,
-                corner.order,
-                matches,
-                *ideal_lattice_shape(corner, "left", cap),
-                *ideal_lattice_shape(corner, "right", cap),
-            )
-        )
-    return ArtinianCriteriaReport(
-        object_count=cat.object_count,
-        morphism_count=cat.morphism_count,
-        ring_left_size=left.size,
-        ring_left_height=left.height,
-        ring_right_size=right.size,
-        ring_right_height=right.height,
-        corners=tuple(corners),
-        corner_extraction_ok=extraction_ok,
-    )

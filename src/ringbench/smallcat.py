@@ -9,7 +9,7 @@ built from the rows on demand, never stored.
 A pair (g, h) is composable exactly when dom(g) == cod(h), in which case the
 composite is written g then-after h, i.e. the table entry at [g, h].
 
-HOM-SET CONVENTION.  hom_set(cat, a, b) is the set of morphisms b -> a,
+HOM-SET CONVENTION.  cat.hom_set(a, b) is the set of morphisms b -> a,
 that is, arrows INTO a FROM b.  This is the reversed convention relative to
 most software libraries, kept so that the set product
 hom_set(a, b) * hom_set(b, c) consists of plain table composites.  A
@@ -80,6 +80,8 @@ class SmallCategory:
 
     def hom_set(self, a: int, b: int) -> tuple[int, ...]:
         """Morphisms b -> a (arrows into a from b); see the module note."""
+        if not (0 <= a < self.object_count and 0 <= b < self.object_count):
+            raise ShapeMismatch(f"object index out of range: ({a}, {b})")
         return tuple(
             g
             for g in range(self.morphism_count)
@@ -88,12 +90,6 @@ class SmallCategory:
 
     def __repr__(self) -> str:
         return f"SmallCategory({self.object_count} objects, {self.morphism_count} morphisms)"
-
-
-def hom_set(cat: SmallCategory, a: int, b: int) -> tuple[int, ...]:
-    if not (0 <= a < cat.object_count and 0 <= b < cat.object_count):
-        raise ShapeMismatch(f"object index out of range: ({a}, {b})")
-    return cat.hom_set(a, b)
 
 
 def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:

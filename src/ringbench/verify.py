@@ -6,9 +6,10 @@ the command line's verify-prop subcommand and the acceptance test module, so
 there is a single source of truth for what each named check means.
 
 The fixture-count driver carries its own brute-force oracle: it enumerates
-every additive subgroup of a small ring by closure and filters by the
-absorption property, sharing no code with the Howell-form pipeline it
-cross-checks.
+every additive subgroup of a small ring by adjoining one element at a time,
+each adjunction <H, x> formed as the union of the cosets H + k x, and
+filters by the absorption property, sharing no code with the Howell-form
+pipeline it cross-checks.
 """
 
 from __future__ import annotations
@@ -59,18 +60,26 @@ class VerificationResult:
 # independent brute-force oracle for small ideal lattices
 
 
+def _adjoin(H: frozenset, x: tuple[int, ...], m: int) -> frozenset:
+    """The subgroup <H, x> = H + Z x, as the union of the cosets H + k x for
+    k = 0, 1, ... up to the first k x that falls in H."""
+    out = set(H)
+    kx = x
+    while kx not in H:
+        out.update(tuple([(a + b) % m for a, b in zip(h, kx)]) for h in H)
+        kx = tuple([(a + b) % m for a, b in zip(kx, x)])
+    return frozenset(out)
+
+
 def brute_force_one_sided_ideal_count(ring: fr.FiniteRing, side: str) -> tuple[int, int]:
     """(count, height) of all one-sided ideals, by exhaustive subgroup search.
 
-    Enumerates every additive subgroup via closure over element adjunction
-    using plain tuple arithmetic, then filters by basis absorption.  Only
-    suitable for rings of order a few hundred.
+    Enumerates every additive subgroup from the zero subgroup by adjoining
+    one element at a time, each adjunction formed as a union of cosets with
+    plain tuple arithmetic, then filters by basis absorption.  Only suitable
+    for rings of order a few hundred.
     """
     m, n = ring.modulus, ring.rank
-    zero = (0,) * n
-
-    def add(x, y):
-        return tuple((a + b) % m for a, b in zip(x, y))
 
     def mul(x, y):
         out = [0] * n
@@ -85,26 +94,14 @@ def brute_force_one_sided_ideal_count(ring: fr.FiniteRing, side: str) -> tuple[i
                     out[k] = (out[k] + x[i] * y[j] * row[k]) % m
         return tuple(out)
 
-    def close(gens):
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            v = frontier.pop()
-            for g in gens:
-                w = add(v, g)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return frozenset(seen)
-
     elements = list(ring.element_vectors())
-    subgroups = {close([])}
-    frontier = [close([])]
+    subgroups = {frozenset([(0,) * n])}
+    frontier = list(subgroups)
     while frontier:
         H = frontier.pop()
         for x in elements:
             if x not in H:
-                H2 = close(list(H) + [x])
+                H2 = _adjoin(H, x, m)
                 if H2 not in subgroups:
                     subgroups.add(H2)
                     frontier.append(H2)

@@ -378,6 +378,84 @@ class TestExitCodes:
         code, out = run(capsys, "--no-timings", "build-skew", workdir / "system.txt")
         assert code == 0
 
+    def test_modulus_above_cap_exits_two_before_reading_constants(self, workdir, capsys):
+        # rank 5 over a 1,001-digit modulus: the order m^5 has 5,001 digits,
+        # past the limit json.dumps converts, and was a traceback with exit 1
+        m = 10**1000 + 1
+        zeros = " ".join(["0"] * 125)
+        for name, text in (
+            ("full.ring", f"modulus {m}\nrank 5\nconstants\n{zeros}\n"),
+            # no constants follow: reading them would be a ParseError instead
+            ("bare.ring", f"modulus {m}\n"),
+            ("negative.ring", f"modulus {-m}\nrank 5\nconstants\n"),
+        ):
+            (workdir / name).write_text(text)
+            start = time.perf_counter()
+            code, out = run(capsys, "check-ring", workdir / name)
+            assert time.perf_counter() - start < 5
+            assert code == 2
+            assert json.loads(out)["error"] == {
+                "type": "ModulusTooLarge",
+                "message": f"modulus of {m.bit_length()} bits exceeds the cap of {fr.MAX_MODULUS_BITS} bits",
+            }
+
+    def test_modulus_at_cap_reports_every_order(self, workdir, capsys):
+        # the largest modulus at the largest rank: m^48 has 3,699 digits
+        m = 2**fr.MAX_MODULUS_BITS - 1
+        _write_zero_ring(workdir / "zero.ring", fr.MAX_RANK)
+        text = (workdir / "zero.ring").read_text().replace("modulus 2", f"modulus {m}", 1)
+        (workdir / "zero.ring").write_text(text)
+        start = time.perf_counter()
+        code, out = run(capsys, "--no-timings", "check-ring", workdir / "zero.ring")
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert json.loads(out)["ring"] == {"modulus": m, "rank": fr.MAX_RANK, "order": m**fr.MAX_RANK}
+
+    def test_integer_past_the_digit_limit_exits_two_with_a_short_message(self, workdir, capsys):
+        # the message quoted all 5,000 digits as "expected integer constant 0"
+        (workdir / "long.ring").write_text(f"modulus 7\nrank 1\nconstants\n  {'1' * 5000}\n")
+        start = time.perf_counter()
+        code, out = run(capsys, "check-ring", workdir / "long.ring")
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        limit = sys.get_int_max_str_digits()
+        assert json.loads(out)["error"] == {
+            "type": "ParseError",
+            "message": f"integer of 5000 digits exceeds the {limit}-digit limit (line 4, column 3)",
+            "line": 4,
+            "column": 3,
+        }
+
+    def test_messages_quote_a_prefix_of_a_long_token(self, workdir, capsys):
+        word = "x" * 5000
+        prefix = f"{'x' * 32}... (5000 characters)"
+        for text, message, column in (
+            (f"modulus 7\nrank 1\nconstants\n{word}\n", f"expected integer constant 0, found '{prefix}'", 1),
+            (f"modulus 7\nrank 1\nconstants\n1 {word}\n", f"trailing input '{prefix}'", 3),
+            (f"modulus 7\n{word} 1\n", f"expected 'rank', found '{prefix}'", 1),
+            (f"modulus 7\nrank -{'9' * 4000}\n", f"rank -{'9' * 31}... (4001 characters) out of range [1, inf)", 6),
+        ):
+            (workdir / "long.ring").write_text(text)
+            code, out = run(capsys, "check-ring", workdir / "long.ring")
+            assert code == 2
+            error = json.loads(out)["error"]
+            assert error["message"] == f"{message} (line {error['line']}, column {column})"
+            assert error["column"] == column
+        # a path too long to open: the OS error quoted all 3,000 characters
+        (workdir / "long.idem").write_text(f"ring {'a' * 3000}.ring\n")
+        code, out = run(capsys, "peirce", workdir / "long.idem")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "OSError" and len(error["message"]) < 100
+        quoted = repr(str(workdir / f"{'a' * 3000}.ring"))
+        assert error["message"].endswith(f": {quoted[:32]}... ({len(quoted)} characters)")
+        (workdir / "wide.ring").write_text(f"modulus 7\nrank {'9' * 4000}\n")
+        code, out = run(capsys, "check-ring", workdir / "wide.ring")
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            f"rank {'9' * 32}... (4000 characters) exceeds the cap of {fr.MAX_RANK}"
+        )
+
     def test_rank_above_cap_exits_two_before_reading_constants(self, workdir, capsys):
         # no constants follow: reading them would be a ParseError instead
         (workdir / "wide.ring").write_text(f"modulus 2\nrank {fr.MAX_RANK + 1}\nconstants\n")

@@ -16,6 +16,7 @@ from ringbench.errors import (
     LatticeScanTooLarge,
     LatticeTooLarge,
     ModulusMismatch,
+    ModulusTooLarge,
     ModulusTooSmall,
     NotAssociative,
     NotIdempotent,
@@ -54,6 +55,14 @@ class TestMakeRing:
     def test_modulus_too_small(self):
         with pytest.raises(ModulusTooSmall):
             fr.make_ring(1, 1, [[[0]]])
+
+    def test_modulus_bits_capped(self):
+        m = 2**fr.MAX_MODULUS_BITS  # one bit past the cap
+        assert fr.make_ring(m - 1, 1, [[[1]]]).modulus == m - 1
+        for modulus in (m, -m):
+            with pytest.raises(ModulusTooLarge) as exc:
+                fr.make_ring(modulus, 1, [[[1]]])
+            assert (exc.value.bits, exc.value.cap) == (fr.MAX_MODULUS_BITS + 1, fr.MAX_MODULUS_BITS)
 
     def test_exact_at_modulus_ten_to_the_thirty(self):
         # far beyond int64: every product is still an exact residue

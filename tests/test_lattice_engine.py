@@ -145,17 +145,25 @@ def test_prop24_lattices_match_the_unpruned_engine(engine, seed):
 
 
 def small_modulus_rings():
+    """Cyclic, triangular, C2 and (up to the corpus order cap) matrix rings
+    over composite moduli, as test parameters."""
+    out = []
     for m in (4, 6, 8, 9, 12):
-        yield f"cyclic_z{m}", corpus.cyclic_ring(m)
-        yield f"triangular2_z{m}", corpus.upper_triangular_ring(m, 2)
         c2 = corpus.one_object_monoid_category("c2")
-        yield f"c2_algebra_z{m}", sk.build_category_algebra(corpus.cyclic_ring(m), c2).ring
-        if m ** 4 <= corpus.MAX_RING_ORDER:
-            yield f"matrix2_z{m}", corpus.matrix_units_ring(m, 2)
+        out += [
+            pytest.param(corpus.cyclic_ring(m), id=f"cyclic_z{m}"),
+            pytest.param(corpus.upper_triangular_ring(m, 2), id=f"triangular2_z{m}"),
+            pytest.param(
+                sk.build_category_algebra(corpus.cyclic_ring(m), c2).ring, id=f"c2_algebra_z{m}"
+            ),
+        ]
+        if m**4 <= corpus.MAX_RING_ORDER:
+            out.append(pytest.param(corpus.matrix_units_ring(m, 2), id=f"matrix2_z{m}"))
+    return out
 
 
-@pytest.mark.parametrize("name, ring", list(small_modulus_rings()), ids=lambda v: v if isinstance(v, str) else "")
-def test_ideal_lattices_over_composite_moduli_match_the_unpruned_engine(engine, name, ring):
+@pytest.mark.parametrize("ring", small_modulus_rings())
+def test_ideal_lattices_over_composite_moduli_match_the_unpruned_engine(engine, ring):
     full = ring.full_subgroup()
     for side in ("left", "right"):
         want = unpruned_lattice(full, full, side, fr.DEFAULT_LATTICE_CAP)
@@ -256,22 +264,39 @@ def reclosing_oracle(ring, side):
 
 
 def oracle_rings():
-    """The three fixture rings and the suite rings of order at most 27."""
+    """The three fixture rings and the suite rings of order at most 27, as
+    test parameters."""
     z2 = corpus.cyclic_ring(2)
-    yield "matrix2_z2", corpus.matrix_units_ring(2, 2)
-    yield "triangular2_z2", sk.build_category_algebra(
-        z2, corpus.thin_category_from_relation(2, [(0, 1)])
-    ).ring
-    yield "group_algebra_c2_z2", sk.build_category_algebra(
-        z2, corpus.one_object_monoid_category("c2")
-    ).ring
-    rings = {id(inst.ring): inst for inst in corpus.generate_suite("prop-2.4", 1729)}
+    out = [
+        pytest.param(corpus.matrix_units_ring(2, 2), id="matrix2_z2"),
+        pytest.param(
+            sk.build_category_algebra(z2, corpus.thin_category_from_relation(2, [(0, 1)])).ring,
+            id="triangular2_z2",
+        ),
+        pytest.param(
+            sk.build_category_algebra(z2, corpus.one_object_monoid_category("c2")).ring,
+            id="group_algebra_c2_z2",
+        ),
+    ]
+    rings = {}
+    for inst in corpus.generate_suite("prop-2.4", 1729):
+        rings.setdefault(id(inst.ring), inst)
     for inst in rings.values():
         if inst.ring.order <= 27:
-            yield inst.name, inst.ring
+            out.append(pytest.param(inst.ring, id=f"suite_{inst.name}"))
+    return out
 
 
-@pytest.mark.parametrize("name, ring", list(oracle_rings()), ids=lambda v: v if isinstance(v, str) else "")
-def test_oracle_matches_the_reclosing_oracle(name, ring):
+@pytest.mark.parametrize("ring", oracle_rings())
+def test_oracle_matches_the_reclosing_oracle(ring):
     for side in ("left", "right"):
         assert verify.brute_force_one_sided_ideal_count(ring, side) == reclosing_oracle(ring, side)
+
+
+@pytest.mark.parametrize("ring", oracle_rings())
+def test_coset_adjunction_matches_reclosing(ring):
+    m, zero = ring.modulus, (0,) * ring.rank
+    elements = list(ring.element_vectors())
+    for H in reclosed_subgroups(ring):
+        for x in elements:
+            assert verify._adjoin(H, x, m) == reclose(list(H) + [x], m, zero)

@@ -59,14 +59,6 @@ PARAMETERS = {
     skewalg.StrongEquivalenceRecord: [
         "idempotents_strong", "category_homset_strong", "graded_report_ok",
     ],
-    skewalg.ObjectCornerReport: [
-        "object_index", "corner_order", "matches_endo_component", "left_size", "left_height",
-        "right_size", "right_height",
-    ],
-    skewalg.ArtinianCriteriaReport: [
-        "object_count", "morphism_count", "ring_left_size", "ring_left_height",
-        "ring_right_size", "ring_right_height", "corners", "corner_extraction_ok",
-    ],
     smallcat.SmallCategory: ["object_count", "dom", "cod", "identity", "compose"],
     smallcat.GroupoidCheck: ["is_groupoid", "inverses", "witness"],
     smallcat.FinitenessReport: [
@@ -92,8 +84,6 @@ VALUE_RECORDS = {
     graded.GradedFlags,
     idempotents.CornerProfile,
     skewalg.StrongEquivalenceRecord,
-    skewalg.ObjectCornerReport,
-    skewalg.ArtinianCriteriaReport,
     smallcat.GroupoidCheck,
     smallcat.FinitenessReport,
     strength.StrongnessReport,

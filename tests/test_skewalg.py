@@ -8,6 +8,7 @@ import pytest
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import graded as gr
+from ringbench import idempotents as idem
 from ringbench import skewalg as sk
 from ringbench import smallcat as sc
 from ringbench import verify
@@ -204,38 +205,55 @@ class TestStrongEquivalence:
         assert not sc.is_groupoid(mx).is_groupoid
 
 
+def chain_data(algebra):
+    """The left ideal lattice shape of the algebra and, for each object,
+    (order, left shape, right shape) of the corner at its unit, read from
+    the lattice engine."""
+    ring = algebra.ring
+    left = fr.enumerate_one_sided_ideals(ring, "left")
+    corners = []
+    for u in algebra.unit_elements:
+        corner = ring.sandwich(u.coords, u.coords)
+        corners.append((
+            corner.order,
+            idem.ideal_lattice_shape(corner, "left", fr.DEFAULT_LATTICE_CAP),
+            idem.ideal_lattice_shape(corner, "right", fr.DEFAULT_LATTICE_CAP),
+        ))
+    return (left.size, left.height), corners
+
+
 class TestArtinianCriteria:
+    """The chain-condition data of category algebras: the ring's ideal
+    lattice and each object's corner, which is its endomorphism component."""
+
     def test_pair_groupoid_algebra(self, z2):
         algebra = sk.build_category_algebra(z2, sc.build_MX(corpus.MONOID_TABLES["c1"], 2))
-        report = sk.artinian_criteria_report(algebra)
-        assert report.ring_left_size == 5
-        assert all(c.corner_order == 2 and c.left_size == 2 for c in report.corners)
-        assert report.corner_extraction_ok
+        (left_size, _), corners = chain_data(algebra)
+        assert left_size == 5
+        assert all(order == 2 and left[0] == 2 for order, left, _ in corners)
 
     def test_group_algebra_c2(self, z2, c2_category):
         algebra = sk.build_category_algebra(z2, c2_category)
-        report = sk.artinian_criteria_report(algebra)
+        (left_size, _), corners = chain_data(algebra)
         # single corner is the whole ring: lattice {0, augmentation, all}
-        assert report.corners[0].corner_order == 4
-        assert report.ring_left_size == 3 and report.corners[0].left_size == 3
+        assert corners[0][0] == 4
+        assert left_size == 3 and corners[0][1][0] == 3
 
     def test_arrow_algebra(self, z2, arrow_category):
         algebra = sk.build_category_algebra(z2, arrow_category)
-        report = sk.artinian_criteria_report(algebra)
-        assert all(c.corner_order == 2 for c in report.corners)
-        oracle_size, oracle_height = verify.brute_force_one_sided_ideal_count(
-            algebra.ring, "left"
-        )
-        assert report.ring_left_size == oracle_size == 7
-        assert report.ring_left_height == oracle_height == 3
+        left, corners = chain_data(algebra)
+        assert all(order == 2 for order, _, _ in corners)
+        oracle = verify.brute_force_one_sided_ideal_count(algebra.ring, "left")
+        assert left == oracle == (7, 3)
 
     def test_corner_extraction_matches_endo_components(self, z2):
         for name in ("bool2", "c2"):
             algebra = sk.build_category_algebra(
                 z2, sc.build_MX(corpus.MONOID_TABLES[name], 2)
             )
-            report = sk.artinian_criteria_report(algebra)
-            assert report.corner_extraction_ok
+            ring = algebra.ring
+            for a, u in enumerate(algebra.unit_elements):
+                assert ring.sandwich(u.coords, u.coords) == algebra.grading.hom_component(a, a)
 
 
 class TestMatrixIsoOverZ3:

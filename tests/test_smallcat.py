@@ -130,8 +130,8 @@ class TestHomSetConvention:
             for g in range(arrow_category.morphism_count)
             if arrow_category.dom[g] != arrow_category.cod[g]
         )
-        assert sc.hom_set(arrow_category, 1, 0) == (f,)
-        assert sc.hom_set(arrow_category, 0, 1) == ()
+        assert arrow_category.hom_set(1, 0) == (f,)
+        assert arrow_category.hom_set(0, 1) == ()
 
     def test_endo_sets_contain_identity(self, arrow_category, pair_groupoid):
         for cat in (arrow_category, pair_groupoid):
@@ -141,11 +141,11 @@ class TestHomSetConvention:
     def test_pair_groupoid_hom_sets_are_singletons(self, pair_groupoid):
         for a in range(2):
             for b in range(2):
-                assert len(sc.hom_set(pair_groupoid, a, b)) == 1
+                assert len(pair_groupoid.hom_set(a, b)) == 1
 
     def test_object_range_checked(self, pair_groupoid):
         with pytest.raises(ShapeMismatch):
-            sc.hom_set(pair_groupoid, 0, 5)
+            pair_groupoid.hom_set(0, 5)
 
 
 class TestIsGroupoid:
@@ -272,7 +272,7 @@ class TestFinitenessReport:
         assert rep.endo_sizes == (2, 2)
         for a in range(2):
             for b in range(2):
-                assert len(sc.hom_set(mx, a, b)) == 2
+                assert len(mx.hom_set(a, b)) == 2
 
     def test_arrow_bound_not_asserted(self, arrow_category):
         rep = sc.finiteness_report(arrow_category)
