@@ -358,7 +358,15 @@ class Reporter:
             for key, value in verdicts.items():
                 print(f"{key} {str(value).lower()}")
         else:
-            print(json.dumps(self.report, indent=2, default=str))
+            # an order m^rank may pass the interpreter's int-to-string limit,
+            # which stays in force for parsing
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                text = json.dumps(self.report, indent=2, default=str)
+            finally:
+                sys.set_int_max_str_digits(limit)
+            print(text)
         return 0 if ok else 1
 
 

@@ -47,8 +47,7 @@ from .errors import (
 DEFAULT_LATTICE_CAP = 100_000
 # Bits a modulus may have, checked before the constants are read.  A step on
 # a 256-bit residue costs about what it costs on a small one, and the order
-# m^rank of a ring of rank up to MAX_RANK has at most 3,700 decimal digits,
-# under Python's 4,300-digit limit for converting an int to a string.
+# m^rank of a ring of rank up to MAX_RANK has at most 3,700 decimal digits.
 MAX_MODULUS_BITS = 256
 # Bounds what is allocated before a ring is validated: the parser reads
 # rank^3 constants, and a skew algebra fills a rank^3 table.

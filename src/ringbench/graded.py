@@ -3,8 +3,8 @@
 A grading assigns an additive subgroup S_g to every morphism g so that the
 subgroups decompose the ring additively and multiplication respects
 composition: S_g S_h sits inside S_{gh} for composable pairs and vanishes
-otherwise.  Components over a whole hom-set, S_{G(a,b)}, are always derived
-on demand from the per-morphism components, never stored.
+otherwise.  Components over a whole hom-set, S_{G(a,b)}, are derived from
+the per-morphism components on first use and cached with the grading.
 
 Object unitality means every identity-morphism component is a unital ring
 whose unit acts as a one-sided identity on all homogeneous elements with the
@@ -51,6 +51,13 @@ class Grading:
         components with codomain a and domain b, spanned in one reduction."""
         comps = self.components
         return self.ring.span([row for g in self.category.hom_set(a, b) for row in comps[g].rows])
+
+    @cached_property
+    def hom_components(self) -> list[list[AdditiveSubgroup]]:
+        """The hom-component table, S_{G(a,b)} at [a][b], spanned on first
+        use; the hom-set report and the corner check both read it."""
+        p = self.category.object_count
+        return [[self.hom_component(a, b) for b in range(p)] for a in range(p)]
 
     @cached_property
     def object_unital_result(self) -> ObjectUnitalResult:
@@ -161,40 +168,6 @@ def strongly_graded_check(grading: Grading) -> bool:
     return grading.strongly_graded
 
 
-class GradedStrongReport(strength.StrongnessReport):
-    """Hom-set-level strength conditions for an object unital grading over a
-    hom-set strong category, plus the corner-identity law
-    1_{S_a} S 1_{S_b} = S_{G(a,b)} checked by direct subgroup computation."""
-
-    __slots__ = ("corner_identity", "corner_identity_witness")
-    _fields = strength.StrongnessReport._fields + __slots__
-
-    def __init__(self, condition1: bool, condition2: bool, condition3: bool,
-                 witness1: tuple | None, witness2: tuple | None, witness3: tuple | None,
-                 corner_identity: bool, corner_identity_witness: tuple | None):
-        super().__init__(condition1, condition2, condition3, witness1, witness2, witness3)
-        object.__setattr__(self, "corner_identity", corner_identity)
-        object.__setattr__(self, "corner_identity_witness", corner_identity_witness)
-
-
-def _hom_components(grading: Grading) -> list[list[AdditiveSubgroup]]:
-    p = grading.category.object_count
-    return [[grading.hom_component(a, b) for b in range(p)] for a in range(p)]
-
-
-def _sandwich_law(
-    ring: FiniteRing, units: Sequence[RingElement], hom: Sequence[Sequence[AdditiveSubgroup]]
-) -> tuple[bool, tuple | None]:
-    """Check 1_{S_a} S 1_{S_b} = S_{G(a,b)} on every object pair; a failure
-    carries the pair and both subgroup orders."""
-    for a in range(len(units)):
-        for b in range(len(units)):
-            sandwich = ring.sandwich(units[a].coords, units[b].coords)
-            if sandwich != hom[a][b]:
-                return False, ((a, b), sandwich.order, hom[a][b].order)
-    return True, None
-
-
 def _local_units(grading: Grading) -> tuple[RingElement, ...]:
     """The units of an object unital grading; NotObjectUnital otherwise."""
     ou = object_unital_check(grading)
@@ -203,16 +176,21 @@ def _local_units(grading: Grading) -> tuple[RingElement, ...]:
     return ou.units
 
 
-def homset_strongly_graded_report(grading: Grading) -> GradedStrongReport:
+def homset_strongly_graded_report(grading: Grading) -> strength.StrongnessReport:
+    """The three strength conditions over the hom-component table.
+
+    Hypotheses: the grading is object unital (NotObjectUnital otherwise) and
+    its category is hom-set strong (CategoryNotHomSetStrong otherwise).  The
+    corner law 1_{S_a} S 1_{S_b} = S_{G(a,b)} is corner_identity_check's.
+    """
     units = _local_units(grading)
     cat_report = homset_strong_report(grading.category)
     if not (cat_report.agree and cat_report.strong):
         raise CategoryNotHomSetStrong(
             f"category fails hom-set strength: {cat_report.witness3}"
         )
-    hom = _hom_components(grading)
     table = strength.ComponentTable(
-        hom,
+        grading.hom_components,
         is_zero=AdditiveSubgroup.is_zero,
         product=product_subgroup,
         holds_unit=lambda prod, x: prod.contains(units[x]),
@@ -222,15 +200,20 @@ def homset_strongly_graded_report(grading: Grading) -> GradedStrongReport:
         diagonal_missed="endo component not recovered",
         unit_missed="local unit not reached",
     )
-    conditions = strength.report(table)
-    corner_ok, corner_witness = _sandwich_law(grading.ring, units, hom)
-    return GradedStrongReport(*conditions._values(), corner_ok, corner_witness)
+    return strength.report(table)
 
 
 def corner_identity_check(grading: Grading) -> tuple[bool, tuple | None]:
     """The law 1_{S_a} S 1_{S_b} = S_{G(a,b)} for every object pair, checked
-    for any object unital grading (no hom-set strength hypothesis)."""
-    return _sandwich_law(grading.ring, _local_units(grading), _hom_components(grading))
+    for any object unital grading (no hom-set strength hypothesis) by direct
+    subgroup computation; a failure carries the pair and both subgroup orders."""
+    ring, units, hom = grading.ring, _local_units(grading), grading.hom_components
+    for a in range(len(units)):
+        for b in range(len(units)):
+            sandwich = ring.sandwich(units[a].coords, units[b].coords)
+            if sandwich != hom[a][b]:
+                return False, ((a, b), sandwich.order, hom[a][b].order)
+    return True, None
 
 
 def induced_idempotents(grading: Grading) -> IdempotentSet:
@@ -248,7 +231,7 @@ class GradedFlags(NamedTuple):
     object_unital: bool
     strongly_graded: bool
     homset_strongly_graded: bool | None  # None when hypotheses fail
-    homset_report: GradedStrongReport | None
+    homset_report: strength.StrongnessReport | None
     induced_set: IdempotentSet | None
 
 

@@ -192,7 +192,7 @@ def is_strong(iset: IdempotentSet) -> bool:
 # corner/ideal poset correspondence
 
 
-class CornerLatticeCertificate:
+class CornerLatticeCertificate(NamedTuple):
     """Certificate for the poset isomorphism between corner ideals and
     component submodules.
 
@@ -205,23 +205,19 @@ class CornerLatticeCertificate:
     submodule lattice acting on itself.
     """
 
-    __slots__ = _fields = (
-        "side", "i", "j", "ideal_count", "submodule_count", "ideal_height", "submodule_height",
-        "forward_then_back_identity", "back_then_forward_identity", "forward_monotone",
-        "back_monotone", "pairs", "failure",
-    )
-
-    def __init__(self, side: str, i: int, j: int, ideal_count: int, submodule_count: int,
-                 ideal_height: int, submodule_height: int, forward_then_back_identity: bool,
-                 back_then_forward_identity: bool, forward_monotone: bool, back_monotone: bool,
-                 pairs: tuple[tuple[int, int], ...], failure: str | None):
-        self.side, self.i, self.j = side, i, j
-        self.ideal_count, self.submodule_count = ideal_count, submodule_count
-        self.ideal_height, self.submodule_height = ideal_height, submodule_height
-        self.forward_then_back_identity = forward_then_back_identity
-        self.back_then_forward_identity = back_then_forward_identity
-        self.forward_monotone, self.back_monotone = forward_monotone, back_monotone
-        self.pairs, self.failure = pairs, failure
+    side: str
+    i: int
+    j: int
+    ideal_count: int
+    submodule_count: int
+    ideal_height: int
+    submodule_height: int
+    forward_then_back_identity: bool
+    back_then_forward_identity: bool
+    forward_monotone: bool
+    back_monotone: bool
+    pairs: tuple[tuple[int, int], ...]
+    failure: str | None
 
     @property
     def ok(self) -> bool:
@@ -317,24 +313,20 @@ class CornerProfile(NamedTuple):
     right_height: int
 
 
-class ChainProfile:
+class ChainProfile(NamedTuple):
     """Quantitative lattice data for a ring with a complete set of idempotents.
 
     On finite instances every chain condition holds, so the informative
     content is the lattice sizes and heights plus the strength verdict.
     """
 
-    __slots__ = (
-        "index_size", "strong", "corners", "ring_left_size", "ring_left_height",
-        "ring_right_size", "ring_right_height",
-    )
-
-    def __init__(self, index_size: int, strong: bool, corners: tuple[CornerProfile, ...],
-                 ring_left_size: int, ring_left_height: int, ring_right_size: int,
-                 ring_right_height: int):
-        self.index_size, self.strong, self.corners = index_size, strong, corners
-        self.ring_left_size, self.ring_left_height = ring_left_size, ring_left_height
-        self.ring_right_size, self.ring_right_height = ring_right_size, ring_right_height
+    index_size: int
+    strong: bool
+    corners: tuple[CornerProfile, ...]
+    ring_left_size: int
+    ring_left_height: int
+    ring_right_size: int
+    ring_right_height: int
 
 
 def ideal_lattice_shape(subring: AdditiveSubgroup, side: str, cap: int) -> tuple[int, int]:

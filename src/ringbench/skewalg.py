@@ -40,6 +40,7 @@ from .finring import (
 from .graded import (
     Grading,
     attach_grading,
+    corner_identity_check,
     homset_strongly_graded_report,
     induced_idempotents,
     object_unital_check,
@@ -247,5 +248,5 @@ def strong_idempotent_equivalence_check(algebra: SkewAlgebra) -> StrongEquivalen
     graded_ok: bool | None = None
     if ring_side and cat_side:
         report = homset_strongly_graded_report(algebra.grading)
-        graded_ok = report.strong and report.agree and report.corner_identity
+        graded_ok = report.strong and report.agree and corner_identity_check(algebra.grading)[0]
     return StrongEquivalenceRecord(ring_side, cat_side, graded_ok)

@@ -13,31 +13,24 @@ products: S_ij S_jl is formed once per table, as condition 1 meets it at
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 
-class StrongnessReport:
+class StrongnessReport(NamedTuple):
     """Independent verdicts for the three equivalent strength conditions.
 
     A false verdict carries the smallest lexicographic witness: the failing
     index tuple plus a short reason.  ``agree`` records whether the three
     verdicts coincide; their equivalence is re-checked on every instance
-    rather than assumed.  Reports compare and hash by their read-only fields.
+    rather than assumed.
     """
 
-    __slots__ = _fields = (
-        "condition1", "condition2", "condition3", "witness1", "witness2", "witness3"
-    )
-
-    def __init__(self, condition1: bool, condition2: bool, condition3: bool,
-                 witness1: tuple | None, witness2: tuple | None, witness3: tuple | None):
-        init = object.__setattr__
-        init(self, "condition1", condition1)
-        init(self, "condition2", condition2)
-        init(self, "condition3", condition3)
-        init(self, "witness1", witness1)
-        init(self, "witness2", witness2)
-        init(self, "witness3", witness3)
+    condition1: bool
+    condition2: bool
+    condition3: bool
+    witness1: tuple | None
+    witness2: tuple | None
+    witness3: tuple | None
 
     @property
     def agree(self) -> bool:
@@ -46,31 +39,6 @@ class StrongnessReport:
     @property
     def strong(self) -> bool:
         return self.condition1 and self.condition2 and self.condition3
-
-    def _values(self) -> tuple:
-        """The field values, in ``_fields`` order."""
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def _replace(self, **changes):
-        """A copy with the named fields changed."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 class ComponentTable:

@@ -1,5 +1,7 @@
 """End-to-end command line checks: parsing, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringbench import cli
 from ringbench import corpus
@@ -410,6 +414,60 @@ class TestExitCodes:
         assert time.perf_counter() - start < 10
         assert code == 0
         assert json.loads(out)["ring"] == {"modulus": m, "rank": fr.MAX_RANK, "order": m**fr.MAX_RANK}
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        m=st.sampled_from([2, 3, 2**64 + 1, 2**256 - 1, 2**256, 10**90 + 1]),
+        n=st.sampled_from([1, 2, 9, 48]),
+        unit=st.booleans(),
+    )
+    def test_size_ladder_exits_zero_or_two(self, tmp_path_factory, m, n, unit):
+        # zero constants, or the single constant c[0][0][0] = 1
+        constants = ["0"] * n**3
+        constants[0] = "1" if unit else "0"
+        path = tmp_path_factory.mktemp("ladder") / "ladder.ring"
+        path.write_text(f"modulus {m}\nrank {n}\nconstants\n{' '.join(constants)}\n")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["--no-timings", "check-ring", str(path)])
+        report = json.loads(out.getvalue())
+        if m.bit_length() <= fr.MAX_MODULUS_BITS:
+            assert code == 0
+            assert report["ring"] == {"modulus": m, "rank": n, "order": m**n}
+        else:
+            assert code == 2
+            assert report["error"]["type"] == "ModulusTooLarge"
+
+    def test_report_integers_print_under_a_lowered_digit_limit(self, workdir):
+        # the order of a rank-9 ring over 2^256 - 1 has 694 digits
+        m = 2**256 - 1
+        zeros = " ".join(["0"] * 9**3)
+        (workdir / "zero.ring").write_text(f"modulus {m}\nrank 9\nconstants\n{zeros}\n")
+        argv = [sys.executable, "-m", "ringbench.cli", "--no-timings", "check-ring", "zero.ring"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        runs = [
+            subprocess.run(argv, cwd=workdir, env=env, capture_output=True, timeout=60),
+            subprocess.run(argv, cwd=workdir, env=dict(env, PYTHONINTMAXSTRDIGITS="640"),
+                           capture_output=True, timeout=60),
+        ]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert json.loads(runs[0].stdout)["ring"]["order"] == m**9
+        # the report lifts the limit only while it prints: parsing keeps it
+        (workdir / "long.ring").write_text(f"modulus 7\nrank 1\nconstants\n{'1' * 700}\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as report:
+                assert cli.main(["--no-timings", "check-ring", str(workdir / "zero.ring")]) == 0
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(["check-ring", str(workdir / "long.ring")]) == 2
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert json.loads(report.getvalue())["ring"]["order"] == m**9
+        error = json.loads(out.getvalue())["error"]
+        assert error["message"].startswith("integer of 700 digits exceeds the 640-digit limit")
 
     def test_integer_past_the_digit_limit_exits_two_with_a_short_message(self, workdir, capsys):
         # the message quoted all 5,000 digits as "expected integer constant 0"

@@ -1,5 +1,7 @@
 """Grading validation, object unitality, strength, induced idempotents."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import graded as gr
 from ringbench import idempotents as idem
+from ringbench import skewalg as sk
 from ringbench import smallcat as sc
 from ringbench import verify
 from ringbench.errors import (
@@ -138,12 +141,12 @@ class TestStronglyGraded:
 class TestHomSetStronglyGraded:
     def test_matrix_grading_report(self, matrix_grading):
         report = gr.homset_strongly_graded_report(matrix_grading)
-        assert report.strong and report.agree and report.corner_identity
+        assert report.strong and report.agree and gr.corner_identity_check(matrix_grading)[0]
 
     def test_trivial_grading_report(self, trivial_category, m2f2):
         g = gr.attach_grading(m2f2, trivial_category, [m2f2.full_subgroup()])
         report = gr.homset_strongly_graded_report(g)
-        assert report.strong and report.corner_identity
+        assert report.strong and gr.corner_identity_check(g)[0]
 
     def test_arrow_grading_rejected_for_category(self, arrow_grading):
         with pytest.raises(CategoryNotHomSetStrong):
@@ -300,3 +303,31 @@ class TestVerdictsOncePerGrading:
         calls.clear()
         assert verify.verify_prop_53(1729).ok
         assert built > 0 and len(calls) == built
+
+    def test_hom_components_spanned_once_per_grading(self, monkeypatch):
+        spans = collections.Counter()
+        hom_component = gr.Grading.hom_component
+
+        def counting(self, a, b):
+            spans[self] += 1
+            return hom_component(self, a, b)
+
+        monkeypatch.setattr(gr.Grading, "hom_component", counting)
+        reports = 0
+        for inst in corpus.generate_suite("gradings"):
+            # check-grading's path: the flags, then the corner law
+            flags = gr.compute_flags(inst.grading)
+            if flags.object_unital:
+                gr.corner_identity_check(inst.grading)
+            p = inst.grading.category.object_count
+            assert spans[inst.grading] == (p * p if flags.object_unital else 0), inst.name
+            reports += flags.homset_report is not None
+        assert reports
+        checked = 0
+        for inst in corpus.generate_suite("prop-5.3"):
+            record = sk.strong_idempotent_equivalence_check(inst.algebra)
+            p = inst.algebra.category.object_count
+            expected = p * p if record.graded_report_ok is not None else 0
+            assert spans[inst.algebra.grading] == expected, inst.name
+            checked += expected > 0
+        assert checked

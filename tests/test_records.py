@@ -32,10 +32,6 @@ PARAMETERS = {
     fr.CornerRing: ["ring", "parent", "idempotent", "subgroup", "inclusion", "_coord_index"],
     graded.Grading: ["ring", "category", "components"],
     graded.ObjectUnitalResult: ["object_unital", "units", "witness"],
-    graded.GradedStrongReport: [
-        "condition1", "condition2", "condition3", "witness1", "witness2", "witness3",
-        "corner_identity", "corner_identity_witness",
-    ],
     graded.GradedFlags: [
         "object_unital", "strongly_graded", "homset_strongly_graded", "homset_report",
         "induced_set",
@@ -80,8 +76,9 @@ VALUE_RECORDS = {
     corpus.MutatedInstance,
     fr.RingElement,
     graded.ObjectUnitalResult,
-    graded.GradedStrongReport,
     graded.GradedFlags,
+    idempotents.ChainProfile,
+    idempotents.CornerLatticeCertificate,
     idempotents.CornerProfile,
     skewalg.StrongEquivalenceRecord,
     smallcat.GroupoidCheck,
@@ -173,14 +170,6 @@ def test_ring_element_equality_and_hash(m2f2):
     assert e.coords == (1, 0, 0, 0) and e.ring is m2f2
 
 
-def test_graded_strong_report_is_a_strongness_report():
-    report = graded.GradedStrongReport(True, True, True, None, None, None, False, ((0, 1), 2, 4))
-    assert isinstance(report, strength.StrongnessReport)
-    assert (report.agree, report.strong, report.corner_identity) == (True, True, False)
-    # a strength report with equal conditions is a different record
-    assert report != strength.StrongnessReport(True, True, True, None, None, None)
-
-
 def test_reprs():
     assert repr(smallcat.GroupoidCheck(True, (0, 1), None)) == (
         "GroupoidCheck(is_groupoid=True, inverses=(0, 1), witness=None)"
@@ -189,12 +178,6 @@ def test_reprs():
     assert repr(report) == (
         "StrongnessReport(condition1=True, condition2=False, condition3=True, "
         "witness1=None, witness2=((0, 1), 'opposed'), witness3=None)"
-    )
-    graded_report = graded.GradedStrongReport(True, True, True, None, None, None, True, None)
-    assert repr(graded_report) == (
-        "GradedStrongReport(condition1=True, condition2=True, condition3=True, "
-        "witness1=None, witness2=None, witness3=None, corner_identity=True, "
-        "corner_identity_witness=None)"
     )
     result = graded.ObjectUnitalResult(False, (None,), (0, "identity component not unital"))
     assert repr(result) == (
