@@ -318,10 +318,6 @@ def _digest(path: str | Path) -> dict:
     return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _coords(x) -> list[int]:
-    return [int(c) for c in (x.coords if hasattr(x, "coords") else x)]
-
-
 class Reporter:
     def __init__(self, command: str, args):
         self.report: dict = {
@@ -403,7 +399,7 @@ def _cmd_check_ring(args) -> int:
     rep.info("ring", {"modulus": ring.modulus, "rank": ring.rank, "order": ring.order})
     rep.info("unital", one is not None)
     if one is not None:
-        rep.info("identity", _coords(one))
+        rep.info("identity", list(one.coords))
     return rep.emit()
 
 

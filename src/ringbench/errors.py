@@ -171,8 +171,8 @@ class CompositionDomainMismatch(WorkbenchError):
 
 
 class IdentityLawViolation(WorkbenchError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """An identity morphism is not an endomorphism of its object, or fails
+    the left or right unit law on some morphism."""
 
 
 class CategoryTooLarge(WorkbenchError):

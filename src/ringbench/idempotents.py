@@ -30,6 +30,7 @@ from .errors import (
     ZeroIdempotent,
 )
 from .finring import (
+    DEFAULT_LATTICE_CAP,
     AdditiveSubgroup,
     FiniteRing,
     RingElement,
@@ -98,11 +99,6 @@ def validate_complete_set(
 # component tables
 
 
-def _components(iset: IdempotentSet) -> list[list[AdditiveSubgroup]]:
-    ring = iset.ring
-    return [[ring.sandwich(ei.coords, ej.coords) for ej in iset.elements] for ei in iset.elements]
-
-
 class PeirceTable:
     """All k^2 components e_i S e_j as subgroups of S.  The diagonal
     component (i, i) is the corner e_i S e_i, a subring with unit e_i; it is
@@ -120,20 +116,24 @@ class PeirceTable:
         return self.components[i][j]
 
     @cached_property
-    def strength_table(self) -> strength.ComponentTable:
-        """The components with the strength operations and one product memo,
-        shared by ``condition3`` and strong_condition_report."""
-        return _strength_table(self.components, self.iset.elements)
-
-    @cached_property
-    def condition3(self) -> tuple[bool, tuple | None]:
-        """The condition-3 verdict and witness, evaluated once per table on
-        first use; ``strong`` and strong_condition_report both read it."""
-        return strength.condition3(self.strength_table)
+    def report(self) -> StrongnessReport:
+        """The three strength conditions, evaluated once per table on first
+        use; ``strong`` and strong_condition_report both read it."""
+        return strength.report(strength.ComponentTable(
+            self.components,
+            is_zero=AdditiveSubgroup.is_zero,
+            product=product_subgroup,
+            holds_unit=lambda prod, p: prod.contains(self.iset.elements[p]),
+            third_zero="third component is zero",
+            product_misses="product does not recover the component",
+            opposed_zero="opposed component is zero",
+            diagonal_missed="product does not recover the diagonal",
+            unit_missed="idempotent not reached by the product",
+        ))
 
     @property
     def strong(self) -> bool:
-        return self.condition3[0]
+        return self.report.strong
 
 
 def peirce_table(iset: IdempotentSet) -> PeirceTable:
@@ -142,50 +142,32 @@ def peirce_table(iset: IdempotentSet) -> PeirceTable:
     The component orders must multiply to |S| (the two-sided decomposition
     refines both one-sided ones); this is re-verified on every call.
     """
-    ring = iset.ring
-    table = _components(iset)
+    ring, elems = iset.ring, iset.elements
+    table = tuple(tuple(ring.sandwich(ei.coords, ej.coords) for ej in elems) for ei in elems)
     if direct_sum_defect(ring, [sub for row in table for sub in row]) is not None:
         raise InvariantViolation("component table does not decompose the ring")
-    return PeirceTable(ring, iset, tuple(tuple(row) for row in table))
+    return PeirceTable(ring, iset, table)
 
 
 # ---------------------------------------------------------------------------
 # strength conditions
 
 
-def _strength_table(components, elems) -> strength.ComponentTable:
-    return strength.ComponentTable(
-        components,
-        is_zero=AdditiveSubgroup.is_zero,
-        product=product_subgroup,
-        holds_unit=lambda prod, p: prod.contains(elems[p]),
-        third_zero="third component is zero",
-        product_misses="product does not recover the component",
-        opposed_zero="opposed component is zero",
-        diagonal_missed="product does not recover the diagonal",
-        unit_missed="idempotent not reached by the product",
-    )
-
-
 def strong_condition_report(table: PeirceTable) -> StrongnessReport:
     """Evaluate the three strength conditions independently and literally.
 
     Condition 1 quantifies over all ordered index triples including repeats;
-    the degenerate triple (i, i, i) amounts to S_i S_i = S_i.  Condition 3
-    is the table's own verdict, evaluated once per table, and all three
-    conditions read one memo of the table's products.
+    the degenerate triple (i, i, i) amounts to S_i S_i = S_i.  The report is
+    the table's own, evaluated once per table, and all three conditions read
+    one memo of the table's products.
     """
-    t = table.strength_table
-    c1, w1 = strength.condition1(t)
-    c2, w2 = strength.condition2(t)
-    c3, w3 = table.condition3
-    return StrongnessReport(c1, c2, c3, w1, w2, w3)
+    return table.report
 
 
 def is_strong(iset: IdempotentSet) -> bool:
-    """Condition-3 verdict (the cheapest of the equivalent formulations)."""
-    verdict, _ = strength.condition3(_strength_table(_components(iset), iset.elements))
-    return verdict
+    """Whether the set is strong: the verdict of its Peirce table's one
+    report, so the decomposition is re-verified on this path too."""
+    return peirce_table(iset).strong
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +214,7 @@ class CornerLatticeCertificate(NamedTuple):
 
 
 def corner_lattice_correspondence(
-    table: PeirceTable, i: int, j: int, side: str, cap: int = 100_000
+    table: PeirceTable, i: int, j: int, side: str, cap: int = DEFAULT_LATTICE_CAP
 ) -> CornerLatticeCertificate:
     """Materialize both posets and certify the inclusion-preserving bijection.
 
@@ -336,7 +318,7 @@ def ideal_lattice_shape(subring: AdditiveSubgroup, side: str, cap: int) -> tuple
     return len(ideals), posets.longest_chain_length(lt)
 
 
-def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = 100_000) -> ChainProfile:
+def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = DEFAULT_LATTICE_CAP) -> ChainProfile:
     table = peirce_table(iset)
     report = strong_condition_report(table)
     corners = tuple(

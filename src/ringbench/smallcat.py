@@ -66,13 +66,14 @@ class CompositionTable(Mapping):
 
 
 class SmallCategory:
-    __slots__ = ("object_count", "dom", "cod", "identity", "compose")
+    __slots__ = ("object_count", "dom", "cod", "identity", "compose", "_homset_report")
 
     def __init__(self, object_count: int, dom: tuple[int, ...], cod: tuple[int, ...],
                  identity: tuple[int, ...], compose: CompositionTable):
         self.object_count, self.dom, self.cod = object_count, dom, cod
         self.identity = identity
         self.compose = compose  # all q^2 pairs; UNDEFINED when not composable
+        self._homset_report = None  # filled by homset_strong_report on first use
 
     @property
     def morphism_count(self) -> int:
@@ -216,19 +217,21 @@ def _set_product(cat: SmallCategory, A: frozenset[int], B: frozenset[int]) -> fr
 
 def homset_strong_report(cat: SmallCategory) -> strength.StrongnessReport:
     """The three hom-set strength conditions, with smallest lexicographic
-    object witnesses on failure."""
-    table = strength.ComponentTable(
-        _hom_table(cat),
-        is_zero=lambda hs: not hs,
-        product=lambda A, B: _set_product(cat, A, B),
-        holds_unit=lambda composites, x: cat.identity[x] in composites,
-        third_zero="third hom-set is empty",
-        product_misses="composite set misses morphisms",
-        opposed_zero="opposed hom-set is empty",
-        diagonal_missed="endo set not recovered",
-        unit_missed="identity not reached",
-    )
-    return strength.report(table)
+    object witnesses on failure; evaluated once per category on first use
+    and then read from the category."""
+    if cat._homset_report is None:
+        cat._homset_report = strength.report(strength.ComponentTable(
+            _hom_table(cat),
+            is_zero=lambda hs: not hs,
+            product=lambda A, B: _set_product(cat, A, B),
+            holds_unit=lambda composites, x: cat.identity[x] in composites,
+            third_zero="third hom-set is empty",
+            product_misses="composite set misses morphisms",
+            opposed_zero="opposed hom-set is empty",
+            diagonal_missed="endo set not recovered",
+            unit_missed="identity not reached",
+        ))
+    return cat._homset_report
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from ringbench import graded as gr
 from ringbench import idempotents as idem
 from ringbench import skewalg as sk
 from ringbench import smallcat as sc
+from ringbench import strength
 from ringbench import verify
 from ringbench.errors import (
     CategoryNotHomSetStrong,
@@ -331,3 +332,40 @@ class TestVerdictsOncePerGrading:
             assert spans[inst.algebra.grading] == expected, inst.name
             checked += expected > 0
         assert checked
+
+
+def category_evaluations(monkeypatch) -> list:
+    """The category tables strength.condition1 is asked to judge from now on."""
+    calls = []
+    condition1 = strength.condition1
+
+    def counting(t):
+        if t.third_zero == "third hom-set is empty":
+            calls.append(t)
+        return condition1(t)
+
+    monkeypatch.setattr(strength, "condition1", counting)
+    return calls
+
+
+class TestReportOncePerCategory:
+    def test_one_category_is_judged_once(self, monkeypatch):
+        calls = category_evaluations(monkeypatch)
+        grading = corpus._matrix_grading_m2(2)
+        category = grading.category
+        report = sc.homset_strong_report(category)
+        assert sc.finiteness_report(category).homset_strong == report.strong
+        flags = gr.compute_flags(grading)
+        assert flags.homset_report is not None
+        assert gr.homset_strongly_graded_report(grading) == flags.homset_report
+        assert sc.homset_strong_report(category) is report
+        assert len(calls) == 1
+
+    def test_compute_flags_over_the_gradings_suite(self, monkeypatch):
+        calls = category_evaluations(monkeypatch)
+        suite = corpus.generate_suite("gradings", 1729)
+        for inst in suite:
+            gr.compute_flags(inst.grading)
+        judged = {id(inst.grading.category) for inst in suite
+                  if inst.grading.category._homset_report is not None}
+        assert len(calls) == len(judged) == 21

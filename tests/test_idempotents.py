@@ -153,41 +153,53 @@ class TestStrongConditions:
         iset = idem.validate_complete_set(ring, [fr.find_identity(ring)])
         assert idem.is_strong(iset)
 
-    def test_condition3_evaluated_once_per_table(self, monkeypatch):
+    def test_each_condition_evaluated_once_per_table(self, monkeypatch):
         ring = corpus.matrix_units_ring(2, 2)
         iset = idem.validate_complete_set(ring, [ring.basis_element(0), ring.basis_element(3)])
         table = idem.peirce_table(iset)
         calls = []
-        condition3 = strength.condition3
-        monkeypatch.setattr(strength, "condition3", lambda t: calls.append(t) or condition3(t))
+        for name in ("condition1", "condition2", "condition3"):
+            condition = getattr(strength, name)
+            monkeypatch.setattr(
+                strength, name,
+                lambda t, name=name, condition=condition: calls.append(name) or condition(t),
+            )
         report = idem.strong_condition_report(table)
         assert report.strong and table.strong
         assert idem.strong_condition_report(table) == report
-        assert len(calls) == 1
+        assert calls == ["condition1", "condition2", "condition3"]
 
     def test_each_product_formed_once_per_report(self, monkeypatch):
         """Condition 1's products at (p, q, p) are the ones conditions 2 and
-        3 ask for again; one report forms each of them once."""
-        calls = []
+        3 ask for again; one report forms each distinct product it asks for
+        once."""
+        calls, asked = [], set()
         product = fr.product_subgroup
+        product_at = strength.ComponentTable.product_at
 
         def counting(a, b):
             calls.append((id(a), id(b)))
             return product(a, b)
 
+        def asking(t, i, j, l):
+            asked.add((i, j, l))
+            return product_at(t, i, j, l)
+
         monkeypatch.setattr(idem, "product_subgroup", counting)
+        monkeypatch.setattr(strength.ComponentTable, "product_at", asking)
         for inst in corpus.generate_suite("prop-2.4"):
             table = idem.peirce_table(idem.validate_complete_set(inst.ring, inst.idempotents))
             calls.clear()
+            asked.clear()
             idem.strong_condition_report(table)
             assert len(calls) == len(set(calls)), inst.name
-            assert len(calls) == len(table.strength_table.products), inst.name
+            assert len(calls) == len(asked), inst.name
 
-    def test_is_strong_matches_condition3(self, m2_setup, t2_setup):
+    def test_is_strong_matches_the_report(self, m2_setup, t2_setup):
         _, m2_iset, m2_table = m2_setup
         _, t2_iset, t2_table = t2_setup
-        assert idem.is_strong(m2_iset) == idem.strong_condition_report(m2_table).condition3
-        assert idem.is_strong(t2_iset) == idem.strong_condition_report(t2_table).condition3
+        assert idem.is_strong(m2_iset) == idem.strong_condition_report(m2_table).strong
+        assert idem.is_strong(t2_iset) == idem.strong_condition_report(t2_table).strong
 
 
 class TestCornerLatticeCorrespondence:

@@ -60,3 +60,24 @@ def test_no_dataclasses_import():
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend(f"{path.name}:{line}" for _, line in imports_of(tree, "dataclasses"))
     assert found == []
+
+
+def test_only_strength_evaluates_the_conditions():
+    """The three strength conditions have one evaluator, strength.report:
+    no other module calls them or imports them by name."""
+    conditions = {"condition1", "condition2", "condition3"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "strength.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in conditions:
+                used = isinstance(node.value, ast.Name) and node.value.id == "strength"
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("strength"):
+                used = any(alias.name in conditions for alias in node.names)
+            else:
+                continue
+            if used:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
