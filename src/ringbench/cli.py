@@ -58,7 +58,8 @@ are read; a ring whose associativity check would take more
 than finring.MAX_ASSOCIATIVITY_WORK steps (WorkTooLarge) before the check
 runs; a category file's morphism count above smallcat.MAX_MORPHISMS
 (CategoryTooLarge) before its arrows are read.  A lattice enumeration stops
-past finring.MAX_LATTICE_SCAN_WORK scanned steps (LatticeScanTooLarge).
+past finring.MAX_LATTICE_WORK steps (LatticeTooLarge), counted as it scans
+elements and before each round of joins.
 
 Every invocation prints one JSON report to standard output (suppress the
 timings block with --no-timings for byte-identical reruns).  Exit codes:
@@ -439,7 +440,7 @@ def _cmd_ideal_lattice(args) -> int:
     rep = Reporter("ideal-lattice", args)
     ring = parse_ring_file(args.ring)
     rep.add_input(args.ring)
-    lattice = fr.enumerate_one_sided_ideals(ring, args.side, args.max_lattice)
+    lattice = fr.enumerate_one_sided_ideals(ring, args.side)
     rep.verdict("enumerated", True)
     rep.info("size", lattice.size)
     rep.info("height", lattice.height)
@@ -581,18 +582,6 @@ def _cmd_gen_suite(args) -> int:
 # entry point
 
 
-def _lattice_cap(text: str) -> int:
-    """--max-lattice: an int of at least 1, refused while parsing, before
-    any file is read."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
-    return cap
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors, so that main reports them as JSON with exit 2;
     subcommand parsers are made from this class too."""
@@ -610,12 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="emit verdict lines only")
     parser.add_argument(
         "--no-timings", action="store_true", help="omit the timings block for reproducible output"
-    )
-    parser.add_argument(
-        "--max-lattice",
-        type=_lattice_cap,
-        default=fr.DEFAULT_LATTICE_CAP,
-        help="working-set cap for ideal enumeration",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -116,19 +116,25 @@ GROUP_NAMES = frozenset({"c1", "c2", "c3", "c4", "c5", "c6", "v4", "s3"})
 # ring builders
 
 
-def matrix_units_ring(m: int, size: int) -> fr.FiniteRing:
-    """The ring of size x size matrices over Z/m on the matrix-unit basis."""
-    pairs = [(a, b) for a in range(size) for b in range(size)]
+def _matrix_unit_ring(m: int, pairs: list[tuple[int, int]]) -> fr.FiniteRing:
+    """The matrices over Z/m spanned by the matrix units E_ab, (a, b) in
+    ``pairs``, on that basis; E_ab E_bd = E_ad must be among them."""
+    index = {p: i for i, p in enumerate(pairs)}
     n = len(pairs)
-    if m**n > MAX_RING_ORDER:
-        raise ParameterOutOfRange(f"matrix ring order {m}^{n} exceeds {MAX_RING_ORDER}")
     sc = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
             if b == c:
-                sc[i][j][pairs.index((a, d))] = 1
-    labels = [f"E{a + 1}{b + 1}" for a, b in pairs]
-    return fr.make_ring(m, n, sc, labels)
+                sc[i][j][index[a, d]] = 1
+    return fr.make_ring(m, n, sc, [f"E{a + 1}{b + 1}" for a, b in pairs])
+
+
+def matrix_units_ring(m: int, size: int) -> fr.FiniteRing:
+    """The ring of size x size matrices over Z/m on the matrix-unit basis."""
+    pairs = [(a, b) for a in range(size) for b in range(size)]
+    if m ** len(pairs) > MAX_RING_ORDER:
+        raise ParameterOutOfRange(f"matrix ring order {m}^{len(pairs)} exceeds {MAX_RING_ORDER}")
+    return _matrix_unit_ring(m, pairs)
 
 
 def cyclic_ring(m: int) -> fr.FiniteRing:
@@ -142,15 +148,7 @@ def zero_multiplication_ring(m: int, rank: int = 1) -> fr.FiniteRing:
 
 def upper_triangular_ring(m: int, size: int = 2) -> fr.FiniteRing:
     """Upper triangular size x size matrices over Z/m on matrix units."""
-    pairs = [(a, b) for a in range(size) for b in range(size) if a <= b]
-    n = len(pairs)
-    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if b == c and (a, d) in pairs:
-                sc[i][j][pairs.index((a, d))] = 1
-    labels = [f"E{a + 1}{b + 1}" for a, b in pairs]
-    return fr.make_ring(m, n, sc, labels)
+    return _matrix_unit_ring(m, [(a, b) for a in range(size) for b in range(size) if a <= b])
 
 
 def field4() -> fr.FiniteRing:

@@ -90,22 +90,14 @@ class RingMismatch(WorkbenchError):
 
 
 class LatticeTooLarge(WorkbenchError):
-    """Ideal enumeration exceeded the working-set cap."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"ideal enumeration exceeded cap of {cap}")
-
-
-class LatticeScanTooLarge(WorkbenchError):
-    """A lattice enumeration scanned more work (elements x rank^2, one Howell
-    reduction per element) than its cap; counted during the scan, so of this
-    and LatticeTooLarge whichever cap is reached first raises."""
+    """A lattice enumeration passed its work budget (rank^2 steps per element
+    scanned and per pair of subgroups to be joined); counted as it goes, so
+    the refusal comes before the work."""
 
     def __init__(self, work: int, cap: int):
         self.work = work
         self.cap = cap
-        super().__init__(f"lattice scan reached {work} steps, above the cap of {cap}")
+        super().__init__(f"lattice enumeration reached {work} steps, above the cap of {cap}")
 
 
 class CornerNotFree(WorkbenchError):

@@ -16,9 +16,10 @@ Additive subgroups are kept in Howell normal form, which is a true canonical
 form over Z/m, so subgroup equality is decided by comparing bases.  One-sided
 ideals are generated nonunitally (the ideal of x is Z x + S x, never just
 S x) and whole lattices of one-sided ideals are enumerated by closing the
-principal ideals, one per unit class of generators, under pairwise joins of
-subgroups neither of which contains the other, once per ring: each ring
-memoizes its submodule lattices.
+principal ideals, one per unit class of generators, under joins with each
+principal, once per ring: each ring memoizes its submodule lattices.  An
+enumeration counts its work as it goes and stops past MAX_LATTICE_WORK
+steps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from . import howell, posets
 from .errors import (
     CornerNotFree,
     InvariantViolation,
-    LatticeScanTooLarge,
     LatticeTooLarge,
     ModulusMismatch,
     ModulusTooLarge,
@@ -44,7 +44,6 @@ from .errors import (
     WorkTooLarge,
 )
 
-DEFAULT_LATTICE_CAP = 100_000
 # Bits a modulus may have, checked before the constants are read.  A step on
 # a 256-bit residue costs about what it costs on a small one, and the order
 # m^rank of a ring of rank up to MAX_RANK has at most 3,700 decimal digits.
@@ -56,10 +55,11 @@ MAX_RANK = 48
 # it runs: about a second of work.  A ring whose constants are all nonzero
 # reaches it at rank 22; sparse rings stay far below it up to MAX_RANK.
 MAX_ASSOCIATIVITY_WORK = 10_000_000
-# Steps a lattice enumeration may scan (elements x rank^2, one Howell
-# reduction per element), counted during the scan: about a second of work.
-# The largest suite ring, of order 256 and rank 8, scans 16,384.
-MAX_LATTICE_SCAN_WORK = 1_000_000
+# Steps a lattice enumeration may take, counted as it goes: rank^2 per
+# element scanned and per pair of subgroups to be joined, each about one
+# Howell reduction.  About a second of work; the suite's lattices take at
+# most 57,722 (prop-lattice and fixture-counts at eight suite seeds).
+MAX_LATTICE_WORK = 1_000_000
 
 
 class FiniteRing:
@@ -532,38 +532,42 @@ class IdealLattice:
         self.cover_relation, self.height, self.size = cover_relation, height, size
 
 
+def _charged(work: int) -> int:
+    """``work``, or LatticeTooLarge when it passes MAX_LATTICE_WORK."""
+    if work > MAX_LATTICE_WORK:
+        raise LatticeTooLarge(work, MAX_LATTICE_WORK)
+    return work
+
+
 def join_closure(
-    principals: Iterable[AdditiveSubgroup], cap: int
+    principals: Sequence[AdditiveSubgroup], work: int = 0
 ) -> list[AdditiveSubgroup]:
-    """Close a family of subgroups under pairwise joins until a fixpoint.
+    """The joins of every nonempty family of ``principals``, sorted by
+    (order, basis).
 
-    Returns the distinct subgroups sorted by (order, basis).  Raises
-    LatticeTooLarge as soon as more than ``cap`` distinct subgroups are
-    found, while collecting the principals or while joining; a truncated
-    family is never returned.
-
-    A pair where one subgroup contains the other is not joined: its join is
-    the larger one, already found.  Skipping it leaves the family, the order
-    of insertion and the point where the cap is reached unchanged.
+    Each round joins the subgroups new since the last round with every
+    principal, since every join of principals is reached one principal at
+    a time.  A round charges rank^2 steps per pair it will test before it
+    tests any, on top of the ``work`` already done, and LatticeTooLarge is
+    raised past MAX_LATTICE_WORK; a truncated family is never returned.  A
+    pair where one subgroup contains the other is not joined: its join is
+    the larger one, already found.
     """
-    found: dict[tuple, AdditiveSubgroup] = {}
-    batch = principals
-    while True:
-        fresh: list[AdditiveSubgroup] = []
-        for sub in batch:
-            if sub.key not in found:
-                found[sub.key] = sub
-                fresh.append(sub)
-                if len(found) > cap:
-                    raise LatticeTooLarge(cap)
-        if not fresh:
-            return sorted(found.values(), key=lambda s: (s.order, s.key))
-        # every subgroup found so far against each one new since last round;
-        # product() takes both lists now, before ``fresh`` is rebound
-        existing = sorted(found.values(), key=lambda s: s.key)
-        batch = (
-            a.join(b) for a, b in itertools.product(existing, fresh) if not _nested(a, b)
-        )
+    found = {p.key: p for p in principals}
+    principals = frontier = list(found.values())
+    step = frontier[0].ring.rank ** 2 if frontier else 0
+    while frontier:
+        work = _charged(work + len(frontier) * len(principals) * step)
+        fresh = []
+        for a in frontier:
+            for p in principals:
+                if not _nested(a, p):
+                    b = a.join(p)
+                    if b.key not in found:
+                        found[b.key] = b
+                        fresh.append(b)
+        frontier = fresh
+    return sorted(found.values(), key=lambda s: (s.order, s.key))
 
 
 def _nested(a: AdditiveSubgroup, b: AdditiveSubgroup) -> bool:
@@ -571,18 +575,6 @@ def _nested(a: AdditiveSubgroup, b: AdditiveSubgroup) -> bool:
     divide the larger before the rows are tested."""
     lo, hi = (a, b) if a.order <= b.order else (b, a)
     return hi.order % lo.order == 0 and lo <= hi
-
-
-def _scanned(ambient: AdditiveSubgroup) -> Iterator[tuple[int, ...]]:
-    """The elements of ``ambient``, raising LatticeScanTooLarge as soon as
-    they add up to more than MAX_LATTICE_SCAN_WORK steps of rank^2 each."""
-    step = ambient.ring.rank ** 2
-    work = 0
-    for x in ambient.element_vectors():
-        work += step
-        if work > MAX_LATTICE_SCAN_WORK:
-            raise LatticeScanTooLarge(work, MAX_LATTICE_SCAN_WORK)
-        yield x
 
 
 def _lead_divides(x: tuple[int, ...], m: int) -> bool:
@@ -593,33 +585,47 @@ def _lead_divides(x: tuple[int, ...], m: int) -> bool:
     return True
 
 
+def _principals(
+    acting: AdditiveSubgroup, ambient: AdditiveSubgroup, side: str
+) -> tuple[list[AdditiveSubgroup], int]:
+    """The distinct principal submodules Z x + acting*x (or Z x + x*acting)
+    for x in ``ambient``, in order of first appearance, and the work of the
+    scan: rank^2 steps per element, charged as it is scanned.
+
+    The principal of u x is that of x for every unit u of Z/m, so only the
+    x whose first nonzero coordinate divides m are spanned.  The scan runs
+    in lexicographic coefficient order over the Howell rows, where the
+    members of a unit class with that leading coordinate come first, so
+    every principal is still met first at the element that first gives it.
+    """
+    ring = ambient.ring
+    principal, m, step = _principal_generators(ring, acting.rows, side), ring.modulus, ring.rank**2
+    found: dict[tuple, AdditiveSubgroup] = {}
+    work = 0
+    for x in ambient.element_vectors():
+        work = _charged(work + step)
+        if _lead_divides(x, m):
+            sub = ring.span(principal(x))
+            found.setdefault(sub.key, sub)
+    return list(found.values()), work
+
+
 def submodule_lattice(
-    acting: AdditiveSubgroup, ambient: AdditiveSubgroup, side: str, cap: int
+    acting: AdditiveSubgroup, ambient: AdditiveSubgroup, side: str
 ) -> tuple[tuple[AdditiveSubgroup, ...], tuple[int, ...]]:
     """All subgroups M of ``ambient`` with acting*M inside M (left) or
     M*acting inside M (right), sorted by (order, basis), and their strict
     inclusion relation as row bitsets (posets.strict_order_matrix).
 
-    Every such M is a finite join of principal ones, Z x + acting*x (or
-    Z x + x*acting) for x in ``ambient``; the principals are formed one
-    element at a time and closed under pairwise joins.  Raises
-    LatticeTooLarge past ``cap`` subgroups, and LatticeScanTooLarge past
-    MAX_LATTICE_SCAN_WORK scanned steps, whichever comes first; a truncated
-    family is never returned.
-
-    The principal of u x is that of x for every unit u of Z/m, so only the
-    x whose first nonzero coordinate divides m are spanned.  The scan runs
-    in lexicographic coefficient order over the Howell rows, where the
-    members of a unit class with that leading coordinate come first: every
-    principal is still met first at the element that first gives it, so the
-    family, its order of discovery and the point where either cap is reached
-    are those of spanning every element.  Every element counts toward the
-    scan cap.
+    Every such M is a finite join of principal ones: the principals are
+    found by one scan of ``ambient`` and closed under joins with them.  The
+    scan and the joins share one budget of MAX_LATTICE_WORK steps, and
+    LatticeTooLarge is raised as soon as they pass it.  Every subgroup kept
+    comes from a charged element or a charged pair, so the budget also
+    bounds the family at MAX_LATTICE_WORK / rank^2 subgroups.
 
     Each lattice is enumerated once per ring: the ring memoizes the result,
-    keyed by (acting, ambient, side).  A hit longer than ``cap`` raises
-    LatticeTooLarge, as the enumeration would, since join_closure's family
-    only grows; a raised error is never memoized.
+    keyed by (acting, ambient, side); a raised error is never memoized.
     """
     if acting.ring is not ambient.ring:
         raise RingMismatch("subgroups bound to different rings")
@@ -627,29 +633,19 @@ def submodule_lattice(
     key = (acting.key, ambient.key, side)
     lattice = ring._lattices.get(key)
     if lattice is None:
-        principal, m = _principal_generators(ring, acting.rows, side), ring.modulus
-        subs = tuple(
-            join_closure(
-                (ring.span(principal(x)) for x in _scanned(ambient) if _lead_divides(x, m)),
-                cap,
-            )
-        )
+        subs = tuple(join_closure(*_principals(acting, ambient, side)))
         lt = posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
         lattice = ring._lattices[key] = subs, tuple(lt)
-    elif len(lattice[0]) > cap:
-        raise LatticeTooLarge(cap)
     return lattice
 
 
-def enumerate_one_sided_ideals(
-    ring: FiniteRing, side: str, cap: int = DEFAULT_LATTICE_CAP
-) -> IdealLattice:
+def enumerate_one_sided_ideals(ring: FiniteRing, side: str) -> IdealLattice:
     """Materialize the poset of all one-sided ideals of the given side: the
     submodule lattice of S acting on itself.  Raises LatticeTooLarge past
-    ``cap`` ideals.
+    MAX_LATTICE_WORK steps.
     """
     full = ring.full_subgroup()
-    subs, lt = submodule_lattice(full, full, side, cap)
+    subs, lt = submodule_lattice(full, full, side)
     return IdealLattice(
         ring,
         side,
@@ -779,6 +775,9 @@ def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
                 f"moduli differ: {m} vs {r.modulus}"
             )
     total = sum(r.rank for r in rings)
+    # the rank cap _build_ring applies, before the total^3 table exists
+    if total > MAX_RANK:
+        raise RankTooLarge(total, MAX_RANK)
     sc = [[[0] * total for _ in range(total)] for _ in range(total)]
     labels = []
     offset = 0

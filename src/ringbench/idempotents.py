@@ -30,7 +30,6 @@ from .errors import (
     ZeroIdempotent,
 )
 from .finring import (
-    DEFAULT_LATTICE_CAP,
     AdditiveSubgroup,
     FiniteRing,
     RingElement,
@@ -214,7 +213,7 @@ class CornerLatticeCertificate(NamedTuple):
 
 
 def corner_lattice_correspondence(
-    table: PeirceTable, i: int, j: int, side: str, cap: int = DEFAULT_LATTICE_CAP
+    table: PeirceTable, i: int, j: int, side: str
 ) -> CornerLatticeCertificate:
     """Materialize both posets and certify the inclusion-preserving bijection.
 
@@ -230,10 +229,10 @@ def corner_lattice_correspondence(
 
     comps = table.components
     corner = comps[i][i]
-    ideals, ideal_lt = _submodules(corner, corner, side, cap)
+    ideals, ideal_lt = _submodules(corner, corner, side)
     # e_j S e_i on the left, e_i S e_j on the right; S_j acts on both
     ambient, opposed = (comps[j][i], comps[i][j]) if side == "left" else (comps[i][j], comps[j][i])
-    submodules, sub_lt = _submodules(comps[j][j], ambient, side, cap)
+    submodules, sub_lt = _submodules(comps[j][j], ambient, side)
 
     # each image once, as an index into the other family.  On the left
     # I = e_i I and M = e_j M, so e_j S I = S_ji I and e_i S M = S_ij M; on
@@ -311,24 +310,22 @@ class ChainProfile(NamedTuple):
     ring_right_height: int
 
 
-def ideal_lattice_shape(subring: AdditiveSubgroup, side: str, cap: int) -> tuple[int, int]:
+def ideal_lattice_shape(subring: AdditiveSubgroup, side: str) -> tuple[int, int]:
     """(size, height) of the one-sided ideal lattice of a subring such as a
     corner: its submodule lattice acting on itself."""
-    ideals, lt = _submodules(subring, subring, side, cap)
+    ideals, lt = _submodules(subring, subring, side)
     return len(ideals), posets.longest_chain_length(lt)
 
 
-def chain_profile(ring: FiniteRing, iset: IdempotentSet, cap: int = DEFAULT_LATTICE_CAP) -> ChainProfile:
+def chain_profile(ring: FiniteRing, iset: IdempotentSet) -> ChainProfile:
     table = peirce_table(iset)
     report = strong_condition_report(table)
     corners = tuple(
-        CornerProfile(
-            c.order, *ideal_lattice_shape(c, "left", cap), *ideal_lattice_shape(c, "right", cap)
-        )
+        CornerProfile(c.order, *ideal_lattice_shape(c, "left"), *ideal_lattice_shape(c, "right"))
         for c in (table.component(i, i) for i in range(iset.size))
     )
-    ring_left = enumerate_one_sided_ideals(ring, "left", cap)
-    ring_right = enumerate_one_sided_ideals(ring, "right", cap)
+    ring_left = enumerate_one_sided_ideals(ring, "left")
+    ring_right = enumerate_one_sided_ideals(ring, "right")
     return ChainProfile(
         index_size=iset.size,
         strong=report.strong,

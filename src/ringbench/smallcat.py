@@ -264,13 +264,14 @@ def build_MX(monoid_table, set_size: int) -> SmallCategory:
         table = [[int(x) for x in row] for row in monoid_table]
     except TypeError:
         raise NotAMonoid("table must be two-dimensional") from None
-    e = _check_monoid(table)
+    # both bounds before the k^3 associativity scan
     s = int(set_size)
     if s < 1:
         raise ShapeMismatch("set size must be >= 1")
     k = len(table)
     if k * s * s > MAX_MORPHISMS:
         raise CategoryTooLarge(k * s * s, MAX_MORPHISMS)
+    e = _check_monoid(table)
 
     triples = [(m, x, y) for m in range(k) for x in range(s) for y in range(s)]
     index = {t: i for i, t in enumerate(triples)}

@@ -19,7 +19,8 @@ from ringbench import cli
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import smallcat as sc
-from ringbench.errors import CategoryTooLarge, LatticeScanTooLarge, ParseError
+from ringbench import verify
+from ringbench.errors import CategoryTooLarge, LatticeTooLarge, ParseError
 
 M2_RING = """\
 # 2x2 matrices over Z/2 on matrix units
@@ -70,10 +71,10 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def _write_zero_ring(path: Path, n: int) -> None:
-    """The zero-multiplication ring of rank n over Z/2."""
+def _write_zero_ring(path: Path, n: int, m: int = 2) -> None:
+    """The zero-multiplication ring of rank n over Z/m."""
     zeros = "  ".join([" ".join(["0"] * n)] * n)
-    path.write_text(f"modulus 2\nrank {n}\nconstants\n" + "\n".join([zeros] * n) + "\n")
+    path.write_text(f"modulus {m}\nrank {n}\nconstants\n" + "\n".join([zeros] * n) + "\n")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -548,7 +549,7 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ParseError"
 
-    def test_lattice_scan_above_cap_exits_two(self, workdir, capsys):
+    def test_lattice_scan_above_budget_exits_two(self, workdir, capsys):
         # F_2[x]/(x^16 + x^3 + 1) has only two left ideals, but listing them
         # scans all 2^16 elements: 37 s before the scan was capped
         n = 16
@@ -569,10 +570,42 @@ class TestExitCodes:
         assert time.perf_counter() - start < 10
         assert code == 2
         error = json.loads(out)["error"]
-        assert error["type"] == "LatticeScanTooLarge"
-        # refused at the first element whose n^2 steps pass the cap
-        work = (fr.MAX_LATTICE_SCAN_WORK // (n * n) + 1) * n * n
-        assert error["message"] == str(LatticeScanTooLarge(work, fr.MAX_LATTICE_SCAN_WORK))
+        assert error["type"] == "LatticeTooLarge"
+        # refused at the first element whose n^2 steps pass the budget
+        work = (fr.MAX_LATTICE_WORK // (n * n) + 1) * n * n
+        assert error["message"] == str(LatticeTooLarge(work, fr.MAX_LATTICE_WORK))
+
+    @pytest.mark.parametrize("m, n", [(2, 6), (4, 4), (8, 3)])
+    def test_lattice_joins_above_budget_exit_two(self, tmp_path, m, n):
+        # every additive subgroup of a zero ring is an ideal: (Z/2)^6 has
+        # 2,825, and joining every pair of them ran past a minute.  The
+        # scan fits the budget and the rounds of joins pass it
+        _write_zero_ring(tmp_path / "zero.ring", n, m)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringbench.cli", "--no-timings", "ideal-lattice", "zero.ring"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "LatticeTooLarge"
+        assert m**n * n * n < fr.MAX_LATTICE_WORK
+
+    def test_zero_ring_of_rank_five_is_enumerated(self, tmp_path, capsys, monkeypatch):
+        # every subgroup of (Z/2)^5 is an ideal.  Joining each new subgroup
+        # with the 32 principals tests at most 374 x 32 pairs; joining every
+        # pair of subgroups found made 93,496 joins
+        joins = []
+        join = fr.AdditiveSubgroup.join
+        monkeypatch.setattr(fr.AdditiveSubgroup, "join", lambda a, b: joins.append(1) or join(a, b))
+        _write_zero_ring(tmp_path / "zero.ring", 5)
+        code, out = run(capsys, "--no-timings", "ideal-lattice", tmp_path / "zero.ring")
+        assert code == 0
+        assert len(joins) <= 374 * 32
+        monkeypatch.undo()
+        report = json.loads(out)
+        oracle = verify.brute_force_one_sided_ideal_count(corpus.zero_multiplication_ring(2, 5), "left")
+        assert (report["size"], report["height"]) == oracle == (374, 5)
 
     def test_usage_error_exits_two_with_json(self, capsys):
         code, out = run(capsys, "--bogus")
@@ -586,15 +619,15 @@ class TestExitCodes:
         code, out = run(capsys, "--quiet", "build-mx", "c2", "abc")
         assert (code, out) == (2, "error UsageError\n")
 
-    def test_nonpositive_lattice_cap_is_a_usage_error(self, capsys):
-        # refused while parsing: the missing ring file is never opened
-        for cap in ("0", "-5"):
-            code, out = run(capsys, "--max-lattice", cap, "ideal-lattice", "missing.ring")
-            assert code == 2
-            assert json.loads(out)["error"] == {
-                "type": "UsageError",
-                "message": f"argument --max-lattice: must be at least 1, got {cap}",
-            }
+    def test_max_lattice_is_not_an_option(self, capsys):
+        # the lattice's one bound is finring.MAX_LATTICE_WORK; the flag that
+        # set a size cap is refused while parsing, before any file is read
+        code, out = run(capsys, "--max-lattice=5", "ideal-lattice", "missing.ring")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "UsageError",
+            "message": "unrecognized arguments: --max-lattice=5",
+        }
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,6 @@ from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import verify
 from ringbench.errors import (
-    LatticeScanTooLarge,
     LatticeTooLarge,
     ModulusMismatch,
     ModulusTooLarge,
@@ -267,21 +266,27 @@ class TestIdealLattice:
         base = fr.enumerate_one_sided_ideals(m2f2, "left")
         assert (lat.size, lat.height) == (base.size, base.height)
 
-    def test_cap_raises(self, m2f2):
-        with pytest.raises(LatticeTooLarge):
-            fr.enumerate_one_sided_ideals(m2f2, "left", cap=2)
+    def test_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 2)
+        with pytest.raises(LatticeTooLarge) as exc:
+            fr.enumerate_one_sided_ideals(corpus.matrix_units_ring(2, 2), "left")
+        # the first element's rank^2 = 16 steps already pass it
+        assert (exc.value.work, exc.value.cap) == (16, 2)
 
-    def test_principals_stream_before_the_cap(self):
+    def test_principals_stream_before_the_budget(self):
         # 2^20 elements: listing them, or their 21 generator rows each, up
-        # front would take hundreds of MB before the cap could act
+        # front would take hundreds of MB before the budget could act; what
+        # is kept is the 2,500 principals the budget allows
         ring = fr.make_ring(2, 20, np.zeros((20, 20, 20), dtype=np.int64))
         tracemalloc.start()
         try:
-            with pytest.raises(LatticeTooLarge):
-                fr.enumerate_one_sided_ideals(ring, "left", cap=100)
-            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            with pytest.raises(LatticeTooLarge) as exc:
+                fr.enumerate_one_sided_ideals(ring, "left")
+            assert tracemalloc.get_traced_memory()[1] < 4 << 20
         finally:
             tracemalloc.stop()
+        # refused at the first element whose 20^2 steps pass the budget
+        assert exc.value.work == (fr.MAX_LATTICE_WORK // 400 + 1) * 400
 
     def test_contains_zero_and_improper(self, t2f2):
         lat = fr.enumerate_one_sided_ideals(t2f2, "right")
@@ -301,84 +306,120 @@ class TestLatticeMemo:
 
     @staticmethod
     def count_closures(monkeypatch) -> list[int]:
-        """The cap of every join_closure run from now on."""
-        caps: list[int] = []
+        """The scan work handed to every join_closure run from now on."""
+        works: list[int] = []
         closure = fr.join_closure
 
-        def counted(principals, cap):
-            caps.append(cap)
-            return closure(principals, cap)
+        def counted(principals, work=0):
+            works.append(work)
+            return closure(principals, work)
 
         monkeypatch.setattr(fr, "join_closure", counted)
-        return caps
+        return works
 
     def test_second_call_returns_the_same_immutable_result(self, monkeypatch):
         ring = corpus.matrix_units_ring(2, 2)
-        caps = self.count_closures(monkeypatch)
+        works = self.count_closures(monkeypatch)
         full = ring.full_subgroup()
-        subs, lt = fr.submodule_lattice(full, full, "left", fr.DEFAULT_LATTICE_CAP)
+        subs, lt = fr.submodule_lattice(full, full, "left")
         # an equal subgroup built anew hits the same entry
-        again = fr.submodule_lattice(ring.full_subgroup(), full, "left", fr.DEFAULT_LATTICE_CAP)
+        again = fr.submodule_lattice(ring.full_subgroup(), full, "left")
         assert again == (subs, lt) and again[0] is subs
         assert type(subs) is tuple and type(lt) is tuple
-        assert len(subs) == 5 and caps == [fr.DEFAULT_LATTICE_CAP]
-        right = fr.submodule_lattice(full, full, "right", fr.DEFAULT_LATTICE_CAP)
-        assert right[0] is not subs and len(caps) == 2
+        # 16 elements of rank 4 scan 16 * 4^2 = 256 steps
+        assert len(subs) == 5 and works == [256]
+        right = fr.submodule_lattice(full, full, "right")
+        assert right[0] is not subs and len(works) == 2
 
-    def test_hit_with_a_smaller_cap_raises(self, monkeypatch):
+    def test_a_hit_is_a_plain_cache(self, monkeypatch):
         ring = corpus.matrix_units_ring(2, 2)
-        caps = self.count_closures(monkeypatch)
-        assert fr.enumerate_one_sided_ideals(ring, "left").size == 5
-        with pytest.raises(LatticeTooLarge) as exc:
-            fr.enumerate_one_sided_ideals(ring, "left", cap=4)
-        assert exc.value.cap == 4
-        assert fr.enumerate_one_sided_ideals(ring, "left", cap=5).size == 5
-        assert caps == [fr.DEFAULT_LATTICE_CAP]
+        works = self.count_closures(monkeypatch)
+        lattice = fr.enumerate_one_sided_ideals(ring, "left")
+        # a budget that no enumeration could meet: the hit is not re-checked
+        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 0)
+        again = fr.enumerate_one_sided_ideals(ring, "left")
+        assert again.size == lattice.size == 5 and again.ideals[0].subgroup is lattice.ideals[0].subgroup
+        assert len(works) == 1
 
     def test_a_failure_is_not_memoized(self, monkeypatch):
         ring = corpus.matrix_units_ring(2, 2)
-        caps = self.count_closures(monkeypatch)
-        with pytest.raises(LatticeTooLarge):
-            fr.enumerate_one_sided_ideals(ring, "left", cap=4)
-        assert fr.enumerate_one_sided_ideals(ring, "left", cap=5).size == 5
-        with pytest.raises(LatticeTooLarge):
-            fr.enumerate_one_sided_ideals(ring, "left", cap=4)
-        assert caps == [4, 5]
+        works = self.count_closures(monkeypatch)
+        # 256 steps of scan and one round of 5 x 5 pairs at 16 steps each
+        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 655)
+        with pytest.raises(LatticeTooLarge) as exc:
+            fr.enumerate_one_sided_ideals(ring, "left")
+        assert (exc.value.work, exc.value.cap) == (656, 655)
+        assert not ring._lattices
+        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 656)
+        assert fr.enumerate_one_sided_ideals(ring, "left").size == 5
+        assert works == [256, 256]
 
 
-class TestLatticeScanCap:
-    def test_cap_boundary_and_a_refusal_is_not_memoized(self, monkeypatch):
+class TestLatticeWork:
+    def test_budget_boundary_in_the_scan(self, monkeypatch):
         ring = corpus.matrix_units_ring(2, 2)
-        # 16 elements of rank 4 scan 16 * 4^2 = 256 steps
-        monkeypatch.setattr(fr, "MAX_LATTICE_SCAN_WORK", 255)
-        with pytest.raises(LatticeScanTooLarge) as exc:
+        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 255)
+        with pytest.raises(LatticeTooLarge) as exc:
             fr.enumerate_one_sided_ideals(ring, "left")
         assert (exc.value.work, exc.value.cap) == (256, 255)
+        assert str(exc.value) == "lattice enumeration reached 256 steps, above the cap of 255"
         assert not ring._lattices
-        monkeypatch.setattr(fr, "MAX_LATTICE_SCAN_WORK", 256)
-        assert fr.enumerate_one_sided_ideals(ring, "left").size == 5
 
     def test_counted_during_the_scan(self, monkeypatch):
-        # the cap is reached at the 65th of 2^20 elements, before any more
+        # the budget is reached at the 65th of 2^20 elements, before any more
         # are formed into principals
         ring = fr.make_ring(2, 20, np.zeros((20, 20, 20), dtype=np.int64))
         full = ring.full_subgroup()
-        monkeypatch.setattr(fr, "MAX_LATTICE_SCAN_WORK", 64 * 20**2)
+        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 64 * 20**2)
         spans = []
         original = fr.FiniteRing.span
         monkeypatch.setattr(
             fr.FiniteRing, "span", lambda self, rows: spans.append(1) or original(self, rows)
         )
-        with pytest.raises(LatticeScanTooLarge) as exc:
-            fr.submodule_lattice(full, full, "left", fr.DEFAULT_LATTICE_CAP)
+        with pytest.raises(LatticeTooLarge) as exc:
+            fr.submodule_lattice(full, full, "left")
         assert exc.value.work == 65 * 20**2
         assert len(spans) == 64
 
-    def test_bound_sits_above_every_suite_ring(self):
+    def test_a_round_is_charged_before_it_joins(self, monkeypatch):
+        # (Z/2)^3 with zero product: 8 principals, one per element, and a
+        # first round of 8 x 8 pairs at 9 steps each after a 72-step scan
+        ring = corpus.zero_multiplication_ring(2, 3)
+        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 72 + 8 * 8 * 9 - 1)
+        joins = []
+        original = fr.AdditiveSubgroup.join
+        monkeypatch.setattr(
+            fr.AdditiveSubgroup, "join", lambda self, other: joins.append(1) or original(self, other)
+        )
+        with pytest.raises(LatticeTooLarge) as exc:
+            fr.enumerate_one_sided_ideals(ring, "left")
+        assert exc.value.work == 72 + 8 * 8 * 9
+        assert not joins
+
+    def test_join_closure_is_every_join_of_principals(self):
+        ring = corpus.zero_multiplication_ring(2, 3)
+        principals = [ring.span([v]) for v in ring.element_vectors()]
+        family = fr.join_closure(principals)
+        # every subgroup of (Z/2)^3: 1 + 7 + 7 + 1
+        assert [s.order for s in family] == [1] + [2] * 7 + [4] * 7 + [8]
+        assert fr.join_closure(principals + principals) == family
+        assert fr.join_closure([]) == []
+
+    def test_bound_sits_above_every_suite_lattice(self, monkeypatch):
         rings = [inst.ring for inst in corpus.generate_suite("prop-2.4")]
         assert max(r.order for r in rings) == 256
-        # order 256 at rank 8 scans 16,384 steps, far below the bound
-        assert max(r.order * r.rank**2 for r in rings) * 50 < fr.MAX_LATTICE_SCAN_WORK
+        works = []
+        charged = fr._charged
+        monkeypatch.setattr(fr, "_charged", lambda work: works.append(work) or charged(work))
+        for ring in rings:
+            for side in ("left", "right"):
+                fr.enumerate_one_sided_ideals(ring, side)
+        for name in ("prop-lattice", "fixture-counts"):
+            assert verify.run_check(name).ok
+        # the scan of the order-256 rank-8 ring alone is 16,384 steps; with
+        # the joins no enumeration comes within a tenth of the bound
+        assert max(works) >= 16_384
+        assert max(works) * 10 < fr.MAX_LATTICE_WORK
 
 
 class TestCorners:
@@ -431,6 +472,23 @@ class TestDirectProduct:
     def test_modulus_mismatch(self, z2, z3):
         with pytest.raises(ModulusMismatch):
             fr.direct_product([z2, z3])
+
+    def test_rank_cap_checked_before_the_table(self, monkeypatch):
+        # five rank-40 factors: a 200^3 table of 66 MB if built
+        zero = corpus.zero_multiplication_ring(2, 40)
+
+        def no_build(*args):
+            raise AssertionError("make_ring reached")
+
+        monkeypatch.setattr(fr, "make_ring", no_build)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RankTooLarge) as exc:
+                fr.direct_product([zero] * 5)
+            assert (exc.value.rank, exc.value.cap) == (200, fr.MAX_RANK)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestFindIdentity:

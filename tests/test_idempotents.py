@@ -203,12 +203,17 @@ class TestStrongConditions:
 
 
 class TestCornerLatticeCorrespondence:
-    def test_submodule_cap_holds_for_principals(self, m2_setup):
-        # e_1 S e_0 has two principal submodules (zero and itself) and no
-        # joins beyond them, so only the principal phase can hit the cap
-        _, _, table = m2_setup
-        with pytest.raises(LatticeTooLarge):
-            fr.submodule_lattice(table.component(1, 1), table.component(1, 0), "left", 1)
+    def test_submodule_budget_holds_for_principals(self, monkeypatch):
+        # e_1 S e_0 has two elements, each of rank^2 = 16 steps: the scan
+        # passes a budget of 31 at its second element, before any join
+        ring = corpus.matrix_units_ring(2, 2)
+        table = idem.peirce_table(
+            idem.validate_complete_set(ring, [ring.basis_element(0), ring.basis_element(3)])
+        )
+        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 31)
+        with pytest.raises(LatticeTooLarge) as exc:
+            fr.submodule_lattice(table.component(1, 1), table.component(1, 0), "left")
+        assert (exc.value.work, exc.value.cap) == (32, 31)
 
     def test_matrix_off_diagonal(self, m2_setup):
         _, _, table = m2_setup
@@ -338,7 +343,7 @@ class TestSubmoduleLattice:
         closures = []
         closure = fr.join_closure
         monkeypatch.setattr(
-            fr, "join_closure", lambda principals, cap: closures.append(cap) or closure(principals, cap)
+            fr, "join_closure", lambda principals, work: closures.append(work) or closure(principals, work)
         )
         keys = set()
         certificates = 0
@@ -367,9 +372,7 @@ class TestSubmoduleLattice:
                     continue
                 for side in ("left", "right"):
                     ambient = table.component(j, i) if side == "left" else table.component(i, j)
-                    subs, lt = fr.submodule_lattice(
-                        table.component(j, j), ambient, side, fr.DEFAULT_LATTICE_CAP
-                    )
+                    subs, lt = fr.submodule_lattice(table.component(j, j), ambient, side)
                     got = [
                         frozenset(tuple(int(c) for c in v) for v in s.element_vectors())
                         for s in subs

@@ -4,9 +4,9 @@ pair of subgroups joined, and every subgroup adjunction reclosed from
 scratch.
 
 The engine must find the same subgroups, in the same first-appearance order
-of principals, with the same strict-order matrix, and must raise the same
-error at the same scanned element under every cap.  The oracle must give the
-same (size, height) as the reclosing oracle.
+of principals, with the same strict-order matrix, and every work budget
+below an enumeration's total must refuse it.  The oracle must give the same
+(size, height) as the reclosing oracle.
 """
 
 import itertools
@@ -19,103 +19,69 @@ from ringbench import idempotents as idem
 from ringbench import posets
 from ringbench import skewalg as sk
 from ringbench import verify
-from ringbench.errors import LatticeScanTooLarge, LatticeTooLarge
+from ringbench.errors import LatticeTooLarge
 
 # ---------------------------------------------------------------------------
 # the unpruned engine
 
 
-def unpruned_lattice(acting, ambient, side, cap, log=None):
+def unpruned_lattice(acting, ambient, side):
     """(subgroups, strict-order rows, principal keys in first-appearance
-    order, elements scanned) by the unpruned engine, or
-    (error, elements scanned) when a cap is reached.  ``log`` gets the
-    elements scanned at each insertion of a new subgroup."""
+    order, elements scanned) by the unpruned engine, which closes the family
+    under joins of every pair of subgroups found."""
     ring = ambient.ring
     principal = fr._principal_generators(ring, acting.rows, side)
-    step, scanned, firsts = ring.rank**2, [0], {}
-
-    def principals():
-        for x in ambient.element_vectors():
-            if (scanned[0] + 1) * step > fr.MAX_LATTICE_SCAN_WORK:
-                raise LatticeScanTooLarge((scanned[0] + 1) * step, fr.MAX_LATTICE_SCAN_WORK)
-            scanned[0] += 1
-            sub = ring.span(principal(x))
-            firsts.setdefault(sub.key, None)
-            yield sub
-
-    found = {}
-    batch = principals()
-    try:
-        while True:
-            fresh = []
-            for sub in batch:
-                if sub.key not in found:
-                    found[sub.key] = sub
-                    fresh.append(sub)
-                    if log is not None:
-                        log.append(scanned[0])
-                    if len(found) > cap:
-                        raise LatticeTooLarge(cap)
-            if not fresh:
-                break
-            existing = sorted(found.values(), key=lambda s: s.key)
-            batch = [a.join(b) for a, b in itertools.product(existing, fresh)]
-    except (LatticeTooLarge, LatticeScanTooLarge) as exc:
-        return exc, scanned[0]
+    scanned, firsts = 0, {}
+    for x in ambient.element_vectors():
+        scanned += 1
+        sub = ring.span(principal(x))
+        firsts.setdefault(sub.key, sub)
+    found = dict(firsts)
+    fresh = list(found.values())
+    while fresh:
+        existing = sorted(found.values(), key=lambda s: s.key)
+        batch = [a.join(b) for a, b in itertools.product(existing, fresh)]
+        fresh = []
+        for sub in batch:
+            if sub.key not in found:
+                found[sub.key] = sub
+                fresh.append(sub)
     subs = tuple(sorted(found.values(), key=lambda s: (s.order, s.key)))
     lt = tuple(posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j]))
-    return subs, lt, list(firsts), scanned[0]
+    return subs, lt, list(firsts), scanned
 
 
 @pytest.fixture
 def engine(monkeypatch):
     """Runs submodule_lattice afresh and reports what the unpruned engine
-    reports: the principal keys join_closure receives, deduplicated in
-    order, and the elements _scanned yields."""
-    closure, scan = fr.join_closure, fr._scanned
+    reports: the principal keys join_closure receives, in order, and the
+    elements scanned, read off the scan's work of rank^2 steps each."""
+    closure = fr.join_closure
 
-    def run(acting, ambient, side, cap):
-        ambient.ring._lattices.clear()
-        scanned, firsts = [0], {}
+    def run(acting, ambient, side):
+        ring = ambient.ring
+        ring._lattices.clear()
+        seen = {}
 
-        def counted(sub):
-            for x in scan(sub):
-                scanned[0] += 1
-                yield x
+        def recorded(principals, work):
+            seen["firsts"] = [sub.key for sub in principals]
+            seen["scanned"] = work // ring.rank**2
+            return closure(principals, work)
 
-        def recorded(principals, cap):
-            def seen():
-                for sub in principals:
-                    firsts.setdefault(sub.key, None)
-                    yield sub
-
-            return closure(seen(), cap)
-
-        monkeypatch.setattr(fr, "_scanned", counted)
         monkeypatch.setattr(fr, "join_closure", recorded)
         try:
-            subs, lt = fr.submodule_lattice(acting, ambient, side, cap)
-        except (LatticeTooLarge, LatticeScanTooLarge) as exc:
-            return exc, scanned[0]
+            subs, lt = fr.submodule_lattice(acting, ambient, side)
         finally:
-            monkeypatch.setattr(fr, "_scanned", scan)
             monkeypatch.setattr(fr, "join_closure", closure)
-        return subs, lt, list(firsts), scanned[0]
+        return subs, lt, seen["firsts"], seen["scanned"]
 
     return run
 
 
 def same_outcome(got, want):
-    """Equal lattices and first-appearance orders, or the same error class,
-    message and attributes at the same scanned element."""
-    if isinstance(want[0], Exception):
-        assert isinstance(got[0], Exception), got
-        assert type(got[0]) is type(want[0])
-        assert str(got[0]) == str(want[0]) and vars(got[0]) == vars(want[0])
-        assert got[1] == want[1]
-    else:
-        assert [s.key for s in got[0]] == [s.key for s in want[0]]
-        assert got[1:] == want[1:]
+    """Equal lattices, first-appearance orders and elements scanned."""
+    assert [s.key for s in got[0]] == [s.key for s in want[0]]
+    assert got[1:] == want[1:]
 
 
 def prop24_enumerations(seed):
@@ -140,8 +106,7 @@ def test_prop24_lattices_match_the_unpruned_engine(engine, seed):
     enumerations = prop24_enumerations(seed)
     assert len(enumerations) > 100
     for acting, ambient, side in enumerations:
-        want = unpruned_lattice(acting, ambient, side, fr.DEFAULT_LATTICE_CAP)
-        same_outcome(engine(acting, ambient, side, fr.DEFAULT_LATTICE_CAP), want)
+        same_outcome(engine(acting, ambient, side), unpruned_lattice(acting, ambient, side))
 
 
 def small_modulus_rings():
@@ -166,49 +131,52 @@ def small_modulus_rings():
 def test_ideal_lattices_over_composite_moduli_match_the_unpruned_engine(engine, ring):
     full = ring.full_subgroup()
     for side in ("left", "right"):
-        want = unpruned_lattice(full, full, side, fr.DEFAULT_LATTICE_CAP)
-        same_outcome(engine(full, full, side, fr.DEFAULT_LATTICE_CAP), want)
+        same_outcome(engine(full, full, side), unpruned_lattice(full, full, side))
         # a corner: the left ideal of the first basis idempotent
         e = ring.basis_element(0).coords
         corner = ring.sandwich(e, e)
-        want = unpruned_lattice(corner, corner, side, fr.DEFAULT_LATTICE_CAP)
-        same_outcome(engine(corner, corner, side, fr.DEFAULT_LATTICE_CAP), want)
+        same_outcome(engine(corner, corner, side), unpruned_lattice(corner, corner, side))
 
 
-def unpruned_outcome(log, total, cap, step):
-    """What the unpruned engine does under ``cap``, from its insertion
-    ``log`` and ``total`` elements: LatticeTooLarge at the element of the
-    cap+1-th insertion, unless the scan cap stops the scan first."""
-    limit = fr.MAX_LATTICE_SCAN_WORK // step  # the last element it scans
-    scanned = log[cap] if cap < len(log) else total
-    if scanned > limit:
-        return LatticeScanTooLarge((limit + 1) * step, fr.MAX_LATTICE_SCAN_WORK), limit
-    return LatticeTooLarge(cap), scanned
-
-
-def test_every_cap_raises_where_the_unpruned_engine_does(engine, monkeypatch):
-    ring = corpus.upper_triangular_ring(12, 2)
+@pytest.mark.parametrize(
+    "ring, side",
+    [
+        pytest.param(corpus.upper_triangular_ring(6, 2), "left", id="triangular2_z6"),
+        pytest.param(corpus.zero_multiplication_ring(2, 4), "right", id="zero4_z2"),
+    ],
+)
+def test_every_budget_below_the_total_raises(monkeypatch, ring, side):
     full = ring.full_subgroup()
-    log = []
-    subs, _, _, total = unpruned_lattice(full, full, "left", fr.DEFAULT_LATTICE_CAP, log)
-    assert len(subs) == len(log) == 208 and total == ring.order
-    step = ring.rank**2
-    # the outcome derived from the log is what a capped run gives
-    for cap in (1, 50, 132, 133, 207):
-        same_outcome(unpruned_lattice(full, full, "left", cap), unpruned_outcome(log, total, cap, step))
-    for cap in range(1, len(subs)):
-        same_outcome(engine(full, full, "left", cap), unpruned_outcome(log, total, cap, step))
-    # the scan cap stops the scan at its 400th element: the smaller caps are
-    # reached before it, the larger ones after
-    monkeypatch.setattr(fr, "MAX_LATTICE_SCAN_WORK", 400 * step)
-    raised = set()
-    for cap in range(1, len(subs)):
-        want = unpruned_outcome(log, total, cap, step)
-        raised.add(type(want[0]))
-        same_outcome(engine(full, full, "left", cap), want)
-    for cap in (1, 20, 40, 100):
-        same_outcome(unpruned_lattice(full, full, "left", cap), unpruned_outcome(log, total, cap, step))
-    assert raised == {LatticeTooLarge, LatticeScanTooLarge}
+    charges = []
+    charged = fr._charged
+    monkeypatch.setattr(fr, "_charged", lambda work: charges.append(work) or charged(work))
+    subs, lt = fr.submodule_lattice(full, full, side)
+    monkeypatch.setattr(fr, "_charged", charged)
+    step, total = ring.rank**2, charges[-1]
+    # rank^2 steps per element scanned, then one charge per round of joins
+    scan, rounds = charges[: ring.order], charges[ring.order :]
+    assert scan == [step * (k + 1) for k in range(ring.order)]
+    assert len(rounds) >= 2
+    # each round charges its new subgroups against every principal, and
+    # every subgroup is new in exactly one round
+    principals = len(fr._principals(full, full, side)[0])
+    gaps = [b - a for a, b in zip(charges[ring.order - 1 :], rounds)]
+    assert all(gap % (principals * step) == 0 for gap in gaps)
+    assert sum(gaps) == len(subs) * principals * step
+    # between two charges every budget has the same outcome, so the budgets
+    # at a charge and just below the next one cover every budget below total
+    for before, at in zip([0] + charges, charges):
+        for budget in {before, at - 1}:
+            ring._lattices.clear()
+            monkeypatch.setattr(fr, "MAX_LATTICE_WORK", budget)
+            with pytest.raises(LatticeTooLarge) as exc:
+                fr.submodule_lattice(full, full, side)
+            assert (exc.value.work, exc.value.cap) == (at, budget)
+            assert exc.value.work > exc.value.cap
+            assert not ring._lattices
+    monkeypatch.setattr(fr, "MAX_LATTICE_WORK", total)
+    ring._lattices.clear()
+    assert fr.submodule_lattice(full, full, side) == (subs, lt)
 
 
 # ---------------------------------------------------------------------------

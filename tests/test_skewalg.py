@@ -216,8 +216,8 @@ def chain_data(algebra):
         corner = ring.sandwich(u.coords, u.coords)
         corners.append((
             corner.order,
-            idem.ideal_lattice_shape(corner, "left", fr.DEFAULT_LATTICE_CAP),
-            idem.ideal_lattice_shape(corner, "right", fr.DEFAULT_LATTICE_CAP),
+            idem.ideal_lattice_shape(corner, "left"),
+            idem.ideal_lattice_shape(corner, "right"),
         ))
     return (left.size, left.height), corners
 

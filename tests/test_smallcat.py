@@ -245,6 +245,21 @@ class TestMorphismCap:
         finally:
             tracemalloc.stop()
 
+    def test_mx_bounds_checked_before_the_monoid_scan(self, monkeypatch):
+        # a 200-element table has 8 million triples to scan for
+        # associativity; the morphism count alone refuses it, so an
+        # oversized table that is no monoid raises CategoryTooLarge
+        def no_scan(table):
+            raise AssertionError("monoid scan")
+
+        monkeypatch.setattr(sc, "_check_monoid", no_scan)
+        table = [[0] * 200 for _ in range(200)]
+        with pytest.raises(CategoryTooLarge) as exc:
+            sc.build_MX(table, 1)
+        assert (exc.value.count, exc.value.cap) == (200, sc.MAX_MORPHISMS)
+        with pytest.raises(ShapeMismatch):
+            sc.build_MX(table, 0)
+
 
 class TestTableMemory:
     def test_groupoid_suite_tables_stay_small(self):
