@@ -90,9 +90,9 @@ class RingMismatch(WorkbenchError):
 
 
 class LatticeTooLarge(WorkbenchError):
-    """A lattice enumeration passed its work budget (rank^2 steps per element
-    scanned and per pair of subgroups to be joined); counted as it goes, so
-    the refusal comes before the work."""
+    """A lattice enumeration passed its work budget (rank^2 steps, at least
+    16, per element scanned and per pair of subgroups to be joined); counted
+    as it goes, so the refusal comes before the work."""
 
     def __init__(self, work: int, cap: int):
         self.work = work

@@ -8,8 +8,8 @@ triple before a ring is accepted, and rings need not be unital.
 All arithmetic runs on Python ints, so it is exact at every modulus; a
 modulus is capped at MAX_MODULUS_BITS bits.
 Elements and subgroup bases are tuples of residues, and every product inside
-the package goes through one kernel, FiniteRing._mul, which reads a sparse
-table of the nonzero structure constants.  Inputs from callers (structure
+the package goes through one kernel, FiniteRing._mul, which reads a
+row-sparse table of the nonzero structure constants.  Inputs from callers (structure
 constants, coordinates, generators) are read with int() and reduced mod m.
 
 Additive subgroups are kept in Howell normal form, which is a true canonical
@@ -57,9 +57,16 @@ MAX_RANK = 48
 MAX_ASSOCIATIVITY_WORK = 10_000_000
 # Steps a lattice enumeration may take, counted as it goes: rank^2 per
 # element scanned and per pair of subgroups to be joined, each about one
-# Howell reduction.  About a second of work; the suite's lattices take at
-# most 57,722 (prop-lattice and fixture-counts at eight suite seeds).
+# Howell reduction, but never fewer than LATTICE_STEP_FLOOR.  A step is
+# about a microsecond, so this is about a second of work.  The suites'
+# lattices take at most 57,722 (both sides of every prop-2.4 ring at eight
+# suite seeds; prop-lattice and fixture-counts take at most 7,696).
 MAX_LATTICE_WORK = 1_000_000
+# One join costs about 15-30 microseconds at every rank from 2 to 8 (zero
+# rings over Z/2 to Z/128, 2-vCPU x86 host), so a pair is charged at least
+# as much as at rank 4; at rank^2 alone, (Z/128)^2 ran three seconds of
+# rank-2 joins before it was refused.
+LATTICE_STEP_FLOOR = 16
 
 
 class FiniteRing:
@@ -75,9 +82,15 @@ class FiniteRing:
         self.rank = rank
         self.constants = constants
         self.basis_labels = basis_labels
-        # the nonzero (k, c[i][j][k]) of each basis product b_i * b_j
+        # row-sparse: _table[i] holds a pair (j, cell) for each j with
+        # b_i * b_j != 0, in increasing j, and cell holds the nonzero
+        # (k, c[i][j][k]) of that product, in increasing k
         self._table = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
+            tuple(
+                (j, tuple((k, c) for k, c in enumerate(cell) if c))
+                for j, cell in enumerate(row)
+                if any(cell)
+            )
             for row in constants
         )
         self._basis_rows = tuple(
@@ -137,19 +150,27 @@ class FiniteRing:
     # -- arithmetic on raw vectors -------------------------------------------
 
     def _mul(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-        """x * y for vectors of residues: the one product kernel."""
+        """x * y for vectors of residues: the one product kernel.  It visits
+        the nonzero x_i, the nonzero basis products b_i * b_j of each, and
+        among those the ones with y_j nonzero; it sums only the coordinates
+        they touch and reduces each of those mod m once."""
         table = self._table
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        out = [0] * self.rank
+        out: dict[int, int] = {}
         for i, a in enumerate(x):
             if a:
-                row = table[i]
-                for j, b in ys:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] += ab * c
+                for j, cell in table[i]:
+                    b = y[j]
+                    if b:
+                        ab = a * b
+                        for k, c in cell:
+                            out[k] = out.get(k, 0) + ab * c
+        if not out:  # about a third of the products the suites take
+            return (0,) * self.rank
+        product = [0] * self.rank
         m = self.modulus
-        return tuple([v % m for v in out])
+        for k, v in out.items():
+            product[k] = v % m
+        return tuple(product)
 
     def mul_vec(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         return self._mul(self._residues(x), self._residues(y))
@@ -392,11 +413,11 @@ def associativity_work(ring: FiniteRing) -> int:
     first = [0] * n  # nonzero constants c[l][k][t], by l
     second = [0] * n  # nonzero constants c[i][l][t], by l
     for i, row in enumerate(table):
-        for j, cell in enumerate(row):
+        for j, cell in row:
             first[i] += len(cell)
             second[j] += len(cell)
     return n**3 + sum(
-        first[l] + second[l] for row in table for cell in row for l, _ in cell
+        first[l] + second[l] for row in table for _, cell in row for l, _ in cell
     )
 
 
@@ -406,8 +427,13 @@ def _first_nonassociative_triple(ring: FiniteRing) -> tuple[int, int, int] | Non
 
     When b_i b_j = 0 the left side is zero, so only the k with b_j b_k != 0
     can fail; the other triples are skipped."""
-    n, m, table = ring.rank, ring.modulus, ring._table
-    nonzero_k = [[k for k, cell in enumerate(row) if cell] for row in table]
+    n, m = ring.rank, ring.modulus
+    table = [[()] * n for _ in range(n)]  # table[i][j]: the cell of b_i b_j
+    nonzero_k = []
+    for i, row in enumerate(ring._table):
+        for j, cell in row:
+            table[i][j] = cell
+        nonzero_k.append([j for j, _ in row])
     for i in range(n):
         row_i = table[i]
         for j in range(n):
@@ -532,6 +558,12 @@ class IdealLattice:
         self.cover_relation, self.height, self.size = cover_relation, height, size
 
 
+def _lattice_step(ring: FiniteRing) -> int:
+    """The steps charged per element scanned and per pair to be joined:
+    rank^2, but at least LATTICE_STEP_FLOOR."""
+    return max(ring.rank**2, LATTICE_STEP_FLOOR)
+
+
 def _charged(work: int) -> int:
     """``work``, or LatticeTooLarge when it passes MAX_LATTICE_WORK."""
     if work > MAX_LATTICE_WORK:
@@ -547,15 +579,15 @@ def join_closure(
 
     Each round joins the subgroups new since the last round with every
     principal, since every join of principals is reached one principal at
-    a time.  A round charges rank^2 steps per pair it will test before it
-    tests any, on top of the ``work`` already done, and LatticeTooLarge is
-    raised past MAX_LATTICE_WORK; a truncated family is never returned.  A
-    pair where one subgroup contains the other is not joined: its join is
-    the larger one, already found.
+    a time.  A round charges _lattice_step steps per pair it will test
+    before it tests any, on top of the ``work`` already done, and
+    LatticeTooLarge is raised past MAX_LATTICE_WORK; a truncated family is
+    never returned.  A pair where one subgroup contains the other is not
+    joined: its join is the larger one, already found.
     """
     found = {p.key: p for p in principals}
     principals = frontier = list(found.values())
-    step = frontier[0].ring.rank ** 2 if frontier else 0
+    step = _lattice_step(frontier[0].ring) if frontier else 0
     while frontier:
         work = _charged(work + len(frontier) * len(principals) * step)
         fresh = []
@@ -590,7 +622,7 @@ def _principals(
 ) -> tuple[list[AdditiveSubgroup], int]:
     """The distinct principal submodules Z x + acting*x (or Z x + x*acting)
     for x in ``ambient``, in order of first appearance, and the work of the
-    scan: rank^2 steps per element, charged as it is scanned.
+    scan: _lattice_step steps per element, charged as it is scanned.
 
     The principal of u x is that of x for every unit u of Z/m, so only the
     x whose first nonzero coordinate divides m are spanned.  The scan runs
@@ -599,7 +631,8 @@ def _principals(
     every principal is still met first at the element that first gives it.
     """
     ring = ambient.ring
-    principal, m, step = _principal_generators(ring, acting.rows, side), ring.modulus, ring.rank**2
+    principal, m = _principal_generators(ring, acting.rows, side), ring.modulus
+    step = _lattice_step(ring)
     found: dict[tuple, AdditiveSubgroup] = {}
     work = 0
     for x in ambient.element_vectors():
@@ -622,7 +655,7 @@ def submodule_lattice(
     scan and the joins share one budget of MAX_LATTICE_WORK steps, and
     LatticeTooLarge is raised as soon as they pass it.  Every subgroup kept
     comes from a charged element or a charged pair, so the budget also
-    bounds the family at MAX_LATTICE_WORK / rank^2 subgroups.
+    bounds the family at MAX_LATTICE_WORK / _lattice_step(ring) subgroups.
 
     Each lattice is enumerated once per ring: the ring memoizes the result,
     keyed by (acting, ambient, side); a raised error is never memoized.

@@ -575,7 +575,7 @@ class TestExitCodes:
         work = (fr.MAX_LATTICE_WORK // (n * n) + 1) * n * n
         assert error["message"] == str(LatticeTooLarge(work, fr.MAX_LATTICE_WORK))
 
-    @pytest.mark.parametrize("m, n", [(2, 6), (4, 4), (8, 3)])
+    @pytest.mark.parametrize("m, n", [(2, 6), (4, 4), (8, 3), (128, 2)])
     def test_lattice_joins_above_budget_exit_two(self, tmp_path, m, n):
         # every additive subgroup of a zero ring is an ideal: (Z/2)^6 has
         # 2,825, and joining every pair of them ran past a minute.  The
@@ -589,7 +589,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         error = json.loads(proc.stdout)["error"]
         assert error["type"] == "LatticeTooLarge"
-        assert m**n * n * n < fr.MAX_LATTICE_WORK
+        assert m**n * max(n * n, fr.LATTICE_STEP_FLOOR) < fr.MAX_LATTICE_WORK
+
+    @pytest.mark.parametrize("m, n, most", [(128, 2, 0), (8, 3, 91_938 // 4)])
+    def test_small_rank_joins_are_charged_the_floor(self, tmp_path, capsys, monkeypatch, m, n, most):
+        # a join costs about as much at rank 2 or 3 as at rank 4.  At rank^2
+        # steps a pair, (Z/128)^2 made 140,928 joins and (Z/8)^3 91,938
+        # before the refusal, about 3 s each; at the floor of 16, (Z/128)^2
+        # is refused before its first round of joins
+        joins = []
+        join = fr.AdditiveSubgroup.join
+        monkeypatch.setattr(fr.AdditiveSubgroup, "join", lambda a, b: joins.append(1) or join(a, b))
+        _write_zero_ring(tmp_path / "zero.ring", n, m)
+        code, out = run(capsys, "--no-timings", "ideal-lattice", tmp_path / "zero.ring")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "LatticeTooLarge"
+        assert len(joins) <= most
 
     def test_zero_ring_of_rank_five_is_enumerated(self, tmp_path, capsys, monkeypatch):
         # every subgroup of (Z/2)^5 is an ideal.  Joining each new subgroup

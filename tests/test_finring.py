@@ -173,6 +173,116 @@ class TestRingAxioms:
             assert mul(add(x, y), z) == add(mul(x, z), mul(y, z))
 
 
+def bilinear_product(ring: fr.FiniteRing, x, y) -> tuple[int, ...]:
+    """sum_ij x_i y_j c[i][j][k] mod m, read from ring.constants: the
+    product oracle, with no call into the product kernel."""
+    n, m, c = ring.rank, ring.modulus, ring.constants
+    return tuple(
+        sum(x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)) % m
+        for k in range(n)
+    )
+
+
+# moduli 2-12 and two past 2^64, where int64 arithmetic would wrap
+KERNEL_MODULI = list(range(2, 13)) + [2**64 + 13, 2**100 - 1]
+
+
+def _sparse_residues(draw, m: int, size: int, density):
+    """``size`` residues mod m, each nonzero with probability ``density``."""
+    return [
+        draw(st.integers(0, m - 1)) if draw(st.floats(0, 1)) < density else 0
+        for _ in range(size)
+    ]
+
+
+@st.composite
+def kernel_case(draw):
+    """A structure-constant table (not necessarily associative: the kernel is
+    bilinear whatever the constants) and two vectors, zero, sparse or dense."""
+    m = draw(st.sampled_from(KERNEL_MODULI))
+    n = draw(st.integers(1, 5))
+    density = draw(st.sampled_from([0.0, 0.15, 0.4, 1.0]))
+    flat = _sparse_residues(draw, m, n**3, density)
+    constants = tuple(
+        tuple(tuple(flat[(i * n + j) * n : (i * n + j + 1) * n]) for j in range(n))
+        for i in range(n)
+    )
+    ring = fr.FiniteRing(m, n, constants, tuple(f"b{i}" for i in range(n)))
+    x, y = (_sparse_residues(draw, m, n, draw(st.sampled_from([0.0, 0.3, 1.0]))) for _ in "xy")
+    return ring, x, y
+
+
+# SHA-256 over the products of KERNEL_DIGEST_CASES seeded random tables and
+# vectors, recorded before the kernel was made row-sparse
+KERNEL_DIGEST_CASES = 400
+KERNEL_DIGEST = "fdf52539f800565383ef9130320ff8d6b0d69624a97adc58d6c0e5c74913f03f"
+
+
+def kernel_digest() -> str:
+    import hashlib
+    import random
+
+    rng = random.Random(20)
+    h = hashlib.sha256()
+    for _ in range(KERNEL_DIGEST_CASES):
+        m, n = rng.choice(KERNEL_MODULI), rng.randint(1, 6)
+        density = rng.choice([0.1, 0.3, 1.0])
+
+        def residues(size, p):
+            return [rng.randrange(m) if rng.random() < p else 0 for _ in range(size)]
+
+        flat = residues(n**3, density)
+        constants = tuple(
+            tuple(tuple(flat[(i * n + j) * n : (i * n + j + 1) * n]) for j in range(n))
+            for i in range(n)
+        )
+        ring = fr.FiniteRing(m, n, constants, tuple(f"b{i}" for i in range(n)))
+        for _ in range(4):
+            x, y = residues(n, rng.choice([0.0, 0.3, 1.0])), residues(n, 0.5)
+            h.update(repr((m, ring.mul_vec(x, y))).encode())
+    return h.hexdigest()
+
+
+class TestProductKernel:
+    """FiniteRing._mul, through mul_vec, against the bilinear formula.  The
+    ring-axiom tests alone would pass a kernel that returned zero."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_case())
+    def test_matches_the_bilinear_formula(self, case):
+        ring, x, y = case
+        assert ring.mul_vec(x, y) == bilinear_product(ring, x, y)
+        assert ring.mul_vec(y, x) == bilinear_product(ring, y, x)
+
+    @pytest.mark.parametrize(
+        "ring_factory",
+        [
+            lambda: corpus.matrix_units_ring(3, 2),
+            lambda: corpus.upper_triangular_ring(12, 3),
+            lambda: corpus.field4(),
+            lambda: fr.make_ring(2**64 + 13, 1, [[[2**64 + 12]]]),
+        ],
+    )
+    def test_matches_on_whole_rings_with_zero_and_dense_vectors(self, ring_factory):
+        ring = ring_factory()
+        m, n = ring.modulus, ring.rank
+        rng = np.random.default_rng(11)
+        vectors = [(0,) * n, (m - 1,) * n] + [
+            tuple(int(v) % m for v in rng.integers(0, 2**62, n)) for _ in range(12)
+        ]
+        for x, y in itertools.product(vectors, repeat=2):
+            assert ring.mul_vec(x, y) == bilinear_product(ring, x, y)
+
+    def test_unreduced_inputs_are_read_as_residues(self):
+        ring = corpus.matrix_units_ring(5, 2)
+        x, y = (7, -3, 12, 0), (-1, 5, 2**70, 9)
+        residues = [tuple(v % 5 for v in w) for w in (x, y)]
+        assert ring.mul_vec(x, y) == bilinear_product(ring, *residues)
+
+    def test_products_match_recorded_digest(self):
+        assert kernel_digest() == KERNEL_DIGEST
+
+
 class TestSpanSubgroup:
     def test_empty_generators_give_zero(self, m2f2):
         sub = m2f2.span([])
@@ -383,9 +493,11 @@ class TestLatticeWork:
 
     def test_a_round_is_charged_before_it_joins(self, monkeypatch):
         # (Z/2)^3 with zero product: 8 principals, one per element, and a
-        # first round of 8 x 8 pairs at 9 steps each after a 72-step scan
+        # first round of 8 x 8 pairs after a scan of 8 elements, each at the
+        # floor of 16 steps (rank^2 is 9)
         ring = corpus.zero_multiplication_ring(2, 3)
-        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 72 + 8 * 8 * 9 - 1)
+        assert fr._lattice_step(ring) == fr.LATTICE_STEP_FLOOR == 16
+        monkeypatch.setattr(fr, "MAX_LATTICE_WORK", 8 * 16 + 8 * 8 * 16 - 1)
         joins = []
         original = fr.AdditiveSubgroup.join
         monkeypatch.setattr(
@@ -393,7 +505,7 @@ class TestLatticeWork:
         )
         with pytest.raises(LatticeTooLarge) as exc:
             fr.enumerate_one_sided_ideals(ring, "left")
-        assert exc.value.work == 72 + 8 * 8 * 9
+        assert exc.value.work == 8 * 16 + 8 * 8 * 16
         assert not joins
 
     def test_join_closure_is_every_join_of_principals(self):

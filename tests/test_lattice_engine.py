@@ -55,7 +55,7 @@ def unpruned_lattice(acting, ambient, side):
 def engine(monkeypatch):
     """Runs submodule_lattice afresh and reports what the unpruned engine
     reports: the principal keys join_closure receives, in order, and the
-    elements scanned, read off the scan's work of rank^2 steps each."""
+    elements scanned, read off the scan's work of _lattice_step steps each."""
     closure = fr.join_closure
 
     def run(acting, ambient, side):
@@ -65,7 +65,7 @@ def engine(monkeypatch):
 
         def recorded(principals, work):
             seen["firsts"] = [sub.key for sub in principals]
-            seen["scanned"] = work // ring.rank**2
+            seen["scanned"] = work // fr._lattice_step(ring)
             return closure(principals, work)
 
         monkeypatch.setattr(fr, "join_closure", recorded)
@@ -152,8 +152,9 @@ def test_every_budget_below_the_total_raises(monkeypatch, ring, side):
     monkeypatch.setattr(fr, "_charged", lambda work: charges.append(work) or charged(work))
     subs, lt = fr.submodule_lattice(full, full, side)
     monkeypatch.setattr(fr, "_charged", charged)
-    step, total = ring.rank**2, charges[-1]
-    # rank^2 steps per element scanned, then one charge per round of joins
+    step, total = fr._lattice_step(ring), charges[-1]
+    # max(rank^2, 16) steps per element scanned, then one charge per round of
+    # joins
     scan, rounds = charges[: ring.order], charges[ring.order :]
     assert scan == [step * (k + 1) for k in range(ring.order)]
     assert len(rounds) >= 2
