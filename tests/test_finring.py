@@ -1,6 +1,8 @@
 """Ring construction, arithmetic, subgroups, ideals, corners, products."""
 
+import hashlib
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -187,6 +189,17 @@ def bilinear_product(ring: fr.FiniteRing, x, y) -> tuple[int, ...]:
 KERNEL_MODULI = list(range(2, 13)) + [2**64 + 13, 2**100 - 1]
 
 
+def _unchecked_ring(m: int, n: int, flat) -> fr.FiniteRing:
+    """The structure-constant algebra over Z/m whose n^3 constants are the
+    residues ``flat`` in (i, j, k) order, not validated: the kernel is
+    bilinear whether or not the constants are associative."""
+    constants = tuple(
+        tuple(tuple(flat[(i * n + j) * n : (i * n + j + 1) * n]) for j in range(n))
+        for i in range(n)
+    )
+    return fr.FiniteRing(m, n, constants, tuple(f"b{i}" for i in range(n)))
+
+
 def _sparse_residues(draw, m: int, size: int, density):
     """``size`` residues mod m, each nonzero with probability ``density``."""
     return [
@@ -197,17 +210,12 @@ def _sparse_residues(draw, m: int, size: int, density):
 
 @st.composite
 def kernel_case(draw):
-    """A structure-constant table (not necessarily associative: the kernel is
-    bilinear whatever the constants) and two vectors, zero, sparse or dense."""
+    """An unchecked ring with zero, sparse or dense constants and two
+    vectors, zero, sparse or dense."""
     m = draw(st.sampled_from(KERNEL_MODULI))
     n = draw(st.integers(1, 5))
     density = draw(st.sampled_from([0.0, 0.15, 0.4, 1.0]))
-    flat = _sparse_residues(draw, m, n**3, density)
-    constants = tuple(
-        tuple(tuple(flat[(i * n + j) * n : (i * n + j + 1) * n]) for j in range(n))
-        for i in range(n)
-    )
-    ring = fr.FiniteRing(m, n, constants, tuple(f"b{i}" for i in range(n)))
+    ring = _unchecked_ring(m, n, _sparse_residues(draw, m, n**3, density))
     x, y = (_sparse_residues(draw, m, n, draw(st.sampled_from([0.0, 0.3, 1.0]))) for _ in "xy")
     return ring, x, y
 
@@ -219,9 +227,6 @@ KERNEL_DIGEST = "fdf52539f800565383ef9130320ff8d6b0d69624a97adc58d6c0e5c74913f03
 
 
 def kernel_digest() -> str:
-    import hashlib
-    import random
-
     rng = random.Random(20)
     h = hashlib.sha256()
     for _ in range(KERNEL_DIGEST_CASES):
@@ -231,12 +236,7 @@ def kernel_digest() -> str:
         def residues(size, p):
             return [rng.randrange(m) if rng.random() < p else 0 for _ in range(size)]
 
-        flat = residues(n**3, density)
-        constants = tuple(
-            tuple(tuple(flat[(i * n + j) * n : (i * n + j + 1) * n]) for j in range(n))
-            for i in range(n)
-        )
-        ring = fr.FiniteRing(m, n, constants, tuple(f"b{i}" for i in range(n)))
+        ring = _unchecked_ring(m, n, residues(n**3, density))
         for _ in range(4):
             x, y = residues(n, rng.choice([0.0, 0.3, 1.0])), residues(n, 0.5)
             h.update(repr((m, ring.mul_vec(x, y))).encode())
