@@ -504,8 +504,6 @@ def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
     variants_per_base = 9
     units: dict[fr.FiniteRing, _Units] = {}  # by ring object; rings hash by identity
     for inst in base:
-        if inst.ring.order > 256:
-            continue
         if inst.ring not in units:
             units[inst.ring] = _Units(inst.ring)
         for v in range(variants_per_base):
@@ -519,7 +517,7 @@ def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
                     f"{inst.name}_conj{v}", inst.ring, conj, inst.expect_strong
                 )
             )
-    return [inst for inst in out if inst.ring.order <= 256]
+    return out
 
 
 def _own_categories(instances: list[CategoryInstance]) -> list[CategoryInstance]:

@@ -33,8 +33,9 @@ from .errors import (
 )
 
 UNDEFINED = -1
-# Associativity is checked on q^3 tables; the cap keeps q^3 within 48^4,
-# the bound finring.MAX_RANK sets for rings.
+# Associativity visits at most q^3 composable triples, within 48^4, the bound
+# finring.MAX_RANK sets for rings; the strength conditions make k^2 zero tests
+# over the k <= q objects and visit at most 2kq object triples.
 MAX_MORPHISMS = 174
 
 

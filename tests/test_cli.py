@@ -1,6 +1,7 @@
 """End-to-end command line checks: parsing, exit codes, report determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -43,6 +44,10 @@ constants
 0 0 0  0 0 0  0 1 0
 0 0 0  0 0 0  0 0 1
 """
+
+# check-category --no-timings on the discrete category with 174 objects,
+# recorded before its strength conditions stopped visiting every triple
+DISCRETE_CATEGORY_REPORT = "1f9a16f8208ee83d218d134e72899772ac037dbad49b8dd2b38a86310409a372"
 
 Z6Z6_RING = """\
 modulus 6
@@ -548,6 +553,24 @@ class TestExitCodes:
         code, out = run(capsys, "check-category", workdir / "negative.cat")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_discrete_category_at_the_cap_exits_zero(self, tmp_path, capsys, monkeypatch):
+        # 174 objects with identities only, 5,987 bytes: the strength
+        # conditions once visited all 174^3 object triples here
+        n = sc.MAX_MORPHISMS
+        text = "\n".join(
+            [f"objects {n}", f"morphisms {n}"]
+            + [f"arrow {a} {a}" for a in range(n)]
+            + ["identity " + " ".join(map(str, range(n)))]
+            + [f"compose {a} {a} {a}" for a in range(n)]
+        )
+        (tmp_path / "discrete.cat").write_text(text + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, "--no-timings", "check-category", "discrete.cat")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdicts"]["agree"] is True and report["homset_strong"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == DISCRETE_CATEGORY_REPORT
 
     def test_lattice_scan_above_budget_exits_two(self, workdir, capsys):
         # F_2[x]/(x^16 + x^3 + 1) has only two left ideals, but listing them
