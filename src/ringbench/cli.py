@@ -73,7 +73,6 @@ reported as an error report).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -316,7 +315,7 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
 
 def _digest(path: str | Path) -> dict:
     data = Path(path).read_bytes()
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return {"path": str(path), "sha256": corpus.sha256(data).hexdigest()}
 
 
 class Reporter:

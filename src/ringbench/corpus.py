@@ -18,7 +18,6 @@ instance, so no validator chooses the mutants it is then tested on.
 from __future__ import annotations
 
 import functools
-import hashlib
 import random
 from typing import Any, Callable, NamedTuple
 
@@ -51,8 +50,20 @@ DEFAULT_SUITE_SEED = 1729
 MAX_RING_ORDER = 4096
 
 
+# hashlib loads OpenSSL's libcrypto, about 3.6 MB of resident memory, for a
+# digest CPython's own SHA-256 module gives byte for byte; hashlib is only
+# the fallback for an interpreter built without the built-in hashes.
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+
 def _mix(*parts) -> int:
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
+    digest = sha256("|".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -58,22 +58,26 @@ constants
 """
 
 
-@pytest.fixture
-def workdir(tmp_path):
-    (tmp_path / "m2.ring").write_text(M2_RING)
-    (tmp_path / "t2.ring").write_text(T2_RING)
-    (tmp_path / "m2_idems.txt").write_text(
+def _write_inputs(path: Path) -> Path:
+    (path / "m2.ring").write_text(M2_RING)
+    (path / "t2.ring").write_text(T2_RING)
+    (path / "m2_idems.txt").write_text(
         "ring m2.ring\nidempotent 1 0 0 0\nidempotent 0 0 0 1\n"
     )
-    (tmp_path / "t2_idems.txt").write_text(
+    (path / "t2_idems.txt").write_text(
         "ring t2.ring\nidempotent 1 0 0\nidempotent 0 0 1\n"
     )
-    (tmp_path / "z6z6.ring").write_text(Z6Z6_RING)
+    (path / "z6z6.ring").write_text(Z6Z6_RING)
     # the corner at (3, 1) is Z/2 + Z/6, not free over one modulus
-    (tmp_path / "z6z6_idems.txt").write_text(
+    (path / "z6z6_idems.txt").write_text(
         "ring z6z6.ring\nidempotent 3 1\nidempotent 4 0\n"
     )
-    return tmp_path
+    return path
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    return _write_inputs(tmp_path)
 
 
 def _write_zero_ring(path: Path, n: int, m: int = 2) -> None:
@@ -747,12 +751,16 @@ class TestReports:
         assert len(report["inputs"][0]["sha256"]) == 64
 
 
-# Runs cli.main on every argv list given as JSON, with numpy importable or
-# blocked, and prints each exit code and output plus whether numpy was loaded.
+# Runs cli.main on every argv list given as JSON, in one of three modes: plain;
+# numpy blocked; or the built-in SHA-256 modules blocked, as on an interpreter
+# built without them.  Prints each exit code and output, and whether numpy and
+# OpenSSL's _hashlib got loaded.
 CLI_SCRIPT = """
 import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None  # any numpy import now raises ImportError
+elif sys.argv[1] == "hashlib":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
 from ringbench import cli
 results = []
 for argv in json.loads(sys.argv[2]):
@@ -760,7 +768,11 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(out):
         code = cli.main(["--no-timings", *argv])
     results.append([argv, code, out.getvalue()])
-print(json.dumps({"results": results, "numpy": sys.modules.get("numpy") is not None}))
+print(json.dumps({
+    "results": results,
+    "numpy": sys.modules.get("numpy") is not None,
+    "hashlib": sys.modules.get("_hashlib") is not None,
+}))
 """
 
 
@@ -773,63 +785,113 @@ def run_cli_script(cwd: Path, mode: str, commands: list) -> dict:
     return json.loads(proc.stdout)
 
 
+def fresh_process(cwd: Path, code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return proc.stdout
+
+
 class TestStartUp:
     def test_import_loads_no_code_generation(self, tmp_path):
         """A fresh import of the CLI and the drivers loads neither dataclasses
         nor the inspect module it pulls in."""
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         code = "import sys, ringbench.cli, ringbench.verify; print(*sorted(sys.modules))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
-        )
-        loaded = set(proc.stdout.split())
+        loaded = set(fresh_process(tmp_path, code).split())
         assert "ringbench.verify" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+    def test_seeds_and_input_digests_load_no_openssl(self, workdir):
+        """A seeded suite and a report's input digest hash with the
+        interpreter's built-in SHA-256: OpenSSL's _hashlib stays unloaded."""
+        code = (
+            "import contextlib, io, json, sys, ringbench.cli, ringbench.verify\n"
+            "ringbench.corpus.generate_suite('prop-3.2', 1729)\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    ringbench.cli.main(['--no-timings', 'check-ring', 'm2.ring'])\n"
+            "print(json.dumps({'report': json.loads(out.getvalue()), 'modules': sorted(sys.modules)}))"
+        )
+        record = json.loads(fresh_process(workdir, code))
+        digest = hashlib.sha256(M2_RING.encode()).hexdigest()
+        assert record["report"]["inputs"] == [{"path": "m2.ring", "sha256": digest}]
+        assert "ringbench.verify" in record["modules"]
+        assert set(record["modules"]).isdisjoint({"dataclasses", "inspect", "_hashlib"})
+
+
+# every subcommand, each verify-prop driver included, on the inputs of subcommand_dir
+SUBCOMMANDS = [
+    ["check-ring", "m2.ring"],
+    ["check-ring", "huge.ring"],
+    ["check-ring", "absent.ring"],
+    ["peirce", "z6z6_idems.txt"],
+    ["check-strong", "m2_idems.txt"],
+    ["check-strong", "t2_idems.txt"],
+    ["ideal-lattice", "t2.ring", "--side", "right"],
+    ["check-category", "pair.cat"],
+    ["build-mx", "bool2", "2"],
+    ["check-grading", "grading.txt"],
+    ["build-skew", "system.txt"],
+    ["gen-suite", "gradings"],
+] + [
+    ["verify-prop", name]
+    for name in (
+        "prop-2.4", "fixture-counts", "prop-3.2", "groupoid-homset", "mx-family",
+        "prop-5.3", "strong-equivalence", "corner-identity", "matrix-units-iso",
+        "mutation-matrix",
+    )
+]
+
+
+@pytest.fixture(scope="module")
+def subcommand_dir(tmp_path_factory):
+    """The input files SUBCOMMANDS read."""
+    path = _write_inputs(tmp_path_factory.mktemp("subcommands"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--quiet", "build-mx", "c1", "2", "--save", str(path / "pair.cat")])
+        cli.main(["--quiet", "build-mx", "c2", "1", "--save", str(path / "c2.cat")])
+    (path / "grading.txt").write_text(
+        "ring m2.ring\ncategory pair.cat\n"
+        + "".join(f"component {g} 1\n{' '.join('01'[g == i] for i in range(4))}\n" for g in range(4))
+    )
+    (path / "z33.ring").write_text("modulus 3\nrank 2\nconstants\n1 0 0 0\n0 0 0 1\n")
+    (path / "system.txt").write_text(
+        "category c2.cat\nobject 0 ring z33.ring\nmap 0\n1 0\n0 1\nmap 1\n0 1\n1 0\n"
+    )
+    (path / "huge.ring").write_text(f"modulus {10**30}\nrank 1\nconstants\n{10**30 - 1}\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def plain_run(subcommand_dir):
+    return run_cli_script(subcommand_dir, "plain", SUBCOMMANDS)
 
 
 class TestWithoutNumpy:
     def test_import_leaves_numpy_out(self, tmp_path):
-        assert run_cli_script(tmp_path, "plain", []) == {"results": [], "numpy": False}
+        assert run_cli_script(tmp_path, "plain", []) == {
+            "results": [], "numpy": False, "hashlib": False,
+        }
 
-    def test_every_subcommand_runs_with_numpy_blocked(self, workdir, capsys):
-        run(capsys, "--quiet", "build-mx", "c1", "2", "--save", workdir / "pair.cat")
-        run(capsys, "--quiet", "build-mx", "c2", "1", "--save", workdir / "c2.cat")
-        (workdir / "grading.txt").write_text(
-            "ring m2.ring\ncategory pair.cat\n"
-            + "".join(f"component {g} 1\n{' '.join('01'[g == i] for i in range(4))}\n" for g in range(4))
-        )
-        (workdir / "z33.ring").write_text("modulus 3\nrank 2\nconstants\n1 0 0 0\n0 0 0 1\n")
-        (workdir / "system.txt").write_text(
-            "category c2.cat\nobject 0 ring z33.ring\nmap 0\n1 0\n0 1\nmap 1\n0 1\n1 0\n"
-        )
-        (workdir / "huge.ring").write_text(f"modulus {10**30}\nrank 1\nconstants\n{10**30 - 1}\n")
-        commands = [
-            ["check-ring", "m2.ring"],
-            ["check-ring", "huge.ring"],
-            ["check-ring", "absent.ring"],
-            ["peirce", "z6z6_idems.txt"],
-            ["check-strong", "m2_idems.txt"],
-            ["check-strong", "t2_idems.txt"],
-            ["ideal-lattice", "t2.ring", "--side", "right"],
-            ["check-category", "pair.cat"],
-            ["build-mx", "bool2", "2"],
-            ["check-grading", "grading.txt"],
-            ["build-skew", "system.txt"],
-            ["gen-suite", "gradings"],
-        ] + [
-            ["verify-prop", name]
-            for name in (
-                "prop-2.4", "fixture-counts", "prop-3.2", "groupoid-homset", "mx-family",
-                "prop-5.3", "strong-equivalence", "corner-identity", "matrix-units-iso",
-                "mutation-matrix",
-            )
-        ]
-        blocked = run_cli_script(workdir, "blocked", commands)
-        plain = run_cli_script(workdir, "plain", commands)
-        assert blocked == plain
-        assert [code for _, code, _ in plain["results"]] == [0, 0, 2] + [0, 0, 1] + [0] * 16
-        assert not plain["numpy"]
+    def test_every_subcommand_runs_with_numpy_blocked(self, subcommand_dir, plain_run):
+        blocked = run_cli_script(subcommand_dir, "blocked", SUBCOMMANDS)
+        assert blocked == plain_run
+        assert [code for _, code, _ in plain_run["results"]] == [0, 0, 2] + [0, 0, 1] + [0] * 16
+        assert not plain_run["numpy"]
+
+
+class TestWithoutBuiltinSha256:
+    def test_every_subcommand_falls_back_to_hashlib(self, subcommand_dir, plain_run):
+        """Without the built-in SHA-256 modules the package hashes through
+        hashlib, and every output, input digests and seeded suites and
+        verdicts included, is byte-identical."""
+        fallback = run_cli_script(subcommand_dir, "hashlib", SUBCOMMANDS)
+        assert fallback["results"] == plain_run["results"]
+        assert any('"sha256"' in out for _, _, out in plain_run["results"])
+        assert fallback["hashlib"] and not plain_run["hashlib"]
 
 
 class TestSubcommands:

@@ -165,6 +165,15 @@ def test_category_suite_matches_recorded_digest(name, seed):
     assert (len(instances), h.hexdigest()) == CATEGORY_SUITE_DIGESTS[name, seed]
 
 
+# the seeds and the CLI's input digests hash with the interpreter's built-in
+# SHA-256; it must give hashlib's bytes on each side of the 55/56-byte padding
+# boundary and of the 64-byte block, and on a long input
+@pytest.mark.parametrize("size", [0, 1, 55, 56, 63, 64, 65, 1 << 20])
+def test_builtin_sha256_matches_hashlib(size):
+    data = (bytes(range(251)) * (size // 251 + 1))[:size]
+    assert corpus.sha256(data).digest() == hashlib.sha256(data).digest()
+
+
 # every mutant's name, expected error and payload, with elements as coordinates
 # and subgroups as their Howell rows
 MUTATION_MATRIX_DIGEST = "d4032657728f1e4b9783bceafd31ee02eb8044ec85e3017db2656ece236d68f2"
