@@ -776,23 +776,18 @@ print(json.dumps({
 """
 
 
-def run_cli_script(cwd: Path, mode: str, commands: list) -> dict:
+def fresh_process(cwd: Path, code: str, *args: str) -> str:
+    """Standard output of `code` run with `args` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", CLI_SCRIPT, mode, json.dumps(commands)],
+        [sys.executable, "-c", code, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300, check=True,
     )
-    return json.loads(proc.stdout)
-
-
-def fresh_process(cwd: Path, code: str) -> str:
-    """Standard output of `code` run in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60, check=True,
-    )
     return proc.stdout
+
+
+def run_cli_script(cwd: Path, mode: str, commands: list) -> dict:
+    return json.loads(fresh_process(cwd, CLI_SCRIPT, mode, json.dumps(commands)))
 
 
 class TestStartUp:
@@ -822,7 +817,7 @@ class TestStartUp:
         assert set(record["modules"]).isdisjoint({"dataclasses", "inspect", "_hashlib"})
 
 
-# every subcommand, each verify-prop driver included, on the inputs of subcommand_dir
+# every subcommand, on the input files subcommand_dir writes
 SUBCOMMANDS = [
     ["check-ring", "m2.ring"],
     ["check-ring", "huge.ring"],
