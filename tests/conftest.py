@@ -3,6 +3,12 @@ import pytest
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import smallcat as sc
+from ringbench import verify
+
+# the nine drivers that enumerate no ideal lattice, in acceptance order
+LATTICE_FREE_DRIVERS = tuple(
+    name for name in verify.PROP_CHECKS if name not in ("prop-lattice", "fixture-counts")
+)
 
 
 @pytest.fixture(scope="session")
@@ -84,3 +90,23 @@ def category_content(c) -> list:
     return [
         c.object_count, list(c.dom), list(c.cod), list(c.identity), sorted(c.compose.items())
     ]
+
+
+def driver_calls(module, name: str, seeds) -> list[tuple]:
+    """The arguments of every call to ``module.name`` while the lattice-free
+    drivers run at each suite seed, in call order."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    setattr(module, name, recording)
+    try:
+        for seed in seeds:
+            for driver in LATTICE_FREE_DRIVERS:
+                verify.run_check(driver, seed)
+    finally:
+        setattr(module, name, original)
+    return calls

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_span
+from conftest import brute_force_span, driver_calls
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import verify
@@ -645,6 +645,40 @@ class TestSubringIdentity:
     def test_other_rings_subgroup_rejected(self, m2f2, z2):
         with pytest.raises(RingMismatch):
             fr.subring_identity(m2f2, z2.full_subgroup())
+
+
+def reference_unit_of(ring: fr.FiniteRing, rows) -> fr.RingElement | None:
+    """_unit_of as it was before it built its system over the rows' nonzero
+    coordinates: the same system, through a dense n x 2n^2 tensor and two
+    rounds of combine."""
+    m, n, c = ring.modulus, ring.rank, ring.constants
+    width = 2 * n
+    by_row = [tuple(itertools.chain(*(c[a][b] + c[b][a] for a in range(n)))) for b in range(n)]
+    blocks = [fr.howell.combine(r, by_row, m, width * n) for r in rows]
+    by_basis = [
+        tuple(itertools.chain(*(block[width * a : width * (a + 1)] for block in blocks)))
+        for a in range(n)
+    ]
+    system = [fr.howell.combine(r, by_basis, m, width * len(rows)) for r in rows]
+    x = fr.howell.solve_row(system, tuple(itertools.chain(*(r + r for r in rows))), m)
+    if x is None:
+        return None
+    return fr.RingElement(ring, fr.howell.combine(x, rows, m, n))
+
+
+class TestUnitSolvePinned:
+    def test_driver_solves_match_the_dense_system(self):
+        # every ring unit and identity-component unit the lattice-free
+        # drivers solve for at two suite seeds
+        solves = driver_calls(fr, "_unit_of", (1729, 3))
+        assert len(solves) == 584
+        found = [fr._unit_of(ring, rows) for ring, rows in solves]
+        assert found == [reference_unit_of(ring, rows) for ring, rows in solves]
+
+    def test_rank_48_zero_ring_has_no_unit_either_way(self):
+        ring = corpus.zero_multiplication_ring(2, fr.MAX_RANK)
+        rows = ring.full_subgroup().rows
+        assert fr._unit_of(ring, rows) is None is reference_unit_of(ring, rows)
 
 
 class TestElementBinding:

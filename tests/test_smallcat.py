@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import driver_calls
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import smallcat as sc
@@ -313,3 +316,173 @@ class TestGeneratedInvariants:
         for i in range(60):
             c = corpus.random_category(i)
             assert sc.homset_strong_report(c).agree
+
+
+# ---------------------------------------------------------------------------
+# make_category against a literal copy of its exhaustive form
+
+
+def reference_make_category(object_count, dom, cod, identity, compose) -> sc.SmallCategory:
+    """make_category as it was before it compared definedness row by row and
+    checked the identity laws over the composable pairs only."""
+    p = int(object_count)
+    dom = tuple(int(x) for x in dom)
+    cod = tuple(int(x) for x in cod)
+    identity = tuple(int(x) for x in identity)
+    q = len(dom)
+    if q > sc.MAX_MORPHISMS:
+        raise CategoryTooLarge(q, sc.MAX_MORPHISMS)
+    if p < 1:
+        raise ShapeMismatch("a category needs at least one object")
+    if len(cod) != q:
+        raise ShapeMismatch("dom and cod must have one entry per morphism")
+    if len(identity) != p:
+        raise ShapeMismatch("identity assignment must have one entry per object")
+    if any(not 0 <= x < p for x in dom + cod):
+        raise ShapeMismatch("dom/cod entry out of object range")
+    if any(not 0 <= x < q for x in identity):
+        raise ShapeMismatch("identity entry out of morphism range")
+    table = tuple(tuple(int(x) for x in row) for row in compose)
+    if len(table) != q or any(len(row) != q for row in table):
+        raise ShapeMismatch(f"composition table must be {q} x {q}")
+    if any(not U <= x < q for row in table for x in row):
+        raise ShapeMismatch("composition entry out of morphism range")
+
+    for a in range(p):
+        e = identity[a]
+        if dom[e] != a or cod[e] != a:
+            raise IdentityLawViolation(
+                f"identity morphism of object {a} is not an endomorphism of {a}"
+            )
+
+    for kind, defined in (("overdefined", True), ("underdefined", False)):
+        for g, row in enumerate(table):
+            for h, gh in enumerate(row):
+                if (gh != U) is defined and (dom[g] == cod[h]) is not defined:
+                    raise CompositionDomainMismatch(g, h, kind)
+    after = [[(h, gh) for h, gh in enumerate(row) if gh != U] for row in table]
+    for g, pairs in enumerate(after):
+        for h, gh in pairs:
+            if dom[gh] != dom[h] or cod[gh] != cod[g]:
+                raise CompositionDomainMismatch(g, h, "endpoints")
+
+    for a in range(p):
+        e = identity[a]
+        for h in range(q):
+            if cod[h] == a and table[e][h] != h:
+                raise IdentityLawViolation(
+                    f"identity of object {a} fails the left law on morphism {h}"
+                )
+            if dom[h] == a and table[h][e] != h:
+                raise IdentityLawViolation(
+                    f"identity of object {a} fails the right law on morphism {h}"
+                )
+
+    for g, pairs in enumerate(after):
+        row_g = table[g]
+        for h, gh in pairs:
+            row_gh = table[gh]
+            for k, hk in after[h]:
+                if row_gh[k] != row_g[hk]:
+                    raise NotAssociative((g, h, k))
+
+    return sc.SmallCategory(p, dom, cod, identity, sc.CompositionTable(table))
+
+
+def category_outcome(build, args) -> tuple:
+    """Every field of the built category, or the error's class and message."""
+    try:
+        c = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return c.object_count, c.dom, c.cod, c.identity, c.compose.rows
+
+
+@pytest.fixture(scope="module")
+def driver_tables():
+    """The arguments of every category the lattice-free drivers build at
+    four suite seeds, the mutation matrix's rejected tables included."""
+    return driver_calls(sc, "make_category", (1729, 1, 2, 3))
+
+
+def _valid_categories() -> list[sc.SmallCategory]:
+    found = [corpus.random_category(i) for i in range(30)]
+    found += [corpus.random_groupoid(i) for i in range(15)]
+    found += [corpus.random_thin_category(i) for i in range(15)]
+    found += [sc.build_MX(corpus.MONOID_TABLES[name], s)
+              for name in ("c1", "c2", "bool2", "transf2", "leftzero3") for s in (1, 2, 3)]
+    found.append(corpus.disjoint_union(found[:3]))
+    return found
+
+
+VALID_CATEGORIES = _valid_categories()
+# a composite moved within its hom-set is the one mutation that can break
+# associativity, and most such moves keep it, so it is drawn most often
+MUTATIONS = (
+    "entry", "overdefine", "underdefine", "endpoints", "identity", "dom", "cod",
+) + ("same-endpoints",) * 4
+
+
+@st.composite
+def mutated_category(draw):
+    """A valid category's raw tables, then up to two mutations: any entry,
+    an overdefined or underdefined pair, a composite with wrong or with the
+    same endpoints (breaking an identity law or associativity), a moved
+    identity, domain or codomain, or a wrong shape."""
+    c = draw(st.sampled_from(VALID_CATEGORIES))
+    p, q = c.object_count, c.morphism_count
+    dom, cod, identity = list(c.dom), list(c.cod), list(c.identity)
+    table = [list(row) for row in c.compose.rows]
+    pairs = [(g, h) for g in range(q) for h in range(q)]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        if kind == "entry":
+            g, h = draw(st.sampled_from(pairs))
+            table[g][h] = draw(st.integers(-3, q + 1))
+        elif kind in ("overdefine", "underdefine", "endpoints", "same-endpoints"):
+            defined = kind != "overdefine"
+            chosen = [(g, h) for g, h in pairs if (table[g][h] != U) is defined]
+            if not chosen:
+                continue
+            g, h = draw(st.sampled_from(chosen))
+            if kind == "underdefine":
+                table[g][h] = U
+            elif kind == "same-endpoints":
+                same = [k for k in range(q) if (dom[k], cod[k]) == (dom[h], cod[g])]
+                table[g][h] = draw(st.sampled_from(same)) if same else table[g][h]
+            else:
+                table[g][h] = draw(st.integers(0, q - 1))
+        elif kind == "identity":
+            identity[draw(st.integers(0, p - 1))] = draw(st.integers(-1, q))
+        elif kind in ("dom", "cod"):
+            ends = dom if kind == "dom" else cod
+            ends[draw(st.integers(0, q - 1))] = draw(st.integers(-1, p))
+    # at most one wrong shape, last, so the mutations above index a full table
+    if not draw(st.integers(0, 3)):
+        where = draw(st.sampled_from(("rows", "row", "cod", "identity", "objects")))
+        if where == "rows":
+            table.pop()
+        elif where == "row":
+            table[draw(st.integers(0, q - 1))].append(U)
+        elif where == "cod":
+            cod.pop()
+        elif where == "identity":
+            identity.append(identity[0])
+        else:
+            p = draw(st.integers(-1, 0))
+    return p, dom, cod, identity, table
+
+
+class TestMakeCategoryPinned:
+    def test_driver_tables_build_as_the_reference_builds_them(self, driver_tables):
+        assert len(driver_tables) == 1099
+        outcomes = [category_outcome(sc.make_category, args) for args in driver_tables]
+        assert outcomes == [category_outcome(reference_make_category, args) for args in driver_tables]
+        # the mutation matrix's three rejected tables are among them
+        assert sum(len(o) == 2 for o in outcomes) == 3 * 4
+
+    @settings(max_examples=600, deadline=None)
+    @given(args=mutated_category())
+    def test_mutated_tables_fail_as_the_reference_fails(self, args):
+        assert category_outcome(sc.make_category, args) == category_outcome(
+            reference_make_category, args
+        )
