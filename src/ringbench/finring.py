@@ -828,22 +828,28 @@ def _unit_of(ring: FiniteRing, rows: Sequence[tuple[int, ...]]) -> RingElement |
     or None when there is none.
 
     Such a u is unique (u = u * u' = u'), so one solve over Z/m finds it.
-    The system is read from the structure constants: row i holds the
-    coordinates of r_i * r_j, then of r_j * r_i, for each j in turn.  The
-    unit law is rechecked with the product kernel.
+    The r x 2nr system is read from the structure constants, over the
+    nonzero coordinates of the rows: row i holds the coordinates of
+    r_i * r_j, then of r_j * r_i, for each j in turn.  The unit law is then
+    rechecked with the product kernel, which never built the system.
     """
     m, n, c = ring.modulus, ring.rank, ring.constants
-    width = 2 * n  # coordinates of one product, then of the reversed one
-    # row b: b_a * b_b, then b_b * b_a, for each a
-    by_row = [tuple(itertools.chain(*(c[a][b] + c[b][a] for a in range(n)))) for b in range(n)]
-    # block j: b_a * r_j, then r_j * b_a, for each a
-    blocks = [howell.combine(r, by_row, m, width * n) for r in rows]
-    # row a: b_a * r_j, then r_j * b_a, for each j
-    by_basis = [
-        tuple(itertools.chain(*(block[width * a : width * (a + 1)] for block in blocks)))
-        for a in range(n)
-    ]
-    system = [howell.combine(r, by_basis, m, width * len(rows)) for r in rows]
+    support = [[(a, x) for a, x in enumerate(r) if x] for r in rows]
+    system = []
+    for left in support:
+        line: list[int] = []
+        for right in support:
+            ij, ji = [0] * n, [0] * n  # r_i * r_j and r_j * r_i
+            for a, x in left:
+                for b, y in right:
+                    xy, ab, ba = x * y, c[a][b], c[b][a]
+                    if any(ab):
+                        ij = [s + xy * t for s, t in zip(ij, ab)]
+                    if any(ba):
+                        ji = [s + xy * t for s, t in zip(ji, ba)]
+            line += ij
+            line += ji
+        system.append(tuple([v % m for v in line]))
     x = howell.solve_row(system, tuple(itertools.chain(*(r + r for r in rows))), m)
     if x is None:
         return None

@@ -45,10 +45,15 @@ from .strength import StrongnessReport
 
 
 class IdempotentSet:
-    __slots__ = ("ring", "elements")
+    """A validated complete set: the idempotents e_j and, kept from the
+    validation, their left multiples S e_j, which peirce_table reads."""
 
-    def __init__(self, ring: FiniteRing, elements: tuple[RingElement, ...]):
+    __slots__ = ("ring", "elements", "left_multiples")
+
+    def __init__(self, ring: FiniteRing, elements: tuple[RingElement, ...],
+                 left_multiples: tuple[AdditiveSubgroup, ...]):
         self.ring, self.elements = ring, elements
+        self.left_multiples = left_multiples
 
     @property
     def size(self) -> int:
@@ -87,11 +92,13 @@ def validate_complete_set(
         for j in range(len(elems)):
             if i != j and not (elems[i] * elems[j]).is_zero():
                 raise NotOrthogonal(i, j)
+    left = tuple(_one_sided_multiples(ring, e, "left") for e in elems)
     for side in ("left", "right"):
-        defect = direct_sum_defect(ring, [_one_sided_multiples(ring, e, side) for e in elems])
+        parts = left if side == "left" else [_one_sided_multiples(ring, e, side) for e in elems]
+        defect = direct_sum_defect(ring, parts)
         if defect is not None:
             raise NotComplete(side, defect=defect)
-    return IdempotentSet(ring, elems)
+    return IdempotentSet(ring, elems, left)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +145,16 @@ class PeirceTable:
 def peirce_table(iset: IdempotentSet) -> PeirceTable:
     """Compute every component e_i S e_j.
 
-    The component orders must multiply to |S| (the two-sided decomposition
-    refines both one-sided ones); this is re-verified on every call.
+    Each is e_i (S e_j), spanned by e_i * y over the Howell rows y of the
+    left multiples S e_j the validation kept.  The component orders must
+    multiply to |S| (the two-sided decomposition refines both one-sided
+    ones); this is re-verified over all k^2 components on every call.
     """
-    ring, elems = iset.ring, iset.elements
-    table = tuple(tuple(ring.sandwich(ei.coords, ej.coords) for ej in elems) for ei in elems)
+    ring, mul = iset.ring, iset.ring._mul
+    table = tuple(
+        tuple(ring.span([mul(ei.coords, y) for y in sej.rows]) for sej in iset.left_multiples)
+        for ei in iset.elements
+    )
     if direct_sum_defect(ring, [sub for row in table for sub in row]) is not None:
         raise InvariantViolation("component table does not decompose the ring")
     return PeirceTable(ring, iset, table)
@@ -244,7 +256,9 @@ def corner_lattice_correspondence(
         return [index.get(product_subgroup(s, by).key) for s in subs]
 
     fwd = images(ideals, ambient, submodules)
-    bwd = images(submodules, opposed, ideals)
+    # on the diagonal both families are the corner's ideals and both
+    # operands the corner, so the backward images are the forward ones
+    bwd = fwd if i == j else images(submodules, opposed, ideals)
 
     # the first unlisted image is the failure; the round trips are judged
     # on the images met before it, and monotonicity only without a failure

@@ -85,7 +85,10 @@ def validate_system(
     Each map must be an additive bijection (an invertible matrix over Z/m),
     multiplicative on basis pairs, and unit preserving; identity morphisms
     must carry identity maps and compositions must multiply contravariantly
-    in the row-vector convention: map_{gh} = map_h @ map_g.
+    in the row-vector convention: map_{gh} = map_h @ map_g.  Each distinct
+    (source ring, target ring, matrix) is checked once and each distinct
+    composite formed once, so a constant system of q identity maps makes one
+    map check; the first failing morphism or pair is the one reported.
     """
     rings = _as_tuple_by_index(object_rings, category.object_count, "object rings")
     m = rings[0].modulus
@@ -94,16 +97,17 @@ def validate_system(
             raise ModulusMismatch("object rings must share one modulus")
     # one unit solve per distinct ring; the first object without one fails
     solved: dict[int, RingElement | None] = {}
-    units: list[RingElement] = []
     for a, r in enumerate(rings):
         if id(r) not in solved:
             solved[id(r)] = find_identity(r)
         if solved[id(r)] is None:
             raise NotUnital(a)
-        units.append(solved[id(r)])
 
     raw_maps = _as_tuple_by_index(morphism_maps, category.morphism_count, "morphism maps")
     maps: list[howell.Matrix] = []
+    # equal matrices share one object, so checks and composites key on ids
+    interned: dict[howell.Matrix, howell.Matrix] = {}
+    checked: set[tuple[int, int, int]] = set()  # (source, target, matrix) that passed
     for g, raw in enumerate(raw_maps):
         src = rings[category.dom[g]]
         dst = rings[category.cod[g]]
@@ -113,6 +117,10 @@ def validate_system(
             M = None
         if M is None or len(M) != src.rank or any(len(row) != dst.rank for row in M):
             raise ShapeMismatch(f"map for morphism {g} must be {src.rank} x {dst.rank}")
+        M = interned.setdefault(M, M)
+        maps.append(M)
+        if (id(src), id(dst), id(M)) in checked:
+            continue
         if src.rank != dst.rank or howell.howell_form(M, m) != src._basis_rows:
             raise NotRingIso(g, "matrix is not invertible over the modulus")
         # multiplicative: image of a basis product equals the product of images
@@ -120,19 +128,26 @@ def validate_system(
         for (i, x), (j, y) in itertools.product(enumerate(src._basis_rows), repeat=2):
             if howell.combine(src._mul(x, y), M, m, n) != dst._mul(M[i], M[j]):
                 raise NotRingIso(g, "map is not multiplicative", witness=(i, j))
-        if howell.combine(units[category.dom[g]].coords, M, m, n) != units[category.cod[g]].coords:
+        # units are solved per ring object, so the key fixes both
+        if howell.combine(solved[id(src)].coords, M, m, n) != solved[id(dst)].coords:
             raise NotRingIso(g, "map does not preserve the unit")
-        maps.append(M)
+        checked.add((id(src), id(dst), id(M)))
 
     for a in range(category.object_count):
         if maps[category.identity[a]] != rings[a]._basis_rows:
             raise IdentityNotIdentity(a)
 
-    for g, composites in enumerate(category.compose.rows):
-        for h, gh in enumerate(composites):
+    # map_h then map_g, by their ids; its width is map_g's, the rank at cod(g)
+    composites: dict[tuple[int, int], howell.Matrix] = {}
+    for g, row in enumerate(category.compose.rows):
+        map_g = maps[g]
+        for h, gh in enumerate(row):
             if gh != UNDEFINED:
-                n = rings[category.cod[gh]].rank
-                if maps[gh] != tuple(howell.combine(row, maps[g], m, n) for row in maps[h]):
+                pair = (id(maps[h]), id(map_g))
+                if pair not in composites:
+                    n = len(map_g)
+                    composites[pair] = tuple(howell.combine(r, map_g, m, n) for r in maps[h])
+                if maps[gh] != composites[pair]:
                     raise NotFunctorial(g, h)
 
     return SkewCategorySystem(category, rings, tuple(maps))

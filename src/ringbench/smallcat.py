@@ -99,12 +99,15 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
 
     Checks, in order: index ranges and shapes, identity endpoints, table
     definedness against dom/cod, composite endpoints, identity laws, and
-    associativity on every defined triple.
+    associativity on every defined triple.  Definedness compares each row's
+    defined columns with the columns that compose with it, and the identity
+    laws read the composable pairs only; a failing check then scans its
+    pairs in order, to name the first witness.
     """
     p = int(object_count)
-    dom = tuple(int(x) for x in dom)
-    cod = tuple(int(x) for x in cod)
-    identity = tuple(int(x) for x in identity)
+    dom = tuple(map(int, dom))
+    cod = tuple(map(int, cod))
+    identity = tuple(map(int, identity))
     q = len(dom)
     if q > MAX_MORPHISMS:
         raise CategoryTooLarge(q, MAX_MORPHISMS)
@@ -114,14 +117,15 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
         raise ShapeMismatch("dom and cod must have one entry per morphism")
     if len(identity) != p:
         raise ShapeMismatch("identity assignment must have one entry per object")
-    if any(not 0 <= x < p for x in dom + cod):
+    if dom and not (0 <= min(dom + cod) and max(dom + cod) < p):
         raise ShapeMismatch("dom/cod entry out of object range")
-    if any(not 0 <= x < q for x in identity):
+    # p >= 1 identities, so from here on q >= 1
+    if not (0 <= min(identity) and max(identity) < q):
         raise ShapeMismatch("identity entry out of morphism range")
-    table = tuple(tuple(int(x) for x in row) for row in compose)
+    table = tuple(tuple(map(int, row)) for row in compose)
     if len(table) != q or any(len(row) != q for row in table):
         raise ShapeMismatch(f"composition table must be {q} x {q}")
-    if any(not UNDEFINED <= x < q for row in table for x in row):
+    if not (UNDEFINED <= min(map(min, table)) and max(map(max, table)) < q):
         raise ShapeMismatch("composition entry out of morphism range")
 
     for a in range(p):
@@ -131,14 +135,21 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
                 f"identity morphism of object {a} is not an endomorphism of {a}"
             )
 
-    # every overdefined pair is reported before any underdefined one
-    for kind, defined in (("overdefined", True), ("underdefined", False)):
-        for g, row in enumerate(table):
-            for h, gh in enumerate(row):
-                if (gh != UNDEFINED) is defined and (dom[g] == cod[h]) is not defined:
-                    raise CompositionDomainMismatch(g, h, kind)
-    # the composable pairs (g, h), with their composites, by g
+    into = [[] for _ in range(p)]  # by object a: the h with cod(h) == a
+    out_of = [[] for _ in range(p)]  # by object a: the h with dom(h) == a
+    for h in range(q):
+        into[cod[h]].append(h)
+        out_of[dom[h]].append(h)
+    # the defined pairs (g, h), with their composites, by g
     after = [[(h, gh) for h, gh in enumerate(row) if gh != UNDEFINED] for row in table]
+    # row g must define exactly the h that compose with it, into[dom(g)]
+    if any([h for h, _ in pairs] != into[dom[g]] for g, pairs in enumerate(after)):
+        # every overdefined pair is reported before any underdefined one
+        for kind, defined in (("overdefined", True), ("underdefined", False)):
+            for g, row in enumerate(table):
+                for h, gh in enumerate(row):
+                    if (gh != UNDEFINED) is defined and (dom[g] == cod[h]) is not defined:
+                        raise CompositionDomainMismatch(g, h, kind)
     for g, pairs in enumerate(after):
         for h, gh in pairs:
             if dom[gh] != dom[h] or cod[gh] != cod[g]:
@@ -146,8 +157,11 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
 
     for a in range(p):
         e = identity[a]
-        for h in range(q):
-            if cod[h] == a and table[e][h] != h:
+        row_e = table[e]
+        if [row_e[h] for h in into[a]] == into[a] and [table[h][e] for h in out_of[a]] == out_of[a]:
+            continue
+        for h in range(q):  # name the first failure for this object
+            if cod[h] == a and row_e[h] != h:
                 raise IdentityLawViolation(
                     f"identity of object {a} fails the left law on morphism {h}"
                 )

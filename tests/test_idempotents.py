@@ -227,6 +227,25 @@ class TestCornerLatticeCorrespondence:
         cert = idem.corner_lattice_correspondence(table, 0, 0, "left")
         assert cert.ok
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_diagonal_images_are_formed_once(self, monkeypatch, side):
+        # on the diagonal both families are the ideals of the corner Z/4 and
+        # both operands the corner itself, so each image serves both ways
+        ring = corpus.matrix_units_ring(4, 2)
+        table = idem.peirce_table(
+            idem.validate_complete_set(ring, [ring.basis_element(0), ring.basis_element(3)])
+        )
+        assert table.strong
+        products = []
+        monkeypatch.setattr(
+            idem, "product_subgroup", lambda a, b: products.append(1) or fr.product_subgroup(a, b)
+        )
+        cert = idem.corner_lattice_correspondence(table, 0, 0, side)
+        assert cert.ok and cert.ideal_count == cert.submodule_count == 3
+        assert cert.pairs == ((0, 0), (1, 1), (2, 2))
+        # one product per ideal; forward and backward apart, this was 6
+        assert len(products) == 3
+
     def test_right_side(self, m2_setup):
         _, _, table = m2_setup
         cert = idem.corner_lattice_correspondence(table, 1, 0, "right")

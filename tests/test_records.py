@@ -36,7 +36,7 @@ PARAMETERS = {
         "object_unital", "strongly_graded", "homset_strongly_graded", "homset_report",
         "induced_set",
     ],
-    idempotents.IdempotentSet: ["ring", "elements"],
+    idempotents.IdempotentSet: ["ring", "elements", "left_multiples"],
     idempotents.PeirceTable: ["ring", "iset", "components"],
     idempotents.CornerLatticeCertificate: [
         "side", "i", "j", "ideal_count", "submodule_count", "ideal_height", "submodule_height",

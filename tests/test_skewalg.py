@@ -102,6 +102,30 @@ class TestValidateSystem:
             sk.validate_system(pair, [z2, zero_ring_2], [eye1] * 4)
         assert exc.value.object_index == 1
 
+    def test_each_distinct_map_and_composite_is_checked_once(self, z2, monkeypatch):
+        # the constant system of 64 identity maps over Z/2 on build_MX(c1, 8),
+        # with its 512 composable pairs; the unit solve is stubbed out, so
+        # each combine is a map check (n^2 + 1 per distinct map: its basis
+        # products and its unit) or a composite row (n per distinct composite)
+        mx = sc.build_MX(corpus.MONOID_TABLES["c1"], 8)
+        one = fr.find_identity(z2)
+        calls = {"howell_form": 0, "combine": 0}
+        for name in calls:
+            original = getattr(fr.howell, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(fr.howell, name, counting)
+        monkeypatch.setattr(sk, "find_identity", lambda ring: one)
+        system = sk.validate_system(mx, [z2] * 8, [z2._basis_rows] * 64)
+        assert system.maps == (z2._basis_rows,) * 64
+        # one distinct map and one distinct composite: 1 + 1 combines for the
+        # map, 1 for the composite; checked per morphism and per pair, these
+        # were 64 reductions and 64 * 2 + 512 = 640 combines
+        assert calls == {"howell_form": 1, "combine": 3}
+
     def test_mixed_moduli_rejected(self, z2, z3):
         pair = sc.build_MX(corpus.MONOID_TABLES["c1"], 2)
         eye1 = np.eye(1, dtype=np.int64)
