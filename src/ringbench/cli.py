@@ -1,10 +1,11 @@
 """Command line interface: file ingestion, subcommand dispatch, JSON reports.
 
-Input files are UTF-8 text (any other byte is a ParseError at its line and
-column).  Input formats are whitespace-insensitive token streams with ``#``
-line comments; all integers are decimal.  Each declaration is given at most
-once: a second ``compose g h``, ``component g``, ``object a`` or ``map g``
-for the same index is a ParseError at the repeated keyword.  The schemas:
+Input files are UTF-8 text (any other byte, or a NUL byte in a path, is a
+ParseError at its line and column).  Input formats are whitespace-insensitive
+token streams with ``#`` line comments; all integers are decimal.  Each
+declaration is given at most once: a second ``compose g h``, ``component g``,
+``object a`` or ``map g`` for the same index is a ParseError at the repeated
+keyword.  The schemas:
 
 Ring file::
 
@@ -35,15 +36,15 @@ Grading file::
 
     ring <path>
     category <path>
-    component <morphism> <generator count>
+    component <morphism> <generator count>   # omitted: the zero subgroup
     <generator count rows of rank residues>
     ...
 
 System file::
 
     category <path>
-    object <index> ring <path>   # one per object
-    map <morphism>
+    object <index> ring <path>   # one per object; one parse per path
+    map <morphism>               # one per morphism
     <rank x rank residues, row-major>
     ...
 
@@ -57,9 +58,11 @@ read; a rank above finring.MAX_RANK (RankTooLarge) before the constants
 are read; a ring whose associativity check would take more
 than finring.MAX_ASSOCIATIVITY_WORK steps (WorkTooLarge) before the check
 runs; a category file's morphism count above smallcat.MAX_MORPHISMS
-(CategoryTooLarge) before its arrows are read.  A lattice enumeration stops
-past finring.MAX_LATTICE_WORK steps (LatticeTooLarge), counted as it scans
-elements and before each round of joins.
+(CategoryTooLarge) before its arrows are read; a skew algebra rank, the sum
+over morphisms g of the rank of the ring at cod(g), above finring.MAX_RANK
+(RankTooLarge) before a system file's maps are read.  A lattice enumeration
+stops past finring.MAX_LATTICE_WORK steps (LatticeTooLarge), counted as it
+scans elements and before each round of joins.
 
 Every invocation prints one JSON report to standard output (suppress the
 timings block with --no-timings for byte-identical reruns).  Exit codes:
@@ -94,6 +97,7 @@ from .errors import (
     ModulusTooLarge,
     ParseError,
     RankTooLarge,
+    ShapeMismatch,
     UsageError,
     WorkbenchError,
     cut,
@@ -192,7 +196,10 @@ class TokenStream:
     def relative_path(self, keyword: str) -> Path:
         """Reads ``<keyword> <path>``; the path is relative to this file."""
         self.expect(keyword)
-        return self.parent / self.next(f"{keyword} path")
+        text = self.next(f"{keyword} path")
+        if "\0" in text:  # no file system takes it
+            raise self.error(f"{keyword} path contains a NUL byte", self.pos - 1)
+        return self.parent / text
 
     def done(self) -> bool:
         return self.pos >= len(self.texts)
@@ -267,45 +274,55 @@ def parse_grading_file(path: str | Path) -> gr.Grading:
     ts = TokenStream(Path(path))
     ring = parse_ring_file(ts.relative_path("ring"))
     category = parse_category_file(ts.relative_path("category"))
-    components: dict[int, fr.AdditiveSubgroup] = {}
+    components: list[fr.AdditiveSubgroup | None] = [None] * category.morphism_count
     while not ts.done():
         at = ts.expect("component")
         g = ts.integer_in("morphism index", 0, category.morphism_count)
-        if g in components:
+        if components[g] is not None:
             raise ts.error(f"component {g} given twice", at)
         count = ts.integer_in("generator count", 0, math.inf)
         rows = []
         for r in range(count):
             rows.append(ts.integers("coordinate", ring.rank))
         components[g] = ring.span(rows)
-    for g in range(category.morphism_count):
-        components.setdefault(g, ring.zero_subgroup())
+    components = [ring.zero_subgroup() if c is None else c for c in components]
     return gr.attach_grading(ring, category, components)
 
 
 def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
     ts = TokenStream(Path(path))
     category = parse_category_file(ts.relative_path("category"))
-    rings: dict[int, fr.FiniteRing] = {}
+    rings: list[fr.FiniteRing | None] = [None] * category.object_count
+    parsed: dict[Path, fr.FiniteRing] = {}  # objects that name one file share its ring
     while ts.peek() == "object":
         at = ts.expect("object")
         a = ts.integer_in("object index", 0, category.object_count)
-        if a in rings:
+        if rings[a] is not None:
             raise ts.error(f"object {a} given twice", at)
-        rings[a] = parse_ring_file(ts.relative_path("ring"))
-    missing = [a for a in range(category.object_count) if a not in rings]
+        path = ts.relative_path("ring")
+        if path not in parsed:
+            parsed[path] = parse_ring_file(path)
+        rings[a] = parsed[path]
+    missing = [a for a, ring in enumerate(rings) if ring is None]
     if missing:
         raise ParseError(f"object rings missing for objects {missing}", 1, 1)
-    maps: dict[int, list[list[int]]] = {}
+    # the cap build_skew_algebra applies to the algebra, before any map is read
+    total = sum(rings[b].rank for b in category.cod)
+    if total > fr.MAX_RANK:
+        raise RankTooLarge(total, fr.MAX_RANK)
+    maps: list[list[list[int]] | None] = [None] * category.morphism_count
     while not ts.done():
         at = ts.expect("map")
         g = ts.integer_in("morphism index", 0, category.morphism_count)
-        if g in maps:
+        if maps[g] is not None:
             raise ts.error(f"map {g} given twice", at)
         nd = rings[category.dom[g]].rank
         nc = rings[category.cod[g]].rank
         flat = ts.integers("entry", nd * nc)
         maps[g] = [flat[r * nc : (r + 1) * nc] for r in range(nd)]
+    missing = [g for g, rows in enumerate(maps) if rows is None]
+    if missing:
+        raise ShapeMismatch(f"morphism maps missing for indices {missing}")
     return sk.validate_system(category, rings, maps)
 
 
@@ -319,7 +336,7 @@ def _digest(path: str | Path) -> dict:
 
 
 class Reporter:
-    def __init__(self, command: str, args):
+    def __init__(self, command: str, quiet: bool, no_timings: bool):
         self.report: dict = {
             "command": command,
             "tool": {"name": "ringbench", "version": __version__},
@@ -327,8 +344,8 @@ class Reporter:
             "verdicts": {},
             "witnesses": [],
         }
-        self.quiet = getattr(args, "quiet", False)
-        self.timings = not getattr(args, "no_timings", False)
+        self.quiet = quiet
+        self.timings = not no_timings
         self.start = time.perf_counter()
 
     def add_input(self, path) -> None:
@@ -390,8 +407,7 @@ def _emit_error(command: str, exc: Exception, quiet: bool, code: int = 2) -> int
 # subcommands
 
 
-def _cmd_check_ring(args) -> int:
-    rep = Reporter("check-ring", args)
+def _cmd_check_ring(args, rep: Reporter) -> None:
     ring = parse_ring_file(args.ring)
     rep.add_input(args.ring)
     rep.verdict("associative", True)
@@ -400,11 +416,9 @@ def _cmd_check_ring(args) -> int:
     rep.info("unital", one is not None)
     if one is not None:
         rep.info("identity", list(one.coords))
-    return rep.emit()
 
 
-def _cmd_peirce(args) -> int:
-    rep = Reporter("peirce", args)
+def _cmd_peirce(args, rep: Reporter) -> None:
     ring, candidates = parse_idempotent_file(args.idempotents)
     rep.add_input(args.idempotents)
     iset = idem.validate_complete_set(ring, candidates)
@@ -415,11 +429,9 @@ def _cmd_peirce(args) -> int:
         [[sub.order for sub in row] for row in table.components],
     )
     rep.info("corner_orders", [table.component(i, i).order for i in range(table.size)])
-    return rep.emit()
 
 
-def _cmd_check_strong(args) -> int:
-    rep = Reporter("check-strong", args)
+def _cmd_check_strong(args, rep: Reporter) -> None:
     ring, candidates = parse_idempotent_file(args.idempotents)
     rep.add_input(args.idempotents)
     iset = idem.validate_complete_set(ring, candidates)
@@ -432,11 +444,9 @@ def _cmd_check_strong(args) -> int:
     for i, witness in enumerate((report.witness1, report.witness2, report.witness3), 1):
         if witness is not None:
             rep.witness(condition=i, indices=list(witness[0]), reason=witness[1])
-    return rep.emit()
 
 
-def _cmd_ideal_lattice(args) -> int:
-    rep = Reporter("ideal-lattice", args)
+def _cmd_ideal_lattice(args, rep: Reporter) -> None:
     ring = parse_ring_file(args.ring)
     rep.add_input(args.ring)
     lattice = fr.enumerate_one_sided_ideals(ring, args.side)
@@ -445,11 +455,9 @@ def _cmd_ideal_lattice(args) -> int:
     rep.info("height", lattice.height)
     rep.info("ideal_orders", [i.order for i in lattice.ideals])
     rep.info("cover_relation", [list(row) for row in lattice.cover_relation])
-    return rep.emit()
 
 
-def _cmd_check_category(args) -> int:
-    rep = Reporter("check-category", args)
+def _cmd_check_category(args, rep: Reporter) -> None:
     category = parse_category_file(args.category)
     rep.add_input(args.category)
     rep.verdict("valid", True)
@@ -471,11 +479,9 @@ def _cmd_check_category(args) -> int:
     for i, witness in enumerate((report.witness1, report.witness2, report.witness3), 1):
         if witness is not None:
             rep.witness(condition=i, objects=list(witness[0]), reason=witness[1])
-    return rep.emit()
 
 
-def _cmd_build_mx(args) -> int:
-    rep = Reporter("build-mx", args)
+def _cmd_build_mx(args, rep: Reporter) -> None:
     if args.monoid in corpus.MONOID_TABLES:
         table = corpus.MONOID_TABLES[args.monoid]
     else:
@@ -504,11 +510,9 @@ def _cmd_build_mx(args) -> int:
                     lines.append(f"compose {g} {h} {gh}")
         Path(args.save).write_text("\n".join(lines) + "\n")
         rep.info("saved", str(args.save))
-    return rep.emit()
 
 
-def _cmd_check_grading(args) -> int:
-    rep = Reporter("check-grading", args)
+def _cmd_check_grading(args, rep: Reporter) -> None:
     grading = parse_grading_file(args.grading)
     rep.add_input(args.grading)
     rep.verdict("valid", True)
@@ -523,11 +527,9 @@ def _cmd_check_grading(args) -> int:
     if flags.homset_strongly_graded is not None:
         rep.verdict("homset_strongly_graded", flags.homset_strongly_graded)
         rep.verdict("conditions_agree", flags.homset_report.agree)
-    return rep.emit()
 
 
-def _cmd_build_skew(args) -> int:
-    rep = Reporter("build-skew", args)
+def _cmd_build_skew(args, rep: Reporter) -> None:
     system = parse_system_file(args.system)
     rep.add_input(args.system)
     algebra = sk.build_skew_algebra(system)
@@ -543,7 +545,6 @@ def _cmd_build_skew(args) -> int:
     )
     rep.info("idempotents_strong", record.idempotents_strong)
     rep.info("category_homset_strong", record.category_homset_strong)
-    return rep.emit()
 
 
 def _env_seed() -> int | None:
@@ -557,24 +558,20 @@ def _env_seed() -> int | None:
         raise ParseError(f"WORKBENCH_SEED must be an integer, found {cut(text)!r}") from None
 
 
-def _cmd_verify_prop(args) -> int:
-    rep = Reporter("verify-prop", args)
+def _cmd_verify_prop(args, rep: Reporter) -> None:
     result = verify.run_check(args.name, _env_seed())
     rep.verdict(result.name, result.ok)
     rep.info("checked", result.checked)
     for failure in result.failures:
         rep.witness(failure=failure)
-    return rep.emit()
 
 
-def _cmd_gen_suite(args) -> int:
-    rep = Reporter("gen-suite", args)
+def _cmd_gen_suite(args, rep: Reporter) -> None:
     instances = corpus.generate_suite(args.name, _env_seed())
     rep.verdict("generated", True)
     rep.info("suite", args.name)
     rep.info("count", len(instances))
     rep.info("instances", [getattr(inst, "name", repr(inst)) for inst in instances])
-    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +651,9 @@ def main(argv=None) -> int:
     args = argparse.Namespace()
     try:
         parser.parse_args(argv, namespace=args)
-        return args.func(args)
+        rep = Reporter(args.command, args.quiet, args.no_timings)
+        args.func(args, rep)
+        return rep.emit()
     except (WorkbenchError, OSError) as exc:
         return _emit_error(args.command, exc, args.quiet)
     except InvariantViolation as exc:

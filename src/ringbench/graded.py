@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import strength
 from .errors import (
@@ -99,27 +99,21 @@ class Grading:
 def attach_grading(
     ring: FiniteRing,
     category: SmallCategory,
-    components: Mapping[int, AdditiveSubgroup] | Sequence[AdditiveSubgroup],
+    components: Sequence[AdditiveSubgroup],
 ) -> Grading:
     """Validate the direct-sum and multiplicativity axioms exhaustively.
 
-    Multiplicativity is checked on generator products x*y, x a basis row of
-    S_g and y one of S_h, which suffices by bilinearity: each nonzero product
-    must lie in S_gh, and (g, h) must be composable.  The first failure in
-    (g, h, x, y) order raises GradingViolation with the witness (x, y, x*y).
+    ``components`` is a sequence indexed by morphism, one subgroup of
+    ``ring`` each; any other length is ShapeMismatch.  Multiplicativity is
+    checked on generator products x*y, x a basis row of S_g and y one of
+    S_h, which suffices by bilinearity: each nonzero product must lie in
+    S_gh, and (g, h) must be composable.  The first failure in (g, h, x, y)
+    order raises GradingViolation with the witness (x, y, x*y).
     """
     q = category.morphism_count
-    if isinstance(components, Mapping):
-        missing = [g for g in range(q) if g not in components]
-        if missing:
-            raise ShapeMismatch(f"components missing for morphisms {missing}")
-        comps = tuple(components[g] for g in range(q))
-    else:
-        comps = tuple(components)
-        if len(comps) != q:
-            raise ShapeMismatch(
-                f"expected {q} components, got {len(comps)}"
-            )
+    comps = tuple(components)
+    if len(comps) != q:
+        raise ShapeMismatch(f"expected {q} components, got {len(comps)}")
     for sub in comps:
         if sub.ring is not ring:
             raise RingMismatch("component bound to a different ring")

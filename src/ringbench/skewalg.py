@@ -17,7 +17,7 @@ object unital rather than assumed.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import howell
 from .errors import (
@@ -63,12 +63,7 @@ class SkewCategorySystem:
         return self.object_rings[0].modulus
 
 
-def _as_tuple_by_index(data, count: int, what: str):
-    if isinstance(data, Mapping):
-        missing = [i for i in range(count) if i not in data]
-        if missing:
-            raise ShapeMismatch(f"{what} missing for indices {missing}")
-        return tuple(data[i] for i in range(count))
+def _as_tuple_by_index(data: Sequence, count: int, what: str) -> tuple:
     out = tuple(data)
     if len(out) != count:
         raise ShapeMismatch(f"expected {count} {what}, got {len(out)}")
@@ -77,15 +72,18 @@ def _as_tuple_by_index(data, count: int, what: str):
 
 def validate_system(
     category: SmallCategory,
-    object_rings: Mapping[int, FiniteRing] | Sequence[FiniteRing],
-    morphism_maps: Mapping[int, Sequence] | Sequence[Sequence],
+    object_rings: Sequence[FiniteRing],
+    morphism_maps: Sequence[Sequence],
 ) -> SkewCategorySystem:
     """Verify every system axiom exhaustively.
 
-    Each map must be an additive bijection (an invertible matrix over Z/m),
-    multiplicative on basis pairs, and unit preserving; identity morphisms
-    must carry identity maps and compositions must multiply contravariantly
-    in the row-vector convention: map_{gh} = map_h @ map_g.  Each distinct
+    ``object_rings`` is a sequence indexed by object and ``morphism_maps``
+    one indexed by morphism, each map a sequence of integer rows; any other
+    length is ShapeMismatch.  Each map must be an additive bijection (an
+    invertible matrix over Z/m), multiplicative on basis pairs, and unit
+    preserving; identity morphisms must carry identity maps and compositions
+    must multiply contravariantly in the row-vector convention:
+    map_{gh} = map_h @ map_g.  Each distinct
     (source ring, target ring, matrix) is checked once and each distinct
     composite formed once, so a constant system of q identity maps makes one
     map check; the first failing morphism or pair is the one reported.

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ringbench import cli
 from ringbench import corpus
 from ringbench import finring as fr
+from ringbench import skewalg as sk
 from ringbench import smallcat as sc
 from ringbench import verify
 from ringbench.errors import CategoryTooLarge, LatticeTooLarge, ParseError
@@ -57,6 +58,54 @@ constants
 0 0  0 1
 """
 
+# A Morita context over Z/2 on e1, e2, x, y: e1 and e2 are orthogonal
+# idempotents, x = e1 x e2 and y = e2 y e1, and every other basis product,
+# x y and y x included, is 0.  The off-diagonal products vanish, so each
+# strength condition fails at a product rather than at a zero clause.
+MORITA_RING = """\
+modulus 2
+rank 4
+labels e1 e2 x y
+constants
+1 0 0 0  0 0 0 0  0 0 1 0  0 0 0 0
+0 0 0 0  0 1 0 0  0 0 0 0  0 0 0 1
+0 0 0 0  0 0 1 0  0 0 0 0  0 0 0 0
+0 0 0 1  0 0 0 0  0 0 0 0  0 0 0 0
+"""
+
+# Two objects with f: 0 -> 1 and g: 1 -> 0 where f g f = f and g f g = g:
+# morphisms id0, id1, f, g, e0 = g f and e1 = f g.  The composites through
+# the other object give e0 and e1 but never the identities.
+SPLIT_CATEGORY = """\
+objects 2
+morphisms 6
+arrow 0 0
+arrow 1 1
+arrow 0 1
+arrow 1 0
+arrow 0 0
+arrow 1 1
+identity 0 1
+compose 0 0 0
+compose 0 3 3
+compose 0 4 4
+compose 1 1 1
+compose 1 2 2
+compose 1 5 5
+compose 2 0 2
+compose 2 3 5
+compose 2 4 2
+compose 3 1 3
+compose 3 2 4
+compose 3 5 3
+compose 4 0 4
+compose 4 3 3
+compose 4 4 4
+compose 5 1 5
+compose 5 2 2
+compose 5 5 5
+"""
+
 
 def _write_inputs(path: Path) -> Path:
     (path / "m2.ring").write_text(M2_RING)
@@ -74,6 +123,26 @@ def _write_inputs(path: Path) -> Path:
     )
     return path
 
+
+def _write_discrete_system(path: Path, n: int, p: int) -> None:
+    """diag.system: the discrete category on p objects, every object naming
+    diag48.ring, the diagonal ring (Z/2)^n, and every map the identity."""
+    (path / "diag48.ring").write_text(
+        f"modulus 2\nrank {n}\nconstants\n"
+        + "\n".join(" ".join("01"[i == j == k] for k in range(n)) for i in range(n) for j in range(n))
+        + "\n"
+    )
+    (path / "discrete.cat").write_text(
+        "\n".join([f"objects {p}", f"morphisms {p}"] + [f"arrow {a} {a}" for a in range(p)]
+                  + ["identity " + " ".join(map(str, range(p)))]
+                  + [f"compose {a} {a} {a}" for a in range(p)]) + "\n"
+    )
+    eye = "\n".join(" ".join("01"[i == j] for j in range(n)) for i in range(n))
+    (path / "diag.system").write_text(
+        "category discrete.cat\n"
+        + "".join(f"object {a} ring diag48.ring\n" for a in range(p))
+        + "".join(f"map {a}\n{eye}\n" for a in range(p))
+    )
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -345,6 +414,50 @@ class TestExitCodes:
             "category one.cat\nobject 0 ring z3.ring\nmap 0\n2\nmap 0 1\n"
         )
         self._assert_parse_error_at(capsys, "build-skew", workdir / "twice.system", 5, 1)
+
+    def test_nul_byte_in_a_path_exits_two_at_its_token(self, workdir, capsys):
+        # Path.read_bytes raised ValueError, a traceback with exit 1
+        (workdir / "nul_idems.txt").write_text("ring mo\0rita.ring\nidempotent 1 0 0 0\n")
+        self._assert_parse_error_at(capsys, "check-strong", workdir / "nul_idems.txt", 1, 6)
+        (workdir / "nul.system").write_text("category a\0b.cat\nobject 0 ring z3.ring\nmap 0\n1\n")
+        self._assert_parse_error_at(capsys, "build-skew", workdir / "nul.system", 1, 10)
+
+    def test_missing_map_exits_two(self, workdir, capsys):
+        (workdir / "z3.ring").write_text("modulus 3\nrank 1\nconstants\n1\n")
+        run(capsys, "--quiet", "build-mx", "c2", "1", "--save", workdir / "c2.cat")
+        (workdir / "half.system").write_text("category c2.cat\nobject 0 ring z3.ring\nmap 0\n1\n")
+        code, out = run(capsys, "build-skew", workdir / "half.system")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ShapeMismatch",
+            "message": "morphism maps missing for indices [1]",
+        }
+
+    def test_oversized_system_exits_two_after_one_ring_parse(self, tmp_path, capsys, monkeypatch):
+        # the discrete category on 174 objects, each naming one file of the
+        # rank-48 ring (Z/2)^48 and carrying its identity map: about 808 kB
+        # whose 174 ring parses and unit solves ran 28.6 s before the refusal
+        n, p = fr.MAX_RANK, sc.MAX_MORPHISMS
+        _write_discrete_system(tmp_path, n, p)
+        parses, parse_ring_file = [], cli.parse_ring_file
+
+        def counted_parse(path):
+            parses.append(path)
+            return parse_ring_file(path)
+
+        def no_solve(ring):
+            raise AssertionError("unit solve")
+
+        monkeypatch.setattr(cli, "parse_ring_file", counted_parse)
+        monkeypatch.setattr(fr, "find_identity", no_solve)
+        monkeypatch.setattr(sk, "find_identity", no_solve)
+        code, out = run(capsys, "build-skew", tmp_path / "diag.system")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "RankTooLarge",
+            "message": f"rank {n * p} exceeds the cap of {n}",
+        }
+        assert parses == [tmp_path / "diag48.ring"]
 
     def test_malformed_seed_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("WORKBENCH_SEED", "abc")
@@ -956,3 +1069,62 @@ class TestSubcommands:
         report = json.loads(out)
         assert report["count"] == 15
         assert "mx_c2_s2" in report["instances"]
+
+
+def pinned(report: dict) -> str:
+    """The bytes the CLI prints for ``report``, keys in the order given."""
+    return json.dumps(report, indent=2) + "\n"
+
+
+class TestFailingProducts:
+    """The whole --no-timings report of a run that fails each strength
+    condition at a product: no acceptance driver reaches these branches."""
+
+    def test_check_strong_on_a_morita_context(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("morita.ring").write_text(MORITA_RING)
+        Path("morita.idem").write_text("ring morita.ring\nidempotent 1 0 0 0\nidempotent 0 1 0 0\n")
+        code, out = run(capsys, "--no-timings", "check-strong", "morita.idem")
+        assert code == 1
+        assert out == pinned({
+            "command": "check-strong",
+            "tool": {"name": "ringbench", "version": "0.1.0"},
+            "inputs": [{
+                "path": "morita.idem",
+                "sha256": "a8fe07e2bac5b6e578eaeec19f14aad84c0870c1eb25db15d83ae2c1902e83c0",
+            }],
+            "verdicts": {"condition1": False, "condition2": False, "condition3": False, "agree": True},
+            "witnesses": [
+                {"condition": 1, "indices": [0, 1, 0],
+                 "reason": "product does not recover the component"},
+                {"condition": 2, "indices": [0, 1],
+                 "reason": "product does not recover the diagonal"},
+                {"condition": 3, "indices": [0, 1],
+                 "reason": "idempotent not reached by the product"},
+            ],
+        })
+
+    def test_check_category_on_a_split_pair(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("split.cat").write_text(SPLIT_CATEGORY)
+        code, out = run(capsys, "--no-timings", "check-category", "split.cat")
+        assert code == 0
+        assert out == pinned({
+            "command": "check-category",
+            "tool": {"name": "ringbench", "version": "0.1.0"},
+            "inputs": [{
+                "path": "split.cat",
+                "sha256": "8155f389684eadbb639f30d7089d5fe29a0f387600d89eabb08f41544f32fdb3",
+            }],
+            "verdicts": {"valid": True, "agree": True},
+            "witnesses": [
+                {"condition": 1, "objects": [0, 1, 0], "reason": "composite set misses morphisms"},
+                {"condition": 2, "objects": [0, 1], "reason": "endo set not recovered"},
+                {"condition": 3, "objects": [0, 1], "reason": "identity not reached"},
+            ],
+            "homset_strong": False,
+            "groupoid": False,
+            "finiteness": {
+                "objects": 2, "morphisms": 6, "endo_sizes": [2, 2], "bound_satisfied": None,
+            },
+        })

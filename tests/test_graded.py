@@ -79,12 +79,12 @@ class TestAttachGrading:
         with pytest.raises(NotDirectSum):
             gr.attach_grading(matrix_grading.ring, matrix_grading.category, comps)
 
-    def test_missing_component_key_rejected(self, matrix_grading):
-        with pytest.raises(ShapeMismatch):
+    def test_short_component_sequence_rejected(self, matrix_grading):
+        with pytest.raises(ShapeMismatch, match="expected 4 components, got 1"):
             gr.attach_grading(
                 matrix_grading.ring,
                 matrix_grading.category,
-                {0: matrix_grading.components[0]},
+                matrix_grading.components[:1],
             )
 
     def test_zero_components_allowed(self, pair_groupoid):
