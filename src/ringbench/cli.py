@@ -82,15 +82,9 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import corpus
-from . import finring as fr
-from . import graded as gr
-from . import idempotents as idem
-from . import skewalg as sk
-from . import smallcat as cat
-from . import verify
 from .errors import (
     CategoryTooLarge,
     InvariantViolation,
@@ -101,7 +95,17 @@ from .errors import (
     UsageError,
     WorkbenchError,
     cut,
+    sha256,
 )
+
+# Each parser and handler imports the library modules it uses, so that a
+# command loads only its own (check-ring never loads the suite generator);
+# these names serve the annotations alone.
+if TYPE_CHECKING:
+    from . import finring as fr
+    from . import graded as gr
+    from . import skewalg as sk
+    from . import smallcat as cat
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +214,8 @@ class TokenStream:
 
 
 def parse_ring_file(path: str | Path) -> fr.FiniteRing:
+    from . import finring as fr
+
     ts = TokenStream(Path(path))
     ts.expect("modulus")
     modulus = ts.integer("modulus")
@@ -245,6 +251,8 @@ def parse_idempotent_file(path: str | Path) -> tuple[fr.FiniteRing, list[fr.Ring
 
 
 def parse_category_file(path: str | Path) -> cat.SmallCategory:
+    from . import smallcat as cat
+
     ts = TokenStream(Path(path))
     ts.expect("objects")
     p = ts.integer("object count")
@@ -271,6 +279,8 @@ def parse_category_file(path: str | Path) -> cat.SmallCategory:
 
 
 def parse_grading_file(path: str | Path) -> gr.Grading:
+    from . import graded as gr
+
     ts = TokenStream(Path(path))
     ring = parse_ring_file(ts.relative_path("ring"))
     category = parse_category_file(ts.relative_path("category"))
@@ -290,6 +300,8 @@ def parse_grading_file(path: str | Path) -> gr.Grading:
 
 
 def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
+    from . import skewalg as sk
+
     ts = TokenStream(Path(path))
     category = parse_category_file(ts.relative_path("category"))
     rings: list[fr.FiniteRing | None] = [None] * category.object_count
@@ -306,10 +318,7 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
     missing = [a for a, ring in enumerate(rings) if ring is None]
     if missing:
         raise ParseError(f"object rings missing for objects {missing}", 1, 1)
-    # the cap build_skew_algebra applies to the algebra, before any map is read
-    total = sum(rings[b].rank for b in category.cod)
-    if total > fr.MAX_RANK:
-        raise RankTooLarge(total, fr.MAX_RANK)
+    sk.algebra_rank(category, rings)  # refused before any map is read
     maps: list[list[list[int]] | None] = [None] * category.morphism_count
     while not ts.done():
         at = ts.expect("map")
@@ -332,7 +341,7 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
 
 def _digest(path: str | Path) -> dict:
     data = Path(path).read_bytes()
-    return {"path": str(path), "sha256": corpus.sha256(data).hexdigest()}
+    return {"path": str(path), "sha256": sha256(data).hexdigest()}
 
 
 class Reporter:
@@ -408,6 +417,8 @@ def _emit_error(command: str, exc: Exception, quiet: bool, code: int = 2) -> int
 
 
 def _cmd_check_ring(args, rep: Reporter) -> None:
+    from . import finring as fr
+
     ring = parse_ring_file(args.ring)
     rep.add_input(args.ring)
     rep.verdict("associative", True)
@@ -419,6 +430,8 @@ def _cmd_check_ring(args, rep: Reporter) -> None:
 
 
 def _cmd_peirce(args, rep: Reporter) -> None:
+    from . import idempotents as idem
+
     ring, candidates = parse_idempotent_file(args.idempotents)
     rep.add_input(args.idempotents)
     iset = idem.validate_complete_set(ring, candidates)
@@ -432,6 +445,8 @@ def _cmd_peirce(args, rep: Reporter) -> None:
 
 
 def _cmd_check_strong(args, rep: Reporter) -> None:
+    from . import idempotents as idem
+
     ring, candidates = parse_idempotent_file(args.idempotents)
     rep.add_input(args.idempotents)
     iset = idem.validate_complete_set(ring, candidates)
@@ -447,6 +462,8 @@ def _cmd_check_strong(args, rep: Reporter) -> None:
 
 
 def _cmd_ideal_lattice(args, rep: Reporter) -> None:
+    from . import finring as fr
+
     ring = parse_ring_file(args.ring)
     rep.add_input(args.ring)
     lattice = fr.enumerate_one_sided_ideals(ring, args.side)
@@ -458,6 +475,8 @@ def _cmd_ideal_lattice(args, rep: Reporter) -> None:
 
 
 def _cmd_check_category(args, rep: Reporter) -> None:
+    from . import smallcat as cat
+
     category = parse_category_file(args.category)
     rep.add_input(args.category)
     rep.verdict("valid", True)
@@ -482,6 +501,9 @@ def _cmd_check_category(args, rep: Reporter) -> None:
 
 
 def _cmd_build_mx(args, rep: Reporter) -> None:
+    from . import corpus
+    from . import smallcat as cat
+
     if args.monoid in corpus.MONOID_TABLES:
         table = corpus.MONOID_TABLES[args.monoid]
     else:
@@ -513,6 +535,8 @@ def _cmd_build_mx(args, rep: Reporter) -> None:
 
 
 def _cmd_check_grading(args, rep: Reporter) -> None:
+    from . import graded as gr
+
     grading = parse_grading_file(args.grading)
     rep.add_input(args.grading)
     rep.verdict("valid", True)
@@ -530,6 +554,8 @@ def _cmd_check_grading(args, rep: Reporter) -> None:
 
 
 def _cmd_build_skew(args, rep: Reporter) -> None:
+    from . import skewalg as sk
+
     system = parse_system_file(args.system)
     rep.add_input(args.system)
     algebra = sk.build_skew_algebra(system)
@@ -559,6 +585,8 @@ def _env_seed() -> int | None:
 
 
 def _cmd_verify_prop(args, rep: Reporter) -> None:
+    from . import verify
+
     result = verify.run_check(args.name, _env_seed())
     rep.verdict(result.name, result.ok)
     rep.info("checked", result.checked)
@@ -567,6 +595,8 @@ def _cmd_verify_prop(args, rep: Reporter) -> None:
 
 
 def _cmd_gen_suite(args, rep: Reporter) -> None:
+    from . import corpus
+
     instances = corpus.generate_suite(args.name, _env_seed())
     rep.verdict("generated", True)
     rep.info("suite", args.name)
@@ -576,6 +606,16 @@ def _cmd_gen_suite(args, rep: Reporter) -> None:
 
 # ---------------------------------------------------------------------------
 # entry point
+
+# sorted(verify.PROP_CHECKS) and corpus.available_suites(), written out so that
+# the parser loads neither module; argparse reads choices as each argument is
+# added, so they cannot be looked up lazily.  A test pins both copies.
+PROP_NAMES = (
+    "corner-identity", "fixture-counts", "groupoid-homset", "matrix-units-iso",
+    "mutation-matrix", "mx-family", "prop-2.4", "prop-3.2", "prop-5.3",
+    "prop-lattice", "strong-equivalence",
+)
+SUITE_NAMES = ("gradings", "groupoids", "mx-family", "prop-2.4", "prop-3.2", "prop-5.3")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -634,11 +674,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_build_skew)
 
     s = sub.add_parser("verify-prop", help="run one named verification suite")
-    s.add_argument("name", choices=sorted(verify.PROP_CHECKS))
+    s.add_argument("name", choices=PROP_NAMES)
     s.set_defaults(func=_cmd_verify_prop)
 
     s = sub.add_parser("gen-suite", help="emit a suite manifest")
-    s.add_argument("name", choices=corpus.available_suites())
+    s.add_argument("name", choices=SUITE_NAMES)
     s.set_defaults(func=_cmd_gen_suite)
 
     return parser

@@ -42,24 +42,13 @@ from .errors import (
     ShapeMismatch,
     UnknownSuite,
     ZeroIdempotent,
+    sha256,
 )
 from .howell import solve_row
 from .idempotents import validate_complete_set
 
 DEFAULT_SUITE_SEED = 1729
 MAX_RING_ORDER = 4096
-
-
-# hashlib loads OpenSSL's libcrypto, about 3.6 MB of resident memory, for a
-# digest CPython's own SHA-256 module gives byte for byte; hashlib is only
-# the fallback for an interpreter built without the built-in hashes.
-try:
-    from _sha2 import sha256  # 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256  # 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
 
 
 def _mix(*parts) -> int:

@@ -1,4 +1,6 @@
-"""Exception types shared across the workbench.
+"""Exception types shared across the workbench, and two helpers: ``cut``,
+which shortens what a message quotes, and ``sha256``, which hashes suite
+seeds and input files.  Every command loads this module.
 
 Every error raised by a validator carries a concrete, reproducible witness
 (indices, coordinate vectors, or a short reason string) so that a failing
@@ -6,6 +8,17 @@ check is self-diagnosing.
 """
 
 from __future__ import annotations
+
+# hashlib loads OpenSSL's libcrypto, about 3.6 MB of resident memory, for a
+# digest CPython's own SHA-256 module gives byte for byte; hashlib is only
+# the fallback for an interpreter built without the built-in hashes.
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 # the longest token or figure a message quotes whole

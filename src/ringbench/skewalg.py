@@ -171,6 +171,17 @@ class SkewAlgebra:
         return self.system.category
 
 
+def algebra_rank(category: SmallCategory, rings: Sequence[FiniteRing]) -> int:
+    """The rank of the skew algebra of ``rings`` over ``category``: the sum
+    over morphisms g of the rank of the ring at cod(g).  Raises RankTooLarge
+    above the cap _build_ring applies, so a caller can refuse the algebra
+    before it reads or builds anything of that size."""
+    total = sum(rings[b].rank for b in category.cod)
+    if total > MAX_RANK:
+        raise RankTooLarge(total, MAX_RANK)
+    return total
+
+
 def build_skew_algebra(system: SkewCategorySystem) -> SkewAlgebra:
     """Assemble structure constants from the defining relations and rebuild
     the algebra through the validated ring constructor.
@@ -182,17 +193,15 @@ def build_skew_algebra(system: SkewCategorySystem) -> SkewAlgebra:
     rings = system.object_rings
     m = system.modulus
 
+    total = algebra_rank(cat, rings)  # refused before the total^3 table exists
     offsets = []
-    total = 0
+    at = 0
     labels: list[str] = []
     for g in range(cat.morphism_count):
-        offsets.append(total)
+        offsets.append(at)
         block = rings[cat.cod[g]]
         labels.extend(f"{lab}|m{g}" for lab in block.basis_labels)
-        total += block.rank
-    # the rank cap _build_ring applies, before the total^3 table exists
-    if total > MAX_RANK:
-        raise RankTooLarge(total, MAX_RANK)
+        at += block.rank
 
     sc = [[[0] * total for _ in range(total)] for _ in range(total)]
     for g, row in enumerate(cat.compose.rows):

@@ -50,6 +50,24 @@ constants
 # recorded before its strength conditions stopped visiting every triple
 DISCRETE_CATEGORY_REPORT = "1f9a16f8208ee83d218d134e72899772ac037dbad49b8dd2b38a86310409a372"
 
+# verify-prop --no-timings with an unknown driver name, as printed before the
+# parser wrote out the names verify.PROP_CHECKS defines
+UNKNOWN_DRIVER_REPORT = """\
+{
+  "command": "verify-prop",
+  "tool": {
+    "name": "ringbench",
+    "version": "0.1.0"
+  },
+  "error": {
+    "type": "UsageError",
+    "message": "argument name: invalid choice: 'nonsense' (choose from 'corner-identity', \
+'fixture-counts', 'groupoid-homset', 'matrix-units-iso', 'mutation-matrix', 'mx-family', \
+'prop-2.4', 'prop-3.2', 'prop-5.3', 'prop-lattice', 'strong-equivalence')"
+  }
+}
+"""
+
 Z6Z6_RING = """\
 modulus 6
 rank 2
@@ -159,6 +177,13 @@ def run(capsys, *argv) -> tuple[int, str]:
     code = cli.main([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, out
+
+
+def choices_of(command: str):
+    """The choices of ``command``'s one positional argument, ``name``."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    return next(a for a in commands.choices[command]._actions if a.dest == "name").choices
 
 
 class TestParsers:
@@ -784,6 +809,16 @@ class TestExitCodes:
             "message": "unrecognized arguments: --max-lattice=5",
         }
 
+    def test_written_out_choices_match_the_library(self):
+        """The parser writes out the driver and suite names, so that it loads
+        neither verify nor corpus; they must stay the names those modules
+        define."""
+        assert list(choices_of("verify-prop")) == sorted(verify.PROP_CHECKS)
+        assert tuple(choices_of("gen-suite")) == corpus.available_suites()
+
+    def test_unknown_driver_report_is_unchanged(self, capsys):
+        assert run(capsys, "--no-timings", "verify-prop", "nonsense") == (2, UNKNOWN_DRIVER_REPORT)
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
@@ -903,6 +938,19 @@ def run_cli_script(cwd: Path, mode: str, commands: list) -> dict:
     return json.loads(fresh_process(cwd, CLI_SCRIPT, mode, json.dumps(commands)))
 
 
+# each file command, on the input files subcommand_dir writes, and the
+# library modules it does not use
+UNUSED_MODULES = {
+    ("check-ring", "m2.ring"): {"corpus", "verify", "idempotents", "smallcat", "graded", "skewalg"},
+    ("ideal-lattice", "t2.ring"): {"corpus", "verify", "idempotents", "smallcat", "graded", "skewalg"},
+    ("peirce", "z6z6_idems.txt"): {"corpus", "verify", "graded", "skewalg"},
+    ("check-strong", "m2_idems.txt"): {"corpus", "verify", "graded", "skewalg"},
+    ("check-category", "pair.cat"): {"finring", "corpus", "verify"},
+    ("check-grading", "grading.txt"): {"corpus", "verify", "skewalg"},
+    ("build-skew", "system.txt"): {"corpus", "verify"},
+}
+
+
 class TestStartUp:
     def test_import_loads_no_code_generation(self, tmp_path):
         """A fresh import of the CLI and the drivers loads neither dataclasses
@@ -928,6 +976,22 @@ class TestStartUp:
         assert record["report"]["inputs"] == [{"path": "m2.ring", "sha256": digest}]
         assert "ringbench.verify" in record["modules"]
         assert set(record["modules"]).isdisjoint({"dataclasses", "inspect", "_hashlib"})
+
+    @pytest.mark.parametrize("argv", UNUSED_MODULES, ids=" ".join)
+    def test_a_command_loads_only_its_modules(self, subcommand_dir, argv):
+        """Each file command, run in a fresh interpreter, leaves the library
+        modules it does not use unloaded: the suite generator and the drivers
+        above all."""
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from ringbench import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    exit_code = cli.main(['--no-timings', *sys.argv[1:]])\n"
+            "print(json.dumps([exit_code, sorted(sys.modules)]))"
+        )
+        exit_code, modules = json.loads(fresh_process(subcommand_dir, code, *argv))
+        assert exit_code == 0
+        assert {f"ringbench.{name}" for name in UNUSED_MODULES[argv]}.isdisjoint(modules)
 
 
 # every subcommand, on the input files subcommand_dir writes
