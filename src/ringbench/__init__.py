@@ -16,6 +16,7 @@ and each ringbench subcommand loads only the modules it uses.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -74,9 +75,14 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name not in _ORIGIN:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    if name in _ORIGIN:
+        return getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    if f"{__name__}.{name}" in sys.modules:
+        # a submodule registered before its code ran (ringbench.cli registers
+        # them all): run it now, as the import that binds it here would
+        module = globals()[name] = importlib.import_module(f"{__name__}.{name}")
+        return module
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

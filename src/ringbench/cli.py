@@ -76,6 +76,7 @@ reported as an error report).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -99,13 +100,39 @@ from .errors import (
 )
 
 # Each parser and handler imports the library modules it uses, so that a
-# command loads only its own (check-ring never loads the suite generator);
+# command runs only its own (check-ring never runs the suite generator);
 # these names serve the annotations alone.
 if TYPE_CHECKING:
     from . import finring as fr
     from . import graded as gr
     from . import skewalg as sk
     from . import smallcat as cat
+
+LIBRARY_MODULES = (
+    "corpus", "finring", "graded", "howell", "idempotents", "posets",
+    "skewalg", "smallcat", "strength", "verify",
+)
+
+
+def _register_library() -> None:
+    """Put every library module in sys.modules, as an eager import of them
+    all would, but run none: each module's code runs on its first attribute
+    access or import.  Tools that look modules up by name after importing
+    cli, such as a tracer that rebinds library functions, find them all.
+    The package gets no attribute here: its __getattr__ runs a registered
+    module when ``from . import name`` or ``ringbench.name`` asks for it."""
+    for name in LIBRARY_MODULES:
+        fullname = f"{__package__}.{name}"
+        if fullname in sys.modules:
+            continue
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+
+
+_register_library()
 
 
 # ---------------------------------------------------------------------------

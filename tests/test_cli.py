@@ -977,21 +977,40 @@ class TestStartUp:
         assert "ringbench.verify" in record["modules"]
         assert set(record["modules"]).isdisjoint({"dataclasses", "inspect", "_hashlib"})
 
+    def test_import_registers_every_module_and_runs_none(self, tmp_path):
+        """A fresh import of the CLI puts every library module in sys.modules,
+        where tools look modules up by name, but runs none of them; a module's
+        first attribute access runs it."""
+        code = (
+            "import json, sys, types\n"
+            "import ringbench.cli\n"
+            "names = [f'ringbench.{n}' for n in ringbench.cli.LIBRARY_MODULES]\n"
+            "ran = [n for n in names if type(sys.modules[n]) is types.ModuleType]\n"
+            "suite = sys.modules['ringbench.corpus'].generate_suite\n"
+            "after = type(sys.modules['ringbench.corpus']) is types.ModuleType\n"
+            "print(json.dumps([ran, after, suite is ringbench.corpus.generate_suite]))"
+        )
+        assert json.loads(fresh_process(tmp_path, code)) == [[], True, True]
+
     @pytest.mark.parametrize("argv", UNUSED_MODULES, ids=" ".join)
     def test_a_command_loads_only_its_modules(self, subcommand_dir, argv):
         """Each file command, run in a fresh interpreter, leaves the library
-        modules it does not use unloaded: the suite generator and the drivers
-        above all."""
+        modules it does not use unrun: the suite generator and the drivers
+        above all.  They stay registered in sys.modules; a module whose code
+        has run is a plain module object there."""
         code = (
-            "import contextlib, io, json, sys\n"
+            "import contextlib, io, json, sys, types\n"
             "from ringbench import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    exit_code = cli.main(['--no-timings', *sys.argv[1:]])\n"
-            "print(json.dumps([exit_code, sorted(sys.modules)]))"
+            "ran = sorted(n for n, m in sys.modules.items() if type(m) is types.ModuleType)\n"
+            "print(json.dumps([exit_code, sorted(sys.modules), ran]))"
         )
-        exit_code, modules = json.loads(fresh_process(subcommand_dir, code, *argv))
+        exit_code, modules, ran = json.loads(fresh_process(subcommand_dir, code, *argv))
+        unused = {f"ringbench.{name}" for name in UNUSED_MODULES[argv]}
         assert exit_code == 0
-        assert {f"ringbench.{name}" for name in UNUSED_MODULES[argv]}.isdisjoint(modules)
+        assert unused <= set(modules)
+        assert unused.isdisjoint(ran)
 
 
 # every subcommand, on the input files subcommand_dir writes
