@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,3 +207,162 @@ def test_solve_row_on_the_wide_identity_system():
     unit = tuple(int(lab in ("E11", "E22", "E33")) for lab in ring.basis_labels)
     assert tuple(int(v) for v in x) == unit
     assert finring.find_identity(ring).coords == unit
+
+
+# ---------------------------------------------------------------------------
+# solve_row pinned against the transform path it replaced: a transform U with
+# U @ A == H, tracked beside every row operation of the reduction, and the
+# coefficients of b's greedy reduction against H, combined through U
+
+
+def pinned_howell_transform(mat, m):
+    """(H, U) with U @ mat == H mod m, by the row operations of the
+    reduction, each applied to the transform rows too."""
+    k = len(mat)
+    n = len(mat[0]) if k else 0
+    rows, kept = [], []
+    for i, row in enumerate(mat):
+        row = [int(x) % m for x in row]
+        if any(row):
+            rows.append(row)
+            kept.append(i)
+    urows = [[int(i == j) for j in range(k)] for i in kept]
+    r = 0
+    for c in range(n):
+        for piv in range(r, len(rows)):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        urows[r], urows[piv] = urows[piv], urows[r]
+        if m % rows[r][c]:
+            u = howell.stabilizing_unit(rows[r][c], m)
+            rows[r] = [x * u % m for x in rows[r]]
+            urows[r] = [x * u % m for x in urows[r]]
+        for i in range(r + 1, len(rows)):
+            b = rows[i][c]
+            if not b:
+                continue
+            a = rows[r][c]
+            q, rem = divmod(b, a)
+            if not rem:
+                rows[i] = [(y - q * x) % m for x, y in zip(rows[r], rows[i])]
+                urows[i] = [(y - q * x) % m for x, y in zip(urows[r], urows[i])]
+                continue
+            g, s, t = howell.egcd(a, b)
+            uu, vv = -(b // g), a // g
+            top, low = rows[r], rows[i]
+            rows[r] = [(s * x + t * y) % m for x, y in zip(top, low)]
+            rows[i] = [(uu * x + vv * y) % m for x, y in zip(top, low)]
+            top, low = urows[r], urows[i]
+            urows[r] = [(s * x + t * y) % m for x, y in zip(top, low)]
+            urows[i] = [(uu * x + vv * y) % m for x, y in zip(top, low)]
+        b = rows[r][c]
+        for i in range(r):
+            q = rows[i][c] // b
+            if q:
+                rows[i] = [(x - q * y) % m for x, y in zip(rows[i], rows[r])]
+                urows[i] = [(x - q * y) % m for x, y in zip(urows[i], urows[r])]
+        if b > 1:
+            a = m // b
+            ann = [a * x % m for x in rows[r]]
+            if any(ann):
+                rows.append(ann)
+                urows.append([a * x % m for x in urows[r]])
+        r += 1
+    assert not any(any(row) for row in rows[r:])
+    return tuple(map(tuple, rows[:r])), tuple(map(tuple, urows[:r]))
+
+
+def pinned_solve_row(A, b, m):
+    """x = coeffs @ U for the coefficients of b's reduction against H."""
+    H, U = pinned_howell_transform(A, m)
+    w = [int(x) % m for x in b]
+    coeffs = [0] * len(H)
+    for i, ((c, p), row) in enumerate(zip(howell.leading_entries(H), H)):
+        q, rem = divmod(w[c], p)
+        if q and not rem:
+            w = [(x - q * y) % m for x, y in zip(w, row)]
+            coeffs[i] = q
+    if any(w):
+        return None
+    return howell.combine(coeffs, U, m, len(A))
+
+
+def assert_solves_as_pinned(A, b, m):
+    """Solvability as the transform path's, a solution that solves, and the
+    same solution when it is unique (the span of A has m^k elements)."""
+    x, old = howell.solve_row(A, b, m), pinned_solve_row(A, b, m)
+    assert (x is None) == (old is None)
+    if x is None:
+        return
+    assert howell.combine(x, A, m, len(b)) == tuple(int(v) % m for v in b)
+    if _span_order(pinned_howell_transform(A, m)[0], m) == m ** len(A):
+        assert x == old
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_matrix, suite_matrix), st.data())
+def test_solve_row_matches_the_transform_path(case, data):
+    m, n, rows = case
+    entries = st.integers(min_value=0, max_value=m - 1)
+    if rows:
+        coeffs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        assert_solves_as_pinned(rows, howell.combine(coeffs, rows, m, n), m)
+    assert_solves_as_pinned(rows, data.draw(st.lists(entries, min_size=n, max_size=n)), m)
+
+
+@pytest.fixture(scope="module")
+def driver_solves():
+    """Every solve_row input, ring unit and element inverse of the eleven
+    drivers at two suite seeds, with the library's answers."""
+    from ringbench import corpus, finring, verify
+
+    solves, units, inverses = [], [], []
+    solve, unit_of, inverse = howell.solve_row, finring._unit_of, corpus._Units.inverse
+
+    def recording_solve(A, b, m):
+        solves.append((A, b, m))
+        return solve(A, b, m)
+
+    def recording_unit_of(ring, rows):
+        units.append((ring, rows, unit_of(ring, rows)))
+        return units[-1][2]
+
+    def recording_inverse(self, idx):
+        inverses.append((self, idx, inverse(self, idx)))
+        return inverses[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(howell, "solve_row", recording_solve)
+        mp.setattr(corpus, "solve_row", recording_solve)
+        mp.setattr(finring, "_unit_of", recording_unit_of)
+        mp.setattr(corpus._Units, "inverse", recording_inverse)
+        for seed in (1729, 3):
+            for name in verify.PROP_CHECKS:
+                verify.run_check(name, seed)
+    return solves, units, inverses
+
+
+def test_driver_solves_match_the_transform_path(driver_solves):
+    solves, _, _ = driver_solves
+    assert len(solves) == 1255 + 1213
+    for A, b, m in solves:
+        assert_solves_as_pinned(A, b, m)
+
+
+def test_driver_units_and_inverses_match_the_transform_path(driver_solves, monkeypatch):
+    from ringbench import corpus, finring
+
+    _, units, inverses = driver_solves
+    assert units and inverses
+    monkeypatch.setattr(howell, "solve_row", pinned_solve_row)
+    monkeypatch.setattr(corpus, "solve_row", pinned_solve_row)
+    for ring, rows, u in units:
+        assert finring._unit_of(ring, rows) == u
+    for table, idx, q in inverses:
+        # the table caches each inverse: solve this one again, then put back
+        cached = table._inverses.pop(idx)
+        assert table.inverse(idx) == q
+        table._inverses[idx] = cached
