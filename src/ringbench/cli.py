@@ -531,15 +531,10 @@ def _cmd_build_mx(args, rep: Reporter) -> None:
     from . import corpus
     from . import smallcat as cat
 
-    if args.monoid in corpus.MONOID_TABLES:
-        table = corpus.MONOID_TABLES[args.monoid]
-    else:
-        raise ParseError(
-            f"unknown monoid {args.monoid!r}; known: {', '.join(sorted(corpus.MONOID_TABLES))}",
-            1,
-            1,
-        )
-    category = cat.build_MX(table, args.size)
+    if args.monoid not in corpus.MONOID_TABLES:  # a command-line argument: no line or column
+        known = ", ".join(sorted(corpus.MONOID_TABLES))
+        raise UsageError(f"unknown monoid {cut(args.monoid)!r}; known: {known}")
+    category = cat.build_MX(corpus.MONOID_TABLES[args.monoid], args.size)
     rep.verdict("valid", True)
     rep.info("objects", category.object_count)
     rep.info("morphisms", category.morphism_count)

@@ -198,7 +198,7 @@ class FiniteRing:
         for v in rows:
             if len(v) != self.rank:
                 raise ShapeMismatch(f"expected vectors of length {self.rank}, got {len(v)}")
-        return AdditiveSubgroup(self, howell.howell_form(rows, self.modulus))
+        return AdditiveSubgroup(self, howell.howell_complete(rows, self.modulus))
 
     def zero_subgroup(self) -> "AdditiveSubgroup":
         return self.span([])

@@ -20,8 +20,9 @@ Every matrix here is a sequence of rows of Python ints, which are exact at
 any modulus; the matrices met are small (mostly under 8 x 8), where numpy's
 per-call overhead would dominate.  Inputs may be any sequences of integers
 (numpy arrays included): each entry is read with int() and reduced mod m.
-Results are tuples of int rows.  The transform U is built only when asked
-for, which only solve_row does.
+Results are tuples of int rows.  There is one elimination path:
+solve_row reads its transform from the Howell form of [A | I], whose rows
+with a pivot among A's columns hold H beside a U with U @ A == H.
 
 The reduction skips work that cannot change the form.  Zero generator rows
 (about 30% of the rows the suites pass) are dropped before elimination, and
@@ -79,27 +80,21 @@ def combine(coeffs, rows, m: int, n: int) -> tuple[int, ...]:
     return tuple([a % m for a in out])
 
 
-def howell_complete(mat, m: int, transform: bool = True) -> tuple[Matrix, Matrix | None]:
-    """Howell form H of the row span of ``mat`` over Z/m, plus a transform U
-    with U @ mat == H mod m, or None for U when ``transform`` is false.
+def howell_complete(mat, m: int) -> Matrix:
+    """Howell form of the row span of ``mat`` over Z/m.
 
     ``mat`` is a sequence of equal-length rows of integers; it may have zero
     rows (zero columns then) and is never modified.
     """
-    k = len(mat)
-    n = len(mat[0]) if k else 0
-    # a zero row spans nothing: it is dropped, and its transform row with it,
-    # so U keeps one column per row of mat
-    rows, kept = [], []
-    for i, row in enumerate(mat):
+    n = len(mat[0]) if len(mat) else 0
+    rows = []  # a zero row spans nothing: it is dropped
+    for row in mat:
         if len(row) != n:
             raise ValueError("generator rows differ in length")
         if any(row):
             row = [int(x) % m for x in row]
             if any(row):
                 rows.append(row)
-                kept.append(i)
-    urows = [[int(i == j) for j in range(k)] for i in kept] if transform else None
 
     r = 0
     for c in range(n):
@@ -108,15 +103,10 @@ def howell_complete(mat, m: int, transform: bool = True) -> tuple[Matrix, Matrix
                 break
         else:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            if transform:
-                urows[r], urows[piv] = urows[piv], urows[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         if m % rows[r][c]:  # a pivot dividing m is already normalized
             u = stabilizing_unit(rows[r][c], m)
             rows[r] = [x * u % m for x in rows[r]]
-            if transform:
-                urows[r] = [x * u % m for x in urows[r]]
         for i in range(r + 1, len(rows)):
             b = rows[i][c]
             if not b:
@@ -125,45 +115,29 @@ def howell_complete(mat, m: int, transform: bool = True) -> tuple[Matrix, Matrix
             q, rem = divmod(b, a)
             if not rem:  # the pivot divides b: one row operation clears it
                 rows[i] = [(y - q * x) % m for x, y in zip(rows[r], rows[i])]
-                if transform:
-                    urows[i] = [(y - q * x) % m for x, y in zip(urows[r], urows[i])]
                 continue
             g, s, t = egcd(a, b)
             uu, vv = -(b // g), a // g
             top, low = rows[r], rows[i]
             rows[r] = [(s * x + t * y) % m for x, y in zip(top, low)]
             rows[i] = [(uu * x + vv * y) % m for x, y in zip(top, low)]
-            if transform:
-                top, low = urows[r], urows[i]
-                urows[r] = [(s * x + t * y) % m for x, y in zip(top, low)]
-                urows[i] = [(uu * x + vv * y) % m for x, y in zip(top, low)]
         pivot_row = rows[r]
         b = pivot_row[c]
         for i in range(r):
             q = rows[i][c] // b
             if q:
                 rows[i] = [(x - q * y) % m for x, y in zip(rows[i], pivot_row)]
-                if transform:
-                    urows[i] = [(x - q * y) % m for x, y in zip(urows[i], urows[r])]
         if b > 1:  # b divides m, so m // b annihilates the pivot entry
             a = m // b
             ann = [a * x % m for x in pivot_row]
             if any(ann):
                 rows.append(ann)
-                if transform:
-                    urows.append([a * x % m for x in urows[r]])
         r += 1
 
     for i in range(r, len(rows)):
         if any(rows[i]):
             raise InvariantViolation("nonzero row escaped Howell reduction")
-    H = tuple(map(tuple, rows[:r]))
-    U = tuple(map(tuple, urows[:r])) if transform else None
-    return H, U
-
-
-def howell_form(mat, m: int) -> Matrix:
-    return howell_complete(mat, m, transform=False)[0]
+    return tuple(map(tuple, rows[:r]))
 
 
 def leading_entries(H) -> list[tuple[int, int]]:
@@ -176,28 +150,23 @@ def leading_entries(H) -> list[tuple[int, int]]:
     return leads
 
 
-def reduce_vector(H, v, m: int, leads=None) -> tuple[list[int], list[int]]:
-    """Greedy reduction of v against a Howell-form matrix.
-
-    Returns (residual, coeffs) as lists of ints; the residual is zero exactly
-    when v lies in the row span, in which case v == coeffs @ H mod m.
-    ``leads`` is ``leading_entries(H)``, for a caller that keeps it.
+def reduce_vector(H, v, m: int, leads=None) -> list[int]:
+    """Residual of the greedy reduction of v against a Howell-form matrix: a
+    list of ints, zero exactly when v lies in the row span.  ``leads`` is
+    ``leading_entries(H)``, for a caller that keeps it.
     """
     if leads is None:
         leads = leading_entries(H)
     w = [int(x) % m for x in v]
-    coeffs = [0] * len(H)
-    for i, ((c, p), row) in enumerate(zip(leads, H)):
+    for (c, p), row in zip(leads, H):
         q, rem = divmod(w[c], p)
         if q and not rem:
             w = [(x - q * y) % m for x, y in zip(w, row)]
-            coeffs[i] = q
-    return w, coeffs
+    return w
 
 
 def contains_vector(H, v, m: int, leads=None) -> bool:
-    residual, _ = reduce_vector(H, v, m, leads)
-    return not any(residual)
+    return not any(reduce_vector(H, v, m, leads))
 
 
 def span_elements(H, m: int, n: int):
@@ -213,12 +182,20 @@ def span_elements(H, m: int, n: int):
 
 
 def solve_row(A, b, m: int) -> tuple[int, ...] | None:
-    """A row vector x with x @ A == b mod m, or None when none exists."""
-    H, U = howell_complete(A, m)
-    residual, coeffs = reduce_vector(H, b, m)
-    if any(residual):
+    """A row vector x with x @ A == b mod m, or None when none exists.
+
+    The Howell form of [A | I] spans the pairs (y @ A, y).  Its rows with a
+    pivot among A's n columns come first; reducing [b | 0] against them
+    leaves [0 | -x] exactly when b lies in the span of A, and then
+    x @ A == b.
+    """
+    k, n = len(A), len(b)
+    rows = [[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(A)]
+    H = [row for row in howell_complete(rows, m) if any(row[:n])]
+    residual = reduce_vector(H, [*b, *[0] * k], m)
+    if any(residual[:n]):
         return None
-    x = combine(coeffs, U, m, len(A))
-    if combine(x, A, m, len(residual)) != tuple(int(v) % m for v in b):
+    x = tuple([-v % m for v in residual[n:]])
+    if combine(x, A, m, n) != tuple(int(v) % m for v in b):
         raise InvariantViolation("solution does not satisfy the system")
     return x

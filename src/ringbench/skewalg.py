@@ -119,7 +119,7 @@ def validate_system(
         maps.append(M)
         if (id(src), id(dst), id(M)) in checked:
             continue
-        if src.rank != dst.rank or howell.howell_form(M, m) != src._basis_rows:
+        if src.rank != dst.rank or howell.howell_complete(M, m) != src._basis_rows:
             raise NotRingIso(g, "matrix is not invertible over the modulus")
         # multiplicative: image of a basis product equals the product of images
         n = dst.rank

@@ -799,6 +799,18 @@ class TestExitCodes:
         code, out = run(capsys, "--quiet", "build-mx", "c2", "abc")
         assert (code, out) == (2, "error UsageError\n")
 
+    def test_unknown_monoid_is_a_usage_error(self, capsys):
+        # a command-line argument, like a bad size: no line or column
+        code, out = run(capsys, "--no-timings", "build-mx", "nosuch", "2")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "UsageError",
+            "message": "unknown monoid 'nosuch'; known: "
+            "bool2, c1, c2, c3, c4, c5, c6, leftzero3, s3, transf2, v4",
+        }
+        code, out = run(capsys, "--no-timings", "build-mx", "x" * 100, "2")
+        assert json.loads(out)["error"]["message"].startswith(f"unknown monoid '{'x' * 32}... (100 ")
+
     def test_max_lattice_is_not_an_option(self, capsys):
         # the lattice's one bound is finring.MAX_LATTICE_WORK; the flag that
         # set a size cap is refused while parsing, before any file is read
@@ -1083,6 +1095,94 @@ class TestWithoutBuiltinSha256:
         assert fallback["results"] == plain_run["results"]
         assert any('"sha256"' in out for _, _, out in plain_run["results"])
         assert fallback["hashlib"] and not plain_run["hashlib"]
+
+
+# the commands each valid input file of subcommand_dir is mutated for
+FUZZ_COMMANDS = {
+    "m2.ring": ("check-ring", "ideal-lattice"),
+    "t2.ring": ("check-ring", "ideal-lattice"),
+    "z33.ring": ("check-ring", "ideal-lattice"),
+    "m2_idems.txt": ("peirce", "check-strong"),
+    "t2_idems.txt": ("peirce", "check-strong"),
+    "z6z6_idems.txt": ("peirce", "check-strong"),
+    "pair.cat": ("check-category",),
+    "c2.cat": ("check-category",),
+    "grading.txt": ("check-grading",),
+    "system.txt": ("build-skew",),
+}
+
+# tokens a mutation may put in beside those of the valid files: a negative,
+# a modulus just past the 256-bit cap, an integer past the digit limit, a
+# directory, a missing path, a non-UTF-8 byte and a comment mark
+HOSTILE_TOKENS = ("-1", str(2**256 + 1), "9" * 5000, ".", "absent.ring", "\udcff", "#")
+
+# the most Howell reductions one mutant's command may make: work is bounded
+# by a count, not a clock.  The valid inputs need at most 37, and the ideal
+# lattice of m2.ring with its modulus mutated to 4 needs 274.
+FUZZ_HOWELL_CAP = 2_000
+
+
+def _subclass_names(cls) -> set[str]:
+    names = {cls.__name__}
+    for sub in cls.__subclasses__():
+        names |= _subclass_names(sub)
+    return names
+
+
+def _mutate(data, text: str, tokens) -> str:
+    """``text`` after one or two token or line mutations drawn from ``data``:
+    replace, delete or insert a token (drawn from ``tokens``), or duplicate
+    or drop a line."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(("replace", "delete", "insert", "duplicate", "drop")))
+        if op == "duplicate":
+            lines.insert(i, list(lines[i]))
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "insert" or not lines[i]:
+            lines[i].insert(data.draw(st.integers(0, len(lines[i]))), data.draw(tokens))
+        else:
+            j = data.draw(st.integers(0, len(lines[i]) - 1))
+            if op == "delete":
+                del lines[i][j]
+            else:
+                lines[i][j] = data.draw(tokens)
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestHostileInputs:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_inputs_keep_the_exit_contract(self, subcommand_dir, data):
+        """A valid input file, mutated by tokens and lines, exits 0, 1 or 2
+        with one JSON report; an error report names a WorkbenchError or an
+        OSError (a mutated path is a FileNotFoundError), and no run makes more
+        than FUZZ_HOWELL_CAP Howell reductions."""
+        from ringbench import errors, howell
+
+        texts = {name: (subcommand_dir / name).read_text() for name in FUZZ_COMMANDS}
+        others = sorted({tok for text in texts.values() for tok in text.split()} | set(HOSTILE_TOKENS))
+        name = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+        command = data.draw(st.sampled_from(FUZZ_COMMANDS[name]))
+        # a token of the same file, as often as it occurs there, or any other
+        tokens = st.sampled_from(texts[name].split()) | st.sampled_from(others)
+        mutant = subcommand_dir / f"mutant{Path(name).suffix}"
+        mutant.write_bytes(_mutate(data, texts[name], tokens).encode("utf-8", "surrogateescape"))
+        calls = []
+        reduce = howell.howell_complete
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.setattr(howell, "howell_complete", lambda *args: calls.append(1) or reduce(*args))
+            code = cli.main(["--no-timings", command, str(mutant)])
+        report = json.loads(out.getvalue())
+        assert code in (0, 1, 2)
+        assert isinstance(report, dict)
+        if code == 2:
+            allowed = _subclass_names(errors.WorkbenchError) | _subclass_names(OSError)
+            assert report["error"]["type"] in allowed
+        assert len(calls) <= FUZZ_HOWELL_CAP
 
 
 class TestSubcommands:

@@ -64,7 +64,7 @@ small_matrix = st.tuples(
 def test_howell_membership_matches_brute_force(case):
     m, n, rows = case
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    H = howell.howell_form(mat, m)
+    H = howell.howell_complete(mat, m)
     expected = brute_span(rows, m, n)
     assert _span_order(H, m) == len(expected)
     import itertools
@@ -78,7 +78,7 @@ def test_howell_membership_matches_brute_force(case):
 def test_howell_is_canonical_under_generator_changes(case, rng):
     m, n, rows = case
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    H = howell.howell_form(mat, m)
+    H = howell.howell_complete(mat, m)
     # shuffle rows, duplicate one, add a random combination of the others
     variants = [list(r) for r in rows]
     rng.shuffle(variants)
@@ -88,7 +88,7 @@ def test_howell_is_canonical_under_generator_changes(case, rng):
         for r in rows:
             combo = (combo + rng.randrange(m) * np.array(r)) % m
         variants.append([int(x) for x in combo])
-    H2 = howell.howell_form(np.array(variants, dtype=np.int64).reshape(len(variants), n), m)
+    H2 = howell.howell_complete(np.array(variants, dtype=np.int64).reshape(len(variants), n), m)
     assert np.array_equal(H, H2)
 
 
@@ -97,8 +97,8 @@ def test_howell_is_canonical_under_generator_changes(case, rng):
 def test_howell_is_idempotent(case):
     m, n, rows = case
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    H = howell.howell_form(mat, m)
-    assert np.array_equal(howell.howell_form(H, m), H)
+    H = howell.howell_complete(mat, m)
+    assert np.array_equal(howell.howell_complete(H, m), H)
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,7 +106,7 @@ def test_howell_is_idempotent(case):
 def test_span_elements_enumerates_exactly_once(case):
     m, n, rows = case
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    H = howell.howell_form(mat, m)
+    H = howell.howell_complete(mat, m)
     elems = list(howell.span_elements(H, m, n))
     assert len(elems) == len(set(elems)) == _span_order(H, m)
     assert set(elems) == brute_span(rows, m, n)
@@ -139,8 +139,10 @@ def test_solve_row_finds_and_verifies_solutions(case, data):
 def test_transform_tracks_row_operations():
     m = 12
     mat = np.array([[8, 5, 5], [0, 9, 8], [0, 0, 10]], dtype=np.int64)
-    H, U = howell.howell_complete(mat, m)
-    assert np.array_equal((U @ mat) % m, H)
+    H = howell.howell_complete(mat, m)
+    for row in H:
+        x = howell.solve_row(mat, row, m)
+        assert tuple(int(v) for v in (x @ mat) % m) == row
     # pivot entries divide the modulus
     for row in H:
         p = int(row[np.flatnonzero(row)[0]])
@@ -176,14 +178,15 @@ def test_suite_shapes_reduce_to_howell_form(case):
     m, n, rows = case
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     before = mat.copy()
-    H, U = howell.howell_complete(mat, m)
+    H = howell.howell_complete(mat, m)
     assert np.array_equal(mat, before)
-    assert all(type(x) is int for row in H + U for x in row)
-    assert howell.howell_form(mat, m) == H
-    assert howell.howell_form(rows, m) == H  # the int rows FiniteRing.span passes
+    assert all(type(x) is int for row in H for x in row)
+    assert howell.howell_complete(rows, m) == H  # the int rows FiniteRing.span passes
+    for row in H:
+        x = howell.solve_row(mat, row, m)
+        assert all(type(v) is int for v in x)
+        assert howell.combine(x, rows, m, n) == row
     Ha = np.array(H, dtype=np.int64).reshape(len(H), n)
-    Ua = np.array(U, dtype=np.int64).reshape(len(U), len(rows))
-    assert np.array_equal((Ua @ mat) % m, Ha)
     assert ((Ha >= 0) & (Ha < m)).all()
     pivots = [(int(np.flatnonzero(row)[0]), int(row[np.flatnonzero(row)[0]])) for row in Ha]
     assert all(a[0] < b[0] for a, b in zip(pivots, pivots[1:]))

@@ -109,7 +109,7 @@ class TestValidateSystem:
         # products and its unit) or a composite row (n per distinct composite)
         mx = sc.build_MX(corpus.MONOID_TABLES["c1"], 8)
         one = fr.find_identity(z2)
-        calls = {"howell_form": 0, "combine": 0}
+        calls = {"howell_complete": 0, "combine": 0}
         for name in calls:
             original = getattr(fr.howell, name)
 
@@ -124,7 +124,7 @@ class TestValidateSystem:
         # one distinct map and one distinct composite: 1 + 1 combines for the
         # map, 1 for the composite; checked per morphism and per pair, these
         # were 64 reductions and 64 * 2 + 512 = 640 combines
-        assert calls == {"howell_form": 1, "combine": 3}
+        assert calls == {"howell_complete": 1, "combine": 3}
 
     def test_mixed_moduli_rejected(self, z2, z3):
         pair = sc.build_MX(corpus.MONOID_TABLES["c1"], 2)
