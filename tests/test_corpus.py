@@ -8,6 +8,7 @@ import pytest
 from conftest import category_content, plain
 from ringbench import corpus
 from ringbench import finring as fr
+from ringbench import howell
 from ringbench import idempotents as idem
 from ringbench import skewalg as sk
 from ringbench import smallcat as sc
@@ -131,7 +132,13 @@ class TestSuites:
 # a change to how a conjugate variant picks its unit changes these
 PROP24_SUITE_DIGESTS = {
     1729: "df28d3364e34c7c2d45f0bce01e79fd01fffa0db92c59f956ad9ad8872cb34fc",
+    1: "0f0e319901cbf4803613dfbd5296515ec233d04cbcee898b8c0a5f2900430dbf",
+    2: "263d627c6211e3a3fbc63f95b17e72b07d5a348ac7f446016f8c45570e90488a",
     3: "db255e235c2c0c2f2488b5c962dfbcd636da1ec221f8157d977b553962849e8b",
+    4: "facc4b9d7c54030337cd5e5f5bf3fa0cc137f129db8a3137d5e466efa4ddd182",
+    5: "aeae740136b94a7e6833af2c9006368c21b64312ee65ab4708aef56955028702",
+    6: "89c0faf89c4d326c97eb92c59dd62e5bc231ba060350af5cf54072a7d974d8d6",
+    7: "71f7fb72da234dd72275e2b153ae595ce1687a4e3ab6ed042270680b01901fe2",
 }
 
 
@@ -143,6 +150,32 @@ def test_prop24_suite_matches_recorded_digest(seed):
         record = [inst.name, [list(e.coords) for e in inst.idempotents], inst.expect_strong]
         h.update(json.dumps(record).encode() + b"\n")
     assert (len(instances), h.hexdigest()) == (250, PROP24_SUITE_DIGESTS[seed])
+
+
+def pinned_inverse(units, idx):
+    """Element ``idx``'s inverse as ``_Units.inverse`` found it by a solve:
+    q with p * q = one from the Howell form of [L_p | I], then q * p = one
+    rechecked; None for a non-unit."""
+    ring, one, p = units.ring, units.one.coords, units.vectors[idx]
+    q = howell.solve_row(ring.left_mul_matrix(p), one, ring.modulus)
+    if q is not None and ring.mul_vec(q, p) != one:
+        q = None
+    return q
+
+
+# every element of the 22 distinct base rings of prop-2.4: 1,276 elements, 406
+# of them units
+def test_inverses_match_the_pinned_solve():
+    rings = {id(inst.ring): inst.ring for inst in corpus._base_prop24_instances()}
+    elements = units = 0
+    for ring in rings.values():
+        table = corpus._Units(ring)
+        for idx in range(len(table.vectors)):
+            q = table.inverse(idx)
+            assert q == pinned_inverse(table, idx), (ring, table.vectors[idx])
+            elements += 1
+            units += q is not None
+    assert (len(rings), elements, units) == (22, 1276, 406)
 
 
 # every prop-3.2 and groupoids instance's name and category content; a change
