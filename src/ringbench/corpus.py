@@ -30,6 +30,7 @@ from .errors import (
     GradingViolation,
     IdentityLawViolation,
     IdentityNotIdentity,
+    InvariantViolation,
     ModulusTooSmall,
     NotAssociative,
     NotComplete,
@@ -44,7 +45,6 @@ from .errors import (
     ZeroIdempotent,
     sha256,
 )
-from .howell import solve_row
 from .idempotents import validate_complete_set
 
 DEFAULT_SUITE_SEED = 1729
@@ -377,7 +377,13 @@ class GradingInstance:
 class _Units:
     """The unit of one ring, its element vectors, and the inverse found for
     each element tried so far (None for a non-unit): one table shared by
-    every conjugate variant of the ring, so each element is solved once."""
+    every conjugate variant of the ring, so each element is walked once.
+
+    The inverse is read off the powers p, p^2, ...: in a finite ring with 1,
+    p is a unit exactly when some p^k is 1, and then q = p^(k-1) is its one
+    two-sided inverse.  A non-unit's powers repeat without reaching 1, within
+    as many steps as the ring has elements.
+    """
 
     def __init__(self, ring: fr.FiniteRing):
         self.ring = ring
@@ -388,11 +394,15 @@ class _Units:
     def inverse(self, idx: int) -> tuple[int, ...] | None:
         """The two-sided inverse of element ``idx``, or None."""
         if idx not in self._inverses:
-            ring, one, p = self.ring, self.one.coords, self.vectors[idx]
-            # solve_row has checked p * q = one; the unit needs q * p = one too
-            q = solve_row(ring.left_mul_matrix(p), one, ring.modulus)
-            if q is not None and ring.mul_vec(q, p) != one:
+            mul, one, p = self.ring._mul, self.one.coords, self.vectors[idx]
+            q, power, seen = one, p, set()  # q is the power before p^k
+            while power != one and power not in seen:
+                seen.add(power)
+                q, power = power, mul(power, p)
+            if power != one:
                 q = None
+            elif not mul(p, q) == one == mul(q, p):
+                raise InvariantViolation("walked inverse fails p * q = 1 = q * p")
             self._inverses[idx] = q
         return self._inverses[idx]
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringbench import howell
+from test_corpus import pinned_inverse
 
 
 def brute_span(rows, m, n):
@@ -339,7 +340,6 @@ def driver_solves():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(howell, "solve_row", recording_solve)
-        mp.setattr(corpus, "solve_row", recording_solve)
         mp.setattr(finring, "_unit_of", recording_unit_of)
         mp.setattr(corpus._Units, "inverse", recording_inverse)
         for seed in (1729, 3):
@@ -350,22 +350,36 @@ def driver_solves():
 
 def test_driver_solves_match_the_transform_path(driver_solves):
     solves, _, _ = driver_solves
-    assert len(solves) == 1255 + 1213
+    assert len(solves) == 345 + 345  # the ring units; inverses are walked
     for A, b, m in solves:
         assert_solves_as_pinned(A, b, m)
 
 
 def test_driver_units_and_inverses_match_the_transform_path(driver_solves, monkeypatch):
-    from ringbench import corpus, finring
+    from ringbench import finring
 
     _, units, inverses = driver_solves
     assert units and inverses
+    for table, idx, q in inverses:
+        assert pinned_inverse(table, idx) == q
     monkeypatch.setattr(howell, "solve_row", pinned_solve_row)
-    monkeypatch.setattr(corpus, "solve_row", pinned_solve_row)
     for ring, rows, u in units:
         assert finring._unit_of(ring, rows) == u
-    for table, idx, q in inverses:
-        # the table caches each inverse: solve this one again, then put back
-        cached = table._inverses.pop(idx)
-        assert table.inverse(idx) == q
-        table._inverses[idx] = cached
+
+
+def test_prop24_build_solves_only_for_units(monkeypatch):
+    """Each element inverse is walked, not solved: building the prop-2.4
+    suite calls solve_row once per ring unit it solves, and no more."""
+    from ringbench import corpus, finring
+
+    calls = {"solve_row": 0, "_unit_of": 0}
+    for module, name in ((howell, "solve_row"), (finring, "_unit_of")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    corpus.generate_suite("prop-2.4", 1729)
+    assert calls["solve_row"] == calls["_unit_of"] > 0
