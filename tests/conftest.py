@@ -92,6 +92,22 @@ def category_content(c) -> list:
     ]
 
 
+def content_key(x):
+    """A hashable copy of a driver input's content: rings as their modulus
+    and structure constants, subgroups as their ring and Howell rows, sets
+    sorted and sequences as tuples; equal inputs built as separate objects
+    get one key."""
+    if isinstance(x, fr.FiniteRing):
+        return x.modulus, content_key(x.constants)
+    if isinstance(x, fr.AdditiveSubgroup):
+        return content_key(x.ring), content_key(x.rows)
+    if isinstance(x, frozenset):
+        return tuple(sorted(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(content_key(y) for y in x)
+    return x
+
+
 def driver_calls(module, name: str, seeds) -> list[tuple]:
     """The arguments of every call to ``module.name`` while the lattice-free
     drivers run at each suite seed, in call order."""

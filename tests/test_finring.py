@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_span, driver_calls
+from conftest import brute_force_span, content_key, driver_calls
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import verify
@@ -669,9 +669,11 @@ def reference_unit_of(ring: fr.FiniteRing, rows) -> fr.RingElement | None:
 class TestUnitSolvePinned:
     def test_driver_solves_match_the_dense_system(self):
         # every ring unit and identity-component unit the lattice-free
-        # drivers solve for at two suite seeds
+        # drivers solve for at two suite seeds: 74 distinct (modulus,
+        # constants, rows), solved again wherever an equal ring was rebuilt
         solves = driver_calls(fr, "_unit_of", (1729, 3))
         assert len(solves) == 584
+        assert len({content_key(call) for call in solves}) == 74
         found = [fr._unit_of(ring, rows) for ring, rows in solves]
         assert found == [reference_unit_of(ring, rows) for ring, rows in solves]
 

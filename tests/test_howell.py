@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import content_key
 from ringbench import howell
 from test_corpus import pinned_inverse
 
@@ -351,6 +352,7 @@ def driver_solves():
 def test_driver_solves_match_the_transform_path(driver_solves):
     solves, _, _ = driver_solves
     assert len(solves) == 345 + 345  # the ring units; inverses are walked
+    assert len({content_key(call) for call in solves}) == 56
     for A, b, m in solves:
         assert_solves_as_pinned(A, b, m)
 

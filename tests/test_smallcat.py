@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import driver_calls
+from conftest import content_key, driver_calls
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import smallcat as sc
@@ -475,6 +475,7 @@ def mutated_category(draw):
 class TestMakeCategoryPinned:
     def test_driver_tables_build_as_the_reference_builds_them(self, driver_tables):
         assert len(driver_tables) == 1099
+        assert len({content_key(args) for args in driver_tables}) == 358
         outcomes = [category_outcome(sc.make_category, args) for args in driver_tables]
         assert outcomes == [category_outcome(reference_make_category, args) for args in driver_tables]
         # the mutation matrix's three rejected tables are among them

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import content_key
 from ringbench import corpus
 from ringbench import smallcat as sc
 from ringbench import strength, verify
@@ -147,8 +148,9 @@ def test_conditions_match_the_literal_loops_on_drawn_tables(arguments):
     assert_same_evaluation(strength.ComponentTable, *arguments)
 
 
-# Peirce, hom-set and hom-component tables built by the eleven drivers
-DRIVER_TABLES = {1729: 446, 3: 448}
+# Peirce, hom-set and hom-component tables built by the eleven drivers, and
+# how many distinct (kind, entries) they hold
+DRIVER_TABLES = {1729: (446, 263), 3: (448, 270)}
 
 
 @pytest.mark.parametrize("seed", sorted(DRIVER_TABLES))
@@ -164,7 +166,8 @@ def test_conditions_match_the_literal_loops_on_every_driver_table(monkeypatch, s
     for name in verify.PROP_CHECKS:
         verify.run_check(name, seed)
     monkeypatch.undo()
-    assert len(built) == DRIVER_TABLES[seed]
+    distinct = {(kwargs["third_zero"], content_key(args[0])) for args, kwargs in built}
+    assert (len(built), len(distinct)) == DRIVER_TABLES[seed]
     reasons = Counter()
     for args, kwargs in built:
         for verdict, witness in assert_same_evaluation(table_class, args, kwargs):
