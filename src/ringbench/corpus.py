@@ -533,7 +533,8 @@ def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
 def _own_categories(instances: list[CategoryInstance]) -> list[CategoryInstance]:
     """Each instance with its own SmallCategory object on the fields its
     recipe's one build validated.  Callers may key on the category object,
-    as perfbench's CLI input writer does, so an instance never shares it."""
+    as perfbench's CLI input writer does, so no two instances of one suite
+    share it; repeated requests for the suite share its instances."""
     own = []
     for inst in instances:
         c = inst.category
@@ -670,7 +671,7 @@ def _suite_gradings(seed: int) -> list[GradingInstance]:
         t2.span([(0, 0, 1)]),  # endo at 1: E22
     ]
     out.append(GradingInstance("lopsided_pair_t2", gr.attach_grading(t2, pair, comps_t)))
-    for inst in _suite_prop53(seed):
+    for inst in _suite("prop-5.3", seed):
         out.append(GradingInstance(f"skew_{inst.name}", inst.algebra.grading))
     return out
 
@@ -689,11 +690,24 @@ def available_suites() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _suite(name: str, seed: int) -> tuple:
+    # typed: _mix hashes str(seed), so the seeds True and 1 build different suites
+    return tuple(_SUITES[name](seed))
+
+
 def generate_suite(name: str, seed: int | None = None) -> list:
-    """Fixed, seeded instance list for one named check suite."""
+    """Fixed, seeded instance list for one named check suite.
+
+    The last suite built is held, and only that one, so consecutive
+    requests for one (name, seed), as consecutive drivers make, build it
+    once.  Each call returns a fresh list over the shared instances, and
+    the verdicts cached on their gradings, categories and rings serve every
+    later request too.
+    """
     if name not in _SUITES:
         raise UnknownSuite(name, _SUITES)
-    return _SUITES[name](DEFAULT_SUITE_SEED if seed is None else seed)
+    return list(_suite(name, DEFAULT_SUITE_SEED if seed is None else seed))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ LATTICE_FREE_DRIVERS = tuple(
 )
 
 
+@pytest.fixture(autouse=True)
+def empty_suite_memo():
+    """Each test starts with no suite held, so what it counts or shares does
+    not depend on the test that ran before it."""
+    corpus._suite.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def m2f2():
     """2x2 matrices over Z/2 on the matrix-unit basis E11, E12, E21, E22."""
@@ -110,7 +117,8 @@ def content_key(x):
 
 def driver_calls(module, name: str, seeds) -> list[tuple]:
     """The arguments of every call to ``module.name`` while the lattice-free
-    drivers run at each suite seed, in call order."""
+    drivers run at each suite seed, in call order, from no suite held."""
+    corpus._suite.cache_clear()  # a module-scoped caller runs before empty_suite_memo
     calls = []
     original = getattr(module, name)
 

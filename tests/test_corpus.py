@@ -1,7 +1,9 @@
 """Generator determinism, suite contracts, mutation targetedness."""
 
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -111,7 +113,9 @@ class TestSuites:
         assert verdicts == {True, False}
 
     def test_suites_are_deterministic(self):
+        # the memo is cleared before each second request, so two builds compare
         a = corpus.generate_suite("prop-2.4")
+        corpus._suite.cache_clear()
         b = corpus.generate_suite("prop-2.4")
         assert [i.name for i in a] == [i.name for i in b]
         assert all(
@@ -119,6 +123,7 @@ class TestSuites:
             for ia, ib in zip(a, b)
         )
         c = corpus.generate_suite("prop-3.2")
+        corpus._suite.cache_clear()
         d = corpus.generate_suite("prop-3.2")
         assert all(x.category.compose == y.category.compose for x, y in zip(c, d))
 
@@ -126,6 +131,91 @@ class TestSuites:
         a = corpus.generate_suite("prop-3.2", seed=1)
         b = corpus.generate_suite("prop-3.2", seed=2)
         assert any(x.category.compose != y.category.compose for x, y in zip(a, b))
+
+
+def recorded_builds(monkeypatch) -> list[tuple]:
+    """The (name, seed) of every suite built from now on, in build order."""
+    builds = []
+    for name, build in corpus._SUITES.items():
+        def recording(seed, _name=name, _build=build):
+            builds.append((_name, seed))
+            return _build(seed)
+
+        monkeypatch.setitem(corpus._SUITES, name, recording)
+    return builds
+
+
+def category_suite_content(suite) -> list:
+    return [[inst.name, category_content(inst.category)] for inst in suite]
+
+
+class TestSuiteMemo:
+    """generate_suite holds the last suite built, and only that one."""
+
+    def test_consecutive_requests_build_once(self, monkeypatch):
+        builds = recorded_builds(monkeypatch)
+        a = corpus.generate_suite("prop-3.2", 5)
+        b = corpus.generate_suite("prop-3.2", 5)
+        assert builds == [("prop-3.2", 5)]
+        assert a is not b and len(a) == len(b) == 503
+        assert all(x is y for x, y in zip(a, b))
+        a.clear()  # one caller's list is its own
+        assert len(corpus.generate_suite("prop-3.2", 5)) == 503
+
+    def test_default_seed_shares_the_entry_and_any_other_key_builds(self, monkeypatch):
+        builds = recorded_builds(monkeypatch)
+        corpus.generate_suite("mx-family")
+        corpus.generate_suite("mx-family", corpus.DEFAULT_SUITE_SEED)
+        corpus.generate_suite("mx-family", 2)
+        corpus.generate_suite("groupoids", 2)
+        corpus.generate_suite("mx-family", 2)  # no longer held
+        assert builds == [
+            ("mx-family", 1729), ("mx-family", 2), ("groupoids", 2), ("mx-family", 2),
+        ]
+
+    def test_gradings_read_the_held_prop53_algebras(self, monkeypatch):
+        algebras = corpus.generate_suite("prop-5.3")
+        calls = []
+        build = sk.build_skew_algebra
+
+        def counting(system):
+            calls.append(system)
+            return build(system)
+
+        monkeypatch.setattr(sk, "build_skew_algebra", counting)
+        gradings = corpus.generate_suite("gradings")
+        assert not calls
+        skew = [inst for inst in gradings if inst.name.startswith("skew_")]
+        assert [inst.name for inst in skew] == [f"skew_{inst.name}" for inst in algebras]
+        assert all(g.grading is a.algebra.grading for g, a in zip(skew, algebras))
+
+    # _mix hashes str(seed): equal seeds of different types build different suites
+    @pytest.mark.parametrize("held,seed", [(1, True), (1729, 1729.0)])
+    def test_seeds_of_another_type_build_apart(self, monkeypatch, held, seed):
+        builds = recorded_builds(monkeypatch)
+        first = corpus.generate_suite("prop-3.2", held)
+        suite = corpus.generate_suite("prop-3.2", seed)
+        assert corpus.generate_suite("prop-3.2", seed) == suite  # now held
+        assert [type(s) for _, s in builds] == [type(held), type(seed)]
+        fresh = category_suite_content(corpus._suite_prop32(seed))
+        assert category_suite_content(suite) == fresh != category_suite_content(first)
+
+    def test_only_the_last_suite_is_held(self):
+        # FiniteRing takes no weak reference; the grading holds the algebra's ring
+        grading = weakref.ref(corpus.generate_suite("prop-5.3")[0].algebra.grading)
+        gc.collect()
+        assert grading() is not None
+        corpus.generate_suite("mx-family")
+        gc.collect()
+        assert grading() is None
+
+    def test_an_unknown_suite_caches_nothing(self, monkeypatch):
+        builds = recorded_builds(monkeypatch)
+        held = corpus.generate_suite("mx-family")
+        with pytest.raises(UnknownSuite):
+            corpus.generate_suite("nonsense")
+        assert corpus.generate_suite("mx-family") == held
+        assert builds == [("mx-family", 1729)]
 
 
 # every prop-2.4 instance's name, idempotent coordinates and expected verdict;

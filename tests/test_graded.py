@@ -301,9 +301,15 @@ class TestVerdictsOncePerGrading:
         monkeypatch.setattr(gr, "product_subgroup", counting)
         corpus.generate_suite("prop-5.3", 1729)
         built = len(calls)
+        # from no suite held, the driver builds its suite and forms no more
+        corpus._suite.cache_clear()
         calls.clear()
         assert verify.verify_prop_53(1729).ok
         assert built > 0 and len(calls) == built
+        # on the suite it just built, it forms none
+        calls.clear()
+        assert verify.verify_prop_53(1729).ok
+        assert not calls
 
     def test_hom_components_spanned_once_per_grading(self, monkeypatch):
         spans = collections.Counter()

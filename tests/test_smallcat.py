@@ -474,7 +474,7 @@ def mutated_category(draw):
 
 class TestMakeCategoryPinned:
     def test_driver_tables_build_as_the_reference_builds_them(self, driver_tables):
-        assert len(driver_tables) == 1099
+        assert len(driver_tables) == 947
         assert len({content_key(args) for args in driver_tables}) == 358
         outcomes = [category_outcome(sc.make_category, args) for args in driver_tables]
         assert outcomes == [category_outcome(reference_make_category, args) for args in driver_tables]
