@@ -671,6 +671,8 @@ def _suite_gradings(seed: int) -> list[GradingInstance]:
         t2.span([(0, 0, 1)]),  # endo at 1: E22
     ]
     out.append(GradingInstance("lopsided_pair_t2", gr.attach_grading(t2, pair, comps_t)))
+    # a held prop-5.3 suite lends its algebras: the memo evicts it only once
+    # this suite is built
     for inst in _suite("prop-5.3", seed):
         out.append(GradingInstance(f"skew_{inst.name}", inst.algebra.grading))
     return out
