@@ -14,6 +14,7 @@ category content, fail, repeats included.
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -156,6 +157,40 @@ def test_each_distinct_instance_is_validated_once(monkeypatch):
     monkeypatch.setattr(idem, "validate_complete_set", counting)
     result = verify.verify_prop_24(1729)
     assert (len(calls), result.checked) == (87, 250)
+
+
+def counted_table_builds(monkeypatch) -> Counter:
+    """Calls of validate_complete_set and peirce_table from now on, by name."""
+    counts = Counter()
+    for name in ("validate_complete_set", "peirce_table"):
+        def counting(*args, _name=name, _original=getattr(idem, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(idem, name, counting)
+    return counts
+
+
+# (validate_complete_set, peirce_table) calls of prop-2.4 and then of
+# prop-lattice on the suite prop-2.4 left held, at suite seed 1729
+HELD_SUITE_TABLE_BUILDS = [(87, 87), (87, 87)]
+
+
+def test_consecutive_drivers_validate_each_distinct_set(monkeypatch):
+    counts = counted_table_builds(monkeypatch)
+    builds = []
+    for driver in (verify.verify_prop_24, verify.verify_prop_lattice):
+        driver(1729)
+        builds.append((counts["validate_complete_set"], counts["peirce_table"]))
+        counts.clear()
+    assert builds == HELD_SUITE_TABLE_BUILDS
+
+
+def test_prop_lattice_alone_validates_each_distinct_set(monkeypatch):
+    counts = counted_table_builds(monkeypatch)
+    result = verify.verify_prop_lattice(1729)
+    assert (counts["validate_complete_set"], counts["peirce_table"]) == (87, 87)
+    assert result.checked == 700
 
 
 def test_injected_category_report_fault_names_every_instance(monkeypatch):
