@@ -23,6 +23,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import finring as fr
 from . import graded as gr
+from . import idempotents as idem
 from . import skewalg as sk
 from . import smallcat as cat
 from .errors import (
@@ -45,7 +46,6 @@ from .errors import (
     ZeroIdempotent,
     sha256,
 )
-from .idempotents import validate_complete_set
 
 DEFAULT_SUITE_SEED = 1729
 MAX_RING_ORDER = 4096
@@ -336,12 +336,26 @@ def _named_skew_algebra(name: str) -> sk.SkewAlgebra:
 
 
 class RingWithIdempotents:
-    __slots__ = ("name", "ring", "idempotents", "expect_strong")
+    __slots__ = ("name", "ring", "idempotents", "expect_strong", "_table")
 
     def __init__(self, name: str, ring: fr.FiniteRing, idempotents: tuple[fr.RingElement, ...],
                  expect_strong: bool | None = None):
         self.name, self.ring, self.idempotents = name, ring, idempotents
         self.expect_strong = expect_strong
+        self._table = None
+
+    @property
+    def table(self) -> idem.PeirceTable:
+        """The Peirce table of the validated set, built on first read and
+        held by this instance, so each driver that reads it shares one
+        validation and the table's one strength report.  A set that fails
+        validation raises on every read and holds nothing.  The ring never
+        refers back to the table, so the table goes with its suite."""
+        if self._table is None:
+            # through the module at call time, where tests and the tracer
+            # wrap these functions
+            self._table = idem.peirce_table(idem.validate_complete_set(self.ring, self.idempotents))
+        return self._table
 
 
 class CategoryInstance:
@@ -746,7 +760,7 @@ def mutation_matrix() -> list[tuple[str, MutatedInstance]]:
         return fr.make_ring(modulus, 4, m2.constants, m2.basis_labels)
 
     def idempotents(elements):
-        return validate_complete_set(m2, elements)
+        return idem.validate_complete_set(m2, elements)
 
     def category(objects, dom, cod, identity):
         return lambda table: cat.make_category(objects, dom, cod, identity, table)

@@ -142,8 +142,7 @@ def _judge_once(instances, judge, key_of=operator.attrgetter("ring", "idempotent
 
 
 def _strength_report(inst) -> idem.StrongnessReport:
-    iset = idem.validate_complete_set(inst.ring, inst.idempotents)
-    return idem.strong_condition_report(idem.peirce_table(iset))
+    return idem.strong_condition_report(inst.table)
 
 
 def verify_prop_24(seed: int | None = None) -> VerificationResult:
@@ -172,11 +171,10 @@ def verify_prop_24(seed: int | None = None) -> VerificationResult:
 def _lattice_certificates(inst) -> list[tuple[int, int, str, bool, str | None]]:
     """(i, j, side, ok, failure) of every certificate on a strong set, none
     on a set that is not strong."""
-    iset = idem.validate_complete_set(inst.ring, inst.idempotents)
-    table = idem.peirce_table(iset)
+    table = inst.table
     if not idem.strong_condition_report(table).strong:
         return []
-    k = iset.size
+    k = table.size
     out = []
     for i in range(k):
         for j in range(k):

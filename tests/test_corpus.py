@@ -14,7 +14,8 @@ from ringbench import howell
 from ringbench import idempotents as idem
 from ringbench import skewalg as sk
 from ringbench import smallcat as sc
-from ringbench.errors import UnknownSuite
+from ringbench import verify
+from ringbench.errors import NotComplete, UnknownSuite
 
 
 class TestRecipes:
@@ -216,6 +217,47 @@ class TestSuiteMemo:
             corpus.generate_suite("nonsense")
         assert corpus.generate_suite("mx-family") == held
         assert builds == [("mx-family", 1729)]
+
+
+class TestHeldTables:
+    """A prop-2.4 instance holds the Peirce table of its validated set."""
+
+    def test_the_table_is_built_once(self, monkeypatch):
+        inst = corpus.generate_suite("prop-2.4")[0]
+        calls = []
+        validate = idem.validate_complete_set
+
+        def counting(ring, candidates):
+            calls.append(ring)
+            return validate(ring, candidates)
+
+        monkeypatch.setattr(idem, "validate_complete_set", counting)
+        table = inst.table
+        assert inst.table is table and calls == [inst.ring]
+        assert table.ring is inst.ring and table.iset.elements == inst.idempotents
+
+    def test_a_set_that_fails_validation_raises_on_every_read(self, m2f2):
+        inst = corpus.RingWithIdempotents("e11_alone", m2f2, (m2f2.basis_element(0),))
+        for _ in range(2):
+            with pytest.raises(NotComplete) as caught:
+                inst.table
+            assert caught.type is NotComplete and inst._table is None
+
+    def test_a_held_table_goes_with_its_suite(self):
+        # a table in a reference cycle (say, one the ring held) would outlive
+        # its suite until the cyclic collector ran, so that collector is off
+        verify.verify_prop_24(1729)
+        verify.verify_prop_lattice(1729)
+        table = weakref.ref(corpus.generate_suite("prop-2.4", 1729)[0].table)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert table() is not None
+            corpus.generate_suite("mx-family")
+            assert table() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # every prop-2.4 instance's name, idempotent coordinates and expected verdict;
