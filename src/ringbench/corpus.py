@@ -352,8 +352,7 @@ class RingWithIdempotents:
         validation raises on every read and holds nothing.  The ring never
         refers back to the table, so the table goes with its suite."""
         if self._table is None:
-            # through the module at call time, where tests and the tracer
-            # wrap these functions
+            # looked up on the module at call time, where tests wrap them
             self._table = idem.peirce_table(idem.validate_complete_set(self.ring, self.idempotents))
         return self._table
 

@@ -222,20 +222,6 @@ class TestSuiteMemo:
 class TestHeldTables:
     """A prop-2.4 instance holds the Peirce table of its validated set."""
 
-    def test_the_table_is_built_once(self, monkeypatch):
-        inst = corpus.generate_suite("prop-2.4")[0]
-        calls = []
-        validate = idem.validate_complete_set
-
-        def counting(ring, candidates):
-            calls.append(ring)
-            return validate(ring, candidates)
-
-        monkeypatch.setattr(idem, "validate_complete_set", counting)
-        table = inst.table
-        assert inst.table is table and calls == [inst.ring]
-        assert table.ring is inst.ring and table.iset.elements == inst.idempotents
-
     def test_a_set_that_fails_validation_raises_on_every_read(self, m2f2):
         inst = corpus.RingWithIdempotents("e11_alone", m2f2, (m2f2.basis_element(0),))
         for _ in range(2):

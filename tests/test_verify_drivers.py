@@ -3,9 +3,10 @@ by SHA-256 digests of their whole VerificationResult.
 
 The suite's conjugate variants often repeat their base instance exactly (a
 central set conjugates to itself), and both drivers judge each distinct
-(ring object, idempotent tuple) once.  The category suites repeat recipes
-too: each is built once, and both category drivers judge each distinct
-category content once.
+(ring object, idempotent tuple) once, on the table that instance holds, so
+prop-lattice on a held suite reads the tables prop-2.4 built.  The category
+suites repeat recipes too: each is built once, and both category drivers
+judge each distinct category content once.
 Every instance must still be reported under its own name, in suite order:
 the digests cover ``ok``, ``checked``, every failure line and ``details``,
 and the injected faults make every instance on one ring, or with one
