@@ -16,7 +16,6 @@ import pytest
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import idempotents as idem
-from ringbench import posets
 from ringbench import skewalg as sk
 from ringbench import verify
 from ringbench.errors import LatticeTooLarge
@@ -47,7 +46,11 @@ def unpruned_lattice(acting, ambient, side):
                 found[sub.key] = sub
                 fresh.append(sub)
     subs = tuple(sorted(found.values(), key=lambda s: (s.order, s.key)))
-    lt = tuple(posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j]))
+    # the strict order written out pair by pair: a smaller order and every
+    # row of one subgroup inside the other
+    lt = tuple(
+        sum(1 << j for j, b in enumerate(subs) if a.order < b.order and a <= b) for a in subs
+    )
     return subs, lt, list(firsts), scanned
 
 
