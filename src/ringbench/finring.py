@@ -17,9 +17,9 @@ form over Z/m, so subgroup equality is decided by comparing bases.  One-sided
 ideals are generated nonunitally (the ideal of x is Z x + S x, never just
 S x) and whole lattices of one-sided ideals are enumerated by closing the
 principal ideals, one per unit class of generators, under joins with each
-principal, once per ring: each ring memoizes its submodule lattices.  An
-enumeration counts its work as it goes and stops past MAX_LATTICE_WORK
-steps.
+principal, once per ring: each ring memoizes its submodule lattices, with
+their order read off the principals each member contains.  An enumeration
+counts its work as it goes and stops past MAX_LATTICE_WORK steps.
 """
 
 from __future__ import annotations
@@ -344,9 +344,6 @@ class AdditiveSubgroup:
         self._check(other)
         return all(other.contains(row) for row in self.rows)
 
-    def __lt__(self, other: "AdditiveSubgroup") -> bool:
-        return self.order < other.order and self <= other
-
     def join(self, other: "AdditiveSubgroup") -> "AdditiveSubgroup":
         self._check(other)
         return self.ring.span(self.rows + other.rows)
@@ -573,40 +570,41 @@ def _charged(work: int) -> int:
 
 def join_closure(
     principals: Sequence[AdditiveSubgroup], work: int = 0
-) -> list[AdditiveSubgroup]:
+) -> tuple[list[AdditiveSubgroup], list[int]]:
     """The joins of every nonempty family of ``principals``, sorted by
-    (order, basis).
+    (order, basis), and beside each the bitset of the principals inside it
+    (bit k for the k-th distinct one).
 
     Each round joins the subgroups new since the last round with every
     principal, since every join of principals is reached one principal at
     a time.  A round charges _lattice_step steps per pair it will test
     before it tests any, on top of the ``work`` already done, and
     LatticeTooLarge is raised past MAX_LATTICE_WORK; a truncated family is
-    never returned.  A pair where one subgroup contains the other is not
-    joined: its join is the larger one, already found.
+    never returned.  Each pair has one containment test, after the smaller
+    order divides the larger: a nested pair is not joined, since its join
+    is the larger one, already found.  Each subgroup meets every principal
+    in the round it is new in, so its bitset is complete.
     """
     found = {p.key: p for p in principals}
     principals = frontier = list(found.values())
+    inside: dict[tuple, int] = {}
     step = _lattice_step(frontier[0].ring) if frontier else 0
     while frontier:
         work = _charged(work + len(frontier) * len(principals) * step)
         fresh = []
         for a in frontier:
-            for p in principals:
-                if not _nested(a, p):
-                    b = a.join(p)
-                    if b.key not in found:
-                        found[b.key] = b
-                        fresh.append(b)
+            mask = 0
+            for k, p in enumerate(principals):
+                lo, hi = (p, a) if p.order <= a.order else (a, p)
+                if hi.order % lo.order == 0 and lo <= hi:
+                    mask |= (lo is p) << k
+                elif (b := a.join(p)).key not in found:
+                    found[b.key] = b
+                    fresh.append(b)
+            inside[a.key] = mask
         frontier = fresh
-    return sorted(found.values(), key=lambda s: (s.order, s.key))
-
-
-def _nested(a: AdditiveSubgroup, b: AdditiveSubgroup) -> bool:
-    """Whether one of a and b contains the other: the smaller order must
-    divide the larger before the rows are tested."""
-    lo, hi = (a, b) if a.order <= b.order else (b, a)
-    return hi.order % lo.order == 0 and lo <= hi
+    family = sorted(found.values(), key=lambda s: (s.order, s.key))
+    return family, [inside[s.key] for s in family]
 
 
 def _lead_divides(x: tuple[int, ...], m: int) -> bool:
@@ -648,11 +646,12 @@ def submodule_lattice(
 ) -> tuple[tuple[AdditiveSubgroup, ...], tuple[int, ...]]:
     """All subgroups M of ``ambient`` with acting*M inside M (left) or
     M*acting inside M (right), sorted by (order, basis), and their strict
-    inclusion relation as row bitsets (posets.strict_order_matrix).
+    inclusion relation as row bitsets.
 
-    Every such M is a finite join of principal ones: the principals are
-    found by one scan of ``ambient`` and closed under joins with them.  The
-    scan and the joins share one budget of MAX_LATTICE_WORK steps, and
+    Every such M is the join of the principals inside it, found by one scan
+    of ``ambient`` and closed under joins with them; so M <= N exactly when
+    the principals inside M are inside N, as join_closure's bitsets record.
+    The scan and the joins share one budget of MAX_LATTICE_WORK steps, and
     LatticeTooLarge is raised as soon as they pass it.  Every subgroup kept
     comes from a charged element or a charged pair, so the budget also
     bounds the family at MAX_LATTICE_WORK / _lattice_step(ring) subgroups.
@@ -666,9 +665,9 @@ def submodule_lattice(
     key = (acting.key, ambient.key, side)
     lattice = ring._lattices.get(key)
     if lattice is None:
-        subs = tuple(join_closure(*_principals(acting, ambient, side)))
-        lt = posets.strict_order_matrix(len(subs), lambda i, j: subs[i] < subs[j])
-        lattice = ring._lattices[key] = subs, tuple(lt)
+        subs, inside = join_closure(*_principals(acting, ambient, side))
+        lt = posets.strict_order_matrix(len(subs), lambda i, j: not inside[i] & ~inside[j])
+        lattice = ring._lattices[key] = tuple(subs), tuple(lt)
     return lattice
 
 

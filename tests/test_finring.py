@@ -511,11 +511,41 @@ class TestLatticeWork:
     def test_join_closure_is_every_join_of_principals(self):
         ring = corpus.zero_multiplication_ring(2, 3)
         principals = [ring.span([v]) for v in ring.element_vectors()]
-        family = fr.join_closure(principals)
+        family, inside = fr.join_closure(principals)
         # every subgroup of (Z/2)^3: 1 + 7 + 7 + 1
         assert [s.order for s in family] == [1] + [2] * 7 + [4] * 7 + [8]
-        assert fr.join_closure(principals + principals) == family
-        assert fr.join_closure([]) == []
+        # the 8 principals are distinct: bit k of a member's bitset says
+        # whether principals[k] lies inside it
+        assert inside == [
+            sum(1 << k for k, p in enumerate(principals) if p <= s) for s in family
+        ]
+        assert fr.join_closure(principals + principals) == (family, inside)
+        assert fr.join_closure([]) == ([], [])
+
+    def test_order_costs_one_containment_test_per_pair(self, monkeypatch):
+        # every subgroup of (Z/2)^5 is an ideal: 374 of them, over 32
+        # distinct principals.  The join rounds test each subgroup against
+        # each principal at most once, and the order is read off those
+        # tests; a second pass over the ordered pairs made 56,919 of them
+        ring = corpus.zero_multiplication_ring(2, 5)
+        calls = []
+        le = fr.AdditiveSubgroup.__le__
+        monkeypatch.setattr(fr.AdditiveSubgroup, "__le__", lambda a, b: calls.append(1) or le(a, b))
+        lattice = fr.enumerate_one_sided_ideals(ring, "left")
+        full = ring.full_subgroup()
+        subs, lt = fr.submodule_lattice(full, full, "left")
+        monkeypatch.undo()
+        assert len(calls) <= 374 * 32
+        oracle = verify.brute_force_one_sided_ideal_count(ring, "left")
+        assert (lattice.size, lattice.height) == oracle == (374, 5)
+        # the order written out pair by pair
+        pairwise = [
+            sum(1 << j for j, b in enumerate(subs) if a.order < b.order and a <= b) for a in subs
+        ]
+        assert list(lt) == pairwise
+        # a subgroup has no strict order of its own; the lattice holds it
+        with pytest.raises(TypeError):
+            subs[0] < subs[1]
 
     def test_bound_sits_above_every_suite_lattice(self, monkeypatch):
         rings = [inst.ring for inst in corpus.generate_suite("prop-2.4")]
