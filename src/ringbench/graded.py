@@ -92,6 +92,20 @@ class Grading:
             if gh != UNDEFINED
         )
 
+    @cached_property
+    def corner_identity(self) -> tuple[bool, tuple | None]:
+        """Whether 1_{S_a} S 1_{S_b} = S_{G(a,b)} for every object pair, with
+        the first failing pair and both subgroup orders, evaluated on first
+        use; corner_identity_check returns it.  A grading that is not object
+        unital raises NotObjectUnital on every read."""
+        ring, units, hom = self.ring, _local_units(self), self.hom_components
+        for a in range(len(units)):
+            for b in range(len(units)):
+                sandwich = ring.sandwich(units[a].coords, units[b].coords)
+                if sandwich != hom[a][b]:
+                    return False, ((a, b), sandwich.order, hom[a][b].order)
+        return True, None
+
     def __repr__(self) -> str:
         return f"Grading(of {self.ring!r} by {self.category!r})"
 
@@ -200,14 +214,9 @@ def homset_strongly_graded_report(grading: Grading) -> strength.StrongnessReport
 def corner_identity_check(grading: Grading) -> tuple[bool, tuple | None]:
     """The law 1_{S_a} S 1_{S_b} = S_{G(a,b)} for every object pair, checked
     for any object unital grading (no hom-set strength hypothesis) by direct
-    subgroup computation; a failure carries the pair and both subgroup orders."""
-    ring, units, hom = grading.ring, _local_units(grading), grading.hom_components
-    for a in range(len(units)):
-        for b in range(len(units)):
-            sandwich = ring.sandwich(units[a].coords, units[b].coords)
-            if sandwich != hom[a][b]:
-                return False, ((a, b), sandwich.order, hom[a][b].order)
-    return True, None
+    subgroup computation; a failure carries the pair and both subgroup orders.
+    Evaluated once per grading."""
+    return grading.corner_identity
 
 
 def induced_idempotents(grading: Grading) -> IdempotentSet:

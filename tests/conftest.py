@@ -11,11 +11,17 @@ LATTICE_FREE_DRIVERS = tuple(
 )
 
 
+def forget_held_work():
+    """Drop the held suite and every held span."""
+    corpus._suite.cache_clear()
+    fr._span.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def empty_suite_memo():
-    """Each test starts with no suite held, so what it counts or shares does
-    not depend on the test that ran before it."""
-    corpus._suite.cache_clear()
+    """Each test starts with no suite and no span held, so what it counts or
+    shares does not depend on the test that ran before it."""
+    forget_held_work()
 
 
 @pytest.fixture(scope="session")
@@ -117,8 +123,9 @@ def content_key(x):
 
 def driver_calls(module, name: str, seeds) -> list[tuple]:
     """The arguments of every call to ``module.name`` while the lattice-free
-    drivers run at each suite seed, in call order, from no suite held."""
-    corpus._suite.cache_clear()  # a module-scoped caller runs before empty_suite_memo
+    drivers run at each suite seed, in call order, from no suite or span
+    held."""
+    forget_held_work()  # a module-scoped caller runs before empty_suite_memo
     calls = []
     original = getattr(module, name)
 

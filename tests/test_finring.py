@@ -321,6 +321,55 @@ class TestSpanSubgroup:
         assert a.join(b).order == 8
 
 
+def counted_reductions(monkeypatch) -> list:
+    """One entry per howell_complete call from here on."""
+    calls = []
+    reduce = fr.howell.howell_complete
+    monkeypatch.setattr(
+        fr.howell, "howell_complete", lambda rows, m: calls.append(rows) or reduce(rows, m)
+    )
+    return calls
+
+
+class TestSpanCache:
+    """FiniteRing.span reduces each recent (ring object, rows) once."""
+
+    def test_a_repeated_span_is_reduced_once(self, m2f2, monkeypatch):
+        calls = counted_reductions(monkeypatch)
+        rows = [(1, 0, 0, 0), (0, 1, 0, 0)]
+        first = m2f2.span(rows)
+        again = m2f2.span(np.array(rows))
+        assert again == first and again.order == 4
+        assert len(calls) == 1
+
+    def test_a_wrong_length_row_raises_every_time_and_is_not_held(self, m2f2):
+        for _ in range(2):
+            with pytest.raises(ShapeMismatch):
+                m2f2.span([(1, 0, 0, 0), (1, 0)])
+        assert fr._span.cache_info().currsize == 0
+
+    def test_equal_rings_built_apart_share_no_subgroup(self, monkeypatch):
+        calls = counted_reductions(monkeypatch)
+        a, b = corpus.cyclic_ring(4), corpus.cyclic_ring(4)
+        sa, sb = a.span([(2,)]), b.span([(2,)])
+        assert (sa.ring, sb.ring) == (a, b) and sa.ring is not sb.ring
+        assert sa != sb and sa.rows == sb.rows
+        assert len(calls) == 2
+
+    def test_the_cache_stays_bounded_over_the_drivers(self):
+        for name in verify.PROP_CHECKS:
+            assert verify.run_check(name, 1729).ok, name
+        info = fr._span.cache_info()
+        assert info.maxsize == fr.SPAN_CACHE_SIZE
+        assert info.currsize <= fr.SPAN_CACHE_SIZE < info.misses
+
+    def test_strong_equivalence_halves_its_reductions(self, monkeypatch):
+        # from no suite or span held; before the cache, 1,098 reductions
+        calls = counted_reductions(monkeypatch)
+        assert verify.run_check("strong-equivalence", 1729).ok
+        assert len(calls) <= 505
+
+
 class TestIdealLattice:
     def test_m2f2_left_lattice(self, m2f2):
         lat = fr.enumerate_one_sided_ideals(m2f2, "left")

@@ -339,6 +339,23 @@ class TestVerdictsOncePerGrading:
             checked += expected > 0
         assert checked
 
+    def test_corner_identity_evaluated_once_per_grading(self, monkeypatch):
+        # the gradings suite lends the held prop-5.3 gradings, so the
+        # corner-identity driver reads what strong-equivalence evaluated
+        rings = []
+        sandwich = fr.FiniteRing.sandwich
+        monkeypatch.setattr(
+            fr.FiniteRing, "sandwich", lambda self, x, y: rings.append(self) or sandwich(self, x, y)
+        )
+        assert verify.verify_strong_equivalence(1729).ok
+        evaluated = {id(ring) for ring in rings}
+        rings.clear()
+        result = verify.verify_corner_identity(1729)
+        assert result.ok and result.checked
+        lent = {id(inst.grading.ring) for inst in corpus.generate_suite("gradings", 1729)}
+        assert evaluated and evaluated <= lent
+        assert rings and not evaluated & {id(ring) for ring in rings}
+
 
 def category_evaluations(monkeypatch) -> list:
     """The category tables strength.condition1 is asked to judge from now on."""
