@@ -76,9 +76,9 @@ MAX_LATTICE_WORK = 1_000_000
 LATTICE_STEP_FLOOR = 16
 # Spans _span holds, the least recently used dropped first.  Each entry holds
 # its subgroup and keeps its ring alive.  Over the nine lattice-free drivers
-# at four suite seeds, 256 entries cut the Howell reductions 11,453 -> 6,742
-# for 0.1 MB of peak memory; 1,024 entries reach 6,119 for 0.8 MB and 4,096
-# no further for 3.7 MB.
+# at four suite seeds, 256 entries cut the Howell reductions 12,498 -> 6,742
+# and add under 0.1 MB to peak memory; 1,024 entries reach 6,119 for 0.7 MB
+# more, and 4,096 no further for 3.6 MB more.
 SPAN_CACHE_SIZE = 256
 
 
