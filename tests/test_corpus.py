@@ -270,6 +270,64 @@ def test_prop24_suite_matches_recorded_digest(seed):
     assert (len(instances), h.hexdigest()) == (250, PROP24_SUITE_DIGESTS[seed])
 
 
+# each monoid table written out; entry [i][j] is the index of the product of
+# elements i and j (for s3 and transf2, the map i after the map j)
+PINNED_MONOID_TABLES = {
+    "c1": ((0,),),
+    "c2": ((0, 1), (1, 0)),
+    "c3": ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+    "c4": ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)),
+    "c5": (
+        (0, 1, 2, 3, 4), (1, 2, 3, 4, 0), (2, 3, 4, 0, 1), (3, 4, 0, 1, 2), (4, 0, 1, 2, 3),
+    ),
+    "c6": (
+        (0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0), (2, 3, 4, 5, 0, 1),
+        (3, 4, 5, 0, 1, 2), (4, 5, 0, 1, 2, 3), (5, 0, 1, 2, 3, 4),
+    ),
+    "v4": ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+    "s3": (
+        (0, 1, 2, 3, 4, 5), (1, 0, 4, 5, 2, 3), (2, 3, 0, 1, 5, 4),
+        (3, 2, 5, 4, 0, 1), (4, 5, 1, 0, 3, 2), (5, 4, 3, 2, 1, 0),
+    ),
+    "bool2": ((0, 0), (0, 1)),
+    "transf2": ((0, 1, 2, 3), (1, 0, 3, 2), (2, 2, 2, 2), (3, 3, 3, 3)),
+    "leftzero3": ((0, 1, 2), (1, 1, 1), (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MONOID_TABLES))
+def test_monoid_table_matches_the_written_table(name):
+    assert corpus.MONOID_TABLES[name] == PINNED_MONOID_TABLES[name]
+
+
+def test_monoid_tables_are_the_written_ones():
+    assert list(corpus.MONOID_TABLES) == list(PINNED_MONOID_TABLES)
+    for table in corpus.MONOID_TABLES.values():
+        assert type(table) is tuple and all(type(row) is tuple for row in table)
+
+
+def test_skew_maps_are_the_written_ones():
+    assert (corpus.EYE2, corpus.SWAP, corpus.FROBENIUS) == (
+        ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 1)),
+    )
+
+
+# every base instance of prop-2.4: name, modulus, structure constants,
+# idempotent coordinates and expected verdict; a change to how a base ring or
+# its set is built changes this, before any conjugate variant is drawn
+PROP24_BASE_DIGEST = "4578e3bf2fb6460ca5cda3e834686bc681a47d36d8e4ad422390abf3a08f5b79"
+
+
+def test_prop24_base_instances_match_recorded_digest():
+    h = hashlib.sha256()
+    instances = corpus._base_prop24_instances()
+    for inst in instances:
+        coords = [list(e.coords) for e in inst.idempotents]
+        record = [inst.name, inst.ring.modulus, inst.ring.constants, coords, inst.expect_strong]
+        h.update(json.dumps(record).encode() + b"\n")
+    assert (len(instances), h.hexdigest()) == (25, PROP24_BASE_DIGEST)
+
+
 def pinned_inverse(units, idx):
     """Element ``idx``'s inverse as ``_Units.inverse`` found it by a solve:
     q with p * q = one from the Howell form of [L_p | I], then q * p = one
