@@ -5,7 +5,8 @@ Random rings are never rejection-sampled from raw structure constants
 constructive recipe: matrix-unit rings, monoid and category algebras, skew
 algebras and direct products.  Random categories come from thin
 preorder categories, the monoid-times-square construction, one-object
-monoids, and disjoint unions.
+monoids, and disjoint unions.  The cyclic, symmetric and transformation
+monoid tables each come from one operation table on a list of elements.
 
 Everything is a pure function of the seed: seeds are mixed through
 SHA-256, so suites reproduce bit for bit across platforms and runs.
@@ -18,6 +19,7 @@ instance, so no validator chooses the mutants it is then tested on.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from typing import Any, Callable, NamedTuple
 
@@ -64,33 +66,20 @@ def _rng(*parts) -> random.Random:
 # monoid and group tables
 
 
+def _op_table(elements, op) -> tuple[tuple[int, ...], ...]:
+    """The operation table of ``op`` on ``elements``: entry [i][j] is the
+    index of op(elements[i], elements[j])."""
+    index = {x: i for i, x in enumerate(elements)}
+    return tuple(tuple(index[op(x, y)] for y in elements) for x in elements)
+
+
 def _cyclic(n: int):
-    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return _op_table(range(n), lambda a, b: (a + b) % n)
 
 
-def _transformation_monoid_2():
-    # all maps {0,1} -> {0,1}: id, swap, const0, const1; composition f after g
-    maps = [(0, 1), (1, 0), (0, 0), (1, 1)]
-    table = []
-    for f in maps:
-        row = []
-        for g in maps:
-            row.append(maps.index((f[g[0]], f[g[1]])))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def _s3():
-    import itertools as it
-
-    perms = sorted(it.permutations(range(3)))
-    table = []
-    for p in perms:
-        row = []
-        for q in perms:
-            row.append(perms.index(tuple(p[q[i]] for i in range(3))))
-        table.append(tuple(row))
-    return tuple(table)
+def _after(f, g):
+    """The map f after the map g, each a tuple of images."""
+    return tuple(f[x] for x in g)
 
 
 MONOID_TABLES: dict[str, tuple[tuple[int, ...], ...]] = {
@@ -101,10 +90,11 @@ MONOID_TABLES: dict[str, tuple[tuple[int, ...], ...]] = {
     "c5": _cyclic(5),
     "c6": _cyclic(6),
     "v4": ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
-    "s3": _s3(),
+    "s3": _op_table(sorted(itertools.permutations(range(3))), _after),
     # {0, 1} under multiplication; identity is index 1
     "bool2": ((0, 0), (0, 1)),
-    "transf2": _transformation_monoid_2(),
+    # all maps {0,1} -> {0,1}: id, swap, const0, const1
+    "transf2": _op_table(((0, 1), (1, 0), (0, 0), (1, 1)), _after),
     # identity plus two left zeros
     "leftzero3": ((0, 1, 2), (1, 1, 1), (2, 2, 2)),
 }
@@ -293,12 +283,8 @@ def random_category(seed: int, memo: dict | None = None) -> cat.SmallCategory:
 # named skew algebras
 
 
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 # maps of rank-2 object rings, as row-vector actions
-EYE2 = _identity_matrix(2)
+EYE2 = ((1, 0), (0, 1))
 SWAP = ((0, 1), (1, 0))
 FROBENIUS = ((1, 0), (1, 1))  # on F4 = {1, x}: 1 -> 1, x -> x^2 = 1 + x
 
@@ -420,56 +406,40 @@ class _Units:
         return self._inverses[idx]
 
 
-def _find_invertible_pair(
-    units: _Units, rng: random.Random
-) -> tuple[fr.RingElement, fr.RingElement] | None:
-    """A random unit p with its inverse, or None when the ring has no unit:
-    the first unit in a shuffled order of the elements."""
-    if units.one is None:
-        return None
-    order = list(range(len(units.vectors)))
-    rng.shuffle(order)
-    for idx in order:
-        q = units.inverse(idx)
-        if q is not None:
-            return units.ring.element(units.vectors[idx]), units.ring.element(q)
-    return None
-
-
 def _conjugate_set(
     units: _Units, elems: tuple[fr.RingElement, ...], seed: int
 ) -> tuple[fr.RingElement, ...] | None:
-    pair = _find_invertible_pair(units, _rng("conjugate", seed))
-    if pair is None:
+    """The set p e q, where p is the first unit in an order of the ring's
+    elements shuffled by the seed and q is its inverse; None when the ring
+    has no unit."""
+    if units.one is None:
         return None
-    p, q = pair
-    return tuple(p * e * q for e in elems)
+    order = list(range(len(units.vectors)))
+    _rng("conjugate", seed).shuffle(order)
+    for idx in order:
+        q = units.inverse(idx)
+        if q is not None:
+            p, q = units.ring.element(units.vectors[idx]), units.ring.element(q)
+            return tuple(p * e * q for e in elems)
+    return None
 
 
 def _base_prop24_instances() -> list[RingWithIdempotents]:
     out: list[RingWithIdempotents] = []
 
-    def matrix_units_set(ring, size):
-        # diagonal matrix units E11, ..., Ess on the standard label order
-        idx = [i * size + i for i in range(size)]
-        return tuple(ring.basis_element(i) for i in idx)
+    def add(name, ring, basis_indices, strong):
+        # the diagonal matrix units of each block (Z/2's is its 1), by basis index
+        basis_set = tuple(ring.basis_element(i) for i in basis_indices)
+        out.append(RingWithIdempotents(name, ring, basis_set, strong))
 
     for m in (2, 3, 4):
         ring = matrix_units_ring(m, 2)
-        out.append(
-            RingWithIdempotents(f"matrix2_z{m}", ring, matrix_units_set(ring, 2), True)
-        )
+        add(f"matrix2_z{m}", ring, (0, 3), True)
         one = fr.find_identity(ring)
         out.append(RingWithIdempotents(f"matrix2_z{m}_unit", ring, (one,), True))
     for m in (2, 3, 4, 5):
-        t2 = upper_triangular_ring(m, 2)
-        e11, e22 = t2.basis_element(0), t2.basis_element(2)
-        out.append(RingWithIdempotents(f"triangular2_z{m}", t2, (e11, e22), False))
-    t3 = upper_triangular_ring(2, 3)
-    diag = tuple(
-        t3.basis_element(i) for i, lab in enumerate(t3.basis_labels) if lab[1] == lab[2]
-    )
-    out.append(RingWithIdempotents("triangular3_z2", t3, diag, False))
+        add(f"triangular2_z{m}", upper_triangular_ring(m, 2), (0, 2), False)
+    add("triangular3_z2", upper_triangular_ring(2, 3), (0, 3, 5), False)
     for m in (2, 3, 5):
         ring = cyclic_ring(m)
         out.append(
@@ -492,32 +462,10 @@ def _base_prop24_instances() -> list[RingWithIdempotents]:
         strong = cat.homset_strong_report(algebra.category).strong
         out.append(RingWithIdempotents(nm, algebra.ring, iset.elements, strong))
 
-    m2 = matrix_units_ring(2, 2)
-    prod = fr.direct_product([m2, cyclic_ring(2)])
-    es = (
-        prod.element([1, 0, 0, 0, 0]),
-        prod.element([0, 0, 0, 1, 0]),
-        prod.element([0, 0, 0, 0, 1]),
-    )
-    out.append(RingWithIdempotents("matrix2_z2_times_z2", prod, es, True))
-
-    t2 = upper_triangular_ring(2, 2)
-    prod2 = fr.direct_product([t2, cyclic_ring(2)])
-    es2 = (
-        prod2.element([1, 0, 0, 0]),
-        prod2.element([0, 0, 1, 0]),
-        prod2.element([0, 0, 0, 1]),
-    )
-    out.append(RingWithIdempotents("triangular2_z2_times_z2", prod2, es2, False))
-
-    prod3 = fr.direct_product([matrix_units_ring(2, 2), upper_triangular_ring(2, 2)])
-    es3 = (
-        prod3.element([1, 0, 0, 0, 0, 0, 0]),
-        prod3.element([0, 0, 0, 1, 0, 0, 0]),
-        prod3.element([0, 0, 0, 0, 1, 0, 0]),
-        prod3.element([0, 0, 0, 0, 0, 0, 1]),
-    )
-    out.append(RingWithIdempotents("matrix2_times_triangular2", prod3, es3, False))
+    m2, t2 = matrix_units_ring(2, 2), upper_triangular_ring(2, 2)
+    add("matrix2_z2_times_z2", fr.direct_product([m2, cyclic_ring(2)]), (0, 3, 4), True)
+    add("triangular2_z2_times_z2", fr.direct_product([t2, cyclic_ring(2)]), (0, 2, 3), False)
+    add("matrix2_times_triangular2", fr.direct_product([m2, t2]), (0, 3, 4, 6), False)
     return out
 
 

@@ -23,10 +23,12 @@ from . import strength
 from .errors import (
     CategoryNotHomSetStrong,
     GradingViolation,
+    InvariantViolation,
     NotDirectSum,
     NotObjectUnital,
     RingMismatch,
     ShapeMismatch,
+    WorkbenchError,
 )
 from .finring import (
     AdditiveSubgroup,
@@ -223,9 +225,14 @@ def induced_idempotents(grading: Grading) -> IdempotentSet:
     """The local units, validated as a complete set of idempotents.
 
     For an object unital grading this validation must pass; it is re-proved
-    mechanically on every instance rather than assumed.
+    mechanically on every instance rather than assumed, and a failure is an
+    InvariantViolation chained from the validator's error.
     """
-    return validate_complete_set(grading.ring, _local_units(grading))
+    units = _local_units(grading)
+    try:
+        return validate_complete_set(grading.ring, units)
+    except WorkbenchError as exc:
+        raise InvariantViolation(f"local units fail validation: {exc}") from exc
 
 
 class GradedFlags(NamedTuple):

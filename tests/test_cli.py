@@ -19,10 +19,17 @@ from hypothesis import strategies as st
 from ringbench import cli
 from ringbench import corpus
 from ringbench import finring as fr
+from ringbench import graded as gr
 from ringbench import skewalg as sk
 from ringbench import smallcat as sc
 from ringbench import verify
-from ringbench.errors import CategoryTooLarge, LatticeTooLarge, ParseError
+from ringbench.errors import (
+    CategoryTooLarge,
+    InvariantViolation,
+    LatticeTooLarge,
+    NotComplete,
+    ParseError,
+)
 
 M2_RING = """\
 # 2x2 matrices over Z/2 on matrix units
@@ -850,6 +857,29 @@ class TestExitCodes:
             code, out = run(capsys, argv[0], workdir / argv[1])
             assert code == 3
             assert json.loads(out)["error"]["type"] == "InvariantViolation"
+
+    def test_local_units_that_fail_validation_exit_three(self, workdir, capsys, monkeypatch):
+        # the local units of an object unital grading always form a complete
+        # set, so a set that fails validation is a defect, not bad input
+        run(capsys, "--quiet", "build-mx", "c1", "2", "--save", workdir / "pair.cat")
+        (workdir / "grading.txt").write_text(
+            "ring m2.ring\ncategory pair.cat\n"
+            + "".join(f"component {g} 1\n{' '.join('01'[g == i] for i in range(4))}\n" for g in range(4))
+        )
+        code, out = run(capsys, "--no-timings", "check-grading", workdir / "grading.txt")
+        assert (code, json.loads(out)["verdicts"]["object_unital"]) == (0, True)
+
+        def incomplete(ring, candidates):
+            raise NotComplete("left")
+
+        monkeypatch.setattr(gr, "validate_complete_set", incomplete)
+        code, out = run(capsys, "--no-timings", "check-grading", workdir / "grading.txt")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "InvariantViolation"
+        grading = cli.parse_grading_file(workdir / "grading.txt")
+        with pytest.raises(InvariantViolation) as exc:
+            gr.induced_idempotents(grading)
+        assert isinstance(exc.value.__cause__, NotComplete)
 
     def test_identity_component_unit_is_solved_not_scanned(self, workdir, capsys, monkeypatch):
         # the rank-48 zero-multiplication ring over Z/2, graded by the
