@@ -18,6 +18,7 @@ from ringbench.errors import (
     NotAMonoid,
     NotAssociative,
     ShapeMismatch,
+    WorkbenchError,
 )
 
 U = sc.UNDEFINED
@@ -487,3 +488,24 @@ class TestMakeCategoryPinned:
         assert category_outcome(sc.make_category, args) == category_outcome(
             reference_make_category, args
         )
+
+
+class TestDriverTableTotals:
+    def test_lattice_free_driver_tables_at_the_strength_seeds(self, driver_tables):
+        # the work an exhaustive validation does on the categories the
+        # lattice-free drivers build at suite seeds 1729, 1, 2 and 3: every
+        # table entry, every composable pair and every composable triple
+        entries = pairs = triples = 0
+        built = 0
+        for args in driver_tables:
+            try:
+                c = sc.make_category(*args)
+            except WorkbenchError:  # the mutation matrix's rejected tables
+                continue
+            built += 1
+            rows = c.compose.rows
+            after = [[h for h, gh in enumerate(row) if gh != U] for row in rows]
+            entries += len(rows) ** 2
+            pairs += sum(map(len, after))
+            triples += sum(len(after[h]) for hs in after for h in hs)
+        assert (built, entries, pairs, triples) == (935, 218_026, 70_531, 695_694)
