@@ -217,15 +217,21 @@ def disjoint_union(
         codl: list[int] = []
         identity: list[int] = []
         total_m = sum(c.morphism_count for c in categories)
-        table = [[cat.UNDEFINED] * total_m for _ in range(total_m)]
+        table: list[list[int]] = []
         for c in categories:
             dom.extend(d + obj_offset for d in c.dom)
             codl.extend(d + obj_offset for d in c.cod)
             identity.extend(e + mor_offset for e in c.identity)
-            for g, row in enumerate(c.compose.rows):
-                for h, gh in enumerate(row):
-                    if gh != cat.UNDEFINED:
-                        table[mor_offset + g][mor_offset + h] = mor_offset + gh
+            # each part's rows, shifted, between the undefined columns of
+            # the other parts
+            before = [cat.UNDEFINED] * mor_offset
+            after = [cat.UNDEFINED] * (total_m - mor_offset - c.morphism_count)
+            for row in c.compose.rows:
+                table.append(
+                    before
+                    + [gh + mor_offset if gh != cat.UNDEFINED else gh for gh in row]
+                    + after
+                )
             obj_offset += c.object_count
             mor_offset += c.morphism_count
         return cat.make_category(obj_offset, dom, codl, identity, table)
@@ -463,8 +469,8 @@ def _base_prop24_instances() -> list[RingWithIdempotents]:
         out.append(RingWithIdempotents(nm, algebra.ring, iset.elements, strong))
 
     m2, t2 = matrix_units_ring(2, 2), upper_triangular_ring(2, 2)
-    add("matrix2_z2_times_z2", fr.direct_product([m2, cyclic_ring(2)]), (0, 3, 4), True)
-    add("triangular2_z2_times_z2", fr.direct_product([t2, cyclic_ring(2)]), (0, 2, 3), False)
+    add("matrix2_z2_times_z2", fr.direct_product([m2, z2]), (0, 3, 4), True)
+    add("triangular2_z2_times_z2", fr.direct_product([t2, z2]), (0, 2, 3), False)
     add("matrix2_times_triangular2", fr.direct_product([m2, t2]), (0, 3, 4, 6), False)
     return out
 

@@ -189,19 +189,38 @@ class FiniteRing:
         return self._mul(self._residues(x), self._residues(y))
 
     def left_mul_matrix(self, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """Matrix of y -> x * y acting on row vectors: row j is x * b_j."""
-        x = self._residues(x)
-        return tuple(self._mul(x, b) for b in self._basis_rows)
+        """Matrix of y -> x * y acting on row vectors: row j is x * b_j,
+        the sum of x_i (b_i * b_j), built in one pass over the table."""
+        rows = [[0] * self.rank for _ in range(self.rank)]
+        for a, products in zip(self._residues(x), self._table):
+            if a:
+                for j, cell in products:
+                    row = rows[j]
+                    for k, c in cell:
+                        row[k] += a * c
+        return self._reduced(rows)
 
     def right_mul_matrix(self, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """Matrix of y -> y * x acting on row vectors: row i is b_i * x."""
+        """Matrix of y -> y * x acting on row vectors: row i is b_i * x,
+        the sum of x_j (b_i * b_j), built in one pass over the table."""
         x = self._residues(x)
-        return tuple(self._mul(b, x) for b in self._basis_rows)
+        rows = [[0] * self.rank for _ in range(self.rank)]
+        for row, products in zip(rows, self._table):
+            for j, cell in products:
+                b = x[j]
+                if b:
+                    for k, c in cell:
+                        row[k] += b * c
+        return self._reduced(rows)
+
+    def _reduced(self, rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+        m = self.modulus
+        return tuple(tuple([v % m for v in row]) for row in rows)
 
     def sandwich(self, x: Sequence[int], y: Sequence[int]) -> "AdditiveSubgroup":
         """The subgroup x S y, spanned by x * b_l * y over the basis."""
-        x, y, mul = self._residues(x), self._residues(y), self._mul
-        return self.span([mul(mul(x, b), y) for b in self._basis_rows])
+        y, mul = self._residues(y), self._mul
+        return self.span([mul(xb, y) for xb in self.left_mul_matrix(x)])
 
     # -- subgroups -----------------------------------------------------------
 
@@ -280,7 +299,8 @@ class RingElement:
             m = self.ring.modulus
             return RingElement(self.ring, tuple((a * other) % m for a in self.coords))
         self._check(other)
-        return RingElement(self.ring, self.ring.mul_vec(self.coords, other.coords))
+        # both coordinate tuples are already reduced residues
+        return RingElement(self.ring, self.ring._mul(self.coords, other.coords))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -691,7 +711,7 @@ def submodule_lattice(
     lattice = ring._lattices.get(key)
     if lattice is None:
         subs, inside = join_closure(*_principals(acting, ambient, side))
-        lt = posets.strict_order_matrix(len(subs), lambda i, j: not inside[i] & ~inside[j])
+        lt = posets.strict_order_matrix(len(subs), inside)
         lattice = ring._lattices[key] = tuple(subs), tuple(lt)
     return lattice
 

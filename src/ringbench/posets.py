@@ -21,11 +21,25 @@ def bits(row: int) -> Iterator[int]:
         row ^= low
 
 
-def strict_order_matrix(count: int, lt) -> list[int]:
-    """Row bitsets of the strict order: bit j of row i iff item i < item j."""
-    return [
-        sum(1 << j for j in range(count) if i != j and lt(i, j)) for i in range(count)
-    ]
+def strict_order_matrix(count: int, below: Sequence[int]) -> list[int]:
+    """Row bitsets of the strict order of ``count`` items, each the join of
+    the generators below it, given as the bitset ``below[i]`` of those
+    generators: item i < item j iff i != j and below[i] is a subset of
+    below[j].  So the strict up-set of i is the AND, over the generators
+    below i, of the items above each, minus i: items times generators of
+    work, not a test per pair."""
+    above: dict[int, int] = {}  # by generator: the bitset of items above it
+    for j, mask in enumerate(below):
+        for k in bits(mask):
+            above[k] = above.get(k, 0) | 1 << j
+    every = (1 << count) - 1
+    rows = []
+    for i, mask in enumerate(below):
+        up = every
+        for k in bits(mask):
+            up &= above[k]
+        rows.append(up & ~(1 << i))
+    return rows
 
 
 def cover_matrix(lt: Sequence[int]) -> list[int]:

@@ -8,6 +8,9 @@ inside the package index directly; the mapping view over the q^2 pairs is
 built from the rows on demand, never stored.
 A pair (g, h) is composable exactly when dom(g) == cod(h), in which case the
 composite is written g then-after h, i.e. the table entry at [g, h].
+make_category decides associativity by Light's test (Clifford-Preston, The
+Algebraic Theory of Semigroups I, 1.2), over a set of middles that with the
+identities generates every morphism.
 
 HOM-SET CONVENTION.  cat.hom_set(a, b) is the set of morphisms b -> a,
 that is, arrows INTO a FROM b.  This is the reversed convention relative to
@@ -20,22 +23,26 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from typing import NamedTuple
+from operator import itemgetter
+from typing import NamedTuple, NoReturn
 
 from . import strength
 from .errors import (
     CategoryTooLarge,
     CompositionDomainMismatch,
     IdentityLawViolation,
+    InvariantViolation,
     NotAMonoid,
     NotAssociative,
     ShapeMismatch,
 )
 
 UNDEFINED = -1
-# Associativity visits at most q^3 composable triples, within 48^4, the bound
-# finring.MAX_RANK sets for rings; the strength conditions make k^2 zero tests
-# over the k <= q objects and visit at most 2kq object triples.
+# Light's test visits at most q^3 composable triples, all of them only when
+# every non-identity morphism is a chosen middle (the left-zero monoid of
+# order q), within 48^4, the bound finring.MAX_RANK sets for rings; the
+# strength conditions make k^2 zero tests over the k <= q objects and visit
+# at most 2kq object triples.
 MAX_MORPHISMS = 174
 
 
@@ -95,14 +102,20 @@ class SmallCategory:
 
 
 def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
-    """Validate all category axioms exhaustively and build the category.
+    """Validate all category axioms and build the category.
 
     Checks, in order: index ranges and shapes, identity endpoints, table
     definedness against dom/cod, composite endpoints, identity laws, and
-    associativity on every defined triple.  Definedness compares each row's
-    defined columns with the columns that compose with it, and the identity
-    laws read the composable pairs only; a failing check then scans its
-    pairs in order, to name the first witness.
+    associativity.  Definedness and endpoints read each row's composable
+    pairs, the identity laws read the composable pairs only, and a failing
+    check then scans its pairs in order, to name the first witness.
+
+    Associativity is decided exactly by Light's test: it is checked as
+    (x a) y == x (a y) only for the middles a that _light_middles chooses.
+    The middles that pass contain the identities (by the identity laws) and
+    are closed under composition (if a and b pass, so does a b), so when the
+    chosen ones pass, every morphism passes.  When one fails, every triple
+    is scanned in order, so NotAssociative names the first failing (g, h, k).
     """
     p = int(object_count)
     dom = tuple(map(int, dom))
@@ -125,7 +138,18 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
     table = tuple(tuple(map(int, row)) for row in compose)
     if len(table) != q or any(len(row) != q for row in table):
         raise ShapeMismatch(f"composition table must be {q} x {q}")
-    if not (UNDEFINED <= min(map(min, table)) and max(map(max, table)) < q):
+    into, out_of = _ends(p, dom, cod)
+    # row g must define exactly the h that compose with it, into[dom(g)]:
+    # when all those entries are morphisms and the table holds as many
+    # UNDEFINED entries as there are other pairs, those are all UNDEFINED,
+    # and every entry is in range
+    composites = [[row[h] for h in into[dom[g]]] for g, row in enumerate(table)]
+    defined = list(itertools.chain.from_iterable(composites))
+    exact = (
+        0 <= min(defined, default=0) and max(defined, default=0) < q
+        and sum(map(tuple.count, table, itertools.repeat(UNDEFINED))) == q * q - len(defined)
+    )
+    if not exact and not (UNDEFINED <= min(map(min, table)) and max(map(max, table)) < q):
         raise ShapeMismatch("composition entry out of morphism range")
 
     for a in range(p):
@@ -135,25 +159,24 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
                 f"identity morphism of object {a} is not an endomorphism of {a}"
             )
 
-    into = [[] for _ in range(p)]  # by object a: the h with cod(h) == a
-    out_of = [[] for _ in range(p)]  # by object a: the h with dom(h) == a
-    for h in range(q):
-        into[cod[h]].append(h)
-        out_of[dom[h]].append(h)
-    # the defined pairs (g, h), with their composites, by g
-    after = [[(h, gh) for h, gh in enumerate(row) if gh != UNDEFINED] for row in table]
-    # row g must define exactly the h that compose with it, into[dom(g)]
-    if any([h for h, _ in pairs] != into[dom[g]] for g, pairs in enumerate(after)):
+    if not exact:
         # every overdefined pair is reported before any underdefined one
         for kind, defined in (("overdefined", True), ("underdefined", False)):
             for g, row in enumerate(table):
                 for h, gh in enumerate(row):
                     if (gh != UNDEFINED) is defined and (dom[g] == cod[h]) is not defined:
                         raise CompositionDomainMismatch(g, h, kind)
-    for g, pairs in enumerate(after):
-        for h, gh in pairs:
-            if dom[gh] != dom[h] or cod[gh] != cod[g]:
-                raise CompositionDomainMismatch(g, h, "endpoints")
+    # a morphism's endpoints as one int; g h must have those of (dom h, cod g)
+    ends = [d + p * c for d, c in zip(dom, cod)]
+    wanted: dict[int, list[int]] = {}  # by the endpoints of g
+    for g, ghs in enumerate(composites):
+        want = wanted.get(ends[g])
+        if want is None:
+            want = wanted[ends[g]] = [dom[h] + p * cod[g] for h in into[dom[g]]]
+        if [ends[gh] for gh in ghs] != want:
+            for h, gh in zip(into[dom[g]], ghs):
+                if dom[gh] != dom[h] or cod[gh] != cod[g]:
+                    raise CompositionDomainMismatch(g, h, "endpoints")
 
     for a in range(p):
         e = identity[a]
@@ -170,8 +193,68 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
                     f"identity of object {a} fails the right law on morphism {h}"
                 )
 
-    # (g h) k against g (h k) where both inner pairs are composable; the
-    # outer pairs are then composable automatically
+    for a in _light_middles(table, dom, cod, identity, out_of):
+        # (x a) y against x (a y) for every y into dom(a), every x out of cod(a)
+        ys = into[dom[a]]
+        row_a = table[a]
+        at_y, at_ay = itemgetter(*ys), itemgetter(*[row_a[y] for y in ys])
+        for x in out_of[cod[a]]:
+            row_x = table[x]
+            if at_y(table[row_x[a]]) != at_ay(row_x):
+                _raise_first_non_associative(table, into, dom, composites)
+
+    return SmallCategory(p, dom, cod, identity, CompositionTable(table))
+
+
+def _ends(p: int, dom, cod) -> tuple[list[list[int]], list[list[int]]]:
+    """By object a, in index order: the morphisms into a (cod == a) and the
+    morphisms out of a (dom == a)."""
+    into = [[] for _ in range(p)]
+    out_of = [[] for _ in range(p)]
+    for h, (d, c) in enumerate(zip(dom, cod)):
+        into[c].append(h)
+        out_of[d].append(h)
+    return into, out_of
+
+
+def _light_middles(table, dom, cod, identity, out_of) -> list[int]:
+    """The middles Light's test checks, for a table whose definedness,
+    endpoints and identity laws hold (``out_of`` as _ends gives it): each
+    morphism, in index order, that is not yet reached from the identities by
+    composites of reached morphisms with the middles chosen before it.  The
+    identities and these middles generate every morphism under composition,
+    since every morphism is reached or chosen."""
+    q = len(dom)
+    reached = [False] * q
+    for e in identity:
+        reached[e] = True
+    chosen: list[int] = []
+    for g in range(q):
+        if reached[g]:
+            continue
+        chosen.append(g)
+        reached[g] = True
+        # r g for every r reached so far; then each new morphism times every
+        # chosen middle, until no composite is new
+        fresh = [g]
+        for r in out_of[cod[g]]:
+            rg = table[r][g]
+            if reached[r] and not reached[rg]:
+                reached[rg] = True
+                fresh.append(rg)
+        for n in fresh:  # grows while it is walked
+            row_n = table[n]
+            for c in chosen:
+                if cod[c] == dom[n] and not reached[nc := row_n[c]]:
+                    reached[nc] = True
+                    fresh.append(nc)
+    return chosen
+
+
+def _raise_first_non_associative(table, into, dom, composites) -> NoReturn:
+    """Scan every composable triple (g, h, k) in order for the first with
+    (g h) k != g (h k); the outer pairs compose since the endpoints hold."""
+    after = [list(zip(into[dom[g]], ghs)) for g, ghs in enumerate(composites)]
     for g, pairs in enumerate(after):
         row_g = table[g]
         for h, gh in pairs:
@@ -179,8 +262,7 @@ def make_category(object_count, dom, cod, identity, compose) -> SmallCategory:
             for k, hk in after[h]:
                 if row_gh[k] != row_g[hk]:
                     raise NotAssociative((g, h, k))
-
-    return SmallCategory(p, dom, cod, identity, CompositionTable(table))
+    raise InvariantViolation("a chosen middle failed Light's test, but no triple fails")
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +279,19 @@ def is_groupoid(cat: SmallCategory) -> GroupoidCheck:
     """Every morphism must have a two-sided inverse against the identities
     at its endpoints; returns the inverse table when they all do."""
     rows = cat.compose.rows
+    dom, cod, identity = cat.dom, cat.cod, cat.identity
+    hs = _hom_table(cat)
     inv = []
     for g in range(cat.morphism_count):
-        target_l = cat.identity[cat.cod[g]]
-        target_r = cat.identity[cat.dom[g]]
-        found = None
-        for h in range(cat.morphism_count):
-            if (
-                cat.dom[h] == cat.cod[g]
-                and cat.cod[h] == cat.dom[g]
-                and rows[g][h] == target_l
-                and rows[h][g] == target_r
-            ):
-                found = h
+        target_l, target_r = identity[cod[g]], identity[dom[g]]
+        row_g = rows[g]
+        # an inverse of g lies in the opposite hom-set, and is unique
+        for h in hs[dom[g]][cod[g]]:
+            if row_g[h] == target_l and rows[h][g] == target_r:
+                inv.append(h)
                 break
-        if found is None:
+        else:
             return GroupoidCheck(False, None, g)
-        inv.append(found)
     return GroupoidCheck(True, tuple(inv), None)
 
 
@@ -288,15 +366,22 @@ def build_MX(monoid_table, set_size: int) -> SmallCategory:
         raise CategoryTooLarge(k * s * s, MAX_MORPHISMS)
     e = _check_monoid(table)
 
-    triples = [(m, x, y) for m in range(k) for x in range(s) for y in range(s)]
-    index = {t: i for i, t in enumerate(triples)}
-    dom = [y for (_, _, y) in triples]
-    cod = [x for (_, x, _) in triples]
-    identity = [index[(e, x, x)] for x in range(s)]
-    compose = [
-        [index[(table[m][n], x, z)] if y == y2 else UNDEFINED for (n, y2, z) in triples]
-        for (m, x, y) in triples
-    ]
+    # (m, x, y) is morphism m s^2 + x s + y, so (m, x, y)(n, y, z) is
+    # (m n) s^2 + x s + z, and row (m, x, y) is defined at the (n, y, z) only
+    ss = s * s
+    q = k * ss
+    dom = [i % s for i in range(q)]
+    cod = [i // s % s for i in range(q)]
+    identity = [e * ss + x * s + x for x in range(s)]
+    compose = []
+    for m in range(k):
+        for x in range(s):
+            for y in range(s):
+                row = [UNDEFINED] * q
+                for n, mn in enumerate(table[m]):
+                    at, to = n * ss + y * s, mn * ss + x * s
+                    row[at:at + s] = range(to, to + s)
+                compose.append(row)
     return make_category(s, dom, cod, identity, compose)
 
 

@@ -773,3 +773,24 @@ class TestElementBinding:
         x = z3.basis_element(0)
         assert (2 * x).coords == (2,)
         assert (x * 5).coords == (2,)
+
+
+class TestMultiplicationMatrices:
+    # every element of the 22 distinct base rings of prop-2.4
+    def test_built_without_the_kernel_as_per_basis_products(self, monkeypatch):
+        rings = {id(inst.ring): inst.ring for inst in corpus._base_prop24_instances()}
+        kernel = fr.FiniteRing._mul
+        calls = []
+        monkeypatch.setattr(
+            fr.FiniteRing, "_mul", lambda self, x, y: calls.append(1) or kernel(self, x, y)
+        )
+        cases = [
+            (ring, x, ring.left_mul_matrix(x), ring.right_mul_matrix(x))
+            for ring in rings.values()
+            for x in ring.element_vectors()
+        ]
+        assert (len(cases), len(calls)) == (1276, 0)
+        for ring, x, left, right in cases:
+            basis = ring._basis_rows
+            assert left == tuple(kernel(ring, x, b) for b in basis)
+            assert right == tuple(kernel(ring, b, x) for b in basis)

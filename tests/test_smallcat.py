@@ -509,3 +509,76 @@ class TestDriverTableTotals:
             pairs += sum(map(len, after))
             triples += sum(len(after[h]) for hs in after for h in hs)
         assert (built, entries, pairs, triples) == (935, 218_026, 70_531, 695_694)
+
+
+def left_zero_monoid(order: int) -> list[list[int]]:
+    """The left-zero semigroup on 1..order-1 with an identity 0 adjoined:
+    x y = x for every x != 0."""
+    return [[y if x == 0 else x for y in range(order)] for x in range(order)]
+
+
+def one_object(table) -> tuple:
+    """make_category's arguments for a monoid table on one object, 0 its
+    identity."""
+    q = len(table)
+    return 1, [0] * q, [0] * q, [0], table
+
+
+def middles(c: sc.SmallCategory) -> list[int]:
+    return sc._light_middles(
+        c.compose.rows, c.dom, c.cod, c.identity, sc._ends(c.object_count, c.dom, c.cod)[1]
+    )
+
+
+class TestLightsTest:
+    def test_chosen_middles_generate_the_driver_tables(self, driver_tables):
+        # Light's test checks (x a) y == x (a y) only for the chosen middles
+        # a: the triples through them, against 695,694 composable triples
+        triples = 0
+        for args in driver_tables:
+            try:
+                c = sc.make_category(*args)
+            except WorkbenchError:
+                continue
+            rows, dom, cod = c.compose.rows, c.dom, c.cod
+            chosen = middles(c)
+            triples += sum(
+                sum(dom[x] == cod[a] for x in range(len(dom)))
+                * sum(cod[y] == dom[a] for y in range(len(dom)))
+                for a in chosen
+            )
+            # the identities and the chosen middles, closed under composition
+            reached = set(c.identity) | set(chosen)
+            while True:
+                new = {rows[g][h] for g in reached for h in reached if rows[g][h] != U} - reached
+                if not new:
+                    break
+                reached |= new
+            assert reached == set(range(len(dom)))
+        assert triples == 115_617
+
+    def test_first_failing_middle_not_chosen(self):
+        # 1 and 2 are chosen and 2 2 = 3 is reached; the ordered scan's first
+        # failing triple has middle 3.  A chosen middle fails as well (every
+        # failing table has one), which sends make_category to that scan
+        table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 3, 2], [3, 0, 0, 0]]
+        args = one_object(table)
+        c = sc.SmallCategory(*args[:4], sc.CompositionTable(tuple(map(tuple, table))))
+        assert middles(c) == [1, 2]
+        with pytest.raises(NotAssociative) as exc:
+            sc.make_category(*args)
+        assert exc.value.triple == (1, 3, 1)
+        assert category_outcome(sc.make_category, args) == category_outcome(
+            reference_make_category, args
+        )
+
+    def test_left_zero_monoid_chooses_every_non_identity(self):
+        # x y = x for x != 0, so no composite of the chosen is new: every
+        # middle but the identity is checked, the full q^3 scan
+        for order in (2, 3, 7):
+            c = sc.make_category(*one_object(left_zero_monoid(order)))
+            assert middles(c) == list(range(1, order))
+
+    def test_cyclic_group_chooses_its_generator(self):
+        c = sc.make_category(*one_object([[(i + j) % 7 for j in range(7)] for i in range(7)]))
+        assert middles(c) == [1]
