@@ -229,8 +229,16 @@ def test_injected_groupoid_fault_names_every_instance(monkeypatch):
     assert failures_digest(result.failures) == INJECTED_GROUPOID_FAILURES
 
 
-@pytest.mark.parametrize("suite,size,recipes", [("prop-3.2", 503, 120), ("groupoids", 110, 59)])
-def test_each_distinct_recipe_is_built_once(monkeypatch, suite, size, recipes):
+@pytest.mark.parametrize(
+    "suite,seed,size,recipes",
+    [
+        ("prop-3.2", 1729, 503, 120),
+        ("prop-3.2", 3, 503, 116),
+        ("groupoids", 1729, 110, 59),
+        ("groupoids", 3, 110, 68),
+    ],
+)
+def test_each_distinct_recipe_is_built_once(monkeypatch, suite, seed, size, recipes):
     built = []
     original = cat.make_category
 
@@ -239,7 +247,7 @@ def test_each_distinct_recipe_is_built_once(monkeypatch, suite, size, recipes):
         return built[-1]
 
     monkeypatch.setattr(cat, "make_category", counting)
-    instances = corpus.generate_suite(suite, 1729)
+    instances = corpus.generate_suite(suite, seed)
     # every instance holds its own object, on the tables of one build, and
     # every build serves some instance
     assert len({id(inst.category) for inst in instances}) == len(instances) == size
