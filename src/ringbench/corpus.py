@@ -3,10 +3,12 @@
 Random rings are never rejection-sampled from raw structure constants
 (associativity is vanishingly rare); every ring instance comes from a
 constructive recipe: matrix-unit rings, monoid and category algebras, skew
-algebras and direct products.  Random categories come from thin
-preorder categories, the monoid-times-square construction, one-object
-monoids, and disjoint unions.  The cyclic, symmetric and transformation
-monoid tables each come from one operation table on a list of elements.
+algebras and direct products.  Random categories come from thin preorder
+categories, the monoid-times-square construction, one-object monoids, and
+disjoint unions, each drawn as a recipe: plain data that one builder turns
+into a validated category once per suite build.  The cyclic, symmetric and
+transformation monoid tables each come from one operation table on a list
+of elements.
 
 Everything is a pure function of the seed: seeds are mixed through
 SHA-256, so suites reproduce bit for bit across platforms and runs.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import finring as fr
 from . import graded as gr
@@ -149,34 +151,18 @@ def field4() -> fr.FiniteRing:
 # ---------------------------------------------------------------------------
 # category builders
 #
-# Each builder takes an optional ``memo``: a dict that one suite build passes
-# to all of its calls, keyed on each category's recipe.  A repeated recipe
-# then returns the category already built and validated, so no composition
-# table is built twice; without a memo every call builds afresh.
+# A recipe is plain data: ("mx", monoid name, s), ("thin", objects, closed
+# relation) or ("union", part recipes).  A suite build passes one memo to
+# _category, which builds and validates each distinct recipe once.
 
 
-def _built(memo: dict | None, key, build: Callable[[], cat.SmallCategory]) -> cat.SmallCategory:
-    if memo is None:
-        return build()
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+def one_object_monoid_category(name: str) -> cat.SmallCategory:
+    return cat.build_MX(MONOID_TABLES[name], 1)
 
 
-def _mx_category(name: str, s: int, memo: dict | None = None) -> cat.SmallCategory:
-    """build_MX on the named monoid table, keyed on (name, s)."""
-    return _built(memo, ("mx", name, s), lambda: cat.build_MX(MONOID_TABLES[name], s))
-
-
-def one_object_monoid_category(name: str, memo: dict | None = None) -> cat.SmallCategory:
-    return _mx_category(name, 1, memo)
-
-
-def thin_category_from_relation(
-    object_count: int, pairs: list[tuple[int, int]], memo: dict | None = None
-) -> cat.SmallCategory:
-    """Thin category of a preorder: one arrow a -> b per related pair after
-    reflexive-transitive closure, keyed on the closed relation."""
+def _closure(object_count: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
+    """The reflexive-transitive closure of the relation, sorted; a closed
+    relation is its own closure."""
     rel = {(a, a) for a in range(object_count)}
     rel.update(pairs)
     changed = True
@@ -187,102 +173,116 @@ def thin_category_from_relation(
                 if b == c and (a, d) not in rel:
                     rel.add((a, d))
                     changed = True
-    arrows = sorted(rel)
-
-    def build():
-        index = {ab: i for i, ab in enumerate(arrows)}
-        dom = [a for (a, b) in arrows]
-        cod = [b for (a, b) in arrows]
-        identity = [index[(a, a)] for a in range(object_count)]
-        table = [
-            [index[(hd, gc)] if gd == hc else cat.UNDEFINED for (hd, hc) in arrows]
-            for (gd, gc) in arrows
-        ]
-        return cat.make_category(object_count, dom, cod, identity, table)
-
-    return _built(memo, ("thin", object_count, tuple(arrows)), build)
+    return tuple(sorted(rel))
 
 
-def disjoint_union(
-    categories: list[cat.SmallCategory], memo: dict | None = None
-) -> cat.SmallCategory:
-    """The union of the categories in their order, keyed on the part objects:
-    parts built through the same memo share an object exactly when they
-    share a recipe."""
-
-    def build():
-        obj_offset = 0
-        mor_offset = 0
-        dom: list[int] = []
-        codl: list[int] = []
-        identity: list[int] = []
-        total_m = sum(c.morphism_count for c in categories)
-        table: list[list[int]] = []
-        for c in categories:
-            dom.extend(d + obj_offset for d in c.dom)
-            codl.extend(d + obj_offset for d in c.cod)
-            identity.extend(e + mor_offset for e in c.identity)
-            # each part's rows, shifted, between the undefined columns of
-            # the other parts
-            before = [cat.UNDEFINED] * mor_offset
-            after = [cat.UNDEFINED] * (total_m - mor_offset - c.morphism_count)
-            for row in c.compose.rows:
-                table.append(
-                    before
-                    + [gh + mor_offset if gh != cat.UNDEFINED else gh for gh in row]
-                    + after
-                )
-            obj_offset += c.object_count
-            mor_offset += c.morphism_count
-        return cat.make_category(obj_offset, dom, codl, identity, table)
-
-    return _built(memo, ("union", tuple(categories)), build)
+def thin_category_from_relation(object_count: int, pairs: Iterable) -> cat.SmallCategory:
+    """Thin category of a preorder: one arrow a -> b per related pair after
+    reflexive-transitive closure."""
+    arrows = _closure(object_count, pairs)
+    index = {ab: i for i, ab in enumerate(arrows)}
+    dom = [a for (a, b) in arrows]
+    cod = [b for (a, b) in arrows]
+    identity = [index[(a, a)] for a in range(object_count)]
+    table = [
+        [index[(hd, gc)] if gd == hc else cat.UNDEFINED for (hd, hc) in arrows]
+        for (gd, gc) in arrows
+    ]
+    return cat.make_category(object_count, dom, cod, identity, table)
 
 
-def random_thin_category(
-    seed: int, max_objects: int = 4, memo: dict | None = None
-) -> cat.SmallCategory:
+def disjoint_union(categories: list[cat.SmallCategory]) -> cat.SmallCategory:
+    """The union of the categories in their order."""
+    obj_offset = 0
+    mor_offset = 0
+    dom: list[int] = []
+    codl: list[int] = []
+    identity: list[int] = []
+    total_m = sum(c.morphism_count for c in categories)
+    table: list[list[int]] = []
+    for c in categories:
+        dom.extend(d + obj_offset for d in c.dom)
+        codl.extend(d + obj_offset for d in c.cod)
+        identity.extend(e + mor_offset for e in c.identity)
+        # each part's rows, shifted, between the undefined columns of the
+        # other parts
+        before = [cat.UNDEFINED] * mor_offset
+        after = [cat.UNDEFINED] * (total_m - mor_offset - c.morphism_count)
+        for row in c.compose.rows:
+            table.append(
+                before + [gh + mor_offset if gh != cat.UNDEFINED else gh for gh in row] + after
+            )
+        obj_offset += c.object_count
+        mor_offset += c.morphism_count
+    return cat.make_category(obj_offset, dom, codl, identity, table)
+
+
+def _category(recipe: tuple, memo: dict) -> cat.SmallCategory:
+    """The category of ``recipe``, built and validated once per ``memo``.
+
+    Every call returns its own SmallCategory over the fields of that one
+    build: callers may key on the category object, as perfbench's CLI input
+    writer does, so no two instances of one suite share it.
+    """
+    if recipe not in memo:
+        kind, *args = recipe
+        if kind == "mx":
+            memo[recipe] = cat.build_MX(MONOID_TABLES[args[0]], args[1])
+        elif kind == "thin":
+            memo[recipe] = thin_category_from_relation(*args)
+        else:
+            memo[recipe] = disjoint_union([_category(part, memo) for part in args[0]])
+    c = memo[recipe]
+    return cat.SmallCategory(c.object_count, c.dom, c.cod, c.identity, c.compose)
+
+
+def _thin_recipe(seed: int, max_objects: int = 4) -> tuple:
     rng = _rng("thin", seed)
     p = rng.randint(1, max_objects)
     candidates = [(a, b) for a in range(p) for b in range(p) if a != b]
     k = rng.randint(0, min(len(candidates), p * 2))
     pairs = rng.sample(candidates, k) if k else []
-    return thin_category_from_relation(p, pairs, memo)
+    return ("thin", p, _closure(p, pairs))
 
 
-def random_groupoid(seed: int, memo: dict | None = None) -> cat.SmallCategory:
+def _groupoid_recipe(seed: int) -> tuple:
     """A disjoint union of monoid-times-square groupoids over random groups."""
     rng = _rng("groupoid", seed)
     parts = []
-    components = rng.randint(1, 2)
-    for _ in range(components):
+    for _ in range(rng.randint(1, 2)):
         name = rng.choice(sorted(GROUP_NAMES))
-        s = rng.randint(1, 2 if len(MONOID_TABLES[name]) > 3 else 3)
-        parts.append(_mx_category(name, s, memo))
-    return disjoint_union(parts, memo) if len(parts) > 1 else parts[0]
+        parts.append(("mx", name, rng.randint(1, 2 if len(MONOID_TABLES[name]) > 3 else 3)))
+    return ("union", tuple(parts)) if len(parts) > 1 else parts[0]
 
 
-def random_category(seed: int, memo: dict | None = None) -> cat.SmallCategory:
+def _category_recipe(seed: int) -> tuple:
+    """A thin, monoid-times-square or one-object monoid category, or the
+    union of a thin category on at most 2 objects with a monoid-times-square
+    category on at most 2 objects and 8 morphisms."""
     rng = _rng("category", seed)
     style = rng.choice(["thin", "mx", "monoid", "union"])
     if style == "thin":
-        return random_thin_category(_mix("inner", seed), memo=memo)
+        return _thin_recipe(_mix("inner", seed))
     if style == "mx":
         name = rng.choice(sorted(MONOID_TABLES))
-        k = len(MONOID_TABLES[name])
-        s_max = max(1, int((20 // k) ** 0.5))
-        s = rng.randint(1, min(3, s_max))
-        return _mx_category(name, s, memo)
+        s_max = max(1, int((20 // len(MONOID_TABLES[name])) ** 0.5))
+        return ("mx", name, rng.randint(1, min(3, s_max)))
     if style == "monoid":
-        return one_object_monoid_category(rng.choice(sorted(MONOID_TABLES)), memo)
-    left = random_thin_category(_mix("l", seed), max_objects=2, memo=memo)
-    name = rng.choice(["c1", "c2", "bool2"])
-    right = _mx_category(name, rng.randint(1, 2), memo)
-    # the union's own counts, known before it is built
-    objects = left.object_count + right.object_count
-    if objects > 4 or left.morphism_count + right.morphism_count > 20:
-        return random_thin_category(_mix("fallback", seed), memo=memo)
-    return disjoint_union([left, right], memo)
+        return ("mx", rng.choice(sorted(MONOID_TABLES)), 1)
+    left = _thin_recipe(_mix("l", seed), max_objects=2)
+    return ("union", (left, ("mx", rng.choice(["c1", "c2", "bool2"]), rng.randint(1, 2))))
+
+
+def random_thin_category(seed: int, max_objects: int = 4) -> cat.SmallCategory:
+    return _category(_thin_recipe(seed, max_objects), {})
+
+
+def random_groupoid(seed: int) -> cat.SmallCategory:
+    return _category(_groupoid_recipe(seed), {})
+
+
+def random_category(seed: int) -> cat.SmallCategory:
+    return _category(_category_recipe(seed), {})
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +296,8 @@ FROBENIUS = ((1, 0), (1, 1))  # on F4 = {1, x}: 1 -> 1, x -> x^2 = 1 + x
 
 
 def _named_skew_algebra(name: str) -> sk.SkewAlgebra:
-    z3 = cyclic_ring(3)
     if name == "c2_swap_z3z3":
+        z3 = cyclic_ring(3)
         ring = fr.direct_product([z3, z3])
         c2 = cat.build_MX(MONOID_TABLES["c2"], 1)
         return sk.build_skew_algebra(sk.validate_system(c2, [ring], [EYE2, SWAP]))
@@ -316,6 +316,7 @@ def _named_skew_algebra(name: str) -> sk.SkewAlgebra:
             sk.validate_system(pair, [f4, f4], maps)
         )
     if name == "c4_swap_z3z3":
+        z3 = cyclic_ring(3)
         ring = fr.direct_product([z3, z3])
         c4 = cat.build_MX(MONOID_TABLES["c4"], 1)
         maps = [EYE2, SWAP, EYE2, SWAP]
@@ -497,49 +498,31 @@ def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
     return out
 
 
-def _own_categories(instances: list[CategoryInstance]) -> list[CategoryInstance]:
-    """Each instance with its own SmallCategory object on the fields its
-    recipe's one build validated.  Callers may key on the category object,
-    as perfbench's CLI input writer does, so no two instances of one suite
-    share it; repeated requests for the suite share its instances."""
-    own = []
-    for inst in instances:
-        c = inst.category
-        copy = cat.SmallCategory(c.object_count, c.dom, c.cod, c.identity, c.compose)
-        own.append(CategoryInstance(inst.name, copy))
-    return own
+def _mx_recipes(names, max_morphisms: int) -> list[tuple[str, tuple]]:
+    """The named recipes ("mx", name, s), s = 1, 2, 3, within the morphism count."""
+    return [
+        (f"mx_{name}_s{s}", ("mx", name, s))
+        for name in sorted(names)
+        for s in (1, 2, 3)
+        if len(MONOID_TABLES[name]) * s * s <= max_morphisms
+    ]
+
+
+def _category_instances(recipes: list[tuple[str, tuple]]) -> list[CategoryInstance]:
+    memo: dict = {}  # one build per recipe in this suite
+    return [CategoryInstance(name, _category(recipe, memo)) for name, recipe in recipes]
 
 
 def _suite_prop32(seed: int) -> list[CategoryInstance]:
-    memo: dict = {}  # one build per recipe in this suite
-    out: list[CategoryInstance] = []
-    for i in range(330):
-        thin = random_thin_category(_mix(seed, "thin", i), memo=memo)
-        out.append(CategoryInstance(f"thin{i}", thin))
-    for name, table in sorted(MONOID_TABLES.items()):
-        k = len(table)
-        for s in (1, 2, 3):
-            if k * s * s <= 20:
-                out.append(CategoryInstance(f"mx_{name}_s{s}", _mx_category(name, s, memo)))
-    for i in range(150):
-        mixed = random_category(_mix(seed, "mixed", i), memo)
-        out.append(CategoryInstance(f"mixed{i}", mixed))
-    return _own_categories(out)
+    thin = [(f"thin{i}", _thin_recipe(_mix(seed, "thin", i))) for i in range(330)]
+    mixed = [(f"mixed{i}", _category_recipe(_mix(seed, "mixed", i))) for i in range(150)]
+    return _category_instances(thin + _mx_recipes(MONOID_TABLES, 20) + mixed)
 
 
 def _suite_groupoids(seed: int) -> list[CategoryInstance]:
-    memo: dict = {}  # one build per recipe in this suite
-    out: list[CategoryInstance] = []
-    for name in sorted(GROUP_NAMES):
-        table = MONOID_TABLES[name]
-        for s in (1, 2, 3):
-            if len(table) * s * s <= 54:
-                out.append(CategoryInstance(f"mx_{name}_s{s}", _mx_category(name, s, memo)))
-    i = 0
-    while len(out) < 110:
-        out.append(CategoryInstance(f"union{i}", random_groupoid(_mix(seed, "g", i), memo)))
-        i += 1
-    return _own_categories(out)
+    mx = _mx_recipes(GROUP_NAMES, 54)
+    unions = [(f"union{i}", _groupoid_recipe(_mix(seed, "g", i))) for i in range(110 - len(mx))]
+    return _category_instances(mx + unions)
 
 
 def _suite_prop53(seed: int) -> list[SkewInstance]:

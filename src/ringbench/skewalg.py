@@ -93,19 +93,19 @@ def validate_system(
     for r in rings[1:]:
         if r.modulus != m:
             raise ModulusMismatch("object rings must share one modulus")
-    # one unit solve per distinct ring; the first object without one fails
-    solved: dict[int, RingElement | None] = {}
+    # one unit solve per ring object (rings hash by identity); the first
+    # object without one fails
+    solved: dict[FiniteRing, RingElement | None] = {}
     for a, r in enumerate(rings):
-        if id(r) not in solved:
-            solved[id(r)] = find_identity(r)
-        if solved[id(r)] is None:
+        if r not in solved:
+            solved[r] = find_identity(r)
+        if solved[r] is None:
             raise NotUnital(a)
 
     raw_maps = _as_tuple_by_index(morphism_maps, category.morphism_count, "morphism maps")
     maps: list[howell.Matrix] = []
-    # equal matrices share one object, so checks and composites key on ids
-    interned: dict[howell.Matrix, howell.Matrix] = {}
-    checked: set[tuple[int, int, int]] = set()  # (source, target, matrix) that passed
+    # the (source ring, target ring, matrix) that passed
+    checked: set[tuple[FiniteRing, FiniteRing, howell.Matrix]] = set()
     for g, raw in enumerate(raw_maps):
         src = rings[category.dom[g]]
         dst = rings[category.cod[g]]
@@ -115,9 +115,8 @@ def validate_system(
             M = None
         if M is None or len(M) != src.rank or any(len(row) != dst.rank for row in M):
             raise ShapeMismatch(f"map for morphism {g} must be {src.rank} x {dst.rank}")
-        M = interned.setdefault(M, M)
         maps.append(M)
-        if (id(src), id(dst), id(M)) in checked:
+        if (src, dst, M) in checked:
             continue
         if src.rank != dst.rank or howell.howell_complete(M, m) != src._basis_rows:
             raise NotRingIso(g, "matrix is not invertible over the modulus")
@@ -127,21 +126,21 @@ def validate_system(
             if howell.combine(src._mul(x, y), M, m, n) != dst._mul(M[i], M[j]):
                 raise NotRingIso(g, "map is not multiplicative", witness=(i, j))
         # units are solved per ring object, so the key fixes both
-        if howell.combine(solved[id(src)].coords, M, m, n) != solved[id(dst)].coords:
+        if howell.combine(solved[src].coords, M, m, n) != solved[dst].coords:
             raise NotRingIso(g, "map does not preserve the unit")
-        checked.add((id(src), id(dst), id(M)))
+        checked.add((src, dst, M))
 
     for a in range(category.object_count):
         if maps[category.identity[a]] != rings[a]._basis_rows:
             raise IdentityNotIdentity(a)
 
-    # map_h then map_g, by their ids; its width is map_g's, the rank at cod(g)
-    composites: dict[tuple[int, int], howell.Matrix] = {}
+    # map_h then map_g, by the two matrices; its width is map_g's, the rank at cod(g)
+    composites: dict[tuple[howell.Matrix, howell.Matrix], howell.Matrix] = {}
     for g, row in enumerate(category.compose.rows):
         map_g = maps[g]
         for h, gh in enumerate(row):
             if gh != UNDEFINED:
-                pair = (id(maps[h]), id(map_g))
+                pair = (maps[h], map_g)
                 if pair not in composites:
                     n = len(map_g)
                     composites[pair] = tuple(howell.combine(r, map_g, m, n) for r in maps[h])

@@ -54,18 +54,36 @@ class TestRecipes:
         assert corpus.random_groupoid(5).compose == corpus.random_groupoid(5).compose
         assert corpus.random_category(5).compose == corpus.random_category(5).compose
 
-    def test_shared_memo_returns_the_fresh_content(self):
-        # one memo over every seed and builder, as a suite build shares it:
-        # a key that merged two recipes (say, a groupoid's parts sorted)
-        # would hand one of them the other's category
+    def test_shared_memo_returns_the_fresh_content(self, monkeypatch):
+        # one memo over every seed and recipe function, as a suite build
+        # shares it: a key that merged two recipes (say, a groupoid's parts
+        # sorted) would hand one of them the other's category
+        builds = []
+        original = sc.make_category
+        monkeypatch.setattr(sc, "make_category", lambda *args: builds.append(1) or original(*args))
         memo = {}
         for seed in range(200):
-            for build in (
-                corpus.random_thin_category, corpus.random_groupoid, corpus.random_category
-            ):
-                shared = build(seed, memo=memo)
-                assert category_content(shared) == category_content(build(seed))
-                assert build(seed, memo=memo) is shared
+            for draw in (corpus._thin_recipe, corpus._groupoid_recipe, corpus._category_recipe):
+                recipe = draw(seed)
+                shared = corpus._category(recipe, memo)
+                assert category_content(shared) == category_content(corpus._category(recipe, {}))
+                count = len(builds)
+                again = corpus._category(recipe, memo)
+                assert len(builds) == count
+                # its own object, on the one build's tables
+                assert again is not shared and again.compose is shared.compose
+
+    def test_union_recipes_stay_within_the_suite_bounds(self):
+        # a thin part on at most 2 objects beside a monoid-times-square part
+        # on at most 2 objects and 8 morphisms, so no union needs a fallback
+        # to stay within the prop-3.2 suite's 4 objects and 20 morphisms
+        memo = {}
+        recipes = {corpus._category_recipe(seed) for seed in range(2000)}
+        unions = [recipe for recipe in recipes if recipe[0] == "union"]
+        assert len(unions) > 10
+        for recipe in unions:
+            c = corpus._category(recipe, memo)
+            assert c.object_count <= 4 and c.morphism_count <= 12
 
     def test_parameter_out_of_range(self):
         with pytest.raises(corpus.ParameterOutOfRange):
