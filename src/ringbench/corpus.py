@@ -431,7 +431,10 @@ def _conjugate_set(
     return None
 
 
-def _base_prop24_instances() -> list[RingWithIdempotents]:
+@functools.cache
+def _prop24_base() -> tuple[tuple[RingWithIdempotents, _Units], ...]:
+    """The seedless prop-2.4 instances, each beside the one _Units of its
+    ring, built once per process: every seed's suite opens with them."""
     out: list[RingWithIdempotents] = []
 
     def add(name, ring, basis_indices, strong):
@@ -473,21 +476,20 @@ def _base_prop24_instances() -> list[RingWithIdempotents]:
     add("matrix2_z2_times_z2", fr.direct_product([m2, z2]), (0, 3, 4), True)
     add("triangular2_z2_times_z2", fr.direct_product([t2, z2]), (0, 2, 3), False)
     add("matrix2_times_triangular2", fr.direct_product([m2, t2]), (0, 3, 4, 6), False)
-    return out
+    units: dict[fr.FiniteRing, _Units] = {}  # by ring object; rings hash by identity
+    for inst in out:
+        if inst.ring not in units:
+            units[inst.ring] = _Units(inst.ring)
+    return tuple((inst, units[inst.ring]) for inst in out)
 
 
 def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
-    base = _base_prop24_instances()
-    out = list(base)
+    base = _prop24_base()
+    out = [inst for inst, _ in base]
     variants_per_base = 9
-    units: dict[fr.FiniteRing, _Units] = {}  # by ring object; rings hash by identity
-    for inst in base:
-        if inst.ring not in units:
-            units[inst.ring] = _Units(inst.ring)
+    for inst, units in base:
         for v in range(variants_per_base):
-            conj = _conjugate_set(
-                units[inst.ring], inst.idempotents, _mix(seed, inst.name, v)
-            )
+            conj = _conjugate_set(units, inst.idempotents, _mix(seed, inst.name, v))
             if conj is None:
                 continue
             out.append(
@@ -525,7 +527,7 @@ def _suite_groupoids(seed: int) -> list[CategoryInstance]:
     return _category_instances(mx + unions)
 
 
-def _suite_prop53(seed: int) -> list[SkewInstance]:
+def _suite_prop53() -> list[SkewInstance]:
     z2 = cyclic_ring(2)
     z3 = cyclic_ring(3)
     out: list[SkewInstance] = []
@@ -561,7 +563,7 @@ def _suite_prop53(seed: int) -> list[SkewInstance]:
     return out
 
 
-def _suite_mx_family(seed: int) -> list[MXInstance]:
+def _suite_mx_family() -> list[MXInstance]:
     out = []
     for name in ("c1", "c2", "c3", "bool2", "transf2"):
         for s in (1, 2, 3):
@@ -586,7 +588,7 @@ def _matrix_grading_m2(m: int) -> gr.Grading:
     return gr.attach_grading(ring, pair, comps)
 
 
-def _suite_gradings(seed: int) -> list[GradingInstance]:
+def _suite_gradings() -> list[GradingInstance]:
     out = [
         GradingInstance("matrix_pair_z2", _matrix_grading_m2(2)),
         GradingInstance("matrix_pair_z3", _matrix_grading_m2(3)),
@@ -621,17 +623,21 @@ def _suite_gradings(seed: int) -> list[GradingInstance]:
         t2.span([(0, 0, 1)]),  # endo at 1: E22
     ]
     out.append(GradingInstance("lopsided_pair_t2", gr.attach_grading(t2, pair, comps_t)))
-    # a held prop-5.3 suite lends its algebras: the memo evicts it only once
-    # this suite is built
-    for inst in _suite("prop-5.3", seed):
+    # a held prop-5.3 suite lends its algebras; before it is held this suite
+    # builds its own, so requesting it first shares no object with a later
+    # prop-5.3 request (perfbench's CLI input writer names files by object)
+    for inst in _held.get("prop-5.3") or _suite_prop53():
         out.append(GradingInstance(f"skew_{inst.name}", inst.algebra.grading))
     return out
 
 
-_SUITES: dict[str, Callable[[int], list]] = {
+# a seeded suite reads its seed; a seedless one is the same at every seed
+_SEEDED: dict[str, Callable[[int], list]] = {
     "prop-2.4": _suite_prop24,
     "prop-3.2": _suite_prop32,
     "groupoids": _suite_groupoids,
+}
+_SEEDLESS: dict[str, Callable[[], list]] = {
     "prop-5.3": _suite_prop53,
     "mx-family": _suite_mx_family,
     "gradings": _suite_gradings,
@@ -639,27 +645,38 @@ _SUITES: dict[str, Callable[[int], list]] = {
 
 
 def available_suites() -> tuple[str, ...]:
-    return tuple(sorted(_SUITES))
+    return tuple(sorted(_SEEDED.keys() | _SEEDLESS.keys()))
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _suite(name: str, seed: int) -> tuple:
+def _seeded(name: str, seed: int) -> tuple:
     # typed: _mix hashes str(seed), so the seeds True and 1 build different suites
-    return tuple(_SUITES[name](seed))
+    return tuple(_SEEDED[name](seed))
+
+
+_held: dict[str, tuple] = {}  # each seedless suite built so far
 
 
 def generate_suite(name: str, seed: int | None = None) -> list:
     """Fixed, seeded instance list for one named check suite.
 
-    The last suite built is held, and only that one, so consecutive
-    requests for one (name, seed), as consecutive drivers make, build it
-    once.  Each call returns a fresh list over the shared instances, and
-    the verdicts cached on their gradings, categories and rings serve every
-    later request too.
+    A seedless suite (prop-5.3, mx-family, gradings) ignores ``seed``: it
+    is built once per process and then held.  The gradings suite lends the
+    held prop-5.3 algebras, or builds its own when prop-5.3 is not yet held.
+    Of the seeded suites, the last one built is held, and only that one, so
+    consecutive requests for one (name, seed), as consecutive drivers make,
+    build it once; the prop-2.4 instances that no seed reaches are held like
+    a seedless suite.  Each call returns a fresh list over the shared
+    instances, and the verdicts cached on their gradings, categories and
+    rings serve every later request too.
     """
-    if name not in _SUITES:
-        raise UnknownSuite(name, _SUITES)
-    return list(_suite(name, DEFAULT_SUITE_SEED if seed is None else seed))
+    if name in _SEEDLESS:
+        if name not in _held:
+            _held[name] = tuple(_SEEDLESS[name]())
+        return list(_held[name])
+    if name not in _SEEDED:
+        raise UnknownSuite(name, available_suites())
+    return list(_seeded(name, DEFAULT_SUITE_SEED if seed is None else seed))
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,16 @@ LATTICE_FREE_DRIVERS = tuple(
 
 
 def forget_held_work():
-    """Drop the held suite and every held span."""
-    corpus._suite.cache_clear()
+    """Drop every held suite, the held prop-2.4 base and every held span."""
+    corpus._seeded.cache_clear()
+    corpus._held.clear()
+    corpus._prop24_base.cache_clear()
     fr._span.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_suite_memo():
-    """Each test starts with no suite and no span held, so what it counts or
+    """Each test starts with no suite, base or span held, so what it counts or
     shares does not depend on the test that ran before it."""
     forget_held_work()
 

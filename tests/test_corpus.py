@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import category_content, plain
+from conftest import category_content, driver_calls, forget_held_work, plain
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import howell
@@ -132,9 +132,9 @@ class TestSuites:
         assert verdicts == {True, False}
 
     def test_suites_are_deterministic(self):
-        # the memo is cleared before each second request, so two builds compare
+        # every hold is dropped before each second request, so two builds compare
         a = corpus.generate_suite("prop-2.4")
-        corpus._suite.cache_clear()
+        forget_held_work()
         b = corpus.generate_suite("prop-2.4")
         assert [i.name for i in a] == [i.name for i in b]
         assert all(
@@ -142,7 +142,7 @@ class TestSuites:
             for ia, ib in zip(a, b)
         )
         c = corpus.generate_suite("prop-3.2")
-        corpus._suite.cache_clear()
+        forget_held_work()
         d = corpus.generate_suite("prop-3.2")
         assert all(x.category.compose == y.category.compose for x, y in zip(c, d))
 
@@ -153,15 +153,35 @@ class TestSuites:
 
 
 def recorded_builds(monkeypatch) -> list[tuple]:
-    """The (name, seed) of every suite built from now on, in build order."""
+    """The (name, seed) of every suite built from now on, in build order;
+    a seedless suite's seed is None."""
     builds = []
-    for name, build in corpus._SUITES.items():
+    for name, build in corpus._SEEDED.items():
         def recording(seed, _name=name, _build=build):
             builds.append((_name, seed))
             return _build(seed)
 
-        monkeypatch.setitem(corpus._SUITES, name, recording)
+        monkeypatch.setitem(corpus._SEEDED, name, recording)
+    for name, build in corpus._SEEDLESS.items():
+        def recording_seedless(_name=name, _build=build):
+            builds.append((_name, None))
+            return _build()
+
+        monkeypatch.setitem(corpus._SEEDLESS, name, recording_seedless)
     return builds
+
+
+def skew_builds(monkeypatch) -> list:
+    """The system of every skew algebra built from now on."""
+    calls = []
+    build = sk.build_skew_algebra
+
+    def counting(system):
+        calls.append(system)
+        return build(system)
+
+    monkeypatch.setattr(sk, "build_skew_algebra", counting)
+    return calls
 
 
 def category_suite_content(suite) -> list:
@@ -169,7 +189,8 @@ def category_suite_content(suite) -> list:
 
 
 class TestSuiteMemo:
-    """generate_suite holds the last suite built, and only that one."""
+    """generate_suite holds each seedless suite and the last seeded suite
+    built, and no other."""
 
     def test_consecutive_requests_build_once(self, monkeypatch):
         builds = recorded_builds(monkeypatch)
@@ -183,25 +204,49 @@ class TestSuiteMemo:
 
     def test_default_seed_shares_the_entry_and_any_other_key_builds(self, monkeypatch):
         builds = recorded_builds(monkeypatch)
-        corpus.generate_suite("mx-family")
-        corpus.generate_suite("mx-family", corpus.DEFAULT_SUITE_SEED)
-        corpus.generate_suite("mx-family", 2)
+        corpus.generate_suite("groupoids")
+        corpus.generate_suite("groupoids", corpus.DEFAULT_SUITE_SEED)
         corpus.generate_suite("groupoids", 2)
-        corpus.generate_suite("mx-family", 2)  # no longer held
+        corpus.generate_suite("prop-3.2", 2)
+        corpus.generate_suite("groupoids", 2)  # no longer held
         assert builds == [
-            ("mx-family", 1729), ("mx-family", 2), ("groupoids", 2), ("mx-family", 2),
+            ("groupoids", 1729), ("groupoids", 2), ("prop-3.2", 2), ("groupoids", 2),
         ]
+
+    @pytest.mark.parametrize("name", ["prop-5.3", "mx-family", "gradings"])
+    def test_a_seedless_suite_builds_once_for_every_seed(self, monkeypatch, name):
+        builds = recorded_builds(monkeypatch)
+        suites = [corpus.generate_suite(name, seed) for seed in (1729, 1, 2, 3)]
+        corpus.generate_suite("prop-3.2", 1)  # a seeded build evicts no seedless suite
+        suites.append(corpus.generate_suite(name))
+        assert [b for b in builds if b[0] == name] == [(name, None)]
+        assert all(len(s) == len(suites[0]) > 0 for s in suites)
+        assert all(x is y for s in suites[1:] for x, y in zip(suites[0], s))
+
+    def test_prop24_base_is_shared_across_seeds_and_variants_are_not(self):
+        one, two = corpus.generate_suite("prop-2.4", 1), corpus.generate_suite("prop-2.4", 2)
+        assert all(x is y for x, y in zip(one[:25], two[:25]))
+        assert not any("_conj" in inst.name for inst in one[:25])
+        assert not {id(inst) for inst in one[25:]} & {id(inst) for inst in two[25:]}
+
+    def test_gradings_before_prop53_share_no_algebra(self, monkeypatch):
+        # the CLI input writer's order: files named by object stay apart
+        calls = skew_builds(monkeypatch)
+        gradings = corpus.generate_suite("gradings", 1729)
+        algebras = corpus.generate_suite("prop-5.3", 1729)
+        assert len(calls) == 2 * len(algebras) == 56
+        lent = {id(inst.grading.category) for inst in gradings}
+        assert not lent & {id(inst.algebra.category) for inst in algebras}
+        assert corpus.generate_suite("gradings", 1) == gradings
+
+    def test_lattice_free_drivers_build_each_skew_algebra_once(self):
+        # prop-2.4's base lends 7 algebras and prop-5.3 holds 28; the other
+        # 8 are the matrix-units-iso driver's two per seed
+        assert len(driver_calls(sk, "build_skew_algebra", (1729, 1, 2, 3))) == 43
 
     def test_gradings_read_the_held_prop53_algebras(self, monkeypatch):
         algebras = corpus.generate_suite("prop-5.3")
-        calls = []
-        build = sk.build_skew_algebra
-
-        def counting(system):
-            calls.append(system)
-            return build(system)
-
-        monkeypatch.setattr(sk, "build_skew_algebra", counting)
+        calls = skew_builds(monkeypatch)
         gradings = corpus.generate_suite("gradings")
         assert not calls
         skew = [inst for inst in gradings if inst.name.startswith("skew_")]
@@ -220,21 +265,39 @@ class TestSuiteMemo:
         assert category_suite_content(suite) == fresh != category_suite_content(first)
 
     def test_only_the_last_suite_is_held(self):
-        # FiniteRing takes no weak reference; the grading holds the algebra's ring
-        grading = weakref.ref(corpus.generate_suite("prop-5.3")[0].algebra.grading)
+        # FiniteRing takes no weak reference; a Peirce table does.  The base
+        # instances outlive the seeded suite that lent them
+        suite = corpus.generate_suite("prop-2.4", 1729)
+        base, table = weakref.ref(suite[0].table), weakref.ref(conjugate_variant(suite).table)
+        del suite
         gc.collect()
-        assert grading() is not None
-        corpus.generate_suite("mx-family")
+        assert table() is not None
+        corpus.generate_suite("groupoids", 1729)
         gc.collect()
-        assert grading() is None
+        assert table() is None and base() is not None
+
+    def test_a_seeded_suite_goes_when_the_next_seeded_suite_is_built(self):
+        table = weakref.ref(conjugate_variant(corpus.generate_suite("prop-2.4", 1729)).table)
+        for name in ("prop-5.3", "mx-family", "gradings"):
+            corpus.generate_suite(name, 1729)
+            gc.collect()
+            assert table() is not None, name
+        corpus.generate_suite("prop-2.4", 2)
+        gc.collect()
+        assert table() is None
 
     def test_an_unknown_suite_caches_nothing(self, monkeypatch):
         builds = recorded_builds(monkeypatch)
-        held = corpus.generate_suite("mx-family")
+        held = corpus.generate_suite("groupoids", 2)
         with pytest.raises(UnknownSuite):
             corpus.generate_suite("nonsense")
-        assert corpus.generate_suite("mx-family") == held
-        assert builds == [("mx-family", 1729)]
+        assert corpus.generate_suite("groupoids", 2) == held
+        assert builds == [("groupoids", 2)]
+
+
+def conjugate_variant(suite) -> corpus.RingWithIdempotents:
+    """The first prop-2.4 instance drawn from the seed."""
+    return next(inst for inst in suite if "_conj" in inst.name)
 
 
 class TestHeldTables:
@@ -252,12 +315,12 @@ class TestHeldTables:
         # its suite until the cyclic collector ran, so that collector is off
         verify.verify_prop_24(1729)
         verify.verify_prop_lattice(1729)
-        table = weakref.ref(corpus.generate_suite("prop-2.4", 1729)[0].table)
+        table = weakref.ref(conjugate_variant(corpus.generate_suite("prop-2.4", 1729)).table)
         enabled = gc.isenabled()
         gc.disable()
         try:
             assert table() is not None
-            corpus.generate_suite("mx-family")
+            corpus.generate_suite("groupoids", 1729)
             assert table() is None
         finally:
             if enabled:
@@ -338,7 +401,7 @@ PROP24_BASE_DIGEST = "4578e3bf2fb6460ca5cda3e834686bc681a47d36d8e4ad422390abf3a0
 
 def test_prop24_base_instances_match_recorded_digest():
     h = hashlib.sha256()
-    instances = corpus._base_prop24_instances()
+    instances = [inst for inst, _ in corpus._prop24_base()]
     for inst in instances:
         coords = [list(e.coords) for e in inst.idempotents]
         record = [inst.name, inst.ring.modulus, inst.ring.constants, coords, inst.expect_strong]
@@ -360,7 +423,7 @@ def pinned_inverse(units, idx):
 # every element of the 22 distinct base rings of prop-2.4: 1,276 elements, 406
 # of them units
 def test_inverses_match_the_pinned_solve():
-    rings = {id(inst.ring): inst.ring for inst in corpus._base_prop24_instances()}
+    rings = {id(inst.ring): inst.ring for inst, _ in corpus._prop24_base()}
     elements = units = 0
     for ring in rings.values():
         table = corpus._Units(ring)
