@@ -431,10 +431,11 @@ def _conjugate_set(
     return None
 
 
-@functools.cache
 def _prop24_base() -> tuple[tuple[RingWithIdempotents, _Units], ...]:
     """The seedless prop-2.4 instances, each beside the one _Units of its
-    ring, built once per process: every seed's suite opens with them."""
+    ring, held in ``_held``: every seed's suite opens with them."""
+    if "prop-2.4 base" in _held:
+        return _held["prop-2.4 base"]
     out: list[RingWithIdempotents] = []
 
     def add(name, ring, basis_indices, strong):
@@ -480,7 +481,8 @@ def _prop24_base() -> tuple[tuple[RingWithIdempotents, _Units], ...]:
     for inst in out:
         if inst.ring not in units:
             units[inst.ring] = _Units(inst.ring)
-    return tuple((inst, units[inst.ring]) for inst in out)
+    _held["prop-2.4 base"] = tuple((inst, units[inst.ring]) for inst in out)
+    return _held["prop-2.4 base"]
 
 
 def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
@@ -648,27 +650,30 @@ def available_suites() -> tuple[str, ...]:
     return tuple(sorted(_SEEDED.keys() | _SEEDLESS.keys()))
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _seeded(name: str, seed: int) -> tuple:
-    # typed: _mix hashes str(seed), so the seeds True and 1 build different suites
-    return tuple(_SEEDED[name](seed))
+# Every suite part held.  Seedless parts stay for the process: prop-5.3,
+# mx-family, gradings and "prop-2.4 base" (with its _Units tables).  The one
+# seeded suite (prop-2.4, prop-3.2 or groupoids) stays until another seeded
+# suite is built, which drops it first; its key (name, type(seed), seed)
+# holds the type since _mix hashes str(seed), so True and 1 build apart.
+_held: dict = {}
 
 
-_held: dict[str, tuple] = {}  # each seedless suite built so far
+def forget_held_work() -> None:
+    """Drop every held suite part and every span the span cache holds."""
+    _held.clear()
+    fr._span.cache_clear()
 
 
 def generate_suite(name: str, seed: int | None = None) -> list:
     """Fixed, seeded instance list for one named check suite.
 
-    A seedless suite (prop-5.3, mx-family, gradings) ignores ``seed``: it
-    is built once per process and then held.  The gradings suite lends the
-    held prop-5.3 algebras, or builds its own when prop-5.3 is not yet held.
-    Of the seeded suites, the last one built is held, and only that one, so
-    consecutive requests for one (name, seed), as consecutive drivers make,
-    build it once; the prop-2.4 instances that no seed reaches are held like
-    a seedless suite.  Each call returns a fresh list over the shared
-    instances, and the verdicts cached on their gradings, categories and
-    rings serve every later request too.
+    A seedless suite (prop-5.3, mx-family, gradings) ignores ``seed``.  What
+    is built is held as the comment on ``_held`` states, so consecutive
+    requests, as consecutive drivers make, build once.  The gradings suite
+    lends the held prop-5.3 algebras, or builds its own when prop-5.3 is not
+    yet held.  Each call returns a fresh list over the shared instances, and
+    the verdicts cached on their gradings, categories and rings serve every
+    later request too.
     """
     if name in _SEEDLESS:
         if name not in _held:
@@ -676,7 +681,13 @@ def generate_suite(name: str, seed: int | None = None) -> list:
         return list(_held[name])
     if name not in _SEEDED:
         raise UnknownSuite(name, available_suites())
-    return list(_seeded(name, DEFAULT_SUITE_SEED if seed is None else seed))
+    seed = DEFAULT_SUITE_SEED if seed is None else seed
+    key = (name, type(seed), seed)  # an unhashable seed raises TypeError here
+    if key not in _held:
+        for old in [k for k in _held if type(k) is tuple]:
+            del _held[old]
+        _held[key] = tuple(_SEEDED[name](seed))
+    return list(_held[key])
 
 
 # ---------------------------------------------------------------------------

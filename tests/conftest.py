@@ -11,19 +11,11 @@ LATTICE_FREE_DRIVERS = tuple(
 )
 
 
-def forget_held_work():
-    """Drop every held suite, the held prop-2.4 base and every held span."""
-    corpus._seeded.cache_clear()
-    corpus._held.clear()
-    corpus._prop24_base.cache_clear()
-    fr._span.cache_clear()
-
-
 @pytest.fixture(autouse=True)
 def empty_suite_memo():
     """Each test starts with no suite, base or span held, so what it counts or
     shares does not depend on the test that ran before it."""
-    forget_held_work()
+    corpus.forget_held_work()
 
 
 @pytest.fixture(scope="session")
@@ -127,7 +119,7 @@ def driver_calls(module, name: str, seeds) -> list[tuple]:
     """The arguments of every call to ``module.name`` while the lattice-free
     drivers run at each suite seed, in call order, from no suite or span
     held."""
-    forget_held_work()  # a module-scoped caller runs before empty_suite_memo
+    corpus.forget_held_work()  # a module-scoped caller runs before empty_suite_memo
     calls = []
     original = getattr(module, name)
 

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import category_content, driver_calls, forget_held_work, plain
+from conftest import category_content, driver_calls, plain
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import howell
@@ -134,7 +134,7 @@ class TestSuites:
     def test_suites_are_deterministic(self):
         # every hold is dropped before each second request, so two builds compare
         a = corpus.generate_suite("prop-2.4")
-        forget_held_work()
+        corpus.forget_held_work()
         b = corpus.generate_suite("prop-2.4")
         assert [i.name for i in a] == [i.name for i in b]
         assert all(
@@ -142,7 +142,7 @@ class TestSuites:
             for ia, ib in zip(a, b)
         )
         c = corpus.generate_suite("prop-3.2")
-        forget_held_work()
+        corpus.forget_held_work()
         d = corpus.generate_suite("prop-3.2")
         assert all(x.category.compose == y.category.compose for x, y in zip(c, d))
 
@@ -293,6 +293,35 @@ class TestSuiteMemo:
             corpus.generate_suite("nonsense")
         assert corpus.generate_suite("groupoids", 2) == held
         assert builds == [("groupoids", 2)]
+
+    def test_an_unhashable_seed_raises_and_holds_nothing(self, monkeypatch):
+        # a seeded suite is held by its seed, so the seed must hash; a
+        # seedless suite never reads it
+        builds = recorded_builds(monkeypatch)
+        held = corpus.generate_suite("groupoids", 2)
+        with pytest.raises(TypeError):
+            corpus.generate_suite("groupoids", [1])
+        mx = corpus.generate_suite("mx-family")
+        assert corpus.generate_suite("mx-family", [1]) == mx
+        assert corpus.generate_suite("groupoids", 2) == held
+        assert builds == [("groupoids", 2), ("mx-family", None)]
+
+    def test_forget_held_work_frees_every_held_part(self):
+        for seed in (1729, 2):
+            for name in corpus.available_suites():
+                corpus.generate_suite(name, seed)
+        suite = corpus.generate_suite("prop-2.4", 2)  # the seeded suite held last
+        held = [suite[0].table, conjugate_variant(suite).table, corpus._prop24_base()[0][1]]
+        held += [inst.grading for inst in corpus.generate_suite("gradings")]
+        held += [inst.algebra.grading for inst in corpus.generate_suite("prop-5.3")]
+        refs = [weakref.ref(x) for x in held]
+        del suite, held
+        assert fr._span.cache_info().currsize > 0
+        corpus.forget_held_work()
+        gc.collect()
+        assert len(refs) == 3 + 34 + 28
+        assert not [r for r in refs if r() is not None]
+        assert fr._span.cache_info().currsize == 0
 
 
 def conjugate_variant(suite) -> corpus.RingWithIdempotents:

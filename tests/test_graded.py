@@ -5,7 +5,6 @@ import collections
 import numpy as np
 import pytest
 
-from conftest import forget_held_work
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import graded as gr
@@ -303,7 +302,7 @@ class TestVerdictsOncePerGrading:
         corpus.generate_suite("prop-5.3", 1729)
         built = len(calls)
         # from no suite held, the driver builds its suite and forms no more
-        forget_held_work()
+        corpus.forget_held_work()
         calls.clear()
         assert verify.verify_prop_53(1729).ok
         assert built > 0 and len(calls) == built

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import content_key, forget_held_work
+from conftest import content_key
 from ringbench import howell
 from test_corpus import pinned_inverse
 
@@ -324,7 +324,7 @@ def driver_solves():
     drivers at two suite seeds, with the library's answers."""
     from ringbench import corpus, finring, verify
 
-    forget_held_work()  # this fixture runs before empty_suite_memo
+    corpus.forget_held_work()  # this fixture runs before empty_suite_memo
     solves, units, inverses = [], [], []
     solve, unit_of, inverse = howell.solve_row, finring._unit_of, corpus._Units.inverse
 

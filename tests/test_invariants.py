@@ -62,6 +62,23 @@ def test_no_dataclasses_import():
     assert found == []
 
 
+def test_the_span_cache_is_the_only_functools_cache():
+    """A process-wide hold lives in corpus._held, or is the span cache that
+    corpus.forget_held_work also clears: no other function is memoized by
+    functools.cache or functools.lru_cache."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name in ("cache", "lru_cache"):
+                        found.append((path.name, node.name))
+    assert found == [("finring.py", "_span")]
+
+
 def test_only_strength_evaluates_the_conditions():
     """The three strength conditions have one evaluator, strength.report:
     no other module calls them or imports them by name."""
