@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import category_content, driver_calls, plain
+from conftest import LATTICE_FREE_DRIVERS, category_content, driver_calls, plain
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import howell
@@ -324,6 +324,42 @@ class TestSuiteMemo:
         assert fr._span.cache_info().currsize == 0
 
 
+class TestHeldWorkAcrossSeeds:
+    """What the lattice-free drivers leave held after four suite seeds in one
+    process is what a fresh build gives."""
+
+    def test_held_instances_read_as_fresh_builds(self, monkeypatch):
+        suites = {}
+        generate = corpus.generate_suite
+
+        def recording(name, seed=None):
+            suite = generate(name, seed)
+            if name in corpus._SEEDED:
+                suites[name, seed] = suite
+            return suite
+
+        monkeypatch.setattr(corpus, "generate_suite", recording)
+        for seed in (1729, 1, 2, 3):
+            for driver in LATTICE_FREE_DRIVERS:
+                verify.run_check(driver, seed)
+        prop24 = [inst for (name, _), suite in suites.items() if name == "prop-2.4" for inst in suite]
+        assert len(prop24) == 4 * 250
+        mismatched = [
+            inst.name for inst in prop24
+            if inst.table.report
+            != idem.peirce_table(idem.validate_complete_set(inst.ring, inst.idempotents)).report
+        ]
+        assert mismatched == []
+        categories = {key: suite for key, suite in suites.items() if key[0] != "prop-2.4"}
+        assert sorted(categories) == sorted(
+            (name, seed) for name in ("prop-3.2", "groupoids") for seed in (1729, 1, 2, 3)
+        )
+        for (name, seed), suite in categories.items():
+            corpus.forget_held_work()
+            fresh = corpus._SEEDED[name](seed)
+            assert category_suite_content(suite) == category_suite_content(fresh), (name, seed)
+
+
 def conjugate_variant(suite) -> corpus.RingWithIdempotents:
     """The first prop-2.4 instance drawn from the seed."""
     return next(inst for inst in suite if "_conj" in inst.name)
@@ -518,7 +554,34 @@ class TestMutations:
         assert h.hexdigest() == MUTATION_MATRIX_DIGEST
 
 
+def fixpoint_closure(object_count, pairs):
+    """The pairwise fixpoint the closure was first computed by, kept as the
+    reference for it."""
+    rel = {(a, a) for a in range(object_count)}
+    rel.update(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    return tuple(sorted(rel))
+
+
 class TestThinCategories:
+    def test_closure_matches_the_fixpoint_on_every_small_relation(self):
+        # every relation on 1 to 4 objects: 1 + 4 + 64 + 4,096
+        relations = 0
+        for p in range(1, 5):
+            candidates = [(a, b) for a in range(p) for b in range(p) if a != b]
+            for mask in range(1 << len(candidates)):
+                pairs = [ab for i, ab in enumerate(candidates) if mask >> i & 1]
+                assert corpus._closure(p, pairs) == fixpoint_closure(p, pairs), (p, pairs)
+                relations += 1
+        assert relations == 4165
+
     def test_relation_closure(self):
         cat = corpus.thin_category_from_relation(3, [(0, 1), (1, 2)])
         # reflexive (3) + given (2) + transitive (0,2) = 6 arrows
