@@ -6,7 +6,7 @@ constructive recipe: matrix-unit rings, monoid and category algebras, skew
 algebras and direct products.  Random categories come from thin preorder
 categories, the monoid-times-square construction, one-object monoids, and
 disjoint unions, each drawn as a recipe: plain data that one builder turns
-into a validated category once per suite build.  The cyclic, symmetric and
+into a validated category once per process.  The cyclic, symmetric and
 transformation monoid tables each come from one operation table on a list
 of elements.
 
@@ -152,8 +152,8 @@ def field4() -> fr.FiniteRing:
 # category builders
 #
 # A recipe is plain data: ("mx", monoid name, s), ("thin", objects, closed
-# relation) or ("union", part recipes).  A suite build passes one memo to
-# _category, which builds and validates each distinct recipe once.
+# relation) or ("union", part recipes).  Suite builds pass the one held memo
+# to _category, which builds and validates each distinct recipe once.
 
 
 def one_object_monoid_category(name: str) -> cat.SmallCategory:
@@ -162,18 +162,16 @@ def one_object_monoid_category(name: str) -> cat.SmallCategory:
 
 def _closure(object_count: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     """The reflexive-transitive closure of the relation, sorted; a closed
-    relation is its own closure."""
-    rel = {(a, a) for a in range(object_count)}
-    rel.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    return tuple(sorted(rel))
+    relation is its own closure.  Warshall's algorithm: once every a that
+    reaches k takes in what k reaches, paths through k are closed."""
+    reach: dict = {a: {a} for a in range(object_count)}
+    for a, b in pairs:
+        reach.setdefault(a, set()).add(b)
+    for k in reach:
+        for a in reach:
+            if k in reach[a]:
+                reach[a] |= reach[k]
+    return tuple(sorted((a, b) for a, bs in reach.items() for b in bs))
 
 
 def thin_category_from_relation(object_count: int, pairs: Iterable) -> cat.SmallCategory:
@@ -218,11 +216,13 @@ def disjoint_union(categories: list[cat.SmallCategory]) -> cat.SmallCategory:
 
 
 def _category(recipe: tuple, memo: dict) -> cat.SmallCategory:
-    """The category of ``recipe``, built and validated once per ``memo``.
+    """The category of ``recipe``, built and validated once per ``memo``;
+    suite builds pass the memo held in ``_held``, so once per process.
 
     Every call returns its own SmallCategory over the fields of that one
     build: callers may key on the category object, as perfbench's CLI input
-    writer does, so no two instances of one suite share it.
+    writer does, so no two suite instances share it, and each one's hom-set
+    report is evaluated on its own.
     """
     if recipe not in memo:
         kind, *args = recipe
@@ -329,24 +329,33 @@ def _named_skew_algebra(name: str) -> sk.SkewAlgebra:
 
 
 class RingWithIdempotents:
-    __slots__ = ("name", "ring", "idempotents", "expect_strong", "_table")
+    __slots__ = ("name", "ring", "idempotents", "expect_strong", "_table", "_units")
 
     def __init__(self, name: str, ring: fr.FiniteRing, idempotents: tuple[fr.RingElement, ...],
                  expect_strong: bool | None = None):
         self.name, self.ring, self.idempotents = name, ring, idempotents
         self.expect_strong = expect_strong
         self._table = None
+        self._units: _Units | None = None  # set on every prop-2.4 suite instance
 
     @property
     def table(self) -> idem.PeirceTable:
         """The Peirce table of the validated set, built on first read and
         held by this instance, so each driver that reads it shares one
         validation and the table's one strength report.  A set that fails
-        validation raises on every read and holds nothing.  The ring never
-        refers back to the table, so the table goes with its suite."""
+        validation raises on every read and holds nothing.  A prop-2.4
+        suite instance's table is the one its ring's _Units holds for the
+        same ordered set, so it stays for the process while a conjugate
+        variant goes with its suite.  The ring never refers back to a
+        table."""
         if self._table is None:
-            # looked up on the module at call time, where tests wrap them
-            self._table = idem.peirce_table(idem.validate_complete_set(self.ring, self.idempotents))
+            if self._units is None:
+                # looked up on the module at call time, where tests wrap them
+                self._table = idem.peirce_table(
+                    idem.validate_complete_set(self.ring, self.idempotents)
+                )
+            else:
+                self._table = self._units.table(self.idempotents)
         return self._table
 
 
@@ -381,9 +390,12 @@ class GradingInstance:
 
 
 class _Units:
-    """The unit of one ring, its element vectors, and the inverse found for
-    each element tried so far (None for a non-unit): one table shared by
-    every conjugate variant of the ring, so each element is walked once.
+    """The unit of one ring, its element vectors, the inverse found for each
+    element tried so far (None for a non-unit) and the Peirce table of each
+    set of the ring validated so far, by its ordered idempotent coordinates:
+    one record shared by the base instances of the ring and every conjugate
+    variant at every seed, so each element is walked and each distinct set
+    validated once.
 
     The inverse is read off the powers p, p^2, ...: in a finite ring with 1,
     p is a unit exactly when some p^k is 1, and then q = p^(k-1) is its one
@@ -396,6 +408,7 @@ class _Units:
         self.one = fr.find_identity(ring)
         self.vectors = list(ring.element_vectors())
         self._inverses: dict[int, tuple[int, ...] | None] = {}
+        self._tables: dict[tuple, idem.PeirceTable] = {}
 
     def inverse(self, idx: int) -> tuple[int, ...] | None:
         """The two-sided inverse of element ``idx``, or None."""
@@ -411,6 +424,14 @@ class _Units:
                 raise InvariantViolation("walked inverse fails p * q = 1 = q * p")
             self._inverses[idx] = q
         return self._inverses[idx]
+
+    def table(self, elems: tuple[fr.RingElement, ...]) -> idem.PeirceTable:
+        """The Peirce table of the complete set ``elems`` of this ring, held
+        once its validation succeeds; a set that fails raises every time."""
+        key = tuple(e.coords for e in elems)
+        if key not in self._tables:
+            self._tables[key] = idem.peirce_table(idem.validate_complete_set(self.ring, elems))
+        return self._tables[key]
 
 
 def _conjugate_set(
@@ -431,8 +452,8 @@ def _conjugate_set(
     return None
 
 
-def _prop24_base() -> tuple[tuple[RingWithIdempotents, _Units], ...]:
-    """The seedless prop-2.4 instances, each beside the one _Units of its
+def _prop24_base() -> tuple[RingWithIdempotents, ...]:
+    """The seedless prop-2.4 instances, each holding the one _Units of its
     ring, held in ``_held``: every seed's suite opens with them."""
     if "prop-2.4 base" in _held:
         return _held["prop-2.4 base"]
@@ -481,24 +502,25 @@ def _prop24_base() -> tuple[tuple[RingWithIdempotents, _Units], ...]:
     for inst in out:
         if inst.ring not in units:
             units[inst.ring] = _Units(inst.ring)
-    _held["prop-2.4 base"] = tuple((inst, units[inst.ring]) for inst in out)
+        inst._units = units[inst.ring]
+    _held["prop-2.4 base"] = tuple(out)
     return _held["prop-2.4 base"]
 
 
 def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
     base = _prop24_base()
-    out = [inst for inst, _ in base]
+    out = list(base)
     variants_per_base = 9
-    for inst, units in base:
+    for inst in base:
         for v in range(variants_per_base):
-            conj = _conjugate_set(units, inst.idempotents, _mix(seed, inst.name, v))
+            conj = _conjugate_set(inst._units, inst.idempotents, _mix(seed, inst.name, v))
             if conj is None:
                 continue
-            out.append(
-                RingWithIdempotents(
-                    f"{inst.name}_conj{v}", inst.ring, conj, inst.expect_strong
-                )
+            variant = RingWithIdempotents(
+                f"{inst.name}_conj{v}", inst.ring, conj, inst.expect_strong
             )
+            variant._units = inst._units
+            out.append(variant)
     return out
 
 
@@ -513,7 +535,7 @@ def _mx_recipes(names, max_morphisms: int) -> list[tuple[str, tuple]]:
 
 
 def _category_instances(recipes: list[tuple[str, tuple]]) -> list[CategoryInstance]:
-    memo: dict = {}  # one build per recipe in this suite
+    memo = _held.setdefault("category recipes", {})  # one build per recipe per process
     return [CategoryInstance(name, _category(recipe, memo)) for name, recipe in recipes]
 
 
@@ -651,10 +673,12 @@ def available_suites() -> tuple[str, ...]:
 
 
 # Every suite part held.  Seedless parts stay for the process: prop-5.3,
-# mx-family, gradings and "prop-2.4 base" (with its _Units tables).  The one
-# seeded suite (prop-2.4, prop-3.2 or groupoids) stays until another seeded
-# suite is built, which drops it first; its key (name, type(seed), seed)
-# holds the type since _mix hashes str(seed), so True and 1 build apart.
+# mx-family, gradings, "prop-2.4 base" (with its _Units, which hold the
+# inverses and the conjugate sets' Peirce tables) and "category recipes"
+# (the memo of every category recipe built).  The one seeded suite
+# (prop-2.4, prop-3.2 or groupoids) stays until another seeded suite is
+# built, which drops it first; its key (name, type(seed), seed) holds the
+# type since _mix hashes str(seed), so True and 1 build apart.
 _held: dict = {}
 
 

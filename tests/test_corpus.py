@@ -264,27 +264,34 @@ class TestSuiteMemo:
         fresh = category_suite_content(corpus._suite_prop32(seed))
         assert category_suite_content(suite) == fresh != category_suite_content(first)
 
-    def test_only_the_last_suite_is_held(self):
-        # FiniteRing takes no weak reference; a Peirce table does.  The base
-        # instances outlive the seeded suite that lent them
+    def test_only_the_last_suite_is_held(self, monkeypatch):
+        # a variant goes with the seeded suite that drew it; the base
+        # instances, and the table the base ring's _Units holds for the
+        # variant's set, stay and serve the next build of that seed
+        weakly_referenced(monkeypatch, corpus, "RingWithIdempotents")
         suite = corpus.generate_suite("prop-2.4", 1729)
-        base, table = weakref.ref(suite[0].table), weakref.ref(conjugate_variant(suite).table)
-        del suite
+        variant = conjugate_variant(suite)
+        base, table = weakref.ref(suite[0].table), weakref.ref(variant.table)
+        instance = weakref.ref(variant)
+        del suite, variant
         gc.collect()
-        assert table() is not None
+        assert instance() is not None
         corpus.generate_suite("groupoids", 1729)
         gc.collect()
-        assert table() is None and base() is not None
+        assert instance() is None
+        assert table() is not None and base() is not None
+        assert conjugate_variant(corpus.generate_suite("prop-2.4", 1729)).table is table()
 
-    def test_a_seeded_suite_goes_when_the_next_seeded_suite_is_built(self):
-        table = weakref.ref(conjugate_variant(corpus.generate_suite("prop-2.4", 1729)).table)
+    def test_a_seeded_suite_goes_when_the_next_seeded_suite_is_built(self, monkeypatch):
+        weakly_referenced(monkeypatch, corpus, "CategoryInstance")
+        instance = weakref.ref(corpus.generate_suite("prop-3.2", 1729)[0])
         for name in ("prop-5.3", "mx-family", "gradings"):
             corpus.generate_suite(name, 1729)
             gc.collect()
-            assert table() is not None, name
+            assert instance() is not None, name
         corpus.generate_suite("prop-2.4", 2)
         gc.collect()
-        assert table() is None
+        assert instance() is None
 
     def test_an_unknown_suite_caches_nothing(self, monkeypatch):
         builds = recorded_builds(monkeypatch)
@@ -306,27 +313,40 @@ class TestSuiteMemo:
         assert corpus.generate_suite("groupoids", 2) == held
         assert builds == [("groupoids", 2), ("mx-family", None)]
 
-    def test_forget_held_work_frees_every_held_part(self):
+    def test_forget_held_work_frees_every_held_part(self, monkeypatch):
+        categories = weakly_referenced(monkeypatch, sc, "SmallCategory")
+        variant_tables = []
         for seed in (1729, 2):
             for name in corpus.available_suites():
                 corpus.generate_suite(name, seed)
+            variant_tables.append(conjugate_variant(corpus.generate_suite("prop-2.4", seed)).table)
+        compose = corpus.generate_suite("groupoids", 1729)[0].category.compose
         suite = corpus.generate_suite("prop-2.4", 2)  # the seeded suite held last
-        held = [suite[0].table, conjugate_variant(suite).table, corpus._prop24_base()[0][1]]
+        held = [suite[0].table, *variant_tables, corpus._prop24_base()[0]._units]
         held += [inst.grading for inst in corpus.generate_suite("gradings")]
         held += [inst.algebra.grading for inst in corpus.generate_suite("prop-5.3")]
         refs = [weakref.ref(x) for x in held]
-        del suite, held
+        del suite, held, variant_tables
+        gc.collect()
+        # the recipe's build outlives the dropped suite of its instance
+        assert [c for c in categories if c() is not None and c().compose is compose]
         assert fr._span.cache_info().currsize > 0
         corpus.forget_held_work()
         gc.collect()
-        assert len(refs) == 3 + 34 + 28
+        assert len(refs) == 4 + 34 + 28
         assert not [r for r in refs if r() is not None]
+        assert not [c for c in categories if c() is not None]
         assert fr._span.cache_info().currsize == 0
 
 
+# the suite seeds perfbench draws from
+POOL_SEEDS = (1729, 1, 2, 3, 4, 5, 6, 7)
+
+
 class TestHeldWorkAcrossSeeds:
-    """What the lattice-free drivers leave held after four suite seeds in one
-    process is what a fresh build gives."""
+    """Work held from one suite seed to the next: what the lattice-free
+    drivers leave held after four seeds in one process is what a fresh build
+    gives, and each category recipe and each idempotent set is built once."""
 
     def test_held_instances_read_as_fresh_builds(self, monkeypatch):
         suites = {}
@@ -359,10 +379,65 @@ class TestHeldWorkAcrossSeeds:
             fresh = corpus._SEEDED[name](seed)
             assert category_suite_content(suite) == category_suite_content(fresh), (name, seed)
 
+    def test_each_recipe_is_built_once_over_the_pool_seeds(self, monkeypatch):
+        # a union recipe asks for its parts on its one build
+        recipes = set()
+        category = corpus._category
+        monkeypatch.setattr(
+            corpus, "_category", lambda recipe, memo: recipes.add(recipe) or category(recipe, memo)
+        )
+        builds = counted(monkeypatch, sc, "make_category")
+        passes = []
+        for _ in range(2):
+            for seed in POOL_SEEDS:
+                for name in ("prop-3.2", "groupoids"):
+                    corpus.generate_suite(name, seed)
+            passes.append(len(builds))
+        assert passes == [len(recipes)] * 2 == [526] * 2
+
+    def test_each_idempotent_set_is_validated_once_over_the_pool_seeds(self, monkeypatch):
+        tables = counted(monkeypatch, idem, "peirce_table")
+        validations = counted(monkeypatch, idem, "validate_complete_set")
+        sets = set()
+        passes = []
+        for _ in range(2):
+            for seed in POOL_SEEDS:
+                for inst in corpus.generate_suite("prop-2.4", seed):
+                    inst.table
+                    sets.add((id(inst.ring), tuple(e.coords for e in inst.idempotents)))
+            passes.append((len(tables), len(validations)))
+        assert passes == [(len(sets),) * 2] * 2 == [(142,) * 2] * 2
+
+
+def counted(monkeypatch, module, name: str) -> list:
+    """The arguments of every call to ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
 
 def conjugate_variant(suite) -> corpus.RingWithIdempotents:
     """The first prop-2.4 instance drawn from the seed."""
     return next(inst for inst in suite if "_conj" in inst.name)
+
+
+def weakly_referenced(monkeypatch, module, name: str) -> list:
+    """Weak references to every instance of ``module.name`` made from now
+    on: the class, which has slots and takes none, is swapped for a subclass
+    that takes them and records each instance."""
+    refs = []
+    cls = getattr(module, name)
+
+    class Recorded(cls):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(module, name, Recorded)
+    return refs
 
 
 class TestHeldTables:
@@ -375,18 +450,28 @@ class TestHeldTables:
                 inst.table
             assert caught.type is NotComplete and inst._table is None
 
-    def test_a_held_table_goes_with_its_suite(self):
-        # a table in a reference cycle (say, one the ring held) would outlive
-        # its suite until the cyclic collector ran, so that collector is off
+    def test_held_work_goes_without_the_cyclic_collector(self, monkeypatch):
+        # a table or category in a reference cycle (say, a table the ring
+        # held) would outlive its hold until the cyclic collector ran, so
+        # that collector is off
+        categories = weakly_referenced(monkeypatch, sc, "SmallCategory")
+        weakly_referenced(monkeypatch, corpus, "RingWithIdempotents")
         verify.verify_prop_24(1729)
         verify.verify_prop_lattice(1729)
-        table = weakref.ref(conjugate_variant(corpus.generate_suite("prop-2.4", 1729)).table)
+        verify.verify_prop_32(1729)
+        variant = conjugate_variant(corpus.generate_suite("prop-2.4", 1729))
+        instance, table = weakref.ref(variant), weakref.ref(variant.table)
+        del variant
         enabled = gc.isenabled()
         gc.disable()
         try:
-            assert table() is not None
             corpus.generate_suite("groupoids", 1729)
+            assert instance() is None
+            assert table() is not None
+            assert [c for c in categories if c() is not None]
+            corpus.forget_held_work()
             assert table() is None
+            assert not [c for c in categories if c() is not None]
         finally:
             if enabled:
                 gc.enable()
@@ -466,7 +551,7 @@ PROP24_BASE_DIGEST = "4578e3bf2fb6460ca5cda3e834686bc681a47d36d8e4ad422390abf3a0
 
 def test_prop24_base_instances_match_recorded_digest():
     h = hashlib.sha256()
-    instances = [inst for inst, _ in corpus._prop24_base()]
+    instances = list(corpus._prop24_base())
     for inst in instances:
         coords = [list(e.coords) for e in inst.idempotents]
         record = [inst.name, inst.ring.modulus, inst.ring.constants, coords, inst.expect_strong]
@@ -488,7 +573,7 @@ def pinned_inverse(units, idx):
 # every element of the 22 distinct base rings of prop-2.4: 1,276 elements, 406
 # of them units
 def test_inverses_match_the_pinned_solve():
-    rings = {id(inst.ring): inst.ring for inst, _ in corpus._prop24_base()}
+    rings = {id(inst.ring): inst.ring for inst in corpus._prop24_base()}
     elements = units = 0
     for ring in rings.values():
         table = corpus._Units(ring)

@@ -778,7 +778,7 @@ class TestElementBinding:
 class TestMultiplicationMatrices:
     # every element of the 22 distinct base rings of prop-2.4
     def test_built_without_the_kernel_as_per_basis_products(self, monkeypatch):
-        rings = {id(inst.ring): inst.ring for inst, _ in corpus._prop24_base()}
+        rings = {id(inst.ring): inst.ring for inst in corpus._prop24_base()}
         kernel = fr.FiniteRing._mul
         calls = []
         monkeypatch.setattr(
