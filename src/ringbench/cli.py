@@ -623,7 +623,7 @@ def _cmd_gen_suite(args, rep: Reporter) -> None:
     rep.verdict("generated", True)
     rep.info("suite", args.name)
     rep.info("count", len(instances))
-    rep.info("instances", [getattr(inst, "name", repr(inst)) for inst in instances])
+    rep.info("instances", [inst.name for inst in instances])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ constructive recipe: matrix-unit rings, monoid and category algebras, skew
 algebras and direct products.  Random categories come from thin preorder
 categories, the monoid-times-square construction, one-object monoids, and
 disjoint unions, each drawn as a recipe: plain data that one builder turns
-into a validated category once per process.  The cyclic, symmetric and
-transformation monoid tables each come from one operation table on a list
-of elements.
+into a validated category, with its hom-set report, once per process.  The
+cyclic, symmetric and transformation monoid tables each come from one
+operation table on a list of elements.
 
 Everything is a pure function of the seed: seeds are mixed through
 SHA-256, so suites reproduce bit for bit across platforms and runs.
@@ -153,7 +153,8 @@ def field4() -> fr.FiniteRing:
 #
 # A recipe is plain data: ("mx", monoid name, s), ("thin", objects, closed
 # relation) or ("union", part recipes).  Suite builds pass the one held memo
-# to _category, which builds and validates each distinct recipe once.
+# to _category: each distinct recipe is built, validated and has its hom-set
+# report evaluated once.
 
 
 def one_object_monoid_category(name: str) -> cat.SmallCategory:
@@ -215,25 +216,33 @@ def disjoint_union(categories: list[cat.SmallCategory]) -> cat.SmallCategory:
     return cat.make_category(obj_offset, dom, codl, identity, table)
 
 
-def _category(recipe: tuple, memo: dict) -> cat.SmallCategory:
-    """The category of ``recipe``, built and validated once per ``memo``;
-    suite builds pass the memo held in ``_held``, so once per process.
-
-    Every call returns its own SmallCategory over the fields of that one
-    build: callers may key on the category object, as perfbench's CLI input
-    writer does, so no two suite instances share it, and each one's hom-set
-    report is evaluated on its own.
-    """
+def _build(recipe: tuple, memo: dict) -> cat.SmallCategory:
+    """The category of ``recipe``, built, validated and its hom-set report
+    evaluated once per ``memo``; a union's parts are built here too."""
     if recipe not in memo:
         kind, *args = recipe
         if kind == "mx":
-            memo[recipe] = cat.build_MX(MONOID_TABLES[args[0]], args[1])
+            c = cat.build_MX(MONOID_TABLES[args[0]], args[1])
         elif kind == "thin":
-            memo[recipe] = thin_category_from_relation(*args)
+            c = thin_category_from_relation(*args)
         else:
-            memo[recipe] = disjoint_union([_category(part, memo) for part in args[0]])
-    c = memo[recipe]
-    return cat.SmallCategory(c.object_count, c.dom, c.cod, c.identity, c.compose)
+            c = disjoint_union([_build(part, memo) for part in args[0]])
+        cat.homset_strong_report(c)  # held on c from here on
+        memo[recipe] = c
+    return memo[recipe]
+
+
+def _category(recipe: tuple, memo: dict) -> cat.SmallCategory:
+    """A new SmallCategory over the fields and the hom-set report of the
+    one build of ``recipe`` in ``memo``; suite builds pass the memo held in
+    ``_held``, so each recipe is built and its report evaluated once per
+    process.  Callers may key on the category object, as perfbench's CLI
+    input writer does, so no two suite instances share it.
+    """
+    c = _build(recipe, memo)
+    view = cat.SmallCategory(c.object_count, c.dom, c.cod, c.identity, c.compose)
+    view._homset_report = c._homset_report
+    return view
 
 
 def _thin_recipe(seed: int, max_objects: int = 4) -> tuple:
@@ -271,18 +280,6 @@ def _category_recipe(seed: int) -> tuple:
         return ("mx", rng.choice(sorted(MONOID_TABLES)), 1)
     left = _thin_recipe(_mix("l", seed), max_objects=2)
     return ("union", (left, ("mx", rng.choice(["c1", "c2", "bool2"]), rng.randint(1, 2))))
-
-
-def random_thin_category(seed: int, max_objects: int = 4) -> cat.SmallCategory:
-    return _category(_thin_recipe(seed, max_objects), {})
-
-
-def random_groupoid(seed: int) -> cat.SmallCategory:
-    return _category(_groupoid_recipe(seed), {})
-
-
-def random_category(seed: int) -> cat.SmallCategory:
-    return _category(_category_recipe(seed), {})
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +672,11 @@ def available_suites() -> tuple[str, ...]:
 # Every suite part held.  Seedless parts stay for the process: prop-5.3,
 # mx-family, gradings, "prop-2.4 base" (with its _Units, which hold the
 # inverses and the conjugate sets' Peirce tables) and "category recipes"
-# (the memo of every category recipe built).  The one seeded suite
-# (prop-2.4, prop-3.2 or groupoids) stays until another seeded suite is
-# built, which drops it first; its key (name, type(seed), seed) holds the
-# type since _mix hashes str(seed), so True and 1 build apart.
+# (the memo of every category recipe built, each with its hom-set report).
+# The one seeded suite (prop-2.4, prop-3.2 or groupoids) stays until another
+# seeded suite is built, which drops it first; its key (name, type(seed),
+# seed) holds the type since _mix hashes str(seed), so True and 1 build
+# apart.
 _held: dict = {}
 
 
@@ -695,9 +693,11 @@ def generate_suite(name: str, seed: int | None = None) -> list:
     is built is held as the comment on ``_held`` states, so consecutive
     requests, as consecutive drivers make, build once.  The gradings suite
     lends the held prop-5.3 algebras, or builds its own when prop-5.3 is not
-    yet held.  Each call returns a fresh list over the shared instances, and
-    the verdicts cached on their gradings, categories and rings serve every
-    later request too.
+    yet held.  Each call returns a fresh list over the shared instances.
+    The verdicts held with them serve every later request: a grading's, a
+    prop-2.4 table's, and a category's, which every instance of one recipe
+    shares with that recipe's build.  Drivers therefore judge every instance
+    directly and never decide what to share.
     """
     if name in _SEEDLESS:
         if name not in _held:

@@ -14,14 +14,13 @@ pipeline it cross-checks.
 
 from __future__ import annotations
 
-import operator
-
 from . import corpus
 from . import finring as fr
 from . import graded as gr
 from . import idempotents as idem
 from . import skewalg as sk
 from . import smallcat as cat
+from .errors import UnknownSuite
 
 
 class VerificationResult:
@@ -127,30 +126,13 @@ def brute_force_one_sided_ideal_count(ring: fr.FiniteRing, side: str) -> tuple[i
 # drivers
 
 
-def _judge_once(instances, judge, key_of=operator.attrgetter("ring", "idempotents")):
-    """Yield (instance, verdict) for every instance in suite order, calling
-    ``judge`` once per distinct ``key_of(instance)``: by default the (ring
-    object, idempotent tuple), so a conjugate variant that repeats its base
-    exactly shares the base's verdict.  The driver still reports every
-    instance under its own name."""
-    verdicts = {}
-    for inst in instances:
-        key = key_of(inst)
-        if key not in verdicts:
-            verdicts[key] = judge(inst)
-        yield inst, verdicts[key]
-
-
-def _strength_report(inst) -> idem.StrongnessReport:
-    return idem.strong_condition_report(inst.table)
-
-
 def verify_prop_24(seed: int | None = None) -> VerificationResult:
     """Tri-equivalence of the three strength conditions on every instance."""
     instances = corpus.generate_suite("prop-2.4", seed)
     failures = []
     strong_seen = nonstrong_seen = 0
-    for inst, report in _judge_once(instances, _strength_report):
+    for inst in instances:
+        report = idem.strong_condition_report(inst.table)
         if not report.agree:
             failures.append(f"{inst.name}: verdicts disagree "
                             f"({report.condition1}, {report.condition2}, {report.condition3})")
@@ -168,10 +150,9 @@ def verify_prop_24(seed: int | None = None) -> VerificationResult:
     )
 
 
-def _lattice_certificates(inst) -> list[tuple[int, int, str, bool, str | None]]:
+def _lattice_certificates(table: idem.PeirceTable) -> list[tuple[int, int, str, bool, str | None]]:
     """(i, j, side, ok, failure) of every certificate on a strong set, none
     on a set that is not strong."""
-    table = inst.table
     if not idem.strong_condition_report(table).strong:
         return []
     k = table.size
@@ -188,12 +169,17 @@ def _lattice_certificates(inst) -> list[tuple[int, int, str, bool, str | None]]:
 
 def verify_prop_lattice(seed: int | None = None) -> VerificationResult:
     """Corner-ideal/submodule poset isomorphism on every strong instance and
-    every nonzero component, both sides."""
+    every nonzero component, both sides.  The suite's instances on one set
+    share its held table, and each table is certified once."""
     instances = corpus.generate_suite("prop-2.4", seed)
     failures = []
     checked = 0
-    for inst, certificates in _judge_once(instances, _lattice_certificates):
-        for i, j, side, ok, failure in certificates:
+    certificates: dict[idem.PeirceTable, list] = {}
+    for inst in instances:
+        table = inst.table
+        if table not in certificates:
+            certificates[table] = _lattice_certificates(table)
+        for i, j, side, ok, failure in certificates[table]:
             checked += 1
             if not ok:
                 failures.append(
@@ -202,41 +188,25 @@ def verify_prop_lattice(seed: int | None = None) -> VerificationResult:
     return VerificationResult("prop-lattice", not failures, checked, failures)
 
 
-def _category_content(inst) -> tuple:
-    """Everything a category verdict reads: instances whose recipes built
-    equal categories share one verdict."""
-    c = inst.category
-    return c.object_count, c.dom, c.cod, c.identity, c.compose.rows
-
-
-def _homset_agree(inst) -> bool:
-    return cat.homset_strong_report(inst.category).agree
-
-
 def verify_prop_32(seed: int | None = None) -> VerificationResult:
     instances = corpus.generate_suite("prop-3.2", seed)
     failures = []
-    for inst, ok in _judge_once(instances, _homset_agree, _category_content):
-        if not ok:
+    for inst in instances:
+        if not cat.homset_strong_report(inst.category).agree:
             failures.append(f"{inst.name}: verdicts disagree")
     return VerificationResult("prop-3.2", not failures, len(instances), failures)
-
-
-def _groupoid_failure(inst) -> str | None:
-    if not cat.is_groupoid(inst.category).is_groupoid:
-        return "generator emitted a non-groupoid"
-    report = cat.homset_strong_report(inst.category)
-    if not (report.strong and report.agree):
-        return "groupoid fails hom-set strength"
-    return None
 
 
 def verify_groupoid_homset(seed: int | None = None) -> VerificationResult:
     instances = corpus.generate_suite("groupoids", seed)
     failures = []
-    for inst, failure in _judge_once(instances, _groupoid_failure, _category_content):
-        if failure:
-            failures.append(f"{inst.name}: {failure}")
+    for inst in instances:
+        if not cat.is_groupoid(inst.category).is_groupoid:
+            failures.append(f"{inst.name}: generator emitted a non-groupoid")
+            continue
+        report = cat.homset_strong_report(inst.category)
+        if not (report.strong and report.agree):
+            failures.append(f"{inst.name}: groupoid fails hom-set strength")
     return VerificationResult("groupoid-homset", not failures, len(instances), failures)
 
 
@@ -404,8 +374,6 @@ PROP_CHECKS = {
 
 
 def run_check(name: str, seed: int | None = None) -> VerificationResult:
-    from .errors import UnknownSuite
-
     if name not in PROP_CHECKS:
         raise UnknownSuite(name, PROP_CHECKS)
     return PROP_CHECKS[name](seed)

@@ -14,7 +14,7 @@ from ringbench import howell
 from ringbench import idempotents as idem
 from ringbench import skewalg as sk
 from ringbench import smallcat as sc
-from ringbench import verify
+from ringbench import strength, verify
 from ringbench.errors import NotComplete, UnknownSuite
 
 
@@ -51,8 +51,8 @@ class TestRecipes:
         assert corner.ring.order == 2
 
     def test_random_recipes_are_deterministic(self):
-        assert corpus.random_groupoid(5).compose == corpus.random_groupoid(5).compose
-        assert corpus.random_category(5).compose == corpus.random_category(5).compose
+        for recipe in (corpus._groupoid_recipe, corpus._category_recipe):
+            assert corpus._category(recipe(5), {}).compose == corpus._category(recipe(5), {}).compose
 
     def test_shared_memo_returns_the_fresh_content(self, monkeypatch):
         # one memo over every seed and recipe function, as a suite build
@@ -315,6 +315,7 @@ class TestSuiteMemo:
 
     def test_forget_held_work_frees_every_held_part(self, monkeypatch):
         categories = weakly_referenced(monkeypatch, sc, "SmallCategory")
+        monkeypatch.setattr(strength, "report", lambda t, report=strength.report: Report(report(t)))
         variant_tables = []
         for seed in (1729, 2):
             for name in corpus.available_suites():
@@ -325,15 +326,17 @@ class TestSuiteMemo:
         held = [suite[0].table, *variant_tables, corpus._prop24_base()[0]._units]
         held += [inst.grading for inst in corpus.generate_suite("gradings")]
         held += [inst.algebra.grading for inst in corpus.generate_suite("prop-5.3")]
+        held.append(next(iter(corpus._held["category recipes"].values()))._homset_report)
         refs = [weakref.ref(x) for x in held]
         del suite, held, variant_tables
         gc.collect()
         # the recipe's build outlives the dropped suite of its instance
         assert [c for c in categories if c() is not None and c().compose is compose]
+        assert refs[-1]() is not None  # and so does its report
         assert fr._span.cache_info().currsize > 0
         corpus.forget_held_work()
         gc.collect()
-        assert len(refs) == 4 + 34 + 28
+        assert len(refs) == 4 + 34 + 28 + 1
         assert not [r for r in refs if r() is not None]
         assert not [c for c in categories if c() is not None]
         assert fr._span.cache_info().currsize == 0
@@ -382,9 +385,9 @@ class TestHeldWorkAcrossSeeds:
     def test_each_recipe_is_built_once_over_the_pool_seeds(self, monkeypatch):
         # a union recipe asks for its parts on its one build
         recipes = set()
-        category = corpus._category
+        build = corpus._build
         monkeypatch.setattr(
-            corpus, "_category", lambda recipe, memo: recipes.add(recipe) or category(recipe, memo)
+            corpus, "_build", lambda recipe, memo: recipes.add(recipe) or build(recipe, memo)
         )
         builds = counted(monkeypatch, sc, "make_category")
         passes = []
@@ -394,6 +397,34 @@ class TestHeldWorkAcrossSeeds:
                     corpus.generate_suite(name, seed)
             passes.append(len(builds))
         assert passes == [len(recipes)] * 2 == [526] * 2
+
+    def test_every_instance_of_a_recipe_holds_its_own_category_and_one_report(self):
+        # perfbench's CLI input writer keys its files on the category object
+        for name in ("prop-3.2", "groupoids"):
+            for seed in (1729, 3):
+                suite = corpus.generate_suite(name, seed)
+                assert len({id(inst.category) for inst in suite}) == len(suite)
+                builds = {id(c.compose): c for c in corpus._held["category recipes"].values()}
+                for inst in suite:
+                    report = builds[id(inst.category.compose)]._homset_report
+                    assert report is not None and inst.category._homset_report is report
+
+    def test_each_recipe_report_is_evaluated_once_over_the_strength_seeds(self, monkeypatch):
+        # 360 recipe builds, parts included, and 39 categories built outside
+        # the recipes: the 15 mx-family ones, 17 under the prop-5.3 algebras
+        # and 7 under the prop-2.4 base algebras; a second pass evaluates none
+        tables = []
+        report = strength.report
+        monkeypatch.setattr(strength, "report", lambda t: tables.append(t) or report(t))
+        passes = []
+        for _ in range(2):
+            for seed in (1729, 1, 2, 3):
+                for driver in LATTICE_FREE_DRIVERS:
+                    verify.run_check(driver, seed)
+            passes.append(sum(t.third_zero == "third hom-set is empty" for t in tables))
+            tables.clear()
+        assert len(corpus._held["category recipes"]) == 360
+        assert passes == [360 + 39, 0]
 
     def test_each_idempotent_set_is_validated_once_over_the_pool_seeds(self, monkeypatch):
         tables = counted(monkeypatch, idem, "peirce_table")
@@ -438,6 +469,19 @@ def weakly_referenced(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, Recorded)
     return refs
+
+
+class Report:
+    """A strength report that takes weak references (a NamedTuple takes
+    none), reading every field and property through to the report."""
+
+    __slots__ = ("report", "__weakref__")
+
+    def __init__(self, report):
+        self.report = report
+
+    def __getattr__(self, name):
+        return getattr(self.report, name)
 
 
 class TestHeldTables:

@@ -24,6 +24,11 @@ from ringbench.errors import (
 U = sc.UNDEFINED
 
 
+def built(recipe: tuple) -> sc.SmallCategory:
+    """The category of a corpus recipe, built apart from any suite."""
+    return corpus._category(recipe, {})
+
+
 def arrow_tables():
     comp = np.full((3, 3), U, dtype=np.int64)
     comp[0, 0] = 0
@@ -308,14 +313,14 @@ class TestFinitenessReport:
 class TestGeneratedInvariants:
     def test_random_groupoids_are_homset_strong(self):
         for i in range(40):
-            g = corpus.random_groupoid(i)
+            g = built(corpus._groupoid_recipe(i))
             assert sc.is_groupoid(g).is_groupoid
             report = sc.homset_strong_report(g)
             assert report.strong and report.agree
 
     def test_random_categories_tri_equivalence(self):
         for i in range(60):
-            c = corpus.random_category(i)
+            c = built(corpus._category_recipe(i))
             assert sc.homset_strong_report(c).agree
 
 
@@ -407,9 +412,9 @@ def driver_tables():
 
 
 def _valid_categories() -> list[sc.SmallCategory]:
-    found = [corpus.random_category(i) for i in range(30)]
-    found += [corpus.random_groupoid(i) for i in range(15)]
-    found += [corpus.random_thin_category(i) for i in range(15)]
+    found = [built(corpus._category_recipe(i)) for i in range(30)]
+    found += [built(corpus._groupoid_recipe(i)) for i in range(15)]
+    found += [built(corpus._thin_recipe(i)) for i in range(15)]
     found += [sc.build_MX(corpus.MONOID_TABLES[name], s)
               for name in ("c1", "c2", "bool2", "transf2", "leftzero3") for s in (1, 2, 3)]
     found.append(corpus.disjoint_union(found[:3]))

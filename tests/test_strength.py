@@ -148,9 +148,10 @@ def test_conditions_match_the_literal_loops_on_drawn_tables(arguments):
     assert_same_evaluation(strength.ComponentTable, *arguments)
 
 
-# Peirce, hom-set and hom-component tables built by the eleven drivers, and
-# how many distinct (kind, entries) they hold
-DRIVER_TABLES = {1729: (352, 263), 3: (355, 270)}
+# Peirce, hom-set and hom-component tables built while the eleven drivers
+# run (a category recipe's hom-set table once, on its build), and how many
+# distinct (kind, entries) they hold
+DRIVER_TABLES = {1729: (340, 263), 3: (344, 270)}
 
 
 @pytest.mark.parametrize("seed", sorted(DRIVER_TABLES))

@@ -1,13 +1,19 @@
-"""A Howell-free oracle for the strength verdicts of the prop-2.4 suite.
+"""Oracles for the strength verdicts of the prop-2.4 suite and of the
+category suites, with no Howell form, no code from the strength module and
+no call of homset_strong_report: only the library's reports they are
+checked against come from there.
 
-Products come from the structure constants alone, each Peirce component
-e_i S e_j is the set of its elements, and a product of two components is
-the additive closure of their pairwise products.  No verdict here reads the
-ring's product kernel, a Howell form, a span, a lattice or a held table, so
-the three conditions are re-derived as defined and the library's report on
-each instance is checked against them: every verdict, and for every false
-verdict the witness, which must be the first index where the condition
-fails, with the reason it fails there.
+For prop-2.4, products come from the structure constants alone, each Peirce
+component e_i S e_j is the set of its elements, and a product of two
+components is the additive closure of their pairwise products.  No verdict
+here reads the ring's product kernel, a Howell form, a span, a lattice or a
+held table.  For prop-3.2 and groupoids, each hom-set is the set of
+morphisms read off ``dom`` and ``cod``, and a product of two hom-sets is the
+set of their composites read off ``compose.rows``.  The three conditions are
+re-derived as defined and the library's report on each instance is checked
+against them: every verdict, and for every false verdict the witness, which
+must be the first index where the condition fails, with the reason it fails
+there.
 """
 
 import pytest
@@ -16,6 +22,7 @@ from conftest import brute_force_span
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import idempotents as idem
+from ringbench import smallcat as sc
 
 MAX_ORDER = 64
 
@@ -87,19 +94,20 @@ class OracleTable:
         return None
 
     def first_failures(self) -> list:
-        """For each condition, its first failing index in lexicographic
-        order with the reason, or None where it holds everywhere."""
-        k = range(len(self.units))
-        triples = [(i, j, l) for i in k for j in k for l in k]
-        pairs = [(p, q) for p in k for q in k]
-        out = []
-        for condition, indices in (
-            (self.condition1, triples), (self.condition2, pairs), (self.condition3, pairs),
-        ):
-            out.append(next(
-                ((index, why) for index in indices if (why := condition(*index))), None
-            ))
-        return out
+        return first_failures(len(self.units), self.condition1, self.condition2, self.condition3)
+
+
+def first_failures(size, *conditions) -> list:
+    """For each of the three conditions on a size x size table, its first
+    failing index in lexicographic order with the reason, or None where it
+    holds everywhere."""
+    k = range(size)
+    triples = [(i, j, l) for i in k for j in k for l in k]
+    pairs = [(p, q) for p in k for q in k]
+    return [
+        next(((index, why) for index in indices if (why := condition(*index))), None)
+        for condition, indices in zip(conditions, (triples, pairs, pairs))
+    ]
 
 
 def small_instances(seed):
@@ -147,5 +155,98 @@ def test_a_zero_pairing_fails_each_condition_on_its_product():
         ((0, 1, 0), "product does not recover the component"),
         ((0, 1), "product does not recover the diagonal"),
         ((0, 1), "idempotent not reached by the product"),
+    )
+    assert not (report.condition1 or report.condition2 or report.condition3)
+
+
+class HomSetOracle:
+    """The hom-sets of one category as morphism sets, hom[a][b] holding the
+    arrows b -> a, and their products as sets of composites."""
+
+    def __init__(self, category):
+        self.identity, self.rows = category.identity, category.compose.rows
+        k = range(category.object_count)
+        ends = list(zip(category.cod, category.dom))
+        self.hom = [[frozenset(g for g, ab in enumerate(ends) if ab == (a, b)) for b in k] for a in k]
+
+    def product(self, i, j, l) -> frozenset:
+        """hom(i, j) hom(j, l): every composite g h, h an arrow l -> j and g
+        an arrow j -> i."""
+        return frozenset(self.rows[g][h] for g in self.hom[i][j] for h in self.hom[j][l])
+
+    def condition1(self, i, j, l) -> str | None:
+        nonempty = [bool(self.hom[i][j]), bool(self.hom[j][l]), bool(self.hom[i][l])]
+        if sum(nonempty) < 2:
+            return None
+        if not all(nonempty):
+            return "third hom-set is empty"
+        if self.product(i, j, l) != self.hom[i][l]:
+            return "composite set misses morphisms"
+        return None
+
+    def opposed(self, p, q) -> str | None:
+        if bool(self.hom[p][q]) != bool(self.hom[q][p]):
+            return "opposed hom-set is empty"
+        return None
+
+    def condition2(self, p, q) -> str | None:
+        if self.opposed(p, q) or not self.hom[p][q]:
+            return self.opposed(p, q)
+        if self.product(p, q, p) != self.hom[p][p]:
+            return "endo set not recovered"
+        return None
+
+    def condition3(self, p, q) -> str | None:
+        if self.opposed(p, q) or not self.hom[p][q]:
+            return self.opposed(p, q)
+        if self.identity[p] not in self.product(p, q, p):
+            return "identity not reached"
+        return None
+
+    def first_failures(self) -> list:
+        return first_failures(len(self.hom), self.condition1, self.condition2, self.condition3)
+
+
+@pytest.mark.parametrize("seed", [corpus.DEFAULT_SUITE_SEED, 3])
+@pytest.mark.parametrize("suite,size", [("prop-3.2", 503), ("groupoids", 110)])
+def test_every_category_verdict_and_witness_matches_the_oracle(suite, size, seed):
+    instances = corpus.generate_suite(suite, seed)
+    for inst in instances:
+        report = inst.category._homset_report  # evaluated on its recipe's build
+        verdicts = (report.condition1, report.condition2, report.condition3)
+        witnesses = (report.witness1, report.witness2, report.witness3)
+        expected = HomSetOracle(inst.category).first_failures()
+        assert verdicts == tuple(f is None for f in expected), inst.name
+        assert witnesses == tuple(expected), inst.name
+    assert len(instances) == size
+
+
+def split_idempotent_category():
+    """Objects 0 and 1, arrows f: 0 -> 1 and g: 1 -> 0 with g f = 1_0, and
+    the idempotent e = f g != 1_1: hom(1, 0) hom(0, 1) = {e} recovers
+    neither hom(1, 1) = {1_1, e} nor its identity."""
+    U = sc.UNDEFINED
+    # morphisms 1_0, 1_1, f, g, e; row x holds x h for each h into dom(x)
+    rows = [
+        [0, U, U, 3, U],
+        [U, 1, 2, U, 4],
+        [2, U, U, 4, U],
+        [U, 3, 0, U, 3],
+        [U, 4, 2, U, 4],
+    ]
+    return sc.make_category(2, (0, 1, 0, 1, 1), (0, 1, 1, 0, 1), (0, 1), rows)
+
+
+def test_a_split_idempotent_fails_each_condition_on_its_composites():
+    # no prop-3.2 or groupoids instance fails a condition on a composite set,
+    # only on an empty hom-set, so this category is where the composite
+    # branches meet the oracle
+    category = split_idempotent_category()
+    report = sc.homset_strong_report(category)
+    expected = HomSetOracle(category).first_failures()
+    assert (report.witness1, report.witness2, report.witness3) == tuple(expected) == (
+        ((1, 0, 1), "composite set misses morphisms"),
+        ((1, 0), "endo set not recovered"),
+        ((1, 0), "identity not reached"),
     )
     assert not (report.condition1 or report.condition2 or report.condition3)

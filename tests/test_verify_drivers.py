@@ -1,12 +1,13 @@
 """The prop-2.4, prop-lattice, prop-3.2 and groupoid-homset drivers, pinned
 by SHA-256 digests of their whole VerificationResult.
 
-The suite's conjugate variants often repeat their base instance exactly (a
-central set conjugates to itself), and both drivers judge each distinct
-(ring object, idempotent tuple) once, on the table that instance holds, so
-prop-lattice on a held suite reads the tables prop-2.4 built.  The category
-suites repeat recipes too: each is built once, and both category drivers
-judge each distinct category content once.
+The drivers judge every instance directly; what instances share is decided
+by the suite.  The conjugate variants often repeat their base instance
+exactly (a central set conjugates to itself), and every instance on one set
+reads the one Peirce table its ring holds, so prop-lattice on a held suite
+reads the tables prop-2.4 built.  The category suites repeat recipes too:
+each is built once, its hom-set report evaluated once on that build, and
+every instance of it reads that report.
 Every instance must still be reported under its own name, in suite order:
 the digests cover ``ok``, ``checked``, every failure line and ``details``,
 and the injected faults make every instance on one ring, or with one
@@ -196,14 +197,17 @@ def test_prop_lattice_alone_validates_each_distinct_set(monkeypatch):
 
 
 def test_injected_category_report_fault_names_every_instance(monkeypatch):
+    # the fault is made where a report is evaluated, so every instance that
+    # reads the faulty recipe's report fails
     built = _record_suite(monkeypatch)
     original = cat.homset_strong_report
 
     def faulty(category):
+        evaluating = category._homset_report is None
         report = original(category)
-        if category_content(category) == FAULTY_CONTENT:
-            return report._replace(condition1=not report.condition1)
-        return report
+        if evaluating and category_content(category) == FAULTY_CONTENT:
+            category._homset_report = report._replace(condition1=not report.condition1)
+        return category._homset_report
 
     monkeypatch.setattr(cat, "homset_strong_report", faulty)
     result = verify.verify_prop_32(1729)
@@ -257,18 +261,29 @@ def test_each_distinct_recipe_is_built_once(monkeypatch, suite, seed, size, reci
 
 
 @pytest.mark.parametrize(
-    "check,size,distinct", [("prop-3.2", 503, 116), ("groupoid-homset", 110, 59)]
+    "check,size,recipes", [("prop-3.2", 503, 120), ("groupoid-homset", 110, 59)]
 )
-def test_each_distinct_category_is_judged_once(monkeypatch, check, size, distinct):
+def test_each_distinct_category_is_judged_once(monkeypatch, check, size, recipes):
+    # each recipe's hom-set report is evaluated once per process, on its held
+    # build, and read by every instance of it, over two runs of the driver;
+    # is_groupoid runs on every instance of every run
     built = _record_suite(monkeypatch)
-    judged = {"homset_strong_report": [], "is_groupoid": []}
-    for name, calls in judged.items():
-        original = getattr(cat, name)
-        monkeypatch.setattr(
-            cat, name, lambda c, calls=calls, original=original: calls.append(c) or original(c)
-        )
-    result = verify.run_check(check, 1729)
-    contents = [json.dumps(category_content(c)) for c in judged["homset_strong_report"]]
-    assert set(contents) == {json.dumps(category_content(inst.category)) for inst in built}
-    assert (result.checked, len(contents), len(set(contents))) == (size, distinct, distinct)
-    assert len(judged["is_groupoid"]) == (distinct if check == "groupoid-homset" else 0)
+    evaluated, groupoid_checks = [], []
+    report, is_groupoid = cat.homset_strong_report, cat.is_groupoid
+
+    def evaluating(c):
+        if c._homset_report is None:
+            evaluated.append(c)
+        return report(c)
+
+    monkeypatch.setattr(cat, "homset_strong_report", evaluating)
+    monkeypatch.setattr(cat, "is_groupoid", lambda c: groupoid_checks.append(c) or is_groupoid(c))
+    results = [verify.run_check(check, 1729) for _ in range(2)]
+    held = list(corpus._held["category recipes"].values())
+    assert [id(c) for c in evaluated] == [id(c) for c in held]
+    assert {id(inst.category._homset_report) for inst in built} <= {
+        id(c._homset_report) for c in held
+    }
+    assert results[0] == results[1]
+    assert (results[0].checked, len(built), len(evaluated)) == (size, 2 * size, recipes)
+    assert len(groupoid_checks) == (2 * size if check == "groupoid-homset" else 0)
