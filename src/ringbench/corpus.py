@@ -585,6 +585,7 @@ def _suite_prop53() -> list[SkewInstance]:
 
 
 def _suite_mx_family() -> list[MXInstance]:
+    memo = _held.setdefault("category recipes", {})  # shared with prop-3.2 and groupoids
     out = []
     for name in ("c1", "c2", "c3", "bool2", "transf2"):
         for s in (1, 2, 3):
@@ -593,7 +594,7 @@ def _suite_mx_family() -> list[MXInstance]:
                     f"mx_{name}_s{s}",
                     name,
                     s,
-                    cat.build_MX(MONOID_TABLES[name], s),
+                    _category(("mx", name, s), memo),
                     name in GROUP_NAMES,
                 )
             )
@@ -672,7 +673,8 @@ def available_suites() -> tuple[str, ...]:
 # Every suite part held.  Seedless parts stay for the process: prop-5.3,
 # mx-family, gradings, "prop-2.4 base" (with its _Units, which hold the
 # inverses and the conjugate sets' Peirce tables) and "category recipes"
-# (the memo of every category recipe built, each with its hom-set report).
+# (the memo of every category recipe built, each with its hom-set report,
+# which prop-3.2, groupoids and mx-family share).
 # The one seeded suite (prop-2.4, prop-3.2 or groupoids) stays until another
 # seeded suite is built, which drops it first; its key (name, type(seed),
 # seed) holds the type since _mix hashes str(seed), so True and 1 build

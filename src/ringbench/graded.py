@@ -9,8 +9,9 @@ the per-morphism components on first use and cached with the grading.
 Object unitality means every identity-morphism component is a unital ring
 whose unit acts as a one-sided identity on all homogeneous elements with the
 matching endpoint.  The local units of an object unital grading always form
-a complete set of idempotents; induced_idempotents re-proves that claim
-mechanically on every instance.
+a complete set of idempotents; induced_idempotents proves that claim
+mechanically once per grading, on first read, and holds the validated set
+with its Peirce table.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .finring import (
     product_subgroup,
     subring_identity,
 )
-from .idempotents import IdempotentSet, validate_complete_set
+from .idempotents import IdempotentSet, PeirceTable, peirce_table, validate_complete_set
 from .smallcat import UNDEFINED, SmallCategory, homset_strong_report
 
 
@@ -107,6 +108,46 @@ class Grading:
                 if sandwich != hom[a][b]:
                     return False, ((a, b), sandwich.order, hom[a][b].order)
         return True, None
+
+    @cached_property
+    def induced_set(self) -> IdempotentSet:
+        """The local units validated as a complete set, on first read;
+        induced_idempotents returns it.  A failure raises on every read and
+        holds nothing."""
+        units = _local_units(self)
+        try:
+            return validate_complete_set(self.ring, units)
+        except WorkbenchError as exc:
+            raise InvariantViolation(f"local units fail validation: {exc}") from exc
+
+    @cached_property
+    def induced_table(self) -> PeirceTable:
+        """The induced set's Peirce table, built on first read; its one
+        report is strong_idempotent_equivalence_check's ring side."""
+        return peirce_table(self.induced_set)
+
+    @cached_property
+    def homset_report(self) -> strength.StrongnessReport:
+        """The three strength conditions over the hom-component table,
+        evaluated on first read; homset_strongly_graded_report returns it.
+        A failed hypothesis raises on every read and holds nothing."""
+        units = _local_units(self)
+        cat_report = homset_strong_report(self.category)
+        if not (cat_report.agree and cat_report.strong):
+            raise CategoryNotHomSetStrong(
+                f"category fails hom-set strength: {cat_report.witness3}"
+            )
+        return strength.report(strength.ComponentTable(
+            self.hom_components,
+            is_zero=AdditiveSubgroup.is_zero,
+            product=product_subgroup,
+            holds_unit=lambda prod, x: prod.contains(units[x]),
+            third_zero="third hom-component is zero",
+            product_misses="product misses the hom-component",
+            opposed_zero="opposed hom-component is zero",
+            diagonal_missed="endo component not recovered",
+            unit_missed="local unit not reached",
+        ))
 
     def __repr__(self) -> str:
         return f"Grading(of {self.ring!r} by {self.category!r})"
@@ -187,30 +228,15 @@ def _local_units(grading: Grading) -> tuple[RingElement, ...]:
 
 
 def homset_strongly_graded_report(grading: Grading) -> strength.StrongnessReport:
-    """The three strength conditions over the hom-component table.
+    """The three strength conditions over the hom-component table,
+    evaluated once per grading.
 
     Hypotheses: the grading is object unital (NotObjectUnital otherwise) and
-    its category is hom-set strong (CategoryNotHomSetStrong otherwise).  The
-    corner law 1_{S_a} S 1_{S_b} = S_{G(a,b)} is corner_identity_check's.
+    its category is hom-set strong (CategoryNotHomSetStrong otherwise); a
+    failed hypothesis raises on every call.  The corner law
+    1_{S_a} S 1_{S_b} = S_{G(a,b)} is corner_identity_check's.
     """
-    units = _local_units(grading)
-    cat_report = homset_strong_report(grading.category)
-    if not (cat_report.agree and cat_report.strong):
-        raise CategoryNotHomSetStrong(
-            f"category fails hom-set strength: {cat_report.witness3}"
-        )
-    table = strength.ComponentTable(
-        grading.hom_components,
-        is_zero=AdditiveSubgroup.is_zero,
-        product=product_subgroup,
-        holds_unit=lambda prod, x: prod.contains(units[x]),
-        third_zero="third hom-component is zero",
-        product_misses="product misses the hom-component",
-        opposed_zero="opposed hom-component is zero",
-        diagonal_missed="endo component not recovered",
-        unit_missed="local unit not reached",
-    )
-    return strength.report(table)
+    return grading.homset_report
 
 
 def corner_identity_check(grading: Grading) -> tuple[bool, tuple | None]:
@@ -224,15 +250,13 @@ def corner_identity_check(grading: Grading) -> tuple[bool, tuple | None]:
 def induced_idempotents(grading: Grading) -> IdempotentSet:
     """The local units, validated as a complete set of idempotents.
 
-    For an object unital grading this validation must pass; it is re-proved
-    mechanically on every instance rather than assumed, and a failure is an
-    InvariantViolation chained from the validator's error.
+    For an object unital grading this validation must pass; it is proved
+    mechanically once per grading, on first call, rather than assumed, and
+    the set is held with the grading.  A failure is an InvariantViolation
+    chained from the validator's error, NotObjectUnital when the grading has
+    no local units; either raises on every call and holds nothing.
     """
-    units = _local_units(grading)
-    try:
-        return validate_complete_set(grading.ring, units)
-    except WorkbenchError as exc:
-        raise InvariantViolation(f"local units fail validation: {exc}") from exc
+    return grading.induced_set
 
 
 class GradedFlags(NamedTuple):

@@ -42,11 +42,9 @@ from .graded import (
     attach_grading,
     corner_identity_check,
     homset_strongly_graded_report,
-    induced_idempotents,
     object_unital_check,
     strongly_graded_check,
 )
-from .idempotents import is_strong
 from .smallcat import UNDEFINED, SmallCategory, homset_strong_report
 
 
@@ -263,8 +261,11 @@ class StrongEquivalenceRecord(NamedTuple):
 
 
 def strong_idempotent_equivalence_check(algebra: SkewAlgebra) -> StrongEquivalenceRecord:
-    iset = induced_idempotents(algebra.grading)
-    ring_side = is_strong(iset)
+    """The ring side from the Peirce table the grading holds for its induced
+    set, the category side from the category's held report and, when both
+    hold, the graded side from the grading's held hom-set report and corner
+    identity: each evaluated once per grading or category."""
+    ring_side = algebra.grading.induced_table.strong
     cat_side = homset_strong_report(algebra.category).strong
     graded_ok: bool | None = None
     if ring_side and cat_side:

@@ -10,12 +10,18 @@ import pytest
 from conftest import LATTICE_FREE_DRIVERS, category_content, driver_calls, plain
 from ringbench import corpus
 from ringbench import finring as fr
+from ringbench import graded as gr
 from ringbench import howell
 from ringbench import idempotents as idem
 from ringbench import skewalg as sk
 from ringbench import smallcat as sc
 from ringbench import strength, verify
-from ringbench.errors import NotComplete, UnknownSuite
+from ringbench.errors import (
+    CategoryNotHomSetStrong,
+    NotComplete,
+    NotObjectUnital,
+    UnknownSuite,
+)
 
 
 class TestRecipes:
@@ -327,16 +333,18 @@ class TestSuiteMemo:
         held += [inst.grading for inst in corpus.generate_suite("gradings")]
         held += [inst.algebra.grading for inst in corpus.generate_suite("prop-5.3")]
         held.append(next(iter(corpus._held["category recipes"].values()))._homset_report)
+        held.append(corpus.generate_suite("prop-5.3")[0].algebra.grading.induced_table)
         refs = [weakref.ref(x) for x in held]
         del suite, held, variant_tables
         gc.collect()
         # the recipe's build outlives the dropped suite of its instance
         assert [c for c in categories if c() is not None and c().compose is compose]
-        assert refs[-1]() is not None  # and so does its report
+        assert refs[-2]() is not None  # and so does its report
+        assert refs[-1]() is not None  # a held grading holds its induced table
         assert fr._span.cache_info().currsize > 0
         corpus.forget_held_work()
         gc.collect()
-        assert len(refs) == 4 + 34 + 28 + 1
+        assert len(refs) == 4 + 34 + 28 + 1 + 1
         assert not [r for r in refs if r() is not None]
         assert not [c for c in categories if c() is not None]
         assert fr._span.cache_info().currsize == 0
@@ -377,10 +385,23 @@ class TestHeldWorkAcrossSeeds:
         assert sorted(categories) == sorted(
             (name, seed) for name in ("prop-3.2", "groupoids") for seed in (1729, 1, 2, 3)
         )
+        # the prop-5.3 gradings, with the induced tables and graded reports
+        # strong-equivalence left on them, and the gradings suite lent them
+        held = (
+            [sk.strong_idempotent_equivalence_check(inst.algebra)
+             for inst in corpus.generate_suite("prop-5.3")],
+            graded_reports(corpus.generate_suite("gradings")),
+        )
         for (name, seed), suite in categories.items():
             corpus.forget_held_work()
             fresh = corpus._SEEDED[name](seed)
             assert category_suite_content(suite) == category_suite_content(fresh), (name, seed)
+        corpus.forget_held_work()
+        fresh_prop53 = corpus._suite_prop53()
+        assert held[0] == [sk.strong_idempotent_equivalence_check(inst.algebra)
+                           for inst in fresh_prop53]
+        assert held[1] == graded_reports(corpus._suite_gradings())
+        assert len(held[0]) == 28 and sum(type(r) is strength.StrongnessReport for r in held[1]) > 0
 
     def test_each_recipe_is_built_once_over_the_pool_seeds(self, monkeypatch):
         # a union recipe asks for its parts on its one build
@@ -409,10 +430,25 @@ class TestHeldWorkAcrossSeeds:
                     report = builds[id(inst.category.compose)]._homset_report
                     assert report is not None and inst.category._homset_report is report
 
+    def test_mx_family_reads_the_held_recipe_builds(self):
+        # the instances stay alive, so no id below is reused
+        instances = corpus.generate_suite("prop-3.2", 1729) + corpus.generate_suite("groupoids", 1729)
+        builds = corpus._held["category recipes"]
+        held = len(builds)
+        mx = corpus.generate_suite("mx-family")
+        assert len(builds) == held + 1  # mx_transf2_s3 alone is new
+        assert len({id(inst.category) for inst in mx}) == 15
+        assert not {id(inst.category) for inst in mx} & {id(inst.category) for inst in instances}
+        for inst in mx:
+            build = builds["mx", inst.monoid, inst.set_size]
+            assert inst.category is not build and inst.category.compose is build.compose
+            assert inst.category._homset_report is build._homset_report
+
     def test_each_recipe_report_is_evaluated_once_over_the_strength_seeds(self, monkeypatch):
-        # 360 recipe builds, parts included, and 39 categories built outside
-        # the recipes: the 15 mx-family ones, 17 under the prop-5.3 algebras
-        # and 7 under the prop-2.4 base algebras; a second pass evaluates none
+        # 361 recipe builds, parts and the 15 mx-family ones included (14
+        # of those are prop-3.2 or groupoids recipes too), and 24 categories
+        # built outside the recipes: 17 under the prop-5.3 algebras and 7
+        # under the prop-2.4 base algebras; a second pass evaluates none
         tables = []
         report = strength.report
         monkeypatch.setattr(strength, "report", lambda t: tables.append(t) or report(t))
@@ -423,8 +459,8 @@ class TestHeldWorkAcrossSeeds:
                     verify.run_check(driver, seed)
             passes.append(sum(t.third_zero == "third hom-set is empty" for t in tables))
             tables.clear()
-        assert len(corpus._held["category recipes"]) == 360
-        assert passes == [360 + 39, 0]
+        assert len(corpus._held["category recipes"]) == 361
+        assert passes == [361 + 24, 0]
 
     def test_each_idempotent_set_is_validated_once_over_the_pool_seeds(self, monkeypatch):
         tables = counted(monkeypatch, idem, "peirce_table")
@@ -438,6 +474,18 @@ class TestHeldWorkAcrossSeeds:
                     sets.add((id(inst.ring), tuple(e.coords for e in inst.idempotents)))
             passes.append((len(tables), len(validations)))
         assert passes == [(len(sets),) * 2] * 2 == [(142,) * 2] * 2
+
+
+def graded_reports(suite) -> list:
+    """Each grading's hom-set report, or the type and message of the
+    hypothesis error it raises."""
+    out = []
+    for inst in suite:
+        try:
+            out.append(gr.homset_strongly_graded_report(inst.grading))
+        except (NotObjectUnital, CategoryNotHomSetStrong) as exc:
+            out.append((type(exc), str(exc)))
+    return out
 
 
 def counted(monkeypatch, module, name: str) -> list:
@@ -503,6 +551,8 @@ class TestHeldTables:
         verify.verify_prop_24(1729)
         verify.verify_prop_lattice(1729)
         verify.verify_prop_32(1729)
+        verify.verify_strong_equivalence(1729)
+        induced = weakref.ref(corpus.generate_suite("prop-5.3")[0].algebra.grading.induced_table)
         variant = conjugate_variant(corpus.generate_suite("prop-2.4", 1729))
         instance, table = weakref.ref(variant), weakref.ref(variant.table)
         del variant
@@ -511,10 +561,10 @@ class TestHeldTables:
         try:
             corpus.generate_suite("groupoids", 1729)
             assert instance() is None
-            assert table() is not None
+            assert table() is not None and induced() is not None
             assert [c for c in categories if c() is not None]
             corpus.forget_held_work()
-            assert table() is None
+            assert table() is None and induced() is None
             assert not [c for c in categories if c() is not None]
         finally:
             if enabled:

@@ -16,6 +16,8 @@ from ringbench import verify
 from ringbench.errors import (
     CategoryNotHomSetStrong,
     GradingViolation,
+    InvariantViolation,
+    NotComplete,
     NotDirectSum,
     NotObjectUnital,
     ShapeMismatch,
@@ -169,9 +171,13 @@ class TestHomSetStronglyGraded:
         monkeypatch.setattr(gr, "product_subgroup", counting)
         reports = 0
         for inst in corpus.generate_suite("gradings"):
-            flags = gr.compute_flags(inst.grading)
-            if flags.homset_report is None:
+            # the report's first evaluation, from no report held; neither
+            # hypothesis check forms a product
+            if not gr.object_unital_check(inst.grading).object_unital:
                 continue
+            if not sc.homset_strong_report(inst.grading.category).strong:
+                continue
+            assert "homset_report" not in vars(inst.grading), inst.name
             calls.clear()
             gr.homset_strongly_graded_report(inst.grading)
             assert calls and len(calls) == len(set(calls)), inst.name
@@ -203,6 +209,46 @@ class TestInducedIdempotents:
         g = gr.attach_grading(zero_ring_2, trivial_category, [zero_ring_2.full_subgroup()])
         with pytest.raises(NotObjectUnital):
             gr.induced_idempotents(g)
+
+    def test_a_grading_without_local_units_raises_on_every_read(self, trivial_category, zero_ring_2):
+        g = gr.attach_grading(zero_ring_2, trivial_category, [zero_ring_2.full_subgroup()])
+        for _ in range(2):
+            with pytest.raises(NotObjectUnital):
+                gr.induced_idempotents(g)
+            with pytest.raises(NotObjectUnital):
+                gr.homset_strongly_graded_report(g)
+            assert not {"induced_set", "induced_table", "homset_report"} & vars(g).keys()
+
+    def test_units_that_fail_validation_raise_on_every_read(self, monkeypatch):
+        # no object unital grading reaches this path, so the validator is
+        # made to refuse; the set, its table and the report stay unheld
+        g = corpus._matrix_grading_m2(2)
+        calls = []
+
+        def refusing(ring, units):
+            calls.append(units)
+            raise NotComplete("left")
+
+        monkeypatch.setattr(gr, "validate_complete_set", refusing)
+        for _ in range(2):
+            with pytest.raises(InvariantViolation) as caught:
+                g.induced_table
+            assert type(caught.value.__cause__) is NotComplete
+            assert not {"induced_set", "induced_table"} & vars(g).keys()
+        assert len(calls) == 2
+
+    def test_a_category_that_is_not_homset_strong_raises_on_every_read(self, arrow_grading):
+        for _ in range(2):
+            with pytest.raises(CategoryNotHomSetStrong):
+                gr.homset_strongly_graded_report(arrow_grading)
+            assert "homset_report" not in vars(arrow_grading)
+
+    def test_the_set_its_table_and_the_report_are_held(self):
+        g = corpus._matrix_grading_m2(2)
+        iset = gr.induced_idempotents(g)
+        assert gr.induced_idempotents(g) is iset is g.induced_table.iset
+        assert g.induced_table is g.induced_table
+        assert gr.homset_strongly_graded_report(g) is gr.homset_strongly_graded_report(g)
 
 
 class TestFlagsAndLinkage:
@@ -310,6 +356,26 @@ class TestVerdictsOncePerGrading:
         calls.clear()
         assert verify.verify_prop_53(1729).ok
         assert not calls
+
+    def test_strong_equivalence_validates_and_tabulates_once_over_the_strength_seeds(
+        self, monkeypatch
+    ):
+        # the 28 prop-5.3 algebras are held for the process, each grading
+        # with its induced set and table
+        validations, tables = [], []
+        validate, table = gr.validate_complete_set, gr.peirce_table
+        monkeypatch.setattr(
+            gr, "validate_complete_set",
+            lambda ring, units: validations.append(units) or validate(ring, units),
+        )
+        monkeypatch.setattr(gr, "peirce_table", lambda iset: tables.append(iset) or table(iset))
+        per_seed = []
+        for seed in (1729, 1, 2, 3):
+            assert verify.verify_strong_equivalence(seed).ok
+            per_seed.append((len(validations), len(tables)))
+            validations.clear()
+            tables.clear()
+        assert per_seed == [(28, 28), (0, 0), (0, 0), (0, 0)]
 
     def test_hom_components_spanned_once_per_grading(self, monkeypatch):
         spans = collections.Counter()
