@@ -5,10 +5,11 @@ Random rings are never rejection-sampled from raw structure constants
 constructive recipe: matrix-unit rings, monoid and category algebras, skew
 algebras and direct products.  Random categories come from thin preorder
 categories, the monoid-times-square construction, one-object monoids, and
-disjoint unions, each drawn as a recipe: plain data that one builder turns
-into a validated category, with its hom-set report, once per process.  The
-cyclic, symmetric and transformation monoid tables each come from one
-operation table on a list of elements.
+disjoint unions.  Every category the corpus builds, fixed or random, is
+drawn as a recipe: plain data that one builder turns into a validated
+category, with its hom-set report, once per process.  The cyclic, symmetric
+and transformation monoid tables each come from one operation table on a
+list of elements.
 
 Everything is a pure function of the seed: seeds are mixed through
 SHA-256, so suites reproduce bit for bit across platforms and runs.
@@ -152,9 +153,10 @@ def field4() -> fr.FiniteRing:
 # category builders
 #
 # A recipe is plain data: ("mx", monoid name, s), ("thin", objects, closed
-# relation) or ("union", part recipes).  Suite builds pass the one held memo
-# to _category: each distinct recipe is built, validated and has its hom-set
-# report evaluated once.
+# relation) or ("union", part recipes).  Every category the corpus builds
+# comes from _category: each distinct recipe is built, validated and has its
+# hom-set report evaluated once per process.  The public builders below build
+# afresh on every call.
 
 
 def one_object_monoid_category(name: str) -> cat.SmallCategory:
@@ -216,9 +218,11 @@ def disjoint_union(categories: list[cat.SmallCategory]) -> cat.SmallCategory:
     return cat.make_category(obj_offset, dom, codl, identity, table)
 
 
-def _build(recipe: tuple, memo: dict) -> cat.SmallCategory:
+def _build(recipe: tuple) -> cat.SmallCategory:
     """The category of ``recipe``, built, validated and its hom-set report
-    evaluated once per ``memo``; a union's parts are built here too."""
+    evaluated once per process, held in ``_held["category recipes"]``; a
+    union's parts are built here too."""
+    memo = _held.setdefault("category recipes", {})
     if recipe not in memo:
         kind, *args = recipe
         if kind == "mx":
@@ -226,23 +230,25 @@ def _build(recipe: tuple, memo: dict) -> cat.SmallCategory:
         elif kind == "thin":
             c = thin_category_from_relation(*args)
         else:
-            c = disjoint_union([_build(part, memo) for part in args[0]])
+            c = disjoint_union([_build(part) for part in args[0]])
         cat.homset_strong_report(c)  # held on c from here on
         memo[recipe] = c
     return memo[recipe]
 
 
-def _category(recipe: tuple, memo: dict) -> cat.SmallCategory:
+def _category(recipe: tuple) -> cat.SmallCategory:
     """A new SmallCategory over the fields and the hom-set report of the
-    one build of ``recipe`` in ``memo``; suite builds pass the memo held in
-    ``_held``, so each recipe is built and its report evaluated once per
-    process.  Callers may key on the category object, as perfbench's CLI
-    input writer does, so no two suite instances share it.
-    """
-    c = _build(recipe, memo)
+    one build of ``recipe``.  Callers may key on the category object, as
+    perfbench's CLI input writer does, so each call returns its own."""
+    c = _build(recipe)
     view = cat.SmallCategory(c.object_count, c.dom, c.cod, c.identity, c.compose)
     view._homset_report = c._homset_report
     return view
+
+
+def _thin(object_count: int, pairs: Iterable) -> tuple:
+    """The recipe of the thin category of the relation's closure."""
+    return ("thin", object_count, _closure(object_count, pairs))
 
 
 def _thin_recipe(seed: int, max_objects: int = 4) -> tuple:
@@ -250,8 +256,7 @@ def _thin_recipe(seed: int, max_objects: int = 4) -> tuple:
     p = rng.randint(1, max_objects)
     candidates = [(a, b) for a in range(p) for b in range(p) if a != b]
     k = rng.randint(0, min(len(candidates), p * 2))
-    pairs = rng.sample(candidates, k) if k else []
-    return ("thin", p, _closure(p, pairs))
+    return _thin(p, rng.sample(candidates, k) if k else [])
 
 
 def _groupoid_recipe(seed: int) -> tuple:
@@ -292,33 +297,27 @@ SWAP = ((0, 1), (1, 0))
 FROBENIUS = ((1, 0), (1, 1))  # on F4 = {1, x}: 1 -> 1, x -> x^2 = 1 + x
 
 
+def _z3z3() -> fr.FiniteRing:
+    return fr.direct_product([cyclic_ring(3)] * 2)
+
+
+# each named system: its category's recipe, the builder of the one ring every
+# object reads, and the map of each morphism
+_NAMED_SYSTEMS: dict[str, tuple[tuple, Callable[[], fr.FiniteRing], tuple]] = {
+    "c2_swap_z3z3": (("mx", "c2", 1), _z3z3, (EYE2, SWAP)),
+    "c2_frobenius_f4": (("mx", "c2", 1), field4, (EYE2, FROBENIUS)),
+    # cross arrows carry the Frobenius, endo arrows the identity
+    "pair_groupoid_frobenius_f4": (("mx", "c1", 2), field4, (EYE2, FROBENIUS, FROBENIUS, EYE2)),
+    "c4_swap_z3z3": (("mx", "c4", 1), _z3z3, (EYE2, SWAP, EYE2, SWAP)),
+}
+
+
 def _named_skew_algebra(name: str) -> sk.SkewAlgebra:
-    if name == "c2_swap_z3z3":
-        z3 = cyclic_ring(3)
-        ring = fr.direct_product([z3, z3])
-        c2 = cat.build_MX(MONOID_TABLES["c2"], 1)
-        return sk.build_skew_algebra(sk.validate_system(c2, [ring], [EYE2, SWAP]))
-    if name == "c2_frobenius_f4":
-        f4 = field4()
-        c2 = cat.build_MX(MONOID_TABLES["c2"], 1)
-        return sk.build_skew_algebra(sk.validate_system(c2, [f4], [EYE2, FROBENIUS]))
-    if name == "pair_groupoid_frobenius_f4":
-        f4 = field4()
-        pair = cat.build_MX(MONOID_TABLES["c1"], 2)
-        # cross arrows carry the Frobenius, endo arrows the identity
-        maps = []
-        for g in range(pair.morphism_count):
-            maps.append(EYE2 if pair.dom[g] == pair.cod[g] else FROBENIUS)
-        return sk.build_skew_algebra(
-            sk.validate_system(pair, [f4, f4], maps)
-        )
-    if name == "c4_swap_z3z3":
-        z3 = cyclic_ring(3)
-        ring = fr.direct_product([z3, z3])
-        c4 = cat.build_MX(MONOID_TABLES["c4"], 1)
-        maps = [EYE2, SWAP, EYE2, SWAP]
-        return sk.build_skew_algebra(sk.validate_system(c4, [ring], maps))
-    raise ParameterOutOfRange(f"unknown named system {name!r}")
+    if name not in _NAMED_SYSTEMS:
+        raise ParameterOutOfRange(f"unknown named system {name!r}")
+    recipe, ring, maps = _NAMED_SYSTEMS[name]
+    c = _category(recipe)
+    return sk.build_skew_algebra(sk.validate_system(c, [ring()] * c.object_count, maps))
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +478,11 @@ def _prop24_base() -> tuple[RingWithIdempotents, ...]:
 
     z2 = cyclic_ring(2)
     for nm, algebra in (
-        ("pair_algebra_z2", sk.build_category_algebra(z2, cat.build_MX(MONOID_TABLES["c1"], 2))),
-        ("mx_bool2_algebra_z2", sk.build_category_algebra(z2, cat.build_MX(MONOID_TABLES["bool2"], 2))),
-        ("c2_algebra_z2", sk.build_category_algebra(z2, one_object_monoid_category("c2"))),
-        ("arrow_algebra_z2", sk.build_category_algebra(z2, thin_category_from_relation(2, [(0, 1)]))),
-        ("chain3_algebra_z2", sk.build_category_algebra(z2, thin_category_from_relation(3, [(0, 1), (1, 2)]))),
+        ("pair_algebra_z2", sk.build_category_algebra(z2, _category(("mx", "c1", 2)))),
+        ("mx_bool2_algebra_z2", sk.build_category_algebra(z2, _category(("mx", "bool2", 2)))),
+        ("c2_algebra_z2", sk.build_category_algebra(z2, _category(("mx", "c2", 1)))),
+        ("arrow_algebra_z2", sk.build_category_algebra(z2, _category(_thin(2, [(0, 1)])))),
+        ("chain3_algebra_z2", sk.build_category_algebra(z2, _category(_thin(3, [(0, 1), (1, 2)])))),
         ("skew_c2_swap", _named_skew_algebra("c2_swap_z3z3")),
         ("skew_frobenius_f4", _named_skew_algebra("c2_frobenius_f4")),
     ):
@@ -532,8 +531,7 @@ def _mx_recipes(names, max_morphisms: int) -> list[tuple[str, tuple]]:
 
 
 def _category_instances(recipes: list[tuple[str, tuple]]) -> list[CategoryInstance]:
-    memo = _held.setdefault("category recipes", {})  # one build per recipe per process
-    return [CategoryInstance(name, _category(recipe, memo)) for name, recipe in recipes]
+    return [CategoryInstance(name, _category(recipe)) for name, recipe in recipes]
 
 
 def _suite_prop32(seed: int) -> list[CategoryInstance]:
@@ -552,40 +550,33 @@ def _suite_prop53() -> list[SkewInstance]:
     z2 = cyclic_ring(2)
     z3 = cyclic_ring(3)
     out: list[SkewInstance] = []
-    categories = {
-        "arrow": thin_category_from_relation(2, [(0, 1)]),
-        "chain3": thin_category_from_relation(3, [(0, 1), (1, 2)]),
-        "vee": thin_category_from_relation(3, [(0, 1), (2, 1)]),
-        "twoiso": thin_category_from_relation(2, [(0, 1), (1, 0)]),
-        "pair": cat.build_MX(MONOID_TABLES["c1"], 2),
-        "mx_bool2_s2": cat.build_MX(MONOID_TABLES["bool2"], 2),
-        "mx_c2_s2": cat.build_MX(MONOID_TABLES["c2"], 2),
-        "bool2": one_object_monoid_category("bool2"),
-        "transf2": one_object_monoid_category("transf2"),
-        "leftzero3": one_object_monoid_category("leftzero3"),
-        "c3": one_object_monoid_category("c3"),
-        "s3": one_object_monoid_category("s3"),
-        "disjoint": disjoint_union(
-            [thin_category_from_relation(1, []), cat.build_MX(MONOID_TABLES["c2"], 1)]
-        ),
+    recipes = {
+        "arrow": _thin(2, [(0, 1)]),
+        "chain3": _thin(3, [(0, 1), (1, 2)]),
+        "vee": _thin(3, [(0, 1), (2, 1)]),
+        "twoiso": _thin(2, [(0, 1), (1, 0)]),
+        "pair": ("mx", "c1", 2),
+        "mx_bool2_s2": ("mx", "bool2", 2),
+        "mx_c2_s2": ("mx", "c2", 2),
+        "bool2": ("mx", "bool2", 1),
+        "transf2": ("mx", "transf2", 1),
+        "leftzero3": ("mx", "leftzero3", 1),
+        "c3": ("mx", "c3", 1),
+        "s3": ("mx", "s3", 1),
+        "disjoint": ("union", (_thin(1, []), ("mx", "c2", 1))),
     }
-    for nm, c in sorted(categories.items()):
+    for nm, recipe in sorted(recipes.items()):
+        c = _category(recipe)  # one object, shared by its Z/2 and Z/3 algebras
         for T, tn in ((z2, "z2"), (z3, "z3")):
             if T.modulus ** c.morphism_count > 1024:
                 continue
             out.append(SkewInstance(f"{nm}_{tn}", sk.build_category_algebra(T, c)))
-    for nm in (
-        "c2_swap_z3z3",
-        "c2_frobenius_f4",
-        "pair_groupoid_frobenius_f4",
-        "c4_swap_z3z3",
-    ):
+    for nm in _NAMED_SYSTEMS:
         out.append(SkewInstance(nm, _named_skew_algebra(nm)))
     return out
 
 
 def _suite_mx_family() -> list[MXInstance]:
-    memo = _held.setdefault("category recipes", {})  # shared with prop-3.2 and groupoids
     out = []
     for name in ("c1", "c2", "c3", "bool2", "transf2"):
         for s in (1, 2, 3):
@@ -594,7 +585,7 @@ def _suite_mx_family() -> list[MXInstance]:
                     f"mx_{name}_s{s}",
                     name,
                     s,
-                    _category(("mx", name, s), memo),
+                    _category(("mx", name, s)),
                     name in GROUP_NAMES,
                 )
             )
@@ -603,7 +594,7 @@ def _suite_mx_family() -> list[MXInstance]:
 
 def _matrix_grading_m2(m: int) -> gr.Grading:
     ring = matrix_units_ring(m, 2)
-    pair = cat.build_MX(MONOID_TABLES["c1"], 2)
+    pair = _category(("mx", "c1", 2))
     # morphism (x, y) reads as the arrow y -> x and carries span{E_{(x+1)(y+1)}};
     # the lexicographic morphism order matches the matrix-unit label order
     comps = [ring.span([ring.basis_element(g).coords]) for g in range(4)]
@@ -615,7 +606,7 @@ def _suite_gradings() -> list[GradingInstance]:
         GradingInstance("matrix_pair_z2", _matrix_grading_m2(2)),
         GradingInstance("matrix_pair_z3", _matrix_grading_m2(3)),
     ]
-    triv = thin_category_from_relation(1, [])
+    triv = _category(_thin(1, []))
     m2 = matrix_units_ring(2, 2)
     out.append(
         GradingInstance("trivial_m2", gr.attach_grading(m2, triv, [m2.full_subgroup()]))
@@ -626,7 +617,7 @@ def _suite_gradings() -> list[GradingInstance]:
     )
     # diagonal grading by the pair groupoid with zero cross components
     z22 = fr.direct_product([cyclic_ring(2), cyclic_ring(2)])
-    pair = cat.build_MX(MONOID_TABLES["c1"], 2)
+    pair = _category(("mx", "c1", 2))
     comps = [
         z22.span([(1, 0)]),
         z22.zero_subgroup(),
@@ -674,7 +665,9 @@ def available_suites() -> tuple[str, ...]:
 # mx-family, gradings, "prop-2.4 base" (with its _Units, which hold the
 # inverses and the conjugate sets' Peirce tables) and "category recipes"
 # (the memo of every category recipe built, each with its hom-set report,
-# which prop-3.2, groupoids and mx-family share).
+# which every suite shares: prop-3.2, groupoids, mx-family, the prop-5.3
+# categories and named systems, the prop-2.4 base algebras and the gradings'
+# categories, and the mutation matrix's).
 # The one seeded suite (prop-2.4, prop-3.2 or groupoids) stays until another
 # seeded suite is built, which drops it first; its key (name, type(seed),
 # seed) holds the type since _mix hashes str(seed), so True and 1 build
@@ -736,10 +729,10 @@ def mutation_matrix() -> list[tuple[str, MutatedInstance]]:
     """
     m2 = matrix_units_ring(2, 2)
     e11, e12, e21, e22 = m2.basis()
-    c2 = one_object_monoid_category("c2")
-    c4 = one_object_monoid_category("c4")
-    z33 = fr.direct_product([cyclic_ring(3), cyclic_ring(3)])
-    pair = cat.build_MX(MONOID_TABLES["c1"], 2)
+    c2 = _category(("mx", "c2", 1))
+    c4 = _category(("mx", "c4", 1))
+    z33 = _z3z3()
+    pair = _category(("mx", "c1", 2))
     units = [m2.span([e.coords]) for e in (e11, e12, e21, e22)]
     U = cat.UNDEFINED
 

@@ -99,6 +99,13 @@ def category_content(c) -> list:
     ]
 
 
+def fresh_category(recipe: tuple):
+    """The category of a corpus recipe from a build of its own: every held
+    build is dropped first, so nothing held serves it."""
+    corpus.forget_held_work()
+    return corpus._category(recipe)
+
+
 def content_key(x):
     """A hashable copy of a driver input's content: rings as their modulus
     and structure constants, subgroups as their ring and Howell rows, sets

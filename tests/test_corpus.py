@@ -7,7 +7,9 @@ import weakref
 
 import pytest
 
-from conftest import LATTICE_FREE_DRIVERS, category_content, driver_calls, plain
+from conftest import (
+    LATTICE_FREE_DRIVERS, category_content, driver_calls, fresh_category, plain,
+)
 from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import graded as gr
@@ -58,37 +60,38 @@ class TestRecipes:
 
     def test_random_recipes_are_deterministic(self):
         for recipe in (corpus._groupoid_recipe, corpus._category_recipe):
-            assert corpus._category(recipe(5), {}).compose == corpus._category(recipe(5), {}).compose
+            assert fresh_category(recipe(5)).compose == fresh_category(recipe(5)).compose
 
     def test_shared_memo_returns_the_fresh_content(self, monkeypatch):
-        # one memo over every seed and recipe function, as a suite build
-        # shares it: a key that merged two recipes (say, a groupoid's parts
+        # one held memo over every seed and recipe function, as the suites
+        # share it: a key that merged two recipes (say, a groupoid's parts
         # sorted) would hand one of them the other's category
         builds = []
         original = sc.make_category
         monkeypatch.setattr(sc, "make_category", lambda *args: builds.append(1) or original(*args))
-        memo = {}
+        shared = []
         for seed in range(200):
             for draw in (corpus._thin_recipe, corpus._groupoid_recipe, corpus._category_recipe):
                 recipe = draw(seed)
-                shared = corpus._category(recipe, memo)
-                assert category_content(shared) == category_content(corpus._category(recipe, {}))
+                first = corpus._category(recipe)
                 count = len(builds)
-                again = corpus._category(recipe, memo)
+                again = corpus._category(recipe)
                 assert len(builds) == count
                 # its own object, on the one build's tables
-                assert again is not shared and again.compose is shared.compose
+                assert again is not first and again.compose is first.compose
+                shared.append((recipe, category_content(first)))
+        for recipe, content in shared:
+            assert content == category_content(fresh_category(recipe))
 
     def test_union_recipes_stay_within_the_suite_bounds(self):
         # a thin part on at most 2 objects beside a monoid-times-square part
         # on at most 2 objects and 8 morphisms, so no union needs a fallback
         # to stay within the prop-3.2 suite's 4 objects and 20 morphisms
-        memo = {}
         recipes = {corpus._category_recipe(seed) for seed in range(2000)}
         unions = [recipe for recipe in recipes if recipe[0] == "union"]
         assert len(unions) > 10
         for recipe in unions:
-            c = corpus._category(recipe, memo)
+            c = corpus._category(recipe)
             assert c.object_count <= 4 and c.morphism_count <= 12
 
     def test_parameter_out_of_range(self):
@@ -246,9 +249,9 @@ class TestSuiteMemo:
         assert corpus.generate_suite("gradings", 1) == gradings
 
     def test_lattice_free_drivers_build_each_skew_algebra_once(self):
-        # prop-2.4's base lends 7 algebras and prop-5.3 holds 28; the other
-        # 8 are the matrix-units-iso driver's two per seed
-        assert len(driver_calls(sk, "build_skew_algebra", (1729, 1, 2, 3))) == 43
+        # prop-2.4's base lends 7 algebras and prop-5.3 holds 28, which the
+        # matrix-units-iso driver reads at every seed
+        assert len(driver_calls(sk, "build_skew_algebra", (1729, 1, 2, 3))) == 35
 
     def test_gradings_read_the_held_prop53_algebras(self, monkeypatch):
         algebras = corpus.generate_suite("prop-5.3")
@@ -407,9 +410,7 @@ class TestHeldWorkAcrossSeeds:
         # a union recipe asks for its parts on its one build
         recipes = set()
         build = corpus._build
-        monkeypatch.setattr(
-            corpus, "_build", lambda recipe, memo: recipes.add(recipe) or build(recipe, memo)
-        )
+        monkeypatch.setattr(corpus, "_build", lambda recipe: recipes.add(recipe) or build(recipe))
         builds = counted(monkeypatch, sc, "make_category")
         passes = []
         for _ in range(2):
@@ -446,9 +447,10 @@ class TestHeldWorkAcrossSeeds:
 
     def test_each_recipe_report_is_evaluated_once_over_the_strength_seeds(self, monkeypatch):
         # 361 recipe builds, parts and the 15 mx-family ones included (14
-        # of those are prop-3.2 or groupoids recipes too), and 24 categories
-        # built outside the recipes: 17 under the prop-5.3 algebras and 7
-        # under the prop-2.4 base algebras; a second pass evaluates none
+        # of those are prop-3.2 or groupoids recipes too); the categories of
+        # the prop-5.3 algebras, the prop-2.4 base algebras and the mutation
+        # matrix are recipes the seeded suites draw as well, so they add no
+        # evaluation; a second pass evaluates none
         tables = []
         report = strength.report
         monkeypatch.setattr(strength, "report", lambda t: tables.append(t) or report(t))
@@ -460,7 +462,7 @@ class TestHeldWorkAcrossSeeds:
             passes.append(sum(t.third_zero == "third hom-set is empty" for t in tables))
             tables.clear()
         assert len(corpus._held["category recipes"]) == 361
-        assert passes == [361 + 24, 0]
+        assert passes == [361, 0]
 
     def test_each_idempotent_set_is_validated_once_over_the_pool_seeds(self, monkeypatch):
         tables = counted(monkeypatch, idem, "peirce_table")
@@ -474,6 +476,54 @@ class TestHeldWorkAcrossSeeds:
                     sets.add((id(inst.ring), tuple(e.coords for e in inst.idempotents)))
             passes.append((len(tables), len(validations)))
         assert passes == [(len(sets),) * 2] * 2 == [(142,) * 2] * 2
+
+
+class TestOneRecipePath:
+    """The fixed categories of prop-5.3, gradings and the named skew systems
+    come from their recipes' one build, while each keeps the object sharing
+    perfbench's CLI input writer names its files by."""
+
+    def test_prop53_validates_each_recipe_once(self, monkeypatch):
+        # 13 named categories, the union's thin part and c4 under a named
+        # system; the union's c2 part is the two c2 systems' category
+        builds = counted(monkeypatch, sc, "make_category")
+        corpus.generate_suite("prop-5.3")
+        assert len(builds) == len(corpus._held["category recipes"]) == 16
+
+    def test_gradings_then_prop53_validate_each_recipe_once(self, monkeypatch):
+        # the CLI input writer's order: gradings builds its own prop-5.3
+        # algebras, over the builds the later prop-5.3 suite reads again
+        builds = counted(monkeypatch, sc, "make_category")
+        corpus.generate_suite("gradings")
+        corpus.generate_suite("prop-5.3")
+        assert len(builds) == 16
+
+    def test_prop53_shares_a_category_object_only_within_one_named_category(self):
+        gradings = corpus.generate_suite("gradings")
+        algebras = {inst.name: inst.algebra for inst in corpus.generate_suite("prop-5.3")}
+        category = {name: id(a.system.category) for name, a in algebras.items()}
+        assert category["arrow_z2"] == category["arrow_z3"]
+        # one object per named category, each of its own, and one per system
+        assert len(set(category.values())) == 13 + len(corpus._NAMED_SYSTEMS) == 17
+        assert not set(category.values()) & {id(inst.grading.category) for inst in gradings}
+
+    def test_each_named_system_builds_its_own_ring_and_category(self):
+        first = corpus._named_skew_algebra("c2_swap_z3z3").system
+        second = corpus._named_skew_algebra("c2_swap_z3z3").system
+        assert first.category is not second.category
+        assert first.category.compose is second.category.compose
+        assert not set(map(id, first.object_rings)) & set(map(id, second.object_rings))
+        # one ring read by both objects; the cross arrows carry the Frobenius
+        pair = corpus._named_skew_algebra("pair_groupoid_frobenius_f4").system
+        assert pair.object_rings[0] is pair.object_rings[1]
+        c = pair.category
+        assert [tuple(map(tuple, m)) for m in pair.maps] == [
+            corpus.EYE2 if c.dom[g] == c.cod[g] else corpus.FROBENIUS for g in range(4)
+        ]
+
+    def test_an_unknown_named_system_is_refused(self):
+        with pytest.raises(corpus.ParameterOutOfRange, match="unknown named system"):
+            corpus._named_skew_algebra("c3_swap_z3z3")
 
 
 def graded_reports(suite) -> list:

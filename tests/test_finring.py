@@ -751,7 +751,7 @@ class TestUnitSolvePinned:
         # drivers solve for at two suite seeds: 74 distinct (modulus,
         # constants, rows), solved again wherever an equal ring was rebuilt
         solves = driver_calls(fr, "_unit_of", (1729, 3))
-        assert len(solves) == 151
+        assert len(solves) == 139
         assert len({content_key(call) for call in solves}) == 74
         found = [fr._unit_of(ring, rows) for ring, rows in solves]
         assert found == [reference_unit_of(ring, rows) for ring, rows in solves]

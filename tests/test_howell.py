@@ -352,7 +352,7 @@ def driver_solves():
 
 def test_driver_solves_match_the_transform_path(driver_solves):
     solves, _, _ = driver_solves
-    assert len(solves) == 161  # the ring units; inverses are walked
+    assert len(solves) == 149  # the ring units; inverses are walked
     assert len({content_key(call) for call in solves}) == 56
     for A, b, m in solves:
         assert_solves_as_pinned(A, b, m)
