@@ -292,6 +292,8 @@ def parse_category_file(path: str | Path) -> cat.SmallCategory:
         ts.expect("arrow")
         dom.append(ts.integer_in(f"dom of morphism {g}", 0, p))
         cod.append(ts.integer_in(f"cod of morphism {g}", 0, p))
+    if p > q:  # each object needs an identity morphism of its own; token 1 is p
+        raise ts.error(f"object count {cut(str(p))} exceeds the morphism count {q}", 1)
     ts.expect("identity")
     identity = [ts.integer_in(f"identity of object {a}", 0, q) for a in range(p)]
     table = [[cat.UNDEFINED] * q for _ in range(q)]

@@ -325,34 +325,24 @@ def _named_skew_algebra(name: str) -> sk.SkewAlgebra:
 
 
 class RingWithIdempotents:
-    __slots__ = ("name", "ring", "idempotents", "expect_strong", "_table", "_units")
+    __slots__ = ("name", "ring", "idempotents", "expect_strong", "_units")
 
     def __init__(self, name: str, ring: fr.FiniteRing, idempotents: tuple[fr.RingElement, ...],
                  expect_strong: bool | None = None):
         self.name, self.ring, self.idempotents = name, ring, idempotents
         self.expect_strong = expect_strong
-        self._table = None
-        self._units: _Units | None = None  # set on every prop-2.4 suite instance
+        self._units: _Units | None = None  # set by _Units.instance or on first read
 
     @property
     def table(self) -> idem.PeirceTable:
-        """The Peirce table of the validated set, built on first read and
-        held by this instance, so each driver that reads it shares one
-        validation and the table's one strength report.  A set that fails
-        validation raises on every read and holds nothing.  A prop-2.4
-        suite instance's table is the one its ring's _Units holds for the
-        same ordered set, so it stays for the process while a conjugate
-        variant goes with its suite.  The ring never refers back to a
-        table."""
-        if self._table is None:
-            if self._units is None:
-                # looked up on the module at call time, where tests wrap them
-                self._table = idem.peirce_table(
-                    idem.validate_complete_set(self.ring, self.idempotents)
-                )
-            else:
-                self._table = self._units.table(self.idempotents)
-        return self._table
+        """The Peirce table of the validated set, the one its ring's _Units
+        holds for the same ordered set, so each driver that reads it shares
+        one validation and the table's one strength report.  A set that
+        fails validation raises on every read and leaves no table.  An
+        instance built by hand gets a _Units of its ring on first read."""
+        if self._units is None:
+            self._units = _Units(self.ring)
+        return self._units.table(self.idempotents)
 
 
 class CategoryInstance:
@@ -389,9 +379,10 @@ class _Units:
     """The unit of one ring, its element vectors, the inverse found for each
     element tried so far (None for a non-unit) and the Peirce table of each
     set of the ring validated so far, by its ordered idempotent coordinates:
-    one record shared by the base instances of the ring and every conjugate
-    variant at every seed, so each element is walked and each distinct set
-    validated once.
+    made with the ring, the only holder of what is computed on it, and shared
+    by every instance built through ``instance`` (the base instances of the
+    ring and every conjugate variant at every seed), so the unit is solved
+    once, each element walked once and each distinct set validated once.
 
     The inverse is read off the powers p, p^2, ...: in a finite ring with 1,
     p is a unit exactly when some p^k is 1, and then q = p^(k-1) is its one
@@ -405,6 +396,13 @@ class _Units:
         self.vectors = list(ring.element_vectors())
         self._inverses: dict[int, tuple[int, ...] | None] = {}
         self._tables: dict[tuple, idem.PeirceTable] = {}
+
+    def instance(self, name: str, elems: tuple[fr.RingElement, ...],
+                 expect_strong: bool | None) -> RingWithIdempotents:
+        """An instance of this ring whose table is held here."""
+        inst = RingWithIdempotents(name, self.ring, elems, expect_strong)
+        inst._units = self
+        return inst
 
     def inverse(self, idx: int) -> tuple[int, ...] | None:
         """The two-sided inverse of element ``idx``, or None."""
@@ -426,6 +424,7 @@ class _Units:
         once its validation succeeds; a set that fails raises every time."""
         key = tuple(e.coords for e in elems)
         if key not in self._tables:
+            # looked up on the module at call time, where tests wrap them
             self._tables[key] = idem.peirce_table(idem.validate_complete_set(self.ring, elems))
         return self._tables[key]
 
@@ -449,32 +448,29 @@ def _conjugate_set(
 
 
 def _prop24_base() -> tuple[RingWithIdempotents, ...]:
-    """The seedless prop-2.4 instances, each holding the one _Units of its
-    ring, held in ``_held``: every seed's suite opens with them."""
+    """The seedless prop-2.4 instances, each built through the one _Units
+    made with its ring, held in ``_held``: every seed's suite opens with
+    them."""
     if "prop-2.4 base" in _held:
         return _held["prop-2.4 base"]
     out: list[RingWithIdempotents] = []
 
-    def add(name, ring, basis_indices, strong):
+    def add(name, ring, basis_indices, strong) -> _Units:
         # the diagonal matrix units of each block (Z/2's is its 1), by basis index
-        basis_set = tuple(ring.basis_element(i) for i in basis_indices)
-        out.append(RingWithIdempotents(name, ring, basis_set, strong))
+        units = _Units(ring)
+        out.append(units.instance(name, tuple(map(ring.basis_element, basis_indices)), strong))
+        return units
 
     for m in (2, 3, 4):
-        ring = matrix_units_ring(m, 2)
-        add(f"matrix2_z{m}", ring, (0, 3), True)
-        one = fr.find_identity(ring)
-        out.append(RingWithIdempotents(f"matrix2_z{m}_unit", ring, (one,), True))
+        units = add(f"matrix2_z{m}", matrix_units_ring(m, 2), (0, 3), True)
+        out.append(units.instance(f"matrix2_z{m}_unit", (units.one,), True))
     for m in (2, 3, 4, 5):
         add(f"triangular2_z{m}", upper_triangular_ring(m, 2), (0, 2), False)
     add("triangular3_z2", upper_triangular_ring(2, 3), (0, 3, 5), False)
-    for m in (2, 3, 5):
-        ring = cyclic_ring(m)
-        out.append(
-            RingWithIdempotents(f"cyclic_z{m}_unit", ring, (fr.find_identity(ring),), True)
-        )
-    f4 = field4()
-    out.append(RingWithIdempotents("field4_unit", f4, (fr.find_identity(f4),), True))
+    unit_rings = {f"cyclic_z{m}": cyclic_ring(m) for m in (2, 3, 5)} | {"field4": field4()}
+    for name, ring in unit_rings.items():
+        units = _Units(ring)
+        out.append(units.instance(f"{name}_unit", (units.one,), True))
 
     z2 = cyclic_ring(2)
     for nm, algebra in (
@@ -488,17 +484,12 @@ def _prop24_base() -> tuple[RingWithIdempotents, ...]:
     ):
         iset = gr.induced_idempotents(algebra.grading)
         strong = cat.homset_strong_report(algebra.category).strong
-        out.append(RingWithIdempotents(nm, algebra.ring, iset.elements, strong))
+        out.append(_Units(algebra.ring).instance(nm, iset.elements, strong))
 
     m2, t2 = matrix_units_ring(2, 2), upper_triangular_ring(2, 2)
     add("matrix2_z2_times_z2", fr.direct_product([m2, z2]), (0, 3, 4), True)
     add("triangular2_z2_times_z2", fr.direct_product([t2, z2]), (0, 2, 3), False)
     add("matrix2_times_triangular2", fr.direct_product([m2, t2]), (0, 3, 4, 6), False)
-    units: dict[fr.FiniteRing, _Units] = {}  # by ring object; rings hash by identity
-    for inst in out:
-        if inst.ring not in units:
-            units[inst.ring] = _Units(inst.ring)
-        inst._units = units[inst.ring]
     _held["prop-2.4 base"] = tuple(out)
     return _held["prop-2.4 base"]
 
@@ -510,13 +501,8 @@ def _suite_prop24(seed: int) -> list[RingWithIdempotents]:
     for inst in base:
         for v in range(variants_per_base):
             conj = _conjugate_set(inst._units, inst.idempotents, _mix(seed, inst.name, v))
-            if conj is None:
-                continue
-            variant = RingWithIdempotents(
-                f"{inst.name}_conj{v}", inst.ring, conj, inst.expect_strong
-            )
-            variant._units = inst._units
-            out.append(variant)
+            if conj is not None:
+                out.append(inst._units.instance(f"{inst.name}_conj{v}", conj, inst.expect_strong))
     return out
 
 
@@ -662,8 +648,8 @@ def available_suites() -> tuple[str, ...]:
 
 
 # Every suite part held.  Seedless parts stay for the process: prop-5.3,
-# mx-family, gradings, "prop-2.4 base" (with its _Units, which hold the
-# inverses and the conjugate sets' Peirce tables) and "category recipes"
+# mx-family, gradings, "prop-2.4 base" (with the one _Units of each ring, the
+# only holder of its unit, inverses and sets' Peirce tables) and "category recipes"
 # (the memo of every category recipe built, each with its hom-set report,
 # which every suite shares: prop-3.2, groupoids, mx-family, the prop-5.3
 # categories and named systems, the prop-2.4 base algebras and the gradings'

@@ -283,17 +283,13 @@ EXPECTED_FIXTURE_COUNTS = {
 
 
 def verify_fixture_counts(seed: int | None = None) -> VerificationResult:
-    """Exact lattice counts on the three reference rings, against both the
+    """Exact lattice counts on three prop-2.4 suite rings, against both the
     frozen values and a fresh run of the independent subgroup oracle."""
-    z2 = corpus.cyclic_ring(2)
+    suite = {inst.name: inst for inst in corpus.generate_suite("prop-2.4", seed)}
     fixtures = {
-        "matrix2_z2": corpus.matrix_units_ring(2, 2),
-        "triangular2_z2": sk.build_category_algebra(
-            z2, corpus.thin_category_from_relation(2, [(0, 1)])
-        ).ring,
-        "group_algebra_c2_z2": sk.build_category_algebra(
-            z2, corpus.one_object_monoid_category("c2")
-        ).ring,
+        "matrix2_z2": suite["matrix2_z2"].ring,
+        "triangular2_z2": suite["arrow_algebra_z2"].ring,
+        "group_algebra_c2_z2": suite["c2_algebra_z2"].ring,
     }
     failures = []
     checked = 0
@@ -316,11 +312,8 @@ def verify_fixture_counts(seed: int | None = None) -> VerificationResult:
             failures.append(
                 f"{name}/{side}: got {(lattice.size, lattice.height)}, frozen {(size, height)}"
             )
-    m2 = fixtures["matrix2_z2"]
-    iset = idem.validate_complete_set(
-        m2, [m2.basis_element(0), m2.basis_element(3)]
-    )
-    profile = idem.chain_profile(m2, iset)
+    m2 = suite["matrix2_z2"]  # its set {E11, E22}, validated with its held table
+    profile = idem.chain_profile(m2.ring, m2.table.iset)
     checked += 1
     if any((c.left_size, c.right_size) != (2, 2) for c in profile.corners):
         failures.append("matrix2_z2 corners do not have size-2 lattices")

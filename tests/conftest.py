@@ -122,6 +122,14 @@ def content_key(x):
     return x
 
 
+def counted(monkeypatch, module, name: str) -> list:
+    """The arguments of every call to ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def driver_calls(module, name: str, seeds) -> list[tuple]:
     """The arguments of every call to ``module.name`` while the lattice-free
     drivers run at each suite seed, in call order, from no suite or span

@@ -703,6 +703,29 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ParseError"
 
+    def test_more_objects_than_morphisms_is_refused_before_the_identities(
+        self, workdir, capsys, monkeypatch
+    ):
+        # 1,000,060 bytes: one arrow and 500,000 identities; each object
+        # needs an identity of its own, so no category is validated
+        p = 500_000
+        text = f"objects {p}\nmorphisms 1\narrow 0 0\nidentity{' 0' * p}\ncompose 0 0 0\n"
+        (workdir / "many.cat").write_text(text)
+        assert len(text) == 1_000_060
+        calls = []
+        monkeypatch.setattr(sc, "make_category", lambda *args: calls.append(args))
+        message = f"object count {p} exceeds the morphism count 1"
+        with pytest.raises(ParseError, match=message) as exc:
+            cli.parse_category_file(workdir / "many.cat")
+        assert (exc.value.line, exc.value.column) == (1, 9)
+        code, out = run(capsys, "check-category", workdir / "many.cat")
+        assert code == 2 and json.loads(out)["error"]["type"] == "ParseError"
+        # a count of any length is quoted cut
+        (workdir / "huge.cat").write_text(f"objects {10**40}\nmorphisms 0\n")
+        with pytest.raises(ParseError, match=r"object count 1000\S* \(41 characters\)"):
+            cli.parse_category_file(workdir / "huge.cat")
+        assert calls == []
+
     def test_discrete_category_at_the_cap_exits_zero(self, tmp_path, capsys, monkeypatch):
         # 174 objects with identities only, 5,987 bytes: the strength
         # conditions once visited all 174^3 object triples here

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from conftest import (
-    LATTICE_FREE_DRIVERS, category_content, driver_calls, fresh_category, plain,
+    LATTICE_FREE_DRIVERS, category_content, counted, driver_calls, fresh_category, plain,
 )
 from ringbench import corpus
 from ringbench import finring as fr
@@ -538,14 +538,6 @@ def graded_reports(suite) -> list:
     return out
 
 
-def counted(monkeypatch, module, name: str) -> list:
-    """The arguments of every call to ``module.name`` from now on."""
-    calls = []
-    original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
-    return calls
-
-
 def conjugate_variant(suite) -> corpus.RingWithIdempotents:
     """The first prop-2.4 instance drawn from the seed."""
     return next(inst for inst in suite if "_conj" in inst.name)
@@ -590,7 +582,27 @@ class TestHeldTables:
         for _ in range(2):
             with pytest.raises(NotComplete) as caught:
                 inst.table
-            assert caught.type is NotComplete and inst._table is None
+            assert caught.type is NotComplete and inst._units._tables == {}
+        assert inst._units.ring is m2f2  # a hand-built instance's, made on first read
+
+    def test_each_ring_is_solved_once_and_its_instances_share_its_units(self, monkeypatch):
+        # the corpus's own solves; the skew builds solve their object rings
+        solves = counted(monkeypatch, fr, "find_identity")
+        base = corpus._prop24_base()
+        rings = {id(inst.ring): inst.ring for inst in base}
+        assert sorted(id(ring) for (ring,) in solves) == sorted(rings) and len(rings) == 22
+        units = {id(inst.ring): inst._units for inst in base}
+        for inst in corpus.generate_suite("prop-2.4", 1729):
+            assert inst._units is units[id(inst.ring)] and inst._units.ring is inst.ring
+
+    def test_each_unit_instance_is_the_set_of_its_units_one(self):
+        unit_sets = [inst for inst in corpus._prop24_base() if inst.name.endswith("_unit")]
+        assert [inst.name for inst in unit_sets] == [
+            "matrix2_z2_unit", "matrix2_z3_unit", "matrix2_z4_unit",
+            "cyclic_z2_unit", "cyclic_z3_unit", "cyclic_z5_unit", "field4_unit",
+        ]
+        for inst in unit_sets:
+            assert len(inst.idempotents) == 1 and inst.idempotents[0] is inst._units.one
 
     def test_held_work_goes_without_the_cyclic_collector(self, monkeypatch):
         # a table or category in a reference cycle (say, a table the ring

@@ -14,6 +14,12 @@ re-derived as defined and the library's report on each instance is checked
 against them: every verdict, and for every false verdict the witness, which
 must be the first index where the condition fails, with the reason it fails
 there.
+
+The lattice certificates of the small strong prop-2.4 sets are checked the
+same way: each corner's one-sided ideals and each component's submodules are
+element sets, found as sums of cyclic submodules from the zero one up, and
+each map between them is the additive closure of a set of element products,
+with no Howell form, span, lattice or certificate code of the library.
 """
 
 import pytest
@@ -250,3 +256,113 @@ def test_a_split_idempotent_fails_each_condition_on_its_composites():
         ((1, 0), "identity not reached"),
     )
     assert not (report.condition1 or report.condition2 or report.condition3)
+
+
+class LatticeOracle(OracleTable):
+    """The ideals of each corner S_ii and the submodules of each component
+    as element sets, and the maps of the corner lattice correspondence
+    between them, from a product table of the ring's elements."""
+
+    def __init__(self, ring, idempotents):
+        super().__init__(ring, idempotents)
+        elements = list(ring.element_vectors())
+        self.times = {(x, y): multiply(ring, x, y) for x in elements for y in elements}
+        self.left_multiples = [{self.times[e, s] for s in elements} for e in self.units]
+        self.right_multiples = [{self.times[s, e] for s in elements} for e in self.units]
+
+    def add(self, x, y) -> tuple:
+        return tuple((a + b) % self.ring.modulus for a, b in zip(x, y))
+
+    def closure(self, elements) -> frozenset:
+        """The additive subgroup the elements generate: each one not yet
+        inside joins with all its multiples."""
+        group = set(self.zero)
+        for g in elements:
+            if g not in group:
+                multiples = {tuple(k * c % self.ring.modulus for c in g) for k in range(self.ring.modulus)}
+                group = {self.add(h, kg) for h in group for kg in multiples}
+        return frozenset(group)
+
+    def submodules(self, acting, ambient, side) -> list:
+        """Every subgroup of ``ambient`` that ``acting`` maps into itself
+        from ``side``, smallest first.  Each is the sum of the cyclic
+        submodules closure(acting x), x in it, since acting holds a unit for
+        the ambient, so sums from the zero submodule up reach them all."""
+        times = self.times
+        act = (lambda a, x: times[a, x]) if side == "left" else (lambda a, x: times[x, a])
+        cyclic = {self.closure(act(a, x) for a in acting) for x in ambient}
+        found, frontier = {self.zero}, [self.zero]
+        while frontier:
+            m = frontier.pop()
+            for c in cyclic:
+                if not c <= m:
+                    n = frozenset(self.add(x, y) for x in m for y in c)
+                    if n not in found:
+                        found.add(n)
+                        frontier.append(n)
+        return sorted(found, key=len)
+
+    def image(self, subgroup, k, side) -> frozenset:
+        """e_k S X on the left and X S e_k on the right, for X the subgroup."""
+        if side == "left":
+            return self.closure(self.times[a, x] for a in self.left_multiples[k] for x in subgroup)
+        return self.closure(self.times[x, a] for x in subgroup for a in self.right_multiples[k])
+
+    def certificate(self, i, j, side) -> tuple:
+        """The ideal and submodule counts, their heights, the two round
+        trips, the two monotonicity flags and ok of the certificate for the
+        ideals of S_ii against the S_jj-submodules of S_ji (left) or S_ij
+        (right), under I -> e_j S I, M -> e_i S M or I -> I S e_j, M -> M S e_i."""
+        s = self.s
+        ideals = self.submodules(s[i][i], s[i][i], side)
+        modules = self.submodules(s[j][j], s[j][i] if side == "left" else s[i][j], side)
+        forward = {ideal: self.image(ideal, j, side) for ideal in ideals}
+        back = {module: self.image(module, i, side) for module in modules}
+        counts = (len(ideals), len(modules))
+        heights = (height(ideals), height(modules))
+        round_trips = (
+            all(back.get(forward[ideal]) == ideal for ideal in ideals),
+            all(forward.get(back[module]) == module for module in modules),
+        )
+        monotone = tuple(all(f[a] <= f[b] for a in f for b in f if a < b) for f in (forward, back))
+        listed = set(forward.values()) <= set(back) and set(back.values()) <= set(forward)
+        ok = (listed and all(round_trips) and all(monotone)
+              and counts[0] == counts[1] and heights[0] == heights[1])
+        return (*counts, *heights, *round_trips, *monotone, ok)
+
+
+def height(family) -> int:
+    """The edge count of a longest chain of strict inclusions in a family
+    sorted by size."""
+    heights = []
+    for m in family:
+        heights.append(max((h + 1 for n, h in zip(family, heights) if n < m), default=0))
+    return max(heights)
+
+
+# every certificate of every distinct strong set of order at most MAX_ORDER
+SMALL_CERTIFICATES = {corpus.DEFAULT_SUITE_SEED: 170, 3: 154}
+
+
+@pytest.mark.parametrize("seed", sorted(SMALL_CERTIFICATES))
+def test_every_small_strong_certificate_matches_the_oracle(seed):
+    tables = {}
+    for inst in small_instances(seed):
+        if inst.table.report.strong:
+            tables.setdefault(inst.table, inst)  # the suite's instances on one set share it
+    checked = 0
+    for table, inst in tables.items():
+        oracle = LatticeOracle(inst.ring, inst.idempotents)
+        k = range(len(oracle.units))
+        for i, j, side in [(i, j, side) for i in k for j in k for side in ("left", "right")]:
+            if not oracle.nonzero(i, j):
+                continue
+            cert = idem.corner_lattice_correspondence(table, i, j, side)
+            fields = (
+                cert.ideal_count, cert.submodule_count, cert.ideal_height, cert.submodule_height,
+                cert.forward_then_back_identity, cert.back_then_forward_identity,
+                cert.forward_monotone, cert.back_monotone, cert.ok,
+            )
+            assert fields == oracle.certificate(i, j, side), (inst.name, i, j, side)
+            checked += 1
+    assert checked == SMALL_CERTIFICATES[seed]

@@ -20,9 +20,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import category_content
+from conftest import category_content, counted
 from ringbench import corpus
+from ringbench import finring as fr
 from ringbench import idempotents as idem
+from ringbench import skewalg as sk
 from ringbench import smallcat as cat
 from ringbench import verify
 
@@ -194,6 +196,23 @@ def test_prop_lattice_alone_validates_each_distinct_set(monkeypatch):
     result = verify.verify_prop_lattice(1729)
     assert (counts["validate_complete_set"], counts["peirce_table"]) == (87, 87)
     assert result.checked == 700
+
+
+@pytest.mark.parametrize("seed", [1729, 3])
+def test_fixture_counts_reads_the_held_prop24_rings(monkeypatch, seed):
+    # the acceptance order; the skew builder takes _build_ring by name, and
+    # matrix2_z2's set {E11, E22} is read validated from its held table
+    verify.verify_prop_24(seed)
+    builds = {
+        (module.__name__, name): counted(monkeypatch, module, name)
+        for module, name in (
+            (fr, "_build_ring"), (sk, "_build_ring"), (cat, "make_category"),
+            (sk, "build_skew_algebra"), (idem, "validate_complete_set"),
+        )
+    }
+    result = verify.verify_fixture_counts(seed)
+    assert result.ok and result.checked == 4
+    assert {key: len(calls) for key, calls in builds.items()} == dict.fromkeys(builds, 0)
 
 
 def test_injected_category_report_fault_names_every_instance(monkeypatch):
