@@ -12,7 +12,11 @@ and transformation monoid tables each come from one operation table on a
 list of elements.
 
 Everything is a pure function of the seed: seeds are mixed through
-SHA-256, so suites reproduce bit for bit across platforms and runs.
+SHA-256, and every draw is the corpus's own, an exact copy of CPython's
+algorithm over the seeded generator's ``getrandbits``.  Python promises a
+stable sequence only from its generator, not from ``randint``, ``choice``,
+``sample`` or ``shuffle``, so suites reproduce bit for bit across platforms,
+runs and Python versions.
 
 The invalid mutants are a fixed table, mutation_matrix: one case per
 validator error, each perturbation written out as data on a valid base
@@ -61,8 +65,66 @@ def _mix(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _rng(*parts) -> random.Random:
-    return random.Random(_mix(*parts))
+# a seeded generator's getrandbits: k -> a draw from range(2 ** k)
+_Bits = Callable[[int], int]
+
+
+def _rng(*parts) -> _Bits:
+    """The ``getrandbits`` of a generator seeded by the parts, which the
+    draws below read."""
+    return random.Random(_mix(*parts)).getrandbits
+
+
+# The draws, each an exact copy of CPython's own (Lib/random.py, 3.10 to 3.13)
+# over getrandbits, so they consume the same bits and return the same values;
+# tests/test_draws.py compares each with the interpreter's.
+
+
+def _below(bits: _Bits, n: int) -> int:
+    """A draw from range(n), n > 0: ``_randbelow_with_getrandbits``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _randint(bits: _Bits, a: int, b: int) -> int:
+    """``randint(a, b)``."""
+    return a + _below(bits, b - a + 1)
+
+
+def _choice(bits: _Bits, seq):
+    """``choice(seq)`` on a non-empty sequence."""
+    return seq[_below(bits, len(seq))]
+
+
+def _sample(bits: _Bits, population, k: int) -> list:
+    """``sample(population, k)`` by CPython's pool branch, the one it takes
+    for every population of at most 21; a larger one is refused."""
+    n = len(population)
+    if not 0 <= k <= n <= 21:
+        raise InvariantViolation(f"sample of {k} from {n} is outside the pool branch")
+    pool = list(population)
+    result = []
+    for i in range(k):
+        j = _below(bits, n - i)
+        result.append(pool[j])
+        pool[j] = pool[n - i - 1]
+    return result
+
+
+def _shuffled(bits: _Bits, n: int) -> list[int]:
+    """``range(n)`` as ``shuffle`` leaves it: Fisher-Yates from the top, with
+    ``_below`` written in line."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +165,10 @@ MONOID_TABLES: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 GROUP_NAMES = frozenset({"c1", "c2", "c3", "c4", "c5", "c6", "v4", "s3"})
+
+# the names the recipes choose from, in the order they index
+_MONOIDS = tuple(sorted(MONOID_TABLES))
+_GROUPS = tuple(sorted(GROUP_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +318,20 @@ def _thin(object_count: int, pairs: Iterable) -> tuple:
 
 
 def _thin_recipe(seed: int, max_objects: int = 4) -> tuple:
-    rng = _rng("thin", seed)
-    p = rng.randint(1, max_objects)
+    bits = _rng("thin", seed)
+    p = _randint(bits, 1, max_objects)
     candidates = [(a, b) for a in range(p) for b in range(p) if a != b]
-    k = rng.randint(0, min(len(candidates), p * 2))
-    return _thin(p, rng.sample(candidates, k) if k else [])
+    k = _randint(bits, 0, min(len(candidates), p * 2))
+    return _thin(p, _sample(bits, candidates, k))
 
 
 def _groupoid_recipe(seed: int) -> tuple:
     """A disjoint union of monoid-times-square groupoids over random groups."""
-    rng = _rng("groupoid", seed)
+    bits = _rng("groupoid", seed)
     parts = []
-    for _ in range(rng.randint(1, 2)):
-        name = rng.choice(sorted(GROUP_NAMES))
-        parts.append(("mx", name, rng.randint(1, 2 if len(MONOID_TABLES[name]) > 3 else 3)))
+    for _ in range(_randint(bits, 1, 2)):
+        name = _choice(bits, _GROUPS)
+        parts.append(("mx", name, _randint(bits, 1, 2 if len(MONOID_TABLES[name]) > 3 else 3)))
     return ("union", tuple(parts)) if len(parts) > 1 else parts[0]
 
 
@@ -273,18 +339,18 @@ def _category_recipe(seed: int) -> tuple:
     """A thin, monoid-times-square or one-object monoid category, or the
     union of a thin category on at most 2 objects with a monoid-times-square
     category on at most 2 objects and 8 morphisms."""
-    rng = _rng("category", seed)
-    style = rng.choice(["thin", "mx", "monoid", "union"])
+    bits = _rng("category", seed)
+    style = _choice(bits, ("thin", "mx", "monoid", "union"))
     if style == "thin":
         return _thin_recipe(_mix("inner", seed))
     if style == "mx":
-        name = rng.choice(sorted(MONOID_TABLES))
+        name = _choice(bits, _MONOIDS)
         s_max = max(1, int((20 // len(MONOID_TABLES[name])) ** 0.5))
-        return ("mx", name, rng.randint(1, min(3, s_max)))
+        return ("mx", name, _randint(bits, 1, min(3, s_max)))
     if style == "monoid":
-        return ("mx", rng.choice(sorted(MONOID_TABLES)), 1)
+        return ("mx", _choice(bits, _MONOIDS), 1)
     left = _thin_recipe(_mix("l", seed), max_objects=2)
-    return ("union", (left, ("mx", rng.choice(["c1", "c2", "bool2"]), rng.randint(1, 2))))
+    return ("union", (left, ("mx", _choice(bits, ("c1", "c2", "bool2")), _randint(bits, 1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +503,7 @@ def _conjugate_set(
     has no unit."""
     if units.one is None:
         return None
-    order = list(range(len(units.vectors)))
-    _rng("conjugate", seed).shuffle(order)
-    for idx in order:
+    for idx in _shuffled(_rng("conjugate", seed), len(units.vectors)):
         q = units.inverse(idx)
         if q is not None:
             p, q = units.ring.element(units.vectors[idx]), units.ring.element(q)

@@ -312,10 +312,10 @@ def verify_fixture_counts(seed: int | None = None) -> VerificationResult:
             failures.append(
                 f"{name}/{side}: got {(lattice.size, lattice.height)}, frozen {(size, height)}"
             )
-    m2 = suite["matrix2_z2"]  # its set {E11, E22}, validated with its held table
-    profile = idem.chain_profile(m2.ring, m2.table.iset)
+    table = suite["matrix2_z2"].table  # the held table of its set {E11, E22}
     checked += 1
-    if any((c.left_size, c.right_size) != (2, 2) for c in profile.corners):
+    corners = [table.component(i, i) for i in range(table.iset.size)]
+    if any(idem.ideal_lattice_shape(c, side)[0] != 2 for c in corners for side in ("left", "right")):
         failures.append("matrix2_z2 corners do not have size-2 lattices")
     return VerificationResult("fixture-counts", not failures, checked, failures, details)
 

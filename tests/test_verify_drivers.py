@@ -201,13 +201,16 @@ def test_prop_lattice_alone_validates_each_distinct_set(monkeypatch):
 @pytest.mark.parametrize("seed", [1729, 3])
 def test_fixture_counts_reads_the_held_prop24_rings(monkeypatch, seed):
     # the acceptance order; the skew builder takes _build_ring by name, and
-    # matrix2_z2's set {E11, E22} is read validated from its held table
+    # matrix2_z2's set {E11, E22} is read validated with its Peirce table
+    # from its held table
     verify.verify_prop_24(seed)
+    verify.verify_prop_lattice(seed)
     builds = {
         (module.__name__, name): counted(monkeypatch, module, name)
         for module, name in (
             (fr, "_build_ring"), (sk, "_build_ring"), (cat, "make_category"),
             (sk, "build_skew_algebra"), (idem, "validate_complete_set"),
+            (idem, "peirce_table"),
         )
     }
     result = verify.verify_fixture_counts(seed)
