@@ -52,7 +52,9 @@ Integers up to Python's digit limit for integer strings (4,300 digits by
 default) are read as exact residues modulo the ring's modulus; a longer one
 is a ParseError of its own at its line and column, and no message quotes
 more than a short prefix of a token.  These are rejected as bad input
-before the work they would bound: a modulus of more than
+before the work they would bound: an input file of more than
+MAX_INPUT_BYTES (16 MiB) (ParseError) before it is decoded, having read
+at most 64 KiB past the cap; a modulus of more than
 finring.MAX_MODULUS_BITS (256) bits (ModulusTooLarge) as soon as it is
 read; a rank above finring.MAX_RANK (RankTooLarge) before the constants
 are read; a ring whose associativity check would take more
@@ -138,13 +140,33 @@ _register_library()
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# Bounds the bytes read from one input file, and so what the tokenizer holds:
+# the largest ring file with canonical residues (rank 48, modulus 2^256 - 1,
+# every residue 78 digits) is 8,736,873 bytes.
+MAX_INPUT_BYTES = 16 * 2**20
+
+
+def _read_input(path: Path) -> bytes:
+    """The bytes of one input file, read in 64 KiB chunks, so a small file
+    allocates no more; a file longer than MAX_INPUT_BYTES is a ParseError
+    once a chunk passes the cap, so an endless one such as /dev/zero is
+    refused too."""
+    data = bytearray()
+    with path.open("rb") as f:
+        while len(data) <= MAX_INPUT_BYTES:
+            chunk = f.read(1 << 16)
+            if not chunk:
+                return data
+            data += chunk
+    raise ParseError(f"{cut(str(path))} exceeds the {MAX_INPUT_BYTES}-byte input cap")
+
 
 class TokenStream:
     """The token texts of one input file, read as UTF-8 text.  A token is
     known by its index; ``error`` works out its line and column."""
 
     def __init__(self, path: Path):
-        data = path.read_bytes()
+        data = _read_input(path)
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -369,7 +391,7 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
 
 
 def _digest(path: str | Path) -> dict:
-    data = Path(path).read_bytes()
+    data = _read_input(Path(path))
     return {"path": str(path), "sha256": sha256(data).hexdigest()}
 
 
@@ -560,21 +582,27 @@ def _cmd_build_mx(args, rep: Reporter) -> None:
 
 def _cmd_check_grading(args, rep: Reporter) -> None:
     from . import graded as gr
+    from . import smallcat as cat
 
     grading = parse_grading_file(args.grading)
     rep.add_input(args.grading)
     rep.verdict("valid", True)
-    flags = gr.compute_flags(grading)
-    rep.verdict("object_unital", flags.object_unital)
-    rep.info("strongly_graded", flags.strongly_graded)
-    if flags.object_unital:
-        ok, witness = gr.corner_identity_check(grading)
-        rep.verdict("corner_identity", ok)
-        if witness is not None:
-            rep.witness(objects=list(witness[0]), reason="sandwich law fails")
-    if flags.homset_strongly_graded is not None:
-        rep.verdict("homset_strongly_graded", flags.homset_strongly_graded)
-        rep.verdict("conditions_agree", flags.homset_report.agree)
+    object_unital = gr.object_unital_check(grading).object_unital
+    rep.verdict("object_unital", object_unital)
+    rep.info("strongly_graded", gr.strongly_graded_check(grading))
+    if not object_unital:
+        return
+    gr.induced_idempotents(grading)  # the local units must form a complete set
+    report = None
+    if cat.homset_strong_report(grading.category).strong:
+        report = gr.homset_strongly_graded_report(grading)
+    ok, witness = gr.corner_identity_check(grading)
+    rep.verdict("corner_identity", ok)
+    if witness is not None:
+        rep.witness(objects=list(witness[0]), reason="sandwich law fails")
+    if report is not None:
+        rep.verdict("homset_strongly_graded", report.strong)
+        rep.verdict("conditions_agree", report.agree)
 
 
 def _cmd_build_skew(args, rep: Reporter) -> None:

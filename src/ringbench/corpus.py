@@ -546,9 +546,8 @@ def _prop24_base() -> tuple[RingWithIdempotents, ...]:
         ("skew_c2_swap", _named_skew_algebra("c2_swap_z3z3")),
         ("skew_frobenius_f4", _named_skew_algebra("c2_frobenius_f4")),
     ):
-        iset = gr.induced_idempotents(algebra.grading)
         strong = cat.homset_strong_report(algebra.category).strong
-        out.append(_Units(algebra.ring).instance(nm, iset.elements, strong))
+        out.append(_Units(algebra.ring).instance(nm, algebra.unit_elements, strong))
 
     m2, t2 = matrix_units_ring(2, 2), upper_triangular_ring(2, 2)
     add("matrix2_z2_times_z2", fr.direct_product([m2, z2]), (0, 3, 4), True)

@@ -504,8 +504,6 @@ def _build_ring(
         raise ModulusTooLarge(modulus.bit_length(), MAX_MODULUS_BITS)
     if modulus < 2:
         raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
-    if rank < 0:
-        raise ShapeMismatch(f"rank must be >= 0, got {rank}")
     if rank > MAX_RANK:
         raise RankTooLarge(rank, MAX_RANK)
     constants = _residue_table(structure_constants, rank, modulus)

@@ -257,27 +257,3 @@ def induced_idempotents(grading: Grading) -> IdempotentSet:
     no local units; either raises on every call and holds nothing.
     """
     return grading.induced_set
-
-
-class GradedFlags(NamedTuple):
-    """Recomputable summary of a grading's standing."""
-
-    object_unital: bool
-    strongly_graded: bool
-    homset_strongly_graded: bool | None  # None when hypotheses fail
-    homset_report: strength.StrongnessReport | None
-    induced_set: IdempotentSet | None
-
-
-def compute_flags(grading: Grading) -> GradedFlags:
-    ou = object_unital_check(grading)
-    strongly = strongly_graded_check(grading)
-    report = None
-    verdict: bool | None = None
-    induced = None
-    if ou.object_unital:
-        induced = induced_idempotents(grading)
-        if homset_strong_report(grading.category).strong:
-            report = homset_strongly_graded_report(grading)
-            verdict = report.strong
-    return GradedFlags(ou.object_unital, strongly, verdict, report, induced)

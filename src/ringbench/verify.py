@@ -49,11 +49,6 @@ class VerificationResult:
         return (f"VerificationResult(name={self.name!r}, ok={self.ok!r}, checked={self.checked!r}, "
                 f"failures={self.failures!r}, details={self.details!r})")
 
-    def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        extra = f"; first failure: {self.failures[0]}" if self.failures else ""
-        return f"{status} {self.name}: {self.checked} checks{extra}"
-
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracle for small ideal lattices

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -29,6 +30,7 @@ from ringbench.errors import (
     LatticeTooLarge,
     NotComplete,
     ParseError,
+    cut,
 )
 
 M2_RING = """\
@@ -402,6 +404,37 @@ class TestExitCodes:
             error = json.loads(out)["error"]
             assert error["type"] == "ParseError", command
             assert (error["line"], error["column"]) == (4, 22), command
+
+    @pytest.mark.skipif(
+        not (os.path.exists("/dev/zero") and stat.S_ISCHR(os.stat("/dev/zero").st_mode)),
+        reason="/dev/zero is not a character device here",
+    )
+    def test_endless_file_exits_two_at_the_byte_cap(self, workdir, capsys):
+        # once read whole, it ended in a MemoryError traceback with exit 1
+        (workdir / "zero_idems.txt").write_text("ring /dev/zero\n")
+        for command, path in (("check-ring", "/dev/zero"), ("check-strong", "zero_idems.txt")):
+            code, out = run(capsys, "--no-timings", command, workdir / path)
+            assert code == 2, command
+            assert json.loads(out)["error"] == {
+                "type": "ParseError",
+                "message": f"/dev/zero exceeds the {cli.MAX_INPUT_BYTES}-byte input cap",
+                "line": 0,
+                "column": 0,
+            }, command
+
+    def test_a_file_one_byte_past_the_cap_exits_two(self, workdir, capsys, monkeypatch):
+        path = workdir / "m2.ring"
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", path.stat().st_size)
+        code, out = run(capsys, "--no-timings", "check-ring", path)
+        assert code == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert json.loads(out)["inputs"][0]["sha256"] == digest
+        path.write_text(M2_RING + "\n")
+        code, out = run(capsys, "--no-timings", "check-ring", path)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            f"{cut(str(path))} exceeds the {cli.MAX_INPUT_BYTES}-byte input cap"
+        )
 
     def _assert_parse_error_at(self, capsys, command, path, line, column):
         code, out = run(capsys, command, path)

@@ -253,30 +253,33 @@ class TestInducedIdempotents:
 
 class TestFlagsAndLinkage:
     def test_flags_for_matrix_grading(self, matrix_grading):
-        flags = gr.compute_flags(matrix_grading)
-        assert flags.object_unital and flags.strongly_graded
-        assert flags.homset_strongly_graded is True
-        assert flags.induced_set is not None
+        assert gr.object_unital_check(matrix_grading).object_unital
+        assert gr.strongly_graded_check(matrix_grading)
+        assert gr.homset_strongly_graded_report(matrix_grading).strong is True
+        assert gr.induced_idempotents(matrix_grading) is not None
 
     def test_flags_for_arrow_grading(self, arrow_grading):
-        flags = gr.compute_flags(arrow_grading)
-        assert flags.object_unital and flags.strongly_graded
-        assert flags.homset_strongly_graded is None  # category hypothesis fails
+        assert gr.object_unital_check(arrow_grading).object_unital
+        assert gr.strongly_graded_check(arrow_grading)
+        assert not sc.homset_strong_report(arrow_grading.category).strong  # hypothesis fails
 
     def test_homset_verdict_equals_strongness_of_induced_set(self):
         for inst in corpus.generate_suite("gradings"):
-            flags = gr.compute_flags(inst.grading)
-            if flags.homset_strongly_graded is None:
+            if not gr.object_unital_check(inst.grading).object_unital:
                 continue
-            assert flags.homset_strongly_graded == idem.is_strong(flags.induced_set), inst.name
+            if not sc.homset_strong_report(inst.grading.category).strong:
+                continue
+            strong = gr.homset_strongly_graded_report(inst.grading).strong
+            assert strong == idem.is_strong(gr.induced_idempotents(inst.grading)), inst.name
 
     def test_strongly_graded_object_unital_groupoid_gradings_are_homset_strong(self):
         for inst in corpus.generate_suite("gradings"):
             if not sc.is_groupoid(inst.grading.category).is_groupoid:
                 continue
-            flags = gr.compute_flags(inst.grading)
-            if flags.object_unital and flags.strongly_graded:
-                assert flags.homset_strongly_graded is True, inst.name
+            g = inst.grading
+            if gr.object_unital_check(g).object_unital and gr.strongly_graded_check(g):
+                # raises CategoryNotHomSetStrong if the category hypothesis fails
+                assert gr.homset_strongly_graded_report(g).strong is True, inst.name
 
     def test_corner_identity_on_all_object_unital_gradings(self):
         for inst in corpus.generate_suite("gradings"):
@@ -325,7 +328,7 @@ class TestVerdictsOncePerGrading:
         calls.clear()
         for inst in suite:
             before = len(calls)
-            if gr.compute_flags(inst.grading).object_unital:
+            if gr.object_unital_check(inst.grading).object_unital:
                 gr.corner_identity_check(inst.grading)
             # one unit search per identity component, unless the suite build
             # (a skew algebra's) made them already
@@ -388,13 +391,17 @@ class TestVerdictsOncePerGrading:
         monkeypatch.setattr(gr.Grading, "hom_component", counting)
         reports = 0
         for inst in corpus.generate_suite("gradings"):
-            # check-grading's path: the flags, then the corner law
-            flags = gr.compute_flags(inst.grading)
-            if flags.object_unital:
-                gr.corner_identity_check(inst.grading)
-            p = inst.grading.category.object_count
-            assert spans[inst.grading] == (p * p if flags.object_unital else 0), inst.name
-            reports += flags.homset_report is not None
+            # check-grading's path: the graded report when its hypotheses
+            # hold, then the corner law
+            g = inst.grading
+            object_unital = gr.object_unital_check(g).object_unital
+            if object_unital and sc.homset_strong_report(g.category).strong:
+                gr.homset_strongly_graded_report(g)
+                reports += 1
+            if object_unital:
+                gr.corner_identity_check(g)
+            p = g.category.object_count
+            assert spans[g] == (p * p if object_unital else 0), inst.name
         assert reports
         checked = 0
         for inst in corpus.generate_suite("prop-5.3"):
@@ -444,17 +451,21 @@ class TestReportOncePerCategory:
         category = grading.category
         report = sc.homset_strong_report(category)
         assert sc.finiteness_report(category).homset_strong == report.strong
-        flags = gr.compute_flags(grading)
-        assert flags.homset_report is not None
-        assert gr.homset_strongly_graded_report(grading) == flags.homset_report
+        graded_report = gr.homset_strongly_graded_report(grading)
+        assert gr.homset_strongly_graded_report(grading) is graded_report
         assert sc.homset_strong_report(category) is report
         assert len(calls) == 1
 
-    def test_compute_flags_over_the_gradings_suite(self, monkeypatch):
+    def test_check_grading_reports_over_the_gradings_suite(self, monkeypatch):
         calls = category_evaluations(monkeypatch)
         suite = corpus.generate_suite("gradings", 1729)
         for inst in suite:
-            gr.compute_flags(inst.grading)
+            # check-grading's reads: the category's report for every object
+            # unital grading, the graded one when the category is strong
+            g = inst.grading
+            if gr.object_unital_check(g).object_unital:
+                if sc.homset_strong_report(g.category).strong:
+                    gr.homset_strongly_graded_report(g)
         judged = {id(inst.grading.category) for inst in suite
                   if inst.grading.category._homset_report is not None}
         # one evaluation per recipe: the 21 category objects read the held

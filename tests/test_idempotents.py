@@ -251,6 +251,44 @@ class TestCornerLatticeCorrespondence:
         cert = idem.corner_lattice_correspondence(table, 1, 0, "right")
         assert cert.ok
 
+    @pytest.mark.parametrize(
+        "operand,order,failure,pairs,round_trips",
+        [
+            # the forward image of the whole corner Z/4 (ideal 2): the pairs
+            # stop before it, and no backward image is judged
+            ((1, 0), 4, "image of ideal 2 is not a listed submodule", ((0, 0), (1, 1)),
+             (True, True)),
+            # the backward image of submodule 1, of order 2: every forward
+            # pair is kept, and the one through submodule 1 does not return
+            ((0, 1), 2, "image of submodule 1 is not a listed ideal", ((0, 0), (1, 1), (2, 2)),
+             (False, True)),
+        ],
+        ids=["forward", "backward"],
+    )
+    def test_an_unlisted_image_is_the_failure(
+        self, monkeypatch, operand, order, failure, pairs, round_trips
+    ):
+        # e_0 S e_0 and e_1 S e_0 of the 2x2 matrices over Z/4 are Z/4, with
+        # ideals and submodules of orders 1, 2 and 4; the stub sends the
+        # product of one operand with the subgroup of ``order`` to the whole
+        # ring, which neither family lists
+        ring = corpus.matrix_units_ring(4, 2)
+        table = idem.peirce_table(
+            idem.validate_complete_set(ring, [ring.basis_element(0), ring.basis_element(3)])
+        )
+        assert table.strong  # judged before the stub, on the true products
+        by = table.component(*operand)
+
+        def stub(a, b):
+            if a is by and b.order == order:
+                return ring.full_subgroup()
+            return fr.product_subgroup(a, b)
+
+        monkeypatch.setattr(idem, "product_subgroup", stub)
+        cert = idem.corner_lattice_correspondence(table, 0, 1, "left")
+        assert (cert.ok, cert.failure, cert.pairs) == (False, failure, pairs)
+        assert (cert.forward_then_back_identity, cert.back_then_forward_identity) == round_trips
+
     def test_bad_side_rejected(self, m2_setup):
         _, _, table = m2_setup
         with pytest.raises(ShapeMismatch, match="side must be 'left' or 'right', got 'up'"):

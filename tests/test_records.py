@@ -32,10 +32,6 @@ PARAMETERS = {
     fr.CornerRing: ["ring", "parent", "idempotent", "subgroup", "inclusion", "_coord_index"],
     graded.Grading: ["ring", "category", "components"],
     graded.ObjectUnitalResult: ["object_unital", "units", "witness"],
-    graded.GradedFlags: [
-        "object_unital", "strongly_graded", "homset_strongly_graded", "homset_report",
-        "induced_set",
-    ],
     idempotents.IdempotentSet: ["ring", "elements", "left_multiples"],
     idempotents.PeirceTable: ["ring", "iset", "components"],
     idempotents.CornerLatticeCertificate: [
@@ -76,7 +72,6 @@ VALUE_RECORDS = {
     corpus.MutatedInstance,
     fr.RingElement,
     graded.ObjectUnitalResult,
-    graded.GradedFlags,
     idempotents.ChainProfile,
     idempotents.CornerLatticeCertificate,
     idempotents.CornerProfile,

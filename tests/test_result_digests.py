@@ -21,6 +21,7 @@ from ringbench import corpus
 from ringbench import finring as fr
 from ringbench import graded as gr
 from ringbench import idempotents as idem
+from ringbench import smallcat as sc
 from ringbench.errors import WorkbenchError
 
 SEEDS = (1729, 3)
@@ -76,30 +77,33 @@ def suite_digest(seed: int) -> tuple[int, str]:
 
 def report_digest(seed: int) -> tuple[int, str]:
     """Every strong_condition_report over prop-2.4, and every grading's
-    flags, hom-set-level report and corner-identity verdict."""
+    verdicts, induced set, hom-set-level report and corner-identity verdict."""
     d = _Digest()
     for inst in corpus.generate_suite("prop-2.4", seed):
         table = idem.peirce_table(idem.validate_complete_set(inst.ring, inst.idempotents))
         report = idem.strong_condition_report(table)
         d.add(inst.name, report.agree, [[name, getattr(report, name)] for name in report._fields])
     for inst in corpus.generate_suite("gradings", seed):
-        flags = gr.compute_flags(inst.grading)
-        report = flags.homset_report
-        fields = None
-        if report is not None:
+        g = inst.grading
+        object_unital = gr.object_unital_check(g).object_unital
+        strongly_graded = gr.strongly_graded_check(g)
+        induced = gr.induced_idempotents(g).elements if object_unital else None
+        report = fields = None
+        if object_unital and sc.homset_strong_report(g.category).strong:
+            report = gr.homset_strongly_graded_report(g)
             # the hom-set report carried the corner law until it moved to
             # corner_identity_check; the digest keeps it in the same place
-            corner = gr.corner_identity_check(inst.grading)
+            corner = gr.corner_identity_check(g)
             fields = [[name, getattr(report, name)] for name in report._fields]
             fields += [["corner_identity", corner[0]], ["corner_identity_witness", corner[1]]]
         d.add(
             inst.name,
-            flags.object_unital,
-            flags.strongly_graded,
-            flags.homset_strongly_graded,
+            object_unital,
+            strongly_graded,
+            None if report is None else report.strong,
             fields,
-            None if flags.induced_set is None else flags.induced_set.elements,
-            gr.corner_identity_check(inst.grading) if flags.object_unital else None,
+            induced,
+            gr.corner_identity_check(g) if object_unital else None,
         )
     return d.result()
 

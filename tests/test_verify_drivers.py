@@ -11,22 +11,27 @@ every instance of it reads that report.
 Every instance must still be reported under its own name, in suite order:
 the digests cover ``ok``, ``checked``, every failure line and ``details``,
 and the injected faults make every instance on one ring, or with one
-category content, fail, repeats included.
+category content, fail, repeats included.  Every other failure line of the
+eleven drivers is pinned word for word under a fault injected into the
+verdict it reads.
 """
 
 import hashlib
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import category_content, counted
 from ringbench import corpus
 from ringbench import finring as fr
+from ringbench import graded as gr
 from ringbench import idempotents as idem
 from ringbench import skewalg as sk
 from ringbench import smallcat as cat
 from ringbench import verify
+from ringbench.errors import ModulusTooSmall
 
 RESULT_DIGESTS = {
     ("prop-2.4", 1729): "527993c96d67f5a66e884b0829a2b543c145e00a2c80ad98f6c05d12f664adfd",
@@ -309,3 +314,170 @@ def test_each_distinct_category_is_judged_once(monkeypatch, check, size, recipes
     assert results[0] == results[1]
     assert (results[0].checked, len(built), len(evaluated)) == (size, 2 * size, recipes)
     assert len(groupoid_checks) == (2 * size if check == "groupoid-homset" else 0)
+
+
+# ---------------------------------------------------------------------------
+# every other failure line, each made by a fault in the verdict it reads
+
+
+def inject(monkeypatch, module, name: str, faults: dict) -> None:
+    """Rebind ``module.name`` so that a call whose first argument is a key
+    of ``faults`` (by id) returns that fault applied to the true result;
+    every other call is unchanged."""
+    original = getattr(module, name)
+
+    def faulty(arg, *rest):
+        result = original(arg, *rest)
+        fault = faults.get(id(arg))
+        return result if fault is None else fault(result)
+
+    monkeypatch.setattr(module, name, faulty)
+
+
+def _by_name(suite: str, seed: int | None = None) -> dict:
+    return {inst.name: inst for inst in corpus.generate_suite(suite, seed)}
+
+
+def test_injected_prop_24_faults_leave_no_non_strong_instance(monkeypatch):
+    suite = corpus.generate_suite("prop-2.4", 1729)
+    strong = idem.strong_condition_report(suite[0].table)
+    assert strong.strong
+    monkeypatch.setattr(idem, "strong_condition_report", lambda table: strong)
+    result = verify.verify_prop_24(1729)
+    assert result.ok is False and result.checked == 250
+    expected = [f"{inst.name}: expected strong=False, got True"
+                for inst in suite if inst.expect_strong is False]
+    assert len(expected) == 90
+    assert result.failures == expected + ["suite does not mix strong and non-strong instances"]
+    assert result.details == {"strong": 250, "non_strong": 0}
+
+
+def test_injected_groupoid_report_fault_names_every_instance(monkeypatch):
+    built = _record_suite(monkeypatch)
+    original = cat.homset_strong_report
+
+    def faulty(category):
+        report = original(category)
+        if category_content(category) == FAULTY_CONTENT:
+            return report._replace(condition1=False)
+        return report
+
+    monkeypatch.setattr(cat, "homset_strong_report", faulty)
+    result = verify.verify_groupoid_homset(1729)
+    assert result.ok is False and result.checked == 110
+    assert result.failures == [
+        f"{name}: groupoid fails hom-set strength" for name in _names_with_faulty_content(built)
+    ]
+    assert len(result.failures) == 5
+
+
+def test_injected_mx_family_faults(monkeypatch):
+    suite = _by_name("mx-family")
+    inject(monkeypatch, cat, "homset_strong_report", {
+        id(suite["mx_c2_s2"].category): lambda report: report._replace(condition1=False),
+    })
+    inject(monkeypatch, cat, "is_groupoid", {
+        id(suite["mx_bool2_s2"].category): lambda check: check._replace(is_groupoid=True),
+    })
+    result = verify.verify_mx_family(1729)
+    assert result.ok is False and result.checked == 15
+    assert result.failures == [
+        "mx_c2_s2: not hom-set strong",
+        "mx_bool2_s2: groupoid=True but group table=False",
+    ]
+
+
+def test_injected_prop_53_faults(monkeypatch):
+    suite = _by_name("prop-5.3")
+    inject(monkeypatch, gr, "strongly_graded_check", {
+        id(suite["pair_z2"].algebra.grading): lambda verdict: False,
+    })
+    inject(monkeypatch, gr, "object_unital_check", {
+        id(suite["s3_z3"].algebra.grading): lambda ou: ou._replace(object_unital=False),
+    })
+    result = verify.verify_prop_53(1729)
+    assert result.ok is False and result.checked == 28
+    assert result.failures == ["pair_z2: not strongly graded", "s3_z3: not object unital"]
+
+
+def test_injected_strong_equivalence_faults(monkeypatch):
+    suite = _by_name("prop-5.3")
+    inject(monkeypatch, sk, "strong_idempotent_equivalence_check", {
+        id(suite["arrow_z2"].algebra):
+            lambda record: record._replace(idempotents_strong=not record.idempotents_strong),
+        id(suite["pair_z3"].algebra): lambda record: record._replace(graded_report_ok=False),
+    })
+    result = verify.verify_strong_equivalence(1729)
+    assert result.ok is False and result.checked == 28
+    assert result.failures == [
+        "arrow_z2: idempotent side True vs category side False",
+        "pair_z3: graded-level report failed",
+    ]
+
+
+def test_injected_corner_identity_fault(monkeypatch):
+    suite = _by_name("gradings")
+    inject(monkeypatch, gr, "corner_identity_check", {
+        id(suite["matrix_pair_z3"].grading): lambda verdict: (False, ((0, 1), 3, 9)),
+    })
+    result = verify.verify_corner_identity(1729)
+    assert result.ok is False and result.checked == 34
+    assert result.failures == ["matrix_pair_z3: sandwich law fails at ((0, 1), 3, 9)"]
+
+
+def test_injected_fixture_count_faults(monkeypatch):
+    # matrix2_z2's oracle is off by one; group_algebra_c2_z2's enumeration
+    # and oracle agree on a count other than the frozen one; one corner of
+    # matrix2_z2 has a lattice of size 3
+    suite = _by_name("prop-2.4", 1729)
+    matrix, group_algebra = suite["matrix2_z2"].ring, suite["c2_algebra_z2"].ring
+
+    def one_more(shape):
+        return shape[0] + 1, shape[1]
+
+    inject(monkeypatch, verify, "brute_force_one_sided_ideal_count", {
+        id(matrix): one_more, id(group_algebra): one_more,
+    })
+    inject(monkeypatch, fr, "enumerate_one_sided_ideals", {
+        id(group_algebra): lambda lattice: SimpleNamespace(size=lattice.size + 1,
+                                                           height=lattice.height),
+    })
+    inject(monkeypatch, idem, "ideal_lattice_shape", {
+        id(suite["matrix2_z2"].table.component(0, 0)): lambda shape: (3, shape[1]),
+    })
+    result = verify.verify_fixture_counts(1729)
+    assert result.ok is False and result.checked == 4
+    assert result.failures == [
+        "matrix2_z2/left: enumeration (5, 2) != oracle (6, 2)",
+        "group_algebra_c2_z2/left: got (4, 2), frozen (3, 2)",
+        "matrix2_z2 corners do not have size-2 lattices",
+    ]
+
+
+def test_injected_matrix_units_fault(monkeypatch):
+    matrix_units_ring = corpus.matrix_units_ring
+    monkeypatch.setattr(
+        corpus, "matrix_units_ring",
+        lambda m, n: corpus.upper_triangular_ring(m, n) if m == 3 else matrix_units_ring(m, n),
+    )
+    result = verify.verify_matrix_units_iso(1729)
+    assert result.ok is False and result.checked == 2
+    assert result.failures == ["modulus 3: structure constants differ"]
+
+
+def test_injected_mutation_matrix_faults(monkeypatch):
+    cases = corpus.mutation_matrix()
+    (accepted, first), (mistyped, second) = cases[:2]
+    assert (accepted, mistyped) == ("ring-not-associative", "ring-shape")
+    faulty = [
+        (accepted, first._replace(revalidate=lambda: None)),
+        (mistyped, second._replace(expected_error=ModulusTooSmall)),
+        *cases[2:],
+    ]
+    monkeypatch.setattr(corpus, "mutation_matrix", lambda: faulty)
+    result = verify.verify_mutation_matrix(1729)
+    assert result.ok is False and result.checked == len(cases)
+    assert result.failures == [
+        "ring-not-associative: mutant was accepted",
+        "ring-shape: raised ShapeMismatch, expected ModulusTooSmall",
+    ]
