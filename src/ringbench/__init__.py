@@ -38,7 +38,6 @@ _EXPORTS = {
         "IdempotentSet",
         "PeirceTable",
         "StrongnessReport",
-        "chain_profile",
         "corner_lattice_correspondence",
         "is_strong",
         "peirce_table",

@@ -162,8 +162,9 @@ def _read_input(path: Path) -> bytes:
 
 
 class TokenStream:
-    """The token texts of one input file, read as UTF-8 text.  A token is
-    known by its index; ``error`` works out its line and column."""
+    """The token texts of one input file, read once as UTF-8 text, and the
+    SHA-256 of the bytes decoded.  A token is known by its index; ``error``
+    works out its line and column."""
 
     def __init__(self, path: Path):
         data = _read_input(path)
@@ -172,7 +173,10 @@ class TokenStream:
         except UnicodeDecodeError as exc:
             # the sentinel stands for the bad byte: the last line is its line
             lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
-            raise ParseError(f"{path} is not UTF-8 text", len(lines), len(lines[-1])) from None
+            raise ParseError(
+                f"{cut(str(path))} is not UTF-8 text", len(lines), len(lines[-1])
+            ) from None
+        self.sha256 = sha256(data).hexdigest()
         self.parent = path.parent
         self.bodies = [raw.split("#", 1)[0] for raw in text.splitlines()]
         self.texts = [piece for body in self.bodies for piece in body.split()]
@@ -262,10 +266,15 @@ class TokenStream:
 # parsers
 
 
-def parse_ring_file(path: str | Path) -> fr.FiniteRing:
+def _tokens(source: str | Path | TokenStream) -> TokenStream:
+    """The token stream of the file at a path, or a stream already read."""
+    return source if isinstance(source, TokenStream) else TokenStream(Path(source))
+
+
+def parse_ring_file(path: str | Path | TokenStream) -> fr.FiniteRing:
     from . import finring as fr
 
-    ts = TokenStream(Path(path))
+    ts = _tokens(path)
     ts.expect("modulus")
     modulus = ts.integer("modulus")
     if modulus.bit_length() > fr.MAX_MODULUS_BITS:
@@ -288,8 +297,10 @@ def parse_ring_file(path: str | Path) -> fr.FiniteRing:
     return fr.make_ring(modulus, rank, sc, labels)
 
 
-def parse_idempotent_file(path: str | Path) -> tuple[fr.FiniteRing, list[fr.RingElement]]:
-    ts = TokenStream(Path(path))
+def parse_idempotent_file(
+    path: str | Path | TokenStream,
+) -> tuple[fr.FiniteRing, list[fr.RingElement]]:
+    ts = _tokens(path)
     ring = parse_ring_file(ts.relative_path("ring"))
     elements = []
     while not ts.done():
@@ -299,10 +310,10 @@ def parse_idempotent_file(path: str | Path) -> tuple[fr.FiniteRing, list[fr.Ring
     return ring, elements
 
 
-def parse_category_file(path: str | Path) -> cat.SmallCategory:
+def parse_category_file(path: str | Path | TokenStream) -> cat.SmallCategory:
     from . import smallcat as cat
 
-    ts = TokenStream(Path(path))
+    ts = _tokens(path)
     ts.expect("objects")
     p = ts.integer("object count")
     ts.expect("morphisms")
@@ -329,10 +340,10 @@ def parse_category_file(path: str | Path) -> cat.SmallCategory:
     return cat.make_category(p, dom, cod, identity, table)
 
 
-def parse_grading_file(path: str | Path) -> gr.Grading:
+def parse_grading_file(path: str | Path | TokenStream) -> gr.Grading:
     from . import graded as gr
 
-    ts = TokenStream(Path(path))
+    ts = _tokens(path)
     ring = parse_ring_file(ts.relative_path("ring"))
     category = parse_category_file(ts.relative_path("category"))
     components: list[fr.AdditiveSubgroup | None] = [None] * category.morphism_count
@@ -350,10 +361,10 @@ def parse_grading_file(path: str | Path) -> gr.Grading:
     return gr.attach_grading(ring, category, components)
 
 
-def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
+def parse_system_file(path: str | Path | TokenStream) -> sk.SkewCategorySystem:
     from . import skewalg as sk
 
-    ts = TokenStream(Path(path))
+    ts = _tokens(path)
     category = parse_category_file(ts.relative_path("category"))
     rings: list[fr.FiniteRing | None] = [None] * category.object_count
     parsed: dict[Path, fr.FiniteRing] = {}  # objects that name one file share its ring
@@ -390,11 +401,6 @@ def parse_system_file(path: str | Path) -> sk.SkewCategorySystem:
 # reports
 
 
-def _digest(path: str | Path) -> dict:
-    data = _read_input(Path(path))
-    return {"path": str(path), "sha256": sha256(data).hexdigest()}
-
-
 class Reporter:
     def __init__(self, command: str, quiet: bool, no_timings: bool):
         self.report: dict = {
@@ -408,8 +414,12 @@ class Reporter:
         self.timings = not no_timings
         self.start = time.perf_counter()
 
-    def add_input(self, path) -> None:
-        self.report["inputs"].append(_digest(path))
+    def read_input(self, path: str) -> TokenStream:
+        """The token stream of a top-level input file; the report names the
+        file with the SHA-256 of the bytes parsed, which a pipe gives once."""
+        ts = TokenStream(Path(path))
+        self.report["inputs"].append({"path": path, "sha256": ts.sha256})
+        return ts
 
     def verdict(self, key: str, value) -> None:
         self.report["verdicts"][key] = value
@@ -470,8 +480,7 @@ def _emit_error(command: str, exc: Exception, quiet: bool, code: int = 2) -> int
 def _cmd_check_ring(args, rep: Reporter) -> None:
     from . import finring as fr
 
-    ring = parse_ring_file(args.ring)
-    rep.add_input(args.ring)
+    ring = parse_ring_file(rep.read_input(args.ring))
     rep.verdict("associative", True)
     one = fr.find_identity(ring)
     rep.info("ring", {"modulus": ring.modulus, "rank": ring.rank, "order": ring.order})
@@ -483,8 +492,7 @@ def _cmd_check_ring(args, rep: Reporter) -> None:
 def _cmd_peirce(args, rep: Reporter) -> None:
     from . import idempotents as idem
 
-    ring, candidates = parse_idempotent_file(args.idempotents)
-    rep.add_input(args.idempotents)
+    ring, candidates = parse_idempotent_file(rep.read_input(args.idempotents))
     iset = idem.validate_complete_set(ring, candidates)
     table = idem.peirce_table(iset)
     rep.verdict("complete_set", True)
@@ -498,8 +506,7 @@ def _cmd_peirce(args, rep: Reporter) -> None:
 def _cmd_check_strong(args, rep: Reporter) -> None:
     from . import idempotents as idem
 
-    ring, candidates = parse_idempotent_file(args.idempotents)
-    rep.add_input(args.idempotents)
+    ring, candidates = parse_idempotent_file(rep.read_input(args.idempotents))
     iset = idem.validate_complete_set(ring, candidates)
     table = idem.peirce_table(iset)
     report = idem.strong_condition_report(table)
@@ -515,8 +522,7 @@ def _cmd_check_strong(args, rep: Reporter) -> None:
 def _cmd_ideal_lattice(args, rep: Reporter) -> None:
     from . import finring as fr
 
-    ring = parse_ring_file(args.ring)
-    rep.add_input(args.ring)
+    ring = parse_ring_file(rep.read_input(args.ring))
     lattice = fr.enumerate_one_sided_ideals(ring, args.side)
     rep.verdict("enumerated", True)
     rep.info("size", lattice.size)
@@ -528,8 +534,7 @@ def _cmd_ideal_lattice(args, rep: Reporter) -> None:
 def _cmd_check_category(args, rep: Reporter) -> None:
     from . import smallcat as cat
 
-    category = parse_category_file(args.category)
-    rep.add_input(args.category)
+    category = parse_category_file(rep.read_input(args.category))
     rep.verdict("valid", True)
     report = cat.homset_strong_report(category)
     rep.verdict("agree", report.agree)
@@ -584,13 +589,18 @@ def _cmd_check_grading(args, rep: Reporter) -> None:
     from . import graded as gr
     from . import smallcat as cat
 
-    grading = parse_grading_file(args.grading)
-    rep.add_input(args.grading)
+    grading = parse_grading_file(rep.read_input(args.grading))
     rep.verdict("valid", True)
-    object_unital = gr.object_unital_check(grading).object_unital
-    rep.verdict("object_unital", object_unital)
+    unital = gr.object_unital_check(grading)
+    rep.verdict("object_unital", unital.object_unital)
     rep.info("strongly_graded", gr.strongly_graded_check(grading))
-    if not object_unital:
+    if not unital.object_unital:
+        if len(unital.witness) == 2:
+            a, reason = unital.witness
+            rep.witness(object=a, reason=reason)
+        else:
+            g, x, reason = unital.witness
+            rep.witness(morphism=g, element=list(x), reason=reason)
         return
     gr.induced_idempotents(grading)  # the local units must form a complete set
     report = None
@@ -608,8 +618,7 @@ def _cmd_check_grading(args, rep: Reporter) -> None:
 def _cmd_build_skew(args, rep: Reporter) -> None:
     from . import skewalg as sk
 
-    system = parse_system_file(args.system)
-    rep.add_input(args.system)
+    system = parse_system_file(rep.read_input(args.system))
     algebra = sk.build_skew_algebra(system)
     rep.verdict("system_valid", True)
     # build_skew_algebra raises InvariantViolation unless both hold

@@ -35,7 +35,6 @@ from .finring import (
     RingElement,
     _check_side,
     direct_sum_defect,
-    enumerate_one_sided_ideals,
     product_subgroup,
 )
 # the submodule lattice of S_j on a component and of a corner on itself, under
@@ -300,52 +299,8 @@ def corner_lattice_correspondence(
 # lattice analytics
 
 
-class CornerProfile(NamedTuple):
-    corner_order: int
-    left_size: int
-    left_height: int
-    right_size: int
-    right_height: int
-
-
-class ChainProfile(NamedTuple):
-    """Quantitative lattice data for a ring with a complete set of idempotents.
-
-    On finite instances every chain condition holds, so the informative
-    content is the lattice sizes and heights plus the strength verdict.
-    """
-
-    index_size: int
-    strong: bool
-    corners: tuple[CornerProfile, ...]
-    ring_left_size: int
-    ring_left_height: int
-    ring_right_size: int
-    ring_right_height: int
-
-
 def ideal_lattice_shape(subring: AdditiveSubgroup, side: str) -> tuple[int, int]:
     """(size, height) of the one-sided ideal lattice of a subring such as a
     corner: its submodule lattice acting on itself."""
     ideals, lt = _submodules(subring, subring, side)
     return len(ideals), posets.longest_chain_length(lt)
-
-
-def chain_profile(ring: FiniteRing, iset: IdempotentSet) -> ChainProfile:
-    table = peirce_table(iset)
-    report = strong_condition_report(table)
-    corners = tuple(
-        CornerProfile(c.order, *ideal_lattice_shape(c, "left"), *ideal_lattice_shape(c, "right"))
-        for c in (table.component(i, i) for i in range(iset.size))
-    )
-    ring_left = enumerate_one_sided_ideals(ring, "left")
-    ring_right = enumerate_one_sided_ideals(ring, "right")
-    return ChainProfile(
-        index_size=iset.size,
-        strong=report.strong,
-        corners=corners,
-        ring_left_size=ring_left.size,
-        ring_left_height=ring_left.height,
-        ring_right_size=ring_right.size,
-        ring_right_height=ring_right.height,
-    )

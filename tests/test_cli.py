@@ -134,6 +134,45 @@ compose 5 5 5
 """
 
 
+# Over Z/2 on a, b, c: a a = a, c c = c, c b = b, every other product 0,
+# graded by the arrow 0 -> 1 (morphisms id0, the arrow, id1) with components
+# span(a), span(b) and span(c).  c is a left unit of b, but a is no right
+# unit of it, for b a = 0: the unit law fails at the arrow.
+ABC_RING = """\
+modulus 2
+rank 3
+labels a b c
+constants
+1 0 0  0 0 0  0 0 0
+0 0 0  0 0 0  0 0 0
+0 0 0  0 1 0  0 0 1
+"""
+
+ARROW_CATEGORY = """\
+objects 2
+morphisms 3
+arrow 0 0
+arrow 0 1
+arrow 1 1
+identity 0 2
+compose 0 0 0
+compose 1 0 1
+compose 2 1 1
+compose 2 2 2
+"""
+
+ABC_GRADING = """\
+ring abc.ring
+category arrow.cat
+component 0 1
+1 0 0
+component 1 1
+0 1 0
+component 2 1
+0 0 1
+"""
+
+
 def _write_inputs(path: Path) -> Path:
     (path / "m2.ring").write_text(M2_RING)
     (path / "t2.ring").write_text(T2_RING)
@@ -275,6 +314,20 @@ class TestParsers:
                 4, 6,
             ),
             (
+                "empty.ring",
+                "",
+                cli.parse_ring_file,
+                "unexpected end of file, expected keyword 'modulus'",
+                1, 1,
+            ),
+            (
+                "remarks.ring",
+                "# no declarations\n\n   # at all\n",
+                cli.parse_ring_file,
+                "unexpected end of file, expected keyword 'modulus'",
+                1, 1,
+            ),
+            (
                 "map.system",
                 "category one.cat\nobject 0 ring z3.ring\nmap 0\n1 map 0\n1\n",
                 cli.parse_system_file,
@@ -404,6 +457,19 @@ class TestExitCodes:
             error = json.loads(out)["error"]
             assert error["type"] == "ParseError", command
             assert (error["line"], error["column"]) == (4, 22), command
+
+    def test_non_utf8_error_cuts_a_long_path(self, workdir, capsys):
+        # it once quoted the whole path: 243 characters for this one
+        path = workdir / ("x" * 200 + ".ring")
+        path.write_bytes(b"modulus 2\xff\n")
+        code, out = run(capsys, "--no-timings", "check-ring", path)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ParseError",
+            "message": f"{cut(str(path))} is not UTF-8 text (line 1, column 10)",
+            "line": 1,
+            "column": 10,
+        }
 
     @pytest.mark.skipif(
         not (os.path.exists("/dev/zero") and stat.S_ISCHR(os.stat("/dev/zero").st_mode)),
@@ -957,7 +1023,9 @@ class TestExitCodes:
         monkeypatch.setattr(fr.FiniteRing, "element_vectors", no_scan)
         code, out = run(capsys, "--no-timings", "check-grading", path)
         assert code == 1
-        assert json.loads(out)["verdicts"]["object_unital"] is False
+        report = json.loads(out)
+        assert report["verdicts"]["object_unital"] is False
+        assert report["witnesses"] == [{"object": 0, "reason": "identity component not unital"}]
         monkeypatch.undo()
         proc = subprocess.run(
             [sys.executable, "-m", "ringbench.cli", "--quiet", "check-grading", str(path)],
@@ -995,6 +1063,21 @@ class TestReports:
         report = json.loads(out)
         assert len(report["inputs"]) == 1
         assert len(report["inputs"][0]["sha256"]) == 64
+
+    @pytest.mark.skipif(not os.path.lexists("/dev/stdin"), reason="no /dev/stdin here")
+    def test_piped_input_digest_is_of_the_bytes_parsed(self, workdir):
+        # a pipe gives its bytes once: a second read for the digest once
+        # reported the SHA-256 of no bytes
+        data = (workdir / "m2.ring").read_bytes()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringbench.cli", "--no-timings", "check-ring", "/dev/stdin"],
+            input=data, capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["inputs"] == [
+            {"path": "/dev/stdin", "sha256": hashlib.sha256(data).hexdigest()}
+        ]
 
 
 # Runs cli.main on every argv list given as JSON, in one of three modes: plain;
@@ -1332,6 +1415,18 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["verdicts"]["mx-family"] is True
 
+    def test_verify_prop_reports_each_failure(self, capsys, monkeypatch):
+        failures = ["mx_c2_s2: not hom-set strong", "mx_c3_s1: groupoid=True but group table=False"]
+        monkeypatch.setitem(
+            verify.PROP_CHECKS, "mx-family",
+            lambda seed: verify.VerificationResult("mx-family", False, 15, list(failures)),
+        )
+        code, out = run(capsys, "--no-timings", "verify-prop", "mx-family")
+        assert code == 1
+        report = json.loads(out)
+        assert (report["verdicts"], report["checked"]) == ({"mx-family": False}, 15)
+        assert report["witnesses"] == [{"failure": failure} for failure in failures]
+
     def test_gen_suite(self, capsys):
         code, out = run(capsys, "--no-timings", "gen-suite", "mx-family")
         assert code == 0
@@ -1371,6 +1466,25 @@ class TestFailingProducts:
                 {"condition": 3, "indices": [0, 1],
                  "reason": "idempotent not reached by the product"},
             ],
+        })
+
+    def test_check_grading_where_the_unit_law_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("abc.ring").write_text(ABC_RING)
+        Path("arrow.cat").write_text(ARROW_CATEGORY)
+        Path("abc.grading").write_text(ABC_GRADING)
+        code, out = run(capsys, "--no-timings", "check-grading", "abc.grading")
+        assert code == 1
+        assert out == pinned({
+            "command": "check-grading",
+            "tool": {"name": "ringbench", "version": "0.1.0"},
+            "inputs": [{
+                "path": "abc.grading",
+                "sha256": "de1a765d033e177b1a5706551d9537f0acaa240091b3afd1c5b069528b6c22d8",
+            }],
+            "verdicts": {"valid": True, "object_unital": False},
+            "witnesses": [{"morphism": 1, "element": [0, 1, 0], "reason": "unit law fails"}],
+            "strongly_graded": False,
         })
 
     def test_check_category_on_a_split_pair(self, tmp_path, capsys, monkeypatch):

@@ -18,9 +18,8 @@ EXPORTS = {
         "make_ring", "product_subgroup",
     ),
     "idempotents": (
-        "IdempotentSet", "PeirceTable", "StrongnessReport", "chain_profile",
-        "corner_lattice_correspondence", "is_strong", "peirce_table",
-        "strong_condition_report", "validate_complete_set",
+        "IdempotentSet", "PeirceTable", "StrongnessReport", "corner_lattice_correspondence",
+        "is_strong", "peirce_table", "strong_condition_report", "validate_complete_set",
     ),
     "smallcat": (
         "SmallCategory", "build_MX", "finiteness_report", "homset_strong_report",

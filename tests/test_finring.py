@@ -53,6 +53,11 @@ class TestMakeRing:
         with pytest.raises(ShapeMismatch):
             fr.make_ring(2, 0, np.zeros((0, 0, 0), dtype=np.int64))
 
+    def test_constant_that_is_no_sequence(self):
+        # the cell [5] of a rank-1 table is an integer, not a row of constants
+        with pytest.raises(ShapeMismatch, match=r"must have shape \(1, 1, 1\)"):
+            fr.make_ring(2, 1, [[5]])
+
     def test_modulus_too_small(self):
         with pytest.raises(ModulusTooSmall):
             fr.make_ring(1, 1, [[[0]]])

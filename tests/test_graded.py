@@ -113,6 +113,22 @@ class TestObjectUnital:
         assert not result.object_unital
         assert result.witness is not None
 
+    def test_unit_law_failure_names_the_morphism_and_element(self):
+        # over Z/2 with a a = a, c c = c, c b = b and every other product 0,
+        # graded by the arrow 0 -> 1 with components span(a), span(b),
+        # span(c): c is a left unit of b, but a is no right unit, for b a = 0
+        zero = [0, 0, 0]
+        ring = fr.make_ring(
+            2, 3,
+            [[[1, 0, 0], zero, zero], [zero, zero, zero], [zero, [0, 1, 0], [0, 0, 1]]],
+            ["a", "b", "c"],
+        )
+        arrow = corpus.thin_category_from_relation(2, [(0, 1)])
+        grading = gr.attach_grading(ring, arrow, [ring.span([e]) for e in np.eye(3, dtype=int)])
+        a, _, c = (ring.basis_element(i) for i in range(3))
+        assert gr.object_unital_check(grading) == (False, (a, c), (1, (0, 1, 0), "unit law fails"))
+        assert not gr.strongly_graded_check(grading)
+
     def test_unital_ring_trivial_grading(self, trivial_category, m2f2):
         g = gr.attach_grading(m2f2, trivial_category, [m2f2.full_subgroup()])
         result = gr.object_unital_check(g)

@@ -447,30 +447,34 @@ class TestSubmoduleLattice:
         assert checked > 0
 
 
-class TestChainProfile:
-    def test_matrix_ring_profile(self, m2_setup):
-        ring, iset, _ = m2_setup
-        profile = idem.chain_profile(ring, iset)
-        assert profile.index_size == 2
-        assert profile.strong
-        assert (profile.ring_left_size, profile.ring_left_height) == (5, 2)
-        assert all((c.left_size, c.left_height) == (2, 1) for c in profile.corners)
+class TestLatticeShapes:
+    """Lattice sizes and heights of a ring and its corners, read from the
+    functions that compute them."""
 
-    def test_rank_one_profile(self):
+    def test_matrix_ring_lattices(self, m2_setup):
+        ring, iset, table = m2_setup
+        assert iset.size == 2
+        assert idem.strong_condition_report(table).strong
+        lattice = fr.enumerate_one_sided_ideals(ring, "left")
+        assert (lattice.size, lattice.height) == (5, 2)
+        for i in range(2):
+            assert idem.ideal_lattice_shape(table.component(i, i), "left") == (2, 1)
+
+    def test_rank_one_lattices(self):
         ring = corpus.cyclic_ring(2)
         iset = idem.validate_complete_set(ring, [fr.find_identity(ring)])
-        profile = idem.chain_profile(ring, iset)
-        assert profile.index_size == 1
-        assert (profile.ring_left_size, profile.corners[0].left_size) == (2, 2)
+        table = idem.peirce_table(iset)
+        assert iset.size == 1
+        assert fr.enumerate_one_sided_ideals(ring, "left").size == 2
+        assert idem.ideal_lattice_shape(table.component(0, 0), "left")[0] == 2
 
-    def test_triangular_profile(self, t2_setup):
-        ring, iset, _ = t2_setup
-        profile = idem.chain_profile(ring, iset)
-        assert not profile.strong
+    def test_triangular_lattices(self, t2_setup):
+        ring, _, table = t2_setup
+        assert not idem.strong_condition_report(table).strong
         # 7 left ideals, verified against the exhaustive subgroup oracle in
         # the acceptance suite
-        assert profile.ring_left_size == 7
-        assert profile.ring_right_size == 7
+        assert fr.enumerate_one_sided_ideals(ring, "left").size == 7
+        assert fr.enumerate_one_sided_ideals(ring, "right").size == 7
 
 
 class TestNonFreeCorner:
@@ -493,13 +497,13 @@ class TestNonFreeCorner:
             assert cert.ok
             assert cert.ideal_count == count
 
-    def test_chain_profile(self, z6z6_setup):
-        ring, iset, _ = z6z6_setup
-        profile = idem.chain_profile(ring, iset)
-        assert [(c.corner_order, c.left_size, c.right_size) for c in profile.corners] == [
-            (12, 8, 8),
-            (3, 2, 2),
-        ]
+    def test_corner_lattice_shapes(self, z6z6_setup):
+        _, _, table = z6z6_setup
+        corners = [table.component(i, i) for i in range(2)]
+        assert [
+            (c.order, idem.ideal_lattice_shape(c, "left")[0], idem.ideal_lattice_shape(c, "right")[0])
+            for c in corners
+        ] == [(12, 8, 8), (3, 2, 2)]
 
     def test_corner_ring_is_not_free(self, z6z6_setup):
         ring, _, _ = z6z6_setup

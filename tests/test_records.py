@@ -39,13 +39,6 @@ PARAMETERS = {
         "forward_then_back_identity", "back_then_forward_identity", "forward_monotone",
         "back_monotone", "pairs", "failure",
     ],
-    idempotents.CornerProfile: [
-        "corner_order", "left_size", "left_height", "right_size", "right_height",
-    ],
-    idempotents.ChainProfile: [
-        "index_size", "strong", "corners", "ring_left_size", "ring_left_height",
-        "ring_right_size", "ring_right_height",
-    ],
     skewalg.SkewCategorySystem: ["category", "object_rings", "maps"],
     skewalg.SkewAlgebra: ["ring", "grading", "system", "offsets", "unit_elements"],
     skewalg.StrongEquivalenceRecord: [
@@ -72,9 +65,7 @@ VALUE_RECORDS = {
     corpus.MutatedInstance,
     fr.RingElement,
     graded.ObjectUnitalResult,
-    idempotents.ChainProfile,
     idempotents.CornerLatticeCertificate,
-    idempotents.CornerProfile,
     skewalg.StrongEquivalenceRecord,
     smallcat.GroupoidCheck,
     smallcat.FinitenessReport,

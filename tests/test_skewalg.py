@@ -15,6 +15,7 @@ from ringbench import verify
 from ringbench.errors import (
     IdentityNotIdentity,
     ModulusMismatch,
+    ShapeMismatch,
     NotFunctorial,
     NotRingIso,
     NotUnital,
@@ -48,6 +49,11 @@ class TestValidateSystem:
     def test_involution_swap(self, c2_category, z3z3):
         system = sk.validate_system(c2_category, [z3z3], [EYE2, SWAP])
         assert np.array_equal(system.maps[1], SWAP)
+
+    def test_map_row_that_is_no_sequence(self, z2):
+        c1 = sc.build_MX(corpus.MONOID_TABLES["c1"], 1)
+        with pytest.raises(ShapeMismatch, match="map for morphism 0 must be 1 x 1"):
+            sk.validate_system(c1, [z2], [[5]])
 
     def test_broken_functoriality(self, z3z3):
         c3 = sc.build_MX(corpus.MONOID_TABLES["c3"], 1)

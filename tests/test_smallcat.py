@@ -212,6 +212,10 @@ class TestBuildMX:
         with pytest.raises(NotAMonoid):
             sc.build_MX([[0, 0], [0, 0]], 2)
 
+    def test_one_dimensional_table_rejected(self):
+        with pytest.raises(NotAMonoid, match="table must be two-dimensional"):
+            sc.build_MX([0], 1)
+
     def test_non_associative_rejected(self):
         with pytest.raises(NotAMonoid):
             sc.build_MX([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 1)
