@@ -9,8 +9,13 @@ All arithmetic runs on Python ints, so it is exact at every modulus; a
 modulus is capped at MAX_MODULUS_BITS bits.
 Elements and subgroup bases are tuples of residues, and every product inside
 the package goes through one kernel, FiniteRing._mul, which reads a
-row-sparse table of the nonzero structure constants.  Inputs from callers (structure
-constants, coordinates, generators) are read with int() and reduced mod m.
+row-sparse table of the nonzero structure constants; a multiplication matrix
+is its products with the basis rows.  Two readers of the constants stay
+apart from it on purpose: the associativity check validates the table the
+kernel reads, and _unit_of builds its linear system from the constants and
+then rechecks the solution with the kernel.  Inputs from callers (structure
+constants, coordinates, generators) are read with int() and reduced mod m;
+a vector of the wrong length is ShapeMismatch.
 
 Additive subgroups are kept in Howell normal form, which is a true canonical
 form over Z/m, so subgroup equality is decided by comparing bases.  One-sided
@@ -134,15 +139,14 @@ class FiniteRing:
 
     # -- elements ------------------------------------------------------------
 
-    def _residues(self, coords) -> tuple[int, ...]:
+    def _residues(self, coords: Sequence[int]) -> tuple[int, ...]:
+        """A caller's vector as residues; ShapeMismatch unless it has rank entries."""
+        if len(coords) != self.rank:
+            raise ShapeMismatch(f"expected {self.rank} coordinates, got {len(coords)}")
         m = self.modulus
         return tuple([int(c) % m for c in coords])
 
     def element(self, coords: Sequence[int]) -> "RingElement":
-        if len(coords) != self.rank:
-            raise ShapeMismatch(
-                f"expected {self.rank} coordinates, got {len(coords)}"
-            )
         return RingElement(self, self._residues(coords))
 
     def zero(self) -> "RingElement":
@@ -189,33 +193,14 @@ class FiniteRing:
         return self._mul(self._residues(x), self._residues(y))
 
     def left_mul_matrix(self, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """Matrix of y -> x * y acting on row vectors: row j is x * b_j,
-        the sum of x_i (b_i * b_j), built in one pass over the table."""
-        rows = [[0] * self.rank for _ in range(self.rank)]
-        for a, products in zip(self._residues(x), self._table):
-            if a:
-                for j, cell in products:
-                    row = rows[j]
-                    for k, c in cell:
-                        row[k] += a * c
-        return self._reduced(rows)
+        """Matrix of y -> x * y acting on row vectors: row j is x * b_j."""
+        x, mul = self._residues(x), self._mul
+        return tuple([mul(x, b) for b in self._basis_rows])
 
     def right_mul_matrix(self, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """Matrix of y -> y * x acting on row vectors: row i is b_i * x,
-        the sum of x_j (b_i * b_j), built in one pass over the table."""
-        x = self._residues(x)
-        rows = [[0] * self.rank for _ in range(self.rank)]
-        for row, products in zip(rows, self._table):
-            for j, cell in products:
-                b = x[j]
-                if b:
-                    for k, c in cell:
-                        row[k] += b * c
-        return self._reduced(rows)
-
-    def _reduced(self, rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-        m = self.modulus
-        return tuple(tuple([v % m for v in row]) for row in rows)
+        """Matrix of y -> y * x acting on row vectors: row i is b_i * x."""
+        x, mul = self._residues(x), self._mul
+        return tuple([mul(b, x) for b in self._basis_rows])
 
     def sandwich(self, x: Sequence[int], y: Sequence[int]) -> "AdditiveSubgroup":
         """The subgroup x S y, spanned by x * b_l * y over the basis."""
@@ -359,6 +344,8 @@ class AdditiveSubgroup:
             if x.ring is not self.ring:
                 raise RingMismatch("element bound to a different ring")
             x = x.coords
+        elif len(x) != self.ring.rank:
+            raise ShapeMismatch(f"expected {self.ring.rank} coordinates, got {len(x)}")
         return howell.contains_vector(self.rows, x, self.ring.modulus, self._leads)
 
     def element_vectors(self) -> Iterator[tuple[int, ...]]:

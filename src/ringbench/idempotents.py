@@ -26,6 +26,7 @@ from .errors import (
     NotOrthogonal,
     NotStrong,
     RingMismatch,
+    ShapeMismatch,
     ZeroComponent,
     ZeroIdempotent,
 )
@@ -228,11 +229,14 @@ def corner_lattice_correspondence(
 ) -> CornerLatticeCertificate:
     """Materialize both posets and certify the inclusion-preserving bijection.
 
-    Requires a strong set (NotStrong otherwise) and a nonzero mixed component
-    e_i S e_j (ZeroComponent otherwise).  Verdict failures are recorded in
-    the certificate, never raised.
+    Requires indices in 0..k-1 (ShapeMismatch otherwise), a strong set
+    (NotStrong otherwise) and a nonzero mixed component e_i S e_j
+    (ZeroComponent otherwise).  Verdict failures are recorded in the
+    certificate, never raised.
     """
     _check_side(side)
+    if not (0 <= i < table.size and 0 <= j < table.size):
+        raise ShapeMismatch(f"component ({i}, {j}) out of range for {table.size} idempotents")
     if not table.strong:
         raise NotStrong("the idempotent set is not strong")
     if table.components[i][j].is_zero():

@@ -782,20 +782,38 @@ class TestElementBinding:
 
 class TestMultiplicationMatrices:
     # every element of the 22 distinct base rings of prop-2.4
-    def test_built_without_the_kernel_as_per_basis_products(self, monkeypatch):
+    def test_rows_are_basis_products_by_the_bilinear_formula(self):
         rings = {id(inst.ring): inst.ring for inst in corpus._prop24_base()}
-        kernel = fr.FiniteRing._mul
-        calls = []
-        monkeypatch.setattr(
-            fr.FiniteRing, "_mul", lambda self, x, y: calls.append(1) or kernel(self, x, y)
-        )
         cases = [
             (ring, x, ring.left_mul_matrix(x), ring.right_mul_matrix(x))
             for ring in rings.values()
             for x in ring.element_vectors()
         ]
-        assert (len(cases), len(calls)) == (1276, 0)
+        assert len(cases) == 1276
         for ring, x, left, right in cases:
             basis = ring._basis_rows
-            assert left == tuple(kernel(ring, x, b) for b in basis)
-            assert right == tuple(kernel(ring, b, x) for b in basis)
+            assert left == tuple(bilinear_product(ring, x, b) for b in basis)
+            assert right == tuple(bilinear_product(ring, b, x) for b in basis)
+
+
+class TestVectorShape:
+    """Every public entry point that takes a raw vector refuses one of the
+    wrong length, short or long, on the 2x2 matrices over Z/2 (rank 4)."""
+
+    ENTRY_POINTS = {
+        "element": lambda ring, v: ring.element(v),
+        "mul_vec left": lambda ring, v: ring.mul_vec(v, (1, 0, 0, 0)),
+        "mul_vec right": lambda ring, v: ring.mul_vec((1, 0, 0, 0), v),
+        "left_mul_matrix": lambda ring, v: ring.left_mul_matrix(v),
+        "right_mul_matrix": lambda ring, v: ring.right_mul_matrix(v),
+        "sandwich left": lambda ring, v: ring.sandwich(v, (1, 0, 0, 0)),
+        "sandwich right": lambda ring, v: ring.sandwich((1, 0, 0, 0), v),
+        "full contains": lambda ring, v: ring.full_subgroup().contains(v),
+        "span contains": lambda ring, v: ring.span([(1, 0, 0, 0)]).contains(v),
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("vector", [(1,), (1, 0, 0, 0, 1)], ids=["short", "long"])
+    def test_wrong_length_is_refused(self, m2f2, name, vector):
+        with pytest.raises(ShapeMismatch, match=f"expected 4 coordinates, got {len(vector)}"):
+            self.ENTRY_POINTS[name](m2f2, vector)

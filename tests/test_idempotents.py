@@ -294,6 +294,24 @@ class TestCornerLatticeCorrespondence:
         with pytest.raises(ShapeMismatch, match="side must be 'left' or 'right', got 'up'"):
             idem.corner_lattice_correspondence(table, 0, 1, "up")
 
+    @pytest.mark.parametrize("i,j", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+    @pytest.mark.parametrize(
+        "factory,strong",
+        [(corpus.matrix_units_ring, True), (corpus.upper_triangular_ring, False)],
+        ids=["matrix2_z2", "triangular2_z2"],
+    )
+    def test_index_out_of_range_rejected(self, factory, strong, i, j):
+        # refused before the strength check (the triangular set is not
+        # strong) and before any lattice is built (none is memoized)
+        ring = factory(2, 2)
+        table = idem.peirce_table(idem.validate_complete_set(
+            ring, [ring.basis_element(0), ring.basis_element(ring.rank - 1)]
+        ))
+        assert table.strong is strong
+        with pytest.raises(ShapeMismatch, match=rf"component \({i}, {j}\) out of range for 2"):
+            idem.corner_lattice_correspondence(table, i, j, "left")
+        assert ring._lattices == {}
+
     def test_not_strong_rejected(self, t2_setup):
         _, _, table = t2_setup
         with pytest.raises(NotStrong):

@@ -98,3 +98,26 @@ def test_only_strength_evaluates_the_conditions():
             if used:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_kernel_and_the_associativity_check_read_the_table():
+    """FiniteRing._mul is the one product kernel: besides the constructor
+    that builds the row-sparse table, only the kernel and the associativity
+    check, which validates that table, read ``._table``."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stack = [(node, None) for node in tree.body]
+        while stack:
+            node, func = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if isinstance(node, ast.Attribute) and node.attr == "_table":
+                found.add((path.name, func))
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    assert found == {
+        ("finring.py", "__init__"),
+        ("finring.py", "_mul"),
+        ("finring.py", "associativity_work"),
+        ("finring.py", "_first_nonassociative_triple"),
+    }

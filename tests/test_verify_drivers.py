@@ -223,6 +223,18 @@ def test_fixture_counts_reads_the_held_prop24_rings(monkeypatch, seed):
     assert {key: len(calls) for key, calls in builds.items()} == dict.fromkeys(builds, 0)
 
 
+@pytest.mark.parametrize("seed", [1729, 3])
+def test_fixture_counts_builds_no_seeded_suite(monkeypatch, seed):
+    # the three rings and matrix2_z2's held table come from the seedless
+    # prop-2.4 base, so no conjugate variant is drawn and no suite is held
+    corpus.forget_held_work()
+    conjugates = counted(monkeypatch, corpus, "_conjugate_set")
+    result = verify.verify_fixture_counts(seed)
+    assert result.ok and result.checked == 4
+    assert conjugates == []
+    assert [key for key in corpus._held if type(key) is tuple and key[0] == "prop-2.4"] == []
+
+
 def test_injected_category_report_fault_names_every_instance(monkeypatch):
     # the fault is made where a report is evaluated, so every instance that
     # reads the faulty recipe's report fails
